@@ -10,14 +10,15 @@ once the lower-level coordinates are fixed, which is what
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .polynomial import MPoly, Var, parse_poly, poly_to_str
-from .realalg import NULLIFIED, UNDEF, RealAlg, RootSortProxy, Sample, roots_in_extension
+from .realalg import NULLIFIED, UNDEF, RealAlg, Sample, roots_in_extension, separate
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,10 @@ class IndexedRoot:
     def __repr__(self) -> str:
         return f"root({poly_to_str(self.poly)}, {self.index})"
 
+    def text(self) -> str:
+        """The serialized form, `(root "poly" index)`."""
+        return f'(root "{poly_to_str(self.poly)}" {self.index})'
+
 
 class SymbolicInterval:
     level: int
@@ -53,6 +58,10 @@ class SymbolicInterval:
         raise NotImplementedError
 
     def bound_roots(self) -> list[IndexedRoot]:
+        raise NotImplementedError
+
+    def bounds(self) -> tuple[Optional[IndexedRoot], Optional[IndexedRoot]]:
+        """(lower, upper); a section is bounded by its root on both sides."""
         raise NotImplementedError
 
 
@@ -69,6 +78,9 @@ class SectionInterval(SymbolicInterval):
 
     def bound_roots(self) -> list[IndexedRoot]:
         return [self.bound]
+
+    def bounds(self) -> tuple[Optional[IndexedRoot], Optional[IndexedRoot]]:
+        return self.bound, self.bound
 
     def __repr__(self) -> str:
         return f"section({self.bound!r})"
@@ -93,6 +105,9 @@ class SectorInterval(SymbolicInterval):
 
     def bound_roots(self) -> list[IndexedRoot]:
         return [b for b in (self.lower, self.upper) if b is not None]
+
+    def bounds(self) -> tuple[Optional[IndexedRoot], Optional[IndexedRoot]]:
+        return self.lower, self.upper
 
     def __repr__(self) -> str:
         lo = "-inf" if self.lower is None else repr(self.lower)
@@ -151,19 +166,18 @@ def eval_indexed_root(xi: IndexedRoot, s: Sample):
     return roots[xi.index - 1]
 
 
-def irexpr(P: Iterable[MPoly], s: Sample, at: RealAlg | None = None):
-    """All indexed root expressions of the polynomials in P at s (UNDEF
-    if any polynomial is nullified); optionally filtered to the ones
-    whose value equals `at`."""
-    out: set[IndexedRoot] = set()
-    for p in P:
-        roots = cached_roots(p, s)
-        if roots is NULLIFIED:
-            return UNDEF
-        for k, r in enumerate(roots):
-            if at is None or r.compare(at) == 0:
-                out.add(IndexedRoot(p, k + 1))
-    return out
+def value_order(roots, val, tie_rank=lambda r: 0) -> list[IndexedRoot]:
+    """The roots sorted by their values `val[root]`; equal values by
+    tie_rank, then in canonical polynomial and index order."""
+
+    def cmp(a: IndexedRoot, b: IndexedRoot) -> int:
+        c = val[a].compare(val[b]) or tie_rank(a) - tie_rank(b)
+        if c:
+            return c
+        ka, kb = (a.poly.sort_key(), a.index), (b.poly.sort_key(), b.index)
+        return (ka > kb) - (ka < kb)
+
+    return sorted(roots, key=functools.cmp_to_key(cmp))
 
 
 def cell_contains(c: CellDescription, r: Sample):
@@ -221,10 +235,7 @@ def cell_pick_interior_point(c: CellDescription, seed: int) -> Sample:
         elif hi is None:
             coords.append(RealAlg.rational(lo.enclosure()[1] + 1 + t))
         else:
-            while not lo.enclosure()[1] < hi.enclosure()[0]:
-                lo.refine()
-                hi.refine()
-            a, b = lo.enclosure()[1], hi.enclosure()[0]
+            a, b = separate(lo, hi)
             coords.append(RealAlg.rational(a + (b - a) * t))
     return Sample(coords)
 
@@ -270,21 +281,20 @@ def cell_to_formula(c: CellDescription) -> list[ExtendedAtom]:
 _ROOT_RE = re.compile(r'\(root\s+"([^"]*)"\s+(\d+)\)|([+-]inf)')
 
 
-def _root_to_text(b: Optional[IndexedRoot], sign: str) -> str:
-    if b is None:
-        return f"{sign}inf"
-    return f'(root "{poly_to_str(b.poly)}" {b.index})'
+def bound_text(b: Optional[IndexedRoot], sign: str) -> str:
+    """An interval end: the indexed root, or `-inf`/`+inf` for None."""
+    return f"{sign}inf" if b is None else b.text()
 
 
 def cell_to_text(c: CellDescription) -> str:
     lines = []
     for i, iv in enumerate(c, start=1):
         if iv.is_section():
-            lines.append(f"level {i} section {_root_to_text(iv.bound, '')}")
+            lines.append(f"level {i} section {bound_text(iv.bound, '')}")
         else:
             lines.append(
-                f"level {i} sector {_root_to_text(iv.lower, '-')} "
-                f"{_root_to_text(iv.upper, '+')}"
+                f"level {i} sector {bound_text(iv.lower, '-')} "
+                f"{bound_text(iv.upper, '+')}"
             )
     return "\n".join(lines) + ("\n" if lines else "")
 

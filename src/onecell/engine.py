@@ -11,7 +11,6 @@ logged, so the result carries a machine-checkable trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .cells import CellDescription, SymbolicInterval, cached_roots
@@ -24,7 +23,7 @@ from .properties import (
     Repr,
     SgnInv,
 )
-from .realalg import NULLIFIED, RealAlg, Sample
+from .realalg import NULLIFIED, Sample
 from .rules import ConstructionFailed, PropertySet, RuleCtx, apply_pre
 from .stats import RunStats
 
@@ -49,16 +48,6 @@ class CellResult:
 
     def __bool__(self) -> bool:
         return True
-
-
-def as_sample(s: Iterable) -> Sample:
-    coords = []
-    for c in s:
-        if isinstance(c, RealAlg):
-            coords.append(c)
-        else:
-            coords.append(RealAlg.rational(Fraction(c)))
-    return Sample(coords)
 
 
 def _seed_inputs(polys: Sequence[MPoly], Q: PropertySet, cfg: HeuristicConfig,
@@ -147,7 +136,7 @@ def single_cell(
     sign-invariant, or return Fail."""
     cfg = cfg if cfg is not None else HeuristicConfig()
     stats = stats if stats is not None else RunStats()
-    sample = as_sample(s)
+    sample = Sample(s)
     polys = [parse_poly(p) if isinstance(p, str) else p for p in P]
     n = len(sample)
     for p in polys:

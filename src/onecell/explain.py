@@ -9,7 +9,6 @@ description is the clause a solver can learn.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -20,12 +19,13 @@ from .cells import (
     cached_roots,
     cell_to_formula,
     eval_indexed_root,
+    value_order,
 )
 from .config import HeuristicConfig
-from .engine import CellResult, Fail, run_levels
+from .engine import Fail, run_levels
 from .polynomial import MPoly, factor, normalize, poly_to_str, resultant
 from .properties import AnDel, DerivationTrace, OrdInv, SgnInv
-from .realalg import NULLIFIED, UNDEF, RealAlg, Sample, sign_at
+from .realalg import NULLIFIED, UNDEF, RealAlg, Sample, separate, sign_at, sorted_distinct
 from .rules import PropertySet
 from .stats import RunStats
 
@@ -105,20 +105,7 @@ def _candidate_values(C, s: Sample) -> list[RealAlg]:
                 v = eval_indexed_root(c.bound, s.prefix(c.bound.level - 1))
                 if v is not UNDEF:
                     vals.append(v)
-    vals.sort(key=functools.cmp_to_key(RealAlg.compare))
-    out: list[RealAlg] = []
-    for v in vals:
-        if not out or out[-1].compare(v) != 0:
-            out.append(v)
-    return out
-
-
-def _between(lo: RealAlg, hi: RealAlg) -> RealAlg:
-    while not lo.enclosure()[1] < hi.enclosure()[0]:
-        lo.refine()
-        hi.refine()
-    a, b = lo.enclosure()[1], hi.enclosure()[0]
-    return RealAlg.rational((a + b) / 2)
+    return sorted_distinct(vals)
 
 
 def check_conflict(C: Iterable, s: Sample) -> bool:
@@ -139,7 +126,8 @@ def check_conflict(C: Iterable, s: Sample) -> bool:
         for j, v in enumerate(vals):
             candidates.append(v)
             if j + 1 < len(vals):
-                candidates.append(_between(v, vals[j + 1]))
+                a, b = separate(v, vals[j + 1])
+                candidates.append(RealAlg.rational((a + b) / 2))
         candidates.append(RealAlg.rational(vals[-1].enclosure()[1] + 1))
     for t in candidates:
         ext = s.extend(t)
@@ -167,12 +155,10 @@ def explain_conflict(
 ) -> Union[ExplainResult, Fail]:
     """Generalize a verified conflict to a cell around s and the clause
     excluding it."""
-    from .engine import as_sample
-
     C = list(C)
     cfg = cfg if cfg is not None else HeuristicConfig()
     stats = stats if stats is not None else RunStats()
-    sample = as_sample(s)
+    sample = Sample(s)
     if not check_conflict(C, sample):
         raise ValueError("the constraints are satisfiable over the assignment")
     n = len(sample)
@@ -202,22 +188,13 @@ def explain_conflict(
 
     # chain the top-level roots in value order; consecutive resultants
     # keep the roots ordered over the constructed cell
-    chain: list[tuple[IndexedRoot, RealAlg]] = []
+    val: dict[IndexedRoot, RealAlg] = {}
     for f in top:
         for k, v in enumerate(cached_roots(f, sample)):
-            chain.append((IndexedRoot(f, k + 1), v))
-
-    def cmp(a, b):
-        c = a[1].compare(b[1])
-        if c:
-            return c
-        ka = (a[0].poly.sort_key(), a[0].index)
-        kb = (b[0].poly.sort_key(), b[0].index)
-        return -1 if ka < kb else (1 if ka > kb else 0)
-
-    chain.sort(key=functools.cmp_to_key(cmp))
-    for j in range(len(chain) - 1):
-        pa, pb = chain[j][0].poly, chain[j + 1][0].poly
+            val[IndexedRoot(f, k + 1)] = v
+    chain = value_order(list(val), val)
+    for a, b in zip(chain, chain[1:]):
+        pa, pb = a.poly, b.poly
         if pa == pb:
             continue
         res = resultant(pa, pb, n + 1)
@@ -241,8 +218,5 @@ def clause_to_text(cell: CellDescription) -> str:
     atoms = cell_to_formula(cell)
     if not atoms:
         return "(not true)"
-    rendered = " ".join(
-        f'({a.rel} x{a.var} (root "{poly_to_str(a.bound.poly)}" {a.bound.index}))'
-        for a in atoms
-    )
+    rendered = " ".join(f"({a.rel} x{a.var} {a.bound.text()})" for a in atoms)
     return f"(not (and {rendered}))"

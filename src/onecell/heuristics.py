@@ -18,7 +18,6 @@ several strategies are available:
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .cells import (
@@ -27,6 +26,7 @@ from .cells import (
     SectorInterval,
     SymbolicInterval,
     cached_roots,
+    value_order,
 )
 from .config import HeuristicConfig
 from .polynomial import MPoly, resultant
@@ -115,30 +115,10 @@ class _Ctx:
             if upper:
                 keep.add(min(upper, key=lambda r: r.index))
 
-        if interval.is_section():
-            bounds = {"last": interval.bound, "first": None}
-        else:
-            bounds = {"last": interval.lower, "first": interval.upper}
-
-        def tie_rank(r: IndexedRoot) -> int:
-            if r == bounds["last"]:
-                return 1
-            if r == bounds["first"]:
-                return -1
-            return 0
-
-        def cmp(a: IndexedRoot, b: IndexedRoot) -> int:
-            c = self.val[a].compare(self.val[b])
-            if c:
-                return c
-            c = tie_rank(a) - tie_rank(b)
-            if c:
-                return c
-            ka = (a.poly.sort_key(), a.index)
-            kb = (b.poly.sort_key(), b.index)
-            return -1 if ka < kb else (1 if ka > kb else 0)
-
-        return sorted(keep, key=functools.cmp_to_key(cmp))
+        lo, up = interval.bounds()
+        return value_order(
+            keep, self.val, lambda r: 1 if r == lo else (-1 if r == up else 0)
+        )
 
     def barrier(
         self, r: IndexedRoot, subset: list[IndexedRoot], bound_roots
@@ -184,10 +164,7 @@ class _Ctx:
 
 
 def _pairs_bc(ctx: _Ctx, red, interval) -> list:
-    if interval.is_section():
-        lo = up = interval.bound
-    else:
-        lo, up = interval.lower, interval.upper
+    lo, up = interval.bounds()
     pairs = []
     for r in red:
         if r == lo or r == up:
@@ -214,10 +191,7 @@ def _pairs_full(red) -> list:
 def _pairs_ldb(ctx: _Ctx, subset, interval) -> list:
     """Pair each root with its barrier; roots that are their own
     barrier attach to the interval bound directly."""
-    if interval.is_section():
-        lo = up = interval.bound
-    else:
-        lo, up = interval.lower, interval.upper
+    lo, up = interval.bounds()
     bound_roots = {b for b in (lo, up) if b is not None}
     pairs = []
     for r in subset:
@@ -334,14 +308,11 @@ def representation_is_valid(
     xi = roots_with_values(polys, s_prefix)
     ctx = _Ctx(xi, s_val, rep.interval.level)
     interval = rep.interval
+    lo, up = interval.bounds()
     if interval.is_section():
-        lo = up = interval.bound
-        if ctx.val.get(interval.bound) is None:
-            return False
-        if ctx.val[interval.bound].compare(s_val) != 0:
+        if ctx.val.get(lo) is None or ctx.val[lo].compare(s_val) != 0:
             return False
     else:
-        lo, up = interval.lower, interval.upper
         if lo is not None and ctx.val[lo].compare(s_val) >= 0:
             return False
         if up is not None and ctx.val[up].compare(s_val) <= 0:

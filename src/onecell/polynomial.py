@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import sympy
 
@@ -318,8 +318,9 @@ def _udeg(c: list[MPoly]) -> int:
     return len(c) - 1
 
 
-def _utrim(c: list[MPoly]) -> list[MPoly]:
-    while c and c[-1].is_zero():
+def _utrim(c: list) -> list:
+    """Drop trailing zero coefficients (MPoly or Fraction) in place."""
+    while c and not c[-1]:
         c.pop()
     return c
 
@@ -511,11 +512,6 @@ def factor(p: MPoly, mode: str = "finest") -> list[tuple[MPoly, int]]:
             out.append((g, int(m)))
     out.sort(key=lambda fm: fm[0].sort_key())
     return out
-
-
-def is_irreducible(p: MPoly) -> bool:
-    fs = factor(p, "finest")
-    return len(fs) == 1 and fs[0][1] == 1
 
 
 def squarefree_part(p: MPoly) -> MPoly:

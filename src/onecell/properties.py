@@ -12,12 +12,12 @@ without re-running the search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable
 
 from .polynomial import MPoly, factor, normalize, poly_to_str
 from .realalg import Sample, realalg_to_text
-from .cells import IndexedRoot, SectionInterval, SectorInterval, SymbolicInterval
+from .cells import IndexedRoot, SymbolicInterval, bound_text
 
 _sqfree_cache: dict[MPoly, bool] = {}
 _whole_cache: dict[MPoly, bool] = {}
@@ -64,14 +64,9 @@ def _sample_text(s: Sample) -> str:
 
 
 def _interval_text(iv: SymbolicInterval) -> str:
-    def root(b: Optional[IndexedRoot], sign: str) -> str:
-        if b is None:
-            return sign + "inf"
-        return f'(root "{poly_to_str(b.poly)}" {b.index})'
-
     if iv.is_section():
-        return f"section[{root(iv.bound, '')}]"
-    return f"sector[{root(iv.lower, '-')},{root(iv.upper, '+')}]"
+        return f"section[{bound_text(iv.bound, '')}]"
+    return f"sector[{bound_text(iv.lower, '-')},{bound_text(iv.upper, '+')}]"
 
 
 @dataclass(frozen=True)
@@ -236,10 +231,7 @@ class RootOrdering:
         return True
 
     def text(self) -> str:
-        items = sorted(
-            f'(root "{poly_to_str(a.poly)}" {a.index})<=(root "{poly_to_str(b.poly)}" {b.index})'
-            for a, b in self.pairs
-        )
+        items = sorted(f"{a.text()}<={b.text()}" for a, b in self.pairs)
         return "{" + ",".join(items) + "}"
 
     def __eq__(self, other):

@@ -2,8 +2,17 @@
 
 A `RealAlg` is either an exact rational or a root of an irreducible
 integer polynomial pinned down by an open isolating interval with
-rational endpoints.  Refining the interval never changes the value, and
-two values compare equal exactly when they are the same real number.
+rational endpoints.  The defining polynomial is stored integer-primitive
+with a positive leading coefficient, so a value has one definition.
+Refining the interval never changes the value, and two values compare
+equal exactly when they are the same real number.
+
+This module is the one home of the exact-real helpers the rest of the
+package builds on: `RealAlg.compare` (and `<`, so lists of values sort
+with `sorted`), `sorted_distinct` for sorted values without duplicates,
+`separate` for the rational gap between two distinct values, and the
+conversions between univariate `MPoly` and coefficient lists
+(`_upoly_coeffs`, `_upoly`).
 
 Root isolation uses bisection driven by Descartes' rule of signs on the
 square-free part; irreducible factors of degree >= 2 have no rational
@@ -16,6 +25,7 @@ by an exact sign test.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -25,13 +35,12 @@ from .polynomial import (
     MPoly,
     Var,
     coeff_info,
-    factor,
-    normalize,
     parse_poly,
     poly_to_str,
     resultant,
     to_sympy,
     _sym,
+    _utrim,
 )
 
 
@@ -74,12 +83,6 @@ UNDEF = _Undef()
 
 # ---------------------------------------------------------------------------
 # dense univariate helpers (coefficient lists over Fraction, index = degree)
-
-
-def _utrim(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
 
 
 def _ueval(c: Sequence[Fraction], x: Fraction) -> Fraction:
@@ -141,6 +144,21 @@ def _upoly_coeffs(p: MPoly, v: Var) -> list[Fraction]:
     return _utrim(out)
 
 
+def _upoly(c: Sequence[Fraction], v: Var) -> MPoly:
+    """Inverse of _upoly_coeffs: the polynomial sum c[k] * x_v^k."""
+    return MPoly({(0,) * (v - 1) + (k,): x for k, x in enumerate(c)})
+
+
+def _primitive(c: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """c scaled to integer-primitive form with a positive leading
+    coefficient, so that equal roots get equal defining polynomials."""
+    unit = Fraction(math.gcd(*(x.numerator for x in c)),
+                    math.lcm(*(x.denominator for x in c)))
+    if c[-1] < 0:
+        unit = -unit
+    return tuple(x / unit for x in c)
+
+
 # ---------------------------------------------------------------------------
 # RealAlg
 
@@ -171,10 +189,11 @@ class RealAlg:
     def algebraic(
         cls, defining: Sequence[Fraction], lo: Fraction, hi: Fraction
     ) -> "RealAlg":
-        """Root of `defining` (irreducible, degree >= 2, integer-primitive,
-        positive leading coefficient) isolated by the open interval (lo, hi);
-        neither endpoint may be a root."""
-        c = tuple(defining)
+        """Root of `defining` (irreducible, degree >= 2) isolated by the
+        open interval (lo, hi); neither endpoint may be a root.  The
+        defining polynomial is stored integer-primitive with a positive
+        leading coefficient."""
+        c = _primitive(defining)
         self = object.__new__(cls)
         self._rat = None
         self._def = c
@@ -301,9 +320,22 @@ def _canonical_intervals(defc: tuple[Fraction, ...]) -> list[tuple[Fraction, Fra
     return _CANONICAL[defc]
 
 
-def compare(a: RealAlg, b: RealAlg) -> str:
-    c = a.compare(b)
-    return "EQ" if c == 0 else ("LT" if c < 0 else "GT")
+def separate(lo: RealAlg, hi: RealAlg) -> tuple[Fraction, Fraction]:
+    """Refine lo < hi until their enclosures are disjoint; returns the
+    gap between them: the upper end of lo and the lower end of hi."""
+    while not lo._hi < hi._lo:
+        lo.refine()
+        hi.refine()
+    return lo._hi, hi._lo
+
+
+def sorted_distinct(values: Iterable[RealAlg]) -> list[RealAlg]:
+    """The values in increasing order, duplicates dropped."""
+    out: list[RealAlg] = []
+    for v in sorted(values):
+        if not out or out[-1] != v:
+            out.append(v)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -356,23 +388,9 @@ def _isolate_squarefree(c: list[Fraction]) -> list[RealAlg]:
         if len(fc) == 2:
             roots.append(RealAlg.rational(-fc[0] / fc[1]))
         elif len(fc) > 2:
-            if fc[-1] < 0:
-                fc = [-v for v in fc]
             roots.extend(_isolate_irreducible(fc))
-    roots.sort(key=lambda r: RootSortProxy(r))
+    roots.sort()
     return roots
-
-
-class RootSortProxy:
-    """Total-order adapter so exact roots can go through list.sort."""
-
-    __slots__ = ("root",)
-
-    def __init__(self, root: RealAlg):
-        self.root = root
-
-    def __lt__(self, other: "RootSortProxy") -> bool:
-        return self.root.compare(other.root) < 0
 
 
 def isolate_real_roots(p: MPoly) -> list[RealAlg]:
@@ -512,7 +530,7 @@ def roots_in_extension(p: MPoly, s: Sample):
             if sign_at(p, s.extend(r)) == 0:
                 if not any(r.compare(t) == 0 for t in seen):
                     seen.append(r)
-    seen.sort(key=RootSortProxy)
+    seen.sort()
     return seen
 
 
@@ -528,25 +546,12 @@ def _candidate_polys(p: MPoly, s: Sample) -> list[list[Fraction]]:
             continue
         if q.degree(j + 1) == 0:
             continue
-        dpoly = MPoly({})
-        for k, c in enumerate(s[j]._def):
-            dpoly = dpoly + MPoly.constant(c) * MPoly.var(j + 1) ** k
-        q = resultant(q, dpoly, j + 1)
+        q = resultant(q, _upoly(s[j]._def, j + 1), j + 1)
         if q.is_zero():
             return _candidate_polys_sympy(p, s)
     if q.is_constant() or q.degree(i) == 0:
         return []
-    return [_upoly_coeffs_multi(q, i)]
-
-
-def _upoly_coeffs_multi(q: MPoly, v: Var) -> list[Fraction]:
-    d, _, coeffs = coeff_info(q, v)
-    out = []
-    for c in coeffs:
-        if not c.is_constant():
-            raise ValueError("elimination left extra variables")
-        out.append(c.constant_value())
-    return _utrim(out)
+    return [_upoly_coeffs(q, i)]
 
 
 def _candidate_polys_sympy(p: MPoly, s: Sample) -> list[list[Fraction]]:
@@ -574,10 +579,7 @@ def _candidate_polys_sympy(p: MPoly, s: Sample) -> list[list[Fraction]]:
 def realalg_to_text(a: RealAlg) -> str:
     if a.is_rational():
         return str(a.rational_value())
-    poly = MPoly({})
-    for k, c in enumerate(a._def):
-        poly = poly + MPoly.constant(c) * MPoly.var(1) ** k
-    return f'(root {poly_to_str(poly)} {a.canonical_index()})'
+    return f'(root {poly_to_str(_upoly(a._def, 1))} {a.canonical_index()})'
 
 
 def realalg_from_text(text: str) -> RealAlg:

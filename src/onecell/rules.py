@@ -11,7 +11,7 @@ everything else only needs the sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .cells import IndexedRoot, SymbolicInterval, cached_roots
@@ -22,7 +22,6 @@ from .polynomial import (
     discriminant,
     factor,
     normalize,
-    poly_to_str,
     resultant,
 )
 from .properties import (
@@ -80,6 +79,7 @@ class PropertySet:
         self.props: set[Property] = set()
         self.derived: set[Property] = set()
         self.trace = trace
+        self._keys: dict[Property, tuple] = {}  # selection_key per pending property
 
     def add(self, q: Property) -> None:
         if q in self.derived or q in self.props:
@@ -94,12 +94,14 @@ class PropertySet:
             self.derived.add(q)
             return
         self.props.add(q)
+        self._keys[q] = selection_key(q)
 
     def justified(self, q: Property) -> bool:
         return q in self.derived or trivial_rule(q) is not None
 
     def discharge(self, q: Property) -> None:
         self.props.discard(q)
+        self._keys.pop(q, None)
         self.derived.add(q)
 
     def __contains__(self, q: Property) -> bool:
@@ -111,22 +113,15 @@ class PropertySet:
     def at_level(self, i: int) -> list[Property]:
         return [q for q in self.props if q.level == i]
 
-    def greatest(
-        self,
-        i: int,
-        max_tier: Optional[int] = None,
-        exclude: Optional[Property] = None,
-    ) -> Optional[Property]:
+    def greatest(self, i: int, max_tier: Optional[int] = None) -> Optional[Property]:
         cands = [
             q
             for q in self.props
-            if q.level == i
-            and (max_tier is None or property_tier(q) <= max_tier)
-            and q != exclude
+            if q.level == i and (max_tier is None or property_tier(q) <= max_tier)
         ]
         if not cands:
             return None
-        return min(cands, key=selection_key)
+        return min(cands, key=self._keys.__getitem__)
 
 
 @dataclass(frozen=True)
@@ -226,10 +221,7 @@ def _sgninv_choices(q: SgnInv, ctx: RuleCtx) -> list[Choice]:
             choices.append(ch)
     ordering = ctx.ordering
     if ordering is not None:
-        if interval.is_section():
-            lo = up = interval.bound
-        else:
-            lo, up = interval.lower, interval.upper
+        lo, up = interval.bounds()
         ok = True
         for k in range(len(roots)):
             xi = IndexedRoot(p, k + 1)

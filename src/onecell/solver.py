@@ -11,16 +11,15 @@ the whole x1 line.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from .cells import CellDescription, cached_roots, cell_contains, eval_indexed_root
 from .config import HeuristicConfig
 from .engine import Fail
 from .explain import Constraint, check_conflict, constraint_satisfied, explain_conflict
-from .realalg import NULLIFIED, UNDEF, RealAlg, Sample
+from .realalg import NULLIFIED, UNDEF, RealAlg, Sample, separate, sorted_distinct
 from .stats import RunStats
 
 SAT = "sat"
@@ -80,26 +79,13 @@ def _candidate_values(
             v = eval_indexed_root(b, prefix)
             if v is not UNDEF:
                 vals.append(v)
-    vals.sort(key=functools.cmp_to_key(RealAlg.compare))
-    roots: list[RealAlg] = []
-    for v in vals:
-        if not roots or roots[-1].compare(v) != 0:
-            roots.append(v)
-
+    roots = sorted_distinct(vals)
     out: list[RealAlg] = [RealAlg.rational(0)]
     if roots:
         a = roots[0].enclosure()[0]
         out.append(RealAlg.rational(simplest_between(a - 1, a)))
-        for j in range(len(roots) - 1):
-            lo, hi = roots[j], roots[j + 1]
-            while not lo.enclosure()[1] < hi.enclosure()[0]:
-                lo.refine()
-                hi.refine()
-            out.append(
-                RealAlg.rational(
-                    simplest_between(lo.enclosure()[1], hi.enclosure()[0])
-                )
-            )
+        for lo, hi in zip(roots, roots[1:]):
+            out.append(RealAlg.rational(simplest_between(*separate(lo, hi))))
         b = roots[-1].enclosure()[1]
         out.append(RealAlg.rational(simplest_between(b, b + 1)))
     out.extend(roots)
@@ -137,7 +123,7 @@ def _line_covered(learned: Sequence[CellDescription]) -> bool:
         if lo is None:
             return (0,)
         # closed lower ends first so a point can seal an open boundary
-        return (1, functools.cmp_to_key(RealAlg.compare)(lo), 0 if lc else 1)
+        return (1, lo, 0 if lc else 1)
 
     spans.sort(key=sort_key)
     covered_hi: Optional[RealAlg] = None

@@ -19,7 +19,6 @@ import os
 import random
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent

@@ -2,11 +2,11 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from onecell.polynomial import MPoly, normalize, parse_poly, poly_to_str, resultant
-from onecell.realalg import Sample, sign_at
+from onecell.polynomial import MPoly, factor, normalize, parse_poly, poly_to_str, resultant
+from onecell.realalg import RealAlg, Sample, isolate_real_roots, sign_at
 from onecell.solver import simplest_between
 
 rationals = st.fractions(
@@ -67,3 +67,54 @@ def test_sign_at_agrees_with_rational_evaluation(p, a, b):
     value = p.eval_rational([a, b])
     want = 0 if value == 0 else (1 if value > 0 else -1)
     assert sign_at(p, s) == want
+
+
+@st.composite
+def _irrational_roots(draw):
+    """(defining coefficients, root) for a real root of a random
+    irreducible quadratic or cubic."""
+    coeffs = draw(
+        st.lists(st.integers(-6, 6), min_size=3, max_size=4).filter(lambda c: c[-1])
+    )
+    u = MPoly({(k,): Fraction(c) for k, c in enumerate(coeffs) if c})
+    factors = factor(u)
+    assume(len(factors) == 1 and factors[0][1] == 1)
+    roots = isolate_real_roots(u)
+    assume(roots)
+    return [Fraction(c) for c in coeffs], draw(st.sampled_from(roots))
+
+
+reals = st.one_of(
+    rationals.map(RealAlg.rational), _irrational_roots().map(lambda cr: cr[1])
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(reals, reals)
+def test_compare_is_antisymmetric(a, b):
+    assert a.compare(a) == 0
+    assert a.compare(b) == -b.compare(a)
+    assert (a.compare(b) == 0) == (a.key() == b.key())
+
+
+@settings(max_examples=150, deadline=None)
+@given(reals, reals, reals)
+def test_compare_is_transitive(a, b, c):
+    ab, bc, ac = a.compare(b), b.compare(c), a.compare(c)
+    if ab <= 0 and bc <= 0:
+        assert ac <= 0
+    if ab >= 0 and bc >= 0:
+        assert ac >= 0
+    if ab == 0:
+        assert ac == bc
+
+
+@settings(max_examples=100, deadline=None)
+@given(_irrational_roots(), st.integers(-5, 5).filter(bool), reals)
+def test_compare_ignores_integer_multiples_of_the_definition(root, k, other):
+    coeffs, a = root
+    lo, hi = a.enclosure()
+    b = RealAlg.algebraic([k * c for c in coeffs], lo, hi)
+    assert a.compare(b) == 0 and b.compare(a) == 0
+    assert a.key() == b.key()
+    assert other.compare(a) == other.compare(b)

@@ -2,6 +2,7 @@
 sequences."""
 
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -139,3 +140,30 @@ def test_refine_narrows():
     r.refine()
     lo1, hi1 = r.enclosure()
     assert hi1 - lo1 < hi0 - lo0
+
+
+def _within_seconds(seconds, fn):
+    """fn() under a SIGALRM limit, so a non-terminating compare fails
+    the test instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return fn()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_equal_roots_of_proportional_definitions_compare_equal():
+    # sqrt(2) as a root of x^2-2, of 2x^2-4 and of -x^2+2
+    two = [Fraction(-2), Fraction(0), Fraction(1)]
+    a = RealAlg.algebraic(two, Fraction(1), Fraction(2))
+    for scale in (2, -1, Fraction(1, 3)):
+        b = RealAlg.algebraic([scale * c for c in two], Fraction(1), Fraction(3, 2))
+        assert _within_seconds(5, lambda: a.compare(b)) == 0
+        assert a.key() == b.key()
+        assert hash(a) == hash(b)
