@@ -278,7 +278,10 @@ def cell_to_formula(c: CellDescription) -> list[ExtendedAtom]:
 # ---------------------------------------------------------------------------
 # serialization
 
-_ROOT_RE = re.compile(r'\(root\s+"([^"]*)"\s+(\d+)\)|([+-]inf)')
+_BOUND = r'\(root\s+"([^"]*)"\s+(\d+)\)|([+-]inf)'
+_ROOT_RE = re.compile(_BOUND)
+# one or more bounds separated by whitespace, and nothing else
+_BOUNDS_RE = re.compile(rf"(?:{_BOUND})(?:\s+(?:{_BOUND}))*")
 
 
 def bound_text(b: Optional[IndexedRoot], sign: str) -> str:
@@ -311,6 +314,8 @@ def cell_from_text(text: str) -> CellDescription:
         level, kind, rest = int(m.group(1)), m.group(2), m.group(3)
         if level != len(intervals) + 1:
             raise ValueError(f"line {lineno}: expected level {len(intervals) + 1}")
+        if not _BOUNDS_RE.fullmatch(rest):
+            raise ValueError(f"line {lineno}: cannot parse cell bounds: {raw!r}")
         bounds = []
         for bm in _ROOT_RE.finditer(rest):
             if bm.group(3):

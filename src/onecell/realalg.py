@@ -3,9 +3,10 @@
 A `RealAlg` is either an exact rational or a root of an irreducible
 integer polynomial pinned down by an open isolating interval with
 rational endpoints.  The defining polynomial is stored integer-primitive
-with a positive leading coefficient, so a value has one definition.
-Refining the interval never changes the value, and two values compare
-equal exactly when they are the same real number.
+with a positive leading coefficient, and `RealAlg.algebraic` refuses a
+reducible one, so a value has one definition.  Refining the interval
+never changes the value, and two values compare equal exactly when they
+are the same real number.
 
 This module is the one home of the exact-real helpers the rest of the
 package builds on: `RealAlg.compare` (and `<`, so lists of values sort
@@ -21,6 +22,14 @@ sample points with irrational coordinates, root finding eliminates each
 algebraic coordinate through resultants with its defining polynomial,
 producing rational candidate polynomials whose roots are then filtered
 by an exact sign test.
+
+That sign test, `sign_at`, evaluates p over the coordinate enclosures
+and refines them until the interval value excludes 0.  When it keeps
+straddling 0, `_is_zero_algebraic` decides whether p vanishes at the
+point: the same resultant elimination applied to z - p yields a
+rational polynomial in z with p's value among its roots, and a lower
+bound on the modulus of its nonzero roots turns interval evaluation
+into an exact answer, without sympy.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from .polynomial import (
     MPoly,
     Var,
     coeff_info,
+    factor,
     parse_poly,
     poly_to_str,
     resultant,
@@ -189,10 +199,26 @@ class RealAlg:
     def algebraic(
         cls, defining: Sequence[Fraction], lo: Fraction, hi: Fraction
     ) -> "RealAlg":
-        """Root of `defining` (irreducible, degree >= 2) isolated by the
-        open interval (lo, hi); neither endpoint may be a root.  The
-        defining polynomial is stored integer-primitive with a positive
-        leading coefficient."""
+        """Root of `defining` isolated by the open interval (lo, hi);
+        neither endpoint may be a root.  Raises ValueError unless the
+        defining polynomial is irreducible over Q of degree >= 2: a
+        reducible one would give a value a second definition, and values
+        of different definitions are never equal, so comparing them
+        would refine forever.  The defining polynomial is stored
+        integer-primitive with a positive leading coefficient."""
+        c = _utrim([Fraction(x) for x in defining])
+        if len(c) < 3 or [m for _, m in factor(_upoly(c, 1))] != [1]:
+            raise ValueError(
+                "the defining polynomial must be irreducible of degree >= 2"
+            )
+        return cls._isolated(c, lo, hi)
+
+    @classmethod
+    def _isolated(
+        cls, defining: Sequence[Fraction], lo: Fraction, hi: Fraction
+    ) -> "RealAlg":
+        """`algebraic` without the irreducibility check, for definitions
+        that are irreducible by construction."""
         c = _primitive(defining)
         self = object.__new__(cls)
         self._rat = None
@@ -364,7 +390,7 @@ def _isolate_irreducible(c: list[Fraction]) -> list[RealAlg]:
         stack.append((a, m))
         stack.append((m, b))
     out.sort()
-    return [RealAlg.algebraic(c, a, b) for a, b in out]
+    return [RealAlg._isolated(c, a, b) for a, b in out]
 
 
 def _isolate_squarefree(c: list[Fraction]) -> list[RealAlg]:
@@ -468,8 +494,16 @@ def _interval_eval(p: MPoly, boxes: list[tuple[Fraction, Fraction]]):
 
 
 def sign_at(p: MPoly, s: Sample) -> int:
-    """Exact sign of p at s: interval refinement with an algebraic
-    zero test as the tie-breaker."""
+    """Exact sign of p at s.
+
+    Rational points are evaluated exactly.  Otherwise the interval value
+    of p over the coordinate enclosures decides the sign as soon as it
+    excludes 0, refining every coordinate once per round; after 8 rounds
+    that still straddle 0, `_is_zero_algebraic` decides once whether the
+    value is exactly 0, and a nonzero value is refined until its sign
+    shows.  The zero test refines its own copies of the coordinates, so
+    the enclosures of s move only here, in whole rounds.
+    """
     if p.is_constant():
         v = p.constant_value()
         return 0 if v == 0 else (1 if v > 0 else -1)
@@ -497,11 +531,51 @@ def sign_at(p: MPoly, s: Sample) -> int:
 
 
 def _is_zero_algebraic(p: MPoly, s: Sample) -> bool:
-    expr = to_sympy(p)
-    subs = {_sym(i + 1): c.to_sympy() for i, c in enumerate(s)}
-    expr = expr.subs(subs)
-    x = sympy.Symbol("zz")
-    return sympy.minimal_polynomial(expr, x) == x
+    """Whether p(s) = 0, exactly, by resultant elimination (Loos,
+    "Computing in algebraic extensions", 1982) and a root-separation
+    bound.  One irrational coordinate and several are the same case.
+
+    With the rational coordinates substituted into p, eliminating each
+    irrational x_j from z - p against its defining polynomial d_j gives
+    R(z) = c * prod (z - p(s')) over the conjugate points s' of s: a
+    nonzero polynomial with p(s) among its roots.  So R(0) != 0 means
+    p(s) != 0, and R = c*z^m means every conjugate value, p(s) too, is 0.
+    Otherwise R = z^m * S with S(0) != 0, and every nonzero root of R has
+    modulus at least b = |S_0| / (|S_0| + max_k |S_k|) (Cauchy's bound
+    for 1/z).  The interval value of p over ever narrower copies of the
+    coordinates then either excludes 0 or falls inside (-b, b), where
+    the only root of R is 0.  The copies leave the enclosures of s as
+    they were.  Nothing here needs the d_j to be irreducible.
+    """
+    q = p.subst_rational(
+        {j + 1: c.rational_value() for j, c in enumerate(s) if c.is_rational()}
+    )
+    z = len(s) + 1
+    r = MPoly.var(z) - q
+    for j in sorted(q.variables()):
+        if r.degree(j) > 0:
+            r = resultant(r, _upoly(s[j - 1]._def, j), j)
+    R = _upoly_coeffs(r, z)
+    if R[0] != 0:
+        return False
+    m = next(k for k, c in enumerate(R) if c)
+    if m == len(R) - 1:
+        return True
+    S = [abs(c) for c in R[m:]]
+    b = S[0] / (S[0] + max(S[1:]))
+    irrational = q.variables()
+    point = [
+        RealAlg._isolated(c._def, *c.enclosure()) if j + 1 in irrational else c
+        for j, c in enumerate(s)
+    ]
+    while True:
+        lo, hi = _interval_eval(q, [c.enclosure() for c in point])
+        if lo > 0 or hi < 0:
+            return False
+        if -b < lo and hi < b:
+            return True
+        for j in irrational:
+            point[j - 1].refine()
 
 
 # ---------------------------------------------------------------------------

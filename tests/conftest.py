@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,22 @@ def check_cell_sound(cell, polys, s: Sample, points: int) -> int:
         )
         checked += 1
     return checked
+
+
+def within_seconds(seconds, fn):
+    """fn() under a SIGALRM limit, so a call that does not terminate
+    fails the test instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return fn()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 @pytest.fixture

@@ -2,8 +2,9 @@
 
 Everything here is deliberately implemented by a different route than
 the library: resultants via the symbolic Sylvester determinant (Laplace
-expansion, no division), real-root counting via Sturm sequences, and
-factor checking via numeric root recombination.  Keeping both routes
+expansion, no division), real-root counting via Sturm sequences, factor
+checking via numeric root recombination, and zero tests at algebraic
+points via sympy's minimal polynomials.  Keeping both routes
 alive is what makes the algebra tests meaningful.
 """
 
@@ -13,8 +14,9 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
+import sympy
 
-from onecell.polynomial import MPoly, Var, coeff_info
+from onecell.polynomial import MPoly, Var, _sym, coeff_info, to_sympy
 
 
 def sylvester_matrix(p: MPoly, q: MPoly, v: Var) -> list[list[MPoly]]:
@@ -208,3 +210,17 @@ def _divides(d: list[int], c: list[int]) -> bool:
             r[i + k] -= f * x
         _trim(r)
     return not _trim(r)
+
+
+# ---------------------------------------------------------------------------
+# exact zero test at an algebraic point, by sympy's minimal polynomial
+
+
+def is_zero_by_minimal_polynomial(p: MPoly, coords) -> bool:
+    """Whether p vanishes at the point of `RealAlg` coordinates (x_j is
+    coordinate j): the minimal polynomial of p's value, computed by sympy
+    over the coordinates as `CRootOf` objects, is z exactly when the
+    value is 0."""
+    expr = to_sympy(p).subs({_sym(j + 1): c.to_sympy() for j, c in enumerate(coords)})
+    z = sympy.Symbol("z")
+    return sympy.minimal_polynomial(expr, z) == z

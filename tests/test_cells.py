@@ -94,6 +94,20 @@ def test_text_rejects_malformed():
             cell_from_text(bad)
 
 
+def test_text_rejects_text_around_bounds():
+    good = 'level 1 sector -inf  (root "x1" 1)'
+    assert cell_from_text(good) == cell_from_text('level 1 sector -inf (root "x1" 1)')
+    for bad in [
+        'level 1 sector garbage -inf more (root "x1" 1) trailing',
+        'level 1 sector -inf (root "x1" 1) trailing',
+        'level 1 sector junk -inf (root "x1" 1)',
+        'level 1 sector -inf , (root "x1" 1)',
+        'level 1 section (root "x1" 1)(root "x1" 2)',
+    ]:
+        with pytest.raises(ValueError):
+            cell_from_text(bad)
+
+
 def test_formula_atoms_and_negation():
     cell = _unit_disk_cell()
     atoms = cell_to_formula(cell)

@@ -2,7 +2,6 @@
 sequences."""
 
 import random
-import signal
 from fractions import Fraction
 
 import pytest
@@ -19,7 +18,7 @@ from onecell.realalg import (
     sign_at,
 )
 
-from conftest import random_poly
+from conftest import random_poly, within_seconds
 from oracles import sturm_count_all_real_roots, sturm_count_interval
 
 
@@ -142,28 +141,28 @@ def test_refine_narrows():
     assert hi1 - lo1 < hi0 - lo0
 
 
-def _within_seconds(seconds, fn):
-    """fn() under a SIGALRM limit, so a non-terminating compare fails
-    the test instead of hanging the suite."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"no answer within {seconds} s")
-
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        return fn()
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
-
-
 def test_equal_roots_of_proportional_definitions_compare_equal():
     # sqrt(2) as a root of x^2-2, of 2x^2-4 and of -x^2+2
     two = [Fraction(-2), Fraction(0), Fraction(1)]
     a = RealAlg.algebraic(two, Fraction(1), Fraction(2))
     for scale in (2, -1, Fraction(1, 3)):
         b = RealAlg.algebraic([scale * c for c in two], Fraction(1), Fraction(3, 2))
-        assert _within_seconds(5, lambda: a.compare(b)) == 0
+        assert within_seconds(5, lambda: a.compare(b)) == 0
         assert a.key() == b.key()
         assert hash(a) == hash(b)
+
+
+def test_reducible_definitions_are_refused():
+    """sqrt(2) as a root of (x^2-2)(x-5) could never compare equal to
+    sqrt(2) from x^2-2; the constructor refuses such definitions."""
+    two = [Fraction(-2), Fraction(0), Fraction(1)]
+    a = RealAlg.algebraic(two, Fraction(1), Fraction(2))
+    for bad, lo, hi in (
+        ([10, -2, -5, 1], 1, 2),  # (x^2-2)(x-5)
+        ([4, 0, -4, 0, 1], 1, 2),  # (x^2-2)^2, not square-free
+        ([-3, 1], 2, 4),  # degree 1: a rational root
+    ):
+        with pytest.raises(ValueError):
+            within_seconds(5, lambda: a.compare(
+                RealAlg.algebraic([Fraction(c) for c in bad], Fraction(lo), Fraction(hi))
+            ))

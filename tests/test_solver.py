@@ -16,7 +16,7 @@ from onecell.solver import (
     solve_conjunction,
 )
 
-from conftest import random_poly, random_sample
+from conftest import random_poly, random_sample, within_seconds
 
 
 def test_simplest_between_basic():
@@ -142,3 +142,21 @@ def test_models_verified_randomly(rng):
         r = solve_conjunction(cons, nv, budget=16)
         if r.status == SAT:
             assert all(constraint_satisfied(c, r.model) for c in cons)
+
+
+def test_unsat_sums_finish_in_time():
+    """Two unsat conjunctions that took 5 s and 10 s when the zero test
+    at algebraic samples went through sympy's minimal polynomial; both
+    together must fit in 6 s."""
+    problems = [
+        [("-2*x2^2-2*x1*x2-3", "<"), ("x2", "<"), ("-2*x2^2-2*x1*x2+x2-3", ">=")],
+        [("3*x2-1", "<"), ("-3*x2^2+3*x1*x2+3*x1^2", "<"),
+         ("-3*x2^2+3*x1*x2+3*x1^2+3*x2-1", ">=")],
+    ]
+
+    def solve_all():
+        for problem in problems:
+            cons = [Constraint(parse_poly(p), rel) for p, rel in problem]
+            assert solve_conjunction(cons, 2).status == UNSAT
+
+    within_seconds(6, solve_all)

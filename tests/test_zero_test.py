@@ -1,0 +1,122 @@
+"""The exact zero test at algebraic points, `realalg._is_zero_algebraic`,
+against sympy's minimal polynomial on random points with one irrational
+coordinate and on towers of two."""
+
+import random
+from fractions import Fraction
+
+from onecell.polynomial import MPoly, parse_poly
+from onecell.realalg import (
+    RealAlg,
+    Sample,
+    _candidate_polys,
+    _is_zero_algebraic,
+    _isolate_squarefree,
+    isolate_real_roots,
+)
+
+from conftest import random_poly
+from oracles import is_zero_by_minimal_polynomial
+
+
+def _irrational_root(rng: random.Random) -> RealAlg:
+    """An irrational real root of a random integer polynomial of degree
+    2 or 3 in x1."""
+    while True:
+        c = [rng.randint(-4, 4) for _ in range(rng.randint(3, 4))]
+        if c[-1] == 0:
+            continue
+        p = MPoly({(k,): Fraction(x) for k, x in enumerate(c)})
+        roots = [r for r in isolate_real_roots(p) if not r.is_rational()]
+        if roots:
+            return rng.choice(roots)
+
+
+def _checked(p: MPoly, s: Sample) -> bool:
+    """The zero test's answer, asserted equal to the oracle's and to
+    leave the enclosures of s where they were."""
+    before = [c.enclosure() for c in s]
+    got = _is_zero_algebraic(p, s)
+    assert [c.enclosure() for c in s] == before
+    assert got == is_zero_by_minimal_polynomial(p, s), (p, s)
+    return got
+
+
+def test_agrees_with_minimal_polynomial_at_one_irrational_coordinate():
+    rng = random.Random(31)
+    zeros = nonzeros = 0
+    for _ in range(16):
+        alpha = _irrational_root(rng)
+        d = MPoly({(k,): c for k, c in enumerate(alpha._def)})
+        r = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        s = Sample([alpha, r])
+        x2 = MPoly.var(2) - MPoly.constant(r)
+        # a planted zero: a combination of d(x1) and x2 - r
+        planted = d * random_poly(rng, 2, 2, 3) + x2 * random_poly(rng, 2, 2, 3)
+        for p in (planted, planted + random_poly(rng, 2, 2, 2), random_poly(rng, 2)):
+            if p.is_zero():
+                continue
+            if _checked(p, s):
+                zeros += 1
+            else:
+                nonzeros += 1
+    assert zeros >= 10 and nonzeros >= 10
+
+
+def test_agrees_with_minimal_polynomial_on_towers():
+    """(alpha, r) with r a root of the resultant candidates of a
+    polynomial g over alpha: g vanishes at the true roots and not at the
+    roots that belong to a conjugate of alpha.  Candidates of degree
+    above 6 are skipped: the oracle takes seconds on each."""
+    rng = random.Random(47)
+    zeros = nonzeros = towers = 0
+    while towers < 8:
+        alpha = _irrational_root(rng)
+        g = random_poly(rng, 2, 3, 4)
+        if g.degree(2) == 0:
+            continue
+        for cand in _candidate_polys(g, Sample([alpha])):
+            if len(cand) > 7:
+                continue
+            for r in _isolate_squarefree(cand)[:2]:
+                s = Sample([alpha, r])
+                towers += not r.is_rational()
+                for p in (g, g + MPoly.var(1), g * MPoly.var(2) - MPoly.var(1)):
+                    if _checked(p, s):
+                        zeros += 1
+                    else:
+                        nonzeros += 1
+    assert zeros >= 5 and nonzeros >= 10
+
+
+def test_zero_at_every_conjugate():
+    """R = c*z^m: p vanishes at all conjugates of the point."""
+    sqrt2 = isolate_real_roots(parse_poly("x1^2-2"))[1]
+    cbrt3 = isolate_real_roots(parse_poly("x1^3-3"))[0]
+    assert _checked(parse_poly("x1^2-2"), Sample([sqrt2]))
+    assert _checked(parse_poly("x1^4-4"), Sample([sqrt2]))
+    assert _checked(parse_poly("x1^2*x2^3-6"), Sample([sqrt2, cbrt3]))
+
+
+def test_zero_after_substituting_the_rational_coordinates():
+    sqrt2 = isolate_real_roots(parse_poly("x1^2-2"))[1]
+    p = parse_poly("x1*x2-x2")
+    assert _checked(p, Sample([Fraction(1), sqrt2]))
+    assert not _checked(p, Sample([Fraction(2), sqrt2]))
+
+
+def test_irrational_coordinate_not_in_p():
+    sqrt2 = isolate_real_roots(parse_poly("x1^2-2"))[1]
+    sqrt3 = isolate_real_roots(parse_poly("x1^2-3"))[1]
+    assert _checked(parse_poly("x2^2-2"), Sample([sqrt3, sqrt2]))
+    assert not _checked(parse_poly("x2-1"), Sample([sqrt3, sqrt2]))
+    assert not _checked(parse_poly("x2^2-3"), Sample([sqrt3, sqrt2]))
+
+
+def test_zero_at_one_conjugate_only():
+    """R(0) = 0 from the other root of x^2-2 only: the refinement of the
+    copies has to separate the value from 0."""
+    lo, hi = isolate_real_roots(parse_poly("x1^2-2"))
+    p = parse_poly("x1+x2")
+    assert not _checked(p, Sample([hi, hi]))
+    assert _checked(p, Sample([hi, lo]))
