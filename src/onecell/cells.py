@@ -212,7 +212,9 @@ def cell_contains(c: CellDescription, r: Sample):
 def cell_pick_interior_point(c: CellDescription, seed: int) -> Sample:
     """A deterministic sample inside the cell: sections land exactly on
     the bound, sectors take a rational strictly between the refined
-    bound enclosures."""
+    bound enclosures.  Raises ValueError when a bound is undefined or a
+    sector is empty over the prefix picked so far (a cell built with
+    relaxed top connectedness may have such fibers)."""
     rng = random.Random(seed)
     coords: list[RealAlg] = []
     for i, iv in enumerate(c):

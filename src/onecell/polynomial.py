@@ -9,8 +9,12 @@ of term maps is equality of polynomials.
 
 The module also provides the projection operations the cell construction
 consumes: resultants via subresultant polynomial remainder sequences,
-discriminants, and factorization (irreducible or square-free) which is
-delegated to sympy behind a stable interface.
+discriminants, and factorization (irreducible or square-free).
+
+`factor` is the package's one boundary to sympy: it hands sympy's
+multivariate factorization a `Poly` over QQ built from the term map and
+reads the factors back from their terms.  Nothing else in the package
+imports sympy; univariate root isolation factors through `factor` too.
 """
 
 from __future__ import annotations
@@ -22,16 +26,7 @@ from typing import Sequence
 
 import sympy
 
-Rat = Fraction
 Var = int  # 1-based variable index
-
-_SYMS: dict[int, sympy.Symbol] = {}
-
-
-def _sym(i: int) -> sympy.Symbol:
-    if i not in _SYMS:
-        _SYMS[i] = sympy.Symbol(f"x{i}")
-    return _SYMS[i]
 
 
 def _trim(exps: tuple[int, ...]) -> tuple[int, ...]:
@@ -452,41 +447,6 @@ def normalize(p: MPoly) -> MPoly:
     return q
 
 
-def to_sympy(p: MPoly):
-    expr = sympy.Integer(0)
-    for e, c in p._terms.items():
-        term = sympy.Rational(c.numerator, c.denominator)
-        for i, k in enumerate(e):
-            if k:
-                term *= _sym(i + 1) ** k
-        expr += term
-    return expr
-
-
-def from_sympy(expr) -> MPoly:
-    expr = sympy.expand(expr)
-    if not expr.free_symbols:
-        r = sympy.Rational(expr)
-        return MPoly.constant(Fraction(int(r.p), int(r.q)))
-    gens = [_sym(i) for i in range(1, _max_sym_index(expr) + 1)]
-    poly = sympy.Poly(expr, *gens)
-    out: dict[tuple[int, ...], Fraction] = {}
-    for monom, coeff in poly.terms():
-        c = sympy.Rational(coeff)
-        out[_trim(tuple(monom))] = Fraction(int(c.p), int(c.q))
-    return MPoly(out)
-
-
-def _max_sym_index(expr) -> int:
-    best = 1
-    for s in expr.free_symbols:
-        m = re.fullmatch(r"x(\d+)", s.name)
-        if not m:
-            raise ValueError(f"unexpected symbol {s}")
-        best = max(best, int(m.group(1)))
-    return best
-
-
 def factor(p: MPoly, mode: str = "finest") -> list[tuple[MPoly, int]]:
     """Factor p into normalized irreducible (``finest``) or square-free
     pairwise-coprime (``squarefree``) factors with multiplicities.
@@ -498,16 +458,20 @@ def factor(p: MPoly, mode: str = "finest") -> list[tuple[MPoly, int]]:
         raise ValueError("cannot factor the zero polynomial")
     if p.is_constant():
         return []
-    expr = to_sympy(p)
-    if mode == "finest":
-        _, pairs = sympy.factor_list(expr)
-    elif mode == "squarefree":
-        _, pairs = sympy.sqf_list(expr)
-    else:
+    if mode not in ("finest", "squarefree"):
         raise ValueError(f"unknown factor mode: {mode}")
+    n = p.level
+    rep = {
+        e + (0,) * (n - len(e)): sympy.QQ(c.numerator, c.denominator)
+        for e, c in p._terms.items()
+    }
+    poly = sympy.Poly.from_dict(rep, sympy.symbols(f"x1:{n + 1}"), domain=sympy.QQ)
+    _, pairs = poly.factor_list() if mode == "finest" else poly.sqf_list()
     out: list[tuple[MPoly, int]] = []
     for f, m in pairs:
-        g = normalize(from_sympy(f))
+        g = normalize(MPoly({
+            e: Fraction(int(c.numerator), int(c.denominator)) for e, c in f.terms()
+        }))
         if not g.is_constant():
             out.append((g, int(m)))
     out.sort(key=lambda fm: fm[0].sort_key())

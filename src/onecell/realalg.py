@@ -15,13 +15,16 @@ with `sorted`), `sorted_distinct` for sorted values without duplicates,
 conversions between univariate `MPoly` and coefficient lists
 (`_upoly_coeffs`, `_upoly`).
 
-Root isolation uses bisection driven by Descartes' rule of signs on the
-square-free part; irreducible factors of degree >= 2 have no rational
-roots, which keeps the bisection free of midpoint corner cases.  For
-sample points with irrational coordinates, root finding eliminates each
+Root isolation factors through `polynomial.factor`, the package's one
+boundary to sympy, and bisects each irreducible factor driven by
+Descartes' rule of signs; factors of degree >= 2 have no rational roots,
+which keeps the bisection free of midpoint corner cases.  For sample
+points with irrational coordinates, root finding eliminates each
 algebraic coordinate through resultants with its defining polynomial,
-producing rational candidate polynomials whose roots are then filtered
-by an exact sign test.
+producing a rational candidate polynomial whose roots are then filtered
+by an exact sign test.  When a resultant vanishes, the defining
+polynomial, being irreducible, divides the eliminand and is divided out
+first (`_candidate_poly`).
 
 That sign test, `sign_at`, evaluates p over the coordinate enclosures
 and refines them until the interval value excludes 0.  When it keeps
@@ -38,18 +41,15 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import sympy
-
 from .polynomial import (
     MPoly,
     Var,
     coeff_info,
+    exact_div,
     factor,
     parse_poly,
     poly_to_str,
     resultant,
-    to_sympy,
-    _sym,
     _utrim,
 )
 
@@ -254,6 +254,15 @@ class RealAlg:
         else:
             self._hi = m
 
+    def copy(self) -> "RealAlg":
+        """The same value with an enclosure of its own: refining the copy
+        leaves this one where it is."""
+        if self._rat is not None:
+            return self
+        out = RealAlg._isolated(self._def, self._lo, self._hi)
+        out._index = self._index
+        return out
+
     def refine_below(self, width: Fraction) -> None:
         while self._hi - self._lo > width:
             self.refine()
@@ -279,16 +288,6 @@ class RealAlg:
                 self._index = hits[0] + 1
                 return self._index
             self.refine()
-
-    def to_sympy(self):
-        if self._rat is not None:
-            return sympy.Rational(self._rat.numerator, self._rat.denominator)
-        x = sympy.Symbol("x")
-        expr = sum(
-            sympy.Rational(c.numerator, c.denominator) * x**k
-            for k, c in enumerate(self._def)
-        )
-        return sympy.CRootOf(expr, self.canonical_index() - 1)
 
     def approx(self) -> float:
         if self._rat is not None:
@@ -348,8 +347,17 @@ def _canonical_intervals(defc: tuple[Fraction, ...]) -> list[tuple[Fraction, Fra
 
 def separate(lo: RealAlg, hi: RealAlg) -> tuple[Fraction, Fraction]:
     """Refine lo < hi until their enclosures are disjoint; returns the
-    gap between them: the upper end of lo and the lower end of hi."""
+    gap between them: the upper end of lo and the lower end of hi.
+
+    Raises ValueError unless lo < hi.  Equal irrational values share a
+    definition and never separate, so values of one definition are
+    compared on copies first; lo and hi themselves are refined only by
+    the loop, which raises once hi's enclosure lies at or below lo's."""
+    if lo._def is not None and lo._def == hi._def and lo.copy() == hi.copy():
+        raise ValueError("no gap between equal values")
     while not lo._hi < hi._lo:
+        if hi._hi <= lo._lo:
+            raise ValueError("no gap: the lower value is above the upper")
         lo.refine()
         hi.refine()
     return lo._hi, hi._lo
@@ -393,43 +401,26 @@ def _isolate_irreducible(c: list[Fraction]) -> list[RealAlg]:
     return [RealAlg._isolated(c, a, b) for a, b in out]
 
 
-def _isolate_squarefree(c: list[Fraction]) -> list[RealAlg]:
-    """Real roots of an arbitrary nonzero univariate coefficient list,
-    via irreducible factorization of the square-free part."""
-    c = _utrim(list(c))
-    if not c:
+def isolate_real_roots(p: MPoly) -> list[RealAlg]:
+    """Sorted distinct real roots of a univariate polynomial: a rational
+    for each linear irreducible factor, and the bisected roots of the
+    others.  The factoring runs on the same coefficients in x1, so sympy
+    sees a univariate polynomial whatever the variable."""
+    if p.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
-    if len(c) == 1:
+    if len(p.variables()) > 1:
+        raise ValueError(f"{p} is not univariate")
+    if p.is_constant():
         return []
-    x = _sym(1)
-    expr = sum(
-        sympy.Rational(k.numerator, k.denominator) * x**i for i, k in enumerate(c)
-    )
     roots: list[RealAlg] = []
-    for f, _m in sympy.factor_list(expr)[1]:
-        fp = sympy.Poly(f, x)
-        fc = [Fraction(int(q.p), int(q.q)) for q in
-              [sympy.Rational(v) for v in fp.all_coeffs()[::-1]]]
-        _utrim(fc)
+    for f, _m in factor(_upoly(_upoly_coeffs(p, p.level), 1)):
+        fc = _upoly_coeffs(f, 1)
         if len(fc) == 2:
             roots.append(RealAlg.rational(-fc[0] / fc[1]))
-        elif len(fc) > 2:
+        else:
             roots.extend(_isolate_irreducible(fc))
     roots.sort()
     return roots
-
-
-def isolate_real_roots(p: MPoly) -> list[RealAlg]:
-    """Sorted distinct real roots of a univariate polynomial."""
-    if p.is_zero():
-        raise ValueError("cannot isolate roots of the zero polynomial")
-    vs = p.variables()
-    if not vs:
-        return []
-    if len(vs) > 1:
-        raise ValueError(f"{p} is not univariate")
-    (v,) = vs
-    return _isolate_squarefree(_upoly_coeffs(p, v))
 
 
 # ---------------------------------------------------------------------------
@@ -564,10 +555,7 @@ def _is_zero_algebraic(p: MPoly, s: Sample) -> bool:
     S = [abs(c) for c in R[m:]]
     b = S[0] / (S[0] + max(S[1:]))
     irrational = q.variables()
-    point = [
-        RealAlg._isolated(c._def, *c.enclosure()) if j + 1 in irrational else c
-        for j, c in enumerate(s)
-    ]
+    point = [c.copy() for c in s]
     while True:
         lo, hi = _interval_eval(q, [c.enclosure() for c in point])
         if lo > 0 or hi < 0:
@@ -589,61 +577,43 @@ def roots_in_extension(p: MPoly, s: Sample):
     i = p.level
     if i != len(s) + 1:
         raise ValueError("level(p) must be len(s) + 1")
-    d, _, coeffs = coeff_info(p, i)
+    _, _, coeffs = coeff_info(p, i)
     if all(sign_at(c, s) == 0 for c in coeffs):
         return NULLIFIED
+    roots = isolate_real_roots(_candidate_poly(p, s))
     if s.all_rational():
-        q = p.subst_rational({j + 1: s[j].rational_value() for j in range(len(s))})
-        if q.is_constant():
-            return []
-        return isolate_real_roots(q)
-    candidates = _candidate_polys(p, s)
-    seen: list[RealAlg] = []
-    for cand in candidates:
-        for r in _isolate_squarefree(cand):
-            if sign_at(p, s.extend(r)) == 0:
-                if not any(r.compare(t) == 0 for t in seen):
-                    seen.append(r)
-    seen.sort()
-    return seen
+        return roots
+    return [r for r in roots if sign_at(p, s.extend(r)) == 0]
 
 
-def _candidate_polys(p: MPoly, s: Sample) -> list[list[Fraction]]:
-    """Rational univariate polynomials whose roots cover all roots of
-    p(s, x_i), obtained by resultant elimination of each irrational
-    coordinate against its defining polynomial."""
-    i = p.level
-    rat = {j + 1: s[j].rational_value() for j in range(len(s)) if s[j].is_rational()}
-    q = p.subst_rational(rat)
-    for j in range(len(s)):
-        if s[j].is_rational():
+def _candidate_poly(p: MPoly, s: Sample) -> MPoly:
+    """A polynomial in x_i alone whose roots include every root of
+    p(s, x_i): the rational coordinates are substituted, and each
+    irrational x_j is eliminated by a resultant against its defining
+    polynomial d_j.
+
+    A zero resultant Res_{x_j}(q, d_j) means that q and d_j share a
+    factor; d_j is irreducible, so it divides q and is divided out until
+    the resultant is nonzero or q no longer involves x_j.  Up to a
+    constant, q is the product of p over the conjugates of the
+    coordinates eliminated so far.  The factor at s itself is not
+    divisible by x_j - s_j, since p(s, x_i) is not identically zero, so
+    every power of d_j in q comes from the other factors and the
+    quotient still vanishes at p(s)'s roots."""
+    q = p.subst_rational(
+        {j + 1: c.rational_value() for j, c in enumerate(s) if c.is_rational()}
+    )
+    for j, c in enumerate(s, 1):
+        if c.is_rational():
             continue
-        if q.degree(j + 1) == 0:
-            continue
-        q = resultant(q, _upoly(s[j]._def, j + 1), j + 1)
-        if q.is_zero():
-            return _candidate_polys_sympy(p, s)
-    if q.is_constant() or q.degree(i) == 0:
-        return []
-    return [_upoly_coeffs(q, i)]
-
-
-def _candidate_polys_sympy(p: MPoly, s: Sample) -> list[list[Fraction]]:
-    """Fallback for the degenerate case where an intermediate resultant
-    vanishes (a conjugate coordinate interaction): take exact minimal
-    polynomials of the roots computed by sympy over the extension."""
-    i = p.level
-    expr = to_sympy(p).subs({_sym(j + 1): s[j].to_sympy() for j in range(len(s))})
-    xi = _sym(i)
-    poly = sympy.Poly(expr, xi, extension=True)
-    out: list[list[Fraction]] = []
-    z = sympy.Symbol("zz")
-    for r in poly.real_roots():
-        mp = sympy.Poly(sympy.minimal_polynomial(r, z), z)
-        coeffs = [Fraction(int(sympy.Rational(c).p), int(sympy.Rational(c).q))
-                  for c in mp.all_coeffs()[::-1]]
-        out.append(_utrim(coeffs))
-    return out
+        d = _upoly(c._def, j)
+        while q.degree(j) > 0:
+            r = resultant(q, d, j)
+            if not r.is_zero():
+                q = r
+                break
+            q = exact_div(q, d)
+    return q
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ Variables are assigned in order x1..xn.  Each level picks a value from a
 finite candidate set covering every sign-invariant region of the
 level's constraint polynomials.  When no value works, the conflict is
 generalized to a cell around the current prefix and the excluded region
-steers later choices.  Unsatisfiability is reported either from a
-conflict over the empty prefix or when the learned cells provably cover
-the whole x1 line.
+steers later choices.  Unsatisfiability is reported from a conflict over
+the empty prefix or when every x1 candidate is ruled out: the candidates
+stand for every region of the x1 line on which the level-1 signs and the
+learned-cell membership are constant, so ruling them all out covers the
+line.
 """
 
 from __future__ import annotations
@@ -100,58 +102,6 @@ def _excluded(t: RealAlg, learned, level: int, prefix: Sample) -> bool:
     return False
 
 
-def _line_covered(learned: Sequence[CellDescription]) -> bool:
-    """True when the level-1 intervals of the learned cells provably
-    cover all of R."""
-    base = Sample(())
-    spans: list[tuple[Optional[RealAlg], Optional[RealAlg], bool, bool]] = []
-    for cell in learned:
-        iv = cell[0]
-        if iv.is_section():
-            v = eval_indexed_root(iv.bound, base)
-            if v is not UNDEF:
-                spans.append((v, v, True, True))
-        else:
-            lo = None if iv.lower is None else eval_indexed_root(iv.lower, base)
-            hi = None if iv.upper is None else eval_indexed_root(iv.upper, base)
-            if lo is UNDEF or hi is UNDEF:
-                continue
-            spans.append((lo, hi, False, False))
-
-    def sort_key(span):
-        lo, _, lc, _ = span
-        if lo is None:
-            return (0,)
-        # closed lower ends first so a point can seal an open boundary
-        return (1, lo, 0 if lc else 1)
-
-    spans.sort(key=sort_key)
-    covered_hi: Optional[RealAlg] = None
-    covered_closed = False
-    started = False
-    for lo, hi, lc, hc in spans:
-        if not started:
-            if lo is not None:
-                return False
-            started = True
-            if hi is None:
-                return True
-            covered_hi, covered_closed = hi, hc
-            continue
-        if lo is not None:
-            cmp = lo.compare(covered_hi)
-            if cmp > 0 or (cmp == 0 and not (lc or covered_closed)):
-                return False
-        if hi is None:
-            return True
-        cmp = hi.compare(covered_hi)
-        if cmp > 0:
-            covered_hi, covered_closed = hi, hc
-        elif cmp == 0 and hc:
-            covered_closed = True
-    return False
-
-
 def solve_conjunction(
     constraints: Sequence[Constraint],
     nvars: int,
@@ -229,7 +179,6 @@ def solve_conjunction(
 
         # every admissible value is inside a learned cell
         if i == 1:
-            if _line_covered(result.learned):
-                result.status = UNSAT
+            result.status = UNSAT
             return result
         assignment.pop()

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import sympy
 
-from onecell.polynomial import MPoly, Var, _sym, coeff_info, to_sympy
+from onecell.polynomial import MPoly, Var, coeff_info
 
 
 def sylvester_matrix(p: MPoly, q: MPoly, v: Var) -> list[list[MPoly]]:
@@ -216,11 +216,33 @@ def _divides(d: list[int], c: list[int]) -> bool:
 # exact zero test at an algebraic point, by sympy's minimal polynomial
 
 
+def poly_to_sympy(p: MPoly):
+    """p as a sympy expression in the symbols x1, x2, ..."""
+    return sympy.Add(*(
+        sympy.Rational(c.numerator, c.denominator)
+        * sympy.Mul(*(sympy.Symbol(f"x{i + 1}") ** k for i, k in enumerate(e)))
+        for e, c in p.terms.items()
+    ))
+
+
+def realalg_to_sympy(a):
+    """A `RealAlg` as a sympy number: a Rational, or a `CRootOf` of its
+    defining polynomial."""
+    if a.is_rational():
+        r = a.rational_value()
+        return sympy.Rational(r.numerator, r.denominator)
+    x = sympy.Symbol("x")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * x**k
+               for k, c in enumerate(a._def))
+    return sympy.CRootOf(expr, a.canonical_index() - 1)
+
+
 def is_zero_by_minimal_polynomial(p: MPoly, coords) -> bool:
     """Whether p vanishes at the point of `RealAlg` coordinates (x_j is
     coordinate j): the minimal polynomial of p's value, computed by sympy
     over the coordinates as `CRootOf` objects, is z exactly when the
     value is 0."""
-    expr = to_sympy(p).subs({_sym(j + 1): c.to_sympy() for j, c in enumerate(coords)})
+    expr = poly_to_sympy(p).subs(
+        {sympy.Symbol(f"x{j + 1}"): realalg_to_sympy(c) for j, c in enumerate(coords)})
     z = sympy.Symbol("z")
     return sympy.minimal_polynomial(expr, z) == z

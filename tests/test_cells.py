@@ -15,8 +15,12 @@ from onecell.cells import (
     cell_to_formula,
     cell_to_text,
 )
+from onecell.config import config_from_id
+from onecell.engine import single_cell
 from onecell.polynomial import parse_poly
 from onecell.realalg import UNDEF, Sample
+
+from conftest import within_seconds
 
 
 def _unit_disk_cell():
@@ -130,3 +134,23 @@ def test_formula_of_section_is_equality():
     atoms = cell_to_formula(cell)
     assert len(atoms) == 1 and atoms[0].rel == "="
     assert atoms[0].var == 2
+
+
+def test_interior_point_of_an_empty_sector_is_refused():
+    """With relaxed top connectedness the level-3 sector between x3 = 1
+    and x3 = x2^2 is empty over the picked prefixes, where |x2| < 1; the
+    picker used to refine the crossed bounds forever."""
+    result = single_cell(
+        ["-x3^3-3*x1*x2^2-2", "-2*x3+2", "2*x2^2*x3-2*x3^2"],
+        (Fraction(1, 2), Fraction(2), Fraction(2)),
+        config_from_id("ldb-ldb", relax_top_connectedness=True),
+    )
+    assert result
+    assert cell_to_text(result.cell).splitlines()[2] == (
+        'level 3 sector (root "x3-1" 1) (root "x2^2-x3" 1)')
+
+    def pick():
+        with pytest.raises(ValueError):
+            cell_pick_interior_point(result.cell, 0)
+
+    within_seconds(5, pick)

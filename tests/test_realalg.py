@@ -15,6 +15,7 @@ from onecell.realalg import (
     realalg_from_text,
     realalg_to_text,
     roots_in_extension,
+    separate,
     sign_at,
 )
 
@@ -166,3 +167,21 @@ def test_reducible_definitions_are_refused():
             within_seconds(5, lambda: a.compare(
                 RealAlg.algebraic([Fraction(c) for c in bad], Fraction(lo), Fraction(hi))
             ))
+
+
+def test_separate_refuses_values_out_of_order():
+    """separate(lo, hi) needs lo < hi; equal irrational values used to
+    refine forever."""
+    lo, hi = isolate_real_roots(parse_poly("x1^2-2"))
+    hi_again = isolate_real_roots(parse_poly("2*x1^2-4"))[1]
+    one = RealAlg.rational(1)
+
+    def check():
+        for a, b in [(hi, lo), (hi, hi_again), (one, RealAlg.rational(1)),
+                     (one, lo), (hi, one)]:
+            with pytest.raises(ValueError):
+                separate(a, b)
+        a, b = separate(lo, hi)
+        assert lo.enclosure()[1] == a < b == hi.enclosure()[0]
+
+    within_seconds(5, check)

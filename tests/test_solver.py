@@ -160,3 +160,15 @@ def test_unsat_sums_finish_in_time():
             assert solve_conjunction(cons, 2).status == UNSAT
 
     within_seconds(6, solve_all)
+
+
+def test_unsat_when_a_constraint_and_learned_cells_cover_x1():
+    """The learned cells are x1 < 0 and x1 > 0, and x1 = 0 violates the
+    level-1 constraint -x1^2 < 0: every x1 candidate is ruled out, which
+    proves unsat."""
+    cons = [Constraint(parse_poly("-x1^2"), "<"),
+            Constraint(parse_poly("2*x1*x2"), "<"),
+            Constraint(parse_poly("2*x1*x2-x1^2"), ">=")]
+    r = solve_conjunction(cons, 2)
+    assert r.status == UNSAT
+    assert len(r.learned) == 2

@@ -9,9 +9,8 @@ from onecell.polynomial import MPoly, parse_poly
 from onecell.realalg import (
     RealAlg,
     Sample,
-    _candidate_polys,
+    _candidate_poly,
     _is_zero_algebraic,
-    _isolate_squarefree,
     isolate_real_roots,
 )
 
@@ -64,7 +63,7 @@ def test_agrees_with_minimal_polynomial_at_one_irrational_coordinate():
 
 
 def test_agrees_with_minimal_polynomial_on_towers():
-    """(alpha, r) with r a root of the resultant candidates of a
+    """(alpha, r) with r a root of the resultant candidate of a
     polynomial g over alpha: g vanishes at the true roots and not at the
     roots that belong to a conjugate of alpha.  Candidates of degree
     above 6 are skipped: the oracle takes seconds on each."""
@@ -75,17 +74,17 @@ def test_agrees_with_minimal_polynomial_on_towers():
         g = random_poly(rng, 2, 3, 4)
         if g.degree(2) == 0:
             continue
-        for cand in _candidate_polys(g, Sample([alpha])):
-            if len(cand) > 7:
-                continue
-            for r in _isolate_squarefree(cand)[:2]:
-                s = Sample([alpha, r])
-                towers += not r.is_rational()
-                for p in (g, g + MPoly.var(1), g * MPoly.var(2) - MPoly.var(1)):
-                    if _checked(p, s):
-                        zeros += 1
-                    else:
-                        nonzeros += 1
+        cand = _candidate_poly(g, Sample([alpha]))
+        if cand.degree(2) > 6:
+            continue
+        for r in isolate_real_roots(cand)[:2]:
+            s = Sample([alpha, r])
+            towers += not r.is_rational()
+            for p in (g, g + MPoly.var(1), g * MPoly.var(2) - MPoly.var(1)):
+                if _checked(p, s):
+                    zeros += 1
+                else:
+                    nonzeros += 1
     assert zeros >= 5 and nonzeros >= 10
 
 
