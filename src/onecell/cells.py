@@ -209,13 +209,32 @@ def cell_contains(c: CellDescription, r: Sample):
     return True
 
 
+# Draws of cell_pick_interior_point before it gives up.
+_PICK_DRAWS = 8
+
+
 def cell_pick_interior_point(c: CellDescription, seed: int) -> Sample:
     """A deterministic sample inside the cell: sections land exactly on
-    the bound, sectors take a rational strictly between the refined
-    bound enclosures.  Raises ValueError when a bound is undefined or a
-    sector is empty over the prefix picked so far (a cell built with
-    relaxed top connectedness may have such fibers)."""
+    the bound, bounded sectors take a rational strictly between the
+    refined bound enclosures, a half-line one 1 to 2 past its bound and
+    the whole line one within 1/2 of 0.  A cell built with relaxed top
+    connectedness may have a sector that is empty over the prefix drawn
+    so far (or a bound undefined there); the draw is then repeated with
+    the unbounded sectors 4 times as wide each time, up to `_PICK_DRAWS`
+    draws.  Raises the ValueError of the last draw, which is the first
+    when no sector is unbounded."""
     rng = random.Random(seed)
+    widenable = any(not iv.is_section() and None in iv.bounds() for iv in c)
+    draws = _PICK_DRAWS if widenable else 1
+    for draw in range(draws - 1):
+        try:
+            return _draw_point(c, rng, 4**draw)
+        except ValueError:
+            pass
+    return _draw_point(c, rng, 4 ** (draws - 1))
+
+
+def _draw_point(c: CellDescription, rng: random.Random, width: int) -> Sample:
     coords: list[RealAlg] = []
     for i, iv in enumerate(c):
         prefix = Sample(coords)
@@ -231,11 +250,11 @@ def cell_pick_interior_point(c: CellDescription, seed: int) -> Sample:
             raise ValueError("sector bound undefined inside its own cell")
         t = Fraction(rng.randint(1, 15), 16)
         if lo is None and hi is None:
-            coords.append(RealAlg.rational(t - Fraction(1, 2)))
+            coords.append(RealAlg.rational((t - Fraction(1, 2)) * width))
         elif lo is None:
-            coords.append(RealAlg.rational(hi.enclosure()[0] - 1 - t))
+            coords.append(RealAlg.rational(hi.enclosure()[0] - (1 + t) * width))
         elif hi is None:
-            coords.append(RealAlg.rational(lo.enclosure()[1] + 1 + t))
+            coords.append(RealAlg.rational(lo.enclosure()[1] + (1 + t) * width))
         else:
             a, b = separate(lo, hi)
             coords.append(RealAlg.rational(a + (b - a) * t))

@@ -17,8 +17,14 @@ conversions between univariate `MPoly` and coefficient lists
 
 Root isolation factors through `polynomial.factor`, the package's one
 boundary to sympy, and bisects each irreducible factor driven by
-Descartes' rule of signs; factors of degree >= 2 have no rational roots,
-which keeps the bisection free of midpoint corner cases.  For sample
+Descartes' rule of signs on integer coefficients: the Cauchy-bound
+interval is mapped onto (0, 1) once, and each half gets its polynomial
+from its parent's by a power-of-2 scaling and a Taylor shift by 1, all
+additions (`_bisect_roots`).  Factors of degree >= 2 have no rational
+roots, which keeps the bisection free of midpoint corner cases.  The
+intervals of a definition are computed once and kept in `_CANONICAL`:
+they fix which root `canonical_index` names, and every isolated root
+starts out with its own canonical interval and index.  For sample
 points with irrational coordinates, root finding eliminates each
 algebraic coordinate through resultants with its defining polynomial,
 producing a rational candidate polynomial whose roots are then filtered
@@ -107,40 +113,24 @@ def _usign(c: Sequence[Fraction], x: Fraction) -> int:
     return 0 if v == 0 else (1 if v > 0 else -1)
 
 
-def _umul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def _cauchy_bound(c: Sequence[Fraction]) -> Fraction:
     lead = abs(c[-1])
     m = max((abs(x) for x in c[:-1]), default=Fraction(0))
     return Fraction(1) + m / lead
 
 
-def _descartes_in(c: Sequence[Fraction], a: Fraction, b: Fraction) -> int:
-    """Sign-variation bound on the number of roots in the open interval
-    (a, b): 0 means none, 1 means exactly one."""
+def _taylor_shift1(c: Sequence[int]) -> list[int]:
+    """Coefficients of c(x + 1), by additions only."""
+    c = list(c)
     n = len(c) - 1
-    # coefficients of (1+x)^n * p((a + b*x) / (1+x))
-    acc = [Fraction(0)] * (n + 1)
-    lin1 = [a, b]          # a + b*x
-    lin2 = [Fraction(1), Fraction(1)]  # 1 + x
-    pow1: list[list[Fraction]] = [[Fraction(1)]]
-    pow2: list[list[Fraction]] = [[Fraction(1)]]
-    for _ in range(n):
-        pow1.append(_umul(pow1[-1], lin1))
-        pow2.append(_umul(pow2[-1], lin2))
-    for k, ck in enumerate(c):
-        if ck:
-            term = _umul(pow1[k], pow2[n - k])
-            for i, t in enumerate(term):
-                acc[i] += ck * t
-    signs = [1 if x > 0 else -1 for x in acc if x != 0]
+    for i in range(n):
+        for k in range(n - 1, i - 1, -1):
+            c[k] += c[k + 1]
+    return c
+
+
+def _variations(c: Sequence[int]) -> int:
+    signs = [x > 0 for x in c if x]
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
@@ -337,14 +327,6 @@ class RealAlg:
         return f"RealAlg({realalg_to_text(self)}~{self.approx():.4g})"
 
 
-def _canonical_intervals(defc: tuple[Fraction, ...]) -> list[tuple[Fraction, Fraction]]:
-    if defc not in _CANONICAL:
-        # the defining polynomial is irreducible; bisect it directly so
-        # index lookups cannot re-enter the factoring isolation path
-        _CANONICAL[defc] = [r.enclosure() for r in _isolate_irreducible(list(defc))]
-    return _CANONICAL[defc]
-
-
 def separate(lo: RealAlg, hi: RealAlg) -> tuple[Fraction, Fraction]:
     """Refine lo < hi until their enclosures are disjoint; returns the
     gap between them: the upper end of lo and the lower end of hi.
@@ -376,29 +358,69 @@ def sorted_distinct(values: Iterable[RealAlg]) -> list[RealAlg]:
 # isolation
 
 
-def _isolate_irreducible(c: list[Fraction]) -> list[RealAlg]:
-    """Isolate the real roots of an irreducible polynomial of degree >= 2.
+def _bisect_roots(c: tuple[Fraction, ...]) -> list[tuple[Fraction, Fraction]]:
+    """Isolating intervals of the real roots of the primitive irreducible
+    c, in increasing order: Descartes bisection of (-B, B), B the Cauchy
+    bound (Collins & Akritas 1976), on integer coefficients with Taylor
+    shifts (Rouillier & Zimmermann 2004).
 
-    Irreducibility over Q rules out rational roots, so no bisection
-    midpoint can be a root.
-    """
-    c = tuple(c)
+    The node of (a, b) holds q(x) = p(a + (b - a) x) times a positive
+    constant, an integer polynomial whose roots in (0, 1) are those of p
+    in (a, b).  The sign variations of (x + 1)^n q(1 / (x + 1)), the
+    reversed q shifted by 1, bound their number: 0 drops the node, 1
+    keeps (a, b), and otherwise the halves (a, m) and (m, b) get
+    2^n q(x / 2) and that shifted by 1.  Irreducibility over Q rules out
+    rational roots, so no midpoint is a root."""
+    n = len(c) - 1
     bound = _cauchy_bound(c)
-    out: list[tuple[Fraction, Fraction]] = []
-    stack = [(-bound, bound)]
+    num, den = bound.numerator, bound.denominator
+    # den^n p(num y / den) at y = 2x - 1, which maps (0, 1) onto (-1, 1); the
+    # shift by -1 is a shift by 1 between two sign flips of odd terms
+    q = [int(x) * num**i * den ** (n - i) for i, x in enumerate(c)]
+    q = _taylor_shift1([-x if i % 2 else x for i, x in enumerate(q)])
+    q = [(-x if i % 2 else x) << i for i, x in enumerate(q)]
+    g = math.gcd(*q)
+    # node (k, j) is the interval -B + 2B (j, j + 1) / 2^k
+    stack = [(0, 0, [x // g for x in q])]
+    leaves = []
     while stack:
-        a, b = stack.pop()
-        v = _descartes_in(c, a, b)
-        if v == 0:
-            continue
+        k, j, q = stack.pop()
+        v = _variations(_taylor_shift1(q[::-1]))
         if v == 1:
-            out.append((a, b))
-            continue
-        m = (a + b) / 2
-        stack.append((a, m))
-        stack.append((m, b))
-    out.sort()
-    return [RealAlg._isolated(c, a, b) for a, b in out]
+            leaves.append((k, j))
+        elif v > 1:
+            left = [x << (n - i) for i, x in enumerate(q)]
+            stack.append((k + 1, 2 * j, left))
+            stack.append((k + 1, 2 * j + 1, _taylor_shift1(left)))
+    return sorted(
+        (bound * Fraction(2 * j - (1 << k), 1 << k),
+         bound * Fraction(2 * j + 2 - (1 << k), 1 << k))
+        for k, j in leaves
+    )
+
+
+def _canonical_intervals(defc: tuple[Fraction, ...]) -> list[tuple[Fraction, Fraction]]:
+    """The isolating intervals of the primitive irreducible `defc`, in
+    increasing order, bisected once per definition and kept in
+    `_CANONICAL`.  The roots `_isolate_irreducible` returns start with
+    these intervals as enclosures and with their index set, so neither
+    `canonical_index` nor a repeated isolation bisects again."""
+    spots = _CANONICAL.get(defc)
+    if spots is None:
+        spots = _CANONICAL[defc] = _bisect_roots(defc)
+    return spots
+
+
+def _isolate_irreducible(c: Sequence[Fraction]) -> list[RealAlg]:
+    """The real roots of an irreducible polynomial of degree >= 2, in
+    increasing order."""
+    c = _primitive(c)
+    out = []
+    for k, (a, b) in enumerate(_canonical_intervals(c), 1):
+        r = RealAlg._isolated(c, a, b)
+        r._index = k
+        out.append(r)
+    return out
 
 
 def isolate_real_roots(p: MPoly) -> list[RealAlg]:

@@ -2,10 +2,12 @@
 
 Everything here is deliberately implemented by a different route than
 the library: resultants via the symbolic Sylvester determinant (Laplace
-expansion, no division), real-root counting via Sturm sequences, factor
-checking via numeric root recombination, and zero tests at algebraic
-points via sympy's minimal polynomials.  Keeping both routes
-alive is what makes the algebra tests meaningful.
+expansion, no division), real-root counting via Sturm sequences, root
+isolation by Descartes bisection on `Fraction` coefficients with the
+Moebius transform rebuilt at every node, factor checking via numeric
+root recombination, and zero tests at algebraic points via sympy's
+minimal polynomials.  Keeping both routes alive is what makes the
+algebra tests meaningful.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 import sympy
 
 from onecell.polynomial import MPoly, Var, coeff_info
+from onecell.realalg import _cauchy_bound
 
 
 def sylvester_matrix(p: MPoly, q: MPoly, v: Var) -> list[list[MPoly]]:
@@ -144,6 +147,63 @@ def sturm_count_interval(c: list[Fraction], a: Fraction, b: Fraction) -> int:
     va = _variations([(0 if ev(s, a) == 0 else (1 if ev(s, a) > 0 else -1)) for s in seq])
     vb = _variations([(0 if ev(s, b) == 0 else (1 if ev(s, b) > 0 else -1)) for s in seq])
     return va - vb
+
+
+# ---------------------------------------------------------------------------
+# Descartes bisection on Fraction coefficients: the isolation the library
+# ran before its integer Taylor-shift kernel, kept as the reference path
+
+
+def _umul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _descartes_in(c: list[Fraction], a: Fraction, b: Fraction) -> int:
+    """Sign-variation bound on the number of roots in the open interval
+    (a, b): 0 means none, 1 means exactly one."""
+    n = len(c) - 1
+    # coefficients of (1+x)^n * p((a + b*x) / (1+x))
+    acc = [Fraction(0)] * (n + 1)
+    lin1 = [a, b]          # a + b*x
+    lin2 = [Fraction(1), Fraction(1)]  # 1 + x
+    pow1: list[list[Fraction]] = [[Fraction(1)]]
+    pow2: list[list[Fraction]] = [[Fraction(1)]]
+    for _ in range(n):
+        pow1.append(_umul(pow1[-1], lin1))
+        pow2.append(_umul(pow2[-1], lin2))
+    for k, ck in enumerate(c):
+        if ck:
+            term = _umul(pow1[k], pow2[n - k])
+            for i, t in enumerate(term):
+                acc[i] += ck * t
+    return _variations([1 if x > 0 else -1 for x in acc if x != 0])
+
+
+def descartes_bisection(c: list[Fraction]) -> list[tuple[Fraction, Fraction]]:
+    """Isolating intervals of the real roots of an irreducible c of degree
+    >= 2, in increasing order: bisection of (-B, B), B the library's
+    Cauchy bound, with the Moebius transform rebuilt at every node."""
+    c = [Fraction(x) for x in c]
+    bound = _cauchy_bound(c)
+    out: list[tuple[Fraction, Fraction]] = []
+    stack = [(-bound, bound)]
+    while stack:
+        a, b = stack.pop()
+        v = _descartes_in(c, a, b)
+        if v == 0:
+            continue
+        if v == 1:
+            out.append((a, b))
+            continue
+        m = (a + b) / 2
+        stack.append((a, m))
+        stack.append((m, b))
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from onecell.engine import single_cell
 from onecell.polynomial import parse_poly
 from onecell.realalg import UNDEF, Sample
 
-from conftest import within_seconds
+from conftest import sign_vector, within_seconds
 
 
 def _unit_disk_cell():
@@ -136,21 +136,40 @@ def test_formula_of_section_is_equality():
     assert atoms[0].var == 2
 
 
-def test_interior_point_of_an_empty_sector_is_refused():
+def test_interior_points_of_a_relaxed_cell_with_empty_fibers():
     """With relaxed top connectedness the level-3 sector between x3 = 1
-    and x3 = x2^2 is empty over the picked prefixes, where |x2| < 1; the
-    picker used to refine the crossed bounds forever."""
+    and x3 = x2^2 is empty wherever |x2| <= 1, and the first draw puts
+    x2 in (-1/2, 1/2).  The picker used to refine the crossed bounds
+    forever, then to refuse the cell on every seed; widened draws of the
+    unbounded levels now find points inside it."""
+    polys = ["-x3^3-3*x1*x2^2-2", "-2*x3+2", "2*x2^2*x3-2*x3^2"]
+    s = Sample([Fraction(1, 2), Fraction(2), Fraction(2)])
     result = single_cell(
-        ["-x3^3-3*x1*x2^2-2", "-2*x3+2", "2*x2^2*x3-2*x3^2"],
-        (Fraction(1, 2), Fraction(2), Fraction(2)),
-        config_from_id("ldb-ldb", relax_top_connectedness=True),
-    )
+        polys, tuple(s), config_from_id("ldb-ldb", relax_top_connectedness=True))
     assert result
     assert cell_to_text(result.cell).splitlines()[2] == (
         'level 3 sector (root "x3-1" 1) (root "x2^2-x3" 1)')
+    ps = [parse_poly(p) for p in polys]
+
+    def picks():
+        return [cell_pick_interior_point(result.cell, seed) for seed in range(20)]
+
+    for pt in within_seconds(5, picks):
+        assert cell_contains(result.cell, pt) is True
+        assert sign_vector(ps, pt) == sign_vector(ps, s)
+
+
+def test_interior_point_of_an_empty_sector_is_refused():
+    """A sector between x2 = 1 and x2 = 0 is empty over every x1: each
+    widened draw fails, and the last failure is raised."""
+    cell = CellDescription([
+        SectorInterval(None, None, level_hint=1),
+        SectorInterval(IndexedRoot(parse_poly("x2-1"), 1),
+                       IndexedRoot(parse_poly("x2"), 1)),
+    ])
 
     def pick():
         with pytest.raises(ValueError):
-            cell_pick_interior_point(result.cell, 0)
+            cell_pick_interior_point(cell, 0)
 
     within_seconds(5, pick)

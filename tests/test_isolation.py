@@ -1,0 +1,101 @@
+"""Root isolation: the integer Taylor-shift kernel against the Fraction
+bisection it replaced, and one isolation per irreducible factor."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from onecell import realalg
+from onecell.polynomial import factor
+from onecell.realalg import _upoly, _upoly_coeffs, isolate_real_roots
+
+from oracles import descartes_bisection, sturm_count_all_real_roots
+
+
+def _irreducible_factors(c):
+    """Coefficient lists of the irreducible factors of degree >= 2."""
+    fs = [_upoly_coeffs(f, 1) for f, _m in factor(_upoly(c, 1))]
+    return [fc for fc in fs if len(fc) > 2]
+
+
+def _check_against_oracle(fc):
+    intervals = realalg._bisect_roots(realalg._primitive(fc))
+    assert intervals == descartes_bisection(fc)
+    assert len(intervals) == sturm_count_all_real_roots(list(fc))
+    roots = realalg._isolate_irreducible(fc)
+    assert [r.enclosure() for r in roots] == intervals
+    assert [r.canonical_index() for r in roots] == list(range(1, len(roots) + 1))
+
+
+_BIG = 2**64
+
+
+@st.composite
+def _integer_polys(draw):
+    degree = draw(st.integers(2, 20))
+    coeffs = draw(st.lists(st.integers(-_BIG, _BIG), min_size=degree, max_size=degree))
+    lead = draw(st.integers(1, _BIG)) * draw(st.sampled_from([1, -1]))
+    return [Fraction(x) for x in coeffs + [lead]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_integer_polys())
+def test_kernel_matches_fraction_bisection(c):
+    factors = _irreducible_factors(c)
+    assume(factors)
+    for fc in factors:
+        _check_against_oracle(fc)
+
+
+# (coefficients, lowest degree first; each polynomial is irreducible)
+_HUGE_BOUNDS = {
+    # roots near 2^200 and 2^-200
+    "two-scales": [1, -(2**200), 1],
+    # Cauchy bound 1 + 2^300, its one real root near 2^100
+    "cubic-2^300": [-(2**300), 0, 3, 1],
+    # Mignotte: two roots about 2^-61 apart near 2^-20, bound 1 + 2^41
+    "mignotte": [-2, 4 * 2**20, -2 * 2**40, 0, 0, 0, 0, 0, 1],
+    # a leading coefficient far above the others: bound just above 1
+    "wide-lead": [1, -3, 0, 2**64 + 1],
+    # a rational bound with a large denominator
+    "odd-lead": [7 * 2**70, -(2**80), 5, 3**45],
+}
+
+
+@pytest.mark.parametrize("c", _HUGE_BOUNDS.values(), ids=_HUGE_BOUNDS.keys())
+def test_kernel_matches_fraction_bisection_at_huge_bounds(c):
+    c = [Fraction(x) for x in c]
+    assert _irreducible_factors(c) == [_upoly_coeffs(_upoly(c, 1), 1)]
+    _check_against_oracle(c)
+
+
+def test_each_irreducible_factor_is_isolated_once(monkeypatch):
+    """Sorting and hashing the roots asks for their canonical indices;
+    those come from the isolation itself, so the kernel runs once per
+    factor and no enclosure moves."""
+    calls = []
+    bisect = realalg._bisect_roots
+
+    def counted(c):
+        calls.append(c)
+        return bisect(c)
+
+    monkeypatch.setattr(realalg, "_CANONICAL", {})
+    monkeypatch.setattr(realalg, "_bisect_roots", counted)
+    roots = isolate_real_roots(_upoly([1, -3, 0, 1], 1))  # x^3 - 3x + 1
+    assert len(roots) == 3 and len(calls) == 1
+    before = [r.enclosure() for r in roots]
+    assert sorted(reversed(roots)) == roots
+    assert len({hash(r) for r in roots}) == 3
+    assert [r.canonical_index() for r in roots] == [1, 2, 3]
+    assert [r.enclosure() for r in roots] == before
+    assert len(calls) == 1
+    # a second isolation of the same factor reuses its intervals
+    again = isolate_real_roots(_upoly([2, -6, 0, 2], 1))
+    assert [r.enclosure() for r in again] == before
+    assert len(calls) == 1
+    # a product of two irreducible cubics: one isolation for the new one
+    isolate_real_roots(_upoly([1, -3, 0, 1], 1) * _upoly([-1, -3, 0, 1], 1))
+    assert len(calls) == 2
