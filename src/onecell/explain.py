@@ -202,7 +202,7 @@ def explain_conflict(
             # shared factor; its delineability keeps the roots apart
             continue
         rn = res if res.is_constant() else normalize(res)
-        stats.add_resultant(rn)
+        stats.add("res", rn)
         Q.add(OrdInv(rn))
 
     result = run_levels(Q, sample, n, cfg, stats)

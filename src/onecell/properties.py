@@ -46,7 +46,10 @@ def is_whole(p: MPoly) -> bool:
 
 
 class Property:
+    """A property kind; `tier` is its within-level rank, 1 = greatest."""
+
     __slots__ = ()
+    tier: int
 
     @property
     def level(self) -> int:
@@ -72,6 +75,7 @@ def _interval_text(iv: SymbolicInterval) -> str:
 @dataclass(frozen=True)
 class SampleProp(Property):
     s: Sample
+    tier = 10
 
     @property
     def level(self) -> int:
@@ -82,57 +86,54 @@ class SampleProp(Property):
 
 
 @dataclass(frozen=True)
-class OrdInv(Property):
+class PolyProperty(Property):
+    """A property of one polynomial p, spelled `name(p)` in traces; it
+    lives `below` levels under p's level."""
+
     p: MPoly
+    below = 0
 
     @property
     def level(self) -> int:
-        return self.p.level
+        return self.p.level - self.below
 
     def text(self) -> str:
-        return f"ordinv({poly_to_str(self.p)})"
+        return f"{self.name}({poly_to_str(self.p)})"
 
 
-@dataclass(frozen=True)
-class SgnInv(Property):
-    p: MPoly
+class OrdInv(PolyProperty):
+    """Order invariance; while the decomposition rule still applies to p
+    it ranks one tier above the whole case, as sign invariance does."""
+
+    name = "ordinv"
 
     @property
-    def level(self) -> int:
-        return self.p.level
-
-    def text(self) -> str:
-        return f"sgninv({poly_to_str(self.p)})"
+    def tier(self) -> int:
+        return 5 if is_whole(self.p) else 4
 
 
-@dataclass(frozen=True)
-class NonNull(Property):
-    p: MPoly
+class SgnInv(PolyProperty):
+    name = "sgninv"
 
     @property
-    def level(self) -> int:
-        return self.p.level - 1
-
-    def text(self) -> str:
-        return f"nonnull({poly_to_str(self.p)})"
+    def tier(self) -> int:
+        return 7 if is_whole(self.p) else 6
 
 
-@dataclass(frozen=True)
-class AnDel(Property):
+class NonNull(PolyProperty):
+    name, below, tier = "nonnull", 1, 3
+
+
+class AnDel(PolyProperty):
     """Analytic delineability of p over the region one level down."""
 
-    p: MPoly
-
-    @property
-    def level(self) -> int:
-        return self.p.level - 1
-
-    def text(self) -> str:
-        return f"andel({poly_to_str(self.p)})"
+    name, below, tier = "andel", 1, 2
 
 
 @dataclass(frozen=True)
-class AnSub(Property):
+class IndexProperty(Property):
+    """A property of the region at level i, spelled `name(i)`."""
+
     i: int
 
     @property
@@ -140,19 +141,15 @@ class AnSub(Property):
         return self.i
 
     def text(self) -> str:
-        return f"ansub({self.i})"
+        return f"{self.name}({self.i})"
 
 
-@dataclass(frozen=True)
-class Connected(Property):
-    i: int
+class AnSub(IndexProperty):
+    name, tier = "ansub", 9
 
-    @property
-    def level(self) -> int:
-        return self.i
 
-    def text(self) -> str:
-        return f"connected({self.i})"
+class Connected(IndexProperty):
+    name, tier = "connected", 8
 
 
 class RootOrdering:
@@ -251,6 +248,7 @@ class Repr(Property):
 
     I: SymbolicInterval
     s: Sample
+    tier = 11
 
     @property
     def level(self) -> int:
@@ -264,6 +262,7 @@ class Repr(Property):
 class IrOrd(Property):
     ord: RootOrdering
     s: Sample
+    tier = 1
 
     @property
     def level(self) -> int:
@@ -278,6 +277,7 @@ class Holds(Property):
     """The axiom: the region actually is the lift of the interval."""
 
     I: SymbolicInterval
+    tier = 12
 
     @property
     def level(self) -> int:
@@ -292,29 +292,8 @@ class Holds(Property):
 
 
 def property_tier(q: Property) -> int:
-    """Within-level rank, 1 = greatest.  Invariance properties split by
-    whether the decomposition rule still applies to them."""
-    if isinstance(q, IrOrd):
-        return 1
-    if isinstance(q, AnDel):
-        return 2
-    if isinstance(q, NonNull):
-        return 3
-    if isinstance(q, OrdInv):
-        return 5 if is_whole(q.p) else 4
-    if isinstance(q, SgnInv):
-        return 7 if is_whole(q.p) else 6
-    if isinstance(q, Connected):
-        return 8
-    if isinstance(q, AnSub):
-        return 9
-    if isinstance(q, SampleProp):
-        return 10
-    if isinstance(q, Repr):
-        return 11
-    if isinstance(q, Holds):
-        return 12
-    raise TypeError(f"not a property: {q!r}")
+    """Within-level rank, 1 = greatest: the `tier` of q's kind."""
+    return q.tier
 
 
 def property_compare(q1: Property, q2: Property) -> str:
@@ -382,32 +361,8 @@ class DerivationTrace:
         return len(self.entries)
 
 
-KNOWN_RULES = {
-    "const-inv",
-    "triv-base",
-    "factors",
-    "del",
-    "nonnull-const-coeff",
-    "nonnull-coeff",
-    "nonnull-disc",
-    "ordinv-nonzero",
-    "ordinv-zero",
-    "nozero",
-    "eqproj",
-    "sgninv-ord",
-    "irord",
-    "connected-base",
-    "connected-sector",
-    "connected-inf",
-    "connected-section",
-    "sample-prefix",
-    "submanifold",
-    "repr",
-    "level-one-base",
-}
-
-# which antecedent kinds a rule may cite; a structural side-condition
-# check used by the trace validator
+# every rule, with the conclusion kinds and the antecedent kinds it may
+# cite; a structural side-condition check used by the trace validator
 _RULE_SHAPES: dict[str, tuple[type, tuple[type, ...]]] = {
     "const-inv": ((OrdInv, SgnInv), ()),
     "triv-base": ((SampleProp, AnSub, Connected), ()),
@@ -441,17 +396,12 @@ def validate_trace(trace: DerivationTrace, axioms: set[Property]) -> bool:
     derived = trace.conclusions()
     ok_axioms = set(axioms) | set(trace.axioms)
     for e in trace.entries:
-        if e.rule not in KNOWN_RULES:
+        # an unknown rule concludes no kind
+        ckinds, akinds = _RULE_SHAPES.get(e.rule, ((), ()))
+        if not isinstance(e.conclusion, ckinds):
             return False
-        shape = _RULE_SHAPES.get(e.rule)
-        if shape is not None:
-            ckinds, akinds = shape
-            if not isinstance(e.conclusion, ckinds):
-                return False
-            if akinds == () and e.antecedents:
-                return False
-            if any(not isinstance(a, akinds) for a in e.antecedents if akinds):
-                return False
+        if not all(isinstance(a, akinds) for a in e.antecedents):
+            return False
         for a in e.antecedents:
             if a in ok_axioms:
                 continue

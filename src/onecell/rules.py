@@ -30,6 +30,7 @@ from .properties import (
     Connected,
     DerivationTrace,
     Holds,
+    IndexProperty,
     IrOrd,
     NonNull,
     OrdInv,
@@ -65,7 +66,7 @@ def trivial_rule(q: Property) -> Optional[str]:
         return "const-inv"
     if isinstance(q, SampleProp) and len(q.s) == 0:
         return "triv-base"
-    if isinstance(q, (AnSub, Connected)) and q.i == 0:
+    if isinstance(q, IndexProperty) and q.i == 0:
         return "triv-base"
     return None
 
@@ -145,7 +146,8 @@ class Choice:
     rule: str
     antecedents: tuple[Property, ...]
     rank: int = 0  # smaller preferred; ranks estimated computation cost
-    introduced: tuple[tuple[str, MPoly], ...] = ()  # (kind, poly) for stats
+    # (kind, poly) for RunStats.add: "res", "disc" or "coeff"
+    introduced: tuple[tuple[str, MPoly], ...] = ()
 
     def order_key(self):
         degree = max(
@@ -382,41 +384,46 @@ def _connected_choices(q: Connected, ctx: RuleCtx) -> list[Choice]:
     return [Choice("connected-sector", base + (IrOrd(ctx.ordering, prefix),))]
 
 
+def _ansub_choices(q: AnSub, ctx: RuleCtx) -> list[Choice]:
+    if ctx.interval is None or ctx.level != q.i:
+        return []
+    prefix = ctx.s.prefix(q.i - 1)
+    return [Choice("submanifold", (Repr(ctx.interval, prefix), AnSub(q.i - 1)))]
+
+
+def _sample_choices(q: SampleProp, ctx: RuleCtx) -> list[Choice]:
+    ell = len(q.s)
+    if ctx.interval is None or ctx.level != ell:
+        return []
+    prefix = q.s.prefix(ell - 1)
+    return [Choice("sample-prefix", (Repr(ctx.interval, prefix), SampleProp(prefix)))]
+
+
+def _repr_choice(q: Repr, ctx: RuleCtx) -> list[Choice]:
+    ants = [SampleProp(q.s), Holds(q.I)]
+    for b in q.I.bound_roots():
+        ants.append(AnDel(b.poly))
+    return [Choice("repr", _dedup(ants))]
+
+
+# Holds is the axiom: no rule concludes it
+_CHOICES = {
+    SgnInv: _sgninv_choices,
+    OrdInv: _ordinv_choices,
+    NonNull: _nonnull_choices,
+    AnDel: _andel_choice,
+    IrOrd: _irord_choice,
+    Connected: _connected_choices,
+    AnSub: _ansub_choices,
+    SampleProp: _sample_choices,
+    Repr: _repr_choice,
+    Holds: lambda q, ctx: [],
+}
+
+
 def rule_choices(q: Property, ctx: RuleCtx) -> list[Choice]:
     """All rule instances that can conclude q under ctx."""
-    if isinstance(q, SgnInv):
-        return _sgninv_choices(q, ctx)
-    if isinstance(q, OrdInv):
-        return _ordinv_choices(q, ctx)
-    if isinstance(q, NonNull):
-        return _nonnull_choices(q, ctx)
-    if isinstance(q, AnDel):
-        return _andel_choice(q, ctx)
-    if isinstance(q, IrOrd):
-        return _irord_choice(q, ctx)
-    if isinstance(q, Connected):
-        return _connected_choices(q, ctx)
-    if isinstance(q, AnSub):
-        if ctx.interval is None or ctx.level != q.i:
-            return []
-        prefix = ctx.s.prefix(q.i - 1)
-        return [Choice("submanifold", (Repr(ctx.interval, prefix), AnSub(q.i - 1)))]
-    if isinstance(q, SampleProp):
-        ell = len(q.s)
-        if ctx.interval is None or ctx.level != ell:
-            return []
-        return [
-            Choice(
-                "sample-prefix",
-                (Repr(ctx.interval, q.s.prefix(ell - 1)), SampleProp(q.s.prefix(ell - 1))),
-            )
-        ]
-    if isinstance(q, Repr):
-        ants = [SampleProp(q.s), Holds(q.I)]
-        for b in q.I.bound_roots():
-            ants.append(AnDel(b.poly))
-        return [Choice("repr", _dedup(ants))]
-    return []
+    return _CHOICES[type(q)](q, ctx)
 
 
 def apply_pre(Q: PropertySet, q: Property, ctx: RuleCtx) -> None:
@@ -435,12 +442,7 @@ def apply_pre(Q: PropertySet, q: Property, ctx: RuleCtx) -> None:
     pool = covered if covered else choices
     chosen = min(pool, key=Choice.order_key)
     for kind, poly in chosen.introduced:
-        if kind == "res":
-            ctx.stats.add_resultant(poly, ctx.level)
-        elif kind == "disc":
-            ctx.stats.add_discriminant(poly, ctx.level)
-        else:
-            ctx.stats.add_coefficient(poly, ctx.level)
+        ctx.stats.add(kind, poly)
     for a in chosen.antecedents:
         Q.add(a)
     Q.trace.derive(q, chosen.antecedents, chosen.rule)

@@ -13,53 +13,30 @@ class RunStats:
         self.cells_constructed = 0
         self.cell_dimensions: list[int] = []
         self.max_main_degree = 0
-        self._res: set[MPoly] = set()
-        self._disc: set[MPoly] = set()
-        self._coeff: set[MPoly] = set()
-        # (kind, polynomial, construction level) in introduction order
-        self.events: list[tuple[str, MPoly, int | None]] = []
+        # distinct nonconstant projection polynomials by kind
+        self.polys: dict[str, set[MPoly]] = {"res": set(), "disc": set(), "coeff": set()}
 
     @property
     def resultants_computed(self) -> int:
-        return len(self._res)
+        return len(self.polys["res"])
 
     @property
     def discriminants_computed(self) -> int:
-        return len(self._disc)
+        return len(self.polys["disc"])
 
     @property
     def coefficients_computed(self) -> int:
-        return len(self._coeff)
-
-    def resultant_polys(self) -> frozenset:
-        return frozenset(self._res)
-
-    def discriminant_polys(self) -> frozenset:
-        return frozenset(self._disc)
-
-    def coefficient_polys(self) -> frozenset:
-        return frozenset(self._coeff)
+        return len(self.polys["coeff"])
 
     def saw_poly(self, p: MPoly) -> None:
         if not p.is_constant():
             self.max_main_degree = max(self.max_main_degree, p.degree(p.level))
 
-    def add_resultant(self, p: MPoly, level: int | None = None) -> None:
+    def add(self, kind: str, p: MPoly) -> None:
+        """Count p as a projection polynomial of kind "res", "disc" or
+        "coeff"; constants are not counted."""
         if not p.is_constant():
-            self._res.add(p)
-            self.events.append(("res", p, level))
-            self.saw_poly(p)
-
-    def add_discriminant(self, p: MPoly, level: int | None = None) -> None:
-        if not p.is_constant():
-            self._disc.add(p)
-            self.events.append(("disc", p, level))
-            self.saw_poly(p)
-
-    def add_coefficient(self, p: MPoly, level: int | None = None) -> None:
-        if not p.is_constant():
-            self._coeff.add(p)
-            self.events.append(("coeff", p, level))
+            self.polys[kind].add(p)
             self.saw_poly(p)
 
     def add_cell(self, dimension: int) -> None:

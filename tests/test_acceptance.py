@@ -25,6 +25,7 @@ from onecell.properties import (
     AnSub,
     Connected,
     IrOrd,
+    OrdInv,
     Repr,
     SampleProp,
     SgnInv,
@@ -265,9 +266,17 @@ def test_criterion_6_heuristic_structure():
                 if r_eq and r_eq.cell[level - 1].is_section():
                     bound_poly = r_eq.cell[level - 1].bound.poly
                     allowed = {normalize(discriminant(bound_poly, level))}
+                    # discriminants the `del` steps cite for the level's
+                    # polynomials with a root over the prefix; those
+                    # without one are kept sign-invariant by `nozero`,
+                    # which needs their delineability
                     top_discs = {
-                        p for kind, p, lvl in st_eq.events
-                        if kind == "disc" and lvl == level
+                        a.p
+                        for e in r_eq.trace.entries
+                        if e.rule == "del" and e.conclusion.p.level == level
+                        and cached_roots(e.conclusion.p, prefix) not in (NULLIFIED, [])
+                        for a in e.antecedents
+                        if isinstance(a, OrdInv) and not a.p.is_constant()
                     }
                     assert top_discs <= allowed
                     eq_checked += 1
@@ -332,8 +341,8 @@ def test_criterion_8_stats_definitions():
             single_cell(polys, coords, config_from_id(hid), stats)
         lines = dict(l.split("=") for l in stats.lines())
         assert list(lines) == expected_keys
-        assert int(lines["resultants_computed"]) == len(stats.resultant_polys())
-        assert int(lines["discriminants_computed"]) == len(stats.discriminant_polys())
+        assert int(lines["resultants_computed"]) == len(stats.polys["res"])
+        assert int(lines["discriminants_computed"]) == len(stats.polys["disc"])
         comparison[hid] = lines
     # per-run stats can be compared between heuristics on a small corpus;
     # no external aggregate numbers are asserted
