@@ -235,19 +235,25 @@ def cell_pick_interior_point(c: CellDescription, seed: int) -> Sample:
 
 
 def _draw_point(c: CellDescription, rng: random.Random, width: int) -> Sample:
+    """One draw of cell_pick_interior_point.  Bound values are read off
+    canonical copies, not the cached roots other calls refine, so the
+    point depends only on the cell, the seed and the width."""
     coords: list[RealAlg] = []
-    for i, iv in enumerate(c):
-        prefix = Sample(coords)
+
+    def bound_value(xi: Optional[IndexedRoot], what: str):
+        if xi is None:
+            return None
+        val = eval_indexed_root(xi, Sample(coords))
+        if val is UNDEF:
+            raise ValueError(f"{what} bound undefined inside its own cell")
+        return val.canonical_copy()
+
+    for iv in c:
         if iv.is_section():
-            val = eval_indexed_root(iv.bound, prefix)
-            if val is UNDEF:
-                raise ValueError("section bound undefined inside its own cell")
-            coords.append(val)
+            coords.append(bound_value(iv.bound, "section"))
             continue
-        lo = eval_indexed_root(iv.lower, prefix) if iv.lower is not None else None
-        hi = eval_indexed_root(iv.upper, prefix) if iv.upper is not None else None
-        if lo is UNDEF or hi is UNDEF:
-            raise ValueError("sector bound undefined inside its own cell")
+        lo = bound_value(iv.lower, "sector")
+        hi = bound_value(iv.upper, "sector")
         t = Fraction(rng.randint(1, 15), 16)
         if lo is None and hi is None:
             coords.append(RealAlg.rational((t - Fraction(1, 2)) * width))

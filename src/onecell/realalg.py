@@ -253,6 +253,17 @@ class RealAlg:
         out._index = self._index
         return out
 
+    def canonical_copy(self) -> "RealAlg":
+        """The same value with an enclosure of its own that starts at its
+        canonical isolating interval, so what is read off the copy does
+        not depend on how far earlier work refined this one."""
+        if self._rat is not None:
+            return self
+        k = self.canonical_index()
+        out = RealAlg._isolated(self._def, *_canonical_intervals(self._def)[k - 1])
+        out._index = k
+        return out
+
     def refine_below(self, width: Fraction) -> None:
         while self._hi - self._lo > width:
             self.refine()

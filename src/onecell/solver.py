@@ -65,12 +65,14 @@ def _candidate_values(
 ) -> list[RealAlg]:
     """Candidates for x_level: every root of the level's constraint
     polynomials over the prefix, every applicable learned-cell bound,
-    and one simple rational per gap around them."""
+    and one simple rational per gap around them.  Values are read off
+    canonical copies, not the cached roots other calls refine, so the
+    candidates depend only on the arguments."""
     vals: list[RealAlg] = []
     for p in polys:
         roots = cached_roots(p, prefix)
         if roots is not NULLIFIED:
-            vals.extend(roots)
+            vals.extend(r.canonical_copy() for r in roots)
     for cell in learned:
         if len(cell) != level:
             continue
@@ -80,7 +82,7 @@ def _candidate_values(
         for b in iv.bound_roots():
             v = eval_indexed_root(b, prefix)
             if v is not UNDEF:
-                vals.append(v)
+                vals.append(v.canonical_copy())
     roots = sorted_distinct(vals)
     out: list[RealAlg] = [RealAlg.rational(0)]
     if roots:

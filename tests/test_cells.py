@@ -173,3 +173,15 @@ def test_interior_point_of_an_empty_sector_is_refused():
             cell_pick_interior_point(cell, 0)
 
     within_seconds(5, pick)
+
+
+def test_interior_point_does_not_depend_on_earlier_calls():
+    # the second call refines the cached root sqrt(2) far past its
+    # isolating interval; the point is read off the interval itself
+    cell = single_cell(["x1^2-2"], [2]).cell
+    before = cell_pick_interior_point(cell, 0)
+    single_cell(
+        ["x1^2-2", "1000*x1-1414", "100000*x1-141422", "10000000*x1-14142136"], [2]
+    )
+    after = cell_pick_interior_point(cell, 0)
+    assert before[0].rational_value() == after[0].rational_value() == Fraction(39, 8)

@@ -1,11 +1,9 @@
 """Golden outputs: cells, traces, statistics, clauses and solver verdicts
 on a fixed corpus must stay byte-identical.
 
-The corpus runs in a fresh interpreter with PYTHONHASHSEED=0, because
-some outputs depend on process state: solver models are read off the
-current enclosures of cached roots (`simplest_between`), so they depend
-on how far earlier calls have refined those roots.  Running the module
-as a script prints the corpus output:
+The corpus runs in a fresh interpreter with PYTHONHASHSEED=0, so that
+set iteration order is the same in every run.  Running the module as a
+script prints the corpus output:
 
     PYTHONHASHSEED=0 PYTHONPATH=src:tests python tests/test_golden.py
 

@@ -172,3 +172,22 @@ def test_unsat_when_a_constraint_and_learned_cells_cover_x1():
     r = solve_conjunction(cons, 2)
     assert r.status == UNSAT
     assert len(r.learned) == 2
+
+
+def test_model_does_not_depend_on_earlier_calls():
+    # the single_cell call refines the cached root sqrt(2) far past its
+    # isolating interval; candidate values are read off the interval itself
+    from onecell.engine import single_cell
+
+    C = [
+        Constraint(parse_poly("x1^2-2"), "<"),
+        Constraint(parse_poly("5*x1-7"), ">"),
+    ]
+    before = solve_conjunction(C, 1)
+    single_cell(
+        ["x1^2-2", "1000*x1-1414", "100000*x1-141422", "10000000*x1-14142136"], [2]
+    )
+    after = solve_conjunction(C, 1)
+    assert before.status == after.status == SAT
+    assert before.model[0].rational_value() == after.model[0].rational_value()
+    assert after.model[0].rational_value() == Fraction(52, 37)
