@@ -29,7 +29,7 @@ from .cells import (
     value_order,
 )
 from .config import HeuristicConfig
-from .polynomial import MPoly, resultant
+from .polynomial import MPoly
 from .properties import RootOrdering
 from .realalg import NULLIFIED, RealAlg, Sample
 
@@ -297,40 +297,3 @@ def choose_representation(
 
     return Representation(interval, frozenset(eq_polys), RootOrdering(pairs))
 
-
-def representation_is_valid(
-    rep: Representation, polys, s_prefix: Sample, s_val: RealAlg
-) -> bool:
-    """The structural conditions a representation must satisfy: the
-    sample lies in the interval, the equational set is only used with a
-    section, the ordering matches the sample, and every root of every
-    polynomial outside the equational set is ordered against a bound."""
-    xi = roots_with_values(polys, s_prefix)
-    ctx = _Ctx(xi, s_val, rep.interval.level)
-    interval = rep.interval
-    lo, up = interval.bounds()
-    if interval.is_section():
-        if ctx.val.get(lo) is None or ctx.val[lo].compare(s_val) != 0:
-            return False
-    else:
-        if lo is not None and ctx.val[lo].compare(s_val) >= 0:
-            return False
-        if up is not None and ctx.val[up].compare(s_val) <= 0:
-            return False
-    if rep.eq_set and not interval.is_section():
-        return False
-    if not rep.ordering.matches(s_prefix):
-        return False
-    for r, _ in xi:
-        if r.poly in rep.eq_set:
-            continue
-        if interval.is_section() and r.poly != interval.bound.poly:
-            # the equational projection against the bound polynomial can
-            # stand in for the ordering unless they share a factor
-            if not resultant(r.poly, interval.bound.poly, r.poly.level).is_zero():
-                continue
-        below = lo is not None and rep.ordering.le(r, lo)
-        above = up is not None and rep.ordering.le(up, r)
-        if not (below or above):
-            return False
-    return True

@@ -185,7 +185,6 @@ class MPoly:
     def subst_rational(self, vals: dict[Var, Fraction]) -> "MPoly":
         """Substitute rational values for some variables."""
         out: dict[tuple[int, ...], Fraction] = {}
-        acc = MPoly({})
         for e, c in self._terms.items():
             coeff = c
             rest = list(e)
@@ -266,16 +265,6 @@ def coeff_info(p: MPoly, v: Var) -> tuple[int, MPoly, list[MPoly]]:
         coeffs[k][key] = coeffs[k].get(key, Fraction(0)) + c
     out = [MPoly(t) for t in coeffs]
     return d, out[d], out
-
-
-def from_coeffs(coeffs: Sequence[MPoly], v: Var) -> MPoly:
-    """Inverse of coeff_info: sum coeffs[k] * x_v^k."""
-    xv = MPoly.var(v)
-    total = MPoly({})
-    for k, c in enumerate(coeffs):
-        if not c.is_zero():
-            total = total + c * xv**k
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -476,13 +465,6 @@ def factor(p: MPoly, mode: str = "finest") -> list[tuple[MPoly, int]]:
             out.append((g, int(m)))
     out.sort(key=lambda fm: fm[0].sort_key())
     return out
-
-
-def squarefree_part(p: MPoly) -> MPoly:
-    prod = MPoly.constant(1)
-    for f, _ in factor(p, "squarefree"):
-        prod = prod * f
-    return normalize(prod)
 
 
 # ---------------------------------------------------------------------------

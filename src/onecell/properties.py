@@ -8,6 +8,12 @@ within a level, a fixed twelve-tier ranking applies.  Every rule
 application replaces a property by strictly smaller ones, which is what
 makes the whole construction terminate and lets a trace be validated
 without re-running the search.
+
+This module declares the proof system once: each property kind carries
+its tier as a class attribute (`OrdInv` and `SgnInv` rank one tier
+higher while `is_whole` fails), and `_RULE_SHAPES` is the one list of
+rule names, with the kinds each rule may conclude and cite.  Which
+instances of a rule apply is decided in `rules`.
 """
 
 from __future__ import annotations
@@ -19,16 +25,12 @@ from .polynomial import MPoly, factor, normalize, poly_to_str
 from .realalg import Sample, realalg_to_text
 from .cells import IndexedRoot, SymbolicInterval, bound_text
 
-_sqfree_cache: dict[MPoly, bool] = {}
 _whole_cache: dict[MPoly, bool] = {}
 
 
 def is_squarefree(p: MPoly) -> bool:
-    """Square-free check with memoization; the property tiers and the
-    decomposition rule both key off this."""
-    if p not in _sqfree_cache:
-        _sqfree_cache[p] = all(m == 1 for _, m in factor(p, "squarefree"))
-    return _sqfree_cache[p]
+    """Square-free check; its one caller, `is_whole`, memoizes it."""
+    return all(m == 1 for _, m in factor(p, "squarefree"))
 
 
 def is_whole(p: MPoly) -> bool:
@@ -212,20 +214,6 @@ class RootOrdering:
 
     def le(self, a: IndexedRoot, b: IndexedRoot) -> bool:
         return a == b or (a, b) in self.closure()
-
-    def matches(self, s: Sample) -> bool:
-        """Every pair's roots are defined at s with values in pair order."""
-        from .cells import eval_indexed_root
-        from .realalg import UNDEF
-
-        for a, b in self.pairs:
-            va = eval_indexed_root(a, s)
-            vb = eval_indexed_root(b, s)
-            if va is UNDEF or vb is UNDEF:
-                return False
-            if va.compare(vb) > 0:
-                return False
-        return True
 
     def text(self) -> str:
         items = sorted(f"{a.text()}<={b.text()}" for a, b in self.pairs)

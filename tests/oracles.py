@@ -7,7 +7,9 @@ isolation by Descartes bisection on `Fraction` coefficients with the
 Moebius transform rebuilt at every node, factor checking via numeric
 root recombination, and zero tests at algebraic points via sympy's
 minimal polynomials.  Keeping both routes alive is what makes the
-algebra tests meaningful.
+algebra tests meaningful.  The module also holds the structural checks
+on a chosen representation (`representation_is_valid`,
+`ordering_matches`), which only tests use.
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ from fractions import Fraction
 import numpy as np
 import sympy
 
-from onecell.polynomial import MPoly, Var, coeff_info
-from onecell.realalg import _cauchy_bound
+from onecell.cells import eval_indexed_root
+from onecell.heuristics import roots_with_values
+from onecell.polynomial import MPoly, Var, coeff_info, resultant
+from onecell.realalg import UNDEF, _cauchy_bound
 
 
 def sylvester_matrix(p: MPoly, q: MPoly, v: Var) -> list[list[MPoly]]:
@@ -306,3 +310,56 @@ def is_zero_by_minimal_polynomial(p: MPoly, coords) -> bool:
         {sympy.Symbol(f"x{j + 1}"): realalg_to_sympy(c) for j, c in enumerate(coords)})
     z = sympy.Symbol("z")
     return sympy.minimal_polynomial(expr, z) == z
+
+
+# ---------------------------------------------------------------------------
+# structural conditions on a chosen representation
+
+
+def ordering_matches(ordering, s) -> bool:
+    """Every pair of the root ordering has both roots defined at s, with
+    values in pair order."""
+    for a, b in ordering.pairs:
+        va = eval_indexed_root(a, s)
+        vb = eval_indexed_root(b, s)
+        if va is UNDEF or vb is UNDEF:
+            return False
+        if va.compare(vb) > 0:
+            return False
+    return True
+
+
+def representation_is_valid(rep, polys, s_prefix, s_val) -> bool:
+    """The structural conditions a representation must satisfy: the
+    sample lies in the interval, the equational set is only used with a
+    section, the ordering matches the sample, and every root of every
+    polynomial outside the equational set is ordered against a bound."""
+    xi = roots_with_values(polys, s_prefix)
+    val = dict(xi)
+    interval = rep.interval
+    lo, up = interval.bounds()
+    if interval.is_section():
+        if val.get(lo) is None or val[lo].compare(s_val) != 0:
+            return False
+    else:
+        if lo is not None and val[lo].compare(s_val) >= 0:
+            return False
+        if up is not None and val[up].compare(s_val) <= 0:
+            return False
+    if rep.eq_set and not interval.is_section():
+        return False
+    if not ordering_matches(rep.ordering, s_prefix):
+        return False
+    for r, _ in xi:
+        if r.poly in rep.eq_set:
+            continue
+        if interval.is_section() and r.poly != interval.bound.poly:
+            # the equational projection against the bound polynomial can
+            # stand in for the ordering unless they share a factor
+            if not resultant(r.poly, interval.bound.poly, r.poly.level).is_zero():
+                continue
+        below = lo is not None and rep.ordering.le(r, lo)
+        above = up is not None and rep.ordering.le(up, r)
+        if not (below or above):
+            return False
+    return True

@@ -123,6 +123,17 @@ def test_sample_on_poly_root_gives_section():
     assert result.cell[1].is_section()
 
 
+def test_section_below_the_top_uses_connected_section():
+    # level 2 is a section, so connectedness of the level-2 region is
+    # derived from the section rule, the one no golden trace reaches
+    polys = ["-x1^3+3*x1^2", "-2*x2^3+2", "-3*x2^2*x3-x1^2+2", "-2*x2^3-x3^2+1"]
+    result = single_cell(polys, (Fraction(2, 3), 0, Fraction(-5, 2)), config_from_id("bc"))
+    assert result
+    assert result.cell[1].is_section()
+    assert "VIA connected-section" in result.trace.to_text()
+    assert validate_trace(result.trace, set())
+
+
 def test_constant_inputs_are_harmless():
     result = single_cell(["3", "x1-1"], (Fraction(0),))
     assert result

@@ -11,6 +11,7 @@ from onecell.properties import (
     AnSub,
     Connected,
     DerivationTrace,
+    Holds,
     IrOrd,
     NonNull,
     OrdInv,
@@ -26,6 +27,8 @@ from onecell.properties import (
     validate_trace,
 )
 from onecell.realalg import Sample
+
+from oracles import ordering_matches
 
 
 CIRCLE = parse_poly("x2^2+x1^2-1")
@@ -43,14 +46,25 @@ def test_level_dominates_tier():
 def test_tier_order_within_level():
     ordering = RootOrdering([])
     p1 = parse_poly("x1^2-2")
+    split = p1.scale(Fraction(2))  # not normalized: decomposition applies
+    iv = SectorInterval(None, None, level_hint=1)
+    # every (kind, wholeness) case at level 1, greatest first
     props = [
         IrOrd(ordering, S1),
-        NonNull(CIRCLE),  # statement about the level below the poly
+        AnDel(CIRCLE),  # statement about the level below the poly
+        NonNull(CIRCLE),
+        OrdInv(split),
         OrdInv(p1),
+        SgnInv(split),
         SgnInv(p1),
+        Connected(1),
+        AnSub(1),
+        SampleProp(S1),
+        Repr(iv, Sample(())),
+        Holds(iv),
     ]
-    tiers = [property_tier(q) for q in props]
-    assert tiers == sorted(tiers)
+    assert {q.level for q in props} == {1}
+    assert [property_tier(q) for q in props] == list(range(1, 13))
     for smaller, larger in zip(props[1:], props):
         assert property_compare(larger, smaller) == "GT"
 
@@ -106,8 +120,8 @@ def test_root_ordering_matches_sample_values():
     r2 = IndexedRoot(CIRCLE, 2)
     good = RootOrdering([(r1, r2)])
     bad = RootOrdering([(r2, r1)])
-    assert good.matches(S1)
-    assert not bad.matches(S1)
+    assert ordering_matches(good, S1)
+    assert not ordering_matches(bad, S1)
 
 
 def test_validate_trace_accepts_well_founded():
