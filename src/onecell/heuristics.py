@@ -296,4 +296,3 @@ def choose_representation(
         pairs.append((interval.lower, interval.upper))
 
     return Representation(interval, frozenset(eq_polys), RootOrdering(pairs))
-
