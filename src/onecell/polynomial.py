@@ -8,7 +8,7 @@ is kept in a canonical form (no zero coefficients stored), so equality
 of term maps is equality of polynomials.
 
 The module also provides the projection operations the cell construction
-consumes: resultants via subresultant polynomial remainder sequences,
+consumes: resultants by evaluation and interpolation on integers,
 discriminants, and factorization (irreducible or square-free).
 
 `factor` is the package's one boundary to sympy: it hands sympy's
@@ -268,7 +268,7 @@ def coeff_info(p: MPoly, v: Var) -> tuple[int, MPoly, list[MPoly]]:
 
 
 # ---------------------------------------------------------------------------
-# exact division (the coefficient ring is a UFD; PRS divisions are exact)
+# exact division (for quotients known to be polynomials)
 
 
 def exact_div(a: MPoly, b: MPoly) -> MPoly:
@@ -298,79 +298,120 @@ def exact_div(a: MPoly, b: MPoly) -> MPoly:
 # resultants and discriminants
 
 
-def _udeg(c: list[MPoly]) -> int:
-    return len(c) - 1
-
-
 def _utrim(c: list) -> list:
-    """Drop trailing zero coefficients (MPoly or Fraction) in place."""
+    """Drop trailing zero coefficients (Fraction or int) in place."""
     while c and not c[-1]:
         c.pop()
     return c
 
 
-def _prem(a: list[MPoly], b: list[MPoly]) -> list[MPoly]:
-    """Pseudo-remainder of coefficient lists: lc(b)^(da-db+1) * a mod b."""
-    da, db = _udeg(a), _udeg(b)
-    lb = b[-1]
-    r = list(a)
-    for _ in range(da - db + 1):
-        dr = _udeg(r)
-        if dr < db:
-            r = [lb * c for c in r]
-            continue
-        lr = r[-1]
-        shifted = [MPoly({})] * (dr - db) + [lr * c for c in b]
-        r = [lb * r[i] - shifted[i] for i in range(dr)]
-        _utrim(r)
-    return r
+def _exact(a: int, b: int) -> int:
+    """a / b, raising ArithmeticError unless b divides a."""
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError(f"inexact integer division {a} / {b}")
+    return q
 
 
 def resultant(p: MPoly, q: MPoly, v: Var) -> MPoly:
-    """res_v(p, q) via the subresultant polynomial remainder sequence.
-
-    Equals the determinant of the Sylvester matrix of p and q in x_v.
-    Both arguments must have positive degree in x_v.
-    """
+    """res_v(p, q), the Sylvester determinant of p and q in x_v, which
+    must both occur, by evaluation and interpolation on integers
+    (Collins, "The calculation of multivariate polynomial resultants",
+    JACM 1971): res_v(c*P, d*Q) = c^deg_v(q) * d^deg_v(p) * res_v(P, Q)."""
     dp, dq = p.degree(v), q.degree(v)
     if dp < 1 or dq < 1:
         raise ValueError("resultant requires positive degree in the main variable")
-    _, _, ac = coeff_info(p, v)
-    _, _, bc = coeff_info(q, v)
-    A, B = list(ac), list(bc)
+    c, d = content(p), content(q)
+    P = {e: (k / c).numerator for e, k in p._terms.items()}
+    Q = {e: (k / d).numerator for e, k in q._terms.items()}
+    scale = c**dq * d**dp
+    return MPoly({e: scale * k for e, k in _ires(P, Q, v, dp, dq).items()})
+
+
+def _ideg(P: dict, j: Var) -> int:
+    return max((e[j - 1] for e in P if len(e) >= j), default=0)
+
+
+def _ieval(P: dict, j: Var, a: int) -> dict:
+    """The integer term map P with x_j = a."""
+    out: dict = {}
+    for e, k in P.items():
+        if len(e) >= j and e[j - 1]:
+            k *= a ** e[j - 1]
+            e = _trim(e[: j - 1] + (0,) + e[j:])
+        out[e] = out.get(e, 0) + k
+    return {e: k for e, k in out.items() if k}
+
+
+def _ires(P: dict, Q: dict, v: Var, dp: int, dq: int) -> dict:
+    """res_v(P, Q) for integer term maps of degrees dp, dq >= 1 in x_v:
+    another x_j is set to 0, 1, -1, 2, ..., skipping values where a
+    degree in x_v drops (finitely many: the leading coefficients are
+    nonzero), until they outnumber the result's degree bound in x_j."""
+    others = {i + 1 for e in (*P, *Q) for i, k in enumerate(e) if k} - {v}
+    if not others:
+        r = _ures(P, Q, v, dp, dq)
+        return {(): r} if r else {}
+    j = max(others)
+    bound = dp * _ideg(Q, j) + dq * _ideg(P, j)
+    xs, vals, a = [], [], 0
+    while len(xs) <= bound:
+        Pa, Qa = _ieval(P, j, a), _ieval(Q, j, a)
+        if _ideg(Pa, v) == dp and _ideg(Qa, v) == dq:
+            xs.append(a)
+            vals.append(_ires(Pa, Qa, v, dp, dq))
+        a = -a if a > 0 else 1 - a
+    out = {}
+    for m in set().union(*vals):
+        e = list(m) + [0] * (j - len(m))
+        for k, c in enumerate(_interpolate(xs, [r.get(m, 0) for r in vals])):
+            if c:
+                e[j - 1] = k
+                out[_trim(tuple(e))] = c
+    return out
+
+
+def _interpolate(xs: list[int], ys: list[int]) -> list[int]:
+    """Coefficients (index = degree) of the integer polynomial of degree
+    < len(xs) through the points (xs, ys), by Newton's divided
+    differences, which are integers for integer coefficients."""
+    c = list(ys)
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            c[i] = _exact(c[i] - c[i - 1], xs[i] - xs[i - k])
+    out = [c[-1]]
+    for k in range(len(xs) - 2, -1, -1):  # out = out * (x - xs[k]) + c[k]
+        out = [a - xs[k] * b for a, b in zip([0] + out, out + [0])]
+        out[0] += c[k]
+    return out
+
+
+def _ures(P: dict, Q: dict, v: Var, dp: int, dq: int) -> int:
+    """res_v(P, Q) for integer term maps in x_v alone, by the subresultant
+    PRS on dense coefficient lists (index = degree)."""
+    A = [P.get(_trim((0,) * (v - 1) + (k,)), 0) for k in range(dp + 1)]
+    B = [Q.get(_trim((0,) * (v - 1) + (k,)), 0) for k in range(dq + 1)]
     sign = 1
-    if _udeg(A) < _udeg(B):
-        if (_udeg(A) * _udeg(B)) % 2 == 1:
-            sign = -sign
-        A, B = B, A
-    one = MPoly.constant(1)
-    g, h = one, one
+    if len(A) < len(B):
+        A, B, sign = B, A, (-1) ** ((len(A) - 1) * (len(B) - 1))
+    g = h = 1
     while True:
-        da, db = _udeg(A), _udeg(B)
+        da, db = len(A) - 1, len(B) - 1
         d = da - db
-        if da % 2 == 1 and db % 2 == 1:
+        if da % 2 and db % 2:
             sign = -sign
-        R = _utrim(_prem(A, B))
-        if not R:
-            return MPoly({})  # nonconstant common factor
-        denom = g * h**d
-        A = B
-        B = [exact_div(c, denom) for c in R]
+        R, lb = list(A), B[-1]
+        for k in range(d, -1, -1):  # R = lb^(d+1) * A mod B
+            t = R.pop()
+            R = [lb * r - (t * B[i - k] if i >= k else 0) for i, r in enumerate(R)]
+        if not _utrim(R):
+            return 0  # nonconstant common factor
+        A, B = B, [_exact(c, g * h**d) for c in R]
         g = A[-1]
-        if d == 0:
-            pass
-        elif d == 1:
-            h = g
-        else:
-            h = exact_div(g**d, h ** (d - 1))
-        if _udeg(B) == 0:
-            da2 = _udeg(A)
-            num = B[0] ** da2
-            if da2 <= 1:
-                res = h ** (1 - da2) * num
-            else:
-                res = exact_div(num, h ** (da2 - 1))
-            return res if sign == 1 else -res
+        if d:
+            h = _exact(g**d, h ** (d - 1))
+        if len(B) == 1:
+            return sign * _exact(B[0] ** db, h ** (db - 1))
 
 
 def discriminant(p: MPoly, v: Var) -> MPoly:
@@ -543,7 +584,6 @@ class _Parser:
         base = self.atom()
         if self.peek() == "^":
             self.next()
-            neg = False
             if self.peek() == "-":
                 raise ValueError("negative exponents are not polynomials")
             k = self.next()

@@ -2,11 +2,12 @@
 
 Everything here is deliberately implemented by a different route than
 the library: resultants via the symbolic Sylvester determinant (Laplace
-expansion, no division), real-root counting via Sturm sequences, root
-isolation by Descartes bisection on `Fraction` coefficients with the
-Moebius transform rebuilt at every node, factor checking via numeric
-root recombination, and zero tests at algebraic points via sympy's
-minimal polynomials.  Keeping both routes alive is what makes the
+expansion, no division) and via the subresultant PRS over `MPoly`
+coefficients (the library evaluates and interpolates on integers),
+real-root counting via Sturm sequences, root isolation by Descartes
+bisection on `Fraction` coefficients with the Moebius transform rebuilt
+at every node, factor checking via numeric root recombination, and zero
+tests at algebraic points via sympy's minimal polynomials.  Keeping both routes alive is what makes the
 algebra tests meaningful.  The module also holds the structural checks
 on a chosen representation (`representation_is_valid`,
 `ordering_matches`), which only tests use.
@@ -22,7 +23,7 @@ import sympy
 
 from onecell.cells import eval_indexed_root
 from onecell.heuristics import roots_with_values
-from onecell.polynomial import MPoly, Var, coeff_info, resultant
+from onecell.polynomial import MPoly, Var, coeff_info, exact_div, resultant
 from onecell.realalg import UNDEF, _cauchy_bound
 
 
@@ -71,6 +72,69 @@ def determinant(m: list[list[MPoly]]) -> MPoly:
 
 def sylvester_resultant(p: MPoly, q: MPoly, v: Var) -> MPoly:
     return determinant(sylvester_matrix(p, q, v))
+
+
+# ---------------------------------------------------------------------------
+# the subresultant PRS over MPoly coefficients, the library's resultant
+# before evaluation and interpolation
+
+
+def _prem(a: list[MPoly], b: list[MPoly]) -> list[MPoly]:
+    """Pseudo-remainder of coefficient lists: lc(b)^(da-db+1) * a mod b."""
+    da, db = _deg(a), _deg(b)
+    lb = b[-1]
+    r = list(a)
+    for _ in range(da - db + 1):
+        dr = _deg(r)
+        if dr < db:
+            r = [lb * c for c in r]
+            continue
+        lr = r[-1]
+        shifted = [MPoly({})] * (dr - db) + [lr * c for c in b]
+        r = [lb * r[i] - shifted[i] for i in range(dr)]
+        _trim(r)
+    return r
+
+
+def subresultant_resultant(p: MPoly, q: MPoly, v: Var) -> MPoly:
+    """res_v(p, q) via the subresultant polynomial remainder sequence
+    with `MPoly` coefficients; both arguments of positive degree in x_v."""
+    _, _, ac = coeff_info(p, v)
+    _, _, bc = coeff_info(q, v)
+    A, B = list(ac), list(bc)
+    sign = 1
+    if _deg(A) < _deg(B):
+        if (_deg(A) * _deg(B)) % 2 == 1:
+            sign = -sign
+        A, B = B, A
+    one = MPoly.constant(1)
+    g, h = one, one
+    while True:
+        da, db = _deg(A), _deg(B)
+        d = da - db
+        if da % 2 == 1 and db % 2 == 1:
+            sign = -sign
+        R = _trim(_prem(A, B))
+        if not R:
+            return MPoly({})  # nonconstant common factor
+        denom = g * h**d
+        A = B
+        B = [exact_div(c, denom) for c in R]
+        g = A[-1]
+        if d == 0:
+            pass
+        elif d == 1:
+            h = g
+        else:
+            h = exact_div(g**d, h ** (d - 1))
+        if _deg(B) == 0:
+            da2 = _deg(A)
+            num = B[0] ** da2
+            if da2 <= 1:
+                res = h ** (1 - da2) * num
+            else:
+                res = exact_div(num, h ** (da2 - 1))
+            return res if sign == 1 else -res
 
 
 # ---------------------------------------------------------------------------

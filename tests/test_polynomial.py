@@ -64,7 +64,8 @@ def test_exact_div_inverts_product(rng):
 
 
 def test_resultant_matches_sylvester(rng):
-    """Dual route: subresultant PRS vs symbolic Sylvester determinant."""
+    """Dual route: integer evaluation and interpolation vs symbolic
+    Sylvester determinant."""
     for _ in range(60):
         nv = rng.randint(1, 2)
         p = random_poly(rng, nv, max_deg=4)

@@ -1,0 +1,153 @@
+"""`polynomial.resultant` (evaluation and interpolation on integers)
+against two independent routes: the subresultant PRS over `MPoly`
+coefficients and the symbolic Sylvester determinant."""
+
+from fractions import Fraction
+from functools import cache
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from onecell import realalg
+from onecell.polynomial import MPoly, coeff_info, parse_poly, resultant
+from onecell.realalg import Sample, isolate_real_roots
+
+from oracles import subresultant_resultant, sylvester_resultant
+
+integers = st.integers(-4, 4).map(Fraction)
+rationals = st.fractions(
+    min_value=Fraction(-5), max_value=Fraction(5), max_denominator=4
+)
+
+
+def _polys(nvars, max_deg=2, coeffs=rationals, max_terms=4):
+    exps = st.tuples(*[st.integers(0, max_deg) for _ in range(nvars)])
+    return (st.dictionaries(exps, coeffs, min_size=1, max_size=max_terms)
+            .map(MPoly).filter(lambda p: not p.is_zero()))
+
+
+def _with_degree(v, nvars, max_deg=2, coeffs=rationals):
+    """Polynomials in x1..x_nvars of positive degree in x_v."""
+    return _polys(nvars, max_deg, coeffs).filter(lambda p: p.degree(v) > 0)
+
+
+def _check(p, q, v):
+    """Assert the three routes agree on res_v(p, q), and return it."""
+    r = resultant(p, q, v)
+    assert r == subresultant_resultant(p, q, v), (p, q, v)
+    assert r == sylvester_resultant(p, q, v), (p, q, v)
+    return r
+
+
+@st.composite
+def _operands(draw, coeffs=rationals):
+    nvars = draw(st.integers(1, 3))
+    v = draw(st.integers(1, nvars))
+    return (draw(_with_degree(v, nvars, coeffs=coeffs)),
+            draw(_with_degree(v, nvars, coeffs=coeffs)), v)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_operands())
+def test_rational_coefficients_up_to_level_three(operands):
+    _check(*operands)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_operands(coeffs=integers))
+def test_integer_coefficients_up_to_level_three(operands):
+    _check(*operands)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polys(3).filter(lambda p: p.variables() == {1, 2, 3}),
+       _with_degree(2, 3))
+def test_middle_variable_of_level_three(p, q):
+    """Eliminating x2 leaves x1 and x3, which are evaluated in turn."""
+    p = p + MPoly.var(2)  # positive degree in x2, all three variables
+    _check(p, q, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_with_degree(2, 2, max_deg=1), _polys(1), _polys(1))
+def test_shared_factor_gives_zero(f, g, h):
+    p, q = f * (g + MPoly.var(2)), f * (h - MPoly.var(2))
+    assert _check(p, q, 2).is_zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2), _polys(1), _polys(1), _with_degree(2, 2))
+def test_leading_coefficients_vanishing_at_the_first_points(d, t1, t0, q):
+    """lc_x2(p) = x1(x1^2-1)(x1^2-4) vanishes at 0, 1, -1, 2 and -2, the
+    first five evaluation points, so all of them are skipped."""
+    x2 = MPoly.var(2)
+    p = parse_poly("x1*(x1^2-1)*(x1^2-4)") * x2**d + t1 * x2 ** (d - 1) + t0
+    _check(p, q, 2)
+    _check(q * parse_poly("(x1-3)*x2+x1"), p, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_operands().filter(lambda o: o[0].degree(o[2]) == 1))
+def test_degree_one_in_the_main_variable(operands):
+    _check(*operands)
+
+
+def test_degree_bound_is_reached():
+    """res_x2(x1*x2 + 1, x2 + x1) = x1^2 - 1 has degree
+    1*1 + 1*1 in x1, the bound the interpolation uses."""
+    r = _check(parse_poly("x1*x2+1"), parse_poly("x2+x1"), 2)
+    assert r == parse_poly("x1^2-1")
+
+
+# ---------------------------------------------------------------------------
+# the inputs the exact zero test and the root candidates build
+
+
+@cache
+def _coordinates():
+    """Irrational coordinates of degree 2 and 3, and two rationals."""
+    out = [Fraction(1, 2), Fraction(-2)]
+    for text in ("x1^2-2", "x1^3-3*x1+1", "x1^2-x1-1"):
+        out += isolate_real_roots(parse_poly(text))[:2]
+    return out
+
+
+def _recorded(fn, *args):
+    """Run fn, checking every resultant it takes against the oracles."""
+    seen = []
+
+    def checked(p, q, v):
+        seen.append((p, q, v))
+        return _check(p, q, v)
+
+    with mock.patch.object(realalg, "resultant", checked):
+        fn(*args)
+    return seen
+
+
+def _sample(picks):
+    return Sample([_coordinates()[i] for i in picks])
+
+
+# an irrational x1, then any x2
+_picks = st.tuples(st.integers(2, 7), st.integers(0, 7))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_polys(2), _picks)
+def test_zero_test_inputs(p, picks):
+    """p at the sample, and p times a polynomial that vanishes there."""
+    s = _sample(picks)
+    _recorded(realalg._is_zero_algebraic, p, s)
+    assert _recorded(realalg._is_zero_algebraic, p * realalg._upoly(s[0]._def, 1), s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_with_degree(3, 3), _picks)
+def test_root_candidate_inputs(p, picks):
+    s = _sample(picks)
+    p = p + MPoly.var(1) * MPoly.var(3) ** 3
+    _, _, coeffs = coeff_info(p, 3)
+    if any(realalg.sign_at(c, s) for c in coeffs):
+        assert _recorded(realalg._candidate_poly, p, s)
