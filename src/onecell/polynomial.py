@@ -11,10 +11,12 @@ The module also provides the projection operations the cell construction
 consumes: resultants by evaluation and interpolation on integers,
 discriminants, and factorization (irreducible or square-free).
 
-`factor` is the package's one boundary to sympy: it hands sympy's
-multivariate factorization a `Poly` over QQ built from the term map and
-reads the factors back from their terms.  Nothing else in the package
-imports sympy; univariate root isolation factors through `factor` too.
+`factor` is the package's one boundary to sympy: linear and univariate
+quadratic input has closed forms, and everything else goes to sympy's
+dense factorization over ZZ (`sympy.polys` submodules only), on the
+integer-primitive term map in the variables that occur.  Nothing else
+in the package imports sympy; univariate root isolation factors through
+`factor` too.
 """
 
 from __future__ import annotations
@@ -24,7 +26,10 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
-import sympy
+from sympy.polys.densebasic import dmp_from_dict, dmp_to_dict
+from sympy.polys.domains import ZZ
+from sympy.polys.factortools import dmp_factor_list
+from sympy.polys.sqfreetools import dmp_sqf_list
 
 Var = int  # 1-based variable index
 
@@ -482,28 +487,49 @@ def factor(p: MPoly, mode: str = "finest") -> list[tuple[MPoly, int]]:
     pairwise-coprime (``squarefree``) factors with multiplicities.
 
     The product of factors^multiplicities equals p up to a nonzero
-    rational constant.  Constant input yields an empty list.
+    rational constant.  Constant input yields an empty list.  A linear
+    p is irreducible, and a univariate quadratic a*x^2 + b*x + c splits
+    as 4a*p = (2a*x + b - r)(2a*x + b + r) exactly when its discriminant
+    b^2 - 4ac is a square r^2.  Everything else goes to sympy's dense
+    factorization over ZZ, on the integer-primitive p in the variables
+    that occur, in their order.
     """
+    if mode not in ("finest", "squarefree"):
+        raise ValueError(f"unknown factor mode: {mode}")
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     if p.is_constant():
         return []
-    if mode not in ("finest", "squarefree"):
-        raise ValueError(f"unknown factor mode: {mode}")
-    n = p.level
-    rep = {
-        e + (0,) * (n - len(e)): sympy.QQ(c.numerator, c.denominator)
-        for e, c in p._terms.items()
-    }
-    poly = sympy.Poly.from_dict(rep, sympy.symbols(f"x1:{n + 1}"), domain=sympy.QQ)
-    _, pairs = poly.factor_list() if mode == "finest" else poly.sqf_list()
-    out: list[tuple[MPoly, int]] = []
-    for f, m in pairs:
-        g = normalize(MPoly({
-            e: Fraction(int(c.numerator), int(c.denominator)) for e, c in f.terms()
-        }))
-        if not g.is_constant():
-            out.append((g, int(m)))
+    if p.total_degree() == 1:
+        return [(normalize(p), 1)]
+    vs = sorted(p.variables())
+    cont = content(p)
+    P = {e: (k / cont).numerator for e, k in p._terms.items()}
+    if len(vs) == 1 and p.total_degree() == 2:
+        v = vs[0]
+        c, b, a = (P.get(_trim((0,) * (v - 1) + (k,)), 0) for k in range(3))
+        disc = b * b - 4 * a * c
+        r = math.isqrt(disc) if disc >= 0 else -1
+        if r * r != disc or (r and mode == "squarefree"):
+            pairs = [(p, 1)]  # irreducible, or square-free as it stands
+        else:
+            x = MPoly.var(v).scale(2 * a)
+            pairs = [(x + b, 2)] if r == 0 else [(x + (b - r), 1), (x + (b + r), 1)]
+    else:
+        u = len(vs) - 1
+        rep = {tuple(e[v - 1] if len(e) >= v else 0 for v in vs): k for e, k in P.items()}
+        split = dmp_factor_list if mode == "finest" else dmp_sqf_list
+        _, fs = split(dmp_from_dict(rep, u, ZZ), u, ZZ)
+        pairs = []
+        for f, m in fs:
+            terms = {}
+            for ks, k in dmp_to_dict(f, u).items():
+                e = [0] * vs[-1]
+                for v, d in zip(vs, ks):
+                    e[v - 1] = d
+                terms[tuple(e)] = k
+            pairs.append((MPoly(terms), m))
+    out = [(normalize(g), m) for g, m in pairs if not g.is_constant()]
     out.sort(key=lambda fm: fm[0].sort_key())
     return out
 

@@ -16,7 +16,8 @@ conversions between univariate `MPoly` and coefficient lists
 (`_upoly_coeffs`, `_upoly`).
 
 Root isolation factors through `polynomial.factor`, the package's one
-boundary to sympy, and bisects each irreducible factor driven by
+boundary to sympy (closed forms up to degree 2, sympy's dense integer
+factorization above), and bisects each irreducible factor driven by
 Descartes' rule of signs on integer coefficients: the Cauchy-bound
 interval is mapped onto (0, 1) once, and each half gets its polynomial
 from its parent's by a power-of-2 scaling and a Taylor shift by 1, all
@@ -437,8 +438,7 @@ def _isolate_irreducible(c: Sequence[Fraction]) -> list[RealAlg]:
 def isolate_real_roots(p: MPoly) -> list[RealAlg]:
     """Sorted distinct real roots of a univariate polynomial: a rational
     for each linear irreducible factor, and the bisected roots of the
-    others.  The factoring runs on the same coefficients in x1, so sympy
-    sees a univariate polynomial whatever the variable."""
+    others."""
     if p.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
     if len(p.variables()) > 1:
@@ -446,8 +446,8 @@ def isolate_real_roots(p: MPoly) -> list[RealAlg]:
     if p.is_constant():
         return []
     roots: list[RealAlg] = []
-    for f, _m in factor(_upoly(_upoly_coeffs(p, p.level), 1)):
-        fc = _upoly_coeffs(f, 1)
+    for f, _m in factor(p):
+        fc = _upoly_coeffs(f, p.level)
         if len(fc) == 2:
             roots.append(RealAlg.rational(-fc[0] / fc[1]))
         else:

@@ -4,7 +4,9 @@ Everything here is deliberately implemented by a different route than
 the library: resultants via the symbolic Sylvester determinant (Laplace
 expansion, no division) and via the subresultant PRS over `MPoly`
 coefficients (the library evaluates and interpolates on integers),
-real-root counting via Sturm sequences, root isolation by Descartes
+factorization via sympy's `Poly` over QQ (the library factors dense
+integer polynomials, with closed forms up to degree 2), real-root
+counting via Sturm sequences, root isolation by Descartes
 bisection on `Fraction` coefficients with the Moebius transform rebuilt
 at every node, factor checking via numeric root recombination, and zero
 tests at algebraic points via sympy's minimal polynomials.  Keeping both routes alive is what makes the
@@ -23,7 +25,7 @@ import sympy
 
 from onecell.cells import eval_indexed_root
 from onecell.heuristics import roots_with_values
-from onecell.polynomial import MPoly, Var, coeff_info, exact_div, resultant
+from onecell.polynomial import MPoly, Var, coeff_info, exact_div, normalize, resultant
 from onecell.realalg import UNDEF, _cauchy_bound
 
 
@@ -135,6 +137,36 @@ def subresultant_resultant(p: MPoly, q: MPoly, v: Var) -> MPoly:
             else:
                 res = exact_div(num, h ** (da2 - 1))
             return res if sign == 1 else -res
+
+
+# ---------------------------------------------------------------------------
+# factorization through sympy's Poly over QQ, the library's factor before
+# the dense integer path and its closed forms
+
+
+def sympy_poly_factor(p: MPoly, mode: str = "finest") -> list[tuple[MPoly, int]]:
+    """`polynomial.factor` by `Poly.factor_list` or `Poly.sqf_list` over
+    QQ in all of x1..x_level: normalized factors sorted by `sort_key`."""
+    if p.is_zero():
+        raise ValueError("cannot factor the zero polynomial")
+    if p.is_constant():
+        return []
+    n = p.level
+    rep = {
+        e + (0,) * (n - len(e)): sympy.QQ(c.numerator, c.denominator)
+        for e, c in p.terms.items()
+    }
+    poly = sympy.Poly.from_dict(rep, sympy.symbols(f"x1:{n + 1}"), domain=sympy.QQ)
+    _, pairs = poly.factor_list() if mode == "finest" else poly.sqf_list()
+    out: list[tuple[MPoly, int]] = []
+    for f, m in pairs:
+        g = normalize(MPoly({
+            e: Fraction(int(c.numerator), int(c.denominator)) for e, c in f.terms()
+        }))
+        if not g.is_constant():
+            out.append((g, int(m)))
+    out.sort(key=lambda fm: fm[0].sort_key())
+    return out
 
 
 # ---------------------------------------------------------------------------
