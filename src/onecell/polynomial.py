@@ -4,8 +4,13 @@ Variables are identified by 1-based integer indices under the fixed
 ordering x1 < x2 < ... < xn.  A polynomial's *level* is the largest
 variable index that actually occurs in it (0 for constants).  All
 coefficients are exact `fractions.Fraction` values and every polynomial
-is kept in a canonical form (no zero coefficients stored), so equality
-of term maps is equality of polynomials.
+is kept in a canonical form (trimmed exponent tuples, no zero
+coefficients stored), so equality of term maps is equality of
+polynomials.  The public `MPoly(...)` and `MPoly.constant` validate
+their input (only `int` and `Fraction` coefficients, else TypeError).
+Sums, negation, products, `scale`, `subst_rational`, the `coeff_info`
+slices, `derivative` and `resultant` build canonical results and skip
+that work through the trusted `MPoly._canonical`.
 
 The module also provides the projection operations the cell construction
 consumes: resultants by evaluation and interpolation on integers,
@@ -55,7 +60,7 @@ class MPoly:
         clean: dict[tuple[int, ...], Fraction] = {}
         if terms:
             for exps, c in terms.items():
-                c = Fraction(c)
+                c = _rational(c)
                 if c != 0:
                     key = _trim(tuple(exps))
                     acc = clean.get(key, Fraction(0)) + c
@@ -69,9 +74,17 @@ class MPoly:
 
     # -- constructors -------------------------------------------------
 
+    @classmethod
+    def _canonical(cls, terms: dict[tuple[int, ...], Fraction]) -> "MPoly":
+        """Trusted constructor for terms that are already canonical."""
+        self = object.__new__(cls)
+        self._terms, self._hash = terms, None
+        self._level = max(map(len, terms), default=0)
+        return self
+
     @staticmethod
     def constant(c) -> "MPoly":
-        return MPoly({(): Fraction(c)})
+        return MPoly({(): c})
 
     @staticmethod
     def var(i: Var) -> "MPoly":
@@ -125,14 +138,14 @@ class MPoly:
         other = _coerce(other)
         out = dict(self._terms)
         for e, c in other._terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return MPoly(out)
+            out[e] = out.get(e, 0) + c
+        return MPoly._canonical({e: c for e, c in out.items() if c})
 
     def __radd__(self, other) -> "MPoly":
         return self.__add__(other)
 
     def __neg__(self) -> "MPoly":
-        return MPoly({e: -c for e, c in self._terms.items()})
+        return MPoly._canonical({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "MPoly":
         return self + (-_coerce(other))
@@ -150,8 +163,8 @@ class MPoly:
                     (e1[i] if i < len(e1) else 0) + (e2[i] if i < len(e2) else 0)
                     for i in range(n)
                 )
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return MPoly(out)
+                out[e] = out.get(e, 0) + c1 * c2
+        return MPoly._canonical({e: c for e, c in out.items() if c})
 
     def __rmul__(self, other) -> "MPoly":
         return self.__mul__(other)
@@ -169,23 +182,32 @@ class MPoly:
         return result
 
     def scale(self, c) -> "MPoly":
-        c = Fraction(c)
-        return MPoly({e: c * k for e, k in self._terms.items()})
+        c = _rational(c)
+        return MPoly._canonical({e: c * k for e, k in self._terms.items()} if c else {})
 
     # -- evaluation / substitution ------------------------------------
 
     def eval_rational(self, point: Sequence[Fraction]) -> Fraction:
-        """Evaluate at a fully rational point (coordinate j for x_j)."""
+        """Evaluate at a fully rational point (coordinate j for x_j), on
+        integer numerators over one common denominator."""
         if self._level > len(point):
             raise ValueError("point has too few coordinates")
-        total = Fraction(0)
+        den = math.lcm(*(c.denominator for c in self._terms.values()))
+        scale, pows = den, []
+        for i in range(self._level):
+            d = self.degree(i + 1)
+            if d:
+                x = Fraction(point[i])
+                a, b = x.numerator, x.denominator
+                pows.append((i, [a**k * b ** (d - k) for k in range(d + 1)]))
+                scale *= b**d
+        total = 0
         for e, c in self._terms.items():
-            val = c
-            for i, k in enumerate(e):
-                if k:
-                    val *= Fraction(point[i]) ** k
-            total += val
-        return total
+            t = c.numerator * (den // c.denominator)
+            for i, pw in pows:
+                t *= pw[e[i] if i < len(e) else 0]
+            total += t
+        return Fraction(total, scale)
 
     def subst_rational(self, vals: dict[Var, Fraction]) -> "MPoly":
         """Substitute rational values for some variables."""
@@ -198,8 +220,8 @@ class MPoly:
                     coeff *= Fraction(val) ** e[v - 1]
                     rest[v - 1] = 0
             key = _trim(tuple(rest))
-            out[key] = out.get(key, Fraction(0)) + coeff
-        return MPoly(out)
+            out[key] = out.get(key, 0) + coeff
+        return MPoly._canonical({e: c for e, c in out.items() if c})
 
     # -- dunder plumbing ----------------------------------------------
 
@@ -234,6 +256,13 @@ class MPoly:
         return (self.total_degree(), len(items), tuple(items))
 
 
+def _rational(c) -> Fraction:
+    """c as a Fraction; TypeError unless c is an int or a Fraction."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"coefficients must be int or Fraction, not {type(c).__name__}")
+    return Fraction(c)
+
+
 def _coerce(x) -> MPoly:
     if isinstance(x, MPoly):
         return x
@@ -266,9 +295,8 @@ def coeff_info(p: MPoly, v: Var) -> tuple[int, MPoly, list[MPoly]]:
         rest = list(e)
         if len(rest) >= v:
             rest[v - 1] = 0
-        key = _trim(tuple(rest))
-        coeffs[k][key] = coeffs[k].get(key, Fraction(0)) + c
-    out = [MPoly(t) for t in coeffs]
+        coeffs[k][_trim(tuple(rest))] = c
+    out = [MPoly._canonical(t) for t in coeffs]
     return d, out[d], out
 
 
@@ -330,7 +358,7 @@ def resultant(p: MPoly, q: MPoly, v: Var) -> MPoly:
     P = {e: (k / c).numerator for e, k in p._terms.items()}
     Q = {e: (k / d).numerator for e, k in q._terms.items()}
     scale = c**dq * d**dp
-    return MPoly({e: scale * k for e, k in _ires(P, Q, v, dp, dq).items()})
+    return MPoly._canonical({e: scale * k for e, k in _ires(P, Q, v, dp, dq).items()})
 
 
 def _ideg(P: dict, j: Var) -> int:
@@ -445,9 +473,8 @@ def derivative(p: MPoly, v: Var) -> MPoly:
         if k:
             rest = list(e)
             rest[v - 1] = k - 1
-            key = _trim(tuple(rest))
-            out[key] = out.get(key, Fraction(0)) + c * k
-    return MPoly(out)
+            out[_trim(tuple(rest))] = c * k
+    return MPoly._canonical(out)
 
 
 # ---------------------------------------------------------------------------
@@ -456,17 +483,8 @@ def derivative(p: MPoly, v: Var) -> MPoly:
 
 def content(p: MPoly) -> Fraction:
     """Positive rational c with p/c integer-primitive; 0 for the zero poly."""
-    if p.is_zero():
-        return Fraction(0)
-    nums = [c.numerator for c in p._terms.values()]
-    dens = [c.denominator for c in p._terms.values()]
-    g = 0
-    for n in nums:
-        g = math.gcd(g, abs(n))
-    l = 1
-    for d in dens:
-        l = l * d // math.gcd(l, d)
-    return Fraction(g, l)
+    cs = p._terms.values()
+    return Fraction(math.gcd(*(c.numerator for c in cs)), math.lcm(*(c.denominator for c in cs)))
 
 
 def normalize(p: MPoly) -> MPoly:
@@ -538,6 +556,9 @@ def factor(p: MPoly, mode: str = "finest") -> list[tuple[MPoly, int]]:
 # text form
 
 
+# Nesting depth past which both parsers (here and `smtlib`) refuse input.
+MAX_NESTING = 100
+
 _TOKEN = re.compile(r"\s*(\d+|x\d+|[a-zA-Z_][a-zA-Z_0-9]*|\^|\*|/|\+|-|\(|\))")
 
 
@@ -556,6 +577,7 @@ class _Parser:
             self.tokens.append((m.group(1), m.start(1)))
             pos = m.end()
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> str | None:
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
@@ -621,9 +643,13 @@ class _Parser:
     def atom(self) -> MPoly:
         tok = self.next()
         if tok == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ValueError(f"parentheses nested deeper than {MAX_NESTING}")
             p = self.expr()
             if self.next() != ")":
                 raise ValueError("unbalanced parentheses")
+            self.depth -= 1
             return p
         if tok.isdigit():
             return MPoly.constant(int(tok))

@@ -34,7 +34,10 @@ polynomial, being irreducible, divides the eliminand and is divided out
 first (`_candidate_poly`).
 
 That sign test, `sign_at`, evaluates p over the coordinate enclosures
-and refines them until the interval value excludes 0.  When it keeps
+and refines them until the interval value excludes 0.  Its bounds,
+the sum of the terms' ranges, are computed on integer numerators over
+one common denominator and are identical to the term-wise Fraction
+bounds (`_interval_eval`).  When it keeps
 straddling 0, `_is_zero_algebraic` decides whether p vanishes at the
 point: the same resultant elimination applied to z - p yields a
 rational polynomial in z with p's value among its roots, and a lower
@@ -102,16 +105,15 @@ UNDEF = _Undef()
 # dense univariate helpers (coefficient lists over Fraction, index = degree)
 
 
-def _ueval(c: Sequence[Fraction], x: Fraction) -> Fraction:
-    total = Fraction(0)
-    for coeff in reversed(c):
-        total = total * x + coeff
-    return total
-
-
 def _usign(c: Sequence[Fraction], x: Fraction) -> int:
-    v = _ueval(c, x)
-    return 0 if v == 0 else (1 if v > 0 else -1)
+    """Sign of the integer-valued c (a primitive definition) at x = a/b:
+    the sign of c(a/b) * b^n, by homogeneous Horner on integers."""
+    a, b = x.numerator, x.denominator
+    t, w = 0, 1
+    for k in reversed(c):
+        t = t * a + k.numerator * w
+        w *= b
+    return (t > 0) - (t < 0)
 
 
 def _cauchy_bound(c: Sequence[Fraction]) -> Fraction:
@@ -493,28 +495,46 @@ class Sample(tuple):
 # sign evaluation
 
 
-def _interval_pow(lo: Fraction, hi: Fraction, k: int) -> tuple[Fraction, Fraction]:
-    if k == 0:
-        return Fraction(1), Fraction(1)
+def _interval_pow(lo: int, hi: int, k: int) -> tuple[int, int]:
+    """The range of x^k, k >= 1, over lo <= x <= hi."""
     if k % 2 == 1 or lo >= 0:
         return lo**k, hi**k
     if hi <= 0:
         return hi**k, lo**k
-    return Fraction(0), max(lo**k, hi**k)
+    return 0, max(lo**k, hi**k)
 
 
 def _interval_eval(p: MPoly, boxes: list[tuple[Fraction, Fraction]]):
-    lo_t, hi_t = Fraction(0), Fraction(0)
-    for e, c in p.terms.items():
-        tlo, thi = Fraction(c), Fraction(c)
-        for i, k in enumerate(e):
-            if k:
-                plo, phi = _interval_pow(boxes[i][0], boxes[i][1], k)
-                cands = (tlo * plo, tlo * phi, thi * plo, thi * phi)
-                tlo, thi = min(cands), max(cands)
+    """Bounds lo <= p <= hi over the box of the [lo_j, hi_j]: the sum of
+    the terms' ranges, computed on integers and identical to the
+    term-wise Fraction bounds.  With L_j the lcm of box j's endpoint
+    denominators and d_j the degree of p in x_j, each term's bounds times
+    lcm(coefficient denominators) * prod L_j^d_j are integers."""
+    terms = p.terms
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    scale, pows = den, []
+    for j in range(p.level):
+        d = p.degree(j + 1)
+        if d:
+            lo, hi = boxes[j]
+            L = math.lcm(lo.denominator, hi.denominator)
+            a, b = lo.numerator * (L // lo.denominator), hi.numerator * (L // hi.denominator)
+            pw = [(L**d, L**d)]
+            for k in range(1, d + 1):
+                plo, phi = _interval_pow(a, b, k)
+                pw.append((plo * L ** (d - k), phi * L ** (d - k)))
+            pows.append((j, pw))
+            scale *= L**d
+    lo_t = hi_t = 0
+    for e, c in terms.items():
+        tlo = thi = c.numerator * (den // c.denominator)
+        for j, pw in pows:
+            plo, phi = pw[e[j] if j < len(e) else 0]
+            cands = (tlo * plo, tlo * phi, thi * plo, thi * phi)
+            tlo, thi = min(cands), max(cands)
         lo_t += tlo
         hi_t += thi
-    return lo_t, hi_t
+    return Fraction(lo_t, scale), Fraction(hi_t, scale)
 
 
 def sign_at(p: MPoly, s: Sample) -> int:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import List, Optional, Union
 
 from .explain import Constraint
-from .polynomial import MPoly
+from .polynomial import MAX_NESTING, MPoly
 
 
 class ParseError(ValueError):
@@ -129,7 +129,7 @@ class _TermParser:
     def __init__(self, var_index: dict[str, int]):
         self.var_index = var_index
 
-    def parse(self, node: _Node) -> MPoly:
+    def parse(self, node: _Node, depth: int = 0) -> MPoly:
         if isinstance(node, _Tok):
             if _is_rational(node.text):
                 return MPoly.constant(_literal(node.text))
@@ -141,8 +141,10 @@ class _TermParser:
         head = node[1] if len(node) > 1 else node[0]
         if isinstance(head, list) or len(node) < 2:
             raise ParseError("expected an operator", node[0].line, node[0].col)
+        if depth >= MAX_NESTING:
+            raise ParseError(f"nested deeper than {MAX_NESTING}", node[0].line, node[0].col)
         op = head.text
-        args = [self.parse(a) for a in node[2:]]
+        args = [self.parse(a, depth + 1) for a in node[2:]]
         if op == "+":
             if not args:
                 raise ParseError("'+' needs arguments", head.line, head.col)

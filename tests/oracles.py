@@ -8,9 +8,11 @@ factorization via sympy's `Poly` over QQ (the library factors dense
 integer polynomials, with closed forms up to degree 2), real-root
 counting via Sturm sequences, root isolation by Descartes
 bisection on `Fraction` coefficients with the Moebius transform rebuilt
-at every node, factor checking via numeric root recombination, and zero
-tests at algebraic points via sympy's minimal polynomials.  Keeping both routes alive is what makes the
-algebra tests meaningful.  The module also holds the structural checks
+at every node, factor checking via numeric root recombination, sign and
+interval evaluation on `Fraction` objects (the library works on integer
+numerators over a common denominator), and zero tests at algebraic
+points via sympy's minimal polynomials.  Keeping both routes alive is
+what makes the algebra tests meaningful.  The module also holds the structural checks
 on a chosen representation (`representation_is_valid`,
 `ordering_matches`), which only tests use.
 """
@@ -370,6 +372,61 @@ def _divides(d: list[int], c: list[int]) -> bool:
             r[i + k] -= f * x
         _trim(r)
     return not _trim(r)
+
+
+# ---------------------------------------------------------------------------
+# evaluation on Fraction objects, term by term: the references for the
+# library's integer evaluators (`realalg._usign`, `realalg._interval_eval`
+# and `MPoly.eval_rational`), which must agree with these exactly
+
+
+def ueval(c: list[Fraction], x: Fraction) -> Fraction:
+    """c(x) by Horner's rule on Fractions."""
+    total = Fraction(0)
+    for coeff in reversed(c):
+        total = total * x + coeff
+    return total
+
+
+def usign(c: list[Fraction], x: Fraction) -> int:
+    v = ueval(c, x)
+    return 0 if v == 0 else (1 if v > 0 else -1)
+
+
+def _interval_pow(lo: Fraction, hi: Fraction, k: int) -> tuple[Fraction, Fraction]:
+    if k % 2 == 1 or lo >= 0:
+        return lo**k, hi**k
+    if hi <= 0:
+        return hi**k, lo**k
+    return Fraction(0), max(lo**k, hi**k)
+
+
+def interval_eval(p: MPoly, boxes: list[tuple[Fraction, Fraction]]):
+    """The sum over the terms of p of each term's range over the box,
+    by interval products on Fractions."""
+    lo_t, hi_t = Fraction(0), Fraction(0)
+    for e, c in p.terms.items():
+        tlo, thi = Fraction(c), Fraction(c)
+        for i, k in enumerate(e):
+            if k:
+                plo, phi = _interval_pow(boxes[i][0], boxes[i][1], k)
+                cands = (tlo * plo, tlo * phi, thi * plo, thi * phi)
+                tlo, thi = min(cands), max(cands)
+        lo_t += tlo
+        hi_t += thi
+    return lo_t, hi_t
+
+
+def eval_rational(p: MPoly, point: list[Fraction]) -> Fraction:
+    """p at a rational point, term by term on Fractions."""
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        val = c
+        for i, k in enumerate(e):
+            if k:
+                val *= Fraction(point[i]) ** k
+        total += val
+    return total
 
 
 # ---------------------------------------------------------------------------

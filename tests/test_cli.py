@@ -163,3 +163,12 @@ def test_stdin_input(monkeypatch, capsys):
     code = main(["solve", "-"])
     out = capsys.readouterr().out
     assert code == 0 and out.splitlines()[0] == "sat"
+
+
+def test_deeply_nested_input_exit_code(tmp_path, capsys):
+    f = tmp_path / "deep.smt2"
+    f.write_text("(declare-const x Real)(assert (> " + "(+ " * 1000 + "x" + ")" * 1000 + " 0))")
+    code = main(["solve", str(f)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "nested deeper" in err

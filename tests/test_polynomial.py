@@ -44,6 +44,12 @@ def test_parse_rejects_garbage():
             parse_poly(bad)
 
 
+def test_parse_nesting_limit():
+    assert parse_poly("(" * 50 + "x1" + ")" * 50) == MPoly.var(1)
+    with pytest.raises(ValueError, match="nested deeper"):
+        parse_poly("(" * 400 + "x1" + ")" * 400)
+
+
 def test_coeff_info_roundtrip(rng):
     for _ in range(30):
         p = random_poly(rng, 2)

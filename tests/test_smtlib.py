@@ -111,3 +111,14 @@ def test_rejects_malformed_assert():
 def test_error_column_points_at_token():
     err = _err("(declare-const x Real)\n(assert (< x zz))")
     assert err.line == 2 and err.col == 14
+
+
+def _nested_sum(depth: int) -> str:
+    return ("(declare-const x Real)(assert (> "
+            + "(+ " * depth + "x" + ")" * depth + " 0))")
+
+
+def test_nesting_limit():
+    assert parse_problem(_nested_sum(50)).constraints[0].poly == parse_poly("x1")
+    err = _err(_nested_sum(1000))
+    assert "nested deeper" in str(err)
