@@ -264,11 +264,7 @@ def _rational(c) -> Fraction:
 
 
 def _coerce(x) -> MPoly:
-    if isinstance(x, MPoly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return MPoly.constant(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to MPoly")
+    return x if isinstance(x, MPoly) else MPoly.constant(x)
 
 
 def _monom_key(e: tuple[int, ...], n: int):
@@ -483,8 +479,17 @@ def derivative(p: MPoly, v: Var) -> MPoly:
 
 def content(p: MPoly) -> Fraction:
     """Positive rational c with p/c integer-primitive; 0 for the zero poly."""
-    cs = p._terms.values()
-    return Fraction(math.gcd(*(c.numerator for c in cs)), math.lcm(*(c.denominator for c in cs)))
+    if p.is_zero():
+        return Fraction(0)
+    nums = [c.numerator for c in p._terms.values()]
+    dens = [c.denominator for c in p._terms.values()]
+    g = 0
+    for n in nums:
+        g = math.gcd(g, abs(n))
+    l = 1
+    for d in dens:
+        l = l * d // math.gcd(l, d)
+    return Fraction(g, l)
 
 
 def normalize(p: MPoly) -> MPoly:
@@ -545,7 +550,7 @@ def factor(p: MPoly, mode: str = "finest") -> list[tuple[MPoly, int]]:
                 e = [0] * vs[-1]
                 for v, d in zip(vs, ks):
                     e[v - 1] = d
-                terms[tuple(e)] = k
+                terms[tuple(e)] = int(k)  # ZZ may be gmpy2's mpz or flint's fmpz
             pairs.append((MPoly(terms), m))
     out = [(normalize(g), m) for g, m in pairs if not g.is_constant()]
     out.sort(key=lambda fm: fm[0].sort_key())

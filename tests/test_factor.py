@@ -123,3 +123,33 @@ def test_unknown_mode_is_refused_before_the_constant_shortcut():
 def test_zero_is_refused():
     with pytest.raises(ValueError):
         factor(MPoly({}))
+
+
+class _Mpz:
+    """An integer that is not an `int` subclass, as gmpy2's `mpz` and
+    python-flint's `fmpz` are when sympy picks them for its ZZ."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __int__(self):
+        return self.n
+
+    __index__ = __int__
+
+
+def test_factor_output_has_fractions_of_ints(monkeypatch):
+    import onecell.polynomial as polynomial
+
+    p = parse_poly("(x1^3-2)*(x1*x2+3)^2*(x2^2+x1*x2+5)")
+    expected = {mode: factor(p, mode) for mode in MODES}
+    dense = polynomial.dmp_to_dict
+    monkeypatch.setattr(polynomial, "dmp_to_dict", lambda f, u: {
+        e: _Mpz(int(k)) for e, k in dense(f, u).items()})
+    for mode in MODES:
+        fs = factor(p, mode)
+        assert fs == expected[mode]
+        for g, _ in fs:
+            for c in g.terms.values():
+                assert type(c) is Fraction
+                assert type(c.numerator) is int and type(c.denominator) is int
