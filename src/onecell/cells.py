@@ -5,7 +5,9 @@ A cell is described level by level: at each level either a *sector*
 or a *section* (the graph of one indexed root expression).  An indexed
 root expression "the j-th real root of p in x_i" only gains a value
 once the lower-level coordinates are fixed, which is what
-`eval_indexed_root` does.
+`eval_indexed_root` does.  The same cell read as a formula is a
+conjunction of extended constraints `x_i ~ root(p, j)`
+(`cell_to_formula`); membership (`cell_contains`) evaluates those atoms.
 """
 
 from __future__ import annotations
@@ -180,35 +182,6 @@ def value_order(roots, val, tie_rank=lambda r: 0) -> list[IndexedRoot]:
     return sorted(roots, key=functools.cmp_to_key(cmp))
 
 
-def cell_contains(c: CellDescription, r: Sample):
-    """Three-valued membership test following the lift definition."""
-    for i in range(1, len(r) + 1):
-        if i > len(c):
-            break
-        iv = c[i - 1]
-        prefix = r.prefix(i - 1)
-        if iv.is_section():
-            val = eval_indexed_root(iv.bound, prefix)
-            if val is UNDEF:
-                return UNDEF
-            if r[i - 1].compare(val) != 0:
-                return False
-        else:
-            if iv.lower is not None:
-                lo = eval_indexed_root(iv.lower, prefix)
-                if lo is UNDEF:
-                    return UNDEF
-                if not r[i - 1].compare(lo) > 0:
-                    return False
-            if iv.upper is not None:
-                hi = eval_indexed_root(iv.upper, prefix)
-                if hi is UNDEF:
-                    return UNDEF
-                if not r[i - 1].compare(hi) < 0:
-                    return False
-    return True
-
-
 # Draws of cell_pick_interior_point before it gives up.
 _PICK_DRAWS = 8
 
@@ -268,38 +241,79 @@ def _draw_point(c: CellDescription, rng: random.Random, width: int) -> Sample:
 
 
 # ---------------------------------------------------------------------------
-# formula view (used by explanation clauses)
+# formula view: extended constraints, learned clauses and membership
+
+
+# Each relation: the signs of (left side - right side) it accepts, and
+# its negation.
+RELS = {
+    "<": ((-1,), ">="),
+    "<=": ((-1, 0), ">"),
+    "=": ((0,), "!="),
+    "!=": ((-1, 1), "="),
+    ">=": ((0, 1), "<"),
+    ">": ((1,), "<="),
+}
+
+
+def _rel_holds(sign: int, rel: str) -> bool:
+    return sign in RELS[rel][0]
 
 
 @dataclass(frozen=True)
-class ExtendedAtom:
-    """Comparison of a variable against an indexed root expression."""
+class ExtendedConstraint:
+    """x_var rel (an indexed root expression): the atoms of a cell's
+    formula and of learned clauses."""
 
     var: Var
-    rel: str  # "<", ">", "="
+    rel: str
     bound: IndexedRoot
 
-    def negated(self) -> "ExtendedAtom":
-        flip = {"<": ">=", ">": "<=", "=": "!=", "<=": ">", ">=": "<", "!=": "="}
-        return ExtendedAtom(self.var, flip[self.rel], self.bound)
+    def __post_init__(self):
+        if self.rel not in RELS:
+            raise ValueError(f"unknown relation {self.rel!r}")
+
+    def negated(self) -> "ExtendedConstraint":
+        return ExtendedConstraint(self.var, RELS[self.rel][1], self.bound)
+
+    def holds(self, s: Sample):
+        """Whether s satisfies the atom; UNDEF when the bound has no value
+        over s."""
+        val = eval_indexed_root(self.bound, s.prefix(self.bound.level - 1))
+        if val is UNDEF:
+            return UNDEF
+        return _rel_holds(s[self.var - 1].compare(val), self.rel)
 
     def __repr__(self) -> str:
         return f"x{self.var} {self.rel} {self.bound!r}"
 
 
-def cell_to_formula(c: CellDescription) -> list[ExtendedAtom]:
+def cell_to_formula(c: CellDescription) -> list[ExtendedConstraint]:
     """The cell as a conjunction of extended constraints, one or two
-    atoms per level, none for full-line sectors."""
-    atoms: list[ExtendedAtom] = []
+    atoms per level in level order, none for full-line sectors."""
+    atoms: list[ExtendedConstraint] = []
     for i, iv in enumerate(c, start=1):
         if iv.is_section():
-            atoms.append(ExtendedAtom(i, "=", iv.bound))
+            atoms.append(ExtendedConstraint(i, "=", iv.bound))
         else:
             if iv.lower is not None:
-                atoms.append(ExtendedAtom(i, ">", iv.lower))
+                atoms.append(ExtendedConstraint(i, ">", iv.lower))
             if iv.upper is not None:
-                atoms.append(ExtendedAtom(i, "<", iv.upper))
+                atoms.append(ExtendedConstraint(i, "<", iv.upper))
     return atoms
+
+
+def cell_contains(c: CellDescription, r: Sample):
+    """Three-valued membership: the conjunction of the cell's atoms for
+    the levels r has, False as soon as one fails and UNDEF as soon as
+    one has no value, in level order."""
+    for atom in cell_to_formula(c):
+        if atom.var > len(r):
+            break
+        holds = atom.holds(r)
+        if holds is not True:
+            return holds
+    return True
 
 
 # ---------------------------------------------------------------------------

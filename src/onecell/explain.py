@@ -5,6 +5,10 @@ cannot be extended in the last variable, build a cell around the
 assignment on which every constraint polynomial is sign-invariant, so
 the same conflict persists everywhere in the cell.  The negated cell
 description is the clause a solver can learn.
+
+Constraints are polynomial (`Constraint`) or extended
+(`cells.ExtendedConstraint`, re-exported here).  `check_conflict` sweeps
+the last variable's line with `realalg.line_samples`.
 """
 
 from __future__ import annotations
@@ -13,9 +17,11 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .cells import (
+    RELS,
     CellDescription,
-    ExtendedAtom,
+    ExtendedConstraint,
     IndexedRoot,
+    _rel_holds,
     cached_roots,
     cell_to_formula,
     eval_indexed_root,
@@ -25,11 +31,9 @@ from .config import HeuristicConfig
 from .engine import Fail, run_levels
 from .polynomial import MPoly, factor, normalize, poly_to_str, resultant
 from .properties import AnDel, DerivationTrace, OrdInv, SgnInv
-from .realalg import NULLIFIED, UNDEF, RealAlg, Sample, separate, sign_at, sorted_distinct
+from .realalg import NULLIFIED, UNDEF, RealAlg, Sample, line_samples, sign_at
 from .rules import PropertySet
 from .stats import RunStats
-
-RELS = ("<", "<=", "=", "!=", ">=", ">")
 
 
 @dataclass(frozen=True)
@@ -47,40 +51,12 @@ class Constraint:
         return f"{poly_to_str(self.poly)} {self.rel} 0"
 
 
-@dataclass(frozen=True)
-class ExtendedConstraint:
-    """x_var rel (an indexed root expression)."""
-
-    var: int
-    rel: str
-    bound: IndexedRoot
-
-    def __post_init__(self):
-        if self.rel not in RELS:
-            raise ValueError(f"unknown relation {self.rel!r}")
-
-    def __repr__(self) -> str:
-        return f"x{self.var} {self.rel} {self.bound!r}"
-
-
-def _rel_holds(sign: int, rel: str) -> bool:
-    return {
-        "<": sign < 0,
-        "<=": sign <= 0,
-        "=": sign == 0,
-        "!=": sign != 0,
-        ">=": sign >= 0,
-        ">": sign > 0,
-    }[rel]
-
-
 def constraint_satisfied(c, s: Sample) -> bool:
+    """Whether s satisfies c; an extended constraint whose bound has no
+    value over s is not satisfied."""
     if isinstance(c, Constraint):
         return _rel_holds(sign_at(c.poly, s), c.rel)
-    val = eval_indexed_root(c.bound, s.prefix(c.bound.level - 1))
-    if val is UNDEF:
-        return False
-    return _rel_holds(s[c.var - 1].compare(val), c.rel)
+    return c.holds(s) is True
 
 
 def _constraint_level(c) -> int:
@@ -91,7 +67,7 @@ def _constraint_level(c) -> int:
 
 def _candidate_values(C, s: Sample) -> list[RealAlg]:
     """Root values of all constraint polynomials in the last variable
-    over s, sorted and de-duplicated."""
+    over s."""
     n = len(s)
     vals: list[RealAlg] = []
     for c in C:
@@ -105,31 +81,19 @@ def _candidate_values(C, s: Sample) -> list[RealAlg]:
                 v = eval_indexed_root(c.bound, s.prefix(c.bound.level - 1))
                 if v is not UNDEF:
                     vals.append(v)
-    return sorted_distinct(vals)
+    return vals
 
 
 def check_conflict(C: Iterable, s: Sample) -> bool:
     """True iff no value of the next variable satisfies all constraints
-    under s: the candidate roots and one sample per interval around
-    them all violate some constraint."""
+    under s: every point of `line_samples` cut at the constraints' roots
+    violates some constraint."""
     C = list(C)
     n = len(s)
     for c in C:
         if _constraint_level(c) > n + 1:
             raise ValueError(f"constraint {c!r} beyond level {n + 1}")
-    vals = _candidate_values(C, s)
-    candidates: list[RealAlg] = []
-    if not vals:
-        candidates.append(RealAlg.rational(0))
-    else:
-        candidates.append(RealAlg.rational(vals[0].enclosure()[0] - 1))
-        for j, v in enumerate(vals):
-            candidates.append(v)
-            if j + 1 < len(vals):
-                a, b = separate(v, vals[j + 1])
-                candidates.append(RealAlg.rational((a + b) / 2))
-        candidates.append(RealAlg.rational(vals[-1].enclosure()[1] + 1))
-    for t in candidates:
+    for t in line_samples(_candidate_values(C, s)):
         ext = s.extend(t)
         if all(constraint_satisfied(c, ext) for c in C):
             return False
@@ -139,7 +103,7 @@ def check_conflict(C: Iterable, s: Sample) -> bool:
 @dataclass
 class ExplainResult:
     cell: CellDescription
-    clause: list[ExtendedAtom]
+    clause: list[ExtendedConstraint]
     trace: DerivationTrace
     stats: RunStats
 

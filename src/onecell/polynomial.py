@@ -189,7 +189,8 @@ class MPoly:
 
     def eval_rational(self, point: Sequence[Fraction]) -> Fraction:
         """Evaluate at a fully rational point (coordinate j for x_j), on
-        integer numerators over one common denominator."""
+        integer numerators over one common denominator; TypeError unless
+        each coordinate p depends on is an int or a Fraction."""
         if self._level > len(point):
             raise ValueError("point has too few coordinates")
         den = math.lcm(*(c.denominator for c in self._terms.values()))
@@ -197,7 +198,7 @@ class MPoly:
         for i in range(self._level):
             d = self.degree(i + 1)
             if d:
-                x = Fraction(point[i])
+                x = _rational(point[i])
                 a, b = x.numerator, x.denominator
                 pows.append((i, [a**k * b ** (d - k) for k in range(d + 1)]))
                 scale *= b**d
@@ -210,14 +211,16 @@ class MPoly:
         return Fraction(total, scale)
 
     def subst_rational(self, vals: dict[Var, Fraction]) -> "MPoly":
-        """Substitute rational values for some variables."""
+        """Substitute rational values for some variables; TypeError
+        unless each value is an int or a Fraction."""
+        vals = {v: _rational(val) for v, val in vals.items()}
         out: dict[tuple[int, ...], Fraction] = {}
         for e, c in self._terms.items():
             coeff = c
             rest = list(e)
             for v, val in vals.items():
                 if len(e) >= v and e[v - 1]:
-                    coeff *= Fraction(val) ** e[v - 1]
+                    coeff *= val ** e[v - 1]
                     rest[v - 1] = 0
             key = _trim(tuple(rest))
             out[key] = out.get(key, 0) + coeff
@@ -257,9 +260,10 @@ class MPoly:
 
 
 def _rational(c) -> Fraction:
-    """c as a Fraction; TypeError unless c is an int or a Fraction."""
+    """c as a Fraction; TypeError unless c is an int or a Fraction, so a
+    float never turns silently into its binary fraction."""
     if not isinstance(c, (int, Fraction)):
-        raise TypeError(f"coefficients must be int or Fraction, not {type(c).__name__}")
+        raise TypeError(f"rationals must be int or Fraction, not {type(c).__name__}")
     return Fraction(c)
 
 

@@ -163,26 +163,20 @@ class RootOrdering:
 
     def __init__(self, pairs: Iterable[tuple[IndexedRoot, IndexedRoot]]):
         self.pairs = frozenset((a, b) for a, b in pairs if a != b)
-        self._closure: frozenset | None = None
-        # cycle check over distinct roots
-        adj: dict[IndexedRoot, set[IndexedRoot]] = {}
+        reach: dict[IndexedRoot, set[IndexedRoot]] = {}
         for a, b in self.pairs:
-            adj.setdefault(a, set()).add(b)
-        state: dict[IndexedRoot, int] = {}
-
-        def visit(v: IndexedRoot, trail: set) -> None:
-            if v in trail:
-                raise ValueError("cyclic indexed root ordering")
-            if state.get(v):
-                return
-            trail.add(v)
-            for w in adj.get(v, ()):
-                visit(w, trail)
-            trail.discard(v)
-            state[v] = 1
-
-        for v in adj:
-            visit(v, set())
+            reach.setdefault(a, set()).add(b)
+        # transitive closure by Warshall's algorithm: after step k, a
+        # reaches b whenever a path joins them through the first k roots
+        for k, ks in reach.items():
+            for bs in reach.values():
+                if k in bs:
+                    bs |= ks
+        # the pairs relate distinct roots, so a root that reaches itself
+        # lies on a cycle
+        if any(a in bs for a, bs in reach.items()):
+            raise ValueError("cyclic indexed root ordering")
+        self._closure = frozenset((a, b) for a, bs in reach.items() for b in bs)
 
     def dom(self) -> frozenset:
         out = set()
@@ -193,23 +187,6 @@ class RootOrdering:
 
     def closure(self) -> frozenset:
         """Transitive (not reflexive) closure of the pair set."""
-        if self._closure is None:
-            reach: dict[IndexedRoot, set[IndexedRoot]] = {}
-            for a, b in self.pairs:
-                reach.setdefault(a, set()).add(b)
-            changed = True
-            while changed:
-                changed = False
-                for a in list(reach):
-                    extra = set()
-                    for b in reach[a]:
-                        extra |= reach.get(b, set())
-                    if not extra <= reach[a]:
-                        reach[a] |= extra
-                        changed = True
-            self._closure = frozenset(
-                (a, b) for a, bs in reach.items() for b in bs
-            )
         return self._closure
 
     def le(self, a: IndexedRoot, b: IndexedRoot) -> bool:

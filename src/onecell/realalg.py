@@ -11,9 +11,12 @@ are the same real number.
 This module is the one home of the exact-real helpers the rest of the
 package builds on: `RealAlg.compare` (and `<`, so lists of values sort
 with `sorted`), `sorted_distinct` for sorted values without duplicates,
-`separate` for the rational gap between two distinct values, and the
-conversions between univariate `MPoly` and coefficient lists
-(`_upoly_coeffs`, `_upoly`).
+`separate` for the rational gap between two distinct values,
+`simplest_between` for the simplest rational inside such a gap,
+`line_samples` for one point of every region of the line cut at given
+values (the sweep behind both the solver's candidates and
+`explain.check_conflict`), and the conversions between univariate
+`MPoly` and coefficient lists (`_upoly_coeffs`, `_upoly`).
 
 Root isolation factors through `polynomial.factor`, the package's one
 boundary to sympy (closed forms up to degree 2, sympy's dense integer
@@ -60,6 +63,7 @@ from .polynomial import (
     parse_poly,
     poly_to_str,
     resultant,
+    _rational,
     _utrim,
 )
 
@@ -180,8 +184,9 @@ class RealAlg:
 
     @classmethod
     def rational(cls, r) -> "RealAlg":
+        """The rational r; TypeError unless r is an int or a Fraction."""
         self = object.__new__(cls)
-        self._rat = Fraction(r)
+        self._rat = _rational(r)
         self._def = None
         self._lo = self._hi = self._rat
         self._slo = 0
@@ -365,6 +370,43 @@ def sorted_distinct(values: Iterable[RealAlg]) -> list[RealAlg]:
     for v in sorted(values):
         if not out or out[-1] != v:
             out.append(v)
+    return out
+
+
+def simplest_between(a: Fraction, b: Fraction) -> Fraction:
+    """The smallest-denominator rational strictly between a and b,
+    with ties broken toward the smaller magnitude."""
+    a, b = Fraction(a), Fraction(b)
+    if not a < b:
+        raise ValueError("empty interval")
+    if a < 0 < b:
+        return Fraction(0)
+    if b <= 0:
+        return -simplest_between(-b, -a)
+    fa = a.numerator // a.denominator
+    if a < fa + 1 < b:
+        return Fraction(fa + 1)
+    if a == fa:
+        # (fa, b] with b - fa <= 1: the simplest is fa + 1/k
+        k = ((b - fa) ** -1).__floor__() + 1
+        return fa + Fraction(1, k)
+    return fa + 1 / simplest_between(1 / (b - fa), 1 / (a - fa))
+
+
+def line_samples(values: Iterable[RealAlg]) -> list[RealAlg]:
+    """A point of every region of the real line cut at the values: 0,
+    then the simplest rational below, between (via `separate`) and above
+    the sorted distinct values, then the values themselves."""
+    cuts = sorted_distinct(values)
+    out = [RealAlg.rational(0)]
+    if cuts:
+        a = cuts[0].enclosure()[0]
+        out.append(RealAlg.rational(simplest_between(a - 1, a)))
+        for lo, hi in zip(cuts, cuts[1:]):
+            out.append(RealAlg.rational(simplest_between(*separate(lo, hi))))
+        b = cuts[-1].enclosure()[1]
+        out.append(RealAlg.rational(simplest_between(b, b + 1)))
+    out.extend(cuts)
     return out
 
 
@@ -579,8 +621,10 @@ def _is_zero_algebraic(p: MPoly, s: Sample) -> bool:
     "Computing in algebraic extensions", 1982) and a root-separation
     bound.  One irrational coordinate and several are the same case.
 
-    With the rational coordinates substituted into p, eliminating each
-    irrational x_j from z - p against its defining polynomial d_j gives
+    `_candidate_poly` of z - p substitutes the rational coordinates and
+    eliminates each irrational x_j against its defining polynomial d_j.
+    Every eliminand has a constant leading coefficient in z, so no factor
+    of it divides d_j, no resultant vanishes, and the result is
     R(z) = c * prod (z - p(s')) over the conjugate points s' of s: a
     nonzero polynomial with p(s) among its roots.  So R(0) != 0 means
     p(s) != 0, and R = c*z^m means every conjugate value, p(s) too, is 0.
@@ -589,17 +633,13 @@ def _is_zero_algebraic(p: MPoly, s: Sample) -> bool:
     for 1/z).  The interval value of p over ever narrower copies of the
     coordinates then either excludes 0 or falls inside (-b, b), where
     the only root of R is 0.  The copies leave the enclosures of s as
-    they were.  Nothing here needs the d_j to be irreducible.
+    they were.
     """
     q = p.subst_rational(
         {j + 1: c.rational_value() for j, c in enumerate(s) if c.is_rational()}
     )
     z = len(s) + 1
-    r = MPoly.var(z) - q
-    for j in sorted(q.variables()):
-        if r.degree(j) > 0:
-            r = resultant(r, _upoly(s[j - 1]._def, j), j)
-    R = _upoly_coeffs(r, z)
+    R = _upoly_coeffs(_candidate_poly(MPoly.var(z) - p, s), z)
     if R[0] != 0:
         return False
     m = next(k for k, c in enumerate(R) if c)

@@ -9,10 +9,13 @@ positioned error.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Union
 
+from .cells import RELS
 from .explain import Constraint
 from .polynomial import MAX_NESTING, MPoly
 
@@ -107,7 +110,10 @@ def _read_all(toks: List[_Tok]) -> List[_Node]:
     return nodes
 
 
-_RELS = {"<": "<", "<=": "<=", "=": "=", ">=": ">=", ">": ">", "distinct": "!="}
+# SMT-LIB names of the relations; "!=" is spelled "distinct"
+_RELS = {r: r for r in RELS if r != "!="} | {"distinct": "!="}
+# the n-ary arithmetic operators, folded from the left
+_FOLDS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 def _is_rational(text: str) -> bool:
@@ -145,29 +151,12 @@ class _TermParser:
             raise ParseError(f"nested deeper than {MAX_NESTING}", node[0].line, node[0].col)
         op = head.text
         args = [self.parse(a, depth + 1) for a in node[2:]]
-        if op == "+":
+        if op in _FOLDS:
             if not args:
-                raise ParseError("'+' needs arguments", head.line, head.col)
-            out = args[0]
-            for a in args[1:]:
-                out = out + a
-            return out
-        if op == "-":
-            if not args:
-                raise ParseError("'-' needs arguments", head.line, head.col)
-            if len(args) == 1:
+                raise ParseError(f"'{op}' needs arguments", head.line, head.col)
+            if op == "-" and len(args) == 1:
                 return -args[0]
-            out = args[0]
-            for a in args[1:]:
-                out = out - a
-            return out
-        if op == "*":
-            if not args:
-                raise ParseError("'*' needs arguments", head.line, head.col)
-            out = args[0]
-            for a in args[1:]:
-                out = out * a
-            return out
+            return functools.reduce(_FOLDS[op], args)
         if op == "/":
             if len(args) != 2:
                 raise ParseError("'/' needs two arguments", head.line, head.col)

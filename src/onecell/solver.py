@@ -1,27 +1,29 @@
 """Model-constructing search for conjunctions of polynomial constraints.
 
-Variables are assigned in order x1..xn.  Each level picks a value from a
-finite candidate set covering every sign-invariant region of the
-level's constraint polynomials.  When no value works, the conflict is
-generalized to a cell around the current prefix and the excluded region
-steers later choices.  Unsatisfiability is reported from a conflict over
-the empty prefix or when every x1 candidate is ruled out: the candidates
-stand for every region of the x1 line on which the level-1 signs and the
-learned-cell membership are constant, so ruling them all out covers the
-line.
+Variables are assigned in order x1..xn.  Each level tries the values of
+`realalg.line_samples` cut at the roots of the level's constraint
+polynomials and at the learned-cell bounds, which meet every
+sign-invariant region; so the level is in conflict exactly when no
+candidate, those skipped as inside a learned cell included, satisfies
+its constraints.  A conflict is generalized to a cell around the current
+prefix and the excluded region steers later choices.  Unsatisfiability
+is reported from a conflict over the empty prefix or when every x1
+candidate is ruled out: the candidates stand for every region of the x1
+line on which the level-1 signs and the learned-cell membership are
+constant, so ruling them all out covers the line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from .cells import CellDescription, cached_roots, cell_contains, eval_indexed_root
 from .config import HeuristicConfig
 from .engine import Fail
-from .explain import Constraint, check_conflict, constraint_satisfied, explain_conflict
-from .realalg import NULLIFIED, UNDEF, RealAlg, Sample, separate, sorted_distinct
+from .explain import Constraint, constraint_satisfied, explain_conflict
+from .realalg import NULLIFIED, UNDEF, RealAlg, Sample, line_samples
+from .realalg import simplest_between  # noqa: F401  (public here too)
 from .stats import RunStats
 
 SAT = "sat"
@@ -40,32 +42,12 @@ class SolveResult:
         return self.status != UNKNOWN
 
 
-def simplest_between(a: Fraction, b: Fraction) -> Fraction:
-    """The smallest-denominator rational strictly between a and b,
-    with ties broken toward the smaller magnitude."""
-    a, b = Fraction(a), Fraction(b)
-    if not a < b:
-        raise ValueError("empty interval")
-    if a < 0 < b:
-        return Fraction(0)
-    if b <= 0:
-        return -simplest_between(-b, -a)
-    fa = a.numerator // a.denominator
-    if a < fa + 1 < b:
-        return Fraction(fa + 1)
-    if a == fa:
-        # (fa, b] with b - fa <= 1: the simplest is fa + 1/k
-        k = ((b - fa) ** -1).__floor__() + 1
-        return fa + Fraction(1, k)
-    return fa + 1 / simplest_between(1 / (b - fa), 1 / (a - fa))
-
-
 def _candidate_values(
     polys, learned: Sequence[CellDescription], level: int, prefix: Sample
 ) -> list[RealAlg]:
     """Candidates for x_level: every root of the level's constraint
     polynomials over the prefix, every applicable learned-cell bound,
-    and one simple rational per gap around them.  Values are read off
+    and the points `line_samples` adds around them.  Values are read off
     canonical copies, not the cached roots other calls refine, so the
     candidates depend only on the arguments."""
     vals: list[RealAlg] = []
@@ -83,17 +65,7 @@ def _candidate_values(
             v = eval_indexed_root(b, prefix)
             if v is not UNDEF:
                 vals.append(v.canonical_copy())
-    roots = sorted_distinct(vals)
-    out: list[RealAlg] = [RealAlg.rational(0)]
-    if roots:
-        a = roots[0].enclosure()[0]
-        out.append(RealAlg.rational(simplest_between(a - 1, a)))
-        for lo, hi in zip(roots, roots[1:]):
-            out.append(RealAlg.rational(simplest_between(*separate(lo, hi))))
-        b = roots[-1].enclosure()[1]
-        out.append(RealAlg.rational(simplest_between(b, b + 1)))
-    out.extend(roots)
-    return out
+    return line_samples(vals)
 
 
 def _excluded(t: RealAlg, learned, level: int, prefix: Sample) -> bool:
@@ -149,19 +121,26 @@ def solve_conjunction(
 
         prefix = Sample(assignment)
         polys = [c.poly for c in by_level[i]]
+
+        def satisfies(t: RealAlg) -> bool:
+            point = prefix.extend(t)
+            return all(constraint_satisfied(c, point) for c in by_level[i])
+
         chosen = None
+        skipped: list[RealAlg] = []
         for t in _candidate_values(polys, result.learned, i, prefix):
             if _excluded(t, result.learned, i, prefix):
-                continue
-            point = prefix.extend(t)
-            if all(constraint_satisfied(c, point) for c in by_level[i]):
+                skipped.append(t)
+            elif satisfies(t):
                 chosen = t
                 break
         if chosen is not None:
             assignment.append(chosen)
             continue
 
-        if by_level[i] and check_conflict(by_level[i], prefix):
+        # no candidate outside the learned cells works: a conflict unless
+        # one inside them does
+        if not any(satisfies(t) for t in skipped):
             if result.explanations >= budget:
                 return result
             result.explanations += 1

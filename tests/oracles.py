@@ -10,8 +10,10 @@ counting via Sturm sequences, root isolation by Descartes
 bisection on `Fraction` coefficients with the Moebius transform rebuilt
 at every node, factor checking via numeric root recombination, sign and
 interval evaluation on `Fraction` objects (the library works on integer
-numerators over a common denominator), and zero tests at algebraic
-points via sympy's minimal polynomials.  Keeping both routes alive is
+numerators over a common denominator), zero tests at algebraic
+points via sympy's minimal polynomials, and conflict checks by the
+midpoint sweep (the library samples every gap at its simplest
+rational).  Keeping both routes alive is
 what makes the algebra tests meaningful.  The module also holds the structural checks
 on a chosen representation (`representation_is_valid`,
 `ordering_matches`), which only tests use.
@@ -26,9 +28,18 @@ import numpy as np
 import sympy
 
 from onecell.cells import eval_indexed_root
+from onecell.explain import Constraint, constraint_satisfied
 from onecell.heuristics import roots_with_values
 from onecell.polynomial import MPoly, Var, coeff_info, exact_div, normalize, resultant
-from onecell.realalg import UNDEF, _cauchy_bound
+from onecell.realalg import (
+    NULLIFIED,
+    UNDEF,
+    RealAlg,
+    _cauchy_bound,
+    roots_in_extension,
+    separate,
+    sorted_distinct,
+)
 
 
 def sylvester_matrix(p: MPoly, q: MPoly, v: Var) -> list[list[MPoly]]:
@@ -516,3 +527,42 @@ def representation_is_valid(rep, polys, s_prefix, s_val) -> bool:
         if not (below or above):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# conflict check by the midpoint sweep: the reference for
+# `explain.check_conflict`, which sweeps with `realalg.line_samples`
+
+
+def midpoint_check_conflict(C, s) -> bool:
+    """True iff no value of the next variable satisfies all constraints
+    under s, tried at the roots of the constraints over s, at the
+    midpoint of each gap between them and at 1 past either end.  Roots
+    of polynomial constraints are isolated afresh, not read off the
+    library's root cache."""
+    n = len(s)
+    vals = []
+    for c in C:
+        if isinstance(c, Constraint):
+            if c.poly.level == n + 1:
+                roots = roots_in_extension(c.poly, s)
+                if roots is not NULLIFIED:
+                    vals.extend(roots)
+        elif c.var == n + 1:
+            v = eval_indexed_root(c.bound, s.prefix(c.bound.level - 1))
+            if v is not UNDEF:
+                vals.append(v)
+    vals = sorted_distinct(vals)
+    if not vals:
+        candidates = [RealAlg.rational(0)]
+    else:
+        candidates = [RealAlg.rational(vals[0].enclosure()[0] - 1)]
+        for j, v in enumerate(vals):
+            candidates.append(v)
+            if j + 1 < len(vals):
+                a, b = separate(v, vals[j + 1])
+                candidates.append(RealAlg.rational((a + b) / 2))
+        candidates.append(RealAlg.rational(vals[-1].enclosure()[1] + 1))
+    return not any(
+        all(constraint_satisfied(c, s.extend(t)) for c in C) for t in candidates
+    )

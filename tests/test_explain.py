@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from onecell.cells import cell_contains, cell_pick_interior_point, cell_to_formula
+from onecell.cells import (
+    IndexedRoot,
+    cached_roots,
+    cell_contains,
+    cell_pick_interior_point,
+    cell_to_formula,
+)
 from onecell.engine import Fail
 from onecell.explain import (
     Constraint,
@@ -17,9 +23,10 @@ from onecell.explain import (
 )
 from onecell.polynomial import parse_poly
 from onecell.properties import validate_trace
-from onecell.realalg import Sample
+from onecell.realalg import NULLIFIED, Sample
 
 from conftest import random_poly, random_sample
+from oracles import midpoint_check_conflict
 
 
 DISK = Constraint(parse_poly("x1^2+x2^2-1"), "<")
@@ -86,8 +93,6 @@ def test_explain_nullified_returns_fail():
 
 
 def test_extended_constraint_satisfaction():
-    from onecell.cells import IndexedRoot
-
     bound = IndexedRoot(parse_poly("x1^2-2"), 2)  # sqrt(2)
     c = ExtendedConstraint(2, "<", bound)
     assert constraint_satisfied(c, Sample([Fraction(0), Fraction(1)]))
@@ -118,3 +123,56 @@ def test_random_conflicts_generalize(rng):
             pt = cell_pick_interior_point(result.cell, seed)
             assert check_conflict(C, pt)
     assert built >= 10
+
+
+def _poly_at(rng, level):
+    while True:
+        p = random_poly(rng, level, max_deg=2 if level > 2 else 3)
+        if p.level == level:
+            return p
+
+
+def _random_prefix(rng, n, algebraic):
+    """n rational coordinates or, when algebraic, an irrational x1 and
+    the others rational or irrational at random.  Irrational coordinates
+    have degree at most 4, which keeps root isolation over the prefix
+    fast."""
+    coords = []
+    for j in range(1, n + 1):
+        if algebraic and (j == 1 or rng.random() < 0.5):
+            while True:
+                roots = cached_roots(_poly_at(rng, j), Sample(coords))
+                if roots is NULLIFIED:
+                    continue
+                irrational = [r for r in roots if not r.is_rational() and len(r._def) <= 5]
+                if irrational:
+                    coords.append(rng.choice(irrational))
+                    break
+        else:
+            coords.extend(random_sample(rng, 1))
+    return Sample(coords)
+
+
+def test_check_conflict_matches_midpoint_sweep(rng):
+    """check_conflict agrees with the midpoint sweep on random
+    constraint sets over rational and algebraic prefixes, mixing
+    polynomial constraints with extended ones on the last variable and
+    on lower ones."""
+    rels = ["<", "<=", "=", "!=", ">=", ">"]
+    verdicts = {True: 0, False: 0}
+    for k in range(200):
+        n = rng.randint(1, 2)
+        s = _random_prefix(rng, n, algebraic=k % 2 == 1)
+        C = []
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.random()
+            if kind < 0.6:
+                C.append(Constraint(_poly_at(rng, n + 1), rng.choice(rels)))
+            else:
+                var = n + 1 if kind < 0.9 else rng.randint(1, n)
+                bound = IndexedRoot(_poly_at(rng, var), rng.randint(1, 2))
+                C.append(ExtendedConstraint(var, rng.choice(rels), bound))
+        verdict = check_conflict(C, s)
+        assert verdict == midpoint_check_conflict(C, s), (C, s)
+        verdicts[verdict] += 1
+    assert min(verdicts.values()) >= 50

@@ -124,6 +124,22 @@ def test_eval_rational_of_constants_and_zero():
         parse_poly("x2").eval_rational([Fraction(1)])
 
 
+def test_eval_rational_rejects_floats():
+    p = parse_poly("x1^2-x2")
+    assert p.eval_rational([3, Fraction(1, 2)]) == Fraction(17, 2)
+    with pytest.raises(TypeError):
+        p.eval_rational([0.1, Fraction(1)])
+
+
+def test_subst_rational_rejects_floats():
+    p = parse_poly("x1^2-x2")
+    assert p.subst_rational({1: 3}) == parse_poly("9-x2")
+    with pytest.raises(TypeError):
+        p.subst_rational({1: 0.1})
+    with pytest.raises(TypeError):
+        p.subst_rational({2: "1/2"})
+
+
 # ---------------------------------------------------------------------------
 # results built by the trusted constructor
 

@@ -113,6 +113,10 @@ def test_root_ordering_rejects_cycles():
     r2 = IndexedRoot(CIRCLE, 2)
     with pytest.raises(ValueError):
         RootOrdering([(r1, r2), (r2, r1)])
+    r3 = IndexedRoot(parse_poly("x1^2+x2-1"), 1)
+    RootOrdering([(r1, r2), (r2, r3), (r1, r3)])
+    with pytest.raises(ValueError):
+        RootOrdering([(r1, r2), (r2, r3), (r3, r1)])
 
 
 def test_root_ordering_matches_sample_values():

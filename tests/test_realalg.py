@@ -119,6 +119,16 @@ def test_roots_in_extension_over_algebraic_prefix():
     assert roots[1].compare(sqrt2) == 0
 
 
+def test_rationals_must_be_int_or_fraction():
+    # 0.1 as a float is 3602879701896397/2**55, not 1/10
+    assert RealAlg.rational(3).rational_value() == 3
+    for bad in (0.1, "1/2", 1.0):
+        with pytest.raises(TypeError):
+            RealAlg.rational(bad)
+        with pytest.raises(TypeError):
+            Sample([Fraction(1), bad])
+
+
 def test_sample_prefix_extend():
     s = Sample([Fraction(1), Fraction(2)])
     assert len(s.prefix(1)) == 1

@@ -58,6 +58,26 @@ def test_unary_minus_and_nary_ops():
     assert prob.constraints[0].poly == parse_poly("-x1-2*x1^2")
 
 
+def test_nary_operators_fold_from_the_left():
+    prob = parse_problem(
+        "(declare-const x Real)(declare-const y Real)"
+        "(assert (< (- x y 3 x) (* x y 2 y)))(assert (< (+ x) (+ 1 x x x)))"
+    )
+    assert prob.constraints[0].poly == parse_poly("-2*x1*x2^2-x2-3")
+    assert prob.constraints[1].poly == parse_poly("-2*x1-1")
+
+
+@pytest.mark.parametrize("text, op, line, col", [
+    ("(declare-const x Real)(assert (< (+) 0))", "+", 1, 35),
+    ("(declare-const x Real)\n(assert (<  (-) 0))", "-", 2, 14),
+    ("(declare-const x Real)(assert (< 0 ( * )))", "*", 1, 38),
+])
+def test_nary_operators_need_arguments(text, op, line, col):
+    err = _err(text)
+    assert (err.line, err.col) == (line, col)
+    assert str(err) == f"line {line}, column {col}: '{op}' needs arguments"
+
+
 def test_polynomials_deduplicated():
     prob = parse_problem(
         "(declare-const x Real)(assert (< x 0))(assert (> x 0))"

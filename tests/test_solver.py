@@ -5,18 +5,22 @@ from fractions import Fraction
 
 import pytest
 
+from onecell import solver
 from onecell.explain import Constraint, constraint_satisfied
 from onecell.polynomial import parse_poly
+from onecell.realalg import simplest_between
 from onecell.smtlib import parse_problem
-from onecell.solver import (
-    SAT,
-    UNKNOWN,
-    UNSAT,
-    simplest_between,
-    solve_conjunction,
-)
+from onecell.solver import SAT, UNKNOWN, UNSAT, solve_conjunction
 
 from conftest import random_poly, random_sample, within_seconds
+from oracles import midpoint_check_conflict
+
+
+# unsat: the cells learned at level 2 are x1 < 0 and x1 > 0, and x1 = 0
+# violates the level-1 constraint -x1^2 < 0
+COVERED_X1 = [Constraint(parse_poly("-x1^2"), "<"),
+              Constraint(parse_poly("2*x1*x2"), "<"),
+              Constraint(parse_poly("2*x1*x2-x1^2"), ">=")]
 
 
 def test_simplest_between_basic():
@@ -128,20 +132,64 @@ def test_empty_conjunction_is_sat():
     assert r.status == SAT
 
 
-def test_models_verified_randomly(rng):
-    """Whatever verdict the search reaches, SAT models must satisfy
-    every constraint exactly."""
-    from onecell.realalg import Sample
-
+def _random_conjunctions(rng):
+    """25 random conjunctions in 1 or 2 variables, with their variable
+    counts."""
+    out = []
     for _ in range(25):
         nv = rng.randint(1, 2)
         cons = []
         for _ in range(rng.randint(1, 3)):
             p = random_poly(rng, nv)
             cons.append(Constraint(p, rng.choice(["<", "<=", ">", ">=", "=", "!="])))
+        out.append((cons, nv))
+    return out
+
+
+def test_models_verified_randomly(rng):
+    """Whatever verdict the search reaches, SAT models must satisfy
+    every constraint exactly."""
+    for cons, nv in _random_conjunctions(rng):
         r = solve_conjunction(cons, nv, budget=16)
         if r.status == SAT:
             assert all(constraint_satisfied(c, r.model) for c in cons)
+
+
+def test_conflicts_match_the_midpoint_sweep(rng, monkeypatch):
+    """The search decides conflicts from its own candidates.  On the
+    random conjunctions and COVERED_X1, every level it explains is a
+    conflict for the midpoint sweep, and every level it hands to the
+    learned cells (no value chosen, none explained) is not."""
+    events = []
+    candidates, explain = solver._candidate_values, solver.explain_conflict
+
+    def recording_candidates(polys, learned, level, prefix):
+        events.append(("level", level, prefix))
+        return candidates(polys, learned, level, prefix)
+
+    def recording_explain(C, prefix, *args):
+        events.append(("explain",))
+        return explain(C, prefix, *args)
+
+    monkeypatch.setattr(solver, "_candidate_values", recording_candidates)
+    monkeypatch.setattr(solver, "explain_conflict", recording_explain)
+    seen = {"explained": 0, "learned": 0}
+    for cons, nv in _random_conjunctions(rng) + [(COVERED_X1, 2)]:
+        events.clear()
+        status = solve_conjunction(cons, nv, budget=16).status
+        events.append(("end", status))
+        for event, after in zip(events, events[1:]):
+            if event[0] != "level":
+                continue
+            _, level, prefix = event
+            C = [c for c in cons if c.poly.level == level]
+            if after[0] == "explain":
+                assert midpoint_check_conflict(C, prefix)
+                seen["explained"] += 1
+            elif after == ("end", UNSAT) or (after[0] == "level" and after[1] < level):
+                assert not midpoint_check_conflict(C, prefix)
+                seen["learned"] += 1
+    assert min(seen.values()) > 0, seen
 
 
 def test_unsat_sums_finish_in_time():
@@ -163,13 +211,9 @@ def test_unsat_sums_finish_in_time():
 
 
 def test_unsat_when_a_constraint_and_learned_cells_cover_x1():
-    """The learned cells are x1 < 0 and x1 > 0, and x1 = 0 violates the
-    level-1 constraint -x1^2 < 0: every x1 candidate is ruled out, which
-    proves unsat."""
-    cons = [Constraint(parse_poly("-x1^2"), "<"),
-            Constraint(parse_poly("2*x1*x2"), "<"),
-            Constraint(parse_poly("2*x1*x2-x1^2"), ">=")]
-    r = solve_conjunction(cons, 2)
+    """Every x1 candidate is ruled out, by the level-1 constraint or a
+    learned cell, which proves unsat."""
+    r = solve_conjunction(COVERED_X1, 2)
     assert r.status == UNSAT
     assert len(r.learned) == 2
 
