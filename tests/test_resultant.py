@@ -64,8 +64,9 @@ def test_integer_coefficients_up_to_level_three(operands):
 @given(_polys(3).filter(lambda p: p.variables() == {1, 2, 3}),
        _with_degree(2, 3))
 def test_middle_variable_of_level_three(p, q):
-    """Eliminating x2 leaves x1 and x3, which are evaluated in turn."""
-    p = p + MPoly.var(2)  # positive degree in x2, all three variables
+    """Eliminating x2 leaves x1 and x3, which are evaluated in turn. The
+    filter on p already gives it positive degree in x2; adding x2 to it
+    would cancel a drawn -x2 and leave no x2 to eliminate."""
     _check(p, q, 2)
 
 
