@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from . import memo
 from .polynomial import MPoly, Var, parse_poly, poly_to_str
 from .realalg import NULLIFIED, UNDEF, RealAlg, Sample, roots_in_extension, separate
 
@@ -146,15 +147,11 @@ class CellDescription:
 # ---------------------------------------------------------------------------
 # evaluation
 
-_roots_cache: dict[tuple, object] = {}
-
-
 def cached_roots(p: MPoly, s: Sample):
-    """roots_in_extension with memoization keyed on exact identities."""
-    key = (p, tuple(c.key() for c in s))
-    if key not in _roots_cache:
-        _roots_cache[key] = roots_in_extension(p, s)
-    return _roots_cache[key]
+    """roots_in_extension(p, s), kept in `memo.ROOTS`: later calls share
+    the values and the refinement of their enclosures, so output that
+    depends on an enclosure reads `RealAlg.canonical_copy()`."""
+    return memo.ROOTS.fetch((p, tuple(c.key() for c in s)), roots_in_extension, p, s)
 
 
 def eval_indexed_root(xi: IndexedRoot, s: Sample):

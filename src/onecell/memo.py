@@ -1,0 +1,70 @@
+"""The package's memo tables, with one owner.
+
+Five functions keep results that later calls are likely to ask for
+again, each in one table here:
+
+- `FACTOR`: `polynomial.factor`, keyed on (p, mode)
+- `RESULTANT`: `polynomial.resultant`, keyed on (p, q, v) as given
+- `CANONICAL`: the isolating intervals of an irreducible definition,
+  keyed on its primitive coefficients (`realalg._canonical_intervals`)
+- `ROOTS`: `cells.cached_roots`, keyed on p and the sample's exact
+  coordinates
+- `WHOLE`: `properties.is_whole`, keyed on p
+
+The scope is the process: whichever call first asks fills an entry, and
+every later call shares it.  Each table is a least-recently-used map of
+at most `BOUND` entries.  No output depends on what a table holds: a
+dropped entry is recomputed equal, and the roots that `ROOTS` shares
+between calls are read only through their canonical copies where the
+choice of a point depends on them.  `clear` empties every table.
+"""
+
+from __future__ import annotations
+
+from collections import OrderedDict
+
+# Entries per table before the least recently used one is dropped.
+BOUND = 4096
+
+
+class Table:
+    """A least-recently-used map of at most `BOUND` entries."""
+
+    __slots__ = ("_entries",)
+
+    def __init__(self):
+        self._entries: OrderedDict = OrderedDict()
+
+    def fetch(self, key, compute, *args):
+        """The entry for key, marked as just used; on a miss,
+        compute(*args), stored under key.  A computation that raises
+        stores nothing."""
+        entries = self._entries
+        try:
+            entries.move_to_end(key)
+            return entries[key]
+        except KeyError:
+            pass
+        value = entries[key] = compute(*args)
+        while len(entries) > BOUND:
+            entries.popitem(last=False)
+        return value
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+FACTOR = Table()
+RESULTANT = Table()
+CANONICAL = Table()
+ROOTS = Table()
+WHOLE = Table()
+
+TABLES = {"factor": FACTOR, "resultant": RESULTANT, "canonical": CANONICAL,
+          "roots": ROOTS, "whole": WHOLE}
+
+
+def clear() -> None:
+    """Empty every table."""
+    for table in TABLES.values():
+        table._entries.clear()

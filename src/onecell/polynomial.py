@@ -36,6 +36,8 @@ from sympy.polys.domains import ZZ
 from sympy.polys.factortools import dmp_factor_list
 from sympy.polys.sqfreetools import dmp_sqf_list
 
+from . import memo
+
 Var = int  # 1-based variable index
 
 
@@ -350,7 +352,12 @@ def resultant(p: MPoly, q: MPoly, v: Var) -> MPoly:
     """res_v(p, q), the Sylvester determinant of p and q in x_v, which
     must both occur, by evaluation and interpolation on integers
     (Collins, "The calculation of multivariate polynomial resultants",
-    JACM 1971): res_v(c*P, d*Q) = c^deg_v(q) * d^deg_v(p) * res_v(P, Q)."""
+    JACM 1971): res_v(c*P, d*Q) = c^deg_v(q) * d^deg_v(p) * res_v(P, Q).
+    Results are kept in `memo.RESULTANT`."""
+    return memo.RESULTANT.fetch((p, q, v), _resultant, p, q, v)
+
+
+def _resultant(p: MPoly, q: MPoly, v: Var) -> MPoly:
     dp, dq = p.degree(v), q.degree(v)
     if dp < 1 or dq < 1:
         raise ValueError("resultant requires positive degree in the main variable")
@@ -386,7 +393,7 @@ def _ires(P: dict, Q: dict, v: Var, dp: int, dq: int) -> dict:
         r = _ures(P, Q, v, dp, dq)
         return {(): r} if r else {}
     j = max(others)
-    bound = dp * _ideg(Q, j) + dq * _ideg(P, j)
+    bound = _degree_bound(P, Q, j, dp, dq)
     xs, vals, a = [], [], 0
     while len(xs) <= bound:
         Pa, Qa = _ieval(P, j, a), _ieval(Q, j, a)
@@ -402,6 +409,15 @@ def _ires(P: dict, Q: dict, v: Var, dp: int, dq: int) -> dict:
                 e[j - 1] = k
                 out[_trim(tuple(e))] = c
     return out
+
+
+def _degree_bound(P: dict, Q: dict, j: Var, dp: int, dq: int) -> int:
+    """A bound on deg_j res_v(P, Q) from the degrees in x_j, or from the
+    total degrees: column c of P's r-th Sylvester row holds the x_v^(dp+r-c)
+    coefficient, of total degree <= tdeg(P) - dp - r + c, and a term of
+    the determinant sums these over all rows and columns."""
+    tp, tq = (max(map(sum, T)) for T in (P, Q))
+    return min(dp * _ideg(Q, j) + dq * _ideg(P, j), tp * dq + tq * dp - dp * dq)
 
 
 def _interpolate(xs: list[int], ys: list[int]) -> list[int]:
@@ -519,10 +535,15 @@ def factor(p: MPoly, mode: str = "finest") -> list[tuple[MPoly, int]]:
     as 4a*p = (2a*x + b - r)(2a*x + b + r) exactly when its discriminant
     b^2 - 4ac is a square r^2.  Everything else goes to sympy's dense
     factorization over ZZ, on the integer-primitive p in the variables
-    that occur, in their order.
+    that occur, in their order.  Results are kept in `memo.FACTOR`, and
+    each call returns a new list.
     """
     if mode not in ("finest", "squarefree"):
         raise ValueError(f"unknown factor mode: {mode}")
+    return list(memo.FACTOR.fetch((p, mode), _factor, p, mode))
+
+
+def _factor(p: MPoly, mode: str) -> list[tuple[MPoly, int]]:
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     if p.is_constant():

@@ -21,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from . import memo
 from .polynomial import MPoly, factor, normalize, poly_to_str
 from .realalg import Sample, realalg_to_text
 from .cells import IndexedRoot, SymbolicInterval, bound_text
-
-_whole_cache: dict[MPoly, bool] = {}
 
 
 def is_squarefree(p: MPoly) -> bool:
@@ -38,9 +37,7 @@ def is_whole(p: MPoly) -> bool:
     constants, and normalized square-free polynomials."""
     if p.is_constant():
         return True
-    if p not in _whole_cache:
-        _whole_cache[p] = is_squarefree(p) and p == normalize(p)
-    return _whole_cache[p]
+    return memo.WHOLE.fetch(p, lambda: is_squarefree(p) and p == normalize(p))
 
 
 # ---------------------------------------------------------------------------

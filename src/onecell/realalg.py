@@ -26,15 +26,16 @@ interval is mapped onto (0, 1) once, and each half gets its polynomial
 from its parent's by a power-of-2 scaling and a Taylor shift by 1, all
 additions (`_bisect_roots`).  Factors of degree >= 2 have no rational
 roots, which keeps the bisection free of midpoint corner cases.  The
-intervals of a definition are computed once and kept in `_CANONICAL`:
-they fix which root `canonical_index` names, and every isolated root
-starts out with its own canonical interval and index.  For sample
-points with irrational coordinates, root finding eliminates each
-algebraic coordinate through resultants with its defining polynomial,
-producing a rational candidate polynomial whose roots are then filtered
-by an exact sign test.  When a resultant vanishes, the defining
-polynomial, being irreducible, divides the eliminand and is divided out
-first (`_candidate_poly`).
+intervals of a definition are computed once and kept in
+`memo.CANONICAL` (a bounded table; a dropped entry is bisected again
+to the same intervals): they fix which root `canonical_index` names,
+and every isolated root starts out with its own canonical interval and
+index.  For sample points with irrational coordinates, root finding
+eliminates each algebraic coordinate through resultants with its
+defining polynomial, producing a rational candidate polynomial whose
+roots are then filtered by an exact sign test.  When a resultant
+vanishes, the defining polynomial, being irreducible, divides the
+eliminand and is divided out first (`_candidate_poly`).
 
 That sign test, `sign_at`, evaluates p over the coordinate enclosures
 and refines them until the interval value excludes 0.  Its bounds,
@@ -54,6 +55,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import memo
 from .polynomial import (
     MPoly,
     Var,
@@ -168,9 +170,6 @@ def _primitive(c: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 # ---------------------------------------------------------------------------
 # RealAlg
-
-
-_CANONICAL: dict[tuple[Fraction, ...], list[tuple[Fraction, Fraction]]] = {}
 
 
 class RealAlg:
@@ -457,14 +456,11 @@ def _bisect_roots(c: tuple[Fraction, ...]) -> list[tuple[Fraction, Fraction]]:
 
 def _canonical_intervals(defc: tuple[Fraction, ...]) -> list[tuple[Fraction, Fraction]]:
     """The isolating intervals of the primitive irreducible `defc`, in
-    increasing order, bisected once per definition and kept in
-    `_CANONICAL`.  The roots `_isolate_irreducible` returns start with
+    increasing order, bisected once per definition while it stays in
+    `memo.CANONICAL`.  The roots `_isolate_irreducible` returns start with
     these intervals as enclosures and with their index set, so neither
     `canonical_index` nor a repeated isolation bisects again."""
-    spots = _CANONICAL.get(defc)
-    if spots is None:
-        spots = _CANONICAL[defc] = _bisect_roots(defc)
-    return spots
+    return memo.CANONICAL.fetch(defc, _bisect_roots, defc)
 
 
 def _isolate_irreducible(c: Sequence[Fraction]) -> list[RealAlg]:

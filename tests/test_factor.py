@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from onecell import memo
 from onecell.polynomial import MPoly, factor, normalize, parse_poly
 
 from oracles import sympy_poly_factor
@@ -139,13 +140,21 @@ class _Mpz:
 
 
 def test_factor_output_has_fractions_of_ints(monkeypatch):
+    """The memo is emptied after the patch, so that both modes factor
+    again through it: one conversion per factor, 3 + 2 in all."""
     import onecell.polynomial as polynomial
 
     p = parse_poly("(x1^3-2)*(x1*x2+3)^2*(x2^2+x1*x2+5)")
     expected = {mode: factor(p, mode) for mode in MODES}
     dense = polynomial.dmp_to_dict
-    monkeypatch.setattr(polynomial, "dmp_to_dict", lambda f, u: {
-        e: _Mpz(int(k)) for e, k in dense(f, u).items()})
+    converted = []
+
+    def as_mpz(f, u):
+        converted.append(f)
+        return {e: _Mpz(int(k)) for e, k in dense(f, u).items()}
+
+    monkeypatch.setattr(polynomial, "dmp_to_dict", as_mpz)
+    memo.clear()
     for mode in MODES:
         fs = factor(p, mode)
         assert fs == expected[mode]
@@ -153,3 +162,4 @@ def test_factor_output_has_fractions_of_ints(monkeypatch):
             for c in g.terms.values():
                 assert type(c) is Fraction
                 assert type(c.numerator) is int and type(c.denominator) is int
+    assert len(converted) == sum(len(fs) for fs in expected.values()) == 5

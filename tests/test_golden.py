@@ -13,6 +13,7 @@ to alter outputs must say so and why; a refactor must leave it alone.
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import subprocess
@@ -208,12 +209,26 @@ def render() -> str:
     return "".join(out)
 
 
-def test_golden_outputs_are_byte_identical():
+# The corpus rendered with every memo table bounded to one entry; the
+# sizes of the tables afterwards go to the last line of stderr.
+_RENDER_WITH_BOUND_ONE = """
+import json, sys
+from onecell import memo
+memo.BOUND = 1
+import test_golden
+sys.stdout.write(test_golden.render())
+sys.stderr.write("\\n" + json.dumps({k: len(t) for k, t in memo.TABLES.items()}))
+"""
+
+
+def _render(args: list[str]):
+    """Run the corpus in a fresh interpreter, assert that its output is
+    the golden file byte for byte, and return the finished process."""
     env = dict(os.environ, PYTHONHASHSEED="0")
     env["PYTHONPATH"] = os.pathsep.join(
         [str(TESTS.parent / "src"), str(TESTS), env.get("PYTHONPATH", "")]
     )
-    proc = subprocess.run([sys.executable, __file__], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           timeout=600)
     assert proc.returncode == 0, proc.stderr.decode()
     got, want = proc.stdout, GOLDEN.read_bytes()
@@ -225,6 +240,21 @@ def test_golden_outputs_are_byte_identical():
         raise AssertionError(
             f"golden output has {len(got_lines)} lines, expected {len(want_lines)}"
         )
+    return proc
+
+
+def test_golden_outputs_are_byte_identical():
+    _render([__file__])
+
+
+def test_golden_outputs_do_not_depend_on_what_the_memo_keeps():
+    """Every table holding one entry drops almost every result as soon
+    as the next one arrives; the outputs must not move, and no table
+    may grow past its bound."""
+    proc = _render(["-c", _RENDER_WITH_BOUND_ONE])
+    sizes = json.loads(proc.stderr.decode().splitlines()[-1])
+    assert set(sizes) == {"factor", "resultant", "canonical", "roots", "whole"}
+    assert all(0 < n <= 1 for n in sizes.values()), sizes
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from onecell import realalg
+from onecell import memo, realalg
 from onecell.polynomial import factor
 from onecell.realalg import _upoly, _upoly_coeffs, isolate_real_roots
 
@@ -82,7 +82,7 @@ def test_each_irreducible_factor_is_isolated_once(monkeypatch):
         calls.append(c)
         return bisect(c)
 
-    monkeypatch.setattr(realalg, "_CANONICAL", {})
+    memo.clear()
     monkeypatch.setattr(realalg, "_bisect_roots", counted)
     roots = isolate_real_roots(_upoly([1, -3, 0, 1], 1))  # x^3 - 3x + 1
     assert len(roots) == 3 and len(calls) == 1

@@ -1,0 +1,113 @@
+"""The memo tables of `onecell.memo`: repeated `factor` and `resultant`
+calls against the uncached kernels and the oracles, results that callers
+cannot change, and the least-recently-used bound."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from onecell import memo
+from onecell.polynomial import MPoly, _factor, _resultant, factor, parse_poly, resultant
+
+from oracles import subresultant_resultant, sylvester_resultant, sympy_poly_factor
+
+rationals = st.fractions(
+    min_value=Fraction(-5), max_value=Fraction(5), max_denominator=4
+)
+
+
+def _polys(nvars, max_deg=2, max_terms=4):
+    exps = st.tuples(*[st.integers(0, max_deg) for _ in range(nvars)])
+    return (st.dictionaries(exps, rationals, min_size=1, max_size=max_terms)
+            .map(MPoly).filter(lambda p: not p.is_zero()))
+
+
+@st.composite
+def _operands(draw):
+    nvars = draw(st.integers(1, 3))
+    v = draw(st.integers(1, nvars))
+    with_v = _polys(nvars).filter(lambda p: p.degree(v) > 0)
+    return draw(with_v), draw(with_v), v
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polys(3))
+def test_repeated_factor_matches_kernel_and_oracle(p):
+    want = {mode: _factor(p, mode) for mode in ("finest", "squarefree")}
+    for mode, fs in want.items():
+        assert fs == sympy_poly_factor(p, mode)
+    for _ in range(3):
+        for mode, fs in want.items():
+            assert factor(p, mode) == fs
+            # an equal polynomial built separately finds the same entry
+            assert factor(MPoly(p.terms), mode) == fs
+    assert factor(p) == want["finest"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_operands())
+def test_repeated_resultant_matches_kernel_and_oracles(operands):
+    p, q, v = operands
+    want = _resultant(p, q, v)
+    assert want == sylvester_resultant(p, q, v) == subresultant_resultant(p, q, v)
+    for _ in range(3):
+        assert resultant(p, q, v) == want
+    # the swapped arguments have their own entry, with the sign of the swap
+    sign = -1 if p.degree(v) * q.degree(v) % 2 else 1
+    assert resultant(q, p, v) == want.scale(sign)
+    assert resultant(p, q, v) == want
+
+
+def test_callers_cannot_change_a_memoized_factor_list():
+    p = parse_poly("(x1-1)*(x1+2)*(x2^2-3)")
+    first = factor(p)
+    want = list(first)
+    first.append((parse_poly("x1"), 7))
+    first.pop(0)
+    assert factor(p) == want
+    assert factor(p) is not factor(p)
+
+
+def test_a_miss_after_clear_recomputes_the_same_results():
+    p, q = parse_poly("x1*x2^2-3*x2+x1^3"), parse_poly("x2^3-x1")
+    f, r = factor(p * q, "squarefree"), resultant(p, q, 2)
+    memo.clear()
+    assert all(len(t) == 0 for t in memo.TABLES.values())
+    assert factor(p * q, "squarefree") == f and resultant(p, q, 2) == r
+    assert len(memo.FACTOR) >= 1 and len(memo.RESULTANT) >= 1
+
+
+def test_table_drops_the_least_recently_used_entry(monkeypatch):
+    monkeypatch.setattr(memo, "BOUND", 2)
+    t, computed = memo.Table(), []
+
+    def fetch(key):
+        return t.fetch(key, lambda: computed.append(key) or key.upper())
+
+    assert [fetch(k) for k in "abab"] == ["A", "B", "A", "B"]
+    assert computed == ["a", "b"]
+    fetch("a")  # now "b" is the least recently used
+    fetch("c")
+    assert len(t) == 2 and computed == ["a", "b", "c"]
+    fetch("a"), fetch("c")
+    assert computed == ["a", "b", "c"]
+    fetch("b")  # "a" was used before "c"
+    fetch("c")
+    fetch("a")
+    assert computed == ["a", "b", "c", "b", "a"] and len(t) == 2
+
+
+def test_table_keeps_no_result_of_a_raising_computation():
+    t = memo.Table()
+
+    def fail():
+        raise ValueError("no result")
+
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            t.fetch("k", fail)
+    assert len(t) == 0
+    assert t.fetch("k", lambda: None) is None and len(t) == 1
+    assert t.fetch("k", fail) is None

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onecell import realalg
-from onecell.polynomial import MPoly, coeff_info, parse_poly, resultant
+from onecell.polynomial import MPoly, _degree_bound, coeff_info, parse_poly, resultant
 from onecell.realalg import Sample, isolate_real_roots
 
 from oracles import subresultant_resultant, sylvester_resultant
@@ -99,6 +99,26 @@ def test_degree_bound_is_reached():
     1*1 + 1*1 in x1, the bound the interpolation uses."""
     r = _check(parse_poly("x1*x2+1"), parse_poly("x2+x1"), 2)
     assert r == parse_poly("x1^2-1")
+
+
+def test_total_degree_bound_is_reached():
+    """res_x2(x2^2 + x1*x2 + x1^2, x2 + x1) = x1^2: the degrees in x1 give
+    2*1 + 1*1 = 3, the total degrees 2*1 + 1*2 - 2*1 = 2, which is the
+    result's degree."""
+    p, q = parse_poly("x2^2+x1*x2+x1^2"), parse_poly("x2+x1")
+    assert _check(p, q, 2) == parse_poly("x1^2")
+    assert _degree_bound(p.terms, q.terms, 1, 2, 1) == 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(_operands(coeffs=integers))
+def test_degree_bound_holds(operands):
+    """The interpolation bound is at least the degree of the result in
+    every other variable."""
+    p, q, v = operands
+    r, dp, dq = sylvester_resultant(p, q, v), p.degree(v), q.degree(v)
+    for j in (p * q).variables() - {v}:
+        assert _degree_bound(p.terms, q.terms, j, dp, dq) >= r.degree(j)
 
 
 # ---------------------------------------------------------------------------
