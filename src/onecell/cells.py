@@ -12,7 +12,6 @@ conjunction of extended constraints `x_i ~ root(p, j)`
 
 from __future__ import annotations
 
-import functools
 import random
 import re
 from dataclasses import dataclass
@@ -95,6 +94,11 @@ class SectorInterval(SymbolicInterval):
     upper: Optional[IndexedRoot]  # None = +inf
     level_hint: int = 0  # required when both ends are infinite
 
+    def __post_init__(self):
+        if self.lower is not None and self.upper is not None:
+            if self.lower.level != self.upper.level:
+                raise ValueError("sector bounds at different levels")
+
     @property
     def level(self) -> int:
         if self.lower is not None:
@@ -163,20 +167,6 @@ def eval_indexed_root(xi: IndexedRoot, s: Sample):
     if xi.index > len(roots):
         return UNDEF
     return roots[xi.index - 1]
-
-
-def value_order(roots, val, tie_rank=lambda r: 0) -> list[IndexedRoot]:
-    """The roots sorted by their values `val[root]`; equal values by
-    tie_rank, then in canonical polynomial and index order."""
-
-    def cmp(a: IndexedRoot, b: IndexedRoot) -> int:
-        c = val[a].compare(val[b]) or tie_rank(a) - tie_rank(b)
-        if c:
-            return c
-        ka, kb = (a.poly.sort_key(), a.index), (b.poly.sort_key(), b.index)
-        return (ka > kb) - (ka < kb)
-
-    return sorted(roots, key=functools.cmp_to_key(cmp))
 
 
 # Draws of cell_pick_interior_point before it gives up.

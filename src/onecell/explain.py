@@ -20,18 +20,25 @@ from .cells import (
     RELS,
     CellDescription,
     ExtendedConstraint,
-    IndexedRoot,
     _rel_holds,
     cached_roots,
     cell_to_formula,
     eval_indexed_root,
-    value_order,
 )
 from .config import HeuristicConfig
 from .engine import Fail, run_levels
+from .heuristics import roots_with_values
 from .polynomial import MPoly, factor, normalize, poly_to_str, resultant
 from .properties import AnDel, DerivationTrace, OrdInv, SgnInv
-from .realalg import NULLIFIED, UNDEF, RealAlg, Sample, line_samples, sign_at
+from .realalg import (
+    NULLIFIED,
+    UNDEF,
+    RealAlg,
+    Sample,
+    line_samples,
+    sign_at,
+    value_ranks,
+)
 from .rules import PropertySet
 from .stats import RunStats
 
@@ -152,11 +159,9 @@ def explain_conflict(
 
     # chain the top-level roots in value order; consecutive resultants
     # keep the roots ordered over the constructed cell
-    val: dict[IndexedRoot, RealAlg] = {}
-    for f in top:
-        for k, v in enumerate(cached_roots(f, sample)):
-            val[IndexedRoot(f, k + 1)] = v
-    chain = value_order(list(val), val)
+    xi = roots_with_values(top, sample)
+    rank = value_ranks([v for _, v in xi])
+    chain = [xi[j][0] for j in sorted(range(len(xi)), key=rank.__getitem__)]
     for a, b in zip(chain, chain[1:]):
         pa, pb = a.poly, b.poly
         if pa == pb:

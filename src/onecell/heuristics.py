@@ -14,6 +14,10 @@ several strategies are available:
 - LDB: order each root against the lowest-degree root between it and
   the sample ("barrier"), minimizing the degrees entering resultants.
 - FULL: relate all pairs of reduced roots, mimicking a full projection.
+
+The interval and every strategy read the value order of the level's
+roots and the sample value as integer ranks, from one sort per level
+(`realalg.value_ranks`); no decision compares exact values itself.
 """
 
 from __future__ import annotations
@@ -26,12 +30,11 @@ from .cells import (
     SectorInterval,
     SymbolicInterval,
     cached_roots,
-    value_order,
 )
 from .config import HeuristicConfig
 from .polynomial import MPoly
 from .properties import RootOrdering
-from .realalg import NULLIFIED, RealAlg, Sample
+from .realalg import NULLIFIED, RealAlg, Sample, value_ranks
 
 
 @dataclass(frozen=True)
@@ -61,41 +64,36 @@ def _main_degree(xi: IndexedRoot) -> int:
     return xi.poly.degree(xi.poly.level)
 
 
-def _pick_min_degree(cands: list[IndexedRoot]) -> IndexedRoot:
-    return min(cands, key=lambda xi: (_main_degree(xi), xi.poly.sort_key(), xi.index))
-
-
 class _Ctx:
-    """Shared scratch state while building one representation."""
+    """The roots of one level in canonical order, each with its rank in
+    the value order of the roots and the sample value
+    (`realalg.value_ranks`) and its canonical position.  Every decision
+    compares these ints."""
 
     def __init__(self, xi, s_val: RealAlg, level: int):
-        self.xi = xi
-        self.val = {r: v for r, v in xi}
-        self.s_val = s_val
+        self.roots = [r for r, _ in xi]
+        *ranks, self.s_rank = value_ranks([v for _, v in xi] + [s_val])
+        self.rank = dict(zip(self.roots, ranks))
+        self.pos = {r: i for i, r in enumerate(self.roots)}
         self.level = level
 
-    def cmp_to_sample(self, r: IndexedRoot) -> int:
-        return self.val[r].compare(self.s_val)
+    def side(self, r: IndexedRoot) -> int:
+        """-1, 0 or 1 as r lies below, at or above the sample value."""
+        k = self.rank[r]
+        return (k > self.s_rank) - (k < self.s_rank)
 
     def interval(self) -> SymbolicInterval:
-        lower = [r for r, v in self.xi if v.compare(self.s_val) <= 0]
-        upper = [r for r, v in self.xi if v.compare(self.s_val) >= 0]
-        lo = up = None
-        if lower:
-            best = lower[0]
-            for r in lower[1:]:
-                if self.val[r].compare(self.val[best]) > 0:
-                    best = r
-            closest = [r for r in lower if self.val[r].compare(self.val[best]) == 0]
-            lo = _pick_min_degree(closest)
-        if upper:
-            best = upper[0]
-            for r in upper[1:]:
-                if self.val[r].compare(self.val[best]) < 0:
-                    best = r
-            closest = [r for r in upper if self.val[r].compare(self.val[best]) == 0]
-            up = _pick_min_degree(closest)
-        if lo is not None and self.val[lo].compare(self.s_val) == 0:
+        lo = min(
+            (r for r in self.roots if self.side(r) <= 0),
+            key=lambda r: (-self.rank[r], _main_degree(r), self.pos[r]),
+            default=None,
+        )
+        up = min(
+            (r for r in self.roots if self.side(r) >= 0),
+            key=lambda r: (self.rank[r], _main_degree(r), self.pos[r]),
+            default=None,
+        )
+        if lo is not None and self.side(lo) == 0:
             return SectionInterval(lo)
         return SectorInterval(lo, up, level_hint=self.level)
 
@@ -103,21 +101,21 @@ class _Ctx:
         """Per polynomial only the closest lower and upper roots, in
         value order; equal values put the interval bounds adjacent to
         the sample (upper bound first in its group, lower bound last)."""
-        keep: set[IndexedRoot] = set()
-        by_poly: dict[MPoly, list[IndexedRoot]] = {}
-        for r, _ in self.xi:
-            by_poly.setdefault(r.poly, []).append(r)
-        for roots in by_poly.values():
-            lower = [r for r in roots if self.cmp_to_sample(r) <= 0]
-            upper = [r for r in roots if self.cmp_to_sample(r) >= 0]
-            if lower:
-                keep.add(max(lower, key=lambda r: r.index))
-            if upper:
-                keep.add(min(upper, key=lambda r: r.index))
-
+        lower: dict[MPoly, IndexedRoot] = {}
+        upper: dict[MPoly, IndexedRoot] = {}
+        for r in self.roots:  # a polynomial's roots in increasing order
+            if self.side(r) <= 0:
+                lower[r.poly] = r
+            if self.side(r) >= 0:
+                upper.setdefault(r.poly, r)
         lo, up = interval.bounds()
-        return value_order(
-            keep, self.val, lambda r: 1 if r == lo else (-1 if r == up else 0)
+        return sorted(
+            {*lower.values(), *upper.values()},
+            key=lambda r: (
+                self.rank[r],
+                1 if r == lo else (-1 if r == up else 0),
+                self.pos[r],
+            ),
         )
 
     def barrier(
@@ -126,41 +124,17 @@ class _Ctx:
         """The lowest-degree root between r and the sample value, ties
         broken toward the sample, then boundary roots, then canonical
         order.  r itself is a candidate."""
-        side = self.cmp_to_sample(r)
-        if side <= 0:
-            cands = [
-                x
-                for x in subset
-                if self.val[r].compare(self.val[x]) <= 0
-                and self.val[x].compare(self.s_val) <= 0
-            ]
-            closer_wins = 1  # larger value is closer to the sample
-        else:
-            cands = [
-                x
-                for x in subset
-                if self.val[x].compare(self.val[r]) <= 0
-                and self.s_val.compare(self.val[x]) <= 0
-            ]
-            closer_wins = -1
-
-        def o(x: IndexedRoot):
-            return (0 if x in bound_roots else 1, x.poly.sort_key(), x.index)
-
-        best = cands[0]
-        for x in cands[1:]:
-            if _main_degree(x) != _main_degree(best):
-                if _main_degree(x) < _main_degree(best):
-                    best = x
-                continue
-            c = self.val[x].compare(self.val[best])
-            if c:
-                if c == closer_wins:
-                    best = x
-                continue
-            if o(x) < o(best):
-                best = x
-        return best
+        a, b = sorted((self.rank[r], self.s_rank))
+        toward = -1 if self.side(r) <= 0 else 1
+        return min(
+            (x for x in subset if a <= self.rank[x] <= b),
+            key=lambda x: (
+                _main_degree(x),
+                toward * self.rank[x],
+                x not in bound_roots,
+                self.pos[x],
+            ),
+        )
 
 
 def _pairs_bc(ctx: _Ctx, red, interval) -> list:
@@ -169,9 +143,9 @@ def _pairs_bc(ctx: _Ctx, red, interval) -> list:
     for r in red:
         if r == lo or r == up:
             continue
-        if lo is not None and ctx.val[r].compare(ctx.val[lo]) <= 0:
+        if lo is not None and ctx.rank[r] <= ctx.rank[lo]:
             pairs.append((r, lo))
-        elif up is not None and ctx.val[up].compare(ctx.val[r]) <= 0:
+        elif up is not None and ctx.rank[up] <= ctx.rank[r]:
             pairs.append((up, r))
     return pairs
 
@@ -195,7 +169,7 @@ def _pairs_ldb(ctx: _Ctx, subset, interval) -> list:
     bound_roots = {b for b in (lo, up) if b is not None}
     pairs = []
     for r in subset:
-        side = ctx.cmp_to_sample(r)
+        side = ctx.side(r)
         if side < 0 and r != lo:
             b = ctx.barrier(r, subset, bound_roots)
             if b == r:
@@ -260,7 +234,7 @@ def choose_representation(
     eq_polys: set[MPoly] = set()
     red = ctx.reduced(interval)
     if strategy == "EQ":
-        eq_polys = {r.poly for r, _ in xi}
+        eq_polys = {r.poly for r in ctx.roots}
         pairs = []
     elif strategy == "BC":
         pairs = _pairs_bc(ctx, red, interval)

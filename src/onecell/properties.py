@@ -332,7 +332,6 @@ _RULE_SHAPES: dict[str, tuple[type, tuple[type, ...]]] = {
     "del": (AnDel, (AnSub, Connected, NonNull, OrdInv, SgnInv)),
     "nonnull-const-coeff": (NonNull, ()),
     "nonnull-coeff": (NonNull, (SampleProp, SgnInv)),
-    "nonnull-disc": (NonNull, (SampleProp, SgnInv)),
     "ordinv-nonzero": (OrdInv, (SampleProp, SgnInv)),
     "ordinv-zero": (OrdInv, (SampleProp, AnSub, Connected, SgnInv, AnDel)),
     "nozero": (SgnInv, (SampleProp, AnDel)),

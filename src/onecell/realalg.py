@@ -10,7 +10,9 @@ are the same real number.
 
 This module is the one home of the exact-real helpers the rest of the
 package builds on: `RealAlg.compare` (and `<`, so lists of values sort
-with `sorted`), `sorted_distinct` for sorted values without duplicates,
+with `sorted`), `value_ranks` for the value order of a list as integer
+ranks (the one sort behind `sorted_distinct` and the heuristics'
+decisions), `sorted_distinct` for sorted values without duplicates,
 `separate` for the rational gap between two distinct values,
 `simplest_between` for the simplest rational inside such a gap,
 `line_samples` for one point of every region of the line cut at given
@@ -363,13 +365,28 @@ def separate(lo: RealAlg, hi: RealAlg) -> tuple[Fraction, Fraction]:
     return lo._hi, hi._lo
 
 
+def value_ranks(values: Sequence[RealAlg]) -> list[int]:
+    """Each value's position among the sorted distinct values: equal
+    values share a rank, and the ranks run from 0 without gaps.  Each
+    value is compared with the first value of its rank group."""
+    ranks = [0] * len(values)
+    order = sorted(range(len(values)), key=values.__getitem__)
+    rank, first = 0, order[0] if order else None
+    for i in order[1:]:
+        if values[first] != values[i]:
+            rank, first = rank + 1, i
+        ranks[i] = rank
+    return ranks
+
+
 def sorted_distinct(values: Iterable[RealAlg]) -> list[RealAlg]:
-    """The values in increasing order, duplicates dropped."""
-    out: list[RealAlg] = []
-    for v in sorted(values):
-        if not out or out[-1] != v:
-            out.append(v)
-    return out
+    """The values in increasing order, duplicates dropped: the first
+    value of each rank of `value_ranks`."""
+    values = list(values)
+    out: dict[int, RealAlg] = {}
+    for v, k in zip(values, value_ranks(values)):
+        out.setdefault(k, v)
+    return [out[k] for k in range(len(out))]
 
 
 def simplest_between(a: Fraction, b: Fraction) -> Fraction:

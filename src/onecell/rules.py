@@ -265,7 +265,7 @@ def _nonnull_choices(q: NonNull, ctx: RuleCtx) -> list[Choice]:
     p = q.p
     ell = q.level
     sp = ctx.s.prefix(ell)
-    deg, _, coeffs = coeff_info(p, p.level)
+    _, _, coeffs = coeff_info(p, p.level)
     choices: list[Choice] = []
     if any(c.is_constant() and not c.is_zero() for c in coeffs):
         choices.append(Choice("nonnull-const-coeff", ()))
@@ -281,18 +281,6 @@ def _nonnull_choices(q: NonNull, ctx: RuleCtx) -> list[Choice]:
                         (SampleProp(sp), SgnInv(cn)),
                         1,
                         (("coeff", cn),),
-                    )
-                )
-        if deg >= 2:
-            disc = discriminant(p, p.level)
-            if not disc.is_zero() and sign_at(disc, sp) != 0:
-                dn = _norm(disc)
-                choices.append(
-                    Choice(
-                        "nonnull-disc",
-                        (SampleProp(sp), SgnInv(dn)),
-                        2,
-                        (("disc", dn),),
                     )
                 )
     return choices

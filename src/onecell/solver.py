@@ -23,7 +23,6 @@ from .config import HeuristicConfig
 from .engine import Fail
 from .explain import Constraint, constraint_satisfied, explain_conflict
 from .realalg import NULLIFIED, UNDEF, RealAlg, Sample, line_samples
-from .realalg import simplest_between  # noqa: F401  (public here too)
 from .stats import RunStats
 
 SAT = "sat"

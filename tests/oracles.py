@@ -11,30 +11,41 @@ bisection on `Fraction` coefficients with the Moebius transform rebuilt
 at every node, factor checking via numeric root recombination, sign and
 interval evaluation on `Fraction` objects (the library works on integer
 numerators over a common denominator), zero tests at algebraic
-points via sympy's minimal polynomials, and conflict checks by the
+points via sympy's minimal polynomials, conflict checks by the
 midpoint sweep (the library samples every gap at its simplest
-rational).  Keeping both routes alive is
-what makes the algebra tests meaningful.  The module also holds the structural checks
-on a chosen representation (`representation_is_valid`,
-`ordering_matches`), which only tests use.
+rational), and representation choice by pairwise comparison of exact
+values (the library compares the integer ranks of one sort).  Keeping
+both routes alive is what makes the algebra tests meaningful.  The
+module also holds the structural checks on a chosen representation
+(`representation_is_valid`, `ordering_matches`), which only tests use.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
 import numpy as np
 import sympy
 
-from onecell.cells import eval_indexed_root
+from onecell.cells import (
+    IndexedRoot,
+    SectionInterval,
+    SectorInterval,
+    SymbolicInterval,
+    eval_indexed_root,
+)
+from onecell.config import HeuristicConfig
 from onecell.explain import Constraint, constraint_satisfied
-from onecell.heuristics import roots_with_values
+from onecell.heuristics import Representation, roots_with_values
 from onecell.polynomial import MPoly, Var, coeff_info, exact_div, normalize, resultant
+from onecell.properties import RootOrdering
 from onecell.realalg import (
     NULLIFIED,
     UNDEF,
     RealAlg,
+    Sample,
     _cauchy_bound,
     roots_in_extension,
     separate,
@@ -566,3 +577,264 @@ def midpoint_check_conflict(C, s) -> bool:
     return not any(
         all(constraint_satisfied(c, s.extend(t)) for c in C) for t in candidates
     )
+
+
+# ---------------------------------------------------------------------------
+# representation choice by pairwise comparison: the reference for
+# `heuristics.choose_representation`, which compares the integer ranks of
+# `realalg.value_ranks`; every decision here compares the exact values
+
+
+def value_order(roots, val, tie_rank=lambda r: 0) -> list[IndexedRoot]:
+    """The roots sorted by their values `val[root]`; equal values by
+    tie_rank, then in canonical polynomial and index order."""
+
+    def cmp(a: IndexedRoot, b: IndexedRoot) -> int:
+        c = val[a].compare(val[b]) or tie_rank(a) - tie_rank(b)
+        if c:
+            return c
+        ka, kb = (a.poly.sort_key(), a.index), (b.poly.sort_key(), b.index)
+        return (ka > kb) - (ka < kb)
+
+    return sorted(roots, key=functools.cmp_to_key(cmp))
+
+
+def _main_degree(xi: IndexedRoot) -> int:
+    return xi.poly.degree(xi.poly.level)
+
+
+def _pick_min_degree(cands: list[IndexedRoot]) -> IndexedRoot:
+    return min(cands, key=lambda xi: (_main_degree(xi), xi.poly.sort_key(), xi.index))
+
+
+class _Ctx:
+    """Shared scratch state while building one representation."""
+
+    def __init__(self, xi, s_val: RealAlg, level: int):
+        self.xi = xi
+        self.val = {r: v for r, v in xi}
+        self.s_val = s_val
+        self.level = level
+
+    def cmp_to_sample(self, r: IndexedRoot) -> int:
+        return self.val[r].compare(self.s_val)
+
+    def interval(self) -> SymbolicInterval:
+        lower = [r for r, v in self.xi if v.compare(self.s_val) <= 0]
+        upper = [r for r, v in self.xi if v.compare(self.s_val) >= 0]
+        lo = up = None
+        if lower:
+            best = lower[0]
+            for r in lower[1:]:
+                if self.val[r].compare(self.val[best]) > 0:
+                    best = r
+            closest = [r for r in lower if self.val[r].compare(self.val[best]) == 0]
+            lo = _pick_min_degree(closest)
+        if upper:
+            best = upper[0]
+            for r in upper[1:]:
+                if self.val[r].compare(self.val[best]) < 0:
+                    best = r
+            closest = [r for r in upper if self.val[r].compare(self.val[best]) == 0]
+            up = _pick_min_degree(closest)
+        if lo is not None and self.val[lo].compare(self.s_val) == 0:
+            return SectionInterval(lo)
+        return SectorInterval(lo, up, level_hint=self.level)
+
+    def reduced(self, interval: SymbolicInterval) -> list[IndexedRoot]:
+        """Per polynomial only the closest lower and upper roots, in
+        value order; equal values put the interval bounds adjacent to
+        the sample (upper bound first in its group, lower bound last)."""
+        keep: set[IndexedRoot] = set()
+        by_poly: dict[MPoly, list[IndexedRoot]] = {}
+        for r, _ in self.xi:
+            by_poly.setdefault(r.poly, []).append(r)
+        for roots in by_poly.values():
+            lower = [r for r in roots if self.cmp_to_sample(r) <= 0]
+            upper = [r for r in roots if self.cmp_to_sample(r) >= 0]
+            if lower:
+                keep.add(max(lower, key=lambda r: r.index))
+            if upper:
+                keep.add(min(upper, key=lambda r: r.index))
+
+        lo, up = interval.bounds()
+        return value_order(
+            keep, self.val, lambda r: 1 if r == lo else (-1 if r == up else 0)
+        )
+
+    def barrier(
+        self, r: IndexedRoot, subset: list[IndexedRoot], bound_roots
+    ) -> IndexedRoot:
+        """The lowest-degree root between r and the sample value, ties
+        broken toward the sample, then boundary roots, then canonical
+        order.  r itself is a candidate."""
+        side = self.cmp_to_sample(r)
+        if side <= 0:
+            cands = [
+                x
+                for x in subset
+                if self.val[r].compare(self.val[x]) <= 0
+                and self.val[x].compare(self.s_val) <= 0
+            ]
+            closer_wins = 1  # larger value is closer to the sample
+        else:
+            cands = [
+                x
+                for x in subset
+                if self.val[x].compare(self.val[r]) <= 0
+                and self.s_val.compare(self.val[x]) <= 0
+            ]
+            closer_wins = -1
+
+        def o(x: IndexedRoot):
+            return (0 if x in bound_roots else 1, x.poly.sort_key(), x.index)
+
+        best = cands[0]
+        for x in cands[1:]:
+            if _main_degree(x) != _main_degree(best):
+                if _main_degree(x) < _main_degree(best):
+                    best = x
+                continue
+            c = self.val[x].compare(self.val[best])
+            if c:
+                if c == closer_wins:
+                    best = x
+                continue
+            if o(x) < o(best):
+                best = x
+        return best
+
+
+def _pairs_bc(ctx: _Ctx, red, interval) -> list:
+    lo, up = interval.bounds()
+    pairs = []
+    for r in red:
+        if r == lo or r == up:
+            continue
+        if lo is not None and ctx.val[r].compare(ctx.val[lo]) <= 0:
+            pairs.append((r, lo))
+        elif up is not None and ctx.val[up].compare(ctx.val[r]) <= 0:
+            pairs.append((up, r))
+    return pairs
+
+
+def _pairs_chain(red) -> list:
+    return [(red[j], red[j + 1]) for j in range(len(red) - 1)]
+
+
+def _pairs_full(red) -> list:
+    return [
+        (red[j], red[j2])
+        for j in range(len(red))
+        for j2 in range(j + 1, len(red))
+    ]
+
+
+def _pairs_ldb(ctx: _Ctx, subset, interval) -> list:
+    """Pair each root with its barrier; roots that are their own
+    barrier attach to the interval bound directly."""
+    lo, up = interval.bounds()
+    bound_roots = {b for b in (lo, up) if b is not None}
+    pairs = []
+    for r in subset:
+        side = ctx.cmp_to_sample(r)
+        if side < 0 and r != lo:
+            b = ctx.barrier(r, subset, bound_roots)
+            if b == r:
+                b = lo
+            if b is not None and b != r:
+                pairs.append((r, b))
+        elif side > 0 and r != up:
+            b = ctx.barrier(r, subset, bound_roots)
+            if b == r:
+                b = up
+            if b is not None and b != r:
+                pairs.append((b, r))
+    return pairs
+
+
+def _ldb_section_eq_set(ctx: _Ctx, red, interval) -> set:
+    """Fixed point collecting the polynomials whose roots only point at
+    the section bound and serve as barrier for nobody else; those are
+    handled by the equational projection instead of the ordering."""
+    b = interval.bound
+    polys = sorted({r.poly for r in red}, key=MPoly.sort_key)
+    eq: set[MPoly] = set()
+    changed = True
+    while changed:
+        changed = False
+        subset = [r for r in red if r.poly not in eq]
+        barr = {r: ctx.barrier(r, subset, {b}) for r in subset}
+        for p in polys:
+            if p in eq or p == b.poly:
+                continue
+            for r in subset:
+                if r.poly != p or barr[r] != b:
+                    continue
+                if any(barr[r2] == r for r2 in subset if r2 != r):
+                    continue
+                eq.add(p)
+                changed = True
+                break
+    return eq
+
+
+def choose_representation(
+    polys,
+    s_prefix: Sample,
+    s_val: RealAlg,
+    cfg: HeuristicConfig,
+    level: int,
+    inject_connectedness: bool = True,
+) -> Representation:
+    """Build the representation for the given non-nullified polynomials
+    at level `level` over the sample prefix, with s_val the sample's
+    coordinate at this level."""
+    xi = roots_with_values(polys, s_prefix)
+    ctx = _Ctx(xi, s_val, level)
+    interval = ctx.interval()
+    if not xi:
+        return Representation(interval, frozenset(), RootOrdering(()))
+
+    strategy = (
+        cfg.section_heuristic if interval.is_section() else cfg.sector_heuristic
+    )
+    eq_polys: set[MPoly] = set()
+    red = ctx.reduced(interval)
+    if strategy == "EQ":
+        eq_polys = {r.poly for r, _ in xi}
+        pairs = []
+    elif strategy == "BC":
+        pairs = _pairs_bc(ctx, red, interval)
+    elif strategy == "CH":
+        pairs = _pairs_chain(red)
+    elif strategy == "FULL":
+        pairs = _pairs_full(red)
+    else:  # LDB
+        if interval.is_section():
+            eq_polys = _ldb_section_eq_set(ctx, red, interval)
+            subset = [r for r in red if r.poly not in eq_polys]
+            pairs = _pairs_ldb(ctx, subset, interval)
+        else:
+            pairs = _pairs_ldb(ctx, red, interval)
+
+    # one delineable polynomial keeps its own roots ordered; record the
+    # consecutive pairs so every root is covered by the ordering
+    by_poly: dict[MPoly, int] = {}
+    for r, _ in xi:
+        by_poly[r.poly] = max(by_poly.get(r.poly, 0), r.index)
+    for p, count in by_poly.items():
+        if p in eq_polys:
+            continue
+        for k in range(1, count):
+            pairs.append((IndexedRoot(p, k), IndexedRoot(p, k + 1)))
+
+    if (
+        inject_connectedness
+        and not interval.is_section()
+        and interval.lower is not None
+        and interval.upper is not None
+    ):
+        pairs.append((interval.lower, interval.upper))
+
+    return Representation(interval, frozenset(eq_polys), RootOrdering(pairs))

@@ -93,6 +93,7 @@ def test_text_rejects_malformed():
         'level 1 section -inf',
         "level 1 sector -inf",
         "nonsense",
+        'level 1 sector -inf +inf\nlevel 2 sector (root "x2" 1) (root "x1" 1)',
     ]:
         with pytest.raises(ValueError):
             cell_from_text(bad)

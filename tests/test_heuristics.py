@@ -6,13 +6,15 @@ from fractions import Fraction
 
 import pytest
 
+from onecell import heuristics
 from onecell.cells import cached_roots
 from onecell.config import HEURISTIC_IDS, HeuristicConfig, config_from_id
 from onecell.heuristics import choose_representation, roots_with_values
 from onecell.polynomial import parse_poly
 from onecell.properties import RootOrdering
-from onecell.realalg import NULLIFIED, RealAlg, Sample
+from onecell.realalg import NULLIFIED, RealAlg, Sample, isolate_real_roots
 
+import oracles
 from conftest import random_poly, random_sample
 from oracles import ordering_matches, representation_is_valid
 
@@ -164,3 +166,83 @@ def test_orderings_match_sample(rng):
                 polys, prefix, s_val, config_from_id(hid), 2
             )
             assert ordering_matches(rep.ordering, prefix)
+
+
+# ---------------------------------------------------------------------------
+# differential: integer ranks against the pairwise comparisons they replace
+
+
+def _same_as_pairwise(polys, prefix, s_val):
+    """Every heuristic, with and without the connectedness pair, chooses
+    the representation the pairwise reference chooses; and the barrier
+    of every root agrees for every single-root set of bound roots."""
+    for hid in sorted(HEURISTIC_IDS):
+        cfg = config_from_id(hid)
+        for inject in (True, False):
+            got, want = (
+                choose(polys, prefix, s_val, cfg, 2, inject_connectedness=inject)
+                for choose in (
+                    choose_representation,
+                    oracles.choose_representation,
+                )
+            )
+            assert (got.interval, got.eq_set, got.ordering.pairs) == (
+                want.interval,
+                want.eq_set,
+                want.ordering.pairs,
+            ), (hid, inject, polys, prefix, s_val)
+    xi = roots_with_values(polys, prefix)
+    ctx, ref = heuristics._Ctx(xi, s_val, 2), oracles._Ctx(xi, s_val, 2)
+    roots = [r for r, _ in xi]
+    for r in roots:
+        for b in roots:
+            assert ctx.barrier(r, roots, {b}) == ref.barrier(r, roots, {b})
+
+
+def _tie_instances():
+    """Roots of different polynomials that tie: through a shared factor
+    over a rational prefix, through specialization at x1 = 2, and over
+    the irrational prefix x1 = sqrt(2)."""
+    shared = [
+        parse_poly("(x2^2-2)*(x2-x1)"),
+        parse_poly("(x2^2-2)*(x2+1)"),
+        parse_poly("(x2-x1)*(x2^2-x1-1)"),
+        parse_poly("x2^2-x1"),
+        parse_poly("x2-1"),
+    ]
+    sqrt2 = isolate_real_roots(parse_poly("x1^2-2"))[1]
+    over_sqrt2 = [
+        parse_poly("x2^2-x1^2"),
+        parse_poly("x2-x1"),
+        parse_poly("x2^2-2"),
+        parse_poly("x1*x2-2"),
+        parse_poly("x2^3-2*x1*x2"),
+        parse_poly("x2+x1"),
+    ]
+    for prefix, polys in (
+        (Sample([Fraction(2)]), shared),
+        (Sample([sqrt2]), over_sqrt2),
+    ):
+        values = {v for p in polys for v in cached_roots(p, prefix)}
+        values |= {RealAlg.rational(Fraction(k, 2)) for k in range(-5, 6)}
+        for s_val in sorted(values):
+            yield polys, prefix, s_val
+            yield polys[1:], prefix, s_val
+            yield polys[::2], prefix, s_val
+
+
+def test_ranks_choose_as_pairwise_on_random_draws(rng):
+    for _ in range(40):
+        polys, prefix, s_val = _instance(rng)
+        _same_as_pairwise(polys, prefix, s_val)
+        on_root = _on_root(polys, prefix, rng)
+        if on_root is not None:
+            _same_as_pairwise(polys, prefix, on_root)
+
+
+def test_ranks_choose_as_pairwise_on_ties():
+    count = 0
+    for polys, prefix, s_val in _tie_instances():
+        _same_as_pairwise(polys, prefix, s_val)
+        count += 1
+    assert count > 60

@@ -17,6 +17,8 @@ from onecell.realalg import (
     roots_in_extension,
     separate,
     sign_at,
+    sorted_distinct,
+    value_ranks,
 )
 
 from conftest import random_poly, within_seconds
@@ -89,6 +91,29 @@ def test_algebraic_compare_sqrt2():
     assert hi.compare(RealAlg.rational(Fraction(3, 2))) < 0
     assert lo.compare(hi) < 0
     assert hi.compare(hi) == 0
+
+
+def test_value_ranks():
+    """Equal values share a rank across polynomials, a rational between
+    two irrationals gets its own, and the ranks are contiguous from 0."""
+    m2, p2 = isolate_real_roots(parse_poly("x1^2-2"))  # -sqrt2, sqrt2
+    m2b, p2b = isolate_real_roots(parse_poly("x1^4-4"))  # the same two
+    half, one = RealAlg.rational(Fraction(1, 2)), RealAlg.rational(1)
+    values = [p2, half, m2b, one, p2b, m2, RealAlg.rational(Fraction(2, 2))]
+    assert value_ranks(values) == [3, 1, 0, 2, 3, 0, 2]
+    assert value_ranks([]) == []
+    assert value_ranks([half]) == [0]
+    rng = random.Random(5)
+    for _ in range(20):
+        pool = isolate_real_roots(_to_mpoly(_upoly(rng))) + [
+            RealAlg.rational(Fraction(rng.randint(-4, 4), rng.randint(1, 2)))
+            for _ in range(3)
+        ]
+        ranks = value_ranks(pool)
+        assert sorted(set(ranks)) == list(range(len(sorted_distinct(pool))))
+        for a, ka in zip(pool, ranks):
+            for b, kb in zip(pool, ranks):
+                assert (ka > kb) - (ka < kb) == a.compare(b)
 
 
 def test_sign_at_rational_and_algebraic():
