@@ -10,7 +10,10 @@ polynomials.  The public `MPoly(...)` and `MPoly.constant` validate
 their input (only `int` and `Fraction` coefficients, else TypeError).
 Sums, negation, products, `scale`, `subst_rational`, the `coeff_info`
 slices, `derivative` and `resultant` build canonical results and skip
-that work through the trusted `MPoly._canonical`.
+that work through the trusted `MPoly._canonical`.  A polynomial is
+immutable: its hash and its text (`poly_to_str`) are computed on first
+use and kept on the value, so nothing may change `_terms` after
+construction.
 
 The module also provides the projection operations the cell construction
 consumes: resultants by evaluation and interpolation on integers,
@@ -56,7 +59,7 @@ class MPoly:
     coefficients; the exponent tuple ``(2, 1)`` stands for x1^2*x2.
     """
 
-    __slots__ = ("_terms", "_hash", "_level")
+    __slots__ = ("_terms", "_hash", "_str", "_level")
 
     def __init__(self, terms: dict[tuple[int, ...], Fraction] | None = None):
         clean: dict[tuple[int, ...], Fraction] = {}
@@ -72,6 +75,7 @@ class MPoly:
                         clean[key] = acc
         self._terms = clean
         self._hash: int | None = None
+        self._str: str | None = None
         self._level = max((len(e) for e in clean), default=0)
 
     # -- constructors -------------------------------------------------
@@ -80,7 +84,7 @@ class MPoly:
     def _canonical(cls, terms: dict[tuple[int, ...], Fraction]) -> "MPoly":
         """Trusted constructor for terms that are already canonical."""
         self = object.__new__(cls)
-        self._terms, self._hash = terms, None
+        self._terms, self._hash, self._str = terms, None, None
         self._level = max(map(len, terms), default=0)
         return self
 
@@ -361,9 +365,7 @@ def _resultant(p: MPoly, q: MPoly, v: Var) -> MPoly:
     dp, dq = p.degree(v), q.degree(v)
     if dp < 1 or dq < 1:
         raise ValueError("resultant requires positive degree in the main variable")
-    c, d = content(p), content(q)
-    P = {e: (k / c).numerator for e, k in p._terms.items()}
-    Q = {e: (k / d).numerator for e, k in q._terms.items()}
+    (c, P), (d, Q) = _primitive_part(p), _primitive_part(q)
     scale = c**dq * d**dp
     return MPoly._canonical({e: scale * k for e, k in _ires(P, Q, v, dp, dq).items()})
 
@@ -501,15 +503,17 @@ def content(p: MPoly) -> Fraction:
     """Positive rational c with p/c integer-primitive; 0 for the zero poly."""
     if p.is_zero():
         return Fraction(0)
-    nums = [c.numerator for c in p._terms.values()]
-    dens = [c.denominator for c in p._terms.values()]
-    g = 0
-    for n in nums:
-        g = math.gcd(g, abs(n))
-    l = 1
-    for d in dens:
-        l = l * d // math.gcd(l, d)
-    return Fraction(g, l)
+    cs = p._terms.values()
+    return Fraction(math.gcd(*(c.numerator for c in cs)),
+                    math.lcm(*(c.denominator for c in cs)))
+
+
+def _primitive_part(p: MPoly) -> tuple[Fraction, dict[tuple[int, ...], int]]:
+    """content(p) = g/l and the integer term map of p / content(p) for a
+    nonzero p, on ints: each coefficient n/d goes to n * (l // d) // g."""
+    c = content(p)
+    g, l = c.numerator, c.denominator
+    return c, {e: k.numerator * (l // k.denominator) // g for e, k in p._terms.items()}
 
 
 def normalize(p: MPoly) -> MPoly:
@@ -551,8 +555,7 @@ def _factor(p: MPoly, mode: str) -> list[tuple[MPoly, int]]:
     if p.total_degree() == 1:
         return [(normalize(p), 1)]
     vs = sorted(p.variables())
-    cont = content(p)
-    P = {e: (k / cont).numerator for e, k in p._terms.items()}
+    _, P = _primitive_part(p)
     if len(vs) == 1 and p.total_degree() == 2:
         v = vs[0]
         c, b, a = (P.get(_trim((0,) * (v - 1) + (k,)), 0) for k in range(3))
@@ -695,6 +698,13 @@ def parse_poly(text: str) -> MPoly:
 
 
 def poly_to_str(p: MPoly) -> str:
+    """The text form, rendered on the first call and kept on p."""
+    if p._str is None:
+        p._str = _render(p)
+    return p._str
+
+
+def _render(p: MPoly) -> str:
     if p.is_zero():
         return "0"
     n = p.level

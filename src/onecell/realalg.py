@@ -6,7 +6,11 @@ rational endpoints.  The defining polynomial is stored integer-primitive
 with a positive leading coefficient, and `RealAlg.algebraic` refuses a
 reducible one, so a value has one definition.  Refining the interval
 never changes the value, and two values compare equal exactly when they
-are the same real number.
+are the same real number.  Hash and text (`realalg_to_text`) depend only
+on the definition and the canonical index; each value computes them on
+first use and keeps them, and `copy` and `canonical_copy` pass them on,
+so nothing may change `_def` or `_index` after construction (`_index`
+is only filled in, once, when first asked for).
 
 This module is the one home of the exact-real helpers the rest of the
 package builds on: `RealAlg.compare` (and `<`, so lists of values sort
@@ -178,7 +182,7 @@ class RealAlg:
     """A real algebraic number: a rational, or an isolated root of an
     irreducible integer polynomial of degree >= 2."""
 
-    __slots__ = ("_rat", "_def", "_lo", "_hi", "_slo", "_index")
+    __slots__ = ("_rat", "_def", "_lo", "_hi", "_slo", "_index", "_text", "_hash")
 
     def __init__(self):
         raise TypeError("use RealAlg.rational or RealAlg.algebraic")
@@ -191,7 +195,7 @@ class RealAlg:
         self._def = None
         self._lo = self._hi = self._rat
         self._slo = 0
-        self._index = None
+        self._index = self._text = self._hash = None
         return self
 
     @classmethod
@@ -228,7 +232,7 @@ class RealAlg:
             raise ValueError("isolating interval endpoints must not be roots")
         if self._slo == _usign(c, self._hi):
             raise ValueError("no sign change over the isolating interval")
-        self._index = None
+        self._index = self._text = self._hash = None
         return self
 
     # -- basic views --------------------------------------------------
@@ -259,7 +263,7 @@ class RealAlg:
         if self._rat is not None:
             return self
         out = RealAlg._isolated(self._def, self._lo, self._hi)
-        out._index = self._index
+        out._index, out._text, out._hash = self._index, self._text, self._hash
         return out
 
     def canonical_copy(self) -> "RealAlg":
@@ -270,7 +274,7 @@ class RealAlg:
             return self
         k = self.canonical_index()
         out = RealAlg._isolated(self._def, *_canonical_intervals(self._def)[k - 1])
-        out._index = k
+        out._index, out._text, out._hash = k, self._text, self._hash
         return out
 
     def refine_below(self, width: Fraction) -> None:
@@ -339,7 +343,9 @@ class RealAlg:
         return self.compare(other) <= 0
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        if self._hash is None:
+            self._hash = hash(self.key())
+        return self._hash
 
     def __repr__(self) -> str:
         if self._rat is not None:
@@ -727,6 +733,13 @@ def _candidate_poly(p: MPoly, s: Sample) -> MPoly:
 
 
 def realalg_to_text(a: RealAlg) -> str:
+    """The text form, rendered on the first call and kept on a."""
+    if a._text is None:
+        a._text = _render(a)
+    return a._text
+
+
+def _render(a: RealAlg) -> str:
     if a.is_rational():
         return str(a.rational_value())
     return f'(root {poly_to_str(_upoly(a._def, 1))} {a.canonical_index()})'

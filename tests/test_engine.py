@@ -163,3 +163,26 @@ def test_all_heuristics_on_running_instance():
             result.cell, Sample([Fraction(1, 8), Fraction(-3, 4)])
         ) is True
         assert validate_trace(result.trace, set(result.trace.axioms)), hid
+
+
+@pytest.mark.parametrize("hid", sorted(HEURISTIC_IDS))
+def test_each_value_rendered_at_most_once(monkeypatch, hid):
+    """Ties in property selection are broken on rendered text; each
+    polynomial and each real algebraic number renders it once, on a
+    golden instance with irrational sample coordinates."""
+    from onecell import polynomial, realalg
+    from test_golden import TIES
+
+    renders = {polynomial: {}, realalg: {}}
+    for module, seen in renders.items():
+        def counting(x, render=module._render, seen=seen):
+            n, _ = seen.get(id(x), (0, x))
+            seen[id(x)] = (n + 1, x)  # holds x, so its id is not reused
+            return render(x)
+
+        monkeypatch.setattr(module, "_render", counting)
+    polys, coords = TIES[4]
+    assert single_cell(polys, [realalg.realalg_from_text(c) for c in coords],
+                       config_from_id(hid))
+    for seen in renders.values():
+        assert seen and max(n for n, _ in seen.values()) == 1

@@ -4,11 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onecell.polynomial import (
     MPoly,
+    _render,
     coeff_info,
     content,
+    derivative,
     discriminant,
     exact_div,
     factor,
@@ -91,8 +95,6 @@ def test_resultant_of_shared_factor_is_zero():
 
 def test_discriminant_identity(rng):
     """disc(p) * lc(p) == +/- res(p, p') with the textbook sign."""
-    from onecell.polynomial import derivative
-
     for _ in range(40):
         p = random_poly(rng, 2, max_deg=4)
         v = p.level if p.level else 1
@@ -139,3 +141,26 @@ def test_squarefree_part_drops_multiplicity():
     for f, _ in factor(p, "squarefree"):
         part = part * f
     assert normalize(part) == normalize(parse_poly("x1-1") * parse_poly("x1+2"))
+
+
+_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4),
+    max_size=4,
+).map(MPoly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polys, _polys)
+def test_text_is_rendered_once_and_kept(p, q):
+    """Every way of building a polynomial leaves its text unset, so the
+    cached text is the rendering of an equal, freshly built one."""
+    built = [p, q, p + q, p - q, -p, p * q, p.scale(Fraction(-3, 2)),
+             p.subst_rational({1: Fraction(1, 2)}), derivative(p, 2),
+             *coeff_info(p, 2)[2]]
+    if p.degree(2) and q.degree(2):
+        built.append(resultant(p, q, 2))
+    for r in built:
+        text = poly_to_str(r)
+        assert text == _render(MPoly(r.terms))
+        assert poly_to_str(r) is text

@@ -169,6 +169,26 @@ def test_realalg_text_roundtrip():
         assert back.compare(v) == 0
 
 
+def test_text_and_hash_survive_refinement_and_copies():
+    """Text and hash are kept on the value and depend only on the
+    definition and the canonical index; hash(a) == hash(a.key()) is what
+    keeps set order, and so traces, stable."""
+    vals = [RealAlg.rational(Fraction(-7, 3)), RealAlg.rational(2)]
+    vals += isolate_real_roots(parse_poly("x1^3-x1-1"))
+    vals += isolate_real_roots(parse_poly("3*x1^2-5"))
+    for a in vals:
+        early = a.copy()  # copied before anything is kept
+        text, h = realalg_to_text(a), hash(a)
+        assert h == hash(a.key())
+        a.refine()
+        a.refine_below(Fraction(1, 1000))
+        a.approx()
+        early.refine_below(Fraction(1, 10**6))
+        for b in (a, a.copy(), a.canonical_copy(), early, early.canonical_copy()):
+            assert realalg_to_text(b) == text
+            assert hash(b) == h == hash(b.key())
+
+
 def test_refine_narrows():
     r = isolate_real_roots(parse_poly("x1^2-3"))[1]
     lo0, hi0 = r.enclosure()
