@@ -2,18 +2,23 @@
 
 Variables are identified by 1-based integer indices under the fixed
 ordering x1 < x2 < ... < xn.  A polynomial's *level* is the largest
-variable index that actually occurs in it (0 for constants).  All
-coefficients are exact `fractions.Fraction` values and every polynomial
-is kept in a canonical form (trimmed exponent tuples, no zero
-coefficients stored), so equality of term maps is equality of
-polynomials.  The public `MPoly(...)` and `MPoly.constant` validate
-their input (only `int` and `Fraction` coefficients, else TypeError).
-Sums, negation, products, `scale`, `subst_rational`, the `coeff_info`
-slices, `derivative` and `resultant` build canonical results and skip
-that work through the trusted `MPoly._canonical`.  A polynomial is
-immutable: its hash and its text (`poly_to_str`) are computed on first
-use and kept on the value, so nothing may change `_terms` after
-construction.
+variable index that actually occurs in it (0 for constants).  Every
+coefficient is exact: an integral one is stored as an `int`, any other
+as a `fractions.Fraction` with denominator > 1, never as an integral
+`Fraction`.  Every polynomial is kept in this canonical form (also
+trimmed exponent tuples, no zero coefficients stored), so equality of
+term maps is equality of polynomials.  Since hash(n) == hash(Fraction(n))
+and ints and Fractions order consistently, hashes, `sort_key` and text
+are those of the same polynomial over `Fraction` coefficients; `terms`
+and `constant_value` still hand out `Fraction`s.  The public
+`MPoly(...)` and `MPoly.constant` validate their input (only `int` and
+`Fraction` coefficients, else TypeError).  Sums, negation, products,
+`scale`, `subst_rational`, the `coeff_info` slices, `derivative` and
+`resultant` build canonical results and skip that work through the
+trusted `MPoly._canonical`; those that compute new coefficients store
+integral ones as `int` (`_stored`).  A polynomial is immutable: its
+hash and its text (`poly_to_str`) are computed on first use and kept on
+the value, so nothing may change `_terms` after construction.
 
 The module also provides the projection operations the cell construction
 consumes: resultants by evaluation and interpolation on integers,
@@ -56,7 +61,8 @@ class MPoly:
     """An immutable sparse polynomial in Q[x1, ..., xn].
 
     The term map sends trimmed exponent tuples to nonzero rational
-    coefficients; the exponent tuple ``(2, 1)`` stands for x1^2*x2.
+    coefficients (`int` when integral, else `Fraction`); the exponent
+    tuple ``(2, 1)`` stands for x1^2*x2.
     """
 
     __slots__ = ("_terms", "_hash", "_str", "_level")
@@ -65,18 +71,14 @@ class MPoly:
         clean: dict[tuple[int, ...], Fraction] = {}
         if terms:
             for exps, c in terms.items():
-                c = _rational(c)
+                c = _coefficient(c)
                 if c != 0:
                     key = _trim(tuple(exps))
-                    acc = clean.get(key, Fraction(0)) + c
-                    if acc == 0:
-                        clean.pop(key, None)
-                    else:
-                        clean[key] = acc
-        self._terms = clean
+                    clean[key] = clean.get(key, 0) + c
+        self._terms = _stored(clean)
         self._hash: int | None = None
         self._str: str | None = None
-        self._level = max((len(e) for e in clean), default=0)
+        self._level = max(map(len, self._terms), default=0)
 
     # -- constructors -------------------------------------------------
 
@@ -96,13 +98,14 @@ class MPoly:
     def var(i: Var) -> "MPoly":
         if i < 1:
             raise ValueError("variable indices are 1-based")
-        return MPoly({tuple([0] * (i - 1) + [1]): Fraction(1)})
+        return MPoly({tuple([0] * (i - 1) + [1]): 1})
 
     # -- basic structure ----------------------------------------------
 
     @property
     def terms(self) -> dict[tuple[int, ...], Fraction]:
-        return dict(self._terms)
+        """A copy of the term map, every coefficient as a `Fraction`."""
+        return {e: Fraction(c) for e, c in self._terms.items()}
 
     @property
     def level(self) -> int:
@@ -117,7 +120,7 @@ class MPoly:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
-        return self._terms.get((), Fraction(0))
+        return Fraction(self._terms.get((), 0))
 
     def degree(self, v: Var) -> int:
         """Degree in x_v; 0 when the variable does not occur (and for 0)."""
@@ -145,7 +148,7 @@ class MPoly:
         out = dict(self._terms)
         for e, c in other._terms.items():
             out[e] = out.get(e, 0) + c
-        return MPoly._canonical({e: c for e, c in out.items() if c})
+        return MPoly._canonical(_stored(out))
 
     def __radd__(self, other) -> "MPoly":
         return self.__add__(other)
@@ -170,7 +173,7 @@ class MPoly:
                     for i in range(n)
                 )
                 out[e] = out.get(e, 0) + c1 * c2
-        return MPoly._canonical({e: c for e, c in out.items() if c})
+        return MPoly._canonical(_stored(out))
 
     def __rmul__(self, other) -> "MPoly":
         return self.__mul__(other)
@@ -188,8 +191,8 @@ class MPoly:
         return result
 
     def scale(self, c) -> "MPoly":
-        c = _rational(c)
-        return MPoly._canonical({e: c * k for e, k in self._terms.items()} if c else {})
+        c = _coefficient(c)
+        return MPoly._canonical(_stored({e: c * k for e, k in self._terms.items()}))
 
     # -- evaluation / substitution ------------------------------------
 
@@ -219,7 +222,7 @@ class MPoly:
     def subst_rational(self, vals: dict[Var, Fraction]) -> "MPoly":
         """Substitute rational values for some variables; TypeError
         unless each value is an int or a Fraction."""
-        vals = {v: _rational(val) for v, val in vals.items()}
+        vals = {v: _coefficient(val) for v, val in vals.items()}
         out: dict[tuple[int, ...], Fraction] = {}
         for e, c in self._terms.items():
             coeff = c
@@ -230,7 +233,7 @@ class MPoly:
                     rest[v - 1] = 0
             key = _trim(tuple(rest))
             out[key] = out.get(key, 0) + coeff
-        return MPoly._canonical({e: c for e, c in out.items() if c})
+        return MPoly._canonical(_stored(out))
 
     # -- dunder plumbing ----------------------------------------------
 
@@ -271,6 +274,20 @@ def _rational(c) -> Fraction:
     if not isinstance(c, (int, Fraction)):
         raise TypeError(f"rationals must be int or Fraction, not {type(c).__name__}")
     return Fraction(c)
+
+
+def _coefficient(c):
+    """c in stored form, an int when integral; TypeError as `_rational`."""
+    if type(c) is int:
+        return c
+    c = _rational(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _stored(terms: dict) -> dict:
+    """The nonzero terms of a term map of ints and Fractions, each
+    integral coefficient as an `int`: the stored form of `MPoly`."""
+    return {e: c.numerator if c.denominator == 1 else c for e, c in terms.items() if c}
 
 
 def _coerce(x) -> MPoly:
@@ -366,8 +383,9 @@ def _resultant(p: MPoly, q: MPoly, v: Var) -> MPoly:
     if dp < 1 or dq < 1:
         raise ValueError("resultant requires positive degree in the main variable")
     (c, P), (d, Q) = _primitive_part(p), _primitive_part(q)
-    scale = c**dq * d**dp
-    return MPoly._canonical({e: scale * k for e, k in _ires(P, Q, v, dp, dq).items()})
+    scale = _coefficient(c**dq * d**dp)
+    R = _ires(P, Q, v, dp, dq)
+    return MPoly._canonical(_stored({e: scale * k for e, k in R.items()}))
 
 
 def _ideg(P: dict, j: Var) -> int:
@@ -437,6 +455,17 @@ def _interpolate(xs: list[int], ys: list[int]) -> list[int]:
     return out
 
 
+def _prem(A: list[int], B: list[int]) -> list[int]:
+    """The pseudo-remainder lc(B)^(deg A - deg B + 1) * A mod B of dense
+    integer coefficient lists (index = degree) with deg A >= deg B >= 0,
+    trimmed: empty exactly when B divides A over Q."""
+    R, lb = list(A), B[-1]
+    for k in range(len(A) - len(B), -1, -1):
+        t = R.pop()
+        R = [lb * r - (t * B[i - k] if i >= k else 0) for i, r in enumerate(R)]
+    return _utrim(R)
+
+
 def _ures(P: dict, Q: dict, v: Var, dp: int, dq: int) -> int:
     """res_v(P, Q) for integer term maps in x_v alone, by the subresultant
     PRS on dense coefficient lists (index = degree)."""
@@ -451,11 +480,8 @@ def _ures(P: dict, Q: dict, v: Var, dp: int, dq: int) -> int:
         d = da - db
         if da % 2 and db % 2:
             sign = -sign
-        R, lb = list(A), B[-1]
-        for k in range(d, -1, -1):  # R = lb^(d+1) * A mod B
-            t = R.pop()
-            R = [lb * r - (t * B[i - k] if i >= k else 0) for i, r in enumerate(R)]
-        if not _utrim(R):
+        R = _prem(A, B)
+        if not R:
             return 0  # nonconstant common factor
         A, B = B, [_exact(c, g * h**d) for c in R]
         g = A[-1]
@@ -492,7 +518,7 @@ def derivative(p: MPoly, v: Var) -> MPoly:
             rest = list(e)
             rest[v - 1] = k - 1
             out[_trim(tuple(rest))] = c * k
-    return MPoly._canonical(out)
+    return MPoly._canonical(_stored(out))
 
 
 # ---------------------------------------------------------------------------

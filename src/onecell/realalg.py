@@ -47,12 +47,14 @@ That sign test, `sign_at`, evaluates p over the coordinate enclosures
 and refines them until the interval value excludes 0.  Its bounds,
 the sum of the terms' ranges, are computed on integer numerators over
 one common denominator and are identical to the term-wise Fraction
-bounds (`_interval_eval`).  When it keeps
-straddling 0, `_is_zero_algebraic` decides whether p vanishes at the
-point: the same resultant elimination applied to z - p yields a
-rational polynomial in z with p's value among its roots, and a lower
-bound on the modulus of its nonzero roots turns interval evaluation
-into an exact answer, without sympy.
+bounds (`_interval_eval`).  When it straddles 0,
+`_is_zero_algebraic` decides whether p vanishes at the point.  If only
+one variable of p sits at an irrational coordinate, the test is one
+integer pseudo-remainder by that coordinate's definition, at the first
+straddling round.  Otherwise, after 8 rounds, the same resultant
+elimination applied to z - p yields a rational polynomial in z with p's
+value among its roots, and a lower bound on the modulus of its nonzero
+roots turns interval evaluation into an exact answer, without sympy.
 """
 
 from __future__ import annotations
@@ -71,7 +73,10 @@ from .polynomial import (
     parse_poly,
     poly_to_str,
     resultant,
+    _prem,
+    _primitive_part,
     _rational,
+    _trim,
     _utrim,
 )
 
@@ -114,24 +119,24 @@ UNDEF = _Undef()
 
 
 # ---------------------------------------------------------------------------
-# dense univariate helpers (coefficient lists over Fraction, index = degree)
+# dense univariate helpers (coefficient lists, index = degree)
 
 
-def _usign(c: Sequence[Fraction], x: Fraction) -> int:
-    """Sign of the integer-valued c (a primitive definition) at x = a/b:
-    the sign of c(a/b) * b^n, by homogeneous Horner on integers."""
+def _usign(c: Sequence[int], x: Fraction) -> int:
+    """Sign of the integer c (a primitive definition) at x = a/b: the
+    sign of c(a/b) * b^n, by homogeneous Horner on integers."""
     a, b = x.numerator, x.denominator
     t, w = 0, 1
     for k in reversed(c):
-        t = t * a + k.numerator * w
+        t = t * a + k * w
         w *= b
     return (t > 0) - (t < 0)
 
 
 def _cauchy_bound(c: Sequence[Fraction]) -> Fraction:
     lead = abs(c[-1])
-    m = max((abs(x) for x in c[:-1]), default=Fraction(0))
-    return Fraction(1) + m / lead
+    m = max((abs(x) for x in c[:-1]), default=0)
+    return 1 + Fraction(m) / lead
 
 
 def _taylor_shift1(c: Sequence[int]) -> list[int]:
@@ -159,19 +164,24 @@ def _upoly_coeffs(p: MPoly, v: Var) -> list[Fraction]:
     return _utrim(out)
 
 
-def _upoly(c: Sequence[Fraction], v: Var) -> MPoly:
-    """Inverse of _upoly_coeffs: the polynomial sum c[k] * x_v^k."""
-    return MPoly({(0,) * (v - 1) + (k,): x for k, x in enumerate(c)})
+def _upoly(c: Sequence[int], v: Var) -> MPoly:
+    """The polynomial sum c[k] * x_v^k of integer coefficients (a
+    definition), built as it is stored, without validation."""
+    return MPoly._canonical(
+        {_trim((0,) * (v - 1) + (k,)): x for k, x in enumerate(c) if x}
+    )
 
 
-def _primitive(c: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def _primitive(c: Sequence[Fraction]) -> tuple[int, ...]:
     """c scaled to integer-primitive form with a positive leading
-    coefficient, so that equal roots get equal defining polynomials."""
-    unit = Fraction(math.gcd(*(x.numerator for x in c)),
-                    math.lcm(*(x.denominator for x in c)))
+    coefficient, so that equal roots get equal defining polynomials: with
+    g the gcd of the numerators and l the lcm of the denominators, each
+    n/d goes to n * (l // d) // g, and g takes the sign of c[-1]."""
+    g = math.gcd(*(x.numerator for x in c))
+    l = math.lcm(*(x.denominator for x in c))
     if c[-1] < 0:
-        unit = -unit
-    return tuple(x / unit for x in c)
+        g = -g
+    return tuple(x.numerator * (l // x.denominator) // g for x in c)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +220,7 @@ class RealAlg:
         would refine forever.  The defining polynomial is stored
         integer-primitive with a positive leading coefficient."""
         c = _utrim([Fraction(x) for x in defining])
-        if len(c) < 3 or [m for _, m in factor(_upoly(c, 1))] != [1]:
+        if len(c) < 3 or [m for _, m in factor(_upoly(_primitive(c), 1))] != [1]:
             raise ValueError(
                 "the defining polynomial must be irreducible of degree >= 2"
             )
@@ -218,7 +228,7 @@ class RealAlg:
 
     @classmethod
     def _isolated(
-        cls, defining: Sequence[Fraction], lo: Fraction, hi: Fraction
+        cls, defining: Sequence[Fraction | int], lo: Fraction, hi: Fraction
     ) -> "RealAlg":
         """`algebraic` without the irreducibility check, for definitions
         that are irreducible by construction."""
@@ -436,7 +446,7 @@ def line_samples(values: Iterable[RealAlg]) -> list[RealAlg]:
 # isolation
 
 
-def _bisect_roots(c: tuple[Fraction, ...]) -> list[tuple[Fraction, Fraction]]:
+def _bisect_roots(c: tuple[int, ...]) -> list[tuple[Fraction, Fraction]]:
     """Isolating intervals of the real roots of the primitive irreducible
     c, in increasing order: Descartes bisection of (-B, B), B the Cauchy
     bound (Collins & Akritas 1976), on integer coefficients with Taylor
@@ -454,7 +464,7 @@ def _bisect_roots(c: tuple[Fraction, ...]) -> list[tuple[Fraction, Fraction]]:
     num, den = bound.numerator, bound.denominator
     # den^n p(num y / den) at y = 2x - 1, which maps (0, 1) onto (-1, 1); the
     # shift by -1 is a shift by 1 between two sign flips of odd terms
-    q = [int(x) * num**i * den ** (n - i) for i, x in enumerate(c)]
+    q = [x * num**i * den ** (n - i) for i, x in enumerate(c)]
     q = _taylor_shift1([-x if i % 2 else x for i, x in enumerate(q)])
     q = [(-x if i % 2 else x) << i for i, x in enumerate(q)]
     g = math.gcd(*q)
@@ -477,7 +487,7 @@ def _bisect_roots(c: tuple[Fraction, ...]) -> list[tuple[Fraction, Fraction]]:
     )
 
 
-def _canonical_intervals(defc: tuple[Fraction, ...]) -> list[tuple[Fraction, Fraction]]:
+def _canonical_intervals(defc: tuple[int, ...]) -> list[tuple[Fraction, Fraction]]:
     """The isolating intervals of the primitive irreducible `defc`, in
     increasing order, bisected once per definition while it stays in
     `memo.CANONICAL`.  The roots `_isolate_irreducible` returns start with
@@ -571,7 +581,7 @@ def _interval_eval(p: MPoly, boxes: list[tuple[Fraction, Fraction]]):
     term-wise Fraction bounds.  With L_j the lcm of box j's endpoint
     denominators and d_j the degree of p in x_j, each term's bounds times
     lcm(coefficient denominators) * prod L_j^d_j are integers."""
-    terms = p.terms
+    terms = p._terms
     den = math.lcm(*(c.denominator for c in terms.values()))
     scale, pows = den, []
     for j in range(p.level):
@@ -603,20 +613,25 @@ def sign_at(p: MPoly, s: Sample) -> int:
 
     Rational points are evaluated exactly.  Otherwise the interval value
     of p over the coordinate enclosures decides the sign as soon as it
-    excludes 0, refining every coordinate once per round; after 8 rounds
-    that still straddle 0, `_is_zero_algebraic` decides once whether the
-    value is exactly 0, and a nonzero value is refined until its sign
-    shows.  The zero test refines its own copies of the coordinates, so
-    the enclosures of s move only here, in whole rounds.
+    excludes 0, refining every coordinate once per round.  At the first
+    round that straddles 0 when p has one variable at an irrational
+    coordinate (a zero test by one remainder), or after 8 such rounds
+    when it has several (a test by elimination), `_is_zero_algebraic`
+    decides once whether the value is exactly 0, and a nonzero value is
+    refined until its sign shows.  The zero test refines only its own
+    copies of the coordinates, so the enclosures of s move only here, in
+    whole rounds.
     """
     if p.is_constant():
         v = p.constant_value()
         return 0 if v == 0 else (1 if v > 0 else -1)
     if p.level > len(s):
         raise ValueError("sample has too few coordinates")
-    if all(s[v - 1].is_rational() for v in p.variables()):
+    irrational = sum(not s[v - 1].is_rational() for v in p.variables())
+    if not irrational:
         v = p.eval_rational([c._lo if c.is_rational() else Fraction(0) for c in s])
         return 0 if v == 0 else (1 if v > 0 else -1)
+    test_at = 0 if irrational == 1 else 8
     tested_zero = False
     rounds = 0
     while True:
@@ -626,7 +641,7 @@ def sign_at(p: MPoly, s: Sample) -> int:
             return 1
         if hi < 0:
             return -1
-        if not tested_zero and rounds >= 8:
+        if not tested_zero and rounds >= test_at:
             if _is_zero_algebraic(p, s):
                 return 0
             tested_zero = True
@@ -635,10 +650,41 @@ def sign_at(p: MPoly, s: Sample) -> int:
         rounds += 1
 
 
+def _rational_part(p: MPoly, s: Sample) -> MPoly:
+    """p with the rational coordinates of s substituted."""
+    return p.subst_rational(
+        {j + 1: c.rational_value() for j, c in enumerate(s) if c.is_rational()}
+    )
+
+
 def _is_zero_algebraic(p: MPoly, s: Sample) -> bool:
+    """Whether p(s) = 0, exactly.
+
+    When p has exactly one variable x_j at an irrational coordinate,
+    q = p with the rational coordinates substituted is a polynomial in
+    x_j alone (or a constant), and p(s) = q(s_j).  The definition d_j of
+    s_j is irreducible, so it is the minimal polynomial of s_j up to a
+    constant, and q(s_j) = 0 exactly when d_j divides q: one integer
+    pseudo-remainder decides.  Otherwise `_is_zero_by_elimination` does.
+    """
+    js = [v for v in p.variables() if not s[v - 1].is_rational()]
+    if len(js) != 1:
+        return _is_zero_by_elimination(p, s)
+    j, d = js[0], s[js[0] - 1]._def
+    q = _rational_part(p, s)
+    if q.is_constant():
+        return q.is_zero()
+    _, Q = _primitive_part(q)
+    c = [0] * (q.degree(j) + 1)
+    for e, k in Q.items():
+        c[e[-1] if e else 0] = k
+    return len(c) >= len(d) and not _prem(c, d)
+
+
+def _is_zero_by_elimination(p: MPoly, s: Sample) -> bool:
     """Whether p(s) = 0, exactly, by resultant elimination (Loos,
     "Computing in algebraic extensions", 1982) and a root-separation
-    bound.  One irrational coordinate and several are the same case.
+    bound, for any number of irrational coordinates.
 
     `_candidate_poly` of z - p substitutes the rational coordinates and
     eliminates each irrational x_j against its defining polynomial d_j.
@@ -654,9 +700,7 @@ def _is_zero_algebraic(p: MPoly, s: Sample) -> bool:
     the only root of R is 0.  The copies leave the enclosures of s as
     they were.
     """
-    q = p.subst_rational(
-        {j + 1: c.rational_value() for j, c in enumerate(s) if c.is_rational()}
-    )
+    q = _rational_part(p, s)
     z = len(s) + 1
     R = _upoly_coeffs(_candidate_poly(MPoly.var(z) - p, s), z)
     if R[0] != 0:
@@ -712,9 +756,7 @@ def _candidate_poly(p: MPoly, s: Sample) -> MPoly:
     divisible by x_j - s_j, since p(s, x_i) is not identically zero, so
     every power of d_j in q comes from the other factors and the
     quotient still vanishes at p(s)'s roots."""
-    q = p.subst_rational(
-        {j + 1: c.rational_value() for j, c in enumerate(s) if c.is_rational()}
-    )
+    q = _rational_part(p, s)
     for j, c in enumerate(s, 1):
         if c.is_rational():
             continue

@@ -164,7 +164,7 @@ class _TermParser:
                 raise ParseError(
                     "division only by nonzero constants", head.line, head.col
                 )
-            return args[0].scale(1 / args[1].constant_value())
+            return args[0].scale(Fraction(1) / args[1].constant_value())
         raise ParseError(f"unsupported function {op!r}", head.line, head.col)
 
 

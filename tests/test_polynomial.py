@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from onecell.polynomial import (
     MPoly,
+    _monom_key,
     _render,
     coeff_info,
     content,
@@ -164,3 +165,48 @@ def test_text_is_rendered_once_and_kept(p, q):
         text = poly_to_str(r)
         assert text == _render(MPoly(r.terms))
         assert poly_to_str(r) is text
+
+
+def _assert_stored_form(r: MPoly):
+    """r stores no zero and no integral Fraction, and hashes, renders
+    and sorts like the same polynomial stored on Fractions."""
+    for e, c in r._terms.items():
+        assert c != 0, (r, e)
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), (r, e, c)
+    terms = r.terms
+    assert all(type(c) is Fraction for c in terms.values())
+    assert hash(r) == hash(frozenset((e, Fraction(c)) for e, c in terms.items()))
+    n = r.level
+    items = sorted(((_monom_key(e, n), c) for e, c in terms.items()), reverse=True)
+    assert r.sort_key() == (r.total_degree(), len(items), tuple(items))
+    assert poly_to_str(r) == _render(MPoly._canonical(terms))
+    assert r.level == max((len(e) for e in terms), default=0)
+
+
+# x1 + 3/2*x2 from halves that add up, and 2*x1 from terms that cancel
+_halves = MPoly({(1,): Fraction(1, 2), (1, 0): Fraction(1, 2), (0, 1): Fraction(3, 2)})
+_cancelled = MPoly({(0, 1): Fraction(3, 2), (0, 1, 0): Fraction(-3, 2), (1,): 2})
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polys, _polys, st.fractions(min_value=-3, max_value=3, max_denominator=4))
+def test_every_construction_stores_integral_coefficients_as_int(p, q, c):
+    """Every way of building a polynomial stores the same canonical form."""
+    built = [p, q, MPoly(p.terms), _halves, _cancelled, _halves + _halves,
+             p + q, p - q, -p, p * q, _halves * _halves,
+             p.scale(c), _halves.scale(2),
+             p.subst_rational({1: c}), _halves.subst_rational({2: Fraction(2, 3)}),
+             derivative(p, 1), derivative(p, 2), derivative(_halves * _halves, 1),
+             *coeff_info(p, 2)[2], normalize(p), normalize(_halves)]
+    if q:
+        built.append(exact_div(p * q, q))
+    if p.degree(2) and q.degree(2):
+        built.append(resultant(p, q, 2))
+    if p.degree(2):
+        built.append(resultant(p, _halves, 2))
+    if p and not p.is_constant():
+        for mode in ("finest", "squarefree"):
+            built.extend(f for f, _ in factor(p, mode))
+    for r in built:
+        _assert_stored_form(r)
+    assert MPoly(p.terms) == p and hash(MPoly(p.terms)) == hash(p)

@@ -158,10 +158,12 @@ _picks = st.tuples(st.integers(2, 7), st.integers(0, 7))
 @settings(max_examples=40, deadline=None)
 @given(_polys(2), _picks)
 def test_zero_test_inputs(p, picks):
-    """p at the sample, and p times a polynomial that vanishes there."""
+    """p at the sample, and p times a polynomial that vanishes there, by
+    the elimination the zero test takes for several irrational
+    coordinates (called here at one irrational coordinate too)."""
     s = _sample(picks)
-    _recorded(realalg._is_zero_algebraic, p, s)
-    assert _recorded(realalg._is_zero_algebraic, p * realalg._upoly(s[0]._def, 1), s)
+    _recorded(realalg._is_zero_by_elimination, p, s)
+    assert _recorded(realalg._is_zero_by_elimination, p * realalg._upoly(s[0]._def, 1), s)
 
 
 @settings(max_examples=40, deadline=None)

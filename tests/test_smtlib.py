@@ -58,6 +58,16 @@ def test_unary_minus_and_nary_ops():
     assert prob.constraints[0].poly == parse_poly("-x1-2*x1^2")
 
 
+@pytest.mark.parametrize("divisor, expected", [
+    ("2", "1/2*x1+1/2"), ("(- 3)", "-1/3*x1-1/3"), ("(/ 1 2)", "2*x1+2"),
+])
+def test_division_by_constants_is_exact(divisor, expected):
+    prob = parse_problem(f"(declare-const x Real)(assert (> (/ (+ x 1) {divisor}) 0))")
+    poly = prob.constraints[0].poly
+    assert poly == parse_poly(expected)
+    assert all(type(c) in (int, Fraction) for c in poly._terms.values())
+
+
 def test_nary_operators_fold_from_the_left():
     prob = parse_problem(
         "(declare-const x Real)(declare-const y Real)"

@@ -1,17 +1,23 @@
 """The exact zero test at algebraic points, `realalg._is_zero_algebraic`,
 against sympy's minimal polynomial on random points with one irrational
-coordinate and on towers of two."""
+coordinate and on towers of two, and its remainder test at one
+irrational coordinate against the elimination it replaces there."""
 
 import random
 from fractions import Fraction
+from unittest import mock
 
+from onecell import realalg
 from onecell.polynomial import MPoly, parse_poly
 from onecell.realalg import (
     RealAlg,
     Sample,
     _candidate_poly,
     _is_zero_algebraic,
+    _is_zero_by_elimination,
+    _upoly,
     isolate_real_roots,
+    sign_at,
 )
 
 from conftest import random_poly
@@ -119,3 +125,63 @@ def test_zero_at_one_conjugate_only():
     p = parse_poly("x1+x2")
     assert not _checked(p, Sample([hi, hi]))
     assert _checked(p, Sample([hi, lo]))
+
+
+def _without_elimination(fn, *args):
+    """fn(*args), asserting that it calls `_candidate_poly` never."""
+    with mock.patch.object(realalg, "_candidate_poly", side_effect=AssertionError):
+        return fn(*args)
+
+
+def test_remainder_agrees_with_elimination_at_one_irrational_coordinate():
+    """Seeded points with one irrational coordinate, at x1 or x2, and
+    planted zeros, nonzeros, and polynomials whose irrational variable
+    vanishes once the rational coordinate is substituted."""
+    rng = random.Random(59)
+    zeros = nonzeros = vanished = 0
+    for trial in range(24):
+        alpha = _irrational_root(rng)
+        r = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        j, k = (1, 2) if trial % 2 else (2, 1)  # x_j irrational, x_k = r
+        s = Sample([alpha, r] if j == 1 else [r, alpha])
+        d = _upoly(alpha._def, j)
+        xk = MPoly.var(k) - MPoly.constant(r)
+        planted = d * random_poly(rng, 2, 2, 3) + xk * random_poly(rng, 2, 2, 3)
+        gone = xk * MPoly.var(j) * random_poly(rng, 2, 2, 2)
+        cases = [planted, planted + random_poly(rng, 2, 2, 2), random_poly(rng, 2),
+                 gone, gone + MPoly.constant(rng.choice([-2, -1, 1, 2])),
+                 gone + xk + MPoly.constant(1)]
+        for p in cases:
+            if p.is_zero() or not p.degree(j):
+                continue
+            before = [c.enclosure() for c in s]
+            got = _without_elimination(_is_zero_algebraic, p, s)
+            assert got == _is_zero_by_elimination(p, s), (p, s)
+            assert [c.enclosure() for c in s] == before
+            zeros += got
+            nonzeros += not got
+            vanished += p.subst_rational({k: r}).is_constant()
+    assert zeros >= 20 and nonzeros >= 20 and vanished >= 20
+
+
+def test_sign_at_decides_a_one_coordinate_zero_without_refining():
+    """A zero at a point with one irrational coordinate is decided at
+    the first round, by the remainder: no elimination, and no
+    coordinate of s moves.  Nonzero values still get their signs."""
+    sqrt2 = isolate_real_roots(parse_poly("x1^2-2"))[1]
+    cbrt3 = isolate_real_roots(parse_poly("x1^3-3"))[0]
+    s = Sample([Fraction(1, 3), sqrt2, cbrt3])
+    before = [c.enclosure() for c in s]
+    for text in ("x2^2-2", "x2^4-4+(3*x1-1)*x2", "x3^3*x1-1", "(x3^3-3)*(x1^2+x3)"):
+        assert _without_elimination(sign_at, parse_poly(text), s) == 0
+        assert [c.enclosure() for c in s] == before
+    assert _without_elimination(sign_at, parse_poly("x2^2-2-x1"), s) == -1
+    assert _without_elimination(sign_at, parse_poly("x3^3-3+x1"), s) == 1
+
+
+def test_sign_at_eliminates_at_two_irrational_coordinates():
+    sqrt2 = isolate_real_roots(parse_poly("x1^2-2"))[1]
+    s = Sample([sqrt2, sqrt2])
+    with mock.patch.object(realalg, "_candidate_poly", wraps=_candidate_poly) as cand:
+        assert sign_at(parse_poly("x1*x2-2"), s) == 0
+    assert cand.called
