@@ -7,8 +7,11 @@ the same conflict persists everywhere in the cell.  The negated cell
 description is the clause a solver can learn.
 
 Constraints are polynomial (`Constraint`) or extended
-(`cells.ExtendedConstraint`, re-exported here).  `check_conflict` sweeps
-the last variable's line with `realalg.line_samples`.
+(`cells.ExtendedConstraint`, re-exported here).  `_candidate_values`,
+the one collector of the next variable's cut values, feeds the
+`realalg.line_samples` sweep of both `check_conflict` and the solver;
+the solver's sweep proves its conflicts, so it calls `_generalize`
+without the second sweep of `explain_conflict`.
 """
 
 from __future__ import annotations
@@ -73,8 +76,10 @@ def _constraint_level(c) -> int:
 
 
 def _candidate_values(C, s: Sample) -> list[RealAlg]:
-    """Root values of all constraint polynomials in the last variable
-    over s."""
+    """The next variable's cut values over s, the roots of C's
+    polynomial constraints and its extended constraints' bounds, as
+    canonical copies: what is read off them depends only on the
+    arguments, not on how far other calls refined the cached roots."""
     n = len(s)
     vals: list[RealAlg] = []
     for c in C:
@@ -82,19 +87,19 @@ def _candidate_values(C, s: Sample) -> list[RealAlg]:
             if c.poly.level == n + 1:
                 roots = cached_roots(c.poly, s)
                 if roots is not NULLIFIED:
-                    vals.extend(roots)
+                    vals.extend(r.canonical_copy() for r in roots)
         else:
             if c.var == n + 1:
                 v = eval_indexed_root(c.bound, s.prefix(c.bound.level - 1))
                 if v is not UNDEF:
-                    vals.append(v)
+                    vals.append(v.canonical_copy())
     return vals
 
 
 def check_conflict(C: Iterable, s: Sample) -> bool:
     """True iff no value of the next variable satisfies all constraints
-    under s: every point of `line_samples` cut at the constraints' roots
-    violates some constraint."""
+    under s: every point of `line_samples` cut at the values of
+    `_candidate_values` violates some constraint."""
     C = list(C)
     n = len(s)
     for c in C:
@@ -124,14 +129,22 @@ def explain_conflict(
     cfg: HeuristicConfig | None = None,
     stats: RunStats | None = None,
 ) -> Union[ExplainResult, Fail]:
-    """Generalize a verified conflict to a cell around s and the clause
-    excluding it."""
+    """Generalize a conflict to a cell around s and the clause excluding
+    it; ValueError when `check_conflict` finds no conflict."""
     C = list(C)
     cfg = cfg if cfg is not None else HeuristicConfig()
     stats = stats if stats is not None else RunStats()
     sample = Sample(s)
     if not check_conflict(C, sample):
         raise ValueError("the constraints are satisfiable over the assignment")
+    return _generalize(C, sample, cfg, stats)
+
+
+def _generalize(
+    C: list, sample: Sample, cfg: HeuristicConfig, stats: RunStats
+) -> Union[ExplainResult, Fail]:
+    """The cell around sample on which every constraint polynomial of C
+    is sign-invariant, for a conflict already proven."""
     n = len(sample)
 
     polys: set[MPoly] = set()

@@ -118,12 +118,11 @@ class _Ctx:
             ),
         )
 
-    def barrier(
-        self, r: IndexedRoot, subset: list[IndexedRoot], bound_roots
-    ) -> IndexedRoot:
+    def barrier(self, r: IndexedRoot, subset: list[IndexedRoot]) -> IndexedRoot:
         """The lowest-degree root between r and the sample value, ties
-        broken toward the sample, then boundary roots, then canonical
-        order.  r itself is a candidate."""
+        broken toward the sample, then by canonical order, which puts an
+        interval bound first among its ties (see `interval`).  r itself
+        is a candidate."""
         a, b = sorted((self.rank[r], self.s_rank))
         toward = -1 if self.side(r) <= 0 else 1
         return min(
@@ -131,7 +130,6 @@ class _Ctx:
             key=lambda x: (
                 _main_degree(x),
                 toward * self.rank[x],
-                x not in bound_roots,
                 self.pos[x],
             ),
         )
@@ -166,18 +164,17 @@ def _pairs_ldb(ctx: _Ctx, subset, interval) -> list:
     """Pair each root with its barrier; roots that are their own
     barrier attach to the interval bound directly."""
     lo, up = interval.bounds()
-    bound_roots = {b for b in (lo, up) if b is not None}
     pairs = []
     for r in subset:
         side = ctx.side(r)
         if side < 0 and r != lo:
-            b = ctx.barrier(r, subset, bound_roots)
+            b = ctx.barrier(r, subset)
             if b == r:
                 b = lo
             if b is not None and b != r:
                 pairs.append((r, b))
         elif side > 0 and r != up:
-            b = ctx.barrier(r, subset, bound_roots)
+            b = ctx.barrier(r, subset)
             if b == r:
                 b = up
             if b is not None and b != r:
@@ -196,7 +193,7 @@ def _ldb_section_eq_set(ctx: _Ctx, red, interval) -> set:
     while changed:
         changed = False
         subset = [r for r in red if r.poly not in eq]
-        barr = {r: ctx.barrier(r, subset, {b}) for r in subset}
+        barr = {r: ctx.barrier(r, subset) for r in subset}
         for p in polys:
             if p in eq or p == b.poly:
                 continue

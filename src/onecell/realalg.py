@@ -213,18 +213,20 @@ class RealAlg:
         cls, defining: Sequence[Fraction], lo: Fraction, hi: Fraction
     ) -> "RealAlg":
         """Root of `defining` isolated by the open interval (lo, hi);
-        neither endpoint may be a root.  Raises ValueError unless the
-        defining polynomial is irreducible over Q of degree >= 2: a
-        reducible one would give a value a second definition, and values
-        of different definitions are never equal, so comparing them
-        would refine forever.  The defining polynomial is stored
-        integer-primitive with a positive leading coefficient."""
-        c = _utrim([Fraction(x) for x in defining])
+        neither endpoint may be a root.  Coefficients and endpoints are
+        int or Fraction (TypeError otherwise, as in `RealAlg.rational`).
+        Raises ValueError unless the defining polynomial is irreducible
+        over Q of degree >= 2: a reducible one would give a value a
+        second definition, and values of different definitions are never
+        equal, so comparing them would refine forever.  The defining
+        polynomial is stored integer-primitive with a positive leading
+        coefficient."""
+        c = _utrim([_rational(x) for x in defining])
         if len(c) < 3 or [m for _, m in factor(_upoly(_primitive(c), 1))] != [1]:
             raise ValueError(
                 "the defining polynomial must be irreducible of degree >= 2"
             )
-        return cls._isolated(c, lo, hi)
+        return cls._isolated(c, _rational(lo), _rational(hi))
 
     @classmethod
     def _isolated(
@@ -554,9 +556,6 @@ class Sample(tuple):
 
     def all_rational(self) -> bool:
         return all(c.is_rational() for c in self)
-
-    def rationals(self) -> list[Fraction]:
-        return [c.rational_value() for c in self]
 
     def __repr__(self) -> str:
         return "Sample(" + ", ".join(realalg_to_text(c) for c in self) + ")"

@@ -1,16 +1,17 @@
 """Model-constructing search for conjunctions of polynomial constraints.
 
 Variables are assigned in order x1..xn.  Each level tries the values of
-`realalg.line_samples` cut at the roots of the level's constraint
-polynomials and at the learned-cell bounds, which meet every
-sign-invariant region; so the level is in conflict exactly when no
-candidate, those skipped as inside a learned cell included, satisfies
-its constraints.  A conflict is generalized to a cell around the current
-prefix and the excluded region steers later choices.  Unsatisfiability
-is reported from a conflict over the empty prefix or when every x1
-candidate is ruled out: the candidates stand for every region of the x1
-line on which the level-1 signs and the learned-cell membership are
-constant, so ruling them all out covers the line.
+`realalg.line_samples` cut at `explain._candidate_values` of the level's
+constraints and of the learned cells around the prefix, as extended
+constraints; these meet every sign-invariant region, so the level is in
+conflict exactly when no candidate, those skipped as inside a learned
+cell included, satisfies its constraints.  That sweep proves the
+conflict, which `explain._generalize` turns into a cell around the
+prefix without a second sweep; the cell steers later choices.
+Unsatisfiability is reported from a conflict over the empty prefix or
+when every x1 candidate is ruled out: the candidates stand for every
+region of the x1 line on which the level-1 signs and the learned-cell
+membership are constant, so ruling them all out covers the line.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from .cells import CellDescription, cached_roots, cell_contains, eval_indexed_root
+from .cells import CellDescription, cell_contains, cell_to_formula
 from .config import HeuristicConfig
 from .engine import Fail
-from .explain import Constraint, constraint_satisfied, explain_conflict
-from .realalg import NULLIFIED, UNDEF, RealAlg, Sample, line_samples
+from .explain import Constraint, _candidate_values, _generalize, constraint_satisfied
+from .realalg import RealAlg, Sample, line_samples
 from .stats import RunStats
 
 SAT = "sat"
@@ -39,40 +40,6 @@ class SolveResult:
 
     def __bool__(self) -> bool:
         return self.status != UNKNOWN
-
-
-def _candidate_values(
-    polys, learned: Sequence[CellDescription], level: int, prefix: Sample
-) -> list[RealAlg]:
-    """Candidates for x_level: every root of the level's constraint
-    polynomials over the prefix, every applicable learned-cell bound,
-    and the points `line_samples` adds around them.  Values are read off
-    canonical copies, not the cached roots other calls refine, so the
-    candidates depend only on the arguments."""
-    vals: list[RealAlg] = []
-    for p in polys:
-        roots = cached_roots(p, prefix)
-        if roots is not NULLIFIED:
-            vals.extend(r.canonical_copy() for r in roots)
-    for cell in learned:
-        if len(cell) != level:
-            continue
-        if level > 1 and cell_contains(cell, prefix) is not True:
-            continue
-        iv = cell[level - 1]
-        for b in iv.bound_roots():
-            v = eval_indexed_root(b, prefix)
-            if v is not UNDEF:
-                vals.append(v.canonical_copy())
-    return line_samples(vals)
-
-
-def _excluded(t: RealAlg, learned, level: int, prefix: Sample) -> bool:
-    point = prefix.extend(t)
-    for cell in learned:
-        if len(cell) == level and cell_contains(cell, point) is True:
-            return True
-    return False
 
 
 def solve_conjunction(
@@ -115,11 +82,14 @@ def solve_conjunction(
             if all(constraint_satisfied(c, model) for c in constraints):
                 result.status = SAT
                 result.model = model
-                return result
             return result
 
         prefix = Sample(assignment)
-        polys = [c.poly for c in by_level[i]]
+        learned = [
+            L for L in result.learned
+            if len(L) == i and cell_contains(L, prefix) is True
+        ]
+        bounds = [a for L in learned for a in cell_to_formula(L) if a.var == i]
 
         def satisfies(t: RealAlg) -> bool:
             point = prefix.extend(t)
@@ -127,8 +97,8 @@ def solve_conjunction(
 
         chosen = None
         skipped: list[RealAlg] = []
-        for t in _candidate_values(polys, result.learned, i, prefix):
-            if _excluded(t, result.learned, i, prefix):
+        for t in line_samples(_candidate_values(by_level[i] + bounds, prefix)):
+            if any(cell_contains(L, prefix.extend(t)) is True for L in learned):
                 skipped.append(t)
             elif satisfies(t):
                 chosen = t
@@ -143,21 +113,16 @@ def solve_conjunction(
             if result.explanations >= budget:
                 return result
             result.explanations += 1
-            explained = explain_conflict(by_level[i], prefix, cfg, stats)
+            explained = _generalize(by_level[i], prefix, cfg, stats)
             if isinstance(explained, Fail):
-                if not assignment:
+                if i == 1:
                     return result
-                assignment.pop()
-                continue
-            if i == 1:
-                result.status = UNSAT
+            else:
                 result.learned.append(explained.cell)
-                return result
-            result.learned.append(explained.cell)
-            assignment.pop()
-            continue
 
-        # every admissible value is inside a learned cell
+        # the learned cells, the new one included, rule out every value
+        # here, or the explanation failed above x1: unsat at x1, else
+        # backtrack
         if i == 1:
             result.status = UNSAT
             return result

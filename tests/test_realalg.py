@@ -152,6 +152,10 @@ def test_rationals_must_be_int_or_fraction():
             RealAlg.rational(bad)
         with pytest.raises(TypeError):
             Sample([Fraction(1), bad])
+        with pytest.raises(TypeError):
+            RealAlg.algebraic([-2, 0, bad], 1, 2)
+        with pytest.raises(TypeError):
+            RealAlg.algebraic([-2, 0, 1], bad, 2)
 
 
 def test_sample_prefix_extend():

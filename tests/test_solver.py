@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from onecell import solver
+from onecell import explain, solver
 from onecell.explain import Constraint, constraint_satisfied
 from onecell.polynomial import parse_poly
 from onecell.realalg import simplest_between
@@ -161,18 +161,18 @@ def test_conflicts_match_the_midpoint_sweep(rng, monkeypatch):
     conflict for the midpoint sweep, and every level it hands to the
     learned cells (no value chosen, none explained) is not."""
     events = []
-    candidates, explain = solver._candidate_values, solver.explain_conflict
+    candidates, generalize = solver._candidate_values, solver._generalize
 
-    def recording_candidates(polys, learned, level, prefix):
-        events.append(("level", level, prefix))
-        return candidates(polys, learned, level, prefix)
+    def recording_candidates(C, prefix):
+        events.append(("level", len(prefix) + 1, prefix))
+        return candidates(C, prefix)
 
-    def recording_explain(C, prefix, *args):
+    def recording_generalize(C, prefix, *args):
         events.append(("explain",))
-        return explain(C, prefix, *args)
+        return generalize(C, prefix, *args)
 
     monkeypatch.setattr(solver, "_candidate_values", recording_candidates)
-    monkeypatch.setattr(solver, "explain_conflict", recording_explain)
+    monkeypatch.setattr(solver, "_generalize", recording_generalize)
     seen = {"explained": 0, "learned": 0}
     for cons, nv in _random_conjunctions(rng) + [(COVERED_X1, 2)]:
         events.clear()
@@ -190,6 +190,24 @@ def test_conflicts_match_the_midpoint_sweep(rng, monkeypatch):
                 assert not midpoint_check_conflict(C, prefix)
                 seen["learned"] += 1
     assert min(seen.values()) > 0, seen
+
+
+def test_conflicts_are_not_checked_twice(rng, monkeypatch):
+    """The search's own sweep proves each conflict it explains, so it
+    never calls the public `check_conflict`."""
+    calls = []
+    check = explain.check_conflict
+
+    def counting_check(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(explain, "check_conflict", counting_check)
+    explained = 0
+    for cons, nv in _random_conjunctions(rng) + [(COVERED_X1, 2)]:
+        explained += solve_conjunction(cons, nv, budget=16).explanations
+    assert explained > 0
+    assert calls == []
 
 
 def test_unsat_sums_finish_in_time():
