@@ -1,15 +1,16 @@
 """The package's memo tables, with one owner.
 
-Five functions keep results that later calls are likely to ask for
+Four functions keep results that later calls are likely to ask for
 again, each in one table here:
 
-- `FACTOR`: `polynomial.factor`, keyed on (p, mode)
+- `FACTOR`: `polynomial.factor`, keyed on (p, mode); a ``finest`` call
+  also fills the entries of its outputs, and `properties.is_whole`
+  reads its answer from the ``squarefree`` entry
 - `RESULTANT`: `polynomial.resultant`, keyed on (p, q, v) as given
 - `CANONICAL`: the isolating intervals of an irreducible definition,
   keyed on its primitive coefficients (`realalg._canonical_intervals`)
 - `ROOTS`: `cells.cached_roots`, keyed on p and the sample's exact
   coordinates
-- `WHOLE`: `properties.is_whole`, keyed on p
 
 The scope is the process: whichever call first asks fills an entry, and
 every later call shares it.  Each table is a least-recently-used map of
@@ -58,10 +59,9 @@ FACTOR = Table()
 RESULTANT = Table()
 CANONICAL = Table()
 ROOTS = Table()
-WHOLE = Table()
 
 TABLES = {"factor": FACTOR, "resultant": RESULTANT, "canonical": CANONICAL,
-          "roots": ROOTS, "whole": WHOLE}
+          "roots": ROOTS}
 
 
 def clear() -> None:

@@ -25,7 +25,8 @@ consumes: resultants by evaluation and interpolation on integers,
 discriminants, and factorization (irreducible or square-free).
 
 `factor` is the package's one boundary to sympy: linear and univariate
-quadratic input has closed forms, and everything else goes to sympy's
+quadratic input has closed forms, small degrees in some variable can be
+proved irreducible by a root test, and everything else goes to sympy's
 dense factorization over ZZ (`sympy.polys` submodules only), on the
 integer-primitive term map in the variables that occur.  Nothing else
 in the package imports sympy; univariate root isolation factors through
@@ -563,14 +564,26 @@ def factor(p: MPoly, mode: str = "finest") -> list[tuple[MPoly, int]]:
     rational constant.  Constant input yields an empty list.  A linear
     p is irreducible, and a univariate quadratic a*x^2 + b*x + c splits
     as 4a*p = (2a*x + b - r)(2a*x + b + r) exactly when its discriminant
-    b^2 - 4ac is a square r^2.  Everything else goes to sympy's dense
+    b^2 - 4ac is a square r^2.  In ``finest`` mode `_irreducible_by_roots`
+    may then prove p irreducible.  Everything else goes to sympy's dense
     factorization over ZZ, on the integer-primitive p in the variables
     that occur, in their order.  Results are kept in `memo.FACTOR`, and
-    each call returns a new list.
+    each call returns a new list.  Each output f of a ``finest`` call is
+    normalized and irreducible, so the call also records [(f, 1)] as the
+    answer for f in both modes.
     """
     if mode not in ("finest", "squarefree"):
         raise ValueError(f"unknown factor mode: {mode}")
-    return list(memo.FACTOR.fetch((p, mode), _factor, p, mode))
+    return list(memo.FACTOR.fetch((p, mode), _factor_recorded, p, mode))
+
+
+def _factor_recorded(p: MPoly, mode: str) -> list[tuple[MPoly, int]]:
+    out = _factor(p, mode)
+    if mode == "finest":
+        for f, _ in out:
+            for m in ("finest", "squarefree"):
+                memo.FACTOR.fetch((f, m), list, [(f, 1)])
+    return out
 
 
 def _factor(p: MPoly, mode: str) -> list[tuple[MPoly, int]]:
@@ -592,6 +605,8 @@ def _factor(p: MPoly, mode: str) -> list[tuple[MPoly, int]]:
         else:
             x = MPoly.var(v).scale(2 * a)
             pairs = [(x + b, 2)] if r == 0 else [(x + (b - r), 1), (x + (b + r), 1)]
+    elif mode == "finest" and _irreducible_by_roots(P, vs):
+        pairs = [(p, 1)]
     else:
         u = len(vs) - 1
         rep = {tuple(e[v - 1] if len(e) >= v else 0 for v in vs): k for e, k in P.items()}
@@ -609,6 +624,70 @@ def _factor(p: MPoly, mode: str) -> list[tuple[MPoly, int]]:
     out = [(normalize(g), m) for g, m in pairs if not g.is_constant()]
     out.sort(key=lambda fm: fm[0].sort_key())
     return out
+
+
+# The root test's images set every other variable to one of these
+# values, and are reduced modulo each of these primes.
+ROOT_TEST_POINTS = (1, -1, 2, -2, 3)
+ROOT_TEST_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def _irreducible_by_roots(P: dict, vs: list[Var]) -> bool:
+    """True when a root test proves the integer-primitive term map P in
+    the variables vs irreducible over Q; False proves nothing.
+
+    The test tries each variable v, highest first, in which P has degree
+    n <= 3 and some coefficient of a power of v is a nonzero integer.
+    For n = 1 that is the proof.  Otherwise every other variable is set
+    to a in `ROOT_TEST_POINTS`, and an image of degree n in v that has
+    no root modulo some prime q in `ROOT_TEST_PRIMES` not dividing its
+    leading coefficient is the proof.
+
+    Why it is sound: suppose P = f*g with neither a unit; by Gauss's
+    lemma f and g may be taken over ZZ.  If f is free of v, it divides
+    every coefficient of a power of v, the integer one too, so f is an
+    integer; it divides the content of P, which is 1, so f is a unit.
+    Hence f and g both have positive degree in v, which n = 1 forbids;
+    for n = 2 or 3 one of them has degree 1.  An image that keeps degree
+    n keeps both degrees, as the leading coefficient of P is that of f
+    times that of g, so it has an integer linear factor d*v - m with d
+    dividing its leading coefficient.  Modulo a prime q that does not
+    divide that coefficient, d is invertible and m/d is a root.
+    """
+    for v in reversed(vs):
+        # each term as (degree in v, total degree, coefficient)
+        split = [(e[v - 1] if len(e) >= v else 0, sum(e), k) for e, k in P.items()]
+        n = max(d for d, _, _ in split)
+        mixed = {d for d, t, _ in split if t > d}
+        if n > 3 or all(d in mixed for d, _, _ in split):
+            continue
+        if n == 1:
+            return True
+        seen = set()
+        for a in ROOT_TEST_POINTS:
+            image = [0] * (n + 1)
+            for d, t, k in split:
+                image[d] += k * a ** (t - d)
+            image = tuple(image)
+            if not image[n] or image in seen:
+                continue
+            seen.add(image)
+            for q in ROOT_TEST_PRIMES:
+                if image[n] % q and not _has_root_mod(image, q):
+                    return True
+    return False
+
+
+def _has_root_mod(c: tuple[int, ...], q: int) -> bool:
+    """Whether sum c[k]*x^k has a root modulo q."""
+    c = [k % q for k in reversed(c)]
+    for r in range(q):
+        y = 0
+        for k in c:
+            y = y * r + k
+        if y % q == 0:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,18 @@ here", "this is an analytic submanifold", ...).  Each carries a derived
 level; the construction works through properties from the greatest to
 the smallest under a strict ordering in which levels dominate and,
 within a level, a fixed twelve-tier ranking applies.  Every rule
-application replaces a property by strictly smaller ones, which is what
-makes the whole construction terminate and lets a trace be validated
-without re-running the search.
+application replaces a property by strictly smaller ones, except that a
+`factors` step may cite properties of the same tier about divisors of
+smaller degree or about the normalized polynomial; that is what makes
+the whole construction terminate and lets a trace be validated without
+re-running the search.
 
 This module declares the proof system once: each property kind carries
 its tier as a class attribute (`OrdInv` and `SgnInv` rank one tier
-higher while `is_whole` fails), and `_RULE_SHAPES` is the one list of
-rule names, with the kinds each rule may conclude and cite.  Which
-instances of a rule apply is decided in `rules`.
+higher while `is_whole` fails; `is_whole` reads the square-free
+factorization that `polynomial.factor` keeps), and `_RULE_SHAPES` is
+the one list of rule names, with the kinds each rule may conclude and
+cite.  Which instances of a rule apply is decided in `rules`.
 """
 
 from __future__ import annotations
@@ -21,23 +24,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from . import memo
-from .polynomial import MPoly, factor, normalize, poly_to_str
+from .polynomial import MPoly, exact_div, factor, normalize, poly_to_str
 from .realalg import Sample, realalg_to_text
 from .cells import IndexedRoot, SymbolicInterval, bound_text
 
 
 def is_squarefree(p: MPoly) -> bool:
-    """Square-free check; its one caller, `is_whole`, memoizes it."""
+    """Whether p has no repeated factor.  The library does not call it;
+    the benchmark's tracer (`bench/tracer.py`) lists it as a layer."""
     return all(m == 1 for _, m in factor(p, "squarefree"))
 
 
 def is_whole(p: MPoly) -> bool:
     """True when the decomposition rule has nothing left to do on p:
-    constants, and normalized square-free polynomials."""
-    if p.is_constant():
-        return True
-    return memo.WHOLE.fetch(p, lambda: is_squarefree(p) and p == normalize(p))
+    constants, and normalized square-free polynomials, which are their
+    own one square-free factor."""
+    return p.is_constant() or factor(p, "squarefree") == [(p, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +354,14 @@ _RULE_SHAPES: dict[str, tuple[type, tuple[type, ...]]] = {
 def validate_trace(trace: DerivationTrace, axioms: set[Property]) -> bool:
     """Check that every antecedent is an axiom or a derived conclusion,
     that each cited rule exists and its antecedent kinds fit, and that
-    every antecedent is strictly smaller than its conclusion (which is
-    what rules out circular justification)."""
+    every derived antecedent is smaller than its conclusion (which is
+    what rules out circular justification).  For every rule but
+    `factors` that means strictly smaller in the property order.  A
+    `factors` step may cite a property of the same tier, so there each
+    derived antecedent must be of the conclusion's kind, not greater
+    than it, and about a divisor f of its polynomial p of smaller total
+    degree or with f = normalize(p) != p: the pair (total degree, "not
+    normalized") strictly decreases along every chain of such steps."""
     derived = trace.conclusions()
     ok_axioms = set(axioms) | set(trace.axioms)
     for e in trace.entries:
@@ -368,6 +376,21 @@ def validate_trace(trace: DerivationTrace, axioms: set[Property]) -> bool:
                 continue
             if a not in derived:
                 return False
-            if not strictly_smaller(a, e.conclusion):
+            if e.rule == "factors":
+                if not _factor_of(a, e.conclusion):
+                    return False
+            elif not strictly_smaller(a, e.conclusion):
                 return False
     return True
+
+
+def _factor_of(a: PolyProperty, c: PolyProperty) -> bool:
+    """The side condition of a `factors` step from a to c."""
+    if type(a) is not type(c) or property_compare(a, c) == "GT":
+        return False
+    f, p = a.p, c.p
+    try:
+        exact_div(p, f)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return f.total_degree() < p.total_degree() or f == normalize(p) != p

@@ -40,7 +40,6 @@ from .properties import (
     SampleProp,
     SgnInv,
     is_whole,
-    property_tier,
     selection_key,
 )
 from .realalg import NULLIFIED, Sample, sign_at
@@ -115,14 +114,15 @@ class PropertySet:
         return [q for q in self.props if q.level == i]
 
     def greatest(self, i: int, max_tier: Optional[int] = None) -> Optional[Property]:
+        keys = self._keys  # the tier of q is keys[q][1]
         cands = [
             q
             for q in self.props
-            if q.level == i and (max_tier is None or property_tier(q) <= max_tier)
+            if q.level == i and (max_tier is None or keys[q][1] <= max_tier)
         ]
         if not cands:
             return None
-        return min(cands, key=self._keys.__getitem__)
+        return min(cands, key=keys.__getitem__)
 
 
 @dataclass(frozen=True)

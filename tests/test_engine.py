@@ -89,9 +89,9 @@ def test_cell_contains_its_sample():
 ], ids=["default", "squarefree", "relax-top"])
 def test_sign_invariance_random(rng, options, count):
     """Sign-invariance at interior points, heuristics round-robin, also
-    under the two options the heuristic ids leave off.  Square-free
-    traces must validate.  A relaxed cell may have an empty fiber over a
-    picked prefix; the picker refuses it with ValueError and the point is
+    under the two options the heuristic ids leave off.  Every trace must
+    validate.  A relaxed cell may have an empty fiber over a picked
+    prefix; the picker refuses it with ValueError and the point is
     skipped.  Relaxing changes few cells; the first 200 instances include
     one whose fibers are empty over some prefixes."""
     successes = 0
@@ -104,8 +104,7 @@ def test_sign_invariance_random(rng, options, count):
         if isinstance(result, Fail):
             continue
         successes += 1
-        if "factor_mode" in options:
-            assert validate_trace(result.trace, set(result.trace.axioms))
+        assert validate_trace(result.trace, set(result.trace.axioms))
         reference = sign_vector(polys, Sample(coords))
         for seed in range(10):
             try:

@@ -1,17 +1,23 @@
-"""`polynomial.factor` (closed forms up to degree 2, sympy's dense
-factorization over ZZ above) against the `Poly`-over-QQ route it
-replaced, `oracles.sympy_poly_factor`: the factor lists must agree
-exactly, in order, in both modes."""
+"""`polynomial.factor` (closed forms up to degree 2, the root test's
+irreducibility certificate, sympy's dense factorization over ZZ above)
+against the `Poly`-over-QQ route it replaced, `oracles.sympy_poly_factor`:
+the factor lists must agree exactly, in order, in both modes.  The
+certificate is also checked against sympy alone and against `factor`
+with the certificate switched off."""
 
+import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onecell import memo
+from onecell import polynomial
 from onecell.polynomial import MPoly, factor, normalize, parse_poly
 
+from conftest import random_poly
 from oracles import sympy_poly_factor
 
 MODES = ("finest", "squarefree")
@@ -163,3 +169,67 @@ def test_factor_output_has_fractions_of_ints(monkeypatch):
                 assert type(c) is Fraction
                 assert type(c.numerator) is int and type(c.denominator) is int
     assert len(converted) == sum(len(fs) for fs in expected.values()) == 5
+
+
+# ---------------------------------------------------------------------------
+# the root test's irreducibility certificate
+
+
+def _certified(p: MPoly) -> bool:
+    _, P = polynomial._primitive_part(p)
+    return polynomial._irreducible_by_roots(P, sorted(p.variables()))
+
+
+def _check_certificate(p: MPoly) -> bool:
+    """Whether the certificate holds for p; when it does, sympy finds p
+    irreducible.  Either way the finest factors are those found with the
+    certificate switched off."""
+    certified = not p.is_constant() and _certified(p)
+    if certified:
+        assert sympy_poly_factor(p, "finest") == [(normalize(p), 1)], p
+    want = polynomial._factor(p, "finest")
+    with mock.patch.object(polynomial, "_irreducible_by_roots", return_value=False):
+        assert polynomial._factor(p, "finest") == want, p
+    return certified
+
+
+@settings(max_examples=150, deadline=None)
+@given(_products())
+def test_certificate_agrees_with_sympy_on_products(p):
+    _check_certificate(p)
+
+
+def test_certificate_agrees_with_sympy_on_random_polynomials():
+    """Random integer polynomials in 1-3 variables of total degree <= 3,
+    and products of two of them; the certificate must hold on a good
+    share of them, and never on a reducible one."""
+    rng = random.Random(16)
+    certified = 0
+    for k in range(300):
+        nvars = rng.randint(1, 3)
+        p = random_poly(rng, nvars)
+        if k % 3 == 0:
+            p = p * random_poly(rng, nvars, max_deg=2)
+        certified += _check_certificate(p)
+    assert certified >= 100
+
+
+@pytest.mark.parametrize("text", [
+    "x1^3+x1",  # the root 0 modulo every prime
+    "x2*x1^2+x2",  # the content x2 in x1, and no integer coefficient in x2
+    "(2*x1-1)*(x1^2+x1+1)",  # the root 1/2 modulo every odd prime
+    "(x1+x2)*(x1-x2+1)",
+])
+def test_certificate_refuses_reducible_input(text):
+    assert not _certified(parse_poly(text))
+    assert not _check_certificate(parse_poly(text))
+
+
+@pytest.mark.parametrize("text", [
+    "x1*x2+1",  # linear in x2 with the integer coefficient 1
+    "x1^3-2",  # no root modulo 7
+    "x2^2+x1",  # x2^2+1 has no root modulo 3
+    "x3^3+x1*x2*x3+x1^2+1",
+])
+def test_certificate_proves_irreducible_input(text):
+    assert _check_certificate(parse_poly(text))

@@ -1,15 +1,18 @@
 """The memo tables of `onecell.memo`: repeated `factor` and `resultant`
-calls against the uncached kernels and the oracles, results that callers
+calls against the uncached kernels and the oracles, the entries a
+``finest`` factorization records for its outputs, results that callers
 cannot change, and the least-recently-used bound."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onecell import memo
+from onecell import memo, polynomial
 from onecell.polynomial import MPoly, _factor, _resultant, factor, parse_poly, resultant
+from onecell.properties import is_whole
 
 from oracles import subresultant_resultant, sylvester_resultant, sympy_poly_factor
 
@@ -44,6 +47,23 @@ def test_repeated_factor_matches_kernel_and_oracle(p):
             # an equal polynomial built separately finds the same entry
             assert factor(MPoly(p.terms), mode) == fs
     assert factor(p) == want["finest"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polys(3))
+def test_finest_outputs_are_recorded_as_their_own_factors(p):
+    """Each output f of a finest factorization gets an entry in both
+    modes equal to what the kernel returns for f; `factor` and
+    `is_whole` then answer for f without the kernel."""
+    memo.clear()
+    outputs = [f for f, _ in factor(p)]
+    for f in outputs:
+        for mode in ("finest", "squarefree"):
+            assert memo.FACTOR._entries[(f, mode)] == _factor(f, mode) == [(f, 1)]
+    with mock.patch.object(polynomial, "_factor", side_effect=AssertionError):
+        for f in outputs:
+            assert is_whole(f)
+            assert factor(f) == factor(f, "squarefree") == [(f, 1)]
 
 
 @settings(max_examples=60, deadline=None)

@@ -166,6 +166,57 @@ def test_validate_trace_rejects_circularity():
     assert not validate_trace(trace, set())
 
 
+def _factors_trace(*steps):
+    """A trace of `factors` steps, each (conclusion, antecedents) as
+    SgnInv texts; antecedents no step concludes are derived from true
+    by `const-inv` (the validator does not check that rule's side
+    condition), so each step is judged by its own side condition."""
+    trace = DerivationTrace()
+    concluded = {c for c, _ in steps}
+    for _, ants in steps:
+        for a in ants:
+            if a not in concluded:
+                trace.derive_from_true(SgnInv(parse_poly(a)), "const-inv")
+    for c, ants in steps:
+        trace.derive(SgnInv(parse_poly(c)), tuple(SgnInv(parse_poly(a)) for a in ants),
+                     "factors")
+    return trace
+
+
+@pytest.mark.parametrize("steps", [
+    [("x1^2-1", ("x1-1", "x1+1"))],  # finest factors of smaller degree
+    [("-3*x1", ("x1",))],  # normalization: the same degree
+    [("(x1-1)^2*x2", ("x1-1", "x2"))],
+    [("2*x1^2-2", ("x1^2-1",)), ("x1^2-1", ("x1-1", "x1+1"))],
+], ids=["finest", "normalize", "squarefree", "chain"])
+def test_validate_trace_accepts_factors_steps(steps):
+    assert validate_trace(_factors_trace(*steps), set())
+
+
+@pytest.mark.parametrize("steps", [
+    [("x1^2-1", ("x1^2-1",))],  # its own conclusion
+    [("-3*x1", ("-3*x1",))],
+    [("x1^2-1", ("x1-2",))],  # not a divisor
+    [("x1+2", ("x1+1",))],  # the same degree, and not a divisor
+    [("x1", ("-x1",)), ("-x1", ("x1",))],  # a two-step cycle
+    [("x1", ("-2*x1",))],  # the same degree, and not normalize(x1)
+], ids=["self", "self-unnormalized", "non-divisor", "same-degree", "cycle",
+        "denormalize"])
+def test_validate_trace_rejects_factors_steps(steps):
+    assert not validate_trace(_factors_trace(*steps), set())
+
+
+def test_validate_trace_rejects_factors_step_of_another_kind():
+    trace = DerivationTrace()
+    trace.derive_from_true(SgnInv(parse_poly("x1-1")), "const-inv")
+    trace.derive(OrdInv(parse_poly("x1^2-1")), (SgnInv(parse_poly("x1-1")),), "factors")
+    assert not validate_trace(trace, set())
+    trace = DerivationTrace()
+    trace.derive_from_true(OrdInv(parse_poly("x1-1")), "const-inv")
+    trace.derive(OrdInv(parse_poly("x1^2-1")), (OrdInv(parse_poly("x1-1")),), "factors")
+    assert validate_trace(trace, set())
+
+
 def test_validate_trace_rejects_wrong_shape():
     trace = DerivationTrace()
     iv = SectorInterval(None, None, level_hint=1)
