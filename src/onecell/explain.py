@@ -11,7 +11,9 @@ Constraints are polynomial (`Constraint`) or extended
 the one collector of the next variable's cut values, feeds the
 `realalg.line_samples` sweep of both `check_conflict` and the solver;
 the solver's sweep proves its conflicts, so it calls `_generalize`
-without the second sweep of `explain_conflict`.
+without the second sweep of `explain_conflict`.  `_generalize` keeps
+the last variable's roots in order with `rules.ordering_resultants`, the
+root-order projection of the `irord` rule, applied to consecutive roots.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .cells import (
 from .config import HeuristicConfig
 from .engine import Fail, run_levels
 from .heuristics import roots_with_values
-from .polynomial import MPoly, factor, normalize, poly_to_str, resultant
+from .polynomial import MPoly, factor, poly_to_str
 from .properties import AnDel, DerivationTrace, OrdInv, SgnInv
 from .realalg import (
     NULLIFIED,
@@ -42,7 +44,7 @@ from .realalg import (
     sign_at,
     value_ranks,
 )
-from .rules import PropertySet
+from .rules import PropertySet, ordering_resultants
 from .stats import RunStats
 
 
@@ -170,22 +172,14 @@ def _generalize(
         else:
             Q.add(AnDel(f))
 
-    # chain the top-level roots in value order; consecutive resultants
-    # keep the roots ordered over the constructed cell
+    # chain the top-level roots in value order; the root-order
+    # projection of consecutive roots keeps them ordered over the cell
     xi = roots_with_values(top, sample)
     rank = value_ranks([v for _, v in xi])
-    chain = [xi[j][0] for j in sorted(range(len(xi)), key=rank.__getitem__)]
-    for a, b in zip(chain, chain[1:]):
-        pa, pb = a.poly, b.poly
-        if pa == pb:
-            continue
-        res = resultant(pa, pb, n + 1)
-        if res.is_zero():
-            # shared factor; its delineability keeps the roots apart
-            continue
-        rn = res if res.is_constant() else normalize(res)
-        stats.add("res", rn)
-        Q.add(OrdInv(rn))
+    chain = [xi[j][0].poly for j in sorted(range(len(xi)), key=rank.__getitem__)]
+    for r in ordering_resultants(zip(chain, chain[1:]), n + 1):
+        stats.add("res", r)
+        Q.add(OrdInv(r))
 
     result = run_levels(Q, sample, n, cfg, stats)
     if isinstance(result, Fail):

@@ -22,7 +22,9 @@ the value, so nothing may change `_terms` after construction.
 
 The module also provides the projection operations the cell construction
 consumes: resultants by evaluation and interpolation on integers,
-discriminants, and factorization (irreducible or square-free).
+discriminants, and factorization (irreducible or square-free), and
+`dense`, the integer-primitive coefficient tuple of a univariate
+polynomial that root isolation and the exact zero tests work on.
 
 `factor` is the package's one boundary to sympy: linear and univariate
 quadratic input has closed forms, small degrees in some variable can be
@@ -470,8 +472,7 @@ def _prem(A: list[int], B: list[int]) -> list[int]:
 def _ures(P: dict, Q: dict, v: Var, dp: int, dq: int) -> int:
     """res_v(P, Q) for integer term maps in x_v alone, by the subresultant
     PRS on dense coefficient lists (index = degree)."""
-    A = [P.get(_trim((0,) * (v - 1) + (k,)), 0) for k in range(dp + 1)]
-    B = [Q.get(_trim((0,) * (v - 1) + (k,)), 0) for k in range(dq + 1)]
+    A, B = _dense(P, v, dp), _dense(Q, v, dq)
     sign = 1
     if len(A) < len(B):
         A, B, sign = B, A, (-1) ** ((len(A) - 1) * (len(B) - 1))
@@ -556,6 +557,20 @@ def normalize(p: MPoly) -> MPoly:
     return q
 
 
+def dense(p: MPoly, v: Var) -> tuple[int, ...]:
+    """The coefficients of p / content(p), from degree 0 up, for a
+    nonzero p in x_v alone (ValueError otherwise): integer-primitive,
+    with the sign of p's leading coefficient."""
+    if p.is_zero() or not p.variables() <= {v}:
+        raise ValueError(f"{poly_to_str(p)} is not a nonzero polynomial in x{v} alone")
+    return tuple(_dense(_primitive_part(p)[1], v, p.degree(v)))
+
+
+def _dense(P: dict, v: Var, d: int) -> list[int]:
+    """The coefficients of x_v^0 .. x_v^d in the term map P."""
+    return [P.get(_trim((0,) * (v - 1) + (k,)), 0) for k in range(d + 1)]
+
+
 def factor(p: MPoly, mode: str = "finest") -> list[tuple[MPoly, int]]:
     """Factor p into normalized irreducible (``finest``) or square-free
     pairwise-coprime (``squarefree``) factors with multiplicities.
@@ -597,7 +612,7 @@ def _factor(p: MPoly, mode: str) -> list[tuple[MPoly, int]]:
     _, P = _primitive_part(p)
     if len(vs) == 1 and p.total_degree() == 2:
         v = vs[0]
-        c, b, a = (P.get(_trim((0,) * (v - 1) + (k,)), 0) for k in range(3))
+        c, b, a = _dense(P, v, 2)
         disc = b * b - 4 * a * c
         r = math.isqrt(disc) if disc >= 0 else -1
         if r * r != disc or (r and mode == "squarefree"):

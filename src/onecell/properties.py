@@ -255,18 +255,13 @@ class Holds(Property):
 # the ordering
 
 
-def property_tier(q: Property) -> int:
-    """Within-level rank, 1 = greatest: the `tier` of q's kind."""
-    return q.tier
-
-
 def property_compare(q1: Property, q2: Property) -> str:
     """LT/EQ/GT/INCOMPARABLE under the level-dominant tiered ordering."""
     if q1 == q2:
         return "EQ"
     if q1.level != q2.level:
         return "GT" if q1.level > q2.level else "LT"
-    t1, t2 = property_tier(q1), property_tier(q2)
+    t1, t2 = q1.tier, q2.tier
     if t1 == t2:
         return "INCOMPARABLE"
     return "GT" if t1 < t2 else "LT"
@@ -279,7 +274,7 @@ def strictly_smaller(q: Property, than: Property) -> bool:
 def selection_key(q: Property):
     """Deterministic pick of the greatest property: level-dominant,
     tier-ranked, INCOMPARABLE ties broken by textual order."""
-    return (-q.level, property_tier(q), q.text())
+    return (-q.level, q.tier, q.text())
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@ decisions), `sorted_distinct` for sorted values without duplicates,
 `simplest_between` for the simplest rational inside such a gap,
 `line_samples` for one point of every region of the line cut at given
 values (the sweep behind both the solver's candidates and
-`explain.check_conflict`), and the conversions between univariate
-`MPoly` and coefficient lists (`_upoly_coeffs`, `_upoly`).
+`explain.check_conflict`), and `_upoly`, the polynomial of a
+definition's coefficients; the other way, every integer-primitive
+coefficient tuple comes from `polynomial.dense`.
 
 Root isolation factors through `polynomial.factor`, the package's one
 boundary to sympy (closed forms up to degree 2, sympy's dense integer
@@ -68,16 +69,16 @@ from .polynomial import (
     MPoly,
     Var,
     coeff_info,
+    dense,
     exact_div,
     factor,
+    normalize,
     parse_poly,
     poly_to_str,
     resultant,
     _prem,
-    _primitive_part,
     _rational,
     _trim,
-    _utrim,
 )
 
 
@@ -154,34 +155,12 @@ def _variations(c: Sequence[int]) -> int:
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
-def _upoly_coeffs(p: MPoly, v: Var) -> list[Fraction]:
-    d, _, coeffs = coeff_info(p, v)
-    out = []
-    for c in coeffs:
-        if not c.is_constant():
-            raise ValueError(f"{p} is not univariate in x{v}")
-        out.append(c.constant_value())
-    return _utrim(out)
-
-
 def _upoly(c: Sequence[int], v: Var) -> MPoly:
     """The polynomial sum c[k] * x_v^k of integer coefficients (a
     definition), built as it is stored, without validation."""
     return MPoly._canonical(
         {_trim((0,) * (v - 1) + (k,)): x for k, x in enumerate(c) if x}
     )
-
-
-def _primitive(c: Sequence[Fraction]) -> tuple[int, ...]:
-    """c scaled to integer-primitive form with a positive leading
-    coefficient, so that equal roots get equal defining polynomials: with
-    g the gcd of the numerators and l the lcm of the denominators, each
-    n/d goes to n * (l // d) // g, and g takes the sign of c[-1]."""
-    g = math.gcd(*(x.numerator for x in c))
-    l = math.lcm(*(x.denominator for x in c))
-    if c[-1] < 0:
-        g = -g
-    return tuple(x.numerator * (l // x.denominator) // g for x in c)
 
 
 # ---------------------------------------------------------------------------
@@ -221,20 +200,20 @@ class RealAlg:
         equal, so comparing them would refine forever.  The defining
         polynomial is stored integer-primitive with a positive leading
         coefficient."""
-        c = _utrim([_rational(x) for x in defining])
-        if len(c) < 3 or [m for _, m in factor(_upoly(_primitive(c), 1))] != [1]:
+        p = normalize(MPoly({(k,): x for k, x in enumerate(defining)}))
+        if p.degree(1) < 2 or [m for _, m in factor(p)] != [1]:
             raise ValueError(
                 "the defining polynomial must be irreducible of degree >= 2"
             )
-        return cls._isolated(c, _rational(lo), _rational(hi))
+        return cls._isolated(dense(p, 1), _rational(lo), _rational(hi))
 
     @classmethod
     def _isolated(
-        cls, defining: Sequence[Fraction | int], lo: Fraction, hi: Fraction
+        cls, c: tuple[int, ...], lo: Fraction, hi: Fraction
     ) -> "RealAlg":
-        """`algebraic` without the irreducibility check, for definitions
-        that are irreducible by construction."""
-        c = _primitive(defining)
+        """`algebraic` without the irreducibility check, for the
+        integer-primitive coefficients c, with a positive leading one, of
+        a definition that is irreducible by construction."""
         self = object.__new__(cls)
         self._rat = None
         self._def = c
@@ -328,13 +307,11 @@ class RealAlg:
         if self._rat is not None and other._rat is not None:
             a, b = self._rat, other._rat
             return 0 if a == b else (-1 if a < b else 1)
-        if self._def is not None and other._def is not None:
-            if self._def == other._def:
-                i, j = self.canonical_index(), other.canonical_index()
-                return 0 if i == j else (-1 if i < j else 1)
-        elif self._rat is not None or other._rat is not None:
-            pass  # one rational, one irrational: never equal
-        # distinct values: refine until the enclosures separate
+        if self._def is not None and self._def == other._def:
+            i, j = self.canonical_index(), other.canonical_index()
+            return 0 if i == j else (-1 if i < j else 1)
+        # distinct values, as different definitions and a rational and an
+        # irrational are never equal: refine until the enclosures separate
         while True:
             if self._hi <= other._lo:
                 return -1
@@ -498,10 +475,9 @@ def _canonical_intervals(defc: tuple[int, ...]) -> list[tuple[Fraction, Fraction
     return memo.CANONICAL.fetch(defc, _bisect_roots, defc)
 
 
-def _isolate_irreducible(c: Sequence[Fraction]) -> list[RealAlg]:
-    """The real roots of an irreducible polynomial of degree >= 2, in
-    increasing order."""
-    c = _primitive(c)
+def _isolate_irreducible(c: tuple[int, ...]) -> list[RealAlg]:
+    """The real roots of the integer-primitive irreducible c of degree
+    >= 2 with a positive leading coefficient, in increasing order."""
     out = []
     for k, (a, b) in enumerate(_canonical_intervals(c), 1):
         r = RealAlg._isolated(c, a, b)
@@ -522,9 +498,9 @@ def isolate_real_roots(p: MPoly) -> list[RealAlg]:
         return []
     roots: list[RealAlg] = []
     for f, _m in factor(p):
-        fc = _upoly_coeffs(f, p.level)
+        fc = dense(f, p.level)
         if len(fc) == 2:
-            roots.append(RealAlg.rational(-fc[0] / fc[1]))
+            roots.append(RealAlg.rational(Fraction(-fc[0], fc[1])))
         else:
             roots.extend(_isolate_irreducible(fc))
     roots.sort()
@@ -673,10 +649,7 @@ def _is_zero_algebraic(p: MPoly, s: Sample) -> bool:
     q = _rational_part(p, s)
     if q.is_constant():
         return q.is_zero()
-    _, Q = _primitive_part(q)
-    c = [0] * (q.degree(j) + 1)
-    for e, k in Q.items():
-        c[e[-1] if e else 0] = k
+    c = dense(q, j)
     return len(c) >= len(d) and not _prem(c, d)
 
 
@@ -701,14 +674,14 @@ def _is_zero_by_elimination(p: MPoly, s: Sample) -> bool:
     """
     q = _rational_part(p, s)
     z = len(s) + 1
-    R = _upoly_coeffs(_candidate_poly(MPoly.var(z) - p, s), z)
+    R = dense(_candidate_poly(MPoly.var(z) - p, s), z)
     if R[0] != 0:
         return False
     m = next(k for k, c in enumerate(R) if c)
     if m == len(R) - 1:
         return True
     S = [abs(c) for c in R[m:]]
-    b = S[0] / (S[0] + max(S[1:]))
+    b = Fraction(S[0], S[0] + max(S[1:]))
     irrational = q.variables()
     point = [c.copy() for c in s]
     while True:

@@ -308,50 +308,51 @@ def _andel_choice(q: AnDel, ctx: RuleCtx) -> list[Choice]:
     return [Choice("del", ants, 0, tuple(introduced))]
 
 
+def ordering_resultants(pairs: Iterable[tuple[MPoly, MPoly]], v: int) -> list[MPoly]:
+    """The normalized resultants in x_v whose order-invariance keeps the
+    roots of each pair of distinct polynomials from crossing, each pair
+    handled once.  A pair with a zero resultant shares a factor; its
+    distinct finest factors with roots in x_v are related pairwise
+    instead, and the shared factor needs no projection as it is
+    delineable itself."""
+    out: list[MPoly] = []
+    seen: set[frozenset] = set()
+    for p, q in pairs:
+        if p == q:
+            # one delineable polynomial cannot reorder its own roots
+            continue
+        key = frozenset((p, q))
+        if key in seen:
+            continue
+        seen.add(key)
+        res = resultant(p, q, v)
+        if not res.is_zero():
+            out.append(_norm(res))
+            continue
+        fp = [f for f, _ in factor(p, "finest") if f.degree(v) > 0]
+        fq = [g for g, _ in factor(q, "finest") if g.degree(v) > 0]
+        for f in fp:
+            for g in fq:
+                fkey = frozenset((f, g))
+                if f != g and fkey not in seen:
+                    seen.add(fkey)
+                    out.append(_norm(resultant(f, g, v)))
+    return out
+
+
 def _irord_choice(q: IrOrd, ctx: RuleCtx) -> list[Choice]:
     ell = len(q.s)
     ants: list[Property] = [SampleProp(q.s), AnSub(ell), Connected(ell)]
     for poly in sorted({xi.poly for xi in q.ord.dom()}, key=MPoly.sort_key):
         ants.append(AnDel(poly))
-    introduced: list[tuple[str, MPoly]] = []
-    seen: set[frozenset] = set()
     pairs = sorted(
         q.ord.pairs,
         key=lambda ab: (ab[0].poly.sort_key(), ab[0].index, ab[1].poly.sort_key()),
     )
-    for a, b in pairs:
-        if a.poly == b.poly:
-            # one delineable polynomial cannot reorder its own roots
-            continue
-        key = frozenset((a.poly, b.poly))
-        if key in seen:
-            continue
-        seen.add(key)
-        res = resultant(a.poly, b.poly, a.poly.level)
-        if res.is_zero():
-            # shared factor: relate the distinct irreducible factors
-            # pairwise instead; the shared factor needs no projection
-            # as it is delineable itself
-            v = a.poly.level
-            # factors without roots in x_v cannot reorder anything
-            fa = [f for f, _ in factor(a.poly, "finest") if f.degree(v) > 0]
-            fb = [f for f, _ in factor(b.poly, "finest") if f.degree(v) > 0]
-            for f in fa:
-                for g in fb:
-                    if f == g:
-                        continue
-                    fkey = frozenset((f, g))
-                    if fkey in seen:
-                        continue
-                    seen.add(fkey)
-                    rfg = _norm(resultant(f, g, v))
-                    ants.append(OrdInv(rfg))
-                    introduced.append(("res", rfg))
-        else:
-            rn = _norm(res)
-            ants.append(OrdInv(rn))
-            introduced.append(("res", rn))
-    return [Choice("irord", _dedup(ants), 0, tuple(introduced))]
+    res = ordering_resultants(((a.poly, b.poly) for a, b in pairs), ell + 1)
+    ants.extend(OrdInv(r) for r in res)
+    introduced = tuple(("res", r) for r in res)
+    return [Choice("irord", _dedup(ants), 0, introduced)]
 
 
 def _connected_choices(q: Connected, ctx: RuleCtx) -> list[Choice]:

@@ -12,6 +12,7 @@ from onecell.cells import (
     cell_pick_interior_point,
     cell_to_formula,
 )
+from onecell.config import HeuristicConfig
 from onecell.engine import Fail
 from onecell.explain import (
     Constraint,
@@ -90,6 +91,23 @@ def test_explain_nullified_returns_fail():
     C = [Constraint(parse_poly("x3*x1+x2"), ">")]
     result = explain_conflict(C, [Fraction(0), Fraction(0)])
     assert isinstance(result, Fail)
+
+
+def test_explained_cell_keeps_a_shared_factor_conflict():
+    """x2^2-3*x2+2 = (x2-1)*(x2-2) shares a factor with the first
+    polynomial, (x2-2)*(x2-3*x1), so their resultant is zero; in
+    square-free mode the cell must still keep the root 3*x1 of the
+    other factor above 1, that is x1 > 1/3."""
+    C = [Constraint(parse_poly("x2^2-3*x1*x2-2*x2+6*x1"), "<"),
+         Constraint(parse_poly("x2^2-3*x2+2"), "<="),
+         Constraint(parse_poly("x2-1"), "<=")]
+    s = [Fraction(1, 2)]
+    result = explain_conflict(C, s, HeuristicConfig(factor_mode="squarefree"))
+    assert result
+    assert validate_trace(result.trace, set(result.trace.axioms))
+    for seed in range(10):
+        pt = cell_pick_interior_point(result.cell, seed)
+        assert check_conflict(C, pt), pt
 
 
 def test_extended_constraint_satisfaction():

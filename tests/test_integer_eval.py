@@ -16,11 +16,13 @@ from hypothesis import strategies as st
 from onecell.polynomial import (
     MPoly,
     coeff_info,
+    dense,
     derivative,
+    normalize,
     parse_poly,
     resultant,
 )
-from onecell.realalg import _interval_eval, _primitive, _usign
+from onecell.realalg import _interval_eval, _usign
 
 import oracles
 
@@ -90,7 +92,7 @@ def _definition_and_point(draw):
         lin = [Fraction(-x.numerator), Fraction(x.denominator)]
         c = [sum(c[i] * lin[k - i] for i in range(len(c)) if 0 <= k - i < 2)
              for k in range(len(c) + 1)]
-    return _primitive(c), x
+    return dense(normalize(MPoly({(k,): a for k, a in enumerate(c)})), 1), x
 
 
 @settings(max_examples=200, deadline=None)

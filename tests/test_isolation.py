@@ -8,23 +8,26 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from onecell import memo, realalg
-from onecell.polynomial import factor
-from onecell.realalg import _upoly, _upoly_coeffs, isolate_real_roots
+from onecell.polynomial import MPoly, dense, factor, normalize
+from onecell.realalg import _upoly, isolate_real_roots
 
 from oracles import descartes_bisection, sturm_count_all_real_roots
 
 
 def _irreducible_factors(c):
-    """Coefficient lists of the irreducible factors of degree >= 2."""
-    fs = [_upoly_coeffs(f, 1) for f, _m in factor(_upoly(c, 1))]
+    """Coefficient tuples of the irreducible factors of degree >= 2."""
+    fs = [dense(f, 1) for f, _m in factor(_upoly(c, 1))]
     return [fc for fc in fs if len(fc) > 2]
 
 
 def _check_against_oracle(fc):
-    intervals = realalg._bisect_roots(realalg._primitive(fc))
+    """fc, coefficients from degree 0 up, is isolated by the kernel as
+    its integer-primitive tuple, and by the oracles as it stands."""
+    c = dense(normalize(MPoly({(k,): x for k, x in enumerate(fc)})), 1)
+    intervals = realalg._bisect_roots(c)
     assert intervals == descartes_bisection(fc)
     assert len(intervals) == sturm_count_all_real_roots(list(fc))
-    roots = realalg._isolate_irreducible(fc)
+    roots = realalg._isolate_irreducible(c)
     assert [r.enclosure() for r in roots] == intervals
     assert [r.canonical_index() for r in roots] == list(range(1, len(roots) + 1))
 
@@ -67,7 +70,7 @@ _HUGE_BOUNDS = {
 @pytest.mark.parametrize("c", _HUGE_BOUNDS.values(), ids=_HUGE_BOUNDS.keys())
 def test_kernel_matches_fraction_bisection_at_huge_bounds(c):
     c = [Fraction(x) for x in c]
-    assert _irreducible_factors(c) == [_upoly_coeffs(_upoly(c, 1), 1)]
+    assert _irreducible_factors(c) == [dense(_upoly(c, 1), 1)]
     _check_against_oracle(c)
 
 

@@ -21,7 +21,6 @@ from onecell.properties import (
     SgnInv,
     is_whole,
     property_compare,
-    property_tier,
     selection_key,
     strictly_smaller,
     validate_trace,
@@ -64,7 +63,7 @@ def test_tier_order_within_level():
         Holds(iv),
     ]
     assert {q.level for q in props} == {1}
-    assert [property_tier(q) for q in props] == list(range(1, 13))
+    assert [q.tier for q in props] == list(range(1, 13))
     for smaller, larger in zip(props[1:], props):
         assert property_compare(larger, smaller) == "GT"
 
@@ -83,8 +82,8 @@ def test_whole_vs_decomposable_invariance():
     assert is_whole(whole)
     assert not is_whole(scaled)
     assert not is_whole(square)
-    assert property_tier(SgnInv(whole)) > property_tier(SgnInv(scaled))
-    assert property_tier(SgnInv(whole)) > property_tier(SgnInv(square))
+    assert SgnInv(whole).tier > SgnInv(scaled).tier
+    assert SgnInv(whole).tier > SgnInv(square).tier
 
 
 def test_selection_key_prefers_higher_level_then_tier():

@@ -6,8 +6,11 @@ from fractions import Fraction
 import pytest
 
 from onecell import explain, solver
-from onecell.explain import Constraint, constraint_satisfied
-from onecell.polynomial import parse_poly
+from onecell.cells import cell_pick_interior_point
+from onecell.config import HEURISTIC_IDS, config_from_id
+from onecell.engine import Fail
+from onecell.explain import Constraint, check_conflict, constraint_satisfied
+from onecell.polynomial import MPoly, parse_poly
 from onecell.realalg import simplest_between
 from onecell.smtlib import parse_problem
 from onecell.solver import SAT, UNKNOWN, UNSAT, solve_conjunction
@@ -253,3 +256,75 @@ def test_model_does_not_depend_on_earlier_calls():
     assert before.status == after.status == SAT
     assert before.model[0].rational_value() == after.model[0].rational_value()
     assert after.model[0].rational_value() == Fraction(52, 37)
+
+
+# square-free polynomials sharing the factor x2-2, so their resultant in
+# x2 is zero: (x2-2)*(x2+2*x1-3) and (x2-2)*(x2-x1^2); sat at (-7/2, 11)
+SHARED_FACTOR = [Constraint(parse_poly("x2^2+2*x1*x2-5*x2-4*x1+6"), ">"),
+                 Constraint(parse_poly("-x1^2*x2+x2^2+2*x1^2-2*x2"), "<"),
+                 Constraint(parse_poly("x1+2"), "<")]
+
+
+@pytest.mark.parametrize("mode", ["finest", "squarefree"])
+def test_shared_factor_conjunction_is_sat(mode):
+    """Conflict cells must keep the roots of the factors other than the
+    shared one ordered, in square-free mode too."""
+    for h in HEURISTIC_IDS:
+        r = solve_conjunction(SHARED_FACTOR, 2, cfg=config_from_id(h, mode))
+        assert r.status == SAT, h
+        assert all(constraint_satisfied(c, r.model) for c in SHARED_FACTOR)
+
+
+def _small_factor(rng):
+    """A random a*x2 + b*x1 + c, a*x2 + b*x1^2 + c or
+    x2^2 + b*x1*x2 + a*x1 + c with small integers."""
+    x1, x2 = MPoly.var(1), MPoly.var(2)
+    a, b, c = rng.choice([-2, -1, 1, 2]), rng.randint(-2, 2), rng.randint(-3, 3)
+    kind = rng.randint(0, 2)
+    if kind == 0:
+        return a * x2 + b * x1 + c
+    if kind == 1:
+        return a * x2 + b * x1 * x1 + c
+    return x2 * x2 + b * x1 * x2 + a * x1 + c
+
+
+def test_shared_factor_conjunctions_agree_across_factor_modes(rng, monkeypatch):
+    """120 conjunctions of two products sharing one factor, sometimes
+    with a bound on x1, under the heuristics in turn: every cell a
+    search learns keeps its conflict at interior points, and the two
+    factor modes reach the same verdict unless one gives up."""
+    learned = []
+    generalize = solver._generalize
+
+    def recording_generalize(C, prefix, *args):
+        result = generalize(C, prefix, *args)
+        learned.append((C, result))
+        return result
+
+    monkeypatch.setattr(solver, "_generalize", recording_generalize)
+    heuristics = list(HEURISTIC_IDS)
+    cells = 0
+    for k in range(120):
+        shared = _small_factor(rng)
+        rels = ["<", "<=", ">", ">=", "=", "!="]
+        cons = [Constraint(shared * _small_factor(rng), rng.choice(rels)) for _ in range(2)]
+        if rng.random() < 0.5:
+            cons.append(Constraint(MPoly.var(1) + rng.randint(-3, 3), rng.choice("<>")))
+        status = {}
+        for mode in ("finest", "squarefree"):
+            learned.clear()
+            cfg = config_from_id(heuristics[k % len(heuristics)], mode)
+            r = solve_conjunction(cons, 2, budget=32, cfg=cfg)
+            status[mode] = r.status
+            if r.status == SAT:
+                assert all(constraint_satisfied(c, r.model) for c in cons)
+            for C, result in learned:
+                if isinstance(result, Fail):
+                    continue
+                cells += 1
+                for seed in range(3):
+                    pt = cell_pick_interior_point(result.cell, seed)
+                    assert check_conflict(C, pt), (mode, cons, pt)
+        if UNKNOWN not in status.values():
+            assert status["finest"] == status["squarefree"], (cons, status)
+    assert cells > 100
