@@ -9,8 +9,7 @@ decide small conjunctions of polynomial constraints.
 from .cells import (
     CellDescription,
     IndexedRoot,
-    SectionInterval,
-    SectorInterval,
+    SymbolicInterval,
     cell_contains,
     cell_from_text,
     cell_to_formula,
@@ -51,9 +50,8 @@ __all__ = [
     "RunStats",
     "SAT",
     "Sample",
-    "SectionInterval",
-    "SectorInterval",
     "SolveResult",
+    "SymbolicInterval",
     "UNKNOWN",
     "UNSAT",
     "cell_contains",

@@ -1,8 +1,11 @@
 """Indexed root expressions, symbolic intervals, and cell descriptions.
 
-A cell is described level by level: at each level either a *sector*
-(an open interval between two indexed root expressions, or infinity)
-or a *section* (the graph of one indexed root expression).  An indexed
+A cell is described level by level, as a `CellDescription`: the tuple
+of one `SymbolicInterval(level, lower, upper)` per level, interval i at
+level i.  An interval is either a *sector* (the open interval between
+two indexed root expressions, with None for an infinite end) or a
+*section* (the graph of one indexed root expression, which is both of
+its bounds; `SymbolicInterval.section`).  An indexed
 root expression "the j-th real root of p in x_i" only gains a value
 once the lower-level coordinates are fixed, which is what
 `eval_indexed_root` does.  The same cell read as a formula is a
@@ -38,10 +41,6 @@ class IndexedRoot:
             raise ValueError("indexed roots need a nonconstant polynomial")
 
     @property
-    def var(self) -> Var:
-        return self.poly.level
-
-    @property
     def level(self) -> int:
         return self.poly.level
 
@@ -53,99 +52,56 @@ class IndexedRoot:
         return f'(root "{poly_to_str(self.poly)}" {self.index})'
 
 
+@dataclass(frozen=True)
 class SymbolicInterval:
+    """The interval of one level: the sector between two indexed root
+    expressions at `level` (None is -inf below and +inf above), or, with
+    both bounds on the same root, the section on that root."""
+
     level: int
-
-    def is_section(self) -> bool:
-        raise NotImplementedError
-
-    def bound_roots(self) -> list[IndexedRoot]:
-        raise NotImplementedError
-
-    def bounds(self) -> tuple[Optional[IndexedRoot], Optional[IndexedRoot]]:
-        """(lower, upper); a section is bounded by its root on both sides."""
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class SectionInterval(SymbolicInterval):
-    bound: IndexedRoot
-
-    @property
-    def level(self) -> int:
-        return self.bound.level
-
-    def is_section(self) -> bool:
-        return True
-
-    def bound_roots(self) -> list[IndexedRoot]:
-        return [self.bound]
-
-    def bounds(self) -> tuple[Optional[IndexedRoot], Optional[IndexedRoot]]:
-        return self.bound, self.bound
-
-    def __repr__(self) -> str:
-        return f"section({self.bound!r})"
-
-
-@dataclass(frozen=True)
-class SectorInterval(SymbolicInterval):
-    lower: Optional[IndexedRoot]  # None = -inf
-    upper: Optional[IndexedRoot]  # None = +inf
-    level_hint: int = 0  # required when both ends are infinite
+    lower: Optional[IndexedRoot] = None
+    upper: Optional[IndexedRoot] = None
 
     def __post_init__(self):
-        if self.lower is not None and self.upper is not None:
-            if self.lower.level != self.upper.level:
-                raise ValueError("sector bounds at different levels")
+        if self.level < 1:
+            raise ValueError("interval levels are 1-based")
+        for b in (self.lower, self.upper):
+            if b is not None and b.level != self.level:
+                raise ValueError(f"bound {b!r} is not at level {self.level}")
 
-    @property
-    def level(self) -> int:
-        if self.lower is not None:
-            return self.lower.level
-        if self.upper is not None:
-            return self.upper.level
-        return self.level_hint
+    @classmethod
+    def section(cls, b: IndexedRoot) -> "SymbolicInterval":
+        """The section on the root b."""
+        return cls(b.level, b, b)
 
     def is_section(self) -> bool:
-        return False
+        return self.lower is not None and self.lower == self.upper
 
     def bound_roots(self) -> list[IndexedRoot]:
-        return [b for b in (self.lower, self.upper) if b is not None]
-
-    def bounds(self) -> tuple[Optional[IndexedRoot], Optional[IndexedRoot]]:
-        return self.lower, self.upper
+        roots = [b for b in (self.lower, self.upper) if b is not None]
+        return roots[:1] if self.is_section() else roots
 
     def __repr__(self) -> str:
+        if self.is_section():
+            return f"section({self.lower!r})"
         lo = "-inf" if self.lower is None else repr(self.lower)
         hi = "+inf" if self.upper is None else repr(self.upper)
         return f"sector({lo}, {hi})"
 
 
-class CellDescription:
-    """Triangular cell data: one symbolic interval per level, interval i
-    only mentioning variables x1..xi."""
+class CellDescription(tuple):
+    """Triangular cell data: a tuple of one symbolic interval per level,
+    interval i at level i and so only mentioning variables x1..xi."""
 
-    def __init__(self, intervals: Sequence[SymbolicInterval]):
-        self.intervals = list(intervals)
-        for i, iv in enumerate(self.intervals):
-            if iv.level not in (i + 1, 0):
-                raise ValueError(f"interval {i + 1} has level {iv.level}")
-
-    def __len__(self) -> int:
-        return len(self.intervals)
-
-    def __getitem__(self, i: int) -> SymbolicInterval:
-        return self.intervals[i]
-
-    def __iter__(self):
-        return iter(self.intervals)
-
-    def __eq__(self, other):
-        return isinstance(other, CellDescription) and self.intervals == other.intervals
+    def __new__(cls, intervals: Sequence[SymbolicInterval] = ()):
+        cell = super().__new__(cls, intervals)
+        for i, iv in enumerate(cell, start=1):
+            if iv.level != i:
+                raise ValueError(f"interval {i} has level {iv.level}")
+        return cell
 
     def __repr__(self) -> str:
-        return "Cell[" + "; ".join(repr(iv) for iv in self.intervals) + "]"
+        return "Cell[" + "; ".join(repr(iv) for iv in self) + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +140,7 @@ def cell_pick_interior_point(c: CellDescription, seed: int) -> Sample:
     draws.  Raises the ValueError of the last draw, which is the first
     when no sector is unbounded."""
     rng = random.Random(seed)
-    widenable = any(not iv.is_section() and None in iv.bounds() for iv in c)
+    widenable = any(None in (iv.lower, iv.upper) for iv in c)
     draws = _PICK_DRAWS if widenable else 1
     for draw in range(draws - 1):
         try:
@@ -210,7 +166,7 @@ def _draw_point(c: CellDescription, rng: random.Random, width: int) -> Sample:
 
     for iv in c:
         if iv.is_section():
-            coords.append(bound_value(iv.bound, "section"))
+            coords.append(bound_value(iv.lower, "section"))
             continue
         lo = bound_value(iv.lower, "sector")
         hi = bound_value(iv.upper, "sector")
@@ -281,7 +237,7 @@ def cell_to_formula(c: CellDescription) -> list[ExtendedConstraint]:
     atoms: list[ExtendedConstraint] = []
     for i, iv in enumerate(c, start=1):
         if iv.is_section():
-            atoms.append(ExtendedConstraint(i, "=", iv.bound))
+            atoms.append(ExtendedConstraint(i, "=", iv.lower))
         else:
             if iv.lower is not None:
                 atoms.append(ExtendedConstraint(i, ">", iv.lower))
@@ -321,7 +277,7 @@ def cell_to_text(c: CellDescription) -> str:
     lines = []
     for i, iv in enumerate(c, start=1):
         if iv.is_section():
-            lines.append(f"level {i} section {bound_text(iv.bound, '')}")
+            lines.append(f"level {i} section {bound_text(iv.lower, '')}")
         else:
             lines.append(
                 f"level {i} sector {bound_text(iv.lower, '-')} "
@@ -353,10 +309,10 @@ def cell_from_text(text: str) -> CellDescription:
         if kind == "section":
             if len(bounds) != 1 or bounds[0] is None:
                 raise ValueError(f"line {lineno}: a section needs one root bound")
-            intervals.append(SectionInterval(bounds[0]))
-        else:
-            if len(bounds) != 2:
-                raise ValueError(f"line {lineno}: a sector needs two bounds")
-            hint = level if bounds[0] is None and bounds[1] is None else 0
-            intervals.append(SectorInterval(bounds[0], bounds[1], level_hint=hint))
+            bounds *= 2  # both bounds on the one root
+        elif len(bounds) != 2:
+            raise ValueError(f"line {lineno}: a sector needs two bounds")
+        elif bounds[0] is not None and bounds[0] == bounds[1]:
+            raise ValueError(f"line {lineno}: a sector needs two distinct bounds")
+        intervals.append(SymbolicInterval(level, *bounds))
     return CellDescription(intervals)

@@ -91,11 +91,8 @@ def _close_base_level(Q: PropertySet, rep: Representation, s: Sample,
     if repr1 in Q:
         apply_pre(Q, repr1, ctx)
     for q in sorted(Q.at_level(1), key=lambda q: q.text()):
-        if isinstance(q, Repr):
+        if isinstance(q, (Repr, Connected)):
             apply_pre(Q, q, ctx)
-        elif isinstance(q, Connected):
-            Q.trace.derive_from_true(q, "connected-base")
-            Q.discharge(q)
         else:
             Q.trace.derive(q, (repr1,), "level-one-base")
             Q.discharge(q)

@@ -24,13 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cells import (
-    IndexedRoot,
-    SectionInterval,
-    SectorInterval,
-    SymbolicInterval,
-    cached_roots,
-)
+from .cells import IndexedRoot, SymbolicInterval, cached_roots
 from .config import HeuristicConfig
 from .polynomial import MPoly
 from .properties import RootOrdering
@@ -94,8 +88,8 @@ class _Ctx:
             default=None,
         )
         if lo is not None and self.side(lo) == 0:
-            return SectionInterval(lo)
-        return SectorInterval(lo, up, level_hint=self.level)
+            return SymbolicInterval.section(lo)
+        return SymbolicInterval(self.level, lo, up)
 
     def reduced(self, interval: SymbolicInterval) -> list[IndexedRoot]:
         """Per polynomial only the closest lower and upper roots, in
@@ -108,7 +102,7 @@ class _Ctx:
                 lower[r.poly] = r
             if self.side(r) >= 0:
                 upper.setdefault(r.poly, r)
-        lo, up = interval.bounds()
+        lo, up = interval.lower, interval.upper
         return sorted(
             {*lower.values(), *upper.values()},
             key=lambda r: (
@@ -136,7 +130,7 @@ class _Ctx:
 
 
 def _pairs_bc(ctx: _Ctx, red, interval) -> list:
-    lo, up = interval.bounds()
+    lo, up = interval.lower, interval.upper
     pairs = []
     for r in red:
         if r == lo or r == up:
@@ -163,7 +157,7 @@ def _pairs_full(red) -> list:
 def _pairs_ldb(ctx: _Ctx, subset, interval) -> list:
     """Pair each root with its barrier; roots that are their own
     barrier attach to the interval bound directly."""
-    lo, up = interval.bounds()
+    lo, up = interval.lower, interval.upper
     pairs = []
     for r in subset:
         side = ctx.side(r)
@@ -186,7 +180,7 @@ def _ldb_section_eq_set(ctx: _Ctx, red, interval) -> set:
     """Fixed point collecting the polynomials whose roots only point at
     the section bound and serve as barrier for nobody else; those are
     handled by the equational projection instead of the ordering."""
-    b = interval.bound
+    b = interval.lower
     polys = sorted({r.poly for r in red}, key=MPoly.sort_key)
     eq: set[MPoly] = set()
     changed = True

@@ -69,7 +69,7 @@ def _sample_text(s: Sample) -> str:
 
 def _interval_text(iv: SymbolicInterval) -> str:
     if iv.is_section():
-        return f"section[{bound_text(iv.bound, '')}]"
+        return f"section[{bound_text(iv.lower, '')}]"
     return f"sector[{bound_text(iv.lower, '-')},{bound_text(iv.upper, '+')}]"
 
 

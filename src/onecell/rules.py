@@ -175,7 +175,7 @@ def _factors_choice(q, wrap) -> list[Choice]:
 
 def _eqproj_choice(p: MPoly, ell: int, ctx: RuleCtx, rank: int) -> Optional[Choice]:
     interval = ctx.interval
-    bound = interval.bound
+    bound = interval.lower
     prefix = ctx.s.prefix(ell - 1)
     ants = [
         AnSub(ell - 1),
@@ -217,13 +217,13 @@ def _sgninv_choices(q: SgnInv, ctx: RuleCtx) -> list[Choice]:
     in_eq = p in ctx.eq_set
     if interval.is_section():
         ch = _eqproj_choice(
-            p, ell, ctx, 0 if p == interval.bound.poly else (1 if in_eq else 2)
+            p, ell, ctx, 0 if p == interval.lower.poly else (1 if in_eq else 2)
         )
         if ch is not None:
             choices.append(ch)
     ordering = ctx.ordering
     if ordering is not None:
-        lo, up = interval.bounds()
+        lo, up = interval.lower, interval.upper
         ok = True
         for k in range(len(roots)):
             xi = IndexedRoot(p, k + 1)

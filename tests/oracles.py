@@ -31,8 +31,6 @@ import sympy
 
 from onecell.cells import (
     IndexedRoot,
-    SectionInterval,
-    SectorInterval,
     SymbolicInterval,
     eval_indexed_root,
 )
@@ -512,7 +510,7 @@ def representation_is_valid(rep, polys, s_prefix, s_val) -> bool:
     xi = roots_with_values(polys, s_prefix)
     val = dict(xi)
     interval = rep.interval
-    lo, up = interval.bounds()
+    lo, up = interval.lower, interval.upper
     if interval.is_section():
         if val.get(lo) is None or val[lo].compare(s_val) != 0:
             return False
@@ -528,10 +526,10 @@ def representation_is_valid(rep, polys, s_prefix, s_val) -> bool:
     for r, _ in xi:
         if r.poly in rep.eq_set:
             continue
-        if interval.is_section() and r.poly != interval.bound.poly:
+        if interval.is_section() and r.poly != interval.lower.poly:
             # the equational projection against the bound polynomial can
             # stand in for the ordering unless they share a factor
-            if not resultant(r.poly, interval.bound.poly, r.poly.level).is_zero():
+            if not resultant(r.poly, interval.lower.poly, r.poly.level).is_zero():
                 continue
         below = lo is not None and rep.ordering.le(r, lo)
         above = up is not None and rep.ordering.le(up, r)
@@ -638,8 +636,8 @@ class _Ctx:
             closest = [r for r in upper if self.val[r].compare(self.val[best]) == 0]
             up = _pick_min_degree(closest)
         if lo is not None and self.val[lo].compare(self.s_val) == 0:
-            return SectionInterval(lo)
-        return SectorInterval(lo, up, level_hint=self.level)
+            return SymbolicInterval.section(lo)
+        return SymbolicInterval(self.level, lo, up)
 
     def reduced(self, interval: SymbolicInterval) -> list[IndexedRoot]:
         """Per polynomial only the closest lower and upper roots, in
@@ -657,7 +655,7 @@ class _Ctx:
             if upper:
                 keep.add(min(upper, key=lambda r: r.index))
 
-        lo, up = interval.bounds()
+        lo, up = interval.lower, interval.upper
         return value_order(
             keep, self.val, lambda r: 1 if r == lo else (-1 if r == up else 0)
         )
@@ -706,7 +704,7 @@ class _Ctx:
 
 
 def _pairs_bc(ctx: _Ctx, red, interval) -> list:
-    lo, up = interval.bounds()
+    lo, up = interval.lower, interval.upper
     pairs = []
     for r in red:
         if r == lo or r == up:
@@ -733,7 +731,7 @@ def _pairs_full(red) -> list:
 def _pairs_ldb(ctx: _Ctx, subset, interval) -> list:
     """Pair each root with its barrier; roots that are their own
     barrier attach to the interval bound directly."""
-    lo, up = interval.bounds()
+    lo, up = interval.lower, interval.upper
     bound_roots = {b for b in (lo, up) if b is not None}
     pairs = []
     for r in subset:
@@ -757,7 +755,7 @@ def _ldb_section_eq_set(ctx: _Ctx, red, interval) -> set:
     """Fixed point collecting the polynomials whose roots only point at
     the section bound and serve as barrier for nobody else; those are
     handled by the equational projection instead of the ordering."""
-    b = interval.bound
+    b = interval.lower
     polys = sorted({r.poly for r in red}, key=MPoly.sort_key)
     eq: set[MPoly] = set()
     changed = True

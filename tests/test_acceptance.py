@@ -264,7 +264,7 @@ def test_criterion_6_heuristic_structure():
                 st_eq = RunStats()
                 r_eq = single_cell(polys, on_root, HeuristicConfig("EQ", "BC"), st_eq)
                 if r_eq and r_eq.cell[level - 1].is_section():
-                    bound_poly = r_eq.cell[level - 1].bound.poly
+                    bound_poly = r_eq.cell[level - 1].lower.poly
                     allowed = {normalize(discriminant(bound_poly, level))}
                     # discriminants the `del` steps cite for the level's
                     # polynomials with a root over the prefix; those

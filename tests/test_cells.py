@@ -4,23 +4,24 @@ from fractions import Fraction
 
 import pytest
 
+import onecell
 from onecell.cells import (
     CellDescription,
     IndexedRoot,
-    SectionInterval,
-    SectorInterval,
+    SymbolicInterval,
     cell_contains,
     cell_from_text,
     cell_pick_interior_point,
     cell_to_formula,
     cell_to_text,
 )
-from onecell.config import config_from_id
+from onecell.config import HEURISTIC_IDS, HeuristicConfig, config_from_id
 from onecell.engine import single_cell
 from onecell.polynomial import parse_poly
 from onecell.realalg import UNDEF, Sample
 
 from conftest import sign_vector, within_seconds
+from test_acceptance import P_RUNNING, S_RUNNING, _fuzz_instances
 
 
 def _unit_disk_cell():
@@ -28,8 +29,8 @@ def _unit_disk_cell():
     xline = parse_poly("x1^2-1")
     return CellDescription(
         [
-            SectorInterval(IndexedRoot(xline, 1), IndexedRoot(xline, 2)),
-            SectorInterval(IndexedRoot(circle, 1), IndexedRoot(circle, 2)),
+            SymbolicInterval(1, IndexedRoot(xline, 1), IndexedRoot(xline, 2)),
+            SymbolicInterval(2, IndexedRoot(circle, 1), IndexedRoot(circle, 2)),
         ]
     )
 
@@ -47,8 +48,8 @@ def test_section_membership():
     line = parse_poly("2*x2-x1")
     cell = CellDescription(
         [
-            SectorInterval(None, None, level_hint=1),
-            SectionInterval(IndexedRoot(line, 1)),
+            SymbolicInterval(1),
+            SymbolicInterval.section(IndexedRoot(line, 1)),
         ]
     )
     assert cell_contains(cell, Sample([Fraction(4), Fraction(2)])) is True
@@ -69,8 +70,8 @@ def test_interior_point_of_section_is_the_section():
     line = parse_poly("x2-3")
     cell = CellDescription(
         [
-            SectorInterval(None, None, level_hint=1),
-            SectionInterval(IndexedRoot(line, 1)),
+            SymbolicInterval(1),
+            SymbolicInterval.section(IndexedRoot(line, 1)),
         ]
     )
     for seed in range(5):
@@ -83,7 +84,7 @@ def test_text_roundtrip():
     text = cell_to_text(cell)
     assert "level 1 sector" in text and "level 2 sector" in text
     assert cell_from_text(text) == cell
-    inf_cell = CellDescription([SectorInterval(None, None, level_hint=1)])
+    inf_cell = CellDescription([SymbolicInterval(1)])
     assert cell_from_text(cell_to_text(inf_cell)) == inf_cell
 
 
@@ -94,9 +95,52 @@ def test_text_rejects_malformed():
         "level 1 sector -inf",
         "nonsense",
         'level 1 sector -inf +inf\nlevel 2 sector (root "x2" 1) (root "x1" 1)',
+        # equal bounds make a section, not an empty sector
+        'level 1 sector (root "x1" 1) (root "x1" 1)',
     ]:
         with pytest.raises(ValueError):
             cell_from_text(bad)
+
+
+def test_engine_cells_round_trip_through_text():
+    """The README cell and the seeded fuzz cells under every heuristic
+    read back equal to the cell the engine built."""
+    cells = [single_cell(P_RUNNING, S_RUNNING, HeuristicConfig("EQ", "BC")).cell]
+    for _, polys, coords, _ in _fuzz_instances(20):
+        for hid in sorted(HEURISTIC_IDS):
+            result = single_cell(polys, coords, config_from_id(hid))
+            if result:
+                cells.append(result.cell)
+    assert len(cells) > 100
+    for cell in cells:
+        assert cell_from_text(cell_to_text(cell)) == cell
+
+
+def test_intervals_sit_at_their_level():
+    x1 = IndexedRoot(parse_poly("x1"), 1)
+    with pytest.raises(ValueError):
+        SymbolicInterval(2, x1)
+    with pytest.raises(ValueError):
+        SymbolicInterval(1, None, IndexedRoot(parse_poly("x2"), 1))
+    with pytest.raises(ValueError):
+        SymbolicInterval(0)
+    section = SymbolicInterval.section(x1)
+    assert section == SymbolicInterval(1, x1, x1) and section.is_section()
+    assert section.bound_roots() == [x1]
+    assert not SymbolicInterval(1, x1).is_section()
+    assert not SymbolicInterval(1).is_section()
+
+
+def test_cell_description_puts_interval_i_at_level_i():
+    whole = SymbolicInterval(1)
+    assert CellDescription([whole]) == (whole,)
+    for bad in ([whole] * 2, [SymbolicInterval(2)]):
+        with pytest.raises(ValueError):
+            CellDescription(bad)
+
+
+def test_public_names_resolve():
+    assert all(hasattr(onecell, name) for name in onecell.__all__)
 
 
 def test_text_rejects_text_around_bounds():
@@ -128,8 +172,8 @@ def test_formula_of_section_is_equality():
     line = parse_poly("x2-3")
     cell = CellDescription(
         [
-            SectorInterval(None, None, level_hint=1),
-            SectionInterval(IndexedRoot(line, 1)),
+            SymbolicInterval(1),
+            SymbolicInterval.section(IndexedRoot(line, 1)),
         ]
     )
     atoms = cell_to_formula(cell)
@@ -164,9 +208,9 @@ def test_interior_point_of_an_empty_sector_is_refused():
     """A sector between x2 = 1 and x2 = 0 is empty over every x1: each
     widened draw fails, and the last failure is raised."""
     cell = CellDescription([
-        SectorInterval(None, None, level_hint=1),
-        SectorInterval(IndexedRoot(parse_poly("x2-1"), 1),
-                       IndexedRoot(parse_poly("x2"), 1)),
+        SymbolicInterval(1),
+        SymbolicInterval(2, IndexedRoot(parse_poly("x2-1"), 1),
+                         IndexedRoot(parse_poly("x2"), 1)),
     ])
 
     def pick():

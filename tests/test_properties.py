@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from onecell.cells import IndexedRoot, SectorInterval
+from onecell.cells import IndexedRoot, SymbolicInterval
 from onecell.polynomial import parse_poly
 from onecell.properties import (
     AnDel,
@@ -46,7 +46,7 @@ def test_tier_order_within_level():
     ordering = RootOrdering([])
     p1 = parse_poly("x1^2-2")
     split = p1.scale(Fraction(2))  # not normalized: decomposition applies
-    iv = SectorInterval(None, None, level_hint=1)
+    iv = SymbolicInterval(1)
     # every (kind, wholeness) case at level 1, greatest first
     props = [
         IrOrd(ordering, S1),
@@ -218,7 +218,7 @@ def test_validate_trace_rejects_factors_step_of_another_kind():
 
 def test_validate_trace_rejects_wrong_shape():
     trace = DerivationTrace()
-    iv = SectorInterval(None, None, level_hint=1)
+    iv = SymbolicInterval(1)
     trace.derive(
         SgnInv(parse_poly("x1-1")),
         (Repr(iv, Sample(())), AnSub(0)),

@@ -6,7 +6,7 @@ from fractions import Fraction
 from functools import cache
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from onecell import realalg
@@ -135,7 +135,8 @@ def _coordinates():
 
 
 def _recorded(fn, *args):
-    """Run fn, checking every resultant it takes against the oracles."""
+    """Run fn, checking every resultant it takes against the oracles;
+    the resultants taken, and fn's value."""
     seen = []
 
     def checked(p, q, v):
@@ -143,8 +144,8 @@ def _recorded(fn, *args):
         return _check(p, q, v)
 
     with mock.patch.object(realalg, "resultant", checked):
-        fn(*args)
-    return seen
+        value = fn(*args)
+    return seen, value
 
 
 def _sample(picks):
@@ -157,13 +158,21 @@ _picks = st.tuples(st.integers(2, 7), st.integers(0, 7))
 
 @settings(max_examples=40, deadline=None)
 @given(_polys(2), _picks)
+# x2 = 1/2 makes the product zero before any elimination
+@example(parse_poly("-4*x1^2*x2^2+x1^2"), (2, 0))
 def test_zero_test_inputs(p, picks):
     """p at the sample, and p times a polynomial that vanishes there, by
     the elimination the zero test takes for several irrational
-    coordinates (called here at one irrational coordinate too)."""
+    coordinates (called here at one irrational coordinate too).  The
+    product is zero; it takes a resultant unless substituting the
+    rational coordinates already leaves zero."""
     s = _sample(picks)
     _recorded(realalg._is_zero_by_elimination, p, s)
-    assert _recorded(realalg._is_zero_by_elimination, p * realalg._upoly(s[0]._def, 1), s)
+    pd = p * realalg._upoly(s[0]._def, 1)
+    seen, zero = _recorded(realalg._is_zero_by_elimination, pd, s)
+    assert zero is True
+    if not realalg._rational_part(pd, s).is_zero():
+        assert seen
 
 
 @settings(max_examples=40, deadline=None)
@@ -173,4 +182,4 @@ def test_root_candidate_inputs(p, picks):
     p = p + MPoly.var(1) * MPoly.var(3) ** 3
     _, _, coeffs = coeff_info(p, 3)
     if any(realalg.sign_at(c, s) for c in coeffs):
-        assert _recorded(realalg._candidate_poly, p, s)
+        assert _recorded(realalg._candidate_poly, p, s)[0]
