@@ -39,6 +39,11 @@ class IndexedRoot:
             raise ValueError("root indices are 1-based")
         if self.poly.is_constant():
             raise ValueError("indexed roots need a nonconstant polynomial")
+        # the dataclass hash, computed once
+        object.__setattr__(self, "_hash", hash((self.poly, self.index)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def level(self) -> int:
@@ -68,6 +73,10 @@ class SymbolicInterval:
         for b in (self.lower, self.upper):
             if b is not None and b.level != self.level:
                 raise ValueError(f"bound {b!r} is not at level {self.level}")
+        object.__setattr__(self, "_hash", hash((self.level, self.lower, self.upper)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def section(cls, b: IndexedRoot) -> "SymbolicInterval":

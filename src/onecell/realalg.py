@@ -525,7 +525,8 @@ class Sample(tuple):
         return super().__new__(cls, vals)
 
     def prefix(self, i: int) -> "Sample":
-        return Sample(self[:i])
+        # the coordinates are RealAlgs already: no need to check them again
+        return tuple.__new__(Sample, self[:i])
 
     def extend(self, coord) -> "Sample":
         return Sample(list(self) + [coord])

@@ -1,16 +1,22 @@
 """Proof rules and the property replacement step.
 
-For a pending property this module enumerates the applicable rule
-instances (each an antecedent set that would justify it), picks one,
-logs the derivation, and replaces the property by the antecedents that
-are not yet justified.  Rule availability depends on the construction
-phase: rules concluding sign-invariance of an irreducible polynomial
-need the symbolic interval and root ordering chosen for the level,
-everything else only needs the sample.
+The pending properties sit in a heap ordered by `selection_key`, so the
+greatest one of the level being drained is read off its top.  For that
+property this module enumerates the applicable rule instances (each an
+antecedent set that would justify it) and picks one: a sole instance is
+taken as it is, otherwise an instance whose antecedents are all
+justified already is preferred and ties go to the cheapest by
+`Choice.order_key`.  It logs the derivation and replaces the property
+by the antecedents that are not yet justified.  Rule availability
+depends on the construction phase: rules concluding sign-invariance of
+an irreducible polynomial need the symbolic interval and root ordering
+chosen for the level, everything else only needs the sample.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -73,13 +79,19 @@ def trivial_rule(q: Property) -> Optional[str]:
 class PropertySet:
     """Pending properties plus the trace justifying everything that has
     already been discharged.  Trivially true properties and interval
-    assumptions never become pending: they are logged immediately."""
+    assumptions never become pending: they are logged immediately.
+
+    Each pending property also sits in a heap under its
+    `selection_key`, with an insertion count as tie-breaker so that two
+    properties are never compared; a discharged property's entry stays
+    in the heap until it reaches the top."""
 
     def __init__(self, trace: DerivationTrace):
         self.props: set[Property] = set()
         self.derived: set[Property] = set()
         self.trace = trace
-        self._keys: dict[Property, tuple] = {}  # selection_key per pending property
+        self._heap: list[tuple[tuple, int, Property]] = []
+        self._count = itertools.count()
 
     def add(self, q: Property) -> None:
         if q in self.derived or q in self.props:
@@ -94,35 +106,38 @@ class PropertySet:
             self.derived.add(q)
             return
         self.props.add(q)
-        self._keys[q] = selection_key(q)
+        heapq.heappush(self._heap, (selection_key(q), next(self._count), q))
 
     def justified(self, q: Property) -> bool:
         return q in self.derived or trivial_rule(q) is not None
 
     def discharge(self, q: Property) -> None:
         self.props.discard(q)
-        self._keys.pop(q, None)
         self.derived.add(q)
 
     def __contains__(self, q: Property) -> bool:
         return q in self.props
 
-    def __iter__(self):
-        return iter(self.props)
-
     def at_level(self, i: int) -> list[Property]:
         return [q for q in self.props if q.level == i]
 
     def greatest(self, i: int, max_tier: Optional[int] = None) -> Optional[Property]:
-        keys = self._keys  # the tier of q is keys[q][1]
-        cands = [
-            q
-            for q in self.props
-            if q.level == i and (max_tier is None or keys[q][1] <= max_tier)
-        ]
-        if not cands:
+        """The pending property of level i with the least selection key
+        and a tier of at most max_tier, or None.  The levels are drained
+        from the top down and every antecedent is at or below its
+        conclusion, so nothing pending lies above level i and the top of
+        the heap is the candidate, if there is one."""
+        heap, props = self._heap, self.props
+        while heap and heap[0][2] not in props:
+            heapq.heappop(heap)
+        if not heap:
             return None
-        return min(cands, key=keys.__getitem__)
+        (neg_level, tier, _), _, q = heap[0]
+        if -neg_level > i:
+            raise RuntimeError(f"{q.text()} is pending above level {i}")
+        if -neg_level < i or (max_tier is not None and tier > max_tier):
+            return None
+        return q
 
 
 @dataclass(frozen=True)
@@ -417,19 +432,22 @@ def rule_choices(q: Property, ctx: RuleCtx) -> list[Choice]:
 
 def apply_pre(Q: PropertySet, q: Property, ctx: RuleCtx) -> None:
     """Replace the pending property q by the antecedents of one
-    applicable rule instance.  Prefers instances whose antecedents are
-    all justified already; otherwise ranks by estimated cost, then by
-    the degree of the polynomial the instance would introduce."""
+    applicable rule instance.  A sole instance is taken directly; among
+    several, prefers those whose antecedents are all justified already,
+    then ranks by estimated cost, then by the degree of the polynomial
+    the instance would introduce."""
     choices = rule_choices(q, ctx)
-    if not choices:
+    if len(choices) == 1:
+        chosen = choices[0]
+    elif not choices:
         raise ConstructionFailed(f"no applicable rule for {q.text()}")
-    covered = [
-        c
-        for c in choices
-        if all(a in Q or Q.justified(a) for a in c.antecedents)
-    ]
-    pool = covered if covered else choices
-    chosen = min(pool, key=Choice.order_key)
+    else:
+        covered = [
+            c
+            for c in choices
+            if all(a in Q or Q.justified(a) for a in c.antecedents)
+        ]
+        chosen = min(covered or choices, key=Choice.order_key)
     for kind, poly in chosen.introduced:
         ctx.stats.add(kind, poly)
     for a in chosen.antecedents:

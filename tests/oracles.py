@@ -14,10 +14,13 @@ numerators over a common denominator), zero tests at algebraic
 points via sympy's minimal polynomials, conflict checks by the
 midpoint sweep (the library samples every gap at its simplest
 rational), and representation choice by pairwise comparison of exact
-values (the library compares the integer ranks of one sort).  Keeping
-both routes alive is what makes the algebra tests meaningful.  The
-module also holds the structural checks on a chosen representation
-(`representation_is_valid`, `ordering_matches`), which only tests use.
+values (the library compares the integer ranks of one sort), and the
+rule engine's picks by scanning every pending property and ranking
+every rule instance (the library reads the top of a heap and takes a
+sole instance directly).  Keeping both routes alive is what makes the
+algebra tests meaningful.  The module also holds the structural checks
+on a chosen representation (`representation_is_valid`,
+`ordering_matches`), which only tests use.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from onecell.config import HeuristicConfig
 from onecell.explain import Constraint, constraint_satisfied
 from onecell.heuristics import Representation, roots_with_values
 from onecell.polynomial import MPoly, Var, coeff_info, exact_div, normalize, resultant
-from onecell.properties import RootOrdering
+from onecell.properties import RootOrdering, selection_key
 from onecell.realalg import (
     NULLIFIED,
     UNDEF,
@@ -49,6 +52,7 @@ from onecell.realalg import (
     separate,
     sorted_distinct,
 )
+from onecell.rules import Choice, ConstructionFailed, rule_choices
 
 
 def sylvester_matrix(p: MPoly, q: MPoly, v: Var) -> list[list[MPoly]]:
@@ -836,3 +840,36 @@ def choose_representation(
         pairs.append((interval.lower, interval.upper))
 
     return Representation(interval, frozenset(eq_polys), RootOrdering(pairs))
+
+
+# ---------------------------------------------------------------------------
+# the rule engine's picks
+
+
+def scanning_greatest(Q, i: int, max_tier=None):
+    """`PropertySet.greatest` by a scan of every pending property."""
+    cands = [
+        q
+        for q in Q.props
+        if q.level == i and (max_tier is None or q.tier <= max_tier)
+    ]
+    return min(cands, key=selection_key) if cands else None
+
+
+def ranked_apply_pre(Q, q, ctx) -> None:
+    """`rules.apply_pre` ranking every rule instance, a sole one too:
+    instances whose antecedents are all justified first, then by
+    `Choice.order_key`."""
+    choices = rule_choices(q, ctx)
+    if not choices:
+        raise ConstructionFailed(f"no applicable rule for {q.text()}")
+    covered = [
+        c for c in choices if all(a in Q or Q.justified(a) for a in c.antecedents)
+    ]
+    chosen = min(covered or choices, key=Choice.order_key)
+    for kind, poly in chosen.introduced:
+        ctx.stats.add(kind, poly)
+    for a in chosen.antecedents:
+        Q.add(a)
+    Q.trace.derive(q, chosen.antecedents, chosen.rule)
+    Q.discharge(q)

@@ -131,6 +131,21 @@ def test_intervals_sit_at_their_level():
     assert not SymbolicInterval(1).is_section()
 
 
+def test_roots_and_intervals_hash_as_their_fields():
+    """The hashes computed at construction are the dataclass hashes of
+    the fields, so sets of roots and intervals iterate as before."""
+    circle = parse_poly("x2^2+x1^2-1")
+    lo, hi = IndexedRoot(circle, 1), IndexedRoot(circle, 2)
+    assert hash(lo) == hash((circle, 1))
+    assert hash(IndexedRoot(parse_poly("x2^2+x1^2-1"), 1)) == hash(lo)
+    for iv in (SymbolicInterval(2), SymbolicInterval(2, lo), SymbolicInterval(2, None, hi),
+               SymbolicInterval(2, lo, hi), SymbolicInterval.section(hi)):
+        assert hash(iv) == hash((iv.level, iv.lower, iv.upper))
+    assert {SymbolicInterval(2, lo, hi), SymbolicInterval(2, lo, hi)} == {
+        SymbolicInterval(2, lo, hi)
+    }
+
+
 def test_cell_description_puts_interval_i_at_level_i():
     whole = SymbolicInterval(1)
     assert CellDescription([whole]) == (whole,)

@@ -82,6 +82,15 @@ def test_cell_contains_its_sample():
         assert cell_contains(result.cell, Sample(coords)) is True
 
 
+def _random_instances(rng, count):
+    """The seeded fuzz corpus: count instances in 1 to 3 variables, each
+    1 to 4 polynomials and a rational sample."""
+    for _ in range(count):
+        nv = rng.randint(1, 3)
+        polys = [random_poly(rng, nv) for _ in range(rng.randint(1, 4))]
+        yield polys, random_sample(rng, nv)
+
+
 @pytest.mark.parametrize("options, count", [
     ({}, 60),
     ({"factor_mode": "squarefree"}, 100),
@@ -95,10 +104,7 @@ def test_sign_invariance_random(rng, options, count):
     skipped.  Relaxing changes few cells; the first 200 instances include
     one whose fibers are empty over some prefixes."""
     successes = 0
-    for k in range(count):
-        nv = rng.randint(1, 3)
-        polys = [random_poly(rng, nv) for _ in range(rng.randint(1, 4))]
-        coords = random_sample(rng, nv)
+    for k, (polys, coords) in enumerate(_random_instances(rng, count)):
         hid = sorted(HEURISTIC_IDS)[k % len(HEURISTIC_IDS)]
         result = single_cell(polys, coords, config_from_id(hid, **options))
         if isinstance(result, Fail):

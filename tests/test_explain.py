@@ -117,22 +117,25 @@ def test_extended_constraint_satisfaction():
     assert not constraint_satisfied(c, Sample([Fraction(0), Fraction(2)]))
 
 
-def test_random_conflicts_generalize(rng):
-    """Generated conflicts stay conflicts at interior points of the
-    explained cell."""
-    built = 0
-    attempts = 0
-    while built < 15 and attempts < 400:
-        attempts += 1
+def _random_conflicts(rng, attempts=400):
+    """The conflicts p < 0 and p > 0 that `attempts` random draws of p
+    and a rational prefix give."""
+    for _ in range(attempts):
         nv = rng.randint(1, 2)
         prefix = random_sample(rng, nv - 1) if nv > 1 else []
         p = random_poly(rng, nv)
         if p.level != nv:
             continue
-        # force a conflict: p < 0 together with p > 0
         C = [Constraint(p, "<"), Constraint(p, ">")]
-        if not check_conflict(C, Sample(prefix)):
-            continue
+        if check_conflict(C, Sample(prefix)):
+            yield C, prefix
+
+
+def test_random_conflicts_generalize(rng):
+    """Generated conflicts stay conflicts at interior points of the
+    explained cell."""
+    built = 0
+    for C, prefix in _random_conflicts(rng):
         result = explain_conflict(C, prefix)
         if isinstance(result, Fail):
             continue
@@ -140,6 +143,8 @@ def test_random_conflicts_generalize(rng):
         for seed in range(10):
             pt = cell_pick_interior_point(result.cell, seed)
             assert check_conflict(C, pt)
+        if built == 15:
+            break
     assert built >= 10
 
 

@@ -2,7 +2,8 @@
 on a fixed corpus must stay byte-identical.
 
 The corpus runs in a fresh interpreter with PYTHONHASHSEED=0, so that
-set iteration order is the same in every run.  Running the module as a
+set iteration order is the same in every run; a second run under
+PYTHONHASHSEED=1 must print the same bytes.  Running the module as a
 script prints the corpus output:
 
     PYTHONHASHSEED=0 PYTHONPATH=src:tests python tests/test_golden.py
@@ -221,10 +222,10 @@ sys.stderr.write("\\n" + json.dumps({k: len(t) for k, t in memo.TABLES.items()})
 """
 
 
-def _render(args: list[str]):
+def _render(args: list[str], hash_seed: str = "0"):
     """Run the corpus in a fresh interpreter, assert that its output is
     the golden file byte for byte, and return the finished process."""
-    env = dict(os.environ, PYTHONHASHSEED="0")
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(TESTS.parent / "src"), str(TESTS), env.get("PYTHONPATH", "")]
     )
@@ -245,6 +246,12 @@ def _render(args: list[str]):
 
 def test_golden_outputs_are_byte_identical():
     _render([__file__])
+
+
+def test_golden_outputs_do_not_depend_on_the_hash_seed():
+    """Set iteration order moves with the hash seed; the cells, traces
+    and the order properties are drained in must not."""
+    _render([__file__], hash_seed="1")
 
 
 def test_golden_outputs_do_not_depend_on_what_the_memo_keeps():

@@ -165,6 +165,15 @@ def test_sample_prefix_extend():
     assert s.prefix(0) == Sample(())
 
 
+def test_sample_prefix_is_the_sample_of_the_first_coordinates():
+    sqrt2 = isolate_real_roots(parse_poly("x1^2-2"))[1]
+    s = Sample([sqrt2, Fraction(-1, 3), 2])
+    for i in range(len(s) + 1):
+        p, want = s.prefix(i), Sample(list(s)[:i])
+        assert type(p) is Sample and p == want and hash(p) == hash(want)
+        assert all(isinstance(c, RealAlg) for c in p)
+
+
 def test_realalg_text_roundtrip():
     vals = [RealAlg.rational(Fraction(-7, 3))]
     vals.extend(isolate_real_roots(parse_poly("x1^3-x1-1")))

@@ -1,0 +1,131 @@
+"""The rule engine's bookkeeping: the heap behind `PropertySet.greatest`
+and the sole-instance pick of `apply_pre`, each against the scan and
+the full ranking it replaced (`oracles.scanning_greatest`,
+`oracles.ranked_apply_pre`)."""
+
+import random
+
+import pytest
+
+from onecell import engine, rules
+from onecell.cells import cell_to_text
+from onecell.config import HEURISTIC_IDS, config_from_id
+from onecell.engine import Fail, single_cell
+from onecell.explain import explain_conflict
+from onecell.polynomial import parse_poly
+from onecell.properties import AnDel, Connected, DerivationTrace, SgnInv
+from onecell.realalg import realalg_to_text
+from onecell.rules import PropertySet
+from onecell.solver import solve_conjunction
+from onecell.stats import RunStats
+
+from oracles import ranked_apply_pre, scanning_greatest
+from test_engine import _random_instances
+from test_explain import _random_conflicts
+from test_solver import COVERED_X1, _random_conjunctions
+
+SEED = 20240817  # the seed of the rng fixture the corpora are drawn with
+
+
+def _result_text(result) -> str:
+    if isinstance(result, Fail):
+        return f"FAIL {result.reason}\n"
+    return (
+        cell_to_text(result.cell)
+        + result.trace.to_text()
+        + "\n".join(result.stats.lines())
+    )
+
+
+def _render_corpus() -> list[str]:
+    """Cells, traces and statistics of the fuzz corpus of test_engine
+    under every heuristic, of the random conflicts of test_explain, and
+    the verdicts, models, learned cells and statistics of the random
+    conjunctions of test_solver."""
+    out = []
+    hids = sorted(HEURISTIC_IDS)
+    for k, (polys, coords) in enumerate(_random_instances(random.Random(SEED), 100)):
+        for hid in hids:
+            # every other instance also in the other factor mode
+            for mode in ("finest", "squarefree")[: 1 + k % 2]:
+                cfg = config_from_id(hid, factor_mode=mode)
+                out.append(_result_text(single_cell(polys, coords, cfg)))
+    for C, prefix in _random_conflicts(random.Random(SEED)):
+        for hid in hids:
+            out.append(_result_text(explain_conflict(C, prefix, config_from_id(hid))))
+    conjunctions = _random_conjunctions(random.Random(SEED)) + [(COVERED_X1, 2)]
+    for cons, nv in conjunctions:
+        stats = RunStats()
+        r = solve_conjunction(cons, nv, budget=16, stats=stats)
+        model = "" if r.model is None else " ".join(map(realalg_to_text, r.model))
+        learned = "".join(cell_to_text(c) for c in r.learned)
+        out.append(f"{r.status} {r.explanations} {model}\n{learned}"
+                   + "\n".join(stats.lines()))
+    return out
+
+
+def test_heap_and_sole_pick_match_the_scan_and_full_ranking(monkeypatch):
+    fast = _render_corpus()
+    monkeypatch.setattr(PropertySet, "greatest", scanning_greatest)
+    monkeypatch.setattr(rules, "apply_pre", ranked_apply_pre)
+    monkeypatch.setattr(engine, "apply_pre", ranked_apply_pre)
+    reference = _render_corpus()
+    assert len(fast) == len(reference)
+    for k, (got, want) in enumerate(zip(fast, reference)):
+        assert got == want, f"output {k} differs"
+
+
+def _pending(*props) -> PropertySet:
+    Q = PropertySet(DerivationTrace())
+    for q in props:
+        Q.add(q)
+    return Q
+
+
+def _agree(Q, i, max_tier=None):
+    got = Q.greatest(i, max_tier)
+    assert got == scanning_greatest(Q, i, max_tier)
+    return got
+
+
+def test_greatest_skips_a_discharged_entry():
+    a, b = SgnInv(parse_poly("x2-1")), SgnInv(parse_poly("x2+1"))
+    Q = _pending(a, b)
+    top = _agree(Q, 2)
+    Q.discharge(top)
+    rest = _agree(Q, 2)
+    assert rest is not None and rest != top
+    Q.discharge(rest)
+    assert _agree(Q, 2) is None
+
+
+def test_greatest_stops_at_max_tier():
+    """A whole sgninv is tier 7: the sample-only drain (tiers up to 6)
+    leaves it, and andel (tier 2) of the same level goes first."""
+    sgn = SgnInv(parse_poly("x1-1"))
+    Q = _pending(sgn)
+    assert _agree(Q, 1, max_tier=6) is None
+    assert _agree(Q, 1) == sgn
+    andel = AnDel(parse_poly("x2^2-x1"))
+    Q.add(andel)
+    assert _agree(Q, 1, max_tier=6) == andel
+    assert _agree(Q, 1) == andel
+
+
+def test_greatest_breaks_a_level_and_tier_tie_by_text():
+    polys = ["x2-1", "x2+1", "x2^2-x1", "x1*x2-3"]
+    for order in (polys, polys[::-1]):
+        Q = _pending(*(SgnInv(parse_poly(p)) for p in order))
+        texts = []
+        while (q := _agree(Q, 2)) is not None:
+            texts.append(q.text())
+            Q.discharge(q)
+        assert texts == sorted(texts) and len(texts) == 4
+
+
+def test_greatest_of_a_lower_level_and_above_it():
+    Q = _pending(SgnInv(parse_poly("x2-x1")), Connected(1))
+    assert _agree(Q, 3) is None
+    assert _agree(Q, 2) == SgnInv(parse_poly("x2-x1"))
+    with pytest.raises(RuntimeError):
+        Q.greatest(1)
