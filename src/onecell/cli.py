@@ -5,7 +5,8 @@ flags: `cell` builds a sign-invariant cell around a full sample,
 `explain` generalizes a conflict over an assignment of all but the last
 variable, and `solve` decides a conjunction.  Exit status is 0 on
 success, 1 when construction fails or the solver gives up, and 2 on
-input errors.
+input errors, which reach `main` as `ValueError`s (`ParseError` is
+one).
 """
 
 from __future__ import annotations
@@ -20,13 +21,9 @@ from .config import HEURISTIC_IDS, config_from_id
 from .engine import Fail, single_cell
 from .explain import clause_to_text, explain_conflict
 from .realalg import realalg_to_text
-from .smtlib import ParseError, parse_problem
+from .smtlib import parse_problem
 from .solver import SAT, UNSAT, solve_conjunction
 from .stats import RunStats
-
-
-class InputError(Exception):
-    pass
 
 
 def _read_problem(path: str):
@@ -37,11 +34,8 @@ def _read_problem(path: str):
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
     except OSError as exc:
-        raise InputError(str(exc)) from exc
-    try:
-        return parse_problem(text)
-    except ParseError as exc:
-        raise InputError(str(exc)) from exc
+        raise ValueError(str(exc)) from exc
+    return parse_problem(text)
 
 
 def _parse_sample(text: str, expected: int) -> List[Fraction]:
@@ -49,9 +43,9 @@ def _parse_sample(text: str, expected: int) -> List[Fraction]:
     try:
         coords = [Fraction(p) for p in parts]
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad sample coordinate: {exc}") from exc
+        raise ValueError(f"bad sample coordinate: {exc}") from exc
     if len(coords) != expected:
-        raise InputError(
+        raise ValueError(
             f"sample has {len(coords)} coordinates, expected {expected}"
         )
     return coords
@@ -108,7 +102,7 @@ def _write_trace(path: Optional[str], trace) -> None:
             fh.write(trace.to_text())
             fh.write("\n")
     except OSError as exc:
-        raise InputError(str(exc)) from exc
+        raise ValueError(str(exc)) from exc
 
 
 def _finish(args, stats: RunStats) -> None:
@@ -136,14 +130,11 @@ def _cmd_cell(args) -> int:
 def _cmd_explain(args) -> int:
     problem = _read_problem(args.file)
     if not problem.variables:
-        raise InputError("explain needs at least one declared variable")
+        raise ValueError("explain needs at least one declared variable")
     cfg = config_from_id(args.heuristic, args.factor_mode, args.relax_top_connectedness)
     coords = _parse_sample(args.sample, len(problem.variables) - 1)
     stats = RunStats()
-    try:
-        result = explain_conflict(problem.constraints, coords, cfg, stats)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    result = explain_conflict(problem.constraints, coords, cfg, stats)
     if isinstance(result, Fail):
         print(f"FAIL: {result.reason}")
         _finish(args, stats)
@@ -159,7 +150,7 @@ def _cmd_solve(args) -> int:
     problem = _read_problem(args.file)
     cfg = config_from_id(args.heuristic, args.factor_mode, args.relax_top_connectedness)
     if args.budget < 0:
-        raise InputError("budget must be nonnegative")
+        raise ValueError("budget must be nonnegative")
     stats = RunStats()
     result = solve_conjunction(
         problem.constraints, len(problem.variables), args.budget, cfg, stats
@@ -179,9 +170,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     handlers = {"cell": _cmd_cell, "explain": _cmd_explain, "solve": _cmd_solve}
     try:
         return handlers[args.command](args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,7 +5,8 @@ Working from the highest variable down, each level first discharges all
 properties provable from the sample alone, then fixes a symbolic
 interval and root ordering for the level, and finally discharges the
 remaining properties against that representation.  Every derivation is
-logged, so the result carries a machine-checkable trace.
+logged by `PropertySet.derive`, so the result carries a
+machine-checkable trace.
 """
 
 from __future__ import annotations
@@ -17,12 +18,7 @@ from .cells import CellDescription, SymbolicInterval, cached_roots
 from .config import HeuristicConfig
 from .heuristics import Representation, choose_representation
 from .polynomial import MPoly, factor, parse_poly
-from .properties import (
-    Connected,
-    DerivationTrace,
-    Repr,
-    SgnInv,
-)
+from .properties import Connected, DerivationTrace, Repr, SgnInv
 from .realalg import NULLIFIED, Sample
 from .rules import ConstructionFailed, PropertySet, RuleCtx, apply_pre
 from .stats import RunStats
@@ -44,7 +40,6 @@ class CellResult:
     cell: CellDescription
     trace: DerivationTrace
     stats: RunStats
-    config: HeuristicConfig
 
     def __bool__(self) -> bool:
         return True
@@ -61,15 +56,9 @@ def _seed_inputs(polys: Sequence[MPoly], Q: PropertySet, cfg: HeuristicConfig,
         if parts == [p]:
             Q.add(SgnInv(p))
             continue
-        subs = []
         for f in parts:
             stats.saw_poly(f)
-            sub = SgnInv(f)
-            Q.add(sub)
-            if sub not in subs:
-                subs.append(sub)
-        Q.trace.derive(SgnInv(p), tuple(subs), "factors")
-        Q.derived.add(SgnInv(p))
+        Q.derive(SgnInv(p), tuple(SgnInv(f) for f in parts), "factors")
 
 
 def _drain(Q: PropertySet, level: int, ctx: RuleCtx,
@@ -94,13 +83,12 @@ def _close_base_level(Q: PropertySet, rep: Representation, s: Sample,
         if isinstance(q, (Repr, Connected)):
             apply_pre(Q, q, ctx)
         else:
-            Q.trace.derive(q, (repr1,), "level-one-base")
-            Q.discharge(q)
+            Q.derive(q, (repr1,), "level-one-base")
 
 
 def construct_interval(i: int, Q: PropertySet, s: Sample, cfg: HeuristicConfig,
                        stats: RunStats, top: bool) -> SymbolicInterval:
-    ctx0 = RuleCtx(s, i, cfg, stats)
+    ctx0 = RuleCtx(s, i, stats)
     # everything provable from the sample alone
     _drain(Q, i, ctx0, max_tier=6)
 
@@ -115,7 +103,7 @@ def construct_interval(i: int, Q: PropertySet, s: Sample, cfg: HeuristicConfig,
         i,
         inject_connectedness=not (top and cfg.relax_top_connectedness),
     )
-    ctx = RuleCtx(s, i, cfg, stats, rep.interval, rep.ordering, rep.eq_set)
+    ctx = RuleCtx(s, i, stats, rep.interval, rep.ordering, rep.eq_set)
     if i > 1:
         _drain(Q, i, ctx)
     else:
@@ -143,11 +131,9 @@ def single_cell(
             )
     trace = DerivationTrace()
     Q = PropertySet(trace)
-    try:
-        _seed_inputs(polys, Q, cfg, stats)
-    except ConstructionFailed as exc:
-        return Fail(exc.reason)
-    return run_levels(Q, sample, n, cfg, stats)
+    _seed_inputs(polys, Q, cfg, stats)
+    cell = run_levels(Q, sample, n, cfg, stats)
+    return cell if isinstance(cell, Fail) else CellResult(cell, trace, stats)
 
 
 def run_levels(
@@ -156,18 +142,18 @@ def run_levels(
     n: int,
     cfg: HeuristicConfig,
     stats: RunStats,
-) -> Union[CellResult, Fail]:
+) -> Union[CellDescription, Fail]:
     """Run the per-level construction over an already seeded property
-    set and close out the base level."""
+    set, close out the base level and return the cell."""
     intervals: list[SymbolicInterval] = [None] * n  # type: ignore[list-item]
     try:
         for i in range(n, 0, -1):
             intervals[i - 1] = construct_interval(i, Q, sample, cfg, stats, top=(i == n))
         # delineability and non-nullification of level-1 polynomials
         # hold over the zero-dimensional base
-        _drain(Q, 0, RuleCtx(sample, 0, cfg, stats))
+        _drain(Q, 0, RuleCtx(sample, 0, stats))
     except ConstructionFailed as exc:
         return Fail(exc.reason)
     cell = CellDescription(intervals)
     stats.add_cell(sum(1 for iv in cell if not iv.is_section()))
-    return CellResult(cell, Q.trace, stats, cfg)
+    return cell

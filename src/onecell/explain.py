@@ -181,11 +181,11 @@ def _generalize(
         stats.add("res", r)
         Q.add(OrdInv(r))
 
-    result = run_levels(Q, sample, n, cfg, stats)
-    if isinstance(result, Fail):
-        return result
-    clause = [atom.negated() for atom in cell_to_formula(result.cell)]
-    return ExplainResult(result.cell, clause, result.trace, result.stats)
+    cell = run_levels(Q, sample, n, cfg, stats)
+    if isinstance(cell, Fail):
+        return cell
+    clause = [atom.negated() for atom in cell_to_formula(cell)]
+    return ExplainResult(cell, clause, trace, stats)
 
 
 def clause_to_text(cell: CellDescription) -> str:

@@ -52,12 +52,13 @@ from . import memo
 Var = int  # 1-based variable index
 
 
-def _trim(exps: tuple[int, ...]) -> tuple[int, ...]:
-    """Drop trailing zero exponents so keys are canonical."""
-    n = len(exps)
-    while n and exps[n - 1] == 0:
+def _trim(c: Sequence) -> Sequence:
+    """Drop trailing zeros: of an exponent tuple, so keys are canonical,
+    or of a dense coefficient list (index = degree)."""
+    n = len(c)
+    while n and not c[n - 1]:
         n -= 1
-    return exps[:n]
+    return c[:n]
 
 
 class MPoly:
@@ -357,13 +358,6 @@ def exact_div(a: MPoly, b: MPoly) -> MPoly:
 # resultants and discriminants
 
 
-def _utrim(c: list) -> list:
-    """Drop trailing zero coefficients (Fraction or int) in place."""
-    while c and not c[-1]:
-        c.pop()
-    return c
-
-
 def _exact(a: int, b: int) -> int:
     """a / b, raising ArithmeticError unless b divides a."""
     q, r = divmod(a, b)
@@ -466,7 +460,7 @@ def _prem(A: list[int], B: list[int]) -> list[int]:
     for k in range(len(A) - len(B), -1, -1):
         t = R.pop()
         R = [lb * r - (t * B[i - k] if i >= k else 0) for i, r in enumerate(R)]
-    return _utrim(R)
+    return _trim(R)
 
 
 def _ures(P: dict, Q: dict, v: Var, dp: int, dq: int) -> int:

@@ -3,20 +3,21 @@
 Properties are statements about a region of R^i ("p is sign-invariant
 here", "this is an analytic submanifold", ...).  Each carries a derived
 level; the construction works through properties from the greatest to
-the smallest under a strict ordering in which levels dominate and,
-within a level, a fixed twelve-tier ranking applies.  Every rule
-application replaces a property by strictly smaller ones, except that a
-`factors` step may cite properties of the same tier about divisors of
-smaller degree or about the normalized polynomial; that is what makes
-the whole construction terminate and lets a trace be validated without
-re-running the search.
+the smallest under a strict ordering (`order_key`) in which levels
+dominate and, within a level, a fixed twelve-tier ranking applies.
+Every rule application replaces a property by strictly smaller ones,
+except that a `factors` step may cite properties of the same tier about
+divisors of smaller degree or about the normalized polynomial; that is
+what makes the whole construction terminate and lets a trace be
+validated without re-running the search.
 
 This module declares the proof system once: each property kind carries
 its tier as a class attribute (`OrdInv` and `SgnInv` rank one tier
 higher while `is_whole` fails; `is_whole` reads the square-free
 factorization that `polynomial.factor` keeps), and `_RULE_SHAPES` is
 the one list of rule names, with the kinds each rule may conclude and
-cite.  Which instances of a rule apply is decided in `rules`.
+cite.  Which instances of a rule apply is decided in `rules`, where
+`PropertySet.derive` records every step in a `DerivationTrace`.
 """
 
 from __future__ import annotations
@@ -255,25 +256,21 @@ class Holds(Property):
 # the ordering
 
 
-def property_compare(q1: Property, q2: Property) -> str:
-    """LT/EQ/GT/INCOMPARABLE under the level-dominant tiered ordering."""
-    if q1 == q2:
-        return "EQ"
-    if q1.level != q2.level:
-        return "GT" if q1.level > q2.level else "LT"
-    t1, t2 = q1.tier, q2.tier
-    if t1 == t2:
-        return "INCOMPARABLE"
-    return "GT" if t1 < t2 else "LT"
+def order_key(q: Property) -> tuple[int, int]:
+    """q's place in the property order: levels dominate, and within a
+    level tier 1 is greatest.  Properties of one level and tier are
+    incomparable, so they share a key."""
+    return (q.level, -q.tier)
 
 
 def strictly_smaller(q: Property, than: Property) -> bool:
-    return property_compare(q, than) == "LT"
+    return order_key(q) < order_key(than)
 
 
 def selection_key(q: Property):
-    """Deterministic pick of the greatest property: level-dominant,
-    tier-ranked, INCOMPARABLE ties broken by textual order."""
+    """Deterministic pick of the greatest property: the negated
+    `order_key`, with ties between incomparable properties broken by
+    textual order."""
     return (-q.level, q.tier, q.text())
 
 
@@ -289,22 +286,18 @@ class TraceEntry:
 
 
 class DerivationTrace:
+    """The log of a derivation, axioms and steps in the order they were
+    made; `rules.PropertySet` writes each property into it once."""
+
     def __init__(self):
         self.entries: list[TraceEntry] = []
         self.axioms: list[Property] = []
-        self._from_true_seen: set[Property] = set()
 
     def derive(self, conclusion: Property, antecedents: Iterable[Property], rule: str):
         self.entries.append(TraceEntry(conclusion, tuple(antecedents), rule))
 
-    def derive_from_true(self, conclusion: Property, rule: str):
-        if conclusion not in self._from_true_seen:
-            self._from_true_seen.add(conclusion)
-            self.entries.append(TraceEntry(conclusion, (), rule))
-
     def axiom(self, prop: Property):
-        if prop not in self.axioms:
-            self.axioms.append(prop)
+        self.axioms.append(prop)
 
     def conclusions(self) -> set[Property]:
         return {e.conclusion for e in self.entries}
@@ -381,7 +374,7 @@ def validate_trace(trace: DerivationTrace, axioms: set[Property]) -> bool:
 
 def _factor_of(a: PolyProperty, c: PolyProperty) -> bool:
     """The side condition of a `factors` step from a to c."""
-    if type(a) is not type(c) or property_compare(a, c) == "GT":
+    if type(a) is not type(c) or order_key(a) > order_key(c):
         return False
     f, p = a.p, c.p
     try:

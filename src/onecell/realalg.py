@@ -82,41 +82,23 @@ from .polynomial import (
 )
 
 
-class _Nullified:
-    """Sentinel: a polynomial specialized to the zero polynomial."""
+class _Sentinel:
+    """A named marker value compared by identity, of a fixed truth."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __init__(self, name: str, truth: bool):
+        self._name, self._truth = name, truth
 
     def __repr__(self):
-        return "NULLIFIED"
-
-
-NULLIFIED = _Nullified()
-
-
-class _Undef:
-    """Sentinel: an indexed root expression without a value."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "UNDEF"
+        return self._name
 
     def __bool__(self):
-        return False
+        return self._truth
 
 
-UNDEF = _Undef()
+# a polynomial specialized to the zero polynomial
+NULLIFIED = _Sentinel("NULLIFIED", True)
+# an indexed root expression without a value
+UNDEF = _Sentinel("UNDEF", False)
 
 
 # ---------------------------------------------------------------------------

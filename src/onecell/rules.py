@@ -6,8 +6,9 @@ property this module enumerates the applicable rule instances (each an
 antecedent set that would justify it) and picks one: a sole instance is
 taken as it is, otherwise an instance whose antecedents are all
 justified already is preferred and ties go to the cheapest by
-`Choice.order_key`.  It logs the derivation and replaces the property
-by the antecedents that are not yet justified.  Rule availability
+`Choice.order_key`.  `PropertySet.derive` then records the step and
+replaces the property by the antecedents that are not yet justified;
+it is the one writer of the derivation trace.  Rule availability
 depends on the construction phase: rules concluding sign-invariance of
 an irreducible polynomial need the symbolic interval and root ordering
 chosen for the level, everything else only needs the sample.
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .cells import IndexedRoot, SymbolicInterval, cached_roots
-from .config import HeuristicConfig
 from .polynomial import (
     MPoly,
     coeff_info,
@@ -79,7 +79,8 @@ def trivial_rule(q: Property) -> Optional[str]:
 class PropertySet:
     """Pending properties plus the trace justifying everything that has
     already been discharged.  Trivially true properties and interval
-    assumptions never become pending: they are logged immediately.
+    assumptions never become pending: they are logged immediately.  A
+    property is logged at most once, when it is first justified.
 
     Each pending property also sits in a heap under its
     `selection_key`, with an insertion count as tie-breaker so that two
@@ -98,8 +99,7 @@ class PropertySet:
             return
         rule = trivial_rule(q)
         if rule is not None:
-            self.trace.derive_from_true(q, rule)
-            self.derived.add(q)
+            self.derive(q, (), rule)
             return
         if isinstance(q, Holds):
             self.trace.axiom(q)
@@ -107,6 +107,14 @@ class PropertySet:
             return
         self.props.add(q)
         heapq.heappush(self._heap, (selection_key(q), next(self._count), q))
+
+    def derive(self, q: Property, antecedents: tuple[Property, ...], rule: str) -> None:
+        """Log the step concluding q from the antecedents by rule, make
+        each antecedent not yet justified pending, and discharge q."""
+        for a in antecedents:
+            self.add(a)
+        self.trace.derive(q, antecedents, rule)
+        self.discharge(q)
 
     def justified(self, q: Property) -> bool:
         return q in self.derived or trivial_rule(q) is not None
@@ -143,13 +151,12 @@ class PropertySet:
 @dataclass(frozen=True)
 class RuleCtx:
     """Everything a rule instance may depend on at construction level
-    `level`: the sample, the configuration, and (after the
-    representation has been chosen) the interval, ordering, and the
-    polynomials earmarked for the equational projection."""
+    `level`: the sample, and (after the representation has been chosen)
+    the interval, ordering, and the polynomials earmarked for the
+    equational projection."""
 
     s: Sample
     level: int
-    cfg: HeuristicConfig
     stats: RunStats
     interval: Optional[SymbolicInterval] = None
     ordering: Optional[RootOrdering] = None
@@ -236,27 +243,21 @@ def _sgninv_choices(q: SgnInv, ctx: RuleCtx) -> list[Choice]:
         )
         if ch is not None:
             choices.append(ch)
-    ordering = ctx.ordering
-    if ordering is not None:
-        lo, up = interval.lower, interval.upper
-        ok = True
-        for k in range(len(roots)):
-            xi = IndexedRoot(p, k + 1)
-            below = lo is not None and ordering.le(xi, lo)
-            above = up is not None and ordering.le(up, xi)
-            if not (below or above):
-                ok = False
-                break
-        if ok:
-            ants = (
-                SampleProp(ctx.s.prefix(ell)),
-                Repr(interval, prefix),
-                IrOrd(ordering, prefix),
-                AnDel(p),
-                AnSub(ell - 1),
-                Connected(ell - 1),
-            )
-            choices.append(Choice("sgninv-ord", ants, 2 if in_eq else 1))
+    ordering, lo, up = ctx.ordering, interval.lower, interval.upper
+    if all(
+        (lo is not None and ordering.le(xi, lo))
+        or (up is not None and ordering.le(up, xi))
+        for xi in (IndexedRoot(p, k) for k in range(1, len(roots) + 1))
+    ):
+        ants = (
+            SampleProp(ctx.s.prefix(ell)),
+            Repr(interval, prefix),
+            IrOrd(ordering, prefix),
+            AnDel(p),
+            AnSub(ell - 1),
+            Connected(ell - 1),
+        )
+        choices.append(Choice("sgninv-ord", ants, 2 if in_eq else 1))
     return choices
 
 
@@ -383,7 +384,7 @@ def _connected_choices(q: Connected, ctx: RuleCtx) -> list[Choice]:
         return [Choice("connected-section", base)]
     if interval.lower is None or interval.upper is None:
         return [Choice("connected-inf", base)]
-    if ctx.ordering is None or not ctx.ordering.le(interval.lower, interval.upper):
+    if not ctx.ordering.le(interval.lower, interval.upper):
         return []
     return [Choice("connected-sector", base + (IrOrd(ctx.ordering, prefix),))]
 
@@ -450,7 +451,4 @@ def apply_pre(Q: PropertySet, q: Property, ctx: RuleCtx) -> None:
         chosen = min(covered or choices, key=Choice.order_key)
     for kind, poly in chosen.introduced:
         ctx.stats.add(kind, poly)
-    for a in chosen.antecedents:
-        Q.add(a)
-    Q.trace.derive(q, chosen.antecedents, chosen.rule)
-    Q.discharge(q)
+    Q.derive(q, chosen.antecedents, chosen.rule)

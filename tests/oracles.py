@@ -869,7 +869,4 @@ def ranked_apply_pre(Q, q, ctx) -> None:
     chosen = min(covered or choices, key=Choice.order_key)
     for kind, poly in chosen.introduced:
         ctx.stats.add(kind, poly)
-    for a in chosen.antecedents:
-        Q.add(a)
-    Q.trace.derive(q, chosen.antecedents, chosen.rule)
-    Q.discharge(q)
+    Q.derive(q, chosen.antecedents, chosen.rule)

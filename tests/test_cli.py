@@ -22,6 +22,22 @@ CONFLICT = """\
 """
 
 
+# x1*x3+x2 vanishes identically over (x, y) = (0, 0)
+NULLIFIED = """\
+(declare-const x Real)
+(declare-const y Real)
+(declare-const z Real)
+(assert (> (+ (* x z) y) 0))
+"""
+
+
+@pytest.fixture
+def nullified_file(tmp_path):
+    f = tmp_path / "nullified.smt2"
+    f.write_text(NULLIFIED)
+    return str(f)
+
+
 @pytest.fixture
 def running_file(tmp_path):
     f = tmp_path / "running.smt2"
@@ -99,6 +115,28 @@ def test_explain_subcommand(conflict_file, capsys):
     assert code == 0
     assert out.splitlines()[0].startswith("level 1 ")
     assert out.splitlines()[-1].startswith("(not ")
+
+
+def test_explain_nullified_exit_code(nullified_file, capsys):
+    code = main(["explain", nullified_file, "--sample", "0,0"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out == "FAIL: nullified polynomial x1*x3+x2 at the assignment\n"
+
+
+def test_bad_sample_coordinate_exit_code(nullified_file, capsys):
+    code = main(["cell", nullified_file, "--sample", "0,abc,1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: bad sample coordinate: ")
+
+
+def test_negative_budget_exit_code(nullified_file, capsys):
+    code = main(["solve", nullified_file, "--budget", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: budget must be nonnegative\n"
+    assert captured.out == ""
 
 
 def test_explain_satisfiable_is_input_error(tmp_path, capsys):

@@ -14,7 +14,13 @@ from onecell.properties import SgnInv, validate_trace
 from onecell.realalg import RealAlg, Sample, isolate_real_roots
 from onecell.stats import RunStats
 
-from conftest import random_poly, random_sample, sign_vector, within_seconds
+from conftest import (
+    check_cell_sound,
+    random_poly,
+    random_sample,
+    sign_vector,
+    within_seconds,
+)
 
 P_RUNNING = ["x1-2*x2+1", "x1^2+x2^2-1", "x1-2*x2-1"]
 S_RUNNING = (Fraction(1, 8), Fraction(-3, 4))
@@ -68,6 +74,46 @@ def test_nonzero_coefficient_rescues():
     result = single_cell(["x1*x3+x2"], (1, 0, 0))
     assert result
     assert cell_contains(result.cell, Sample([Fraction(1), Fraction(0), Fraction(0)])) is True
+
+
+NULLIFIED_OVER_00 = ["x1*x3+x2", "x3-1"]  # x1*x3+x2 vanishes over (0, 0)
+
+
+@pytest.mark.parametrize("hid", sorted(HEURISTIC_IDS))
+def test_nullified_polynomial_over_a_section_by_eqproj(hid):
+    """Over the section x3 = 1, sign-invariance of the nullified
+    x1*x3+x2 follows from the equational projection, whose resultant
+    x2+x1 makes level 2 a section too."""
+    result = single_cell(NULLIFIED_OVER_00, (0, 0, 1), config_from_id(hid))
+    assert cell_to_text(result.cell) == (
+        "level 1 sector -inf +inf\n"
+        'level 2 section (root "x2+x1" 1)\n'
+        'level 3 section (root "x3-1" 1)\n'
+    )
+    assert any(
+        line.startswith("DERIVE sgninv(x1*x3+x2) FROM ")
+        and line.endswith("; ordinv(x2+x1) VIA eqproj")
+        for line in result.trace.to_text().splitlines()
+    )
+    assert validate_trace(result.trace, set(result.trace.axioms))
+    polys = [parse_poly(p) for p in NULLIFIED_OVER_00]
+    assert check_cell_sound(result.cell, polys, Sample([0, 0, 1]), 5) == 5
+
+
+@pytest.mark.parametrize("hid", sorted(HEURISTIC_IDS))
+@pytest.mark.parametrize("polys, coords, mode, culprit", [
+    # a sector: no rule concludes sign-invariance of a nullified polynomial
+    (NULLIFIED_OVER_00, (0, 0, 2), "finest", "x1*x3+x2"),
+    # x1*x3+x2*x3 = x3*(x2+x1), and its root x3 = 0 leaves x3 = 1 in a sector
+    (["x1*x3+x2", "x1*x3+x2*x3"], (0, 0, 1), "finest", "x1*x3+x2"),
+    # a section whose polynomial x3-1 divides the nullified one: a zero
+    # resultant, so the equational projection does not apply
+    (["x3-1", "(x3-1)*(x1*x3+x2)"], (0, 0, 1), "squarefree",
+     "x1*x3^2+x2*x3-x1*x3-x2"),
+], ids=["sector", "sector-of-x3", "zero-resultant"])
+def test_nullified_polynomial_without_eqproj_fails(polys, coords, mode, culprit, hid):
+    result = single_cell(polys, coords, config_from_id(hid, factor_mode=mode))
+    assert result == Fail(f"no applicable rule for sgninv({culprit})")
 
 
 def test_cell_contains_its_sample():

@@ -20,7 +20,7 @@ from onecell.properties import (
     SampleProp,
     SgnInv,
     is_whole,
-    property_compare,
+    order_key,
     selection_key,
     strictly_smaller,
     validate_trace,
@@ -38,8 +38,9 @@ S1 = Sample([Fraction(1, 8)])
 def test_level_dominates_tier():
     low = AnDel(parse_poly("x1^2-1"))  # level 0 statement about a level-1 poly
     high = SgnInv(CIRCLE)
-    assert property_compare(high, low) == "GT"
+    assert order_key(high) > order_key(low)
     assert strictly_smaller(low, high)
+    assert not strictly_smaller(high, low)
 
 
 def test_tier_order_within_level():
@@ -65,14 +66,16 @@ def test_tier_order_within_level():
     assert {q.level for q in props} == {1}
     assert [q.tier for q in props] == list(range(1, 13))
     for smaller, larger in zip(props[1:], props):
-        assert property_compare(larger, smaller) == "GT"
+        assert strictly_smaller(smaller, larger)
+        assert not strictly_smaller(larger, smaller)
 
 
 def test_same_tier_incomparable():
     a = SgnInv(CIRCLE)
     b = SgnInv(parse_poly("x2^2-x1"))
-    assert property_compare(a, b) == "INCOMPARABLE"
-    assert property_compare(a, a) == "EQ"
+    assert order_key(a) == order_key(b)
+    assert not strictly_smaller(a, b) and not strictly_smaller(b, a)
+    assert not strictly_smaller(a, a)
 
 
 def test_whole_vs_decomposable_invariance():
@@ -129,7 +132,7 @@ def test_root_ordering_matches_sample_values():
 
 def test_validate_trace_accepts_well_founded():
     trace = DerivationTrace()
-    trace.derive_from_true(Connected(0), "triv-base")
+    trace.derive(Connected(0), (), "triv-base")
     trace.derive(
         SgnInv(parse_poly("x1-1")),
         (SampleProp(S1), AnDel(parse_poly("x1-1"))),
@@ -141,7 +144,7 @@ def test_validate_trace_accepts_well_founded():
 
 def test_validate_trace_rejects_unknown_rule():
     trace = DerivationTrace()
-    trace.derive_from_true(Connected(0), "made-up-rule")
+    trace.derive(Connected(0), (), "made-up-rule")
     assert not validate_trace(trace, set())
 
 
@@ -175,7 +178,7 @@ def _factors_trace(*steps):
     for _, ants in steps:
         for a in ants:
             if a not in concluded:
-                trace.derive_from_true(SgnInv(parse_poly(a)), "const-inv")
+                trace.derive(SgnInv(parse_poly(a)), (), "const-inv")
     for c, ants in steps:
         trace.derive(SgnInv(parse_poly(c)), tuple(SgnInv(parse_poly(a)) for a in ants),
                      "factors")
@@ -207,11 +210,11 @@ def test_validate_trace_rejects_factors_steps(steps):
 
 def test_validate_trace_rejects_factors_step_of_another_kind():
     trace = DerivationTrace()
-    trace.derive_from_true(SgnInv(parse_poly("x1-1")), "const-inv")
+    trace.derive(SgnInv(parse_poly("x1-1")), (), "const-inv")
     trace.derive(OrdInv(parse_poly("x1^2-1")), (SgnInv(parse_poly("x1-1")),), "factors")
     assert not validate_trace(trace, set())
     trace = DerivationTrace()
-    trace.derive_from_true(OrdInv(parse_poly("x1-1")), "const-inv")
+    trace.derive(OrdInv(parse_poly("x1-1")), (), "const-inv")
     trace.derive(OrdInv(parse_poly("x1^2-1")), (OrdInv(parse_poly("x1-1")),), "factors")
     assert validate_trace(trace, set())
 
