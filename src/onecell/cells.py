@@ -224,6 +224,8 @@ class ExtendedConstraint:
     def __post_init__(self):
         if self.rel not in RELS:
             raise ValueError(f"unknown relation {self.rel!r}")
+        if self.var < 1:
+            raise ValueError(f"no variable x{self.var}: variables start at x1")
 
     def negated(self) -> "ExtendedConstraint":
         return ExtendedConstraint(self.var, RELS[self.rel][1], self.bound)

@@ -14,12 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from .cells import CellDescription, SymbolicInterval, cached_roots
+from .cells import CellDescription, SymbolicInterval
 from .config import HeuristicConfig
 from .heuristics import Representation, choose_representation
 from .polynomial import MPoly, factor, parse_poly
-from .properties import Connected, DerivationTrace, Repr, SgnInv
-from .realalg import NULLIFIED, Sample
+from .properties import SAMPLE_ONLY_TIER, Connected, DerivationTrace, Repr, SgnInv
+from .realalg import Sample
 from .rules import ConstructionFailed, PropertySet, RuleCtx, apply_pre
 from .stats import RunStats
 
@@ -77,10 +77,9 @@ def _close_base_level(Q: PropertySet, rep: Representation, s: Sample,
     hold on it outright, given that it really is the described set."""
     repr1 = Repr(rep.interval, s.prefix(0))
     Q.add(repr1)
-    if repr1 in Q:
-        apply_pre(Q, repr1, ctx)
+    apply_pre(Q, repr1, ctx)
     for q in sorted(Q.at_level(1), key=lambda q: q.text()):
-        if isinstance(q, (Repr, Connected)):
+        if isinstance(q, Connected):
             apply_pre(Q, q, ctx)
         else:
             Q.derive(q, (repr1,), "level-one-base")
@@ -90,14 +89,12 @@ def construct_interval(i: int, Q: PropertySet, s: Sample, cfg: HeuristicConfig,
                        stats: RunStats, top: bool) -> SymbolicInterval:
     ctx0 = RuleCtx(s, i, stats)
     # everything provable from the sample alone
-    _drain(Q, i, ctx0, max_tier=6)
+    _drain(Q, i, ctx0, max_tier=SAMPLE_ONLY_TIER)
 
-    prefix = s.prefix(i - 1)
     survivors = [q.p for q in Q.at_level(i) if isinstance(q, SgnInv)]
-    p_nonnull = [p for p in survivors if cached_roots(p, prefix) is not NULLIFIED]
     rep = choose_representation(
-        p_nonnull,
-        prefix,
+        survivors,
+        s.prefix(i - 1),
         s[i - 1],
         cfg,
         i,

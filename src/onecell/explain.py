@@ -18,7 +18,7 @@ root-order projection of the `irord` rule, applied to consecutive roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Union
 
 from .cells import (
@@ -146,7 +146,9 @@ def _generalize(
     C: list, sample: Sample, cfg: HeuristicConfig, stats: RunStats
 ) -> Union[ExplainResult, Fail]:
     """The cell around sample on which every constraint polynomial of C
-    is sign-invariant, for a conflict already proven."""
+    is sign-invariant, for a conflict already proven; it cannot fail
+    over the empty prefix.  The delineability of the level-(n+1) factors
+    needs connectedness at level n, so `relax_top_connectedness` is off."""
     n = len(sample)
 
     polys: set[MPoly] = set()
@@ -155,6 +157,8 @@ def _generalize(
     facs: list[MPoly] = []
     for p in sorted(polys, key=MPoly.sort_key):
         stats.saw_poly(p)
+        if p.is_constant():
+            continue
         for f, _ in factor(p, cfg.factor_mode):
             if not f.is_constant() and f not in facs:
                 facs.append(f)
@@ -181,7 +185,7 @@ def _generalize(
         stats.add("res", r)
         Q.add(OrdInv(r))
 
-    cell = run_levels(Q, sample, n, cfg, stats)
+    cell = run_levels(Q, sample, n, replace(cfg, relax_top_connectedness=False), stats)
     if isinstance(cell, Fail):
         return cell
     clause = [atom.negated() for atom in cell_to_formula(cell)]

@@ -42,13 +42,13 @@ def roots_with_values(
     polys, s_prefix: Sample
 ) -> list[tuple[IndexedRoot, RealAlg]]:
     """All indexed roots of the given polynomials over the prefix with
-    their values, in canonical polynomial order.  Nullified polynomials
-    must be filtered out by the caller."""
+    their values, in canonical polynomial order.  A polynomial nullified
+    over the prefix has no indexed roots and is skipped."""
     out = []
     for p in sorted(set(polys), key=MPoly.sort_key):
         roots = cached_roots(p, s_prefix)
         if roots is NULLIFIED:
-            raise ValueError(f"nullified polynomial in root collection: {p}")
+            continue
         for k, r in enumerate(roots):
             out.append((IndexedRoot(p, k + 1), r))
     return out
@@ -177,9 +177,10 @@ def _pairs_ldb(ctx: _Ctx, subset, interval) -> list:
 
 
 def _ldb_section_eq_set(ctx: _Ctx, red, interval) -> set:
-    """Fixed point collecting the polynomials whose roots only point at
-    the section bound and serve as barrier for nobody else; those are
-    handled by the equational projection instead of the ordering."""
+    """Fixed point collecting each polynomial, other than the section
+    bound's, with a root whose barrier is the section bound and which is
+    no other root's barrier, among the roots of the polynomials not yet
+    collected; those go through the equational projection instead."""
     b = interval.lower
     polys = sorted({r.poly for r in red}, key=MPoly.sort_key)
     eq: set[MPoly] = set()
@@ -210,15 +211,12 @@ def choose_representation(
     level: int,
     inject_connectedness: bool = True,
 ) -> Representation:
-    """Build the representation for the given non-nullified polynomials
+    """Build the representation for the roots of the given polynomials
     at level `level` over the sample prefix, with s_val the sample's
-    coordinate at this level."""
+    coordinate at this level; nullified polynomials contribute none."""
     xi = roots_with_values(polys, s_prefix)
     ctx = _Ctx(xi, s_val, level)
     interval = ctx.interval()
-    if not xi:
-        return Representation(interval, frozenset(), RootOrdering(()))
-
     strategy = (
         cfg.section_heuristic if interval.is_section() else cfg.sector_heuristic
     )

@@ -122,6 +122,11 @@ class SgnInv(PolyProperty):
         return 7 if is_whole(self.p) else 6
 
 
+# a level proves tiers up to this one from the sample alone, and the rest
+# only once its representation is chosen, so their rules may read it
+SAMPLE_ONLY_TIER = 6
+
+
 class NonNull(PolyProperty):
     name, below, tier = "nonnull", 1, 3
 

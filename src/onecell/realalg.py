@@ -6,11 +6,11 @@ rational endpoints.  The defining polynomial is stored integer-primitive
 with a positive leading coefficient, and `RealAlg.algebraic` refuses a
 reducible one, so a value has one definition.  Refining the interval
 never changes the value, and two values compare equal exactly when they
-are the same real number.  Hash and text (`realalg_to_text`) depend only
-on the definition and the canonical index; each value computes them on
-first use and keeps them, and `copy` and `canonical_copy` pass them on,
-so nothing may change `_def` or `_index` after construction (`_index`
-is only filled in, once, when first asked for).
+are the same real number.  An irrational value is built with its
+canonical index.  Hash and text (`realalg_to_text`) depend only on the
+definition and the canonical index; each value computes them on first
+use and keeps them, and `copy` and `canonical_copy` pass them on, so
+nothing may change `_def` or `_index` after construction.
 
 This module is the one home of the exact-real helpers the rest of the
 package builds on: `RealAlg.compare` (and `<`, so lists of values sort
@@ -36,8 +36,9 @@ roots, which keeps the bisection free of midpoint corner cases.  The
 intervals of a definition are computed once and kept in
 `memo.CANONICAL` (a bounded table; a dropped entry is bisected again
 to the same intervals): they fix which root `canonical_index` names,
-and every isolated root starts out with its own canonical interval and
-index.  For sample points with irrational coordinates, root finding
+every isolated root starts out with its own canonical interval and
+index, and `RealAlg.algebraic` finds its root's index among them.  For
+sample points with irrational coordinates, root finding
 eliminates each algebraic coordinate through resultants with its
 defining polynomial, producing a rational candidate polynomial whose
 roots are then filtered by an exact sign test.  When a resultant
@@ -173,13 +174,14 @@ class RealAlg:
     def algebraic(
         cls, defining: Sequence[Fraction], lo: Fraction, hi: Fraction
     ) -> "RealAlg":
-        """Root of `defining` isolated by the open interval (lo, hi);
-        neither endpoint may be a root.  Coefficients and endpoints are
-        int or Fraction (TypeError otherwise, as in `RealAlg.rational`).
-        Raises ValueError unless the defining polynomial is irreducible
-        over Q of degree >= 2: a reducible one would give a value a
-        second definition, and values of different definitions are never
-        equal, so comparing them would refine forever.  The defining
+        """The root of `defining` in the open interval (lo, hi).
+        Coefficients and endpoints are int or Fraction (TypeError
+        otherwise, as in `RealAlg.rational`).  Raises ValueError unless
+        the defining polynomial is irreducible over Q of degree >= 2 (a
+        reducible one would give a value a second definition, and values
+        of different definitions are never equal, so comparing them would
+        refine forever) and unless (lo, hi) holds exactly one of its real
+        roots, whose canonical index the value stores.  The defining
         polynomial is stored integer-primitive with a positive leading
         coefficient."""
         p = normalize(MPoly({(k,): x for k, x in enumerate(defining)}))
@@ -187,25 +189,26 @@ class RealAlg:
             raise ValueError(
                 "the defining polynomial must be irreducible of degree >= 2"
             )
-        return cls._isolated(dense(p, 1), _rational(lo), _rational(hi))
+        c, lo, hi = dense(p, 1), _rational(lo), _rational(hi)
+        a, b = RealAlg.rational(lo), RealAlg.rational(hi)
+        inside = [r for r in _isolate_irreducible(c) if a < r < b]
+        if len(inside) != 1:
+            raise ValueError(f"({lo}, {hi}) holds {len(inside)} roots, not 1")
+        return cls._isolated(c, lo, hi, inside[0]._index)
 
     @classmethod
     def _isolated(
-        cls, c: tuple[int, ...], lo: Fraction, hi: Fraction
+        cls, c: tuple[int, ...], lo: Fraction, hi: Fraction, index: int
     ) -> "RealAlg":
-        """`algebraic` without the irreducibility check, for the
-        integer-primitive coefficients c, with a positive leading one, of
-        a definition that is irreducible by construction."""
+        """`algebraic` trusted: the root of canonical index `index`,
+        isolated by the Fractions (lo, hi), of the integer-primitive c,
+        with a positive leading coefficient, of a definition irreducible
+        of degree >= 2 by construction.  It has no rational root, so
+        neither endpoint is a root and its sign changes over (lo, hi)."""
         self = object.__new__(cls)
-        self._rat = None
-        self._def = c
-        self._lo, self._hi = Fraction(lo), Fraction(hi)
-        self._slo = _usign(c, self._lo)
-        if self._slo == 0 or _usign(c, self._hi) == 0:
-            raise ValueError("isolating interval endpoints must not be roots")
-        if self._slo == _usign(c, self._hi):
-            raise ValueError("no sign change over the isolating interval")
-        self._index = self._text = self._hash = None
+        self._rat, self._def, self._lo, self._hi = None, c, lo, hi
+        self._slo = _usign(c, lo)
+        self._index, self._text, self._hash = index, None, None
         return self
 
     # -- basic views --------------------------------------------------
@@ -235,8 +238,8 @@ class RealAlg:
         leaves this one where it is."""
         if self._rat is not None:
             return self
-        out = RealAlg._isolated(self._def, self._lo, self._hi)
-        out._index, out._text, out._hash = self._index, self._text, self._hash
+        out = RealAlg._isolated(self._def, self._lo, self._hi, self._index)
+        out._text, out._hash = self._text, self._hash
         return out
 
     def canonical_copy(self) -> "RealAlg":
@@ -245,9 +248,9 @@ class RealAlg:
         not depend on how far earlier work refined this one."""
         if self._rat is not None:
             return self
-        k = self.canonical_index()
-        out = RealAlg._isolated(self._def, *_canonical_intervals(self._def)[k - 1])
-        out._index, out._text, out._hash = k, self._text, self._hash
+        k = self._index
+        out = RealAlg._isolated(self._def, *_canonical_intervals(self._def)[k - 1], k)
+        out._text, out._hash = self._text, self._hash
         return out
 
     def refine_below(self, width: Fraction) -> None:
@@ -262,19 +265,7 @@ class RealAlg:
 
     def canonical_index(self) -> int:
         """1-based position among the real roots of the defining polynomial."""
-        if self._index is not None:
-            return self._index
-        spots = _canonical_intervals(self._def)
-        while True:
-            hits = [
-                k
-                for k, (a, b) in enumerate(spots)
-                if self._lo < b and a < self._hi
-            ]
-            if len(hits) == 1:
-                self._index = hits[0] + 1
-                return self._index
-            self.refine()
+        return self._index
 
     def approx(self) -> float:
         if self._rat is not None:
@@ -290,7 +281,7 @@ class RealAlg:
             a, b = self._rat, other._rat
             return 0 if a == b else (-1 if a < b else 1)
         if self._def is not None and self._def == other._def:
-            i, j = self.canonical_index(), other.canonical_index()
+            i, j = self._index, other._index
             return 0 if i == j else (-1 if i < j else 1)
         # distinct values, as different definitions and a rational and an
         # irrational are never equal: refine until the enclosures separate
@@ -329,10 +320,10 @@ def separate(lo: RealAlg, hi: RealAlg) -> tuple[Fraction, Fraction]:
     gap between them: the upper end of lo and the lower end of hi.
 
     Raises ValueError unless lo < hi.  Equal irrational values share a
-    definition and never separate, so values of one definition are
-    compared on copies first; lo and hi themselves are refined only by
-    the loop, which raises once hi's enclosure lies at or below lo's."""
-    if lo._def is not None and lo._def == hi._def and lo.copy() == hi.copy():
+    definition and an index and never separate, so they are caught
+    first; otherwise the loop raises once hi's enclosure lies at or
+    below lo's."""
+    if lo._def is not None and (lo._def, lo._index) == (hi._def, hi._index):
         raise ValueError("no gap between equal values")
     while not lo._hi < hi._lo:
         if hi._hi <= lo._lo:
@@ -452,20 +443,18 @@ def _canonical_intervals(defc: tuple[int, ...]) -> list[tuple[Fraction, Fraction
     """The isolating intervals of the primitive irreducible `defc`, in
     increasing order, bisected once per definition while it stays in
     `memo.CANONICAL`.  The roots `_isolate_irreducible` returns start with
-    these intervals as enclosures and with their index set, so neither
-    `canonical_index` nor a repeated isolation bisects again."""
+    these intervals as enclosures and with their index set, so a
+    repeated isolation does not bisect again."""
     return memo.CANONICAL.fetch(defc, _bisect_roots, defc)
 
 
 def _isolate_irreducible(c: tuple[int, ...]) -> list[RealAlg]:
     """The real roots of the integer-primitive irreducible c of degree
     >= 2 with a positive leading coefficient, in increasing order."""
-    out = []
-    for k, (a, b) in enumerate(_canonical_intervals(c), 1):
-        r = RealAlg._isolated(c, a, b)
-        r._index = k
-        out.append(r)
-    return out
+    return [
+        RealAlg._isolated(c, a, b, k)
+        for k, (a, b) in enumerate(_canonical_intervals(c), 1)
+    ]
 
 
 def isolate_real_roots(p: MPoly) -> list[RealAlg]:

@@ -9,9 +9,11 @@ justified already is preferred and ties go to the cheapest by
 `Choice.order_key`.  `PropertySet.derive` then records the step and
 replaces the property by the antecedents that are not yet justified;
 it is the one writer of the derivation trace.  Rule availability
-depends on the construction phase: rules concluding sign-invariance of
-an irreducible polynomial need the symbolic interval and root ordering
-chosen for the level, everything else only needs the sample.
+depends on the construction phase: the engine reaches a property whose
+tier number exceeds `properties.SAMPLE_ONLY_TIER` only at its own
+level, once the level's symbolic interval and root ordering are chosen,
+so its rules read both from the context without checking; everything
+else only needs the sample.
 """
 
 from __future__ import annotations
@@ -195,7 +197,7 @@ def _factors_choice(q, wrap) -> list[Choice]:
     return [Choice("factors", _dedup(wrap(f) for f in parts))]
 
 
-def _eqproj_choice(p: MPoly, ell: int, ctx: RuleCtx, rank: int) -> Optional[Choice]:
+def _eqproj_choices(p: MPoly, ell: int, ctx: RuleCtx, rank: int) -> list[Choice]:
     interval = ctx.interval
     bound = interval.lower
     prefix = ctx.s.prefix(ell - 1)
@@ -211,11 +213,11 @@ def _eqproj_choice(p: MPoly, ell: int, ctx: RuleCtx, rank: int) -> Optional[Choi
         if res.is_zero():
             # a shared factor with the section polynomial: the
             # projection gives no information, the rule does not apply
-            return None
+            return []
         rn = _norm(res)
         ants.append(OrdInv(rn))
         introduced = (("res", rn),)
-    return Choice("eqproj", _dedup(ants), rank, introduced)
+    return [Choice("eqproj", _dedup(ants), rank, introduced)]
 
 
 def _sgninv_choices(q: SgnInv, ctx: RuleCtx) -> list[Choice]:
@@ -225,24 +227,17 @@ def _sgninv_choices(q: SgnInv, ctx: RuleCtx) -> list[Choice]:
     ell = q.level
     prefix = ctx.s.prefix(ell - 1)
     roots = cached_roots(p, prefix)
+    interval = ctx.interval
     if roots is NULLIFIED:
-        if ctx.interval is not None and ctx.interval.is_section():
-            ch = _eqproj_choice(p, ell, ctx, 1)
-            return [ch] if ch is not None else []
-        return []
+        return _eqproj_choices(p, ell, ctx, 1) if interval.is_section() else []
     if not roots:
         return [Choice("nozero", (SampleProp(prefix), AnDel(p)))]
-    if ctx.interval is None:
-        return []
-    interval = ctx.interval
     choices: list[Choice] = []
     in_eq = p in ctx.eq_set
     if interval.is_section():
-        ch = _eqproj_choice(
+        choices = _eqproj_choices(
             p, ell, ctx, 0 if p == interval.lower.poly else (1 if in_eq else 2)
         )
-        if ch is not None:
-            choices.append(ch)
     ordering, lo, up = ctx.ordering, interval.lower, interval.upper
     if all(
         (lo is not None and ordering.le(xi, lo))
@@ -305,11 +300,8 @@ def _nonnull_choices(q: NonNull, ctx: RuleCtx) -> list[Choice]:
 def _andel_choice(q: AnDel, ctx: RuleCtx) -> list[Choice]:
     p = q.p
     ell = q.level
-    deg, lc, _ = coeff_info(p, p.level)
-    if deg == 1:
-        disc = MPoly.constant(1)
-    else:
-        disc = discriminant(p, p.level)
+    _, lc, _ = coeff_info(p, p.level)
+    disc = discriminant(p, p.level)
     if disc.is_zero():
         # delineability needs a square-free polynomial
         return []
@@ -375,8 +367,6 @@ def _connected_choices(q: Connected, ctx: RuleCtx) -> list[Choice]:
     i = q.i
     if i == 1:
         return [Choice("connected-base", ())]
-    if ctx.interval is None or ctx.level != i:
-        return []
     interval = ctx.interval
     prefix = ctx.s.prefix(i - 1)
     base = (Connected(i - 1), Repr(interval, prefix))
@@ -390,17 +380,12 @@ def _connected_choices(q: Connected, ctx: RuleCtx) -> list[Choice]:
 
 
 def _ansub_choices(q: AnSub, ctx: RuleCtx) -> list[Choice]:
-    if ctx.interval is None or ctx.level != q.i:
-        return []
     prefix = ctx.s.prefix(q.i - 1)
     return [Choice("submanifold", (Repr(ctx.interval, prefix), AnSub(q.i - 1)))]
 
 
 def _sample_choices(q: SampleProp, ctx: RuleCtx) -> list[Choice]:
-    ell = len(q.s)
-    if ctx.interval is None or ctx.level != ell:
-        return []
-    prefix = q.s.prefix(ell - 1)
+    prefix = q.s.prefix(len(q.s) - 1)
     return [Choice("sample-prefix", (Repr(ctx.interval, prefix), SampleProp(prefix)))]
 
 

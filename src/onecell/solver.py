@@ -114,10 +114,7 @@ def solve_conjunction(
                 return result
             result.explanations += 1
             explained = _generalize(by_level[i], prefix, cfg, stats)
-            if isinstance(explained, Fail):
-                if i == 1:
-                    return result
-            else:
+            if not isinstance(explained, Fail):
                 result.learned.append(explained.cell)
 
         # the learned cells, the new one included, rule out every value

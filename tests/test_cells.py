@@ -7,6 +7,7 @@ import pytest
 import onecell
 from onecell.cells import (
     CellDescription,
+    ExtendedConstraint,
     IndexedRoot,
     SymbolicInterval,
     cell_contains,
@@ -194,6 +195,15 @@ def test_formula_of_section_is_equality():
     atoms = cell_to_formula(cell)
     assert len(atoms) == 1 and atoms[0].rel == "="
     assert atoms[0].var == 2
+
+
+def test_extended_constraint_needs_a_variable():
+    """Variables start at x1: an atom on x0 would read the last
+    coordinate of a sample."""
+    root = IndexedRoot(parse_poly("x1-1"), 1)
+    with pytest.raises(ValueError):
+        ExtendedConstraint(0, "<", root)
+    assert ExtendedConstraint(1, "<", root).holds(Sample([0])) is True
 
 
 def test_interior_points_of_a_relaxed_cell_with_empty_fibers():

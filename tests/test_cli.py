@@ -139,6 +139,16 @@ def test_negative_budget_exit_code(nullified_file, capsys):
     assert captured.out == ""
 
 
+def test_explain_with_a_zero_constraint_polynomial(tmp_path, capsys):
+    """x >= x is 0 >= 0: a constant polynomial, not factored."""
+    f = tmp_path / "zero.smt2"
+    f.write_text("(declare-const x Real)(declare-const y Real)"
+                 "(assert (< (* y y) 0))(assert (>= x x))")
+    code = main(["explain", str(f), "--sample", "0"])
+    assert code == 0
+    assert capsys.readouterr().out == "level 1 sector -inf +inf\n(not true)\n"
+
+
 def test_explain_satisfiable_is_input_error(tmp_path, capsys):
     f = tmp_path / "sat.smt2"
     f.write_text("(declare-const x Real)(declare-const y Real)(assert (> y 0))")

@@ -11,12 +11,14 @@ from onecell.cells import (
     cell_contains,
     cell_pick_interior_point,
     cell_to_formula,
+    cell_to_text,
 )
-from onecell.config import HeuristicConfig
+from onecell.config import HEURISTIC_IDS, HeuristicConfig, config_from_id
 from onecell.engine import Fail
 from onecell.explain import (
     Constraint,
     ExtendedConstraint,
+    _generalize,
     check_conflict,
     clause_to_text,
     constraint_satisfied,
@@ -25,6 +27,7 @@ from onecell.explain import (
 from onecell.polynomial import parse_poly
 from onecell.properties import validate_trace
 from onecell.realalg import NULLIFIED, Sample
+from onecell.stats import RunStats
 
 from conftest import random_poly, random_sample
 from oracles import midpoint_check_conflict
@@ -91,6 +94,53 @@ def test_explain_nullified_returns_fail():
     C = [Constraint(parse_poly("x3*x1+x2"), ">")]
     result = explain_conflict(C, [Fraction(0), Fraction(0)])
     assert isinstance(result, Fail)
+
+
+def test_explain_fails_when_the_construction_fails():
+    """x1*x3+x2 vanishes at (0, 0) and the sample sits in a sector of x3:
+    `run_levels` finds no rule, and the explanation is that `Fail`."""
+    C = [Constraint(parse_poly("x4^2"), "<"), Constraint(parse_poly("x1*x3+x2"), ">")]
+    for hid in sorted(HEURISTIC_IDS):
+        result = explain_conflict(C, [0, 0, 1], config_from_id(hid))
+        assert result == Fail("no applicable rule for sgninv(x1*x3+x2)")
+
+
+def test_zero_constraint_polynomial_is_not_factored():
+    """0 >= 0 holds everywhere; its polynomial is a constant and, as in
+    `single_cell`, nothing to factor."""
+    C = [Constraint(parse_poly("x2^2"), "<"), Constraint(parse_poly("0"), ">=")]
+    result = explain_conflict(C, [0])
+    assert cell_to_text(result.cell) == "level 1 sector -inf +inf\n"
+    assert clause_to_text(result.cell) == "(not true)"
+
+
+@pytest.mark.parametrize("hid", sorted(HEURISTIC_IDS))
+def test_relaxed_top_connectedness_leaves_explanations_alone(hid):
+    """Level n of a conflict over x1..xn is not the top of the
+    construction, as the level-(n+1) factors need connectedness there
+    for their delineability: relaxing changes nothing."""
+    C = [Constraint(parse_poly("x3^2+2*x2"), "<"), Constraint(parse_poly("-x3^2+2"), "<")]
+    s = [Fraction(3, 2), Fraction(-1, 4)]
+    default = explain_conflict(C, s, config_from_id(hid))
+    relaxed = explain_conflict(C, s, config_from_id(hid, relax_top_connectedness=True))
+    assert default and relaxed
+    assert relaxed.cell == default.cell
+    assert relaxed.clause == default.clause
+
+
+@pytest.mark.parametrize("mode", ["finest", "squarefree"])
+def test_generalize_over_the_empty_prefix_never_fails(rng, mode):
+    """Every level-1 factor is delineable over the empty prefix, so the
+    explanation of any level-1 constraint set is the empty cell and the
+    clause that excludes everything."""
+    for k in range(70):
+        hid = sorted(HEURISTIC_IDS)[k % len(HEURISTIC_IDS)]
+        C = [Constraint(random_poly(rng, 1), rng.choice(["<", "=", ">"]))
+             for _ in range(rng.randint(1, 4))]
+        result = _generalize(C, Sample([]), config_from_id(hid, mode), RunStats())
+        assert not isinstance(result, Fail), (hid, C)
+        assert len(result.cell) == 0 and result.clause == []
+        assert validate_trace(result.trace, set(result.trace.axioms))
 
 
 def test_explained_cell_keeps_a_shared_factor_conflict():

@@ -237,6 +237,28 @@ def test_reducible_definitions_are_refused():
             ))
 
 
+def test_algebraic_refuses_an_interval_without_exactly_one_root():
+    """x^3-3x+1 has roots near -1.88, 0.35 and 1.53: (-2, 2) holds all
+    three, (-1, 0) and the empty (2, 1) none."""
+    cubic = [1, -3, 0, 1]
+    for lo, hi in ((-2, 2), (-1, 0), (2, 1)):
+        with pytest.raises(ValueError):
+            RealAlg.algebraic(cubic, lo, hi)
+
+
+def test_algebraic_stores_the_canonical_index():
+    """The index is found when the value is built; reading it refines
+    nothing, also where (lo, hi) meets two canonical intervals of x^3-3x+1,
+    (-4, 0), (0, 1) and (1, 2)."""
+    cubic = [1, -3, 0, 1]
+    half = Fraction(1, 2)
+    for (lo, hi), k in (((-2, -1), 1), ((-half, half), 2), ((1, 2), 3), ((half, 3), 3)):
+        r = RealAlg.algebraic(cubic, lo, hi)
+        assert r.canonical_index() == k
+        assert r.enclosure() == (lo, hi)
+        assert r == isolate_real_roots(parse_poly("x1^3-3*x1+1"))[k - 1]
+
+
 def test_separate_refuses_values_out_of_order():
     """separate(lo, hi) needs lo < hi; equal irrational values used to
     refine forever."""

@@ -13,7 +13,15 @@ from onecell.config import HEURISTIC_IDS, config_from_id
 from onecell.engine import Fail, single_cell
 from onecell.explain import explain_conflict
 from onecell.polynomial import parse_poly
-from onecell.properties import AnDel, Connected, DerivationTrace, SgnInv
+from onecell.properties import (
+    AnDel,
+    AnSub,
+    Connected,
+    DerivationTrace,
+    SampleProp,
+    SgnInv,
+    is_whole,
+)
 from onecell.realalg import realalg_to_text
 from onecell.rules import PropertySet
 from onecell.solver import solve_conjunction
@@ -73,6 +81,29 @@ def test_heap_and_sole_pick_match_the_scan_and_full_ranking(monkeypatch):
     assert len(fast) == len(reference)
     for k, (got, want) in enumerate(zip(fast, reference)):
         assert got == want, f"output {k} differs"
+
+
+def test_interval_rules_run_with_the_interval_of_their_level(monkeypatch):
+    """The rules for SgnInv of a whole polynomial, Connected, AnSub and
+    SampleProp read the level's interval without checking for it: over
+    the three corpora each of them is reached with an interval set and at
+    its own level, which the engine's `SAMPLE_ONLY_TIER` cut-off
+    guarantees."""
+    reached = {kind: 0 for kind in (SgnInv, Connected, AnSub, SampleProp)}
+
+    def checked(kind, choices):
+        def wrapper(q, ctx):
+            if kind is not SgnInv or is_whole(q.p):
+                assert ctx.interval is not None, q.text()
+                assert ctx.level == q.level, q.text()
+                reached[kind] += 1
+            return choices(q, ctx)
+        return wrapper
+
+    for kind in reached:
+        monkeypatch.setitem(rules._CHOICES, kind, checked(kind, rules._CHOICES[kind]))
+    _render_corpus()
+    assert min(reached.values()) > 0, reached
 
 
 def _pending(*props) -> PropertySet:
