@@ -21,24 +21,27 @@ hash and its text (`poly_to_str`) are computed on first use and kept on
 the value, so nothing may change `_terms` after construction.
 
 The module also provides the projection operations the cell construction
-consumes: resultants by evaluation and interpolation on integers,
-discriminants, and factorization (irreducible or square-free), and
-`dense`, the integer-primitive coefficient tuple of a univariate
-polynomial that root isolation and the exact zero tests work on.
+consumes: resultants by evaluation and interpolation on integers (on
+dense coefficient rows over the eliminated variable), discriminants,
+and factorization (irreducible or square-free), and `dense`, the
+integer-primitive coefficient tuple of a univariate polynomial that
+root isolation and the exact zero tests work on.
 
 `factor` is the package's one boundary to sympy: linear and univariate
-quadratic input has closed forms, small degrees in some variable can be
-proved irreducible by a root test, and everything else goes to sympy's
-dense factorization over ZZ (`sympy.polys` submodules only), on the
-integer-primitive term map in the variables that occur.  Nothing else
-in the package imports sympy; univariate root isolation factors through
-`factor` too.
+quadratic input has closed forms, input of any degree can be proved
+irreducible by a degree-pattern certificate (distinct-degree
+factorizations of images modulo small primes, on ints), and everything
+else goes to sympy's dense factorization over ZZ (`sympy.polys`
+submodules only), on the integer-primitive term map in the variables
+that occur.  Nothing else in the package imports sympy; univariate root
+isolation factors through `factor` too.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from array import array
 from fractions import Fraction
 from typing import Sequence
 
@@ -381,42 +384,45 @@ def _resultant(p: MPoly, q: MPoly, v: Var) -> MPoly:
         raise ValueError("resultant requires positive degree in the main variable")
     (c, P), (d, Q) = _primitive_part(p), _primitive_part(q)
     scale = _coefficient(c**dq * d**dp)
-    R = _ires(P, Q, v, dp, dq)
+    R = _ires(_rows(P, v, dp), _rows(Q, v, dq), dp, dq)
     return MPoly._canonical(_stored({e: scale * k for e, k in R.items()}))
 
 
-def _ideg(P: dict, j: Var) -> int:
-    return max((e[j - 1] for e in P if len(e) >= j), default=0)
-
-
-def _ieval(P: dict, j: Var, a: int) -> dict:
-    """The integer term map P with x_j = a."""
+def _rows(P: dict, v: Var, d: int) -> dict:
+    """The term map P of degree d in x_v as dense coefficient rows over
+    x_v (index = degree, length d + 1), keyed by the exponents of the
+    other variables (x_v's entry 0, trimmed)."""
     out: dict = {}
     for e, k in P.items():
-        if len(e) >= j and e[j - 1]:
-            k *= a ** e[j - 1]
-            e = _trim(e[: j - 1] + (0,) + e[j:])
-        out[e] = out.get(e, 0) + k
-    return {e: k for e, k in out.items() if k}
+        i = e[v - 1] if len(e) >= v else 0
+        if i:
+            e = _trim(e[: v - 1] + (0,) + e[v:])
+        row = out.get(e)
+        if row is None:
+            row = out[e] = [0] * (d + 1)
+        row[i] = k
+    return out
 
 
-def _ires(P: dict, Q: dict, v: Var, dp: int, dq: int) -> dict:
-    """res_v(P, Q) for integer term maps of degrees dp, dq >= 1 in x_v:
-    another x_j is set to 0, 1, -1, 2, ..., skipping values where a
-    degree in x_v drops (finitely many: the leading coefficients are
-    nonzero), until they outnumber the result's degree bound in x_j."""
-    others = {i + 1 for e in (*P, *Q) for i, k in enumerate(e) if k} - {v}
-    if not others:
-        r = _ures(P, Q, v, dp, dq)
+def _ires(P: dict, Q: dict, dp: int, dq: int) -> dict:
+    """res_v(P, Q), as a term map, for rows (`_rows`) of integer
+    polynomials of degrees dp, dq >= 1 in x_v: the highest other x_j is
+    set to 0, 1, -1, 2, ..., skipping values where a degree in x_v drops
+    (finitely many: the leading coefficients are nonzero), until they
+    outnumber the result's degree bound in x_j.  Each map is grouped by
+    its keys without x_j once, so a value a only scales rows by a**k."""
+    j = max(map(len, (*P, *Q)))
+    if not j:
+        r = _ures(P[()], Q[()])
         return {(): r} if r else {}
-    j = max(others)
     bound = _degree_bound(P, Q, j, dp, dq)
+    Pj, Qj = _by_power(P, j), _by_power(Q, j)
     xs, vals, a = [], [], 0
     while len(xs) <= bound:
-        Pa, Qa = _ieval(P, j, a), _ieval(Q, j, a)
-        if _ideg(Pa, v) == dp and _ideg(Qa, v) == dq:
+        Pa, Qa = _at(Pj, a), _at(Qj, a)
+        if any(r[dp] for r in Pa.values()) and any(r[dq] for r in Qa.values()):
             xs.append(a)
-            vals.append(_ires(Pa, Qa, v, dp, dq))
+            vals.append(_ires(Pa, Qa, dp, dq))
         a = -a if a > 0 else 1 - a
     out = {}
     for m in set().union(*vals):
@@ -428,13 +434,42 @@ def _ires(P: dict, Q: dict, v: Var, dp: int, dq: int) -> dict:
     return out
 
 
+def _by_power(P: dict, j: Var) -> list:
+    """The rows of P grouped by their keys without x_j, the highest
+    variable of any key: pairs (key, [(degree in x_j, row), ...])."""
+    out: dict = {}
+    for e, row in P.items():
+        k = e[j - 1] if len(e) == j else 0
+        out.setdefault(_trim(e[: j - 1]) if k else e, []).append((k, row))
+    return list(out.items())
+
+
+def _at(groups: list, a: int) -> dict:
+    """The rows of a map grouped by `_by_power`, with x_j = a."""
+    out = {}
+    for e, parts in groups:
+        (k, row), *rest = parts
+        f = a**k
+        if f != 1:
+            row = [f * c for c in row]
+        for k, r in rest:
+            f = a**k
+            if f:
+                row = [c + f * x for c, x in zip(row, r)]
+        if any(row):
+            out[e] = row
+    return out
+
+
 def _degree_bound(P: dict, Q: dict, j: Var, dp: int, dq: int) -> int:
-    """A bound on deg_j res_v(P, Q) from the degrees in x_j, or from the
-    total degrees: column c of P's r-th Sylvester row holds the x_v^(dp+r-c)
-    coefficient, of total degree <= tdeg(P) - dp - r + c, and a term of
-    the determinant sums these over all rows and columns."""
-    tp, tq = (max(map(sum, T)) for T in (P, Q))
-    return min(dp * _ideg(Q, j) + dq * _ideg(P, j), tp * dq + tq * dp - dp * dq)
+    """A bound on deg_j res_v(P, Q), for rows (`_rows`) P and Q, from the
+    degrees in x_j, or from the total degrees: column c of P's r-th
+    Sylvester row holds the x_v^(dp+r-c) coefficient, of total degree
+    <= tdeg(P) - dp - r + c, and a term of the determinant sums these
+    over all rows and columns."""
+    tp, tq = (max(sum(e) + len(_trim(r)) - 1 for e, r in T.items()) for T in (P, Q))
+    jp, jq = (max((e[j - 1] for e in T if len(e) >= j), default=0) for T in (P, Q))
+    return min(dp * jq + dq * jp, tp * dq + tq * dp - dp * dq)
 
 
 def _interpolate(xs: list[int], ys: list[int]) -> list[int]:
@@ -463,10 +498,9 @@ def _prem(A: list[int], B: list[int]) -> list[int]:
     return _trim(R)
 
 
-def _ures(P: dict, Q: dict, v: Var, dp: int, dq: int) -> int:
-    """res_v(P, Q) for integer term maps in x_v alone, by the subresultant
-    PRS on dense coefficient lists (index = degree)."""
-    A, B = _dense(P, v, dp), _dense(Q, v, dq)
+def _ures(A: list[int], B: list[int]) -> int:
+    """res(A, B) for dense integer coefficient lists (index = degree)
+    with nonzero last entries, by the subresultant PRS."""
     sign = 1
     if len(A) < len(B):
         A, B, sign = B, A, (-1) ** ((len(A) - 1) * (len(B) - 1))
@@ -543,12 +577,11 @@ def normalize(p: MPoly) -> MPoly:
     with positive leading coefficient under graded lex."""
     if p.is_zero():
         return p
-    q = p.scale(Fraction(1) / content(p))
-    n = q.level
-    lead = max(q._terms, key=lambda e: _monom_key(e, n))
-    if q._terms[lead] < 0:
-        q = -q
-    return q
+    _, P = _primitive_part(p)
+    n = p.level
+    if P[max(P, key=lambda e: _monom_key(e, n))] < 0:
+        P = {e: -k for e, k in P.items()}
+    return MPoly._canonical(P)
 
 
 def dense(p: MPoly, v: Var) -> tuple[int, ...]:
@@ -557,12 +590,7 @@ def dense(p: MPoly, v: Var) -> tuple[int, ...]:
     with the sign of p's leading coefficient."""
     if p.is_zero() or not p.variables() <= {v}:
         raise ValueError(f"{poly_to_str(p)} is not a nonzero polynomial in x{v} alone")
-    return tuple(_dense(_primitive_part(p)[1], v, p.degree(v)))
-
-
-def _dense(P: dict, v: Var, d: int) -> list[int]:
-    """The coefficients of x_v^0 .. x_v^d in the term map P."""
-    return [P.get(_trim((0,) * (v - 1) + (k,)), 0) for k in range(d + 1)]
+    return tuple(_rows(_primitive_part(p)[1], v, p.degree(v))[()])
 
 
 def factor(p: MPoly, mode: str = "finest") -> list[tuple[MPoly, int]]:
@@ -573,13 +601,16 @@ def factor(p: MPoly, mode: str = "finest") -> list[tuple[MPoly, int]]:
     rational constant.  Constant input yields an empty list.  A linear
     p is irreducible, and a univariate quadratic a*x^2 + b*x + c splits
     as 4a*p = (2a*x + b - r)(2a*x + b + r) exactly when its discriminant
-    b^2 - 4ac is a square r^2.  In ``finest`` mode `_irreducible_by_roots`
-    may then prove p irreducible.  Everything else goes to sympy's dense
-    factorization over ZZ, on the integer-primitive p in the variables
-    that occur, in their order.  Results are kept in `memo.FACTOR`, and
-    each call returns a new list.  Each output f of a ``finest`` call is
-    normalized and irreducible, so the call also records [(f, 1)] as the
-    answer for f in both modes.
+    b^2 - 4ac is a square r^2.  In ``finest`` mode the degree-pattern
+    certificate `_irreducible_by_degrees` may then prove p irreducible,
+    in any degree.  Everything else goes to sympy's dense factorization
+    over ZZ, on the integer-primitive p in the variables that occur, in
+    their order: the input the certificate refuses (all reducible input,
+    and irreducible input such as x^4 + 1 that splits modulo every
+    prime) costs it at most `CERTIFICATE_BUDGET` reductions first.
+    Results are kept in `memo.FACTOR`, and each call returns a new list.
+    Each output f of a ``finest`` call is normalized and irreducible, so
+    the call also records [(f, 1)] as the answer for f in both modes.
     """
     if mode not in ("finest", "squarefree"):
         raise ValueError(f"unknown factor mode: {mode}")
@@ -606,7 +637,7 @@ def _factor(p: MPoly, mode: str) -> list[tuple[MPoly, int]]:
     _, P = _primitive_part(p)
     if len(vs) == 1 and p.total_degree() == 2:
         v = vs[0]
-        c, b, a = _dense(P, v, 2)
+        c, b, a = _rows(P, v, 2)[()]
         disc = b * b - 4 * a * c
         r = math.isqrt(disc) if disc >= 0 else -1
         if r * r != disc or (r and mode == "squarefree"):
@@ -614,7 +645,7 @@ def _factor(p: MPoly, mode: str) -> list[tuple[MPoly, int]]:
         else:
             x = MPoly.var(v).scale(2 * a)
             pairs = [(x + b, 2)] if r == 0 else [(x + (b - r), 1), (x + (b + r), 1)]
-    elif mode == "finest" and _irreducible_by_roots(P, vs):
+    elif mode == "finest" and _irreducible_by_degrees(P, vs):
         pairs = [(p, 1)]
     else:
         u = len(vs) - 1
@@ -635,68 +666,212 @@ def _factor(p: MPoly, mode: str) -> list[tuple[MPoly, int]]:
     return out
 
 
-# The root test's images set every other variable to one of these
-# values, and are reduced modulo each of these primes.
-ROOT_TEST_POINTS = (1, -1, 2, -2, 3)
-ROOT_TEST_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+# The degree-pattern certificate sets every other variable to each of
+# these values, and reduces the images modulo each of these primes, at
+# most CERTIFICATE_BUDGET times in all for one input.
+CERTIFICATE_POINTS = (1, -1, 2, -2, 3)
+CERTIFICATE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+CERTIFICATE_BUDGET = 32
 
 
-def _irreducible_by_roots(P: dict, vs: list[Var]) -> bool:
-    """True when a root test proves the integer-primitive term map P in
-    the variables vs irreducible over Q; False proves nothing.
+def _irreducible_by_degrees(P: dict, vs: list[Var]) -> bool:
+    """True when a degree-pattern test (Musser, "On the efficiency of a
+    polynomial irreducibility test", JACM 1978) proves the
+    integer-primitive term map P in the variables vs irreducible over
+    Q; False proves nothing.  It refuses at once when some x_v is a
+    proper factor of P.
 
-    The test tries each variable v, highest first, in which P has degree
-    n <= 3 and some coefficient of a power of v is a nonzero integer.
+    The test takes each variable v, highest first, in which P has degree
+    n >= 1 and some coefficient of a power of v is a nonzero integer.
     For n = 1 that is the proof.  Otherwise every other variable is set
-    to a in `ROOT_TEST_POINTS`, and an image of degree n in v that has
-    no root modulo some prime q in `ROOT_TEST_PRIMES` not dividing its
-    leading coefficient is the proof.
+    to a in `CERTIFICATE_POINTS`, and each image that keeps degree n is
+    reduced modulo the primes q in `CERTIFICATE_PRIMES` that do not
+    divide its leading coefficient, each prime in turn meeting every
+    image of every variable, at most `CERTIFICATE_BUDGET` times.  Where
+    a reduction is square-free, its distinct-degree factorization gives
+    the degrees of its irreducible factors (`_narrowed`).  The proof is
+    that for some v no degree 0 < k < n is a sum of some of them for
+    every such reduction of an image in v.
 
     Why it is sound: suppose P = f*g with neither a unit; by Gauss's
     lemma f and g may be taken over ZZ.  If f is free of v, it divides
     every coefficient of a power of v, the integer one too, so f is an
     integer; it divides the content of P, which is 1, so f is a unit.
-    Hence f and g both have positive degree in v, which n = 1 forbids;
-    for n = 2 or 3 one of them has degree 1.  An image that keeps degree
-    n keeps both degrees, as the leading coefficient of P is that of f
-    times that of g, so it has an integer linear factor d*v - m with d
-    dividing its leading coefficient.  Modulo a prime q that does not
-    divide that coefficient, d is invertible and m/d is a root.
+    Hence k = deg_v f is in 0 < k < n, which n = 1 forbids.  An image
+    that keeps degree n keeps the degrees of f and g, as the leading
+    coefficient of P is that of f times that of g, and so does its
+    reduction modulo a prime q that does not divide that coefficient.
+    Then the reduction of f is a product of some of the reduction's
+    irreducible factors, which are distinct when it is square-free, so
+    k is a sum of some of their degrees.
     """
+    if max(map(sum, P)) > 1 and any(all(len(e) >= v and e[v - 1] for e in P) for v in vs):
+        return False  # x_v is a proper factor of P
+    images, left = {}, {}  # per variable v: its images, the degrees k left
     for v in reversed(vs):
         # each term as (degree in v, total degree, coefficient)
         split = [(e[v - 1] if len(e) >= v else 0, sum(e), k) for e, k in P.items()]
         n = max(d for d, _, _ in split)
         mixed = {d for d, t, _ in split if t > d}
-        if n > 3 or all(d in mixed for d, _, _ in split):
+        if all(d in mixed for d, _, _ in split):
             continue
         if n == 1:
             return True
-        seen = set()
-        for a in ROOT_TEST_POINTS:
+        images[v], left[v] = [], (1 << n) - 2  # bit k set: 0 < k < n is left
+        for a in CERTIFICATE_POINTS:
             image = [0] * (n + 1)
             for d, t, k in split:
                 image[d] += k * a ** (t - d)
-            image = tuple(image)
-            if not image[n] or image in seen:
-                continue
-            seen.add(image)
-            for q in ROOT_TEST_PRIMES:
-                if image[n] % q and not _has_root_mod(image, q):
+            if image[n] and image not in images[v]:
+                images[v].append(image)
+    budget = CERTIFICATE_BUDGET
+    for q in CERTIFICATE_PRIMES:
+        for v, vimages in images.items():
+            for image in vimages:
+                if image[-1] % q == 0:
+                    continue
+                left[v] = _narrowed(image, q, left[v])
+                if not left[v]:
                     return True
+                budget -= 1
+                if not budget:
+                    return False
     return False
 
 
-def _has_root_mod(c: tuple[int, ...], q: int) -> bool:
-    """Whether sum c[k]*x^k has a root modulo q."""
-    c = [k % q for k in reversed(c)]
-    for r in range(q):
-        y = 0
-        for k in c:
-            y = y * r + k
-        if y % q == 0:
-            return True
-    return False
+def _narrowed(c: list[int], q: int, left: int) -> int:
+    """`left`, a set of degrees as bits, less each degree that is not a
+    sum of degrees of the irreducible factors modulo the prime q of
+    sum c[k]*x^k, whose leading coefficient q does not divide.  `left`
+    comes back whole unless c is square-free modulo q, and as soon as
+    the factors found cannot remove a degree: with `found` the sums of
+    their degrees and r the degree of the rest, every degree in found
+    and in found + r stays.
+
+    A distinct-degree factorization on ints.  The linear factors come
+    from the roots, found by evaluating at every residue, and are
+    divided out.  What is left, g of degree m, is irreducible for
+    m <= 3, so c needs no test for square factors when it has neither
+    roots nor m >= 4.  For m >= 4, x -> x^q is linear on F_q[x]/(g):
+    its rows x^(iq) mod g are computed once, as Kronecker-packed ints,
+    x^(q^d) follows from x^(q^(d-1)) by one combination of them, and
+    gcd(g, x^(q^d) - x) is the product of g's factors of degree d.
+    """
+    f = _monic_mod(c, q)
+    residues = range(q)
+    values = [1] * q
+    for k in reversed(f[:-1]):
+        values = [y * r + k for y, r in zip(values, residues)]
+    roots = [r for r, y in zip(residues, values) if not y % q]
+    found = (2 << len(roots)) - 1  # the sums of the linear factors
+    m = len(f) - 1 - len(roots)
+    if not left & ~(found | found << m):
+        return left
+    if roots or m >= 4:  # else c is irreducible modulo q
+        if len(_gcd_mod(f, [k * i for i, k in enumerate(f)][1:], q)) > 1:
+            return left  # not square-free
+    g = f
+    for r in roots:
+        g = _quotient_mod(g, [-r % q, 1], q)
+    if m >= 4:
+        mul = _mulmod(g, q)
+        if q < m:
+            xq = 1 << (q * _SLOT)
+        else:  # x^q by squaring
+            xq = 1
+            for bit in bin(q)[2:]:
+                xq = mul(xq, xq)
+                if bit == "1":
+                    xq = mul(xq, 1 << _SLOT)
+        frobenius = [1, xq]
+        while len(frobenius) < m:
+            frobenius.append(mul(frobenius[-1], xq))
+        h, d = _unpack(xq, m, q), 1
+        while 2 * (d + 1) < len(g):
+            d += 1
+            h = _unpack(sum(k * R for k, R in zip(h, frobenius) if k), m, q)
+            hx = list(h)
+            hx[1] -= 1
+            u = _gcd_mod(g, hx, q)
+            if len(u) > 1:
+                for _ in range((len(u) - 1) // d):
+                    found |= found << d
+                g = _quotient_mod(g, u, q)
+                if not left & ~(found | found << (len(g) - 1)):
+                    return left
+    return left & (found | found << (len(g) - 1))
+
+
+_SLOT = 8 * array("Q").itemsize  # bits per packed coefficient, 64 or more
+
+
+def _pack(c: list[int]) -> int:
+    """The Kronecker substitution x = 2^_SLOT of c, whose coefficients
+    are in [0, 2^_SLOT)."""
+    return int.from_bytes(array("Q", c).tobytes(), "little")
+
+
+def _unpack(x: int, m: int, q: int) -> list[int]:
+    """The m coefficients of the packed x, modulo q."""
+    return [k % q for k in array("Q", x.to_bytes(m * _SLOT // 8, "little"))]
+
+
+def _mulmod(g: list[int], q: int):
+    """Multiplication in F_q[x]/(g), g monic of degree m >= 2, on packed
+    residues: the product's coefficients of x^(m+j) are folded back with
+    the packed x^(m+j) mod g.  A slot stays below 2*m*q^2, far below
+    2^64 for the primes of the certificate, so slots never carry."""
+    m = len(g) - 1
+    row, fold = [-k % q for k in g[:m]], []
+    for _ in range(m - 1):
+        fold.append(_pack(row))
+        top = row[-1]
+        row = [(x - top * y) % q for x, y in zip([0] + row[:-1], g)]
+    low = (1 << (m * _SLOT)) - 1
+
+    def mul(a: int, b: int) -> int:
+        ab = a * b
+        r = ab & low
+        for k, X in zip(_unpack(ab >> (m * _SLOT), m - 1, q), fold):
+            if k:
+                r += k * X
+        return _pack(_unpack(r, m, q))
+
+    return mul
+
+
+def _monic_mod(c: list[int], q: int) -> list[int]:
+    """c modulo q, divided by its last entry, which q does not divide."""
+    inv = pow(c[-1], -1, q)
+    return [k * inv % q for k in c]
+
+
+def _quotient_mod(a: list[int], b: list[int], q: int) -> list[int]:
+    """a / b modulo q, for a monic b that divides a."""
+    m, a = len(b) - 1, list(a)
+    out = [0] * (len(a) - m)
+    for k in range(len(a) - 1, m - 1, -1):
+        t = out[k - m] = a[k] % q
+        if t:
+            a[k - m:k] = [x - t * y for x, y in zip(a[k - m:k], b)]
+    return out
+
+
+def _gcd_mod(a: list[int], b: list[int], q: int) -> list[int]:
+    """The monic gcd modulo q of the monic a and any b, which it
+    consumes, by Euclid's algorithm on remainders kept monic."""
+    a = list(a)
+    while True:
+        while b and not b[-1] % q:
+            b.pop()
+        if not b:
+            return a
+        b, m = _monic_mod(b, q), len(b) - 1
+        for k in range(len(a) - 1, m - 1, -1):
+            t = a[k] % q
+            if t:
+                a[k - m:k] = [x - t * y for x, y in zip(a[k - m:k], b)]
+        a, b = b, a[:m]
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,16 @@
 
 Everything here is deliberately implemented by a different route than
 the library: resultants via the symbolic Sylvester determinant (Laplace
-expansion, no division) and via the subresultant PRS over `MPoly`
-coefficients (the library evaluates and interpolates on integers),
+expansion, no division), via the subresultant PRS over `MPoly`
+coefficients, and by evaluation and interpolation on integer term maps
+(the library evaluates dense rows over the eliminated variable),
 factorization via sympy's `Poly` over QQ (the library factors dense
-integer polynomials, with closed forms up to degree 2), real-root
-counting via Sturm sequences, root isolation by Descartes
-bisection on `Fraction` coefficients with the Moebius transform rebuilt
-at every node, factor checking via numeric root recombination, sign and
+integer polynomials, with closed forms up to degree 2), irreducibility
+by a root test modulo small primes (the library's degree-pattern
+certificate must prove all it proves), real-root counting via Sturm
+sequences, root isolation by Descartes bisection on `Fraction`
+coefficients with the Moebius transform rebuilt by Taylor shifts at
+every node, factor checking via numeric root recombination, sign and
 interval evaluation on `Fraction` objects (the library works on integer
 numerators over a common denominator), zero tests at algebraic
 points via sympy's minimal polynomials, conflict checks by the
@@ -40,7 +43,17 @@ from onecell.cells import (
 from onecell.config import HeuristicConfig
 from onecell.explain import Constraint, constraint_satisfied
 from onecell.heuristics import Representation, roots_with_values
-from onecell.polynomial import MPoly, Var, coeff_info, exact_div, normalize, resultant
+from onecell.polynomial import (
+    MPoly,
+    Var,
+    _interpolate,
+    _ures,
+    coeff_info,
+    exact_div,
+    normalize,
+    resultant,
+)
+from onecell.polynomial import _trim as _trim_exponents
 from onecell.properties import RootOrdering, selection_key
 from onecell.realalg import (
     NULLIFIED,
@@ -166,6 +179,115 @@ def subresultant_resultant(p: MPoly, q: MPoly, v: Var) -> MPoly:
 
 
 # ---------------------------------------------------------------------------
+# evaluation and interpolation on integer term maps: the library's
+# resultant kernel before it grouped each map into dense rows over x_v
+
+
+def _ideg(P: dict, j: Var) -> int:
+    return max((e[j - 1] for e in P if len(e) >= j), default=0)
+
+
+def _ieval(P: dict, j: Var, a: int) -> dict:
+    """The integer term map P with x_j = a."""
+    out: dict = {}
+    for e, k in P.items():
+        if len(e) >= j and e[j - 1]:
+            k *= a ** e[j - 1]
+            e = _trim_exponents(e[: j - 1] + (0,) + e[j:])
+        out[e] = out.get(e, 0) + k
+    return {e: k for e, k in out.items() if k}
+
+
+def _term_map_bound(P: dict, Q: dict, j: Var, dp: int, dq: int) -> int:
+    """The interpolation bound on deg_j res_v(P, Q), from the degrees in
+    x_j or from the total degrees of the term maps."""
+    tp, tq = (max(map(sum, T)) for T in (P, Q))
+    return min(dp * _ideg(Q, j) + dq * _ideg(P, j), tp * dq + tq * dp - dp * dq)
+
+
+def term_map_resultant(P: dict, Q: dict, v: Var, dp: int, dq: int) -> dict:
+    """res_v(P, Q) for integer term maps of degrees dp, dq >= 1 in x_v:
+    another x_j is set to 0, 1, -1, 2, ..., skipping values where a
+    degree in x_v drops, until they outnumber the result's degree bound
+    in x_j; the library's PRS `_ures` and `_interpolate` do the rest."""
+    others = {i + 1 for e in (*P, *Q) for i, k in enumerate(e) if k} - {v}
+    if not others:
+        dense = [[T.get(_trim_exponents((0,) * (v - 1) + (k,)), 0) for k in range(d + 1)]
+                 for T, d in ((P, dp), (Q, dq))]
+        r = _ures(*dense)
+        return {(): r} if r else {}
+    j = max(others)
+    bound = _term_map_bound(P, Q, j, dp, dq)
+    xs, vals, a = [], [], 0
+    while len(xs) <= bound:
+        Pa, Qa = _ieval(P, j, a), _ieval(Q, j, a)
+        if _ideg(Pa, v) == dp and _ideg(Qa, v) == dq:
+            xs.append(a)
+            vals.append(term_map_resultant(Pa, Qa, v, dp, dq))
+        a = -a if a > 0 else 1 - a
+    out = {}
+    for m in set().union(*vals):
+        e = list(m) + [0] * (j - len(m))
+        for k, c in enumerate(_interpolate(xs, [r.get(m, 0) for r in vals])):
+            if c:
+                e[j - 1] = k
+                out[_trim_exponents(tuple(e))] = c
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the root test that proved small degrees irreducible before the library's
+# degree-pattern certificate: the certificate must prove all it proves
+
+# The root test's images set every other variable to one of these
+# values, and are reduced modulo each of these primes.
+ROOT_TEST_POINTS = (1, -1, 2, -2, 3)
+ROOT_TEST_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def irreducible_by_roots(P: dict, vs: list[Var]) -> bool:
+    """True when a root test proves the integer-primitive term map P in
+    the variables vs irreducible over Q: for a variable v of degree
+    n <= 3 with some coefficient of a power of v a nonzero integer,
+    n = 1, or an image of degree n (every other variable set to a point)
+    with no root modulo a prime not dividing its leading coefficient."""
+    for v in reversed(vs):
+        # each term as (degree in v, total degree, coefficient)
+        split = [(e[v - 1] if len(e) >= v else 0, sum(e), k) for e, k in P.items()]
+        n = max(d for d, _, _ in split)
+        mixed = {d for d, t, _ in split if t > d}
+        if n > 3 or all(d in mixed for d, _, _ in split):
+            continue
+        if n == 1:
+            return True
+        seen = set()
+        for a in ROOT_TEST_POINTS:
+            image = [0] * (n + 1)
+            for d, t, k in split:
+                image[d] += k * a ** (t - d)
+            image = tuple(image)
+            if not image[n] or image in seen:
+                continue
+            seen.add(image)
+            for q in ROOT_TEST_PRIMES:
+                if image[n] % q and not _has_root_mod(image, q):
+                    return True
+    return False
+
+
+def _has_root_mod(c: tuple[int, ...], q: int) -> bool:
+    """Whether sum c[k]*x^k has a root modulo q."""
+    c = [k % q for k in reversed(c)]
+    for r in range(q):
+        y = 0
+        for k in c:
+            y = y * r + k
+        if y % q == 0:
+            return True
+    return False
+
+
+# ---------------------------------------------------------------------------
 # factorization through sympy's Poly over QQ, the library's factor before
 # the dense integer path and its closed forms
 
@@ -280,40 +402,34 @@ def sturm_count_interval(c: list[Fraction], a: Fraction, b: Fraction) -> int:
 # ran before its integer Taylor-shift kernel, kept as the reference path
 
 
-def _umul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
+def _taylor_shift(c: list[Fraction], a: Fraction) -> list[Fraction]:
+    """The coefficients of c(x + a), by Horner's rule: for a = 1 on
+    additions alone."""
+    c = list(c)
+    for i in range(len(c) - 1):
+        for k in range(len(c) - 2, i - 1, -1):
+            c[k] += c[k + 1] if a == 1 else a * c[k + 1]
+    return c
 
 
 def _descartes_in(c: list[Fraction], a: Fraction, b: Fraction) -> int:
     """Sign-variation bound on the number of roots in the open interval
-    (a, b): 0 means none, 1 means exactly one."""
-    n = len(c) - 1
-    # coefficients of (1+x)^n * p((a + b*x) / (1+x))
-    acc = [Fraction(0)] * (n + 1)
-    lin1 = [a, b]          # a + b*x
-    lin2 = [Fraction(1), Fraction(1)]  # 1 + x
-    pow1: list[list[Fraction]] = [[Fraction(1)]]
-    pow2: list[list[Fraction]] = [[Fraction(1)]]
-    for _ in range(n):
-        pow1.append(_umul(pow1[-1], lin1))
-        pow2.append(_umul(pow2[-1], lin2))
-    for k, ck in enumerate(c):
-        if ck:
-            term = _umul(pow1[k], pow2[n - k])
-            for i, t in enumerate(term):
-                acc[i] += ck * t
+    (a, b): 0 means none, 1 means exactly one.
+
+    It counts the sign variations of (1+x)^n * c((a + b*x) / (1+x)),
+    whose coefficients, in reverse order, are those of r(x + 1) for r
+    the reversal of c(a + (b - a)*x): two Taylor shifts and a scaling."""
+    h = b - a
+    scaled = [ck * h**k for k, ck in enumerate(_taylor_shift(c, a))]
+    acc = _taylor_shift(scaled[::-1], Fraction(1))
     return _variations([1 if x > 0 else -1 for x in acc if x != 0])
 
 
 def descartes_bisection(c: list[Fraction]) -> list[tuple[Fraction, Fraction]]:
     """Isolating intervals of the real roots of an irreducible c of degree
     >= 2, in increasing order: bisection of (-B, B), B the library's
-    Cauchy bound, with the Moebius transform rebuilt at every node."""
+    Cauchy bound, with the Moebius transform rebuilt from c at every
+    node."""
     c = [Fraction(x) for x in c]
     bound = _cauchy_bound(c)
     out: list[tuple[Fraction, Fraction]] = []

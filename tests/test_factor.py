@@ -1,9 +1,10 @@
-"""`polynomial.factor` (closed forms up to degree 2, the root test's
+"""`polynomial.factor` (closed forms up to degree 2, the degree-pattern
 irreducibility certificate, sympy's dense factorization over ZZ above)
 against the `Poly`-over-QQ route it replaced, `oracles.sympy_poly_factor`:
 the factor lists must agree exactly, in order, in both modes.  The
-certificate is also checked against sympy alone and against `factor`
-with the certificate switched off."""
+certificate is also checked against sympy alone, against `factor` with
+the certificate switched off, and against the root test it replaced,
+`oracles.irreducible_by_roots`."""
 
 import random
 from fractions import Fraction
@@ -18,7 +19,7 @@ from onecell import polynomial
 from onecell.polynomial import MPoly, factor, normalize, parse_poly
 
 from conftest import random_poly
-from oracles import sympy_poly_factor
+from oracles import irreducible_by_roots, sympy_poly_factor
 
 MODES = ("finest", "squarefree")
 
@@ -172,12 +173,12 @@ def test_factor_output_has_fractions_of_ints(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the root test's irreducibility certificate
+# the degree-pattern irreducibility certificate
 
 
 def _certified(p: MPoly) -> bool:
     _, P = polynomial._primitive_part(p)
-    return polynomial._irreducible_by_roots(P, sorted(p.variables()))
+    return polynomial._irreducible_by_degrees(P, sorted(p.variables()))
 
 
 def _check_certificate(p: MPoly) -> bool:
@@ -188,7 +189,7 @@ def _check_certificate(p: MPoly) -> bool:
     if certified:
         assert sympy_poly_factor(p, "finest") == [(normalize(p), 1)], p
     want = polynomial._factor(p, "finest")
-    with mock.patch.object(polynomial, "_irreducible_by_roots", return_value=False):
+    with mock.patch.object(polynomial, "_irreducible_by_degrees", return_value=False):
         assert polynomial._factor(p, "finest") == want, p
     return certified
 
@@ -202,16 +203,79 @@ def test_certificate_agrees_with_sympy_on_products(p):
 def test_certificate_agrees_with_sympy_on_random_polynomials():
     """Random integer polynomials in 1-3 variables of total degree <= 3,
     and products of two of them; the certificate must hold on a good
-    share of them, and never on a reducible one."""
+    share of them, on every one the root test proves irreducible, and
+    never on a reducible one."""
     rng = random.Random(16)
-    certified = 0
+    certified, by_roots = 0, 0
     for k in range(300):
         nvars = rng.randint(1, 3)
         p = random_poly(rng, nvars)
         if k % 3 == 0:
             p = p * random_poly(rng, nvars, max_deg=2)
-        certified += _check_certificate(p)
-    assert certified >= 100
+        holds = _check_certificate(p)
+        certified += holds
+        if not p.is_constant():
+            _, P = polynomial._primitive_part(p)
+            if irreducible_by_roots(P, sorted(p.variables())):
+                by_roots += 1
+                assert holds, p
+    assert by_roots == 127
+    assert certified >= 127
+
+
+def _random_univariate(rng: random.Random, degree: int) -> MPoly:
+    """A random integer polynomial in x1 of the given degree."""
+    coeffs = [rng.randint(-9, 9) for _ in range(degree)]
+    coeffs.append(rng.choice([-6, -4, -3, -2, -1, 1, 2, 3, 4, 6]))
+    return MPoly({(k,): c for k, c in enumerate(coeffs) if c})
+
+
+def _random_irreducible(rng: random.Random, degree: int) -> MPoly:
+    while True:
+        f = _random_univariate(rng, degree)
+        if sympy_poly_factor(f) == [(normalize(f), 1)]:
+            return f
+
+
+def test_certificate_agrees_with_sympy_on_degrees_four_to_twenty():
+    """Random polynomials in x1 of degree 4-20: `factor` agrees with
+    sympy alone, and the certificate holds on most of the irreducible
+    ones and on none of the others."""
+    rng = random.Random(22)
+    certified = irreducible = 0
+    for degree in range(4, 21):
+        for _ in range(4):
+            p = _random_univariate(rng, degree)
+            _check(p)
+            irreducible += sympy_poly_factor(p) == [(normalize(p), 1)]
+            certified += _check_certificate(p)
+    assert certified >= 0.9 * irreducible
+
+
+def test_certificate_refuses_products_of_two_irreducibles():
+    """f*g for random irreducible f and g of degree 2-10, with small
+    leading coefficients, so that some primes divide them."""
+    rng = random.Random(23)
+    for _ in range(40):
+        f, g = (_random_irreducible(rng, rng.randint(2, 10)) for _ in range(2))
+        p = f * g
+        assert not _certified(p), p
+        _check(p)
+
+
+@pytest.mark.parametrize("text", [
+    "x1^4+1",
+    "x1^4-10*x1^2+1",  # the minimal polynomial of sqrt(2) + sqrt(3)
+    "x1^4-x1^2+1",  # the 12th cyclotomic polynomial
+])
+def test_certificate_refuses_input_reducible_modulo_every_prime(text):
+    """Irreducible polynomials whose every reduction modulo a prime
+    splits into factors of degree <= 2: no degree is ever ruled out,
+    and sympy proves them irreducible."""
+    p = parse_poly(text)
+    assert not _certified(p)
+    assert factor(p) == [(p, 1)]
+    _check(p)
 
 
 @pytest.mark.parametrize("text", [
@@ -219,6 +283,8 @@ def test_certificate_agrees_with_sympy_on_random_polynomials():
     "x2*x1^2+x2",  # the content x2 in x1, and no integer coefficient in x2
     "(2*x1-1)*(x1^2+x1+1)",  # the root 1/2 modulo every odd prime
     "(x1+x2)*(x1-x2+1)",
+    "(x1^2+1)*(x1^2+2)",
+    "(x1^6+x1+1)*(x1^6-2*x1^5+3)",
 ])
 def test_certificate_refuses_reducible_input(text):
     assert not _certified(parse_poly(text))
@@ -230,6 +296,7 @@ def test_certificate_refuses_reducible_input(text):
     "x1^3-2",  # no root modulo 7
     "x2^2+x1",  # x2^2+1 has no root modulo 3
     "x3^3+x1*x2*x3+x1^2+1",
+    "x1^20-x1-1",  # irreducible (Selmer, 1956)
 ])
 def test_certificate_proves_irreducible_input(text):
     assert _check_certificate(parse_poly(text))

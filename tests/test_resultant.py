@@ -1,19 +1,35 @@
 """`polynomial.resultant` (evaluation and interpolation on integers)
 against two independent routes: the subresultant PRS over `MPoly`
-coefficients and the symbolic Sylvester determinant."""
+coefficients and the symbolic Sylvester determinant.  Its kernel on
+dense rows over the eliminated variable is also checked against the
+same evaluation on integer term maps, `oracles.term_map_resultant`."""
 
 from fractions import Fraction
 from functools import cache
 from unittest import mock
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from onecell import realalg
-from onecell.polynomial import MPoly, _degree_bound, coeff_info, parse_poly, resultant
+from onecell.polynomial import (
+    MPoly,
+    _degree_bound,
+    _ires,
+    _primitive_part,
+    _rows,
+    coeff_info,
+    parse_poly,
+    resultant,
+)
 from onecell.realalg import Sample, isolate_real_roots
 
-from oracles import subresultant_resultant, sylvester_resultant
+from oracles import (
+    _term_map_bound,
+    subresultant_resultant,
+    sylvester_resultant,
+    term_map_resultant,
+)
 
 integers = st.integers(-4, 4).map(Fraction)
 rationals = st.fractions(
@@ -107,7 +123,7 @@ def test_total_degree_bound_is_reached():
     result's degree."""
     p, q = parse_poly("x2^2+x1*x2+x1^2"), parse_poly("x2+x1")
     assert _check(p, q, 2) == parse_poly("x1^2")
-    assert _degree_bound(p.terms, q.terms, 1, 2, 1) == 2
+    assert _degree_bound(_rows(p.terms, 2, 2), _rows(q.terms, 2, 1), 1, 2, 1) == 2
 
 
 @settings(max_examples=150, deadline=None)
@@ -118,7 +134,62 @@ def test_degree_bound_holds(operands):
     p, q, v = operands
     r, dp, dq = sylvester_resultant(p, q, v), p.degree(v), q.degree(v)
     for j in (p * q).variables() - {v}:
-        assert _degree_bound(p.terms, q.terms, j, dp, dq) >= r.degree(j)
+        P, Q = _rows(p.terms, v, dp), _rows(q.terms, v, dq)
+        assert _degree_bound(P, Q, j, dp, dq) >= r.degree(j)
+
+
+# ---------------------------------------------------------------------------
+# the kernel on dense rows against evaluation on integer term maps
+
+
+def _check_rows(p, q, v):
+    """`_ires` on the rows of p and q and the term-map route give the
+    same term map, and every degree bound they use is the same."""
+    dp, dq = p.degree(v), q.degree(v)
+    (_, P), (_, Q) = _primitive_part(p), _primitive_part(q)
+    Pr, Qr = _rows(P, v, dp), _rows(Q, v, dq)
+    assert _ires(Pr, Qr, dp, dq) == term_map_resultant(P, Q, v, dp, dq), (p, q, v)
+    for j in (p * q).variables() - {v}:
+        assert _degree_bound(Pr, Qr, j, dp, dq) == _term_map_bound(P, Q, j, dp, dq)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_operands(coeffs=integers))
+@example((parse_poly("x1*x2+1"), parse_poly("x2+x1"), 2))  # the bound is reached
+@example((parse_poly("x2^2+x1*x2+x1^2"), parse_poly("x2+x1"), 2))
+def test_rows_match_term_maps(operands):
+    _check_rows(*operands)
+
+
+def _below(nvars, v, d):
+    """Integer polynomials in x1..x_nvars of degree < d in x_v, 0 too."""
+    exps = st.tuples(*[st.integers(0, d - 1 if i == v else 2) for i in range(1, nvars + 1)])
+    return st.dictionaries(exps, integers, max_size=4).map(MPoly)
+
+
+@st.composite
+def _vanishing_leads(draw):
+    """p whose leading coefficient in x_v vanishes at x_j = 0, 1 or -1
+    for x_j, the highest other variable, the first one evaluated; and
+    any q of positive degree in x_v."""
+    nvars = draw(st.integers(2, 3))
+    v = draw(st.integers(1, nvars))
+    j = max(set(range(1, nvars + 1)) - {v})
+    xj = MPoly.var(j)
+    lead = draw(st.sampled_from([xj, xj - 1, xj + 1, xj**3 - xj]))
+    d = draw(st.integers(1, 2))
+    c = draw(st.integers(1, 4)) + draw(_below(nvars, v, 1))
+    p = lead * c * MPoly.var(v) ** d + draw(_below(nvars, v, d))
+    assume(p.degree(v) == d)
+    return p, draw(_with_degree(v, nvars, coeffs=integers)), v
+
+
+@settings(max_examples=80, deadline=None)
+@given(_vanishing_leads())
+def test_rows_match_term_maps_at_skipped_points(operands):
+    p, q, v = operands
+    _check_rows(p, q, v)
+    _check_rows(q, p, v)
 
 
 # ---------------------------------------------------------------------------
