@@ -1,16 +1,22 @@
 """The package's memo tables, with one owner.
 
-Four functions keep results that later calls are likely to ask for
+Five functions keep results that later calls are likely to ask for
 again, each in one table here:
 
 - `FACTOR`: `polynomial.factor`, keyed on (p, mode); a ``finest`` call
   also fills the entries of its outputs, and `properties.is_whole`
   reads its answer from the ``squarefree`` entry
 - `RESULTANT`: `polynomial.resultant`, keyed on (p, q, v) as given
+- `DISCRIMINANT`: `polynomial.discriminant`, keyed on (p, v)
 - `CANONICAL`: the isolating intervals of an irreducible definition,
   keyed on its primitive coefficients (`realalg._canonical_intervals`)
 - `ROOTS`: `cells.cached_roots`, keyed on p and the sample's exact
   coordinates
+
+Keys are values, never object identities, since callers build new
+objects for equal polynomials.  The views a polynomial keeps on itself
+(hash, text, degrees, sort key, main-variable coefficients) are not
+tables: they live and die with the object.
 
 The scope is the process: whichever call first asks fills an entry, and
 every later call shares it.  Each table is a least-recently-used map of
@@ -57,11 +63,12 @@ class Table:
 
 FACTOR = Table()
 RESULTANT = Table()
+DISCRIMINANT = Table()
 CANONICAL = Table()
 ROOTS = Table()
 
-TABLES = {"factor": FACTOR, "resultant": RESULTANT, "canonical": CANONICAL,
-          "roots": ROOTS}
+TABLES = {"factor": FACTOR, "resultant": RESULTANT, "discriminant": DISCRIMINANT,
+          "canonical": CANONICAL, "roots": ROOTS}
 
 
 def clear() -> None:

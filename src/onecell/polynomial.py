@@ -16,16 +16,21 @@ and `constant_value` still hand out `Fraction`s.  The public
 `scale`, `subst_rational`, the `coeff_info` slices, `derivative` and
 `resultant` build canonical results and skip that work through the
 trusted `MPoly._canonical`; those that compute new coefficients store
-integral ones as `int` (`_stored`).  A polynomial is immutable: its
-hash and its text (`poly_to_str`) are computed on first use and kept on
-the value, so nothing may change `_terms` after construction.
+integral ones as `int` (`_stored`).  A polynomial is immutable, so
+nothing may change `_terms` after construction, and its derived views
+are computed on first use and kept on the value: the hash, the text
+(`poly_to_str`), the tuple of per-variable degrees (behind `degree` and
+`variables`), `sort_key`, and the coefficients in the main variable
+(`coeff_info(p, p.level)`).  Each kept view is immutable or handed out
+as a copy: `coeff_info` keeps a tuple and returns a new list.
 
 The module also provides the projection operations the cell construction
 consumes: resultants by evaluation and interpolation on integers (on
 dense coefficient rows over the eliminated variable), discriminants,
-and factorization (irreducible or square-free), and `dense`, the
-integer-primitive coefficient tuple of a univariate polynomial that
-root isolation and the exact zero tests work on.
+and factorization (irreducible or square-free), each kept in its
+`memo` table, and `dense`, the integer-primitive coefficient tuple of a
+univariate polynomial that root isolation and the exact zero tests work
+on.
 
 `factor` is the package's one boundary to sympy: linear and univariate
 quadratic input has closed forms, input of any degree can be proved
@@ -43,6 +48,7 @@ import math
 import re
 from array import array
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Sequence
 
 from sympy.polys.densebasic import dmp_from_dict, dmp_to_dict
@@ -72,7 +78,7 @@ class MPoly:
     tuple ``(2, 1)`` stands for x1^2*x2.
     """
 
-    __slots__ = ("_terms", "_hash", "_str", "_level")
+    __slots__ = ("_terms", "_hash", "_str", "_level", "_degrees", "_key", "_main")
 
     def __init__(self, terms: dict[tuple[int, ...], Fraction] | None = None):
         clean: dict[tuple[int, ...], Fraction] = {}
@@ -83,8 +89,7 @@ class MPoly:
                     key = _trim(tuple(exps))
                     clean[key] = clean.get(key, 0) + c
         self._terms = _stored(clean)
-        self._hash: int | None = None
-        self._str: str | None = None
+        self._hash = self._str = self._degrees = self._key = self._main = None
         self._level = max(map(len, self._terms), default=0)
 
     # -- constructors -------------------------------------------------
@@ -93,7 +98,8 @@ class MPoly:
     def _canonical(cls, terms: dict[tuple[int, ...], Fraction]) -> "MPoly":
         """Trusted constructor for terms that are already canonical."""
         self = object.__new__(cls)
-        self._terms, self._hash, self._str = terms, None, None
+        self._terms = terms
+        self._hash = self._str = self._degrees = self._key = self._main = None
         self._level = max(map(len, terms), default=0)
         return self
 
@@ -129,24 +135,22 @@ class MPoly:
             raise ValueError(f"not a constant: {self}")
         return Fraction(self._terms.get((), 0))
 
+    def _degree_tuple(self) -> tuple[int, ...]:
+        """The degree in each of x1..x_level, computed on first use."""
+        if self._degrees is None:
+            self._degrees = tuple(map(max, zip_longest(*self._terms, fillvalue=0)))
+        return self._degrees
+
     def degree(self, v: Var) -> int:
         """Degree in x_v; 0 when the variable does not occur (and for 0)."""
-        d = 0
-        for e in self._terms:
-            if len(e) >= v:
-                d = max(d, e[v - 1])
-        return d
+        degrees = self._degree_tuple()
+        return degrees[v - 1] if 0 < v <= len(degrees) else 0
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self._terms), default=0)
 
     def variables(self) -> set[Var]:
-        out: set[Var] = set()
-        for e in self._terms:
-            for i, k in enumerate(e):
-                if k:
-                    out.add(i + 1)
-        return out
+        return {v for v, d in enumerate(self._degree_tuple(), start=1) if d}
 
     # -- arithmetic ---------------------------------------------------
 
@@ -211,8 +215,7 @@ class MPoly:
             raise ValueError("point has too few coordinates")
         den = math.lcm(*(c.denominator for c in self._terms.values()))
         scale, pows = den, []
-        for i in range(self._level):
-            d = self.degree(i + 1)
+        for i, d in enumerate(self._degree_tuple()):
             if d:
                 x = _rational(point[i])
                 a, b = x.numerator, x.denominator
@@ -268,11 +271,13 @@ class MPoly:
     def sort_key(self):
         """Canonical total order on polynomials, used for deterministic
         tie-breaking: graded comparison of the sorted term sequences."""
-        n = self._level
-        items = sorted(
-            ((_monom_key(e, n), c) for e, c in self._terms.items()), reverse=True
-        )
-        return (self.total_degree(), len(items), tuple(items))
+        if self._key is None:
+            n = self._level
+            items = sorted(
+                ((_monom_key(e, n), c) for e, c in self._terms.items()), reverse=True
+            )
+            self._key = (self.total_degree(), len(items), tuple(items))
+        return self._key
 
 
 def _rational(c) -> Fraction:
@@ -316,18 +321,29 @@ def coeff_info(p: MPoly, v: Var) -> tuple[int, MPoly, list[MPoly]]:
 
     Returns (degree, leading coefficient, coefficients from degree 0 up).
     A polynomial not mentioning x_v has degree 0 and is its own leading
-    coefficient.
+    coefficient.  The coefficients in the main variable x_level are
+    computed once and kept on p as a tuple; every call returns a new
+    list.
     """
-    d = p.degree(v)
-    coeffs: list[dict[tuple[int, ...], Fraction]] = [dict() for _ in range(d + 1)]
+    if v != p._level:
+        coeffs = _coefficients(p, v)
+    elif p._main is None:
+        coeffs = p._main = _coefficients(p, v)
+    else:
+        coeffs = p._main
+    return len(coeffs) - 1, coeffs[-1], list(coeffs)
+
+
+def _coefficients(p: MPoly, v: Var) -> tuple[MPoly, ...]:
+    """The coefficients of p in x_v, from degree 0 up."""
+    coeffs: list[dict] = [{} for _ in range(p.degree(v) + 1)]
     for e, c in p._terms.items():
         k = e[v - 1] if len(e) >= v else 0
         rest = list(e)
         if len(rest) >= v:
             rest[v - 1] = 0
         coeffs[k][_trim(tuple(rest))] = c
-    out = [MPoly._canonical(t) for t in coeffs]
-    return d, out[d], out
+    return tuple(MPoly._canonical(t) for t in coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +541,12 @@ def discriminant(p: MPoly, v: Var) -> MPoly:
     """disc_v(p) = (-1)^(d(d-1)/2) res_v(p, dp/dxv) / ldcf_v(p).
 
     For degree 1 the empty-matrix convention yields the constant 1.
+    Results are kept in `memo.DISCRIMINANT`, keyed on (p, v).
     """
+    return memo.DISCRIMINANT.fetch((p, v), _discriminant, p, v)
+
+
+def _discriminant(p: MPoly, v: Var) -> MPoly:
     d = p.degree(v)
     if d < 1:
         raise ValueError("discriminant requires the variable to occur")

@@ -89,18 +89,21 @@ def solve_conjunction(
             L for L in result.learned
             if len(L) == i and cell_contains(L, prefix) is True
         ]
-        bounds = [a for L in learned for a in cell_to_formula(L) if a.var == i]
+        # the prefix lies in each cell, so a point over it lies there
+        # exactly when the cell's level-i atoms hold
+        cells_atoms = [[a for a in cell_to_formula(L) if a.var == i] for L in learned]
+        bounds = [a for atoms in cells_atoms for a in atoms]
 
-        def satisfies(t: RealAlg) -> bool:
-            point = prefix.extend(t)
+        def satisfies(point: Sample) -> bool:
             return all(constraint_satisfied(c, point) for c in by_level[i])
 
         chosen = None
-        skipped: list[RealAlg] = []
+        skipped: list[Sample] = []
         for t in line_samples(_candidate_values(by_level[i] + bounds, prefix)):
-            if any(cell_contains(L, prefix.extend(t)) is True for L in learned):
-                skipped.append(t)
-            elif satisfies(t):
+            point = prefix.extend(t)
+            if any(all(a.holds(point) is True for a in atoms) for atoms in cells_atoms):
+                skipped.append(point)
+            elif satisfies(point):
                 chosen = t
                 break
         if chosen is not None:
@@ -109,7 +112,7 @@ def solve_conjunction(
 
         # no candidate outside the learned cells works: a conflict unless
         # one inside them does
-        if not any(satisfies(t) for t in skipped):
+        if not any(map(satisfies, skipped)):
             if result.explanations >= budget:
                 return result
             result.explanations += 1

@@ -1,7 +1,10 @@
 """Independent reference computations used only by the test suite.
 
 Everything here is deliberately implemented by a different route than
-the library: resultants via the symbolic Sylvester determinant (Laplace
+the library: a polynomial's degrees, variables, sort key and
+coefficients in a variable by loops over its term map on every call
+(the library computes them once and keeps them on the value),
+resultants via the symbolic Sylvester determinant (Laplace
 expansion, no division), via the subresultant PRS over `MPoly`
 coefficients, and by evaluation and interpolation on integer term maps
 (the library evaluates dense rows over the eliminated variable),
@@ -48,7 +51,6 @@ from onecell.polynomial import (
     Var,
     _interpolate,
     _ures,
-    coeff_info,
     exact_div,
     normalize,
     resultant,
@@ -68,9 +70,62 @@ from onecell.realalg import (
 from onecell.rules import Choice, ConstructionFailed, rule_choices
 
 
+# ---------------------------------------------------------------------------
+# polynomial views by loops over the term map, the library's before it
+# kept them on the value
+
+
+def term_degree(p: MPoly, v: Var) -> int:
+    d = 0
+    for e in p.terms:
+        if len(e) >= v:
+            d = max(d, e[v - 1])
+    return d
+
+
+def term_variables(p: MPoly) -> set[Var]:
+    out: set[Var] = set()
+    for e in p.terms:
+        for i, k in enumerate(e):
+            if k:
+                out.add(i + 1)
+    return out
+
+
+def term_sort_key(p: MPoly):
+    """Graded comparison of the sorted term sequences."""
+    n = p.level
+    items = sorted(
+        (((sum(e), tuple(reversed(e + (0,) * (n - len(e))))), c)
+         for e, c in p.terms.items()),
+        reverse=True,
+    )
+    total = max((sum(e) for e in p.terms), default=0)
+    return (total, len(items), tuple(items))
+
+
+def term_coeff_info(p: MPoly, v: Var) -> tuple[int, MPoly, list[MPoly]]:
+    """(degree, leading coefficient, coefficients from degree 0 up) of p
+    as univariate in x_v."""
+    d = term_degree(p, v)
+    coeffs: list[dict] = [dict() for _ in range(d + 1)]
+    for e, c in p.terms.items():
+        k = e[v - 1] if len(e) >= v else 0
+        rest = list(e)
+        if len(rest) >= v:
+            rest[v - 1] = 0
+        coeffs[k][tuple(rest)] = c
+    out = [MPoly(t) for t in coeffs]
+    return d, out[d], out
+
+
+# ---------------------------------------------------------------------------
+# the Sylvester determinant
+
+
 def sylvester_matrix(p: MPoly, q: MPoly, v: Var) -> list[list[MPoly]]:
-    dp, _, pc = coeff_info(p, v)
-    dq, _, qc = coeff_info(q, v)
+    dp, _, pc = term_coeff_info(p, v)
+    dq, _, qc = term_coeff_info(q, v)
     n = dp + dq
     zero = MPoly({})
     rows: list[list[MPoly]] = []
@@ -140,8 +195,8 @@ def _prem(a: list[MPoly], b: list[MPoly]) -> list[MPoly]:
 def subresultant_resultant(p: MPoly, q: MPoly, v: Var) -> MPoly:
     """res_v(p, q) via the subresultant polynomial remainder sequence
     with `MPoly` coefficients; both arguments of positive degree in x_v."""
-    _, _, ac = coeff_info(p, v)
-    _, _, bc = coeff_info(q, v)
+    _, _, ac = term_coeff_info(p, v)
+    _, _, bc = term_coeff_info(q, v)
     A, B = list(ac), list(bc)
     sign = 1
     if _deg(A) < _deg(B):

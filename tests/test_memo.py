@@ -1,7 +1,7 @@
-"""The memo tables of `onecell.memo`: repeated `factor` and `resultant`
-calls against the uncached kernels and the oracles, the entries a
-``finest`` factorization records for its outputs, results that callers
-cannot change, and the least-recently-used bound."""
+"""The memo tables of `onecell.memo`: repeated `factor`, `resultant` and
+`discriminant` calls against the uncached kernels and the oracles, the
+entries a ``finest`` factorization records for its outputs, results
+that callers cannot change, and the least-recently-used bound."""
 
 from fractions import Fraction
 from unittest import mock
@@ -11,10 +11,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onecell import memo, polynomial
-from onecell.polynomial import MPoly, _factor, _resultant, factor, parse_poly, resultant
+from onecell.polynomial import (
+    MPoly,
+    _factor,
+    _resultant,
+    derivative,
+    discriminant,
+    factor,
+    parse_poly,
+    resultant,
+)
 from onecell.properties import is_whole
 
-from oracles import subresultant_resultant, sylvester_resultant, sympy_poly_factor
+from oracles import (
+    subresultant_resultant,
+    sylvester_resultant,
+    sympy_poly_factor,
+    term_coeff_info,
+)
 
 rationals = st.fractions(
     min_value=Fraction(-5), max_value=Fraction(5), max_denominator=4
@@ -78,6 +92,29 @@ def test_repeated_resultant_matches_kernel_and_oracles(operands):
     sign = -1 if p.degree(v) * q.degree(v) % 2 else 1
     assert resultant(q, p, v) == want.scale(sign)
     assert resultant(p, q, v) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(_operands())
+def test_repeated_discriminant_matches_oracle_and_is_kept(operands):
+    """disc_v(p) * lc_v(p) = (-1)^(d(d-1)/2) res_v(p, p'), and 1 for d = 1;
+    a second call, also for an equal polynomial built anew, returns the
+    stored object, and `memo.clear` empties the table."""
+    p, _, v = operands
+    d, lc, _ = term_coeff_info(p, v)
+    first = discriminant(p, v)
+    if d == 1:
+        assert first == MPoly.constant(1)
+    else:
+        sign = -1 if d * (d - 1) // 2 % 2 else 1
+        assert first * lc == sylvester_resultant(p, derivative(p, v), v).scale(sign)
+    assert discriminant(p, v) is first
+    assert discriminant(MPoly(p.terms), v) is first
+    memo.clear()
+    assert len(memo.DISCRIMINANT) == 0
+    again = discriminant(p, v)
+    assert again == first and again is not first
+    assert len(memo.DISCRIMINANT) == 1
 
 
 def test_callers_cannot_change_a_memoized_factor_list():

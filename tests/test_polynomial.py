@@ -24,7 +24,13 @@ from onecell.polynomial import (
 )
 
 from conftest import random_poly
-from oracles import sylvester_resultant
+from oracles import (
+    sylvester_resultant,
+    term_coeff_info,
+    term_degree,
+    term_sort_key,
+    term_variables,
+)
 
 
 def test_ring_axioms_spot():
@@ -165,6 +171,40 @@ def test_text_is_rendered_once_and_kept(p, q):
         text = poly_to_str(r)
         assert text == _render(MPoly(r.terms))
         assert poly_to_str(r) is text
+
+
+_polys_1_to_3 = st.integers(1, 3).flatmap(lambda n: st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * n),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4),
+    max_size=5,
+).map(MPoly))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polys_1_to_3)
+def test_kept_views_match_the_term_map(p):
+    """`degree`, `variables`, `sort_key` and `coeff_info(p, p.level)` are
+    computed once and kept on the value.  On p, on an equal polynomial
+    built as a new object and on polynomials built from p, each agrees
+    with a recomputation from the term map, however often it is asked
+    and whatever a caller does to the coefficient list it gets."""
+    built = [p, MPoly(p.terms), -p, p * p, derivative(p, p.level or 1),
+             *coeff_info(p, 1)[2]]
+    for r in built:
+        for _ in range(2):
+            assert [r.degree(v) for v in range(1, 5)] == [term_degree(r, v) for v in range(1, 5)]
+            assert r.variables() == term_variables(r)
+            assert r.sort_key() == term_sort_key(r)
+            assert r.sort_key() is r.sort_key()
+            if r.is_constant():
+                continue
+            got = coeff_info(r, r.level)
+            assert got == term_coeff_info(r, r.level)
+            assert all(a is b for a, b in zip(got[2], coeff_info(r, r.level)[2]))
+            coeffs = got[2]
+            coeffs.append(MPoly.var(4))
+            coeffs[0] = MPoly.constant(7)
+            coeffs.reverse()
 
 
 def _assert_stored_form(r: MPoly):
