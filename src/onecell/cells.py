@@ -215,7 +215,8 @@ def _rel_holds(sign: int, rel: str) -> bool:
 @dataclass(frozen=True)
 class ExtendedConstraint:
     """x_var rel (an indexed root expression): the atoms of a cell's
-    formula and of learned clauses."""
+    formula and of learned clauses.  An indexed root is a root in its
+    polynomial's top variable, so var is the bound's level."""
 
     var: Var
     rel: str
@@ -224,8 +225,8 @@ class ExtendedConstraint:
     def __post_init__(self):
         if self.rel not in RELS:
             raise ValueError(f"unknown relation {self.rel!r}")
-        if self.var < 1:
-            raise ValueError(f"no variable x{self.var}: variables start at x1")
+        if self.var != self.bound.level:
+            raise ValueError(f"x{self.var} compared with a root in x{self.bound.level}")
 
     def negated(self) -> "ExtendedConstraint":
         return ExtendedConstraint(self.var, RELS[self.rel][1], self.bound)
@@ -233,7 +234,7 @@ class ExtendedConstraint:
     def holds(self, s: Sample):
         """Whether s satisfies the atom; UNDEF when the bound has no value
         over s."""
-        val = eval_indexed_root(self.bound, s.prefix(self.bound.level - 1))
+        val = eval_indexed_root(self.bound, s.prefix(self.var - 1))
         if val is UNDEF:
             return UNDEF
         return _rel_holds(s[self.var - 1].compare(val), self.rel)

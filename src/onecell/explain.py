@@ -74,7 +74,7 @@ def constraint_satisfied(c, s: Sample) -> bool:
 def _constraint_level(c) -> int:
     if isinstance(c, Constraint):
         return c.poly.level
-    return max(c.var, c.bound.level)
+    return c.var
 
 
 def _candidate_values(C, s: Sample) -> list[RealAlg]:
@@ -92,7 +92,7 @@ def _candidate_values(C, s: Sample) -> list[RealAlg]:
                     vals.extend(r.canonical_copy() for r in roots)
         else:
             if c.var == n + 1:
-                v = eval_indexed_root(c.bound, s.prefix(c.bound.level - 1))
+                v = eval_indexed_root(c.bound, s)
                 if v is not UNDEF:
                     vals.append(v.canonical_copy())
     return vals

@@ -241,14 +241,9 @@ def choose_representation(
 
     # one delineable polynomial keeps its own roots ordered; record the
     # consecutive pairs so every root is covered by the ordering
-    by_poly: dict[MPoly, int] = {}
-    for r, _ in xi:
-        by_poly[r.poly] = max(by_poly.get(r.poly, 0), r.index)
-    for p, count in by_poly.items():
-        if p in eq_polys:
-            continue
-        for k in range(1, count):
-            pairs.append((IndexedRoot(p, k), IndexedRoot(p, k + 1)))
+    for (a, _), (b, _) in zip(xi, xi[1:]):
+        if a.poly == b.poly and a.poly not in eq_polys:
+            pairs.append((a, b))
 
     if (
         inject_connectedness

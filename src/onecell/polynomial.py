@@ -553,7 +553,7 @@ def _discriminant(p: MPoly, v: Var) -> MPoly:
     if d == 1:
         return MPoly.constant(1)
     dp = derivative(p, v)
-    r = resultant(p, dp, v)
+    r = _resultant(p, dp, v)
     _, lc, _ = coeff_info(p, v)
     r = exact_div(r, lc)
     if (d * (d - 1) // 2) % 2 == 1:

@@ -9,8 +9,8 @@ never changes the value, and two values compare equal exactly when they
 are the same real number.  An irrational value is built with its
 canonical index.  Hash and text (`realalg_to_text`) depend only on the
 definition and the canonical index; each value computes them on first
-use and keeps them, and `copy` and `canonical_copy` pass them on, so
-nothing may change `_def` or `_index` after construction.
+use and keeps them, and `canonical_copy` passes them on, so nothing may
+change `_def` or `_index` after construction.
 
 This module is the one home of the exact-real helpers the rest of the
 package builds on: `RealAlg.compare` (and `<`, so lists of values sort
@@ -49,14 +49,17 @@ That sign test, `sign_at`, evaluates p over the coordinate enclosures
 and refines them until the interval value excludes 0.  Its bounds,
 the sum of the terms' ranges, are computed on integer numerators over
 one common denominator and are identical to the term-wise Fraction
-bounds (`_interval_eval`).  When it straddles 0,
-`_is_zero_algebraic` decides whether p vanishes at the point.  If only
-one variable of p sits at an irrational coordinate, the test is one
-integer pseudo-remainder by that coordinate's definition, at the first
-straddling round.  Otherwise, after 8 rounds, the same resultant
-elimination applied to z - p yields a rational polynomial in z with p's
-value among its roots, and a lower bound on the modulus of its nonzero
-roots turns interval evaluation into an exact answer, without sympy.
+bounds (`_interval_eval`).  It is the one refinement loop of the sign,
+and each round moves only the irrational coordinates of p's variables.
+When the value straddles 0, `_zero_bound` asks the algebra once, and
+refines nothing.  If only one variable of p sits at an irrational
+coordinate, one integer pseudo-remainder by that coordinate's
+definition settles whether p vanishes, at the first straddling round.
+Otherwise, after 8 rounds, the same resultant elimination applied to
+z - p yields a rational polynomial in z with p's value among its roots;
+it settles the question, or gives a lower bound b on the modulus of its
+nonzero roots, and `sign_at` returns 0 once the interval value lies
+inside (-b, b), without sympy.
 """
 
 from __future__ import annotations
@@ -232,15 +235,6 @@ class RealAlg:
             self._lo = m
         else:
             self._hi = m
-
-    def copy(self) -> "RealAlg":
-        """The same value with an enclosure of its own: refining the copy
-        leaves this one where it is."""
-        if self._rat is not None:
-            return self
-        out = RealAlg._isolated(self._def, self._lo, self._hi, self._index)
-        out._text, out._hash = self._text, self._hash
-        return out
 
     def canonical_copy(self) -> "RealAlg":
         """The same value with an enclosure of its own that starts at its
@@ -560,39 +554,41 @@ def sign_at(p: MPoly, s: Sample) -> int:
 
     Rational points are evaluated exactly.  Otherwise the interval value
     of p over the coordinate enclosures decides the sign as soon as it
-    excludes 0, refining every coordinate once per round.  At the first
-    round that straddles 0 when p has one variable at an irrational
-    coordinate (a zero test by one remainder), or after 8 such rounds
-    when it has several (a test by elimination), `_is_zero_algebraic`
-    decides once whether the value is exactly 0, and a nonzero value is
-    refined until its sign shows.  The zero test refines only its own
-    copies of the coordinates, so the enclosures of s move only here, in
-    whole rounds.
+    excludes 0.  Each round refines the irrational coordinates of p's
+    variables once, and no other coordinate of s.  At the first round
+    that straddles 0 when p has one variable at an irrational coordinate
+    (a zero test by one remainder), or after 8 such rounds when it has
+    several (a test by elimination), `_zero_bound` is asked once: it
+    settles p(s) = 0, or p(s) != 0, whose sign the rounds then show, or
+    it gives a bound b, and the value is 0 once its interval lies inside
+    (-b, b).  This is the only loop of the sign: the zero test refines
+    nothing.
     """
     if p.is_constant():
         v = p.constant_value()
         return 0 if v == 0 else (1 if v > 0 else -1)
     if p.level > len(s):
         raise ValueError("sample has too few coordinates")
-    irrational = sum(not s[v - 1].is_rational() for v in p.variables())
-    if not irrational:
+    moving = [s[v - 1] for v in p.variables() if not s[v - 1].is_rational()]
+    if not moving:
         v = p.eval_rational([c._lo if c.is_rational() else Fraction(0) for c in s])
         return 0 if v == 0 else (1 if v > 0 else -1)
-    test_at = 0 if irrational == 1 else 8
-    tested_zero = False
+    test_at = 0 if len(moving) == 1 else 8
+    b = None
     rounds = 0
     while True:
-        boxes = [c.enclosure() for c in s]
-        lo, hi = _interval_eval(p, boxes)
+        lo, hi = _interval_eval(p, [c.enclosure() for c in s])
         if lo > 0:
             return 1
         if hi < 0:
             return -1
-        if not tested_zero and rounds >= test_at:
-            if _is_zero_algebraic(p, s):
+        if rounds == test_at:
+            b = _zero_bound(p, s)
+            if b is None:
                 return 0
-            tested_zero = True
-        for c in s:
+        if b and -b < lo and hi < b:
+            return 0
+        for c in moving:
             c.refine()
         rounds += 1
 
@@ -604,66 +600,46 @@ def _rational_part(p: MPoly, s: Sample) -> MPoly:
     )
 
 
-def _is_zero_algebraic(p: MPoly, s: Sample) -> bool:
-    """Whether p(s) = 0, exactly.
+def _zero_bound(p: MPoly, s: Sample) -> Fraction | int | None:
+    """What the algebra says of p(s), with no refining: None when
+    p(s) = 0, 0 when p(s) != 0, and otherwise a rational b > 0 such that
+    p(s) = 0 exactly when |p(s)| < b.
 
     When p has exactly one variable x_j at an irrational coordinate,
     q = p with the rational coordinates substituted is a polynomial in
     x_j alone (or a constant), and p(s) = q(s_j).  The definition d_j of
     s_j is irreducible, so it is the minimal polynomial of s_j up to a
     constant, and q(s_j) = 0 exactly when d_j divides q: one integer
-    pseudo-remainder decides.  Otherwise `_is_zero_by_elimination` does.
+    pseudo-remainder settles it.
+
+    Otherwise it eliminates (Loos, "Computing in algebraic extensions",
+    1982).  `_candidate_poly` of z - p substitutes the rational
+    coordinates and eliminates each irrational x_j against its defining
+    polynomial d_j.  Every eliminand has a constant leading coefficient
+    in z, so no factor of it divides d_j, no resultant vanishes, and the
+    result is R(z) = c * prod (z - p(s')) over the conjugate points s' of
+    s: a nonzero polynomial with p(s) among its roots.  So R(0) != 0
+    means p(s) != 0, and R = c*z^m means every conjugate value, p(s) too,
+    is 0.  Otherwise R = z^m * S with S(0) != 0, and every nonzero root
+    of R has modulus at least b = |S_0| / (|S_0| + max_k |S_k|) (Cauchy's
+    bound for 1/z).
     """
     js = [v for v in p.variables() if not s[v - 1].is_rational()]
-    if len(js) != 1:
-        return _is_zero_by_elimination(p, s)
-    j, d = js[0], s[js[0] - 1]._def
-    q = _rational_part(p, s)
-    if q.is_constant():
-        return q.is_zero()
-    c = dense(q, j)
-    return len(c) >= len(d) and not _prem(c, d)
-
-
-def _is_zero_by_elimination(p: MPoly, s: Sample) -> bool:
-    """Whether p(s) = 0, exactly, by resultant elimination (Loos,
-    "Computing in algebraic extensions", 1982) and a root-separation
-    bound, for any number of irrational coordinates.
-
-    `_candidate_poly` of z - p substitutes the rational coordinates and
-    eliminates each irrational x_j against its defining polynomial d_j.
-    Every eliminand has a constant leading coefficient in z, so no factor
-    of it divides d_j, no resultant vanishes, and the result is
-    R(z) = c * prod (z - p(s')) over the conjugate points s' of s: a
-    nonzero polynomial with p(s) among its roots.  So R(0) != 0 means
-    p(s) != 0, and R = c*z^m means every conjugate value, p(s) too, is 0.
-    Otherwise R = z^m * S with S(0) != 0, and every nonzero root of R has
-    modulus at least b = |S_0| / (|S_0| + max_k |S_k|) (Cauchy's bound
-    for 1/z).  The interval value of p over ever narrower copies of the
-    coordinates then either excludes 0 or falls inside (-b, b), where
-    the only root of R is 0.  The copies leave the enclosures of s as
-    they were.
-    """
-    q = _rational_part(p, s)
+    if len(js) == 1:
+        q = _rational_part(p, s)
+        if q.is_zero():
+            return None
+        c, d = dense(q, js[0]), s[js[0] - 1]._def
+        return None if len(c) >= len(d) and not _prem(c, d) else 0
     z = len(s) + 1
     R = dense(_candidate_poly(MPoly.var(z) - p, s), z)
-    if R[0] != 0:
-        return False
+    if R[0]:
+        return 0
     m = next(k for k, c in enumerate(R) if c)
     if m == len(R) - 1:
-        return True
+        return None
     S = [abs(c) for c in R[m:]]
-    b = Fraction(S[0], S[0] + max(S[1:]))
-    irrational = q.variables()
-    point = [c.copy() for c in s]
-    while True:
-        lo, hi = _interval_eval(q, [c.enclosure() for c in point])
-        if lo > 0 or hi < 0:
-            return False
-        if -b < lo and hi < b:
-            return True
-        for j in irrational:
-            point[j - 1].refine()
+    return Fraction(S[0], S[0] + max(S[1:]))
 
 
 # ---------------------------------------------------------------------------

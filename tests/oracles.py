@@ -17,7 +17,9 @@ coefficients with the Moebius transform rebuilt by Taylor shifts at
 every node, factor checking via numeric root recombination, sign and
 interval evaluation on `Fraction` objects (the library works on integer
 numerators over a common denominator), zero tests at algebraic
-points via sympy's minimal polynomials, conflict checks by the
+points via sympy's minimal polynomials, and by elimination with a
+refinement loop of its own on copies of the coordinates (the library
+refines only in `sign_at`'s loop), conflict checks by the
 midpoint sweep (the library samples every gap at its simplest
 rational), and representation choice by pairwise comparison of exact
 values (the library compares the integer ranks of one sort), and the
@@ -51,6 +53,7 @@ from onecell.polynomial import (
     Var,
     _interpolate,
     _ures,
+    dense,
     exact_div,
     normalize,
     resultant,
@@ -62,7 +65,9 @@ from onecell.realalg import (
     UNDEF,
     RealAlg,
     Sample,
+    _candidate_poly,
     _cauchy_bound,
+    _rational_part,
     roots_in_extension,
     separate,
     sorted_distinct,
@@ -658,6 +663,34 @@ def is_zero_by_minimal_polynomial(p: MPoly, coords) -> bool:
         {sympy.Symbol(f"x{j + 1}"): realalg_to_sympy(c) for j, c in enumerate(coords)})
     z = sympy.Symbol("z")
     return sympy.minimal_polynomial(expr, z) == z
+
+
+def is_zero_by_elimination(p: MPoly, s) -> bool:
+    """Whether p(s) = 0: the resultant elimination of z - p gives
+    R(z) = z^m * S(z) with p(s) among its roots (`realalg._zero_bound`),
+    and canonical copies of the coordinates are refined until the
+    interval value of p with the rational coordinates substituted
+    excludes 0 or lies inside (-b, b), b the Cauchy bound of the nonzero
+    roots.  The enclosures of s do not move."""
+    q = _rational_part(p, s)
+    z = len(s) + 1
+    R = dense(_candidate_poly(MPoly.var(z) - p, s), z)
+    if R[0] != 0:
+        return False
+    m = next(k for k, c in enumerate(R) if c)
+    if m == len(R) - 1:
+        return True
+    S = [abs(c) for c in R[m:]]
+    b = Fraction(S[0], S[0] + max(S[1:]))
+    point = [c.canonical_copy() for c in s]
+    while True:
+        lo, hi = interval_eval(q, [c.enclosure() for c in point])
+        if lo > 0 or hi < 0:
+            return False
+        if -b < lo and hi < b:
+            return True
+        for j in q.variables():
+            point[j - 1].refine()
 
 
 # ---------------------------------------------------------------------------

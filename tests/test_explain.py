@@ -161,10 +161,28 @@ def test_explained_cell_keeps_a_shared_factor_conflict():
 
 
 def test_extended_constraint_satisfaction():
-    bound = IndexedRoot(parse_poly("x1^2-2"), 2)  # sqrt(2)
+    bound = IndexedRoot(parse_poly("x2^2-2"), 2)  # sqrt(2)
     c = ExtendedConstraint(2, "<", bound)
     assert constraint_satisfied(c, Sample([Fraction(0), Fraction(1)]))
     assert not constraint_satisfied(c, Sample([Fraction(0), Fraction(2)]))
+
+
+def test_extended_constraint_on_another_variable_than_its_bound_is_refused():
+    """An indexed root is a root in its polynomial's top variable, so an
+    atom compares that variable.  `explain_conflict` used to take these
+    two conflicts and project each bound at its own level, which learned
+    the sector (-sqrt(3), sqrt(3)) around x1 = 3/2 and the sector (-1, 1)
+    around x1 = 7/10, where neither conflict holds."""
+    with pytest.raises(ValueError):
+        explain_conflict([
+            ExtendedConstraint(2, ">", IndexedRoot(parse_poly("x1^2-3"), 2)),
+            Constraint(parse_poly("x2-x1-1"), "<"),
+        ], [0])
+    with pytest.raises(ValueError):
+        explain_conflict([
+            ExtendedConstraint(1, ">", IndexedRoot(parse_poly("x2+x1^2-1"), 1)),
+            Constraint(parse_poly("x2"), ">"),
+        ], [0])
 
 
 def _random_conflicts(rng, attempts=400):

@@ -99,7 +99,8 @@ def test_repeated_resultant_matches_kernel_and_oracles(operands):
 def test_repeated_discriminant_matches_oracle_and_is_kept(operands):
     """disc_v(p) * lc_v(p) = (-1)^(d(d-1)/2) res_v(p, p'), and 1 for d = 1;
     a second call, also for an equal polynomial built anew, returns the
-    stored object, and `memo.clear` empties the table."""
+    stored object, and `memo.clear` empties the table.  The resultant
+    behind it is not kept: only `memo.DISCRIMINANT` is read again."""
     p, _, v = operands
     d, lc, _ = term_coeff_info(p, v)
     first = discriminant(p, v)
@@ -114,7 +115,7 @@ def test_repeated_discriminant_matches_oracle_and_is_kept(operands):
     assert len(memo.DISCRIMINANT) == 0
     again = discriminant(p, v)
     assert again == first and again is not first
-    assert len(memo.DISCRIMINANT) == 1
+    assert len(memo.DISCRIMINANT) == 1 and len(memo.RESULTANT) == 0
 
 
 def test_callers_cannot_change_a_memoized_factor_list():

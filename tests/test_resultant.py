@@ -26,6 +26,7 @@ from onecell.realalg import Sample, isolate_real_roots
 
 from oracles import (
     _term_map_bound,
+    is_zero_by_elimination,
     subresultant_resultant,
     sylvester_resultant,
     term_map_resultant,
@@ -233,14 +234,18 @@ _picks = st.tuples(st.integers(2, 7), st.integers(0, 7))
 @example(parse_poly("-4*x1^2*x2^2+x1^2"), (2, 0))
 def test_zero_test_inputs(p, picks):
     """p at the sample, and p times a polynomial that vanishes there, by
-    the elimination the zero test takes for several irrational
-    coordinates (called here at one irrational coordinate too).  The
-    product is zero; it takes a resultant unless substituting the
-    rational coordinates already leaves zero."""
+    the zero test `_zero_bound` and by the elimination it takes for
+    several irrational coordinates, here through the reference
+    `is_zero_by_elimination`, which eliminates at one irrational
+    coordinate too.  The product is zero; the elimination takes a
+    resultant unless substituting the rational coordinates already
+    leaves zero."""
     s = _sample(picks)
-    _recorded(realalg._is_zero_by_elimination, p, s)
     pd = p * realalg._upoly(s[0]._def, 1)
-    seen, zero = _recorded(realalg._is_zero_by_elimination, pd, s)
+    _recorded(realalg._zero_bound, p, s)
+    assert _recorded(realalg._zero_bound, pd, s)[1] is None
+    _recorded(is_zero_by_elimination, p, s)
+    seen, zero = _recorded(is_zero_by_elimination, pd, s)
     assert zero is True
     if not realalg._rational_part(pd, s).is_zero():
         assert seen

@@ -1,7 +1,8 @@
-"""The exact zero test at algebraic points, `realalg._is_zero_algebraic`,
-against sympy's minimal polynomial on random points with one irrational
-coordinate and on towers of two, and its remainder test at one
-irrational coordinate against the elimination it replaces there."""
+"""The exact zero test at algebraic points, `realalg._zero_bound`, and
+`sign_at`'s one refinement loop around it, against sympy's minimal
+polynomial on random points with one irrational coordinate and on
+towers of two, and its remainder test at one irrational coordinate
+against the elimination it replaces there."""
 
 import random
 from fractions import Fraction
@@ -13,15 +14,14 @@ from onecell.realalg import (
     RealAlg,
     Sample,
     _candidate_poly,
-    _is_zero_algebraic,
-    _is_zero_by_elimination,
     _upoly,
+    _zero_bound,
     isolate_real_roots,
     sign_at,
 )
 
-from conftest import random_poly
-from oracles import is_zero_by_minimal_polynomial
+from conftest import random_poly, within_seconds
+from oracles import is_zero_by_elimination, is_zero_by_minimal_polynomial
 
 
 def _irrational_root(rng: random.Random) -> RealAlg:
@@ -38,12 +38,16 @@ def _irrational_root(rng: random.Random) -> RealAlg:
 
 
 def _checked(p: MPoly, s: Sample) -> bool:
-    """The zero test's answer, asserted equal to the oracle's and to
-    leave the enclosures of s where they were."""
+    """Whether `sign_at` finds p(s) = 0, asserted equal to the oracle's
+    answer; `_zero_bound`, asked first, must leave the enclosures of s
+    where they were and agree wherever it settles the answer."""
     before = [c.enclosure() for c in s]
-    got = _is_zero_algebraic(p, s)
+    bound = _zero_bound(p, s)
     assert [c.enclosure() for c in s] == before
+    got = sign_at(p, s) == 0
     assert got == is_zero_by_minimal_polynomial(p, s), (p, s)
+    if bound is None or bound == 0:
+        assert got == (bound is None), (p, s)
     return got
 
 
@@ -119,12 +123,33 @@ def test_irrational_coordinate_not_in_p():
 
 
 def test_zero_at_one_conjugate_only():
-    """R(0) = 0 from the other root of x^2-2 only: the refinement of the
-    copies has to separate the value from 0."""
+    """R(0) = 0 from the other root of x^2-2 only: the refinement of
+    `sign_at` has to separate the value from 0."""
     lo, hi = isolate_real_roots(parse_poly("x1^2-2"))
     p = parse_poly("x1+x2")
     assert not _checked(p, Sample([hi, hi]))
     assert _checked(p, Sample([hi, lo]))
+
+
+def test_a_zero_decided_by_the_bound_moves_only_the_coordinates_of_p():
+    """x1 + x2 at (sqrt(2), -sqrt(2), cbrt(3)): R = z^2 (z^2 - 8), so the
+    elimination settles nothing and gives b = 8/9, and `sign_at` returns
+    0 once its interval lies inside (-8/9, 8/9).  x3 is not a variable of
+    p, so its enclosure does not move."""
+    lo, hi = isolate_real_roots(parse_poly("x1^2-2"))
+    cbrt3 = isolate_real_roots(parse_poly("x1^3-3"))[0]
+    s, p = Sample([hi, lo, cbrt3]), parse_poly("x1+x2")
+    x3 = cbrt3.enclosure()
+    answers = []
+
+    def recorded(*args):
+        answers.append(_zero_bound(*args))
+        return answers[-1]
+
+    with mock.patch.object(realalg, "_zero_bound", recorded):
+        assert within_seconds(5, lambda: sign_at(p, s)) == 0
+    assert answers == [Fraction(8, 9)]
+    assert cbrt3.enclosure() == x3
 
 
 def _without_elimination(fn, *args):
@@ -155,11 +180,12 @@ def test_remainder_agrees_with_elimination_at_one_irrational_coordinate():
             if p.is_zero() or not p.degree(j):
                 continue
             before = [c.enclosure() for c in s]
-            got = _without_elimination(_is_zero_algebraic, p, s)
-            assert got == _is_zero_by_elimination(p, s), (p, s)
+            got = _without_elimination(_zero_bound, p, s)
+            assert got in (None, 0), (p, s)
+            assert (got is None) == is_zero_by_elimination(p, s), (p, s)
             assert [c.enclosure() for c in s] == before
-            zeros += got
-            nonzeros += not got
+            zeros += got is None
+            nonzeros += got is not None
             vanished += p.subst_rational({k: r}).is_constant()
     assert zeros >= 20 and nonzeros >= 20 and vanished >= 20
 
