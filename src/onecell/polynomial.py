@@ -400,8 +400,35 @@ def _resultant(p: MPoly, q: MPoly, v: Var) -> MPoly:
         raise ValueError("resultant requires positive degree in the main variable")
     (c, P), (d, Q) = _primitive_part(p), _primitive_part(q)
     scale = _coefficient(c**dq * d**dp)
-    R = _ires(_rows(P, v, dp), _rows(Q, v, dq), dp, dq)
+    R, = _ires(_rows(P, v, dp), _rows(Q, v, dq), dp, dq, _ures)
     return MPoly._canonical(_stored({e: scale * k for e, k in R.items()}))
+
+
+def subresultant_coefficients(p: MPoly, v: Var) -> tuple[MPoly, ...]:
+    """psc_0, ..., psc_(d-1), the principal subresultant coefficients of
+    p and dp/dx_v, d = deg_v(p) >= 1: psc_j is the determinant of their
+    Sylvester matrix in x_v with the last j rows of each polynomial and
+    the last 2j columns struck out, so psc_0 is the resultant and
+    psc_(d-1) = d * ldcf_v(p).  They are computed together, by the
+    evaluation and interpolation of `_ires` around the integer
+    subresultant PRS (`_upsc`), and kept in `memo.PSC`, keyed on
+    (p, v)."""
+    return memo.PSC.fetch((p, v), _subresultant_coefficients, p, v)
+
+
+def _subresultant_coefficients(p: MPoly, v: Var) -> tuple[MPoly, ...]:
+    d = p.degree(v)
+    if d < 1:
+        raise ValueError("subresultant coefficients require the variable to occur")
+    c, P = _primitive_part(p)
+    rows = _rows(P, v, d)
+    drows = {e: [k * x for k, x in enumerate(r)][1:] for e, r in rows.items() if any(r[1:])}
+    # psc_j(c P, c P') = c^(2d-1-2j) psc_j(P, P'): the minor has d-1-j
+    # rows of P and d-j rows of P'
+    return tuple(
+        MPoly._canonical(_stored({e: c ** (2 * d - 1 - 2 * j) * k for e, k in R.items()}))
+        for j, R in enumerate(_ires(rows, drows, d, d - 1, _upsc))
+    )
 
 
 def _rows(P: dict, v: Var, d: int) -> dict:
@@ -420,17 +447,20 @@ def _rows(P: dict, v: Var, d: int) -> dict:
     return out
 
 
-def _ires(P: dict, Q: dict, dp: int, dq: int) -> dict:
-    """res_v(P, Q), as a term map, for rows (`_rows`) of integer
-    polynomials of degrees dp, dq >= 1 in x_v: the highest other x_j is
+def _ires(P: dict, Q: dict, dp: int, dq: int, leaf) -> list[dict]:
+    """The polynomials that leaf computes, as term maps, for rows
+    (`_rows`) of integer polynomials of degrees dp, dq in x_v, where
+    leaf(A, B) lists minors of the Sylvester matrix of two dense integer
+    rows of those degrees (`_ures`, `_upsc`): the highest other x_j is
     set to 0, 1, -1, 2, ..., skipping values where a degree in x_v drops
     (finitely many: the leading coefficients are nonzero), until they
-    outnumber the result's degree bound in x_j.  Each map is grouped by
-    its keys without x_j once, so a value a only scales rows by a**k."""
+    outnumber the resultant's degree bound in x_j, which bounds each
+    such minor too, as it has fewer rows of each polynomial.  Each map
+    is grouped by its keys without x_j once, so a value a only scales
+    rows by a**k."""
     j = max(map(len, (*P, *Q)))
     if not j:
-        r = _ures(P[()], Q[()])
-        return {(): r} if r else {}
+        return [{(): r} if r else {} for r in leaf(P[()], Q[()])]
     bound = _degree_bound(P, Q, j, dp, dq)
     Pj, Qj = _by_power(P, j), _by_power(Q, j)
     xs, vals, a = [], [], 0
@@ -438,16 +468,19 @@ def _ires(P: dict, Q: dict, dp: int, dq: int) -> dict:
         Pa, Qa = _at(Pj, a), _at(Qj, a)
         if any(r[dp] for r in Pa.values()) and any(r[dq] for r in Qa.values()):
             xs.append(a)
-            vals.append(_ires(Pa, Qa, dp, dq))
+            vals.append(_ires(Pa, Qa, dp, dq, leaf))
         a = -a if a > 0 else 1 - a
-    out = {}
-    for m in set().union(*vals):
-        e = list(m) + [0] * (j - len(m))
-        for k, c in enumerate(_interpolate(xs, [r.get(m, 0) for r in vals])):
-            if c:
-                e[j - 1] = k
-                out[_trim(tuple(e))] = c
-    return out
+    outs = []
+    for maps in zip(*vals):
+        out = {}
+        for m in set().union(*maps):
+            e = list(m) + [0] * (j - len(m))
+            for k, c in enumerate(_interpolate(xs, [r.get(m, 0) for r in maps])):
+                if c:
+                    e[j - 1] = k
+                    out[_trim(tuple(e))] = c
+        outs.append(out)
+    return outs
 
 
 def _by_power(P: dict, j: Var) -> list:
@@ -514,27 +547,41 @@ def _prem(A: list[int], B: list[int]) -> list[int]:
     return _trim(R)
 
 
-def _ures(A: list[int], B: list[int]) -> int:
-    """res(A, B) for dense integer coefficient lists (index = degree)
-    with nonzero last entries, by the subresultant PRS."""
-    sign = 1
-    if len(A) < len(B):
-        A, B, sign = B, A, (-1) ** ((len(A) - 1) * (len(B) - 1))
+def _ures(A: list[int], B: list[int]) -> list[int]:
+    """[res(A, B)] for dense integer coefficient lists (index = degree)
+    of positive degrees with nonzero last entries: psc_0 of `_upsc`,
+    which wants deg A >= deg B, and res(B, A) = (-1)^(deg A * deg B)
+    res(A, B)."""
+    if len(A) >= len(B):
+        return _upsc(A, B)[:1]
+    r = _upsc(B, A)[0]
+    return [-r if (len(A) - 1) * (len(B) - 1) % 2 else r]
+
+
+def _upsc(A: list[int], B: list[int]) -> list[int]:
+    """psc_0, ..., psc_n of A and B, dense integer coefficient lists
+    (index = degree) with nonzero last entries and deg A >= deg B = n
+    (psc_n = lc(B)^(deg A - n), or 1 when the degrees are equal), by
+    the subresultant PRS (Brown, "The subresultant PRS algorithm", ACM
+    TOMS 1978): each remainder is the subresultant of one degree below
+    its divisor's, and psc_k is nonzero exactly at the degrees k of the
+    remainders, where it follows from the leading coefficient g of the
+    remainder and the previous h: h' = g^d / h^(d-1), d the drop in
+    degree.  Dividing each pseudo-remainder by (-1)^(d+1) g h^d keeps
+    both exact and signed as the determinants are."""
+    out = [0] * len(B)
     g = h = 1
     while True:
-        da, db = len(A) - 1, len(B) - 1
-        d = da - db
-        if da % 2 and db % 2:
-            sign = -sign
-        R = _prem(A, B)
-        if not R:
-            return 0  # nonconstant common factor
-        A, B = B, [_exact(c, g * h**d) for c in R]
-        g = A[-1]
+        d = len(A) - len(B)
+        b = g * h**d if d % 2 else -g * h**d
+        g = B[-1]
         if d:
             h = _exact(g**d, h ** (d - 1))
-        if len(B) == 1:
-            return sign * _exact(B[0] ** db, h ** (db - 1))
+        out[len(B) - 1] = h
+        R = _prem(A, B) if len(B) > 1 else None
+        if not R:
+            return out
+        A, B = B, [_exact(x, b) for x in R]
 
 
 def discriminant(p: MPoly, v: Var) -> MPoly:

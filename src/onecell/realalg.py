@@ -41,11 +41,16 @@ index, and `RealAlg.algebraic` finds its root's index among them.  For
 sample points with irrational coordinates, root finding
 eliminates each algebraic coordinate through resultants with its
 defining polynomial, producing a rational candidate polynomial whose
-roots are then filtered by an exact sign test.  When a resultant
-vanishes, the defining polynomial, being irreducible, divides the
-eliminand and is divided out first (`_candidate_poly`).
+roots include the roots sought.  When a resultant vanishes, the
+defining polynomial, being irreducible, divides the eliminand and is
+divided out first (`_candidate_poly`).  Root finding counts, then
+refines: the signs at the sample of the principal subresultant
+coefficients of p and its derivative
+(`polynomial.subresultant_coefficients`) give the number of distinct
+real roots (`_root_count`), and interval evaluation drops candidates
+until that many are left, with no zero test per candidate.
 
-That sign test, `sign_at`, evaluates p over the coordinate enclosures
+The sign test, `sign_at`, evaluates p over the coordinate enclosures
 and refines them until the interval value excludes 0.  Its bounds,
 the sum of the terms' ranges, are computed on integer numerators over
 one common denominator and are identical to the term-wise Fraction
@@ -59,7 +64,8 @@ Otherwise, after 8 rounds, the same resultant elimination applied to
 z - p yields a rational polynomial in z with p's value among its roots;
 it settles the question, or gives a lower bound b on the modulus of its
 nonzero roots, and `sign_at` returns 0 once the interval value lies
-inside (-b, b), without sympy.
+inside (-b, b), without sympy.  The zero test serves `sign_at` only:
+root finding never asks it at a candidate root.
 """
 
 from __future__ import annotations
@@ -74,12 +80,14 @@ from .polynomial import (
     Var,
     coeff_info,
     dense,
+    discriminant,
     exact_div,
     factor,
     normalize,
     parse_poly,
     poly_to_str,
     resultant,
+    subresultant_coefficients,
     _prem,
     _rational,
     _trim,
@@ -649,17 +657,79 @@ def _zero_bound(p: MPoly, s: Sample) -> Fraction | int | None:
 def roots_in_extension(p: MPoly, s: Sample):
     """Sorted distinct real roots of p(s, x_i) where i = level(p) and s
     has length i - 1; NULLIFIED when the specialization is identically
-    zero."""
+    zero.
+
+    p is first truncated to e, its degree at s, read off the signs of its
+    coefficients in x_i from the top down.  Over an irrational s the
+    roots are counted (`_root_count`), and the candidates
+    (`_candidate_poly`) at which the interval value of p over the
+    enclosures excludes 0 are dropped, refining p's irrational
+    coordinates and the candidates between rounds, until that many
+    remain.  A root is never dropped, so fewer than counted raises
+    RuntimeError."""
     i = p.level
     if i != len(s) + 1:
         raise ValueError("level(p) must be len(s) + 1")
     _, _, coeffs = coeff_info(p, i)
-    if all(sign_at(c, s) == 0 for c in coeffs):
+    e = next((k for k in range(len(coeffs) - 1, -1, -1) if sign_at(coeffs[k], s)), None)
+    if e is None:
         return NULLIFIED
-    roots = isolate_real_roots(_candidate_poly(p, s))
+    if e < len(coeffs) - 1:
+        p = MPoly._canonical({m: c for m, c in p._terms.items()
+                              if len(m) < i or m[i - 1] <= e})
     if s.all_rational():
-        return roots
-    return [r for r in roots if sign_at(p, s.extend(r)) == 0]
+        return isolate_real_roots(_candidate_poly(p, s))
+    k = _root_count(p, e, s)
+    if not k:
+        return []
+    roots = isolate_real_roots(_candidate_poly(p, s))
+    moving = [s[v - 1] for v in p.variables() if v < i and not s[v - 1].is_rational()]
+    while len(roots) > k:
+        boxes = [c.enclosure() for c in s]
+        roots = [r for r in roots if _straddles(p, boxes + [r.enclosure()])]
+        if len(roots) > k:
+            for c in moving + roots:
+                c.refine()
+    if len(roots) < k:
+        raise RuntimeError(f"{len(roots)} roots of {p} over {s}, counted {k}")
+    return roots
+
+
+def _straddles(p: MPoly, boxes: list[tuple[Fraction, Fraction]]) -> bool:
+    """Whether the interval value of p over the boxes holds 0."""
+    lo, hi = _interval_eval(p, boxes)
+    return lo <= 0 <= hi
+
+
+def _root_count(p: MPoly, e: int, s: Sample) -> int:
+    """The number of distinct real roots of p(s, x_i), i = len(s) + 1,
+    for p of degree e in x_i whose leading coefficient is nonzero at s:
+    PmV(lc, eps_1 psc_(e-1), eps_2 psc_(e-2), ..., eps_e psc_0) of the
+    signs at s, with psc_j the principal subresultant coefficients
+    of p and dp/dx_i, and eps_m = (-1)^(m(m-1)/2), whose products with
+    the psc_j are the signed subresultant coefficients (Basu, Pollack and
+    Roy, *Algorithms in Real Algebraic Geometry*, Thm. 4.31 with Q = P').
+    PmV (their Def. 4.30) counts, between consecutive nonzero entries an
+    odd distance d apart, eps_d times the sign of their product, and
+    nothing across an even distance.  Degree e <= 1 has e roots, and
+    degree 2 has 1 + sign(disc) roots, disc the memoized discriminant,
+    since psc_0 = -lc * disc there."""
+    if e <= 1:
+        return e
+    i = p.level
+    if e == 2:
+        return 1 + sign_at(discriminant(p, i), s)
+    psc = subresultant_coefficients(p, i)
+    signs = [_eps(m) * sign_at(psc[e - m], s) for m in range(1, e + 1)]
+    signs.insert(0, signs[0])  # lc and psc_(e-1) = e * lc share a sign
+    nonzero = [(m, x) for m, x in enumerate(signs) if x]
+    return sum(_eps(b - a) * x * y for (a, x), (b, y) in zip(nonzero, nonzero[1:])
+               if (b - a) % 2)
+
+
+def _eps(m: int) -> int:
+    """(-1)^(m(m-1)/2)."""
+    return -1 if m * (m - 1) // 2 % 2 else 1
 
 
 def _candidate_poly(p: MPoly, s: Sample) -> MPoly:

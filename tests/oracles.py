@@ -19,11 +19,12 @@ interval evaluation on `Fraction` objects (the library works on integer
 numerators over a common denominator), zero tests at algebraic
 points via sympy's minimal polynomials, and by elimination with a
 refinement loop of its own on copies of the coordinates (the library
-refines only in `sign_at`'s loop), conflict checks by the
-midpoint sweep (the library samples every gap at its simplest
-rational), and representation choice by pairwise comparison of exact
-values (the library compares the integer ranks of one sort), and the
-rule engine's picks by scanning every pending property and ranking
+refines only in `sign_at`'s loop), roots over a sample by one zero test
+per candidate root (the library counts the roots first), conflict
+checks by the midpoint sweep (the library samples every gap at its
+simplest rational), and representation choice by pairwise comparison
+of exact values (the library compares the integer ranks of one sort),
+and the rule engine's picks by scanning every pending property and ranking
 every rule instance (the library reads the top of a heap and takes a
 sole instance directly).  Keeping both routes alive is what makes the
 algebra tests meaningful.  The module also holds the structural checks
@@ -68,8 +69,10 @@ from onecell.realalg import (
     _candidate_poly,
     _cauchy_bound,
     _rational_part,
+    isolate_real_roots,
     roots_in_extension,
     separate,
+    sign_at,
     sorted_distinct,
 )
 from onecell.rules import Choice, ConstructionFailed, rule_choices
@@ -274,7 +277,7 @@ def term_map_resultant(P: dict, Q: dict, v: Var, dp: int, dq: int) -> dict:
     if not others:
         dense = [[T.get(_trim_exponents((0,) * (v - 1) + (k,)), 0) for k in range(d + 1)]
                  for T, d in ((P, dp), (Q, dq))]
-        r = _ures(*dense)
+        r, = _ures(*dense)
         return {(): r} if r else {}
     j = max(others)
     bound = _term_map_bound(P, Q, j, dp, dq)
@@ -691,6 +694,18 @@ def is_zero_by_elimination(p: MPoly, s) -> bool:
             return True
         for j in q.variables():
             point[j - 1].refine()
+
+
+def roots_by_zero_test(p: MPoly, s):
+    """The real roots of p(s, x_i), or NULLIFIED, by the filter that
+    `roots_in_extension` ran before it counted the roots: the candidates
+    of `_candidate_poly` at which p vanishes by `sign_at`, one exact zero
+    test per candidate."""
+    _, _, coeffs = term_coeff_info(p, p.level)
+    if all(sign_at(c, s) == 0 for c in coeffs):
+        return NULLIFIED
+    roots = isolate_real_roots(_candidate_poly(p, s))
+    return [r for r in roots if sign_at(p, s.extend(r)) == 0]
 
 
 # ---------------------------------------------------------------------------

@@ -225,9 +225,7 @@ def _poly_at(rng, level):
 
 def _random_prefix(rng, n, algebraic):
     """n rational coordinates or, when algebraic, an irrational x1 and
-    the others rational or irrational at random.  Irrational coordinates
-    have degree at most 4, which keeps root isolation over the prefix
-    fast."""
+    the others rational or irrational at random."""
     coords = []
     for j in range(1, n + 1):
         if algebraic and (j == 1 or rng.random() < 0.5):
@@ -235,7 +233,7 @@ def _random_prefix(rng, n, algebraic):
                 roots = cached_roots(_poly_at(rng, j), Sample(coords))
                 if roots is NULLIFIED:
                     continue
-                irrational = [r for r in roots if not r.is_rational() and len(r._def) <= 5]
+                irrational = [r for r in roots if not r.is_rational()]
                 if irrational:
                     coords.append(rng.choice(irrational))
                     break

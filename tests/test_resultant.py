@@ -18,6 +18,7 @@ from onecell.polynomial import (
     _ires,
     _primitive_part,
     _rows,
+    _ures,
     coeff_info,
     parse_poly,
     resultant,
@@ -144,12 +145,13 @@ def test_degree_bound_holds(operands):
 
 
 def _check_rows(p, q, v):
-    """`_ires` on the rows of p and q and the term-map route give the
-    same term map, and every degree bound they use is the same."""
+    """`_ires` on the rows of p and q with the resultant leaf and the
+    term-map route give the same term map, and every degree bound they
+    use is the same."""
     dp, dq = p.degree(v), q.degree(v)
     (_, P), (_, Q) = _primitive_part(p), _primitive_part(q)
     Pr, Qr = _rows(P, v, dp), _rows(Q, v, dq)
-    assert _ires(Pr, Qr, dp, dq) == term_map_resultant(P, Q, v, dp, dq), (p, q, v)
+    assert _ires(Pr, Qr, dp, dq, _ures) == [term_map_resultant(P, Q, v, dp, dq)], (p, q, v)
     for j in (p * q).variables() - {v}:
         assert _degree_bound(Pr, Qr, j, dp, dq) == _term_map_bound(P, Q, j, dp, dq)
 
