@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import memo
 from .polynomial import MPoly, Var, parse_poly, poly_to_str
-from .realalg import NULLIFIED, UNDEF, RealAlg, Sample, roots_in_extension, separate
+from .realalg import NULLIFIED, UNDEF, RealAlg, Sample, cached_roots, separate
 
 
 @dataclass(frozen=True)
@@ -115,13 +114,6 @@ class CellDescription(tuple):
 
 # ---------------------------------------------------------------------------
 # evaluation
-
-def cached_roots(p: MPoly, s: Sample):
-    """roots_in_extension(p, s), kept in `memo.ROOTS`: later calls share
-    the values and the refinement of their enclosures, so output that
-    depends on an enclosure reads `RealAlg.canonical_copy()`."""
-    return memo.ROOTS.fetch((p, tuple(c.key() for c in s)), roots_in_extension, p, s)
-
 
 def eval_indexed_root(xi: IndexedRoot, s: Sample):
     """Value of the indexed root over the sample prefix, or UNDEF when
@@ -275,9 +267,9 @@ def cell_contains(c: CellDescription, r: Sample):
 # serialization
 
 _BOUND = r'\(root\s+"([^"]*)"\s+(\d+)\)|([+-]inf)'
-_ROOT_RE = re.compile(_BOUND)
+_ROOT_RE = re.compile(_BOUND, re.ASCII)
 # one or more bounds separated by whitespace, and nothing else
-_BOUNDS_RE = re.compile(rf"(?:{_BOUND})(?:\s+(?:{_BOUND}))*")
+_BOUNDS_RE = re.compile(rf"(?:{_BOUND})(?:\s+(?:{_BOUND}))*", re.ASCII)
 
 
 def bound_text(b: Optional[IndexedRoot], sign: str) -> str:
@@ -304,7 +296,7 @@ def cell_from_text(text: str) -> CellDescription:
         line = raw.strip()
         if not line:
             continue
-        m = re.match(r"level\s+(\d+)\s+(sector|section)\s+(.*)", line)
+        m = re.match(r"level\s+(\d+)\s+(sector|section)\s+(.*)", line, re.ASCII)
         if not m:
             raise ValueError(f"line {lineno}: cannot parse cell level: {raw!r}")
         level, kind, rest = int(m.group(1)), m.group(2), m.group(3)
@@ -324,6 +316,8 @@ def cell_from_text(text: str) -> CellDescription:
             bounds *= 2  # both bounds on the one root
         elif len(bounds) != 2:
             raise ValueError(f"line {lineno}: a sector needs two bounds")
+        elif rest.startswith("+inf") or rest.endswith("-inf"):
+            raise ValueError(f"line {lineno}: a sector runs from -inf up to +inf")
         elif bounds[0] is not None and bounds[0] == bounds[1]:
             raise ValueError(f"line {lineno}: a sector needs two distinct bounds")
         intervals.append(SymbolicInterval(level, *bounds))

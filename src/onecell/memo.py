@@ -12,8 +12,9 @@ again, each in one table here:
   root count of `realalg.roots_in_extension` reads their signs
 - `CANONICAL`: the isolating intervals of an irreducible definition,
   keyed on its primitive coefficients (`realalg._canonical_intervals`)
-- `ROOTS`: `cells.cached_roots`, keyed on p and the sample's exact
-  coordinates
+- `ROOTS`: `realalg.cached_roots`, keyed on p and the sample's exact
+  coordinates; the zero test of `realalg.sign_at` at several irrational
+  coordinates reads it too
 
 Keys are values, never object identities, since callers build new
 objects for equal polynomials.  The views a polynomial keeps on itself

@@ -949,7 +949,8 @@ def _gcd_mod(a: list[int], b: list[int], q: int) -> list[int]:
 # Nesting depth past which both parsers (here and `smtlib`) refuse input.
 MAX_NESTING = 100
 
-_TOKEN = re.compile(r"\s*(\d+|x\d+|[a-zA-Z_][a-zA-Z_0-9]*|\^|\*|/|\+|-|\(|\))")
+# ASCII only: \d would match other scripts' digits, which int() reads
+_TOKEN = re.compile(r"\s*(\d+|x\d+|[a-zA-Z_][a-zA-Z_0-9]*|\^|\*|/|\+|-|\(|\))", re.ASCII)
 
 
 class _Parser:

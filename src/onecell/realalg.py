@@ -49,6 +49,7 @@ coefficients of p and its derivative
 (`polynomial.subresultant_coefficients`) give the number of distinct
 real roots (`_root_count`), and interval evaluation drops candidates
 until that many are left, with no zero test per candidate.
+`cached_roots` keeps these roots in `memo.ROOTS`.
 
 The sign test, `sign_at`, evaluates p over the coordinate enclosures
 and refines them until the interval value excludes 0.  Its bounds,
@@ -56,16 +57,11 @@ the sum of the terms' ranges, are computed on integer numerators over
 one common denominator and are identical to the term-wise Fraction
 bounds (`_interval_eval`).  It is the one refinement loop of the sign,
 and each round moves only the irrational coordinates of p's variables.
-When the value straddles 0, `_zero_bound` asks the algebra once, and
-refines nothing.  If only one variable of p sits at an irrational
-coordinate, one integer pseudo-remainder by that coordinate's
-definition settles whether p vanishes, at the first straddling round.
-Otherwise, after 8 rounds, the same resultant elimination applied to
-z - p yields a rational polynomial in z with p's value among its roots;
-it settles the question, or gives a lower bound b on the modulus of its
-nonzero roots, and `sign_at` returns 0 once the interval value lies
-inside (-b, b), without sympy.  The zero test serves `sign_at` only:
-root finding never asks it at a candidate root.
+At the first round that straddles 0, `_is_zero` decides p(s) = 0
+exactly: by one integer pseudo-remainder when p has one variable at an
+irrational coordinate, and otherwise by finding the last one among the
+roots over the shorter prefix below it (`cached_roots`).  The zero test
+serves `sign_at` only: root finding never asks it at a candidate root.
 """
 
 from __future__ import annotations
@@ -564,13 +560,10 @@ def sign_at(p: MPoly, s: Sample) -> int:
     of p over the coordinate enclosures decides the sign as soon as it
     excludes 0.  Each round refines the irrational coordinates of p's
     variables once, and no other coordinate of s.  At the first round
-    that straddles 0 when p has one variable at an irrational coordinate
-    (a zero test by one remainder), or after 8 such rounds when it has
-    several (a test by elimination), `_zero_bound` is asked once: it
-    settles p(s) = 0, or p(s) != 0, whose sign the rounds then show, or
-    it gives a bound b, and the value is 0 once its interval lies inside
-    (-b, b).  This is the only loop of the sign: the zero test refines
-    nothing.
+    that straddles 0, the exact test `_is_zero` is asked once, whatever
+    the number of irrational coordinates: it settles p(s) = 0, or
+    p(s) != 0, whose sign the rounds then show.  The test refines only
+    coordinates of p's variables, through the roots over a prefix.
     """
     if p.is_constant():
         v = p.constant_value()
@@ -581,24 +574,14 @@ def sign_at(p: MPoly, s: Sample) -> int:
     if not moving:
         v = p.eval_rational([c._lo if c.is_rational() else Fraction(0) for c in s])
         return 0 if v == 0 else (1 if v > 0 else -1)
-    test_at = 0 if len(moving) == 1 else 8
-    b = None
-    rounds = 0
-    while True:
-        lo, hi = _interval_eval(p, [c.enclosure() for c in s])
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        if rounds == test_at:
-            b = _zero_bound(p, s)
-            if b is None:
-                return 0
-        if b and -b < lo and hi < b:
-            return 0
+    lo, hi = _interval_eval(p, [c.enclosure() for c in s])
+    if lo <= 0 <= hi and _is_zero(p, s):
+        return 0
+    while lo <= 0 <= hi:
         for c in moving:
             c.refine()
-        rounds += 1
+        lo, hi = _interval_eval(p, [c.enclosure() for c in s])
+    return 1 if lo > 0 else -1
 
 
 def _rational_part(p: MPoly, s: Sample) -> MPoly:
@@ -608,50 +591,40 @@ def _rational_part(p: MPoly, s: Sample) -> MPoly:
     )
 
 
-def _zero_bound(p: MPoly, s: Sample) -> Fraction | int | None:
-    """What the algebra says of p(s), with no refining: None when
-    p(s) = 0, 0 when p(s) != 0, and otherwise a rational b > 0 such that
-    p(s) = 0 exactly when |p(s)| < b.
+def _is_zero(p: MPoly, s: Sample) -> bool:
+    """Whether p(s) = 0, exactly.
 
-    When p has exactly one variable x_j at an irrational coordinate,
-    q = p with the rational coordinates substituted is a polynomial in
-    x_j alone (or a constant), and p(s) = q(s_j).  The definition d_j of
-    s_j is irreducible, so it is the minimal polynomial of s_j up to a
-    constant, and q(s_j) = 0 exactly when d_j divides q: one integer
-    pseudo-remainder settles it.
-
-    Otherwise it eliminates (Loos, "Computing in algebraic extensions",
-    1982).  `_candidate_poly` of z - p substitutes the rational
-    coordinates and eliminates each irrational x_j against its defining
-    polynomial d_j.  Every eliminand has a constant leading coefficient
-    in z, so no factor of it divides d_j, no resultant vanishes, and the
-    result is R(z) = c * prod (z - p(s')) over the conjugate points s' of
-    s: a nonzero polynomial with p(s) among its roots.  So R(0) != 0
-    means p(s) != 0, and R = c*z^m means every conjugate value, p(s) too,
-    is 0.  Otherwise R = z^m * S with S(0) != 0, and every nonzero root
-    of R has modulus at least b = |S_0| / (|S_0| + max_k |S_k|) (Cauchy's
-    bound for 1/z).
-    """
-    js = [v for v in p.variables() if not s[v - 1].is_rational()]
-    if len(js) == 1:
-        q = _rational_part(p, s)
-        if q.is_zero():
-            return None
-        c, d = dense(q, js[0]), s[js[0] - 1]._def
-        return None if len(c) >= len(d) and not _prem(c, d) else 0
-    z = len(s) + 1
-    R = dense(_candidate_poly(MPoly.var(z) - p, s), z)
-    if R[0]:
-        return 0
-    m = next(k for k, c in enumerate(R) if c)
-    if m == len(R) - 1:
-        return None
-    S = [abs(c) for c in R[m:]]
-    return Fraction(S[0], S[0] + max(S[1:]))
+    Let q be p with the rational coordinates substituted, so that every
+    variable of q sits at an irrational coordinate, and x_k its last.
+    When x_k is q's only variable, the definition d_k of s_k is
+    irreducible, so it is the minimal polynomial of s_k up to a
+    constant, and q(s_k) = 0 exactly when d_k divides q: one integer
+    pseudo-remainder settles it.  Otherwise p(s) = 0 exactly when
+    q(s_1..s_(k-1), x_k) is zero or has s_k among its real roots, which
+    `cached_roots` gives over the prefix.  Equal values share their
+    definition and index, so the membership test compares them without
+    refining, and distinct ones separate; the roots over the prefix ask
+    this test only at points with fewer coordinates."""
+    q = _rational_part(p, s)
+    if q.is_constant():
+        return q.is_zero()
+    k = q.level
+    if len(q.variables()) == 1:
+        c, d = dense(q, k), s[k - 1]._def
+        return len(c) >= len(d) and not _prem(c, d)
+    roots = cached_roots(q, s.prefix(k - 1))
+    return roots is NULLIFIED or s[k - 1] in roots
 
 
 # ---------------------------------------------------------------------------
 # roots of a polynomial over an extended sample
+
+
+def cached_roots(p: MPoly, s: Sample):
+    """roots_in_extension(p, s), kept in `memo.ROOTS`: later calls share
+    the values and the refinement of their enclosures, so output that
+    depends on an enclosure reads `RealAlg.canonical_copy()`."""
+    return memo.ROOTS.fetch((p, tuple(c.key() for c in s)), roots_in_extension, p, s)
 
 
 def roots_in_extension(p: MPoly, s: Sample):

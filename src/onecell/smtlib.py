@@ -117,8 +117,9 @@ _FOLDS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 def _is_rational(text: str) -> bool:
+    """A decimal numeral in ASCII digits (isdigit takes any script's)."""
     t = text[1:] if text[:1] == "-" else text
-    return t.replace(".", "", 1).isdigit() and t != ""
+    return t.replace(".", "", 1).isdigit() and t.isascii()
 
 
 def _literal(text: str) -> Fraction:

@@ -669,12 +669,18 @@ def is_zero_by_minimal_polynomial(p: MPoly, coords) -> bool:
 
 
 def is_zero_by_elimination(p: MPoly, s) -> bool:
-    """Whether p(s) = 0: the resultant elimination of z - p gives
-    R(z) = z^m * S(z) with p(s) among its roots (`realalg._zero_bound`),
-    and canonical copies of the coordinates are refined until the
+    """Whether p(s) = 0, by the elimination the package's zero test used
+    before it read the roots over the prefix (after Loos, "Computing in
+    algebraic extensions", 1982).  `_candidate_poly` of z - p eliminates
+    every irrational coordinate and gives R(z) = c * prod (z - p(s'))
+    over the conjugate points s' of s, so R(z) = z^m * S(z) with
+    S(0) != 0 and p(s) among its roots: R(0) != 0 means p(s) != 0, and
+    S constant means p(s) = 0.  Otherwise every nonzero root has modulus
+    at least b = |S_0| / (|S_0| + max_k |S_k|) (Cauchy's bound for
+    1/z), and canonical copies of the coordinates are refined until the
     interval value of p with the rational coordinates substituted
-    excludes 0 or lies inside (-b, b), b the Cauchy bound of the nonzero
-    roots.  The enclosures of s do not move."""
+    excludes 0 or lies inside (-b, b).  The enclosures of s do not
+    move."""
     q = _rational_part(p, s)
     z = len(s) + 1
     R = dense(_candidate_poly(MPoly.var(z) - p, s), z)

@@ -98,6 +98,14 @@ def test_text_rejects_malformed():
         'level 1 sector -inf +inf\nlevel 2 sector (root "x2" 1) (root "x1" 1)',
         # equal bounds make a section, not an empty sector
         'level 1 sector (root "x1" 1) (root "x1" 1)',
+        # +inf below and -inf above are not the ends they would stand for
+        'level 1 sector +inf (root "x1" 1)',
+        'level 1 sector (root "x1" 1) -inf',
+        "level 1 sector +inf -inf",
+        "level 1 sector +inf +inf",
+        # an Arabic-Indic one is not a level or an index
+        "level \u0661 sector -inf +inf",
+        'level 1 section (root "x1" \u0661)',
     ]:
         with pytest.raises(ValueError):
             cell_from_text(bad)

@@ -55,6 +55,14 @@ def test_parse_rejects_garbage():
             parse_poly(bad)
 
 
+def test_parse_rejects_non_ascii_digits():
+    """x followed by an Arabic-Indic one is not x1, nor a superscript two
+    an exponent."""
+    for bad in ["x\u0661", "x1^\u00b2", "\u0663*x1", "x1+\u0661"]:
+        with pytest.raises(ValueError, match="bad character"):
+            parse_poly(bad)
+
+
 def test_parse_nesting_limit():
     assert parse_poly("(" * 50 + "x1" + ")" * 50) == MPoly.var(1)
     with pytest.raises(ValueError, match="nested deeper"):

@@ -11,7 +11,7 @@ from unittest import mock
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from onecell import realalg
+from onecell import memo, realalg
 from onecell.polynomial import (
     MPoly,
     _degree_bound,
@@ -236,17 +236,20 @@ _picks = st.tuples(st.integers(2, 7), st.integers(0, 7))
 @example(parse_poly("-4*x1^2*x2^2+x1^2"), (2, 0))
 def test_zero_test_inputs(p, picks):
     """p at the sample, and p times a polynomial that vanishes there, by
-    the zero test `_zero_bound` and by the elimination it takes for
-    several irrational coordinates, here through the reference
+    the zero test `_is_zero`, which takes resultants through the roots
+    over x1 when x2 is irrational too, and by the reference
     `is_zero_by_elimination`, which eliminates at one irrational
-    coordinate too.  The product is zero; the elimination takes a
-    resultant unless substituting the rational coordinates already
-    leaves zero."""
+    coordinate too.  The two agree.  The product is zero: a remainder
+    shows it, or a specialization nullified over x1, with no resultant;
+    the elimination takes one unless substituting the rational
+    coordinates already leaves zero."""
     s = _sample(picks)
     pd = p * realalg._upoly(s[0]._def, 1)
-    _recorded(realalg._zero_bound, p, s)
-    assert _recorded(realalg._zero_bound, pd, s)[1] is None
-    _recorded(is_zero_by_elimination, p, s)
+    memo.clear()
+    zero = _recorded(realalg._is_zero, p, s)[1]
+    assert zero == _recorded(is_zero_by_elimination, p, s)[1]
+    seen, zero = _recorded(realalg._is_zero, pd, s)
+    assert zero is True and not seen
     seen, zero = _recorded(is_zero_by_elimination, pd, s)
     assert zero is True
     if not realalg._rational_part(pd, s).is_zero():

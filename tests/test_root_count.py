@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 from unittest import mock
 
-from onecell import cells, memo, realalg
+from onecell import memo, realalg
 from onecell.explain import Constraint, check_conflict
 from onecell.polynomial import (
     MPoly,
@@ -199,30 +199,32 @@ def test_roots_match_the_per_candidate_zero_test():
 
 def test_tower_conflict_counts_without_zero_tests():
     """The tower input: root 1 of 3*x1^3-1 and root 1 of a degree-9
-    polynomial over it.  Its conflict check answers within 2 s, and no
-    root lookup asks the zero test at an extended sample."""
+    polynomial over it.  Its conflict check answers within 2 s, it finds
+    roots over the whole sample, and no root lookup asks the zero test
+    at an extended sample."""
     memo.clear()
     s = Sample([realalg_from_text("(root 3*x1^3-1 1)"),
                 realalg_from_text("(root 729*x1^9+486*x1^6+270*x1^3+59 1)")])
     C = [Constraint(parse_poly("-x3^2+x1*x3-3*x1*x2"), ">"),
          Constraint(parse_poly("x1*x3-x1^2+1"), "!=")]
     extended = []
-    lookups = []
-    zero_bound, roots = realalg._zero_bound, realalg.roots_in_extension
+    lookups, recorded = [], []
+    is_zero, roots = realalg._is_zero, realalg.roots_in_extension
 
     def recorded_roots(p, prefix):
         lookups.append(len(prefix))
+        recorded.append(len(prefix))
         try:
             return roots(p, prefix)
         finally:
             lookups.pop()
 
-    def recorded_zero_bound(p, point):
+    def recorded_is_zero(p, point):
         if lookups and len(point) > lookups[-1]:
             extended.append((p, point))
-        return zero_bound(p, point)
+        return is_zero(p, point)
 
-    with mock.patch.object(realalg, "_zero_bound", recorded_zero_bound), \
-            mock.patch.object(cells, "roots_in_extension", recorded_roots):
+    with mock.patch.object(realalg, "_is_zero", recorded_is_zero), \
+            mock.patch.object(realalg, "roots_in_extension", recorded_roots):
         assert within_seconds(2, lambda: check_conflict(C, s)) is False
-    assert extended == []
+    assert len(s) in recorded and extended == []

@@ -138,6 +138,15 @@ def test_rejects_malformed_assert():
     assert _err("(declare-const x Real)(assert x)") is not None
 
 
+def test_rejects_non_ascii_digits():
+    """Other scripts' digits are not numerals: an Arabic-Indic one and
+    a superscript two get a positioned error, not x1 - 1 > 0 or an
+    unpositioned error from int()."""
+    for digit in ("\u0661", "\u00b2", "1.\u0665"):
+        err = _err(f"(declare-const x Real)\n(assert (> x {digit}))")
+        assert (err.line, err.col) == (2, 14), digit
+
+
 def test_error_column_points_at_token():
     err = _err("(declare-const x Real)\n(assert (< x zz))")
     assert err.line == 2 and err.col == 14

@@ -1,21 +1,24 @@
-"""The exact zero test at algebraic points, `realalg._zero_bound`, and
+"""The exact zero test at algebraic points, `realalg._is_zero`, and
 `sign_at`'s one refinement loop around it, against sympy's minimal
 polynomial on random points with one irrational coordinate and on
-towers of two, and its remainder test at one irrational coordinate
-against the elimination it replaces there."""
+towers of two, its remainder test at one irrational coordinate and its
+test by the roots over the prefix at two and three against the
+elimination `oracles.is_zero_by_elimination`."""
 
 import random
 from fractions import Fraction
 from unittest import mock
 
-from onecell import realalg
+from onecell import memo, realalg
 from onecell.polynomial import MPoly, parse_poly
 from onecell.realalg import (
+    NULLIFIED,
     RealAlg,
     Sample,
     _candidate_poly,
+    _is_zero,
     _upoly,
-    _zero_bound,
+    cached_roots,
     isolate_real_roots,
     sign_at,
 )
@@ -38,16 +41,11 @@ def _irrational_root(rng: random.Random) -> RealAlg:
 
 
 def _checked(p: MPoly, s: Sample) -> bool:
-    """Whether `sign_at` finds p(s) = 0, asserted equal to the oracle's
-    answer; `_zero_bound`, asked first, must leave the enclosures of s
-    where they were and agree wherever it settles the answer."""
-    before = [c.enclosure() for c in s]
-    bound = _zero_bound(p, s)
-    assert [c.enclosure() for c in s] == before
+    """Whether `sign_at` finds p(s) = 0, asserted equal to the answer of
+    `_is_zero`, asked first, and to the oracle's."""
+    zero = _is_zero(p, s)
     got = sign_at(p, s) == 0
-    assert got == is_zero_by_minimal_polynomial(p, s), (p, s)
-    if bound is None or bound == 0:
-        assert got == (bound is None), (p, s)
+    assert got == zero == is_zero_by_minimal_polynomial(p, s), (p, s)
     return got
 
 
@@ -99,7 +97,9 @@ def test_agrees_with_minimal_polynomial_on_towers():
 
 
 def test_zero_at_every_conjugate():
-    """R = c*z^m: p vanishes at all conjugates of the point."""
+    """p vanishes at all conjugates of the point: a multiple of the
+    definition at one irrational coordinate, and at two, cbrt(3) is the
+    one real root of 2*x2^3 - 6 over sqrt(2)."""
     sqrt2 = isolate_real_roots(parse_poly("x1^2-2"))[1]
     cbrt3 = isolate_real_roots(parse_poly("x1^3-3"))[0]
     assert _checked(parse_poly("x1^2-2"), Sample([sqrt2]))
@@ -123,19 +123,19 @@ def test_irrational_coordinate_not_in_p():
 
 
 def test_zero_at_one_conjugate_only():
-    """R(0) = 0 from the other root of x^2-2 only: the refinement of
-    `sign_at` has to separate the value from 0."""
+    """x1 + x2 vanishes at (sqrt(2), -sqrt(2)) and not at (sqrt(2),
+    sqrt(2)), whose conjugate it is: the roots of x2 + sqrt(2) hold the
+    one value and not the other."""
     lo, hi = isolate_real_roots(parse_poly("x1^2-2"))
     p = parse_poly("x1+x2")
     assert not _checked(p, Sample([hi, hi]))
     assert _checked(p, Sample([hi, lo]))
 
 
-def test_a_zero_decided_by_the_bound_moves_only_the_coordinates_of_p():
-    """x1 + x2 at (sqrt(2), -sqrt(2), cbrt(3)): R = z^2 (z^2 - 8), so the
-    elimination settles nothing and gives b = 8/9, and `sign_at` returns
-    0 once its interval lies inside (-8/9, 8/9).  x3 is not a variable of
-    p, so its enclosure does not move."""
+def test_a_zero_at_two_of_three_irrational_coordinates_moves_only_the_coordinates_of_p():
+    """x1 + x2 at (sqrt(2), -sqrt(2), cbrt(3)): the zero test finds
+    -sqrt(2) among the roots of x2 + sqrt(2) at the first straddling
+    round.  x3 is not a variable of p, so its enclosure does not move."""
     lo, hi = isolate_real_roots(parse_poly("x1^2-2"))
     cbrt3 = isolate_real_roots(parse_poly("x1^3-3"))[0]
     s, p = Sample([hi, lo, cbrt3]), parse_poly("x1+x2")
@@ -143,12 +143,12 @@ def test_a_zero_decided_by_the_bound_moves_only_the_coordinates_of_p():
     answers = []
 
     def recorded(*args):
-        answers.append(_zero_bound(*args))
+        answers.append(_is_zero(*args))
         return answers[-1]
 
-    with mock.patch.object(realalg, "_zero_bound", recorded):
+    with mock.patch.object(realalg, "_is_zero", recorded):
         assert within_seconds(5, lambda: sign_at(p, s)) == 0
-    assert answers == [Fraction(8, 9)]
+    assert answers == [True]
     assert cbrt3.enclosure() == x3
 
 
@@ -180,12 +180,11 @@ def test_remainder_agrees_with_elimination_at_one_irrational_coordinate():
             if p.is_zero() or not p.degree(j):
                 continue
             before = [c.enclosure() for c in s]
-            got = _without_elimination(_zero_bound, p, s)
-            assert got in (None, 0), (p, s)
-            assert (got is None) == is_zero_by_elimination(p, s), (p, s)
+            got = _without_elimination(_is_zero, p, s)
+            assert got == is_zero_by_elimination(p, s), (p, s)
             assert [c.enclosure() for c in s] == before
-            zeros += got is None
-            nonzeros += got is not None
+            zeros += got
+            nonzeros += not got
             vanished += p.subst_rational({k: r}).is_constant()
     assert zeros >= 20 and nonzeros >= 20 and vanished >= 20
 
@@ -205,9 +204,97 @@ def test_sign_at_decides_a_one_coordinate_zero_without_refining():
     assert _without_elimination(sign_at, parse_poly("x3^3-3+x1"), s) == 1
 
 
-def test_sign_at_eliminates_at_two_irrational_coordinates():
+def test_sign_at_reads_the_roots_over_the_prefix_at_two_irrational_coordinates():
+    """x1*x2 - 2 at (sqrt(2), sqrt(2)): the zero test keeps the roots of
+    sqrt(2)*x2 - 2 in `memo.ROOTS`, under the key of the prefix."""
+    memo.clear()
     sqrt2 = isolate_real_roots(parse_poly("x1^2-2"))[1]
-    s = Sample([sqrt2, sqrt2])
-    with mock.patch.object(realalg, "_candidate_poly", wraps=_candidate_poly) as cand:
-        assert sign_at(parse_poly("x1*x2-2"), s) == 0
-    assert cand.called
+    p = parse_poly("x1*x2-2")
+    assert sign_at(p, Sample([sqrt2, sqrt2])) == 0
+    assert (p, (sqrt2.key(),)) in memo.ROOTS._entries
+
+
+def test_a_zero_at_a_cached_root_takes_no_elimination():
+    """The roots of g over (sqrt(2)) are found once.  At each of them,
+    as a canonical copy, the zero test reads them from `memo.ROOTS` and
+    compares by definition and index: no `_candidate_poly` call, and no
+    coordinate moves."""
+    memo.clear()
+    sqrt2 = isolate_real_roots(parse_poly("x1^2-2"))[1]
+    g = parse_poly("x2^2-x1*x2-1")
+    roots = cached_roots(g, Sample([sqrt2]))
+    assert len(roots) == 2 and not any(r.is_rational() for r in roots)
+    for r in roots:
+        s = Sample([sqrt2, r.canonical_copy()])
+        before = [c.enclosure() for c in s]
+        assert _without_elimination(sign_at, g, s) == 0
+        assert [c.enclosure() for c in s] == before
+
+
+def _differential_point(rng: random.Random, shape: str) -> Sample:
+    """A point with an irrational coordinate for each "a" of shape and a
+    rational one for each "r".  Each irrational coordinate after the
+    first is, half the time, a root over the prefix of a random monic
+    quadratic, so that the point is a tower; its definition is kept to
+    degree 4, which keeps the elimination in the oracle fast."""
+    coords: list = []
+    for j, kind in enumerate(shape, 1):
+        if kind == "r":
+            coords.append(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+            continue
+        if coords and rng.random() < 0.5:
+            g = MPoly.var(j) ** 2 + MPoly.var(j) * random_poly(rng, j - 1, 1, 2) \
+                + random_poly(rng, j - 1, 1, 2)
+            roots = [r for r in realalg.roots_in_extension(g, Sample(coords))
+                     if not r.is_rational() and len(r._def) <= 5]
+            if roots:
+                coords.append(rng.choice(roots))
+                continue
+        coords.append(_irrational_root(rng))
+    return Sample(coords)
+
+
+def _vanishing(rng: random.Random, s: Sample, below: int) -> MPoly:
+    """A polynomial in x1..x_below that vanishes wherever each of these
+    coordinates is a conjugate of s's: a combination of the definitions
+    of the irrational ones and of x_j - s_j for the rational ones."""
+    h = MPoly.constant(0)
+    for j, c in enumerate(s[:below], 1):
+        f = MPoly.var(j) - MPoly.constant(c.rational_value()) if c.is_rational() \
+            else _upoly(c._def, j)
+        h = h + f * random_poly(rng, below, 1, 2)
+    return h
+
+
+def test_agrees_with_elimination_at_several_irrational_coordinates():
+    """Seeded points with two and three irrational coordinates, some
+    with a rational coordinate between two of them: planted zeros at
+    every conjugate, x1 + x2 at (sqrt(2), -sqrt(2)) against its
+    conjugate (sqrt(2), sqrt(2)), polynomials nullified over the prefix
+    below their last variable, and random ones.  `_is_zero`, `sign_at`
+    and the elimination agree on each."""
+    rng = random.Random(83)
+    lo, hi = isolate_real_roots(parse_poly("x1^2-2"))
+    p = parse_poly("x1+x2")
+    for s, want in ((Sample([hi, lo]), True), (Sample([hi, hi]), False)):
+        assert _is_zero(p, s) == (sign_at(p, s) == 0) == is_zero_by_elimination(p, s) == want
+    tally = dict.fromkeys(["zero", "nonzero", "nullified", "aa", "aaa", "ara"], 0)
+    for trial in range(18):
+        shape = ("aa", "aaa", "ara")[trial % 3]
+        s = _differential_point(rng, shape)
+        k = shape.rindex("a") + 1  # the last irrational coordinate
+        planted = _vanishing(rng, s, len(s))
+        nullified = _vanishing(rng, s, k - 1) * (MPoly.var(k) + random_poly(rng, k, 2, 2))
+        cases = [planted, planted + random_poly(rng, len(s), 2, 2),
+                 random_poly(rng, len(s), 2, 3),
+                 nullified, nullified + MPoly.constant(rng.choice([-1, 1]))]
+        for q in cases:
+            if len([v for v in q.variables() if not s[v - 1].is_rational()]) < 2:
+                continue
+            got = _is_zero(q, s)
+            assert got == is_zero_by_elimination(q, s), (q, s)
+            assert got == (sign_at(q, s) == 0), (q, s)
+            tally["zero" if got else "nonzero"] += 1
+            tally["nullified"] += q.level == k and cached_roots(q, s.prefix(k - 1)) is NULLIFIED
+            tally[shape] += 1
+    assert all(count >= 5 for count in tally.values()), tally
