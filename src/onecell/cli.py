@@ -39,6 +39,8 @@ def _read_problem(path: str):
 
 
 def _parse_sample(text: str, expected: int) -> List[Fraction]:
+    if not text.isascii():
+        raise ValueError(f"bad sample coordinate: not ASCII: {text!r}")
     parts = [p for chunk in text.split(",") for p in chunk.split()]
     try:
         coords = [Fraction(p) for p in parts]

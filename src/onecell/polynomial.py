@@ -211,6 +211,10 @@ class MPoly:
         """Evaluate at a fully rational point (coordinate j for x_j), on
         integer numerators over one common denominator; TypeError unless
         each coordinate p depends on is an int or a Fraction."""
+        return Fraction(*self._eval_scaled(point))
+
+    def _eval_scaled(self, point: Sequence[Fraction]) -> tuple[int, int]:
+        """`eval_rational` on integers: p(point) as total / scale, scale > 0."""
         if self._level > len(point):
             raise ValueError("point has too few coordinates")
         den = math.lcm(*(c.denominator for c in self._terms.values()))
@@ -227,7 +231,7 @@ class MPoly:
             for i, pw in pows:
                 t *= pw[e[i] if i < len(e) else 0]
             total += t
-        return Fraction(total, scale)
+        return total, scale
 
     def subst_rational(self, vals: dict[Var, Fraction]) -> "MPoly":
         """Substitute rational values for some variables; TypeError
@@ -281,11 +285,11 @@ class MPoly:
 
 
 def _rational(c) -> Fraction:
-    """c as a Fraction; TypeError unless c is an int or a Fraction, so a
-    float never turns silently into its binary fraction."""
+    """c as a Fraction, a Fraction as it is; TypeError unless c is an int
+    or a Fraction, so a float never turns silently into its binary fraction."""
     if not isinstance(c, (int, Fraction)):
         raise TypeError(f"rationals must be int or Fraction, not {type(c).__name__}")
-    return Fraction(c)
+    return c if isinstance(c, Fraction) else Fraction(c)
 
 
 def _coefficient(c):
@@ -398,8 +402,8 @@ def _resultant(p: MPoly, q: MPoly, v: Var) -> MPoly:
     dp, dq = p.degree(v), q.degree(v)
     if dp < 1 or dq < 1:
         raise ValueError("resultant requires positive degree in the main variable")
-    (c, P), (d, Q) = _primitive_part(p), _primitive_part(q)
-    scale = _coefficient(c**dq * d**dp)
+    ((g, l), P), ((h, m), Q) = _primitive_part(p), _primitive_part(q)
+    scale = _coefficient(Fraction(g**dq * h**dp, l**dq * m**dp))
     R, = _ires(_rows(P, v, dp), _rows(Q, v, dq), dp, dq, _ures)
     return MPoly._canonical(_stored({e: scale * k for e, k in R.items()}))
 
@@ -420,7 +424,8 @@ def _subresultant_coefficients(p: MPoly, v: Var) -> tuple[MPoly, ...]:
     d = p.degree(v)
     if d < 1:
         raise ValueError("subresultant coefficients require the variable to occur")
-    c, P = _primitive_part(p)
+    (g, l), P = _primitive_part(p)
+    c = Fraction(g, l)
     rows = _rows(P, v, d)
     drows = {e: [k * x for k, x in enumerate(r)][1:] for e, r in rows.items() if any(r[1:])}
     # psc_j(c P, c P') = c^(2d-1-2j) psc_j(P, P'): the minor has d-1-j
@@ -623,21 +628,14 @@ def derivative(p: MPoly, v: Var) -> MPoly:
 # normalization and factorization
 
 
-def content(p: MPoly) -> Fraction:
-    """Positive rational c with p/c integer-primitive; 0 for the zero poly."""
-    if p.is_zero():
-        return Fraction(0)
+def _primitive_part(p: MPoly) -> tuple[tuple[int, int], dict[tuple[int, ...], int]]:
+    """The content g/l of a nonzero p, the positive rational with p/(g/l)
+    integer-primitive, as the ints (g, l), and the integer term map of
+    p/(g/l): each coefficient n/d goes to n * (l // d) // g."""
     cs = p._terms.values()
-    return Fraction(math.gcd(*(c.numerator for c in cs)),
-                    math.lcm(*(c.denominator for c in cs)))
-
-
-def _primitive_part(p: MPoly) -> tuple[Fraction, dict[tuple[int, ...], int]]:
-    """content(p) = g/l and the integer term map of p / content(p) for a
-    nonzero p, on ints: each coefficient n/d goes to n * (l // d) // g."""
-    c = content(p)
-    g, l = c.numerator, c.denominator
-    return c, {e: k.numerator * (l // k.denominator) // g for e, k in p._terms.items()}
+    g = math.gcd(*(c.numerator for c in cs))
+    l = math.lcm(*(c.denominator for c in cs))
+    return (g, l), {e: k.numerator * (l // k.denominator) // g for e, k in p._terms.items()}
 
 
 def normalize(p: MPoly) -> MPoly:
@@ -653,7 +651,7 @@ def normalize(p: MPoly) -> MPoly:
 
 
 def dense(p: MPoly, v: Var) -> tuple[int, ...]:
-    """The coefficients of p / content(p), from degree 0 up, for a
+    """The coefficients of p over its content, from degree 0 up, for a
     nonzero p in x_v alone (ValueError otherwise): integer-primitive,
     with the sign of p's leading coefficient."""
     if p.is_zero() or not p.variables() <= {v}:

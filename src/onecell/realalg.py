@@ -10,7 +10,10 @@ are the same real number.  An irrational value is built with its
 canonical index.  Hash and text (`realalg_to_text`) depend only on the
 definition and the canonical index; each value computes them on first
 use and keeps them, and `canonical_copy` passes them on, so nothing may
-change `_def` or `_index` after construction.
+change `_def` or `_index` after construction.  Enclosures are integers,
+lo = a/d and hi = b/d over one positive d, halved at (a + b) / 2d, and
+every helper below works on them; `enclosure`, `separate` and
+`simplest_between` are the Fraction views.
 
 This module is the one home of the exact-real helpers the rest of the
 package builds on: `RealAlg.compare` (and `<`, so lists of values sort
@@ -53,15 +56,15 @@ until that many are left, with no zero test per candidate.
 
 The sign test, `sign_at`, evaluates p over the coordinate enclosures
 and refines them until the interval value excludes 0.  Its bounds,
-the sum of the terms' ranges, are computed on integer numerators over
-one common denominator and are identical to the term-wise Fraction
-bounds (`_interval_eval`).  It is the one refinement loop of the sign,
-and each round moves only the irrational coordinates of p's variables.
-At the first round that straddles 0, `_is_zero` decides p(s) = 0
-exactly: by one integer pseudo-remainder when p has one variable at an
-irrational coordinate, and otherwise by finding the last one among the
-roots over the shorter prefix below it (`cached_roots`).  The zero test
-serves `sign_at` only: root finding never asks it at a candidate root.
+the sum of the terms' ranges, are integers over one positive scale,
+and over it they are the term-wise Fraction bounds (`_interval_eval`).
+It is the one refinement loop of the sign, and each round moves only
+the irrational coordinates of p's variables.  At the first round that
+straddles 0, `_is_zero` decides p(s) = 0 exactly: by one integer
+pseudo-remainder when p has one variable at an irrational coordinate,
+and otherwise by finding the last one among the roots over the shorter
+prefix below it (`cached_roots`).  The zero test serves `sign_at`
+only: root finding never asks it at a candidate root.
 """
 
 from __future__ import annotations
@@ -113,10 +116,9 @@ UNDEF = _Sentinel("UNDEF", False)
 # dense univariate helpers (coefficient lists, index = degree)
 
 
-def _usign(c: Sequence[int], x: Fraction) -> int:
-    """Sign of the integer c (a primitive definition) at x = a/b: the
-    sign of c(a/b) * b^n, by homogeneous Horner on integers."""
-    a, b = x.numerator, x.denominator
+def _usign(c: Sequence[int], a: int, b: int) -> int:
+    """Sign of the integer c (a primitive definition) at x = a/b, b > 0:
+    the sign of c(a/b) * b^n, by homogeneous Horner on integers."""
     t, w = 0, 1
     for k in reversed(c):
         t = t * a + k * w
@@ -159,9 +161,10 @@ def _upoly(c: Sequence[int], v: Var) -> MPoly:
 
 class RealAlg:
     """A real algebraic number: a rational, or an isolated root of an
-    irreducible integer polynomial of degree >= 2."""
+    irreducible integer polynomial of degree >= 2, enclosed in
+    `_box = (a, b, d)`: lo = a/d and hi = b/d, d > 0."""
 
-    __slots__ = ("_rat", "_def", "_lo", "_hi", "_slo", "_index", "_text", "_hash")
+    __slots__ = ("_rat", "_def", "_box", "_slo", "_index", "_text", "_hash")
 
     def __init__(self):
         raise TypeError("use RealAlg.rational or RealAlg.algebraic")
@@ -170,9 +173,9 @@ class RealAlg:
     def rational(cls, r) -> "RealAlg":
         """The rational r; TypeError unless r is an int or a Fraction."""
         self = object.__new__(cls)
-        self._rat = _rational(r)
+        self._rat = r = _rational(r)
         self._def = None
-        self._lo = self._hi = self._rat
+        self._box = (r.numerator, r.numerator, r.denominator)
         self._slo = 0
         self._index = self._text = self._hash = None
         return self
@@ -213,8 +216,10 @@ class RealAlg:
         of degree >= 2 by construction.  It has no rational root, so
         neither endpoint is a root and its sign changes over (lo, hi)."""
         self = object.__new__(cls)
-        self._rat, self._def, self._lo, self._hi = None, c, lo, hi
-        self._slo = _usign(c, lo)
+        d = math.lcm(lo.denominator, hi.denominator)
+        a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+        self._rat, self._def, self._box = None, c, (a, b, d)
+        self._slo = _usign(c, a, d)
         self._index, self._text, self._hash = index, None, None
         return self
 
@@ -229,16 +234,18 @@ class RealAlg:
         return self._rat
 
     def enclosure(self) -> tuple[Fraction, Fraction]:
-        return self._lo, self._hi
+        a, b, d = self._box
+        return Fraction(a, d), Fraction(b, d)
 
     def refine(self) -> None:
         if self._rat is not None:
             return
-        m = (self._lo + self._hi) / 2
-        if _usign(self._def, m) == self._slo:
-            self._lo = m
+        a, b, d = self._box
+        m = a + b
+        if _usign(self._def, m, d << 1) == self._slo:
+            self._box = (m, b << 1, d << 1)
         else:
-            self._hi = m
+            self._box = (a << 1, m, d << 1)
 
     def canonical_copy(self) -> "RealAlg":
         """The same value with an enclosure of its own that starts at its
@@ -252,7 +259,7 @@ class RealAlg:
         return out
 
     def refine_below(self, width: Fraction) -> None:
-        while self._hi - self._lo > width:
+        while (self._box[1] - self._box[0]) * width.denominator > width.numerator * self._box[2]:
             self.refine()
 
     def key(self):
@@ -269,7 +276,8 @@ class RealAlg:
         if self._rat is not None:
             return float(self._rat)
         self.refine_below(Fraction(1, 1 << 30))
-        return float((self._lo + self._hi) / 2)
+        a, b, d = self._box
+        return (a + b) / (d << 1)
 
     # -- comparison ---------------------------------------------------
 
@@ -284,9 +292,10 @@ class RealAlg:
         # distinct values, as different definitions and a rational and an
         # irrational are never equal: refine until the enclosures separate
         while True:
-            if self._hi <= other._lo:
+            (a, b, d), (e, f, g) = self._box, other._box
+            if b * g <= e * d:
                 return -1
-            if other._hi <= self._lo:
+            if f * d <= a * g:
                 return 1
             self.refine()
             other.refine()
@@ -321,14 +330,22 @@ def separate(lo: RealAlg, hi: RealAlg) -> tuple[Fraction, Fraction]:
     definition and an index and never separate, so they are caught
     first; otherwise the loop raises once hi's enclosure lies at or
     below lo's."""
+    b, d, e, g = _gap(lo, hi)
+    return Fraction(b, d), Fraction(e, g)
+
+
+def _gap(lo: RealAlg, hi: RealAlg) -> tuple[int, int, int, int]:
+    """`separate` on integers: the gap (b/d, e/g), d, g > 0."""
     if lo._def is not None and (lo._def, lo._index) == (hi._def, hi._index):
         raise ValueError("no gap between equal values")
-    while not lo._hi < hi._lo:
-        if hi._hi <= lo._lo:
+    while True:
+        (a, b, d), (e, f, g) = lo._box, hi._box
+        if b * g < e * d:
+            return b, d, e, g
+        if f * d <= a * g:
             raise ValueError("no gap: the lower value is above the upper")
         lo.refine()
         hi.refine()
-    return lo._hi, hi._lo
 
 
 def value_ranks(values: Sequence[RealAlg]) -> list[int]:
@@ -358,21 +375,32 @@ def sorted_distinct(values: Iterable[RealAlg]) -> list[RealAlg]:
 def simplest_between(a: Fraction, b: Fraction) -> Fraction:
     """The smallest-denominator rational strictly between a and b,
     with ties broken toward the smaller magnitude."""
-    a, b = Fraction(a), Fraction(b)
-    if not a < b:
+    a, b = _rational(a), _rational(b)
+    return Fraction(*_simplest(a.numerator, a.denominator, b.numerator, b.denominator))
+
+
+def _simplest(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """`simplest_between(a/b, c/d)`, b, d > 0, as a coprime numerator and
+    denominator, by the continued fraction: in a positive gap with lower
+    floor t it is t + 1, t + 1/k, or t + 1/y for y the simplest in the
+    inverted gap; (p, p1, q, q1) keeps the map from y to the answer."""
+    if a * d >= c * b:
         raise ValueError("empty interval")
-    if a < 0 < b:
-        return Fraction(0)
-    if b <= 0:
-        return -simplest_between(-b, -a)
-    fa = a.numerator // a.denominator
-    if a < fa + 1 < b:
-        return Fraction(fa + 1)
-    if a == fa:
-        # (fa, b] with b - fa <= 1: the simplest is fa + 1/k
-        k = ((b - fa) ** -1).__floor__() + 1
-        return fa + Fraction(1, k)
-    return fa + 1 / simplest_between(1 / (b - fa), 1 / (a - fa))
+    if a < 0 < c:
+        return 0, 1
+    if c <= 0:
+        p, q = _simplest(-c, d, -a, b)
+        return -p, q
+    p, p1, q, q1 = 1, 0, 0, 1
+    while True:
+        t = a // b
+        if (t + 1) * d < c:
+            return p * (t + 1) + p1, q * (t + 1) + q1
+        if a == t * b:
+            k = d // (c - t * d) + 1
+            return p * (t * k + 1) + p1 * k, q * (t * k + 1) + q1 * k
+        p, p1, q, q1 = p * t + p1, p, q * t + q1, q
+        a, b, c, d = d, c - t * d, b, a - t * b
 
 
 def line_samples(values: Iterable[RealAlg]) -> list[RealAlg]:
@@ -380,16 +408,16 @@ def line_samples(values: Iterable[RealAlg]) -> list[RealAlg]:
     then the simplest rational below, between (via `separate`) and above
     the sorted distinct values, then the values themselves."""
     cuts = sorted_distinct(values)
-    out = [RealAlg.rational(0)]
+    gaps = []
     if cuts:
-        a = cuts[0].enclosure()[0]
-        out.append(RealAlg.rational(simplest_between(a - 1, a)))
-        for lo, hi in zip(cuts, cuts[1:]):
-            out.append(RealAlg.rational(simplest_between(*separate(lo, hi))))
-        b = cuts[-1].enclosure()[1]
-        out.append(RealAlg.rational(simplest_between(b, b + 1)))
-    out.extend(cuts)
-    return out
+        a, _, d = cuts[0]._box
+        gaps.append((a - d, d, a, d))
+        gaps.extend(_gap(lo, hi) for lo, hi in zip(cuts, cuts[1:]))
+        _, b, d = cuts[-1]._box
+        gaps.append((b, d, b + d, d))
+    return [RealAlg.rational(0)] + [
+        RealAlg.rational(Fraction(*_simplest(*gap))) for gap in gaps
+    ] + cuts
 
 
 # ---------------------------------------------------------------------------
@@ -520,21 +548,19 @@ def _interval_pow(lo: int, hi: int, k: int) -> tuple[int, int]:
     return 0, max(lo**k, hi**k)
 
 
-def _interval_eval(p: MPoly, boxes: list[tuple[Fraction, Fraction]]):
-    """Bounds lo <= p <= hi over the box of the [lo_j, hi_j]: the sum of
-    the terms' ranges, computed on integers and identical to the
-    term-wise Fraction bounds.  With L_j the lcm of box j's endpoint
-    denominators and d_j the degree of p in x_j, each term's bounds times
-    lcm(coefficient denominators) * prod L_j^d_j are integers."""
+def _interval_eval(p: MPoly, boxes: Sequence[tuple[int, int, int]]) -> tuple[int, int, int]:
+    """Bounds lo/scale <= p <= hi/scale, scale > 0, over the box of the
+    [a_j/d_j, b_j/d_j] given as (a_j, b_j, d_j), d_j > 0: the sum of the
+    terms' ranges, computed on integers.  With e_j the degree of p in
+    x_j, each term's bounds times scale = lcm(coefficient denominators)
+    * prod d_j^e_j are integers, and over scale they are the term-wise
+    Fraction bounds."""
     terms = p._terms
     den = math.lcm(*(c.denominator for c in terms.values()))
     scale, pows = den, []
-    for j in range(p.level):
-        d = p.degree(j + 1)
+    for j, d in enumerate(p._degree_tuple()):
         if d:
-            lo, hi = boxes[j]
-            L = math.lcm(lo.denominator, hi.denominator)
-            a, b = lo.numerator * (L // lo.denominator), hi.numerator * (L // hi.denominator)
+            a, b, L = boxes[j]
             pw = [(L**d, L**d)]
             for k in range(1, d + 1):
                 plo, phi = _interval_pow(a, b, k)
@@ -550,7 +576,7 @@ def _interval_eval(p: MPoly, boxes: list[tuple[Fraction, Fraction]]):
             tlo, thi = min(cands), max(cands)
         lo_t += tlo
         hi_t += thi
-    return Fraction(lo_t, scale), Fraction(hi_t, scale)
+    return lo_t, hi_t, scale
 
 
 def sign_at(p: MPoly, s: Sample) -> int:
@@ -566,21 +592,21 @@ def sign_at(p: MPoly, s: Sample) -> int:
     coordinates of p's variables, through the roots over a prefix.
     """
     if p.is_constant():
-        v = p.constant_value()
-        return 0 if v == 0 else (1 if v > 0 else -1)
+        v = p._terms.get((), 0)
+        return (v > 0) - (v < 0)
     if p.level > len(s):
         raise ValueError("sample has too few coordinates")
     moving = [s[v - 1] for v in p.variables() if not s[v - 1].is_rational()]
     if not moving:
-        v = p.eval_rational([c._lo if c.is_rational() else Fraction(0) for c in s])
-        return 0 if v == 0 else (1 if v > 0 else -1)
-    lo, hi = _interval_eval(p, [c.enclosure() for c in s])
+        v, _ = p._eval_scaled([c._rat for c in s])
+        return (v > 0) - (v < 0)
+    lo, hi, _ = _interval_eval(p, [c._box for c in s])
     if lo <= 0 <= hi and _is_zero(p, s):
         return 0
     while lo <= 0 <= hi:
         for c in moving:
             c.refine()
-        lo, hi = _interval_eval(p, [c.enclosure() for c in s])
+        lo, hi, _ = _interval_eval(p, [c._box for c in s])
     return 1 if lo > 0 else -1
 
 
@@ -658,8 +684,8 @@ def roots_in_extension(p: MPoly, s: Sample):
     roots = isolate_real_roots(_candidate_poly(p, s))
     moving = [s[v - 1] for v in p.variables() if v < i and not s[v - 1].is_rational()]
     while len(roots) > k:
-        boxes = [c.enclosure() for c in s]
-        roots = [r for r in roots if _straddles(p, boxes + [r.enclosure()])]
+        boxes = [c._box for c in s]
+        roots = [r for r in roots if _straddles(p, boxes + [r._box])]
         if len(roots) > k:
             for c in moving + roots:
                 c.refine()
@@ -668,9 +694,9 @@ def roots_in_extension(p: MPoly, s: Sample):
     return roots
 
 
-def _straddles(p: MPoly, boxes: list[tuple[Fraction, Fraction]]) -> bool:
+def _straddles(p: MPoly, boxes: list[tuple[int, int, int]]) -> bool:
     """Whether the interval value of p over the boxes holds 0."""
-    lo, hi = _interval_eval(p, boxes)
+    lo, hi, _ = _interval_eval(p, boxes)
     return lo <= 0 <= hi
 
 
@@ -751,6 +777,8 @@ def _render(a: RealAlg) -> str:
 
 
 def realalg_from_text(text: str) -> RealAlg:
+    if not text.isascii():  # int and Fraction read the digits of any script
+        raise ValueError(f"bad real algebraic literal: {text}")
     text = text.strip()
     if text.startswith("(root"):
         inner = text[5:].strip()

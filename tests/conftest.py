@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import signal
+import time
 from fractions import Fraction
 
 import pytest
@@ -59,18 +60,51 @@ def check_cell_sound(cell, polys, s: Sample, points: int) -> int:
 
 def within_seconds(seconds, fn):
     """fn() under a SIGALRM limit, so a call that does not terminate
-    fails the test instead of hanging the suite."""
+    fails the test instead of hanging the suite.  The test's own limit
+    (`_test_time_limit`) is suspended meanwhile and then armed again
+    with what is left of it."""
 
     def expire(signum, frame):
         raise TimeoutError(f"no answer within {seconds} s")
 
     old = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
+    outer = signal.alarm(seconds)
+    start = time.monotonic()
     try:
         return fn()
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
+        if outer:
+            signal.alarm(max(1, outer - int(time.monotonic() - start)))
+
+
+# the longest a test may run, about ten times the slowest test's time
+TEST_LIMIT_S = 120
+
+
+class TestTimeLimit(BaseException):
+    """A test ran over `TEST_LIMIT_S`.  Not an `Exception`, so hypothesis
+    does not catch it and rerun the example that does not end while it
+    shrinks; pytest reports the test as failed and goes on."""
+
+    __test__ = False
+
+
+@pytest.fixture(autouse=True)
+def _test_time_limit():
+    """Every test ends within `TEST_LIMIT_S`: a loop over exact reals
+    that does not terminate fails its test instead of hanging the
+    suite."""
+
+    def expire(signum, frame):
+        raise TestTimeLimit(f"the test ran over {TEST_LIMIT_S} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_LIMIT_S)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
 
 
 @pytest.fixture

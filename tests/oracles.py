@@ -16,7 +16,11 @@ sequences, root isolation by Descartes bisection on `Fraction`
 coefficients with the Moebius transform rebuilt by Taylor shifts at
 every node, factor checking via numeric root recombination, sign and
 interval evaluation on `Fraction` objects (the library works on integer
-numerators over a common denominator), zero tests at algebraic
+numerators over a common denominator), enclosures, comparison,
+separation and the line's sample points on `Fraction` enclosures with
+a recursive `simplest_between` (the library keeps each enclosure as
+integer numerators over one denominator and walks the continued
+fraction on four integers), zero tests at algebraic
 points via sympy's minimal polynomials, and by elimination with a
 refinement loop of its own on copies of the coordinates (the library
 refines only in `sign_at`'s loop), roots over a sample by one zero test
@@ -630,6 +634,101 @@ def eval_rational(p: MPoly, point: list[Fraction]) -> Fraction:
                 val *= Fraction(point[i]) ** k
         total += val
     return total
+
+
+# ---------------------------------------------------------------------------
+# exact reals on Fraction enclosures: the references for the library's
+# integer enclosures (`RealAlg.refine`, `RealAlg.compare`, `separate`),
+# its continued-fraction walk (`simplest_between`) and its sweep of the
+# line (`line_samples`), which must agree with these exactly
+
+
+class FractionReal:
+    """A copy of a `RealAlg`'s value and current enclosure, with the
+    enclosure kept as two Fractions and halved at the Fraction midpoint
+    (lo + hi) / 2, keeping the half where the definition changes sign."""
+
+    def __init__(self, r: RealAlg):
+        self.key = r.key()
+        self.defn = None if r.is_rational() else [Fraction(c) for c in r._def]
+        self.index = None if r.is_rational() else r.canonical_index()
+        self.lo, self.hi = r.enclosure()
+        self.slo = 0 if self.defn is None else usign(self.defn, self.lo)
+
+    def refine(self) -> None:
+        if self.defn is None:
+            return
+        m = (self.lo + self.hi) / 2
+        if usign(self.defn, m) == self.slo:
+            self.lo = m
+        else:
+            self.hi = m
+
+
+def fraction_compare(x: FractionReal, y: FractionReal) -> int:
+    """-1, 0 or 1 as x <, =, > y: rationals directly, roots of one
+    definition by their indices, and otherwise by refining both until the
+    enclosures separate."""
+    if x.defn is None and y.defn is None:
+        return 0 if x.lo == y.lo else (-1 if x.lo < y.lo else 1)
+    if x.defn is not None and x.defn == y.defn:
+        return 0 if x.index == y.index else (-1 if x.index < y.index else 1)
+    while True:
+        if x.hi <= y.lo:
+            return -1
+        if y.hi <= x.lo:
+            return 1
+        x.refine()
+        y.refine()
+
+
+def fraction_separate(lo: FractionReal, hi: FractionReal) -> tuple[Fraction, Fraction]:
+    """The gap between lo < hi once their enclosures are disjoint;
+    ValueError unless lo < hi."""
+    if lo.defn is not None and lo.key == hi.key:
+        raise ValueError("no gap between equal values")
+    while not lo.hi < hi.lo:
+        if hi.hi <= lo.lo:
+            raise ValueError("no gap: the lower value is above the upper")
+        lo.refine()
+        hi.refine()
+    return lo.hi, hi.lo
+
+
+def recursive_simplest_between(a: Fraction, b: Fraction) -> Fraction:
+    """The smallest-denominator rational strictly between a < b, ties
+    toward the smaller magnitude, by recursion on Fractions."""
+    a, b = Fraction(a), Fraction(b)
+    if not a < b:
+        raise ValueError("empty interval")
+    if a < 0 < b:
+        return Fraction(0)
+    if b <= 0:
+        return -recursive_simplest_between(-b, -a)
+    fa = a.numerator // a.denominator
+    if a < fa + 1 < b:
+        return Fraction(fa + 1)
+    if a == fa:
+        # (fa, b] with b - fa <= 1: the simplest is fa + 1/k
+        k = ((b - fa) ** -1).__floor__() + 1
+        return fa + Fraction(1, k)
+    return fa + 1 / recursive_simplest_between(1 / (b - fa), 1 / (a - fa))
+
+
+def fraction_line_samples(values) -> tuple[list[Fraction], list[FractionReal]]:
+    """The rational points of `line_samples` (0, then the simplest
+    rational below, between and above the cuts) on Fraction enclosures,
+    and the cuts as they are left.  The cuts are sorted by the library's
+    `sorted_distinct`, which refines the values it compares, and copied;
+    the sampling runs on the copies."""
+    cuts = [FractionReal(c) for c in sorted_distinct(values)]
+    out = [Fraction(0)]
+    if cuts:
+        out.append(recursive_simplest_between(cuts[0].lo - 1, cuts[0].lo))
+        for lo, hi in zip(cuts, cuts[1:]):
+            out.append(recursive_simplest_between(*fraction_separate(lo, hi)))
+        out.append(recursive_simplest_between(cuts[-1].hi, cuts[-1].hi + 1))
+    return out, cuts
 
 
 # ---------------------------------------------------------------------------

@@ -125,10 +125,12 @@ def test_explain_nullified_exit_code(nullified_file, capsys):
 
 
 def test_bad_sample_coordinate_exit_code(nullified_file, capsys):
-    code = main(["cell", nullified_file, "--sample", "0,abc,1"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: bad sample coordinate: ")
+    # "٠,١,٢": Arabic-Indic digits, which Fraction would read as 0, 1, 2
+    for sample in ("0,abc,1", "\u0660,\u0661,\u0662"):
+        code = main(["cell", nullified_file, "--sample", sample])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: bad sample coordinate: ")
 
 
 def test_negative_budget_exit_code(nullified_file, capsys):

@@ -4,8 +4,9 @@ and the results of the trusted `MPoly._canonical` constructor.
 `realalg._interval_eval`, `realalg._usign` and `MPoly.eval_rational`
 work on integer numerators over a common denominator; their references
 in `oracles` work term by term on `Fraction` objects, and the two must
-agree exactly: `sign_at` stops after a fixed number of refinement
-rounds, so even a tighter bound would change its enclosures."""
+agree exactly: `sign_at` refines until the interval value excludes 0,
+so even a tighter bound would end it after fewer rounds and change the
+enclosures it leaves behind."""
 
 from fractions import Fraction
 
@@ -68,17 +69,29 @@ def _poly_and_boxes(draw):
            (Fraction(-3, 2), Fraction(1, 5))]))
 def test_interval_eval_matches_fraction_bounds(case):
     p, boxes = case
-    lo, hi = _interval_eval(p, boxes)
-    assert (lo, hi) == oracles.interval_eval(p, boxes)
-    assert type(lo) is Fraction and type(hi) is Fraction and lo <= hi
+    lo, hi, scale = _interval_eval(p, [_integer_box(b) for b in boxes])
+    assert all(type(x) is int for x in (lo, hi, scale)) and scale > 0
+    assert (Fraction(lo, scale), Fraction(hi, scale)) == oracles.interval_eval(p, boxes)
+    assert lo <= hi
+
+
+def _integer_box(box):
+    """(lo, hi) as (a, b, d) with lo = a/d and hi = b/d, over the product
+    of the two denominators, not the least common one: enclosures share
+    a denominator that need not be the least."""
+    lo, hi = box
+    d = lo.denominator * hi.denominator
+    return lo.numerator * hi.denominator, hi.numerator * lo.denominator, d
 
 
 def test_interval_eval_over_even_powers_across_zero():
     # x1^2 over [-1/2, 1/3] is [0, 1/4]; x2^3 over [-2/3, 1/5] keeps its ends
     p = parse_poly("x1^2-x2^3")
     boxes = [(Fraction(-1, 2), Fraction(1, 3)), (Fraction(-2, 3), Fraction(1, 5))]
-    assert _interval_eval(p, boxes) == (Fraction(-1, 125), Fraction(1, 4) + Fraction(8, 27))
-    assert _interval_eval(p, boxes) == oracles.interval_eval(p, boxes)
+    lo, hi, scale = _interval_eval(p, [_integer_box(b) for b in boxes])
+    bounds = (Fraction(lo, scale), Fraction(hi, scale))
+    assert bounds == (Fraction(-1, 125), Fraction(1, 4) + Fraction(8, 27))
+    assert bounds == oracles.interval_eval(p, boxes)
 
 
 @st.composite
@@ -99,7 +112,8 @@ def _definition_and_point(draw):
 @given(_definition_and_point())
 def test_usign_matches_fraction_horner(case):
     c, x = case
-    assert _usign(c, x) == oracles.usign(list(c), x)
+    a, b = x.numerator, x.denominator
+    assert _usign(c, a, b) == _usign(c, 3 * a, 3 * b) == oracles.usign(list(c), x)
 
 
 @st.composite
@@ -116,6 +130,8 @@ def test_eval_rational_matches_fraction_sum(case):
     v = p.eval_rational(point)
     assert v == oracles.eval_rational(p, point)
     assert type(v) is Fraction
+    total, scale = p._eval_scaled(point)
+    assert scale > 0 and Fraction(total, scale) == v
 
 
 def test_eval_rational_of_constants_and_zero():

@@ -182,6 +182,16 @@ def test_realalg_text_roundtrip():
         assert back.compare(v) == 0
 
 
+def test_realalg_from_text_reads_ascii_only():
+    """int and Fraction read the digits of every script; the text form is
+    ASCII, so other digits are refused (here Arabic-Indic 1, 2 and 3)."""
+    assert realalg_from_text("(root x1^2-2 2)") == isolate_real_roots(parse_poly("x1^2-2"))[1]
+    assert realalg_from_text(" 1/3 ") == RealAlg.rational(Fraction(1, 3))
+    for text in ("(root x1^2-2 \u0662)", "\u0661/\u0663", "(root x1^\u0662-2 2)"):
+        with pytest.raises(ValueError):
+            realalg_from_text(text)
+
+
 def test_text_and_hash_survive_refinement_and_copies():
     """Text and hash are kept on the value and depend only on the
     definition and the canonical index; hash(a) == hash(a.key()) is what
