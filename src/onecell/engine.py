@@ -87,7 +87,7 @@ def _close_base_level(Q: PropertySet, rep: Representation, s: Sample,
 
 def construct_interval(i: int, Q: PropertySet, s: Sample, cfg: HeuristicConfig,
                        stats: RunStats, top: bool) -> SymbolicInterval:
-    ctx0 = RuleCtx(s, i, stats)
+    ctx0 = RuleCtx(s, stats)
     # everything provable from the sample alone
     _drain(Q, i, ctx0, max_tier=SAMPLE_ONLY_TIER)
 
@@ -100,7 +100,7 @@ def construct_interval(i: int, Q: PropertySet, s: Sample, cfg: HeuristicConfig,
         i,
         inject_connectedness=not (top and cfg.relax_top_connectedness),
     )
-    ctx = RuleCtx(s, i, stats, rep.interval, rep.ordering, rep.eq_set)
+    ctx = RuleCtx(s, stats, rep.interval, rep.ordering, rep.eq_set)
     if i > 1:
         _drain(Q, i, ctx)
     else:
@@ -148,7 +148,7 @@ def run_levels(
             intervals[i - 1] = construct_interval(i, Q, sample, cfg, stats, top=(i == n))
         # delineability and non-nullification of level-1 polynomials
         # hold over the zero-dimensional base
-        _drain(Q, 0, RuleCtx(sample, 0, stats))
+        _drain(Q, 0, RuleCtx(sample, stats))
     except ConstructionFailed as exc:
         return Fail(exc.reason)
     cell = CellDescription(intervals)

@@ -70,6 +70,7 @@ only: root finding never asks it at a candidate root.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -258,10 +259,6 @@ class RealAlg:
         out._text, out._hash = self._text, self._hash
         return out
 
-    def refine_below(self, width: Fraction) -> None:
-        while (self._box[1] - self._box[0]) * width.denominator > width.numerator * self._box[2]:
-            self.refine()
-
     def key(self):
         """Canonical identity: hashable, stable under refinement."""
         if self._rat is not None:
@@ -271,13 +268,6 @@ class RealAlg:
     def canonical_index(self) -> int:
         """1-based position among the real roots of the defining polynomial."""
         return self._index
-
-    def approx(self) -> float:
-        if self._rat is not None:
-            return float(self._rat)
-        self.refine_below(Fraction(1, 1 << 30))
-        a, b, d = self._box
-        return (a + b) / (d << 1)
 
     # -- comparison ---------------------------------------------------
 
@@ -317,9 +307,11 @@ class RealAlg:
         return self._hash
 
     def __repr__(self) -> str:
+        """The text and the enclosure as it stands: refines nothing."""
         if self._rat is not None:
             return f"RealAlg({self._rat})"
-        return f"RealAlg({realalg_to_text(self)}~{self.approx():.4g})"
+        lo, hi = self.enclosure()
+        return f"RealAlg({realalg_to_text(self)} in ({lo}, {hi}))"
 
 
 def separate(lo: RealAlg, hi: RealAlg) -> tuple[Fraction, Fraction]:
@@ -792,4 +784,22 @@ def realalg_from_text(text: str) -> RealAlg:
         if not 1 <= k <= len(roots):
             raise ValueError(f"root index {k} out of range for {body}")
         return roots[k - 1]
-    return RealAlg.rational(Fraction(text))
+    return RealAlg.rational(rational_from_text(text))
+
+
+# ASCII only: \d would match other scripts' digits, which Fraction reads
+_NUMERAL = re.compile(r"[+-]?(\d+(/\d+)?|\d+\.\d*|\.\d+)", re.ASCII)
+
+
+def rational_from_text(text: str) -> Fraction:
+    """The value of a numeral: an optional sign, then digits with an
+    optional /digits, or a decimal.  Anything else raises ValueError
+    before any big-integer work, and so does a zero denominator; that
+    includes the exponents and `_` separators `Fraction` reads, on which
+    it can spend unbounded time (1e20000000)."""
+    if not _NUMERAL.fullmatch(text):
+        raise ValueError(f"not a numeral: {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None

@@ -152,13 +152,12 @@ class PropertySet:
 
 @dataclass(frozen=True)
 class RuleCtx:
-    """Everything a rule instance may depend on at construction level
-    `level`: the sample, and (after the representation has been chosen)
+    """Everything a rule instance may depend on at its construction
+    level: the sample, and (after the representation has been chosen)
     the interval, ordering, and the polynomials earmarked for the
     equational projection."""
 
     s: Sample
-    level: int
     stats: RunStats
     interval: Optional[SymbolicInterval] = None
     ordering: Optional[RootOrdering] = None

@@ -30,7 +30,10 @@ simplest rational), and representation choice by pairwise comparison
 of exact values (the library compares the integer ranks of one sort),
 and the rule engine's picks by scanning every pending property and ranking
 every rule instance (the library reads the top of a heap and takes a
-sole instance directly).  Keeping both routes alive is what makes the
+sole instance directly), and the SMT-LIB reader by a walk over the
+characters and then a second pass over the tokens, with decimal
+literals read digit by digit (the library reads the text in one pass
+over one pattern, and its literals with `Fraction`).  Keeping both routes alive is what makes the
 algebra tests meaningful.  The module also holds the structural checks
 on a chosen representation (`representation_is_valid`,
 `ordering_matches`), which only tests use.
@@ -80,6 +83,7 @@ from onecell.realalg import (
     sorted_distinct,
 )
 from onecell.rules import Choice, ConstructionFailed, rule_choices
+from onecell.smtlib import ParseError, _Tok
 
 
 # ---------------------------------------------------------------------------
@@ -1194,3 +1198,80 @@ def ranked_apply_pre(Q, q, ctx) -> None:
     for kind, poly in chosen.introduced:
         ctx.stats.add(kind, poly)
     Q.derive(q, chosen.antecedents, chosen.rule)
+
+
+# ---------------------------------------------------------------------------
+# the SMT-LIB reader
+
+
+def tokenize_by_characters(text: str) -> list[_Tok]:
+    """The tokens of `text` by a walk over its characters, counting the
+    line and the column as it goes."""
+    toks: list[_Tok] = []
+    line, col = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif ch in " \t\r":
+            col += 1
+            i += 1
+        elif ch == ";":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+        elif ch in "()":
+            toks.append(_Tok(ch, line, col))
+            col += 1
+            i += 1
+        else:
+            j = i
+            while j < len(text) and text[j] not in " \t\r\n();":
+                j += 1
+            toks.append(_Tok(text[i:j], line, col))
+            col += j - i
+            i = j
+    return toks
+
+
+def read_tokens(toks: list[_Tok]) -> list:
+    """The top-level lists of a token stream, each starting with its
+    opening parenthesis token; ParseError on an unbalanced parenthesis
+    or a token outside any list."""
+    nodes: list = []
+    stack: list[list] = []
+    for t in toks:
+        if t.text == "(":
+            new: list = [t]
+            if stack:
+                stack[-1].append(new)
+            else:
+                nodes.append(new)
+            stack.append(new)
+        elif t.text == ")":
+            if not stack:
+                raise ParseError("unbalanced ')'", t.line, t.col)
+            stack.pop()
+        else:
+            if stack:
+                stack[-1].append(t)
+            else:
+                raise ParseError(f"unexpected token {t.text!r}", t.line, t.col)
+    if stack:
+        t = stack[-1][0]
+        raise ParseError("unbalanced '('", t.line, t.col)
+    return nodes
+
+
+def decimal_literal(text: str) -> Fraction:
+    """The value of -?digits[.digits] (either side of the point may be
+    empty), digit by digit."""
+    if "." in text:
+        whole, frac = text.split(".", 1)
+        sign = -1 if whole.startswith("-") else 1
+        whole = whole.lstrip("-")
+        num = int(whole or "0") * 10 ** len(frac) + int(frac or "0")
+        return Fraction(sign * num, 10 ** len(frac))
+    return Fraction(int(text))

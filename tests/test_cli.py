@@ -4,6 +4,8 @@ import pytest
 
 from onecell.cli import main
 
+from conftest import within_seconds
+
 
 RUNNING = """\
 (set-logic QF_NRA)
@@ -125,9 +127,12 @@ def test_explain_nullified_exit_code(nullified_file, capsys):
 
 
 def test_bad_sample_coordinate_exit_code(nullified_file, capsys):
-    # "٠,١,٢": Arabic-Indic digits, which Fraction would read as 0, 1, 2
-    for sample in ("0,abc,1", "\u0660,\u0661,\u0662"):
-        code = main(["cell", nullified_file, "--sample", sample])
+    # "٠,١,٢": Arabic-Indic digits, which Fraction would read as 0, 1, 2;
+    # it also reads "1e3" as 1000 and "1_0" as 10, and spends unbounded
+    # time on a large exponent
+    for sample in ("0,abc,1", "\u0660,\u0661,\u0662", "1e3,0,0", "1_0,0,0",
+                   "1e20000000,0,0"):
+        code = within_seconds(2, lambda: main(["cell", nullified_file, "--sample", sample]))
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: bad sample coordinate: ")

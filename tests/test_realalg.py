@@ -12,6 +12,7 @@ from onecell.realalg import (
     RealAlg,
     Sample,
     isolate_real_roots,
+    rational_from_text,
     realalg_from_text,
     realalg_to_text,
     roots_in_extension,
@@ -184,12 +185,38 @@ def test_realalg_text_roundtrip():
 
 def test_realalg_from_text_reads_ascii_only():
     """int and Fraction read the digits of every script; the text form is
-    ASCII, so other digits are refused (here Arabic-Indic 1, 2 and 3)."""
+    ASCII, so other digits are refused (here Arabic-Indic 1, 2 and 3).
+    Fraction also reads exponents and `_` separators, and raises
+    ZeroDivisionError on 1/0: all three are ValueErrors here."""
     assert realalg_from_text("(root x1^2-2 2)") == isolate_real_roots(parse_poly("x1^2-2"))[1]
     assert realalg_from_text(" 1/3 ") == RealAlg.rational(Fraction(1, 3))
-    for text in ("(root x1^2-2 \u0662)", "\u0661/\u0663", "(root x1^\u0662-2 2)"):
+    for text in ("(root x1^2-2 \u0662)", "\u0661/\u0663", "(root x1^\u0662-2 2)",
+                 "1e3", "1_0", "1/0"):
         with pytest.raises(ValueError):
             realalg_from_text(text)
+
+
+def test_rational_from_text_reads_numerals_only():
+    """An optional sign, then digits with an optional /digits, or a
+    decimal; anything else is refused before any big-integer work."""
+    for text, value in (("-3", -3), ("+1/2", Fraction(1, 2)), ("-.5", Fraction(-1, 2)),
+                        ("3.", 3), ("0.125", Fraction(1, 8)), ("007/014", Fraction(1, 2))):
+        assert rational_from_text(text) == value, text
+    for text in ("1e3", "1_0", "1/0", "-1/00", "1/-2", "1.5/2", "--1", ".", "", " 1",
+                 "\u0661", "inf", "0x10"):
+        with pytest.raises(ValueError):
+            rational_from_text(text)
+    within_seconds(2, lambda: pytest.raises(ValueError, rational_from_text, "1e20000000"))
+
+
+def test_repr_refines_nothing():
+    """repr shows the text and the enclosure as it stands; printing a
+    cached root must not narrow the shared value."""
+    r = isolate_real_roots(parse_poly("x1^2-2"))[1]
+    lo, hi = r.enclosure()
+    assert repr(r) == f"RealAlg((root x1^2-2 2) in ({lo}, {hi}))"
+    assert r.enclosure() == (lo, hi)
+    assert repr(RealAlg.rational(Fraction(-7, 3))) == "RealAlg(-7/3)"
 
 
 def test_text_and_hash_survive_refinement_and_copies():
@@ -203,10 +230,10 @@ def test_text_and_hash_survive_refinement_and_copies():
         early = a.canonical_copy()  # copied before anything is kept
         text, h = realalg_to_text(a), hash(a)
         assert h == hash(a.key())
-        a.refine()
-        a.refine_below(Fraction(1, 1000))
-        a.approx()
-        early.refine_below(Fraction(1, 10**6))
+        for _ in range(32):
+            a.refine()
+        for _ in range(20):
+            early.refine()
         for b in (a, a.canonical_copy(), early, early.canonical_copy()):
             assert realalg_to_text(b) == text
             assert hash(b) == h == hash(b.key())

@@ -95,7 +95,7 @@ def test_interval_rules_run_with_the_interval_of_their_level(monkeypatch):
         def wrapper(q, ctx):
             if kind is not SgnInv or is_whole(q.p):
                 assert ctx.interval is not None, q.text()
-                assert ctx.level == q.level, q.text()
+                assert ctx.interval.level == q.level, q.text()
                 reached[kind] += 1
             return choices(q, ctx)
         return wrapper

@@ -3,9 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from onecell.polynomial import parse_poly
-from onecell.smtlib import ParseError, parse_problem
+from onecell.smtlib import ParseError, _is_rational, _read_all, parse_problem
+
+from oracles import decimal_literal, read_tokens, tokenize_by_characters
 
 
 GOOD = """\
@@ -161,3 +164,47 @@ def test_nesting_limit():
     assert parse_problem(_nested_sum(50)).constraints[0].poly == parse_poly("x1")
     err = _err(_nested_sum(1000))
     assert "nested deeper" in str(err)
+
+
+# parentheses, comments, separators, other whitespace and non-ASCII
+# characters, which the reader keeps inside tokens, and problem words
+_PIECES = ["(", ")", "(", ")", ";", "; c", " ", "  ", "\t", "\r", "\n", "\r\n", "\f",
+           "\v", "\u00a0", "\u0661", "\u00e9", "x", "-", ".", "1", "2.5", "-3",
+           "assert", "declare-const", "Real", "+", "*", "/"]
+
+
+def _outcome(read):
+    """The nodes as nested (text, line, column), or the ParseError."""
+    def view(nodes):
+        return [view(n) if isinstance(n, list) else (n.text, n.line, n.col) for n in nodes]
+
+    try:
+        return view(read())
+    except ParseError as err:
+        return ("ParseError", str(err), err.line, err.col)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join))
+def test_reader_matches_the_two_pass_reference(text):
+    assert _outcome(lambda: _read_all(text)) == _outcome(
+        lambda: read_tokens(tokenize_by_characters(text)))
+
+
+@pytest.mark.parametrize("text", [
+    "(a\r(b)\tc)\n  (d\r\n e) ; (\n(f)",
+    "(x\fy \u00e9)\n)",
+    "\n\n  ((a) b",
+    "(a) tok",
+])
+def test_reader_keeps_positions(text):
+    assert _outcome(lambda: _read_all(text)) == _outcome(
+        lambda: read_tokens(tokenize_by_characters(text)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.from_regex(r"-?[0-9]{0,6}\.?[0-9]{0,6}", fullmatch=True)
+       | st.text(alphabet="0123456789.-+_e/ \u0661", max_size=12))
+def test_literals_read_by_fraction_match_digit_by_digit(text):
+    if _is_rational(text):
+        assert Fraction(text) == decimal_literal(text)
