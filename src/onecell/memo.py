@@ -3,9 +3,12 @@
 Six functions keep results that later calls are likely to ask for
 again, each in one table here:
 
-- `FACTOR`: `polynomial.factor`, keyed on (p, mode); a ``finest`` call
-  also fills the entries of its outputs, and `properties.is_whole`
-  reads its answer from the ``squarefree`` entry
+- `FACTOR`: `polynomial.factor`, keyed on (p, mode), and the univariate
+  kernel `polynomial.factor_dense`, keyed on (c, mode) for an integer
+  coefficient tuple c, which `factor` calls for univariate p and root
+  isolation calls directly; a ``finest`` call of either also fills the
+  entries of its outputs, and `properties.is_whole` reads its answer
+  from the ``squarefree`` entry
 - `RESULTANT`: `polynomial.resultant`, keyed on (p, q, v) as given
 - `DISCRIMINANT`: `polynomial.discriminant`, keyed on (p, v)
 - `PSC`: `polynomial.subresultant_coefficients`, keyed on (p, v); the

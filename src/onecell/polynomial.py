@@ -32,14 +32,16 @@ and factorization (irreducible or square-free), each kept in its
 univariate polynomial that root isolation and the exact zero tests work
 on.
 
-`factor` is the package's one boundary to sympy: linear and univariate
-quadratic input has closed forms, input of any degree can be proved
-irreducible by a degree-pattern certificate (distinct-degree
-factorizations of images modulo small primes, on ints), and everything
-else goes to sympy's dense factorization over ZZ (`sympy.polys`
-submodules only), on the integer-primitive term map in the variables
-that occur.  Nothing else in the package imports sympy; univariate root
-isolation factors through `factor` too.
+`factor` is the package's one boundary to sympy: linear input has a
+closed form, univariate input goes to `factor_dense`, the one
+univariate kernel, on integer coefficient tuples (the quadratic closed
+form too), input of any degree can be proved irreducible by a
+degree-pattern certificate (distinct-degree factorizations of images
+modulo small primes, on ints), and everything else goes to sympy's
+dense factorization over ZZ (`sympy.polys` submodules only), on the
+integer-primitive term map in the variables that occur.  Nothing else
+in the package imports sympy; univariate root isolation calls
+`factor_dense` on the tuple it works on.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ from typing import Sequence
 
 from sympy.polys.densebasic import dmp_from_dict, dmp_to_dict
 from sympy.polys.domains import ZZ
-from sympy.polys.factortools import dmp_factor_list
-from sympy.polys.sqfreetools import dmp_sqf_list
+from sympy.polys.factortools import dmp_factor_list, dup_factor_list
+from sympy.polys.sqfreetools import dmp_sqf_list, dup_sqf_list
 
 from . import memo
 
@@ -659,18 +661,33 @@ def dense(p: MPoly, v: Var) -> tuple[int, ...]:
     return tuple(_rows(_primitive_part(p)[1], v, p.degree(v))[()])
 
 
+def _primitive(c: Sequence[int]) -> tuple[int, ...]:
+    """The nonzero integer coefficient list c (index = degree) over its
+    content, signed so that its leading coefficient is positive."""
+    g = math.gcd(*c)
+    if c[-1] < 0:
+        g = -g
+    return tuple(x // g for x in c)
+
+
+def _upoly(c: Sequence[int], v: Var) -> MPoly:
+    """The polynomial sum c[k] * x_v^k of integers, unvalidated."""
+    return MPoly._canonical(
+        {_trim((0,) * (v - 1) + (k,)): x for k, x in enumerate(c) if x}
+    )
+
+
 def factor(p: MPoly, mode: str = "finest") -> list[tuple[MPoly, int]]:
     """Factor p into normalized irreducible (``finest``) or square-free
     pairwise-coprime (``squarefree``) factors with multiplicities.
 
     The product of factors^multiplicities equals p up to a nonzero
     rational constant.  Constant input yields an empty list.  A linear
-    p is irreducible, and a univariate quadratic a*x^2 + b*x + c splits
-    as 4a*p = (2a*x + b - r)(2a*x + b + r) exactly when its discriminant
-    b^2 - 4ac is a square r^2.  In ``finest`` mode the degree-pattern
-    certificate `_irreducible_by_degrees` may then prove p irreducible,
-    in any degree.  Everything else goes to sympy's dense factorization
-    over ZZ, on the integer-primitive p in the variables that occur, in
+    p is irreducible, and a univariate p goes to `factor_dense`.  In
+    ``finest`` mode the degree-pattern certificate
+    `_irreducible_by_degrees` may then prove p irreducible, in any
+    degree.  Everything else goes to sympy's dense factorization over
+    ZZ, on the integer-primitive p in the variables that occur, in
     their order: the input the certificate refuses (all reducible input,
     and irreducible input such as x^4 + 1 that splits modulo every
     prime) costs it at most `CERTIFICATE_BUDGET` reductions first.
@@ -680,16 +697,52 @@ def factor(p: MPoly, mode: str = "finest") -> list[tuple[MPoly, int]]:
     """
     if mode not in ("finest", "squarefree"):
         raise ValueError(f"unknown factor mode: {mode}")
-    return list(memo.FACTOR.fetch((p, mode), _factor_recorded, p, mode))
+    return list(memo.FACTOR.fetch((p, mode), _recorded, _factor, p, mode))
 
 
-def _factor_recorded(p: MPoly, mode: str) -> list[tuple[MPoly, int]]:
-    out = _factor(p, mode)
+def factor_dense(c: tuple[int, ...], mode: str = "finest") -> list[tuple[tuple[int, ...], int]]:
+    """`factor` of the univariate integer-primitive c (index = degree)
+    with a positive leading coefficient: its factors as such tuples,
+    ordered as `factor` orders their polynomials.  A quadratic
+    a*x^2 + b*x + k splits as 4a*p = (2a*x + b - r)(2a*x + b + r)
+    exactly when its discriminant b^2 - 4ak is a square r^2; above
+    degree 2 the certificate comes first in ``finest`` mode, then
+    sympy's `dup_factor_list` or `dup_sqf_list`.  Kept in `memo.FACTOR`
+    under (c, mode) and recorded as `factor` records."""
+    return list(memo.FACTOR.fetch((c, mode), _recorded, _factor_dense, c, mode))
+
+
+def _recorded(compute, x, mode: str) -> list:
+    """compute(x, mode); each factor f of a ``finest`` answer is
+    irreducible, so [(f, 1)] is recorded as its answer in both modes."""
+    out = compute(x, mode)
     if mode == "finest":
         for f, _ in out:
             for m in ("finest", "squarefree"):
                 memo.FACTOR.fetch((f, m), list, [(f, 1)])
     return out
+
+
+def _factor_dense(c: tuple[int, ...], mode: str) -> list[tuple[tuple[int, ...], int]]:
+    n = len(c) - 1
+    if n == 2:
+        k, b, a = c
+        disc = b * b - 4 * a * k
+        r = math.isqrt(disc) if disc >= 0 else -1
+        if not disc:
+            return [(_primitive((b, 2 * a)), 2)]
+        if r * r != disc or mode == "squarefree":
+            return [(c, 1)]  # irreducible, or square-free as it stands
+        pairs = [(_primitive((b - r, 2 * a)), 1), (_primitive((b + r, 2 * a)), 1)]
+    elif n < 2 or mode == "finest" and _irreducible_by_degrees(
+            {(k,): x for k, x in enumerate(c) if x}, [1]):
+        return [(c, 1)] if n else []
+    else:
+        split = dup_factor_list if mode == "finest" else dup_sqf_list
+        _, fs = split(list(reversed(c)), ZZ)
+        # ZZ may be gmpy2's mpz or flint's fmpz
+        pairs = [(_primitive([int(k) for k in reversed(f)]), m) for f, m in fs if len(f) > 1]
+    return sorted(pairs, key=lambda fm: _upoly(fm[0], 1).sort_key())
 
 
 def _factor(p: MPoly, mode: str) -> list[tuple[MPoly, int]]:
@@ -700,18 +753,11 @@ def _factor(p: MPoly, mode: str) -> list[tuple[MPoly, int]]:
     if p.total_degree() == 1:
         return [(normalize(p), 1)]
     vs = sorted(p.variables())
-    _, P = _primitive_part(p)
-    if len(vs) == 1 and p.total_degree() == 2:
+    if len(vs) == 1:
         v = vs[0]
-        c, b, a = _rows(P, v, 2)[()]
-        disc = b * b - 4 * a * c
-        r = math.isqrt(disc) if disc >= 0 else -1
-        if r * r != disc or (r and mode == "squarefree"):
-            pairs = [(p, 1)]  # irreducible, or square-free as it stands
-        else:
-            x = MPoly.var(v).scale(2 * a)
-            pairs = [(x + b, 2)] if r == 0 else [(x + (b - r), 1), (x + (b + r), 1)]
-    elif mode == "finest" and _irreducible_by_degrees(P, vs):
+        return [(_upoly(f, v), m) for f, m in factor_dense(_primitive(dense(p, v)), mode)]
+    _, P = _primitive_part(p)
+    if mode == "finest" and _irreducible_by_degrees(P, vs):
         pairs = [(p, 1)]
     else:
         u = len(vs) - 1

@@ -24,13 +24,15 @@ decisions), `sorted_distinct` for sorted values without duplicates,
 `simplest_between` for the simplest rational inside such a gap,
 `line_samples` for one point of every region of the line cut at given
 values (the sweep behind both the solver's candidates and
-`explain.check_conflict`), and `_upoly`, the polynomial of a
-definition's coefficients; the other way, every integer-primitive
-coefficient tuple comes from `polynomial.dense`.
+`explain.check_conflict`); a definition's polynomial is
+`polynomial._upoly` of its coefficients, and the other way, the
+integer-primitive coefficient tuple of a polynomial comes from
+`polynomial.dense`.
 
-Root isolation factors through `polynomial.factor`, the package's one
-boundary to sympy (closed forms up to degree 2, sympy's dense integer
-factorization above), and bisects each irreducible factor driven by
+Root isolation works on integer coefficient tuples (`_real_roots`): it
+factors through `polynomial.factor_dense`, the package's one univariate
+factor kernel, which `RealAlg.algebraic` asks about irreducibility too,
+and bisects each irreducible factor driven by
 Descartes' rule of signs on integer coefficients: the Cauchy-bound
 interval is mapped onto (0, 1) once, and each half gets its polynomial
 from its parent's by a power-of-2 scaling and a Taylor shift by 1, all
@@ -40,7 +42,9 @@ intervals of a definition are computed once and kept in
 `memo.CANONICAL` (a bounded table; a dropped entry is bisected again
 to the same intervals): they fix which root `canonical_index` names,
 every isolated root starts out with its own canonical interval and
-index, and `RealAlg.algebraic` finds its root's index among them.  For
+index, and `RealAlg.algebraic` finds its root's index among them.  Over
+a rational prefix, the empty one too, the tuple is that of p's
+coefficients evaluated on integers: no polynomial is built.  For
 sample points with irrational coordinates, root finding
 eliminates each algebraic coordinate through resultants with its
 defining polynomial, producing a rational candidate polynomial whose
@@ -77,20 +81,20 @@ from typing import Iterable, Sequence
 from . import memo
 from .polynomial import (
     MPoly,
-    Var,
     coeff_info,
     dense,
     discriminant,
     exact_div,
-    factor,
+    factor_dense,
     normalize,
     parse_poly,
     poly_to_str,
     resultant,
     subresultant_coefficients,
     _prem,
+    _primitive,
     _rational,
-    _trim,
+    _upoly,
 )
 
 
@@ -148,14 +152,6 @@ def _variations(c: Sequence[int]) -> int:
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
-def _upoly(c: Sequence[int], v: Var) -> MPoly:
-    """The polynomial sum c[k] * x_v^k of integer coefficients (a
-    definition), built as it is stored, without validation."""
-    return MPoly._canonical(
-        {_trim((0,) * (v - 1) + (k,)): x for k, x in enumerate(c) if x}
-    )
-
-
 # ---------------------------------------------------------------------------
 # RealAlg
 
@@ -196,11 +192,12 @@ class RealAlg:
         polynomial is stored integer-primitive with a positive leading
         coefficient."""
         p = normalize(MPoly({(k,): x for k, x in enumerate(defining)}))
-        if p.degree(1) < 2 or [m for _, m in factor(p)] != [1]:
+        c = dense(p, 1) if p.degree(1) >= 2 else None
+        if c is None or factor_dense(c) != [(c, 1)]:
             raise ValueError(
                 "the defining polynomial must be irreducible of degree >= 2"
             )
-        c, lo, hi = dense(p, 1), _rational(lo), _rational(hi)
+        lo, hi = _rational(lo), _rational(hi)
         a, b = RealAlg.rational(lo), RealAlg.rational(hi)
         inside = [r for r in _isolate_irreducible(c) if a < r < b]
         if len(inside) != 1:
@@ -476,22 +473,27 @@ def _isolate_irreducible(c: tuple[int, ...]) -> list[RealAlg]:
 
 
 def isolate_real_roots(p: MPoly) -> list[RealAlg]:
-    """Sorted distinct real roots of a univariate polynomial: a rational
-    for each linear irreducible factor, and the bisected roots of the
-    others."""
+    """Sorted distinct real roots of a univariate polynomial: those of
+    its coefficient tuple (`_real_roots`)."""
     if p.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
     if len(p.variables()) > 1:
         raise ValueError(f"{p} is not univariate")
     if p.is_constant():
         return []
+    return _real_roots(_primitive(dense(p, p.level)))
+
+
+def _real_roots(c: tuple[int, ...]) -> list[RealAlg]:
+    """Sorted distinct real roots of the integer-primitive c with a
+    positive leading coefficient: a rational for each linear irreducible
+    factor, and the bisected roots of the others."""
     roots: list[RealAlg] = []
-    for f, _m in factor(p):
-        fc = dense(f, p.level)
-        if len(fc) == 2:
-            roots.append(RealAlg.rational(Fraction(-fc[0], fc[1])))
+    for f, _m in factor_dense(c):
+        if len(f) == 2:
+            roots.append(RealAlg.rational(Fraction(-f[0], f[1])))
         else:
-            roots.extend(_isolate_irreducible(fc))
+            roots.extend(_isolate_irreducible(f))
     roots.sort()
     return roots
 
@@ -650,26 +652,35 @@ def roots_in_extension(p: MPoly, s: Sample):
     has length i - 1; NULLIFIED when the specialization is identically
     zero.
 
-    p is first truncated to e, its degree at s, read off the signs of its
-    coefficients in x_i from the top down.  Over an irrational s the
-    roots are counted (`_root_count`), and the candidates
-    (`_candidate_poly`) at which the interval value of p over the
-    enclosures excludes 0 are dropped, refining p's irrational
-    coordinates and the candidates between rounds, until that many
-    remain.  A root is never dropped, so fewer than counted raises
-    RuntimeError."""
+    Over a rational s each coefficient of p in x_i is evaluated once,
+    on integers; the values up to the last nonzero one, over one
+    denominator, are the coefficients of p(s, x_i).  Otherwise p is
+    first truncated to e, its degree at s, read off the signs of its
+    coefficients in x_i from the top down.  The roots are counted
+    (`_root_count`), and the candidates (`_candidate_poly`) at which the
+    interval value of p over the enclosures excludes 0 are dropped,
+    refining p's irrational coordinates and the candidates between
+    rounds, until that many remain.  A root is never dropped, so fewer
+    than counted raises RuntimeError."""
     i = p.level
     if i != len(s) + 1:
         raise ValueError("level(p) must be len(s) + 1")
     _, _, coeffs = coeff_info(p, i)
+    if s.all_rational():
+        point = [c._rat for c in s]
+        values = [q._eval_scaled(point) for q in coeffs]
+        while values and not values[-1][0]:
+            values.pop()
+        if not values:
+            return NULLIFIED
+        den = math.lcm(*(d for _, d in values))
+        return _real_roots(_primitive([t * (den // d) for t, d in values]))
     e = next((k for k in range(len(coeffs) - 1, -1, -1) if sign_at(coeffs[k], s)), None)
     if e is None:
         return NULLIFIED
     if e < len(coeffs) - 1:
         p = MPoly._canonical({m: c for m, c in p._terms.items()
                               if len(m) < i or m[i - 1] <= e})
-    if s.all_rational():
-        return isolate_real_roots(_candidate_poly(p, s))
     k = _root_count(p, e, s)
     if not k:
         return []
@@ -778,6 +789,8 @@ def realalg_from_text(text: str) -> RealAlg:
             raise ValueError(f"bad real algebraic literal: {text}")
         inner = inner[:-1].strip()
         body, _, idx = inner.rpartition(" ")
+        if not _INDEX.fullmatch(idx):
+            raise ValueError(f"bad root index: {idx!r}")
         poly = parse_poly(body)
         roots = isolate_real_roots(poly)
         k = int(idx)
@@ -787,8 +800,11 @@ def realalg_from_text(text: str) -> RealAlg:
     return RealAlg.rational(rational_from_text(text))
 
 
-# ASCII only: \d would match other scripts' digits, which Fraction reads
+# ASCII only: \d would match other scripts' digits, which Fraction reads;
+# a root index is digits alone, where int would also read a sign, `_`
+# separators and spaces around them
 _NUMERAL = re.compile(r"[+-]?(\d+(/\d+)?|\d+\.\d*|\.\d+)", re.ASCII)
+_INDEX = re.compile(r"\d+", re.ASCII)
 
 
 def rational_from_text(text: str) -> Fraction:

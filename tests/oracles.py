@@ -24,7 +24,11 @@ fraction on four integers), zero tests at algebraic
 points via sympy's minimal polynomials, and by elimination with a
 refinement loop of its own on copies of the coordinates (the library
 refines only in `sign_at`'s loop), roots over a sample by one zero test
-per candidate root (the library counts the roots first), conflict
+per candidate root (the library counts the roots first), roots over a
+rational prefix by substitution into a new `MPoly` and its
+factorization through the term-map `factor` with its own quadratic
+closed form (the library evaluates the coefficients on integers and
+factors the coefficient tuple with one univariate kernel), conflict
 checks by the midpoint sweep (the library samples every gap at its
 simplest rational), and representation choice by pairwise comparison
 of exact values (the library compares the integer ranks of one sort),
@@ -43,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -56,11 +61,20 @@ from onecell.cells import (
 from onecell.config import HeuristicConfig
 from onecell.explain import Constraint, constraint_satisfied
 from onecell.heuristics import Representation, roots_with_values
+from sympy.polys.densebasic import dmp_from_dict, dmp_to_dict
+from sympy.polys.domains import ZZ
+from sympy.polys.factortools import dmp_factor_list
+from sympy.polys.sqfreetools import dmp_sqf_list
+
 from onecell.polynomial import (
     MPoly,
     Var,
     _interpolate,
+    _irreducible_by_degrees,
+    _primitive_part,
+    _rows,
     _ures,
+    coeff_info,
     dense,
     exact_div,
     normalize,
@@ -75,6 +89,7 @@ from onecell.realalg import (
     Sample,
     _candidate_poly,
     _cauchy_bound,
+    _isolate_irreducible,
     _rational_part,
     isolate_real_roots,
     roots_in_extension,
@@ -386,6 +401,89 @@ def sympy_poly_factor(p: MPoly, mode: str = "finest") -> list[tuple[MPoly, int]]
             out.append((g, int(m)))
     out.sort(key=lambda fm: fm[0].sort_key())
     return out
+
+
+# ---------------------------------------------------------------------------
+# roots over a rational prefix by substitution and the term-map factor:
+# the library's route before it evaluated the coefficients on integers and
+# factored the coefficient tuple (`polynomial.factor_dense`)
+
+
+def term_map_factor(p: MPoly, mode: str = "finest") -> list[tuple[MPoly, int]]:
+    """`polynomial.factor` as it was before the univariate kernel, with
+    no memo: the univariate quadratic closed form on `MPoly`s, the
+    degree-pattern certificate, and sympy's `dmp_factor_list` or
+    `dmp_sqf_list` on the term map in the variables that occur."""
+    if p.is_zero():
+        raise ValueError("cannot factor the zero polynomial")
+    if p.is_constant():
+        return []
+    if p.total_degree() == 1:
+        return [(normalize(p), 1)]
+    vs = sorted(p.variables())
+    _, P = _primitive_part(p)
+    if len(vs) == 1 and p.total_degree() == 2:
+        v = vs[0]
+        c, b, a = _rows(P, v, 2)[()]
+        disc = b * b - 4 * a * c
+        r = math.isqrt(disc) if disc >= 0 else -1
+        if r * r != disc or (r and mode == "squarefree"):
+            pairs = [(p, 1)]  # irreducible, or square-free as it stands
+        else:
+            x = MPoly.var(v).scale(2 * a)
+            pairs = [(x + b, 2)] if r == 0 else [(x + (b - r), 1), (x + (b + r), 1)]
+    elif mode == "finest" and _irreducible_by_degrees(P, vs):
+        pairs = [(p, 1)]
+    else:
+        u = len(vs) - 1
+        rep = {tuple(e[v - 1] if len(e) >= v else 0 for v in vs): k for e, k in P.items()}
+        split = dmp_factor_list if mode == "finest" else dmp_sqf_list
+        _, fs = split(dmp_from_dict(rep, u, ZZ), u, ZZ)
+        pairs = []
+        for f, m in fs:
+            terms = {}
+            for ks, k in dmp_to_dict(f, u).items():
+                e = [0] * vs[-1]
+                for v, d in zip(vs, ks):
+                    e[v - 1] = d
+                terms[tuple(e)] = int(k)
+            pairs.append((MPoly(terms), m))
+    out = [(normalize(g), m) for g, m in pairs if not g.is_constant()]
+    out.sort(key=lambda fm: fm[0].sort_key())
+    return out
+
+
+def isolate_by_term_map_factor(p: MPoly) -> list[RealAlg]:
+    """`realalg.isolate_real_roots` through `term_map_factor`: a rational
+    for each linear factor, the bisected roots of the others, sorted."""
+    if p.is_constant():
+        return []
+    roots: list[RealAlg] = []
+    for f, _m in term_map_factor(p):
+        fc = dense(f, p.level)
+        if len(fc) == 2:
+            roots.append(RealAlg.rational(Fraction(-fc[0], fc[1])))
+        else:
+            roots.extend(_isolate_irreducible(fc))
+    roots.sort()
+    return roots
+
+
+def roots_by_substitution(p: MPoly, s: Sample):
+    """`realalg.roots_in_extension` over a rational prefix s as it was:
+    p truncated to its degree at s, read off the signs of its
+    coefficients from the top down (NULLIFIED when all vanish), then
+    the roots of p with s substituted (`_candidate_poly`), isolated
+    through `term_map_factor`."""
+    i = p.level
+    _, _, coeffs = coeff_info(p, i)
+    e = next((k for k in range(len(coeffs) - 1, -1, -1) if sign_at(coeffs[k], s)), None)
+    if e is None:
+        return NULLIFIED
+    if e < len(coeffs) - 1:
+        p = MPoly._canonical({m: c for m, c in p._terms.items()
+                              if len(m) < i or m[i - 1] <= e})
+    return isolate_by_term_map_factor(_candidate_poly(p, s))
 
 
 # ---------------------------------------------------------------------------

@@ -184,11 +184,13 @@ def _certified(p: MPoly) -> bool:
 def _check_certificate(p: MPoly) -> bool:
     """Whether the certificate holds for p; when it does, sympy finds p
     irreducible.  Either way the finest factors are those found with the
-    certificate switched off."""
+    certificate switched off.  The memo is emptied first, since a
+    univariate p is factored through the kernel's memo entry."""
     certified = not p.is_constant() and _certified(p)
     if certified:
         assert sympy_poly_factor(p, "finest") == [(normalize(p), 1)], p
     want = polynomial._factor(p, "finest")
+    memo.clear()
     with mock.patch.object(polynomial, "_irreducible_by_degrees", return_value=False):
         assert polynomial._factor(p, "finest") == want, p
     return certified
