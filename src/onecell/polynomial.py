@@ -35,13 +35,16 @@ on.
 `factor` is the package's one boundary to sympy: linear input has a
 closed form, univariate input goes to `factor_dense`, the one
 univariate kernel, on integer coefficient tuples (the quadratic closed
-form too), input of any degree can be proved irreducible by a
-degree-pattern certificate (distinct-degree factorizations of images
-modulo small primes, on ints), and everything else goes to sympy's
-dense factorization over ZZ (`sympy.polys` submodules only), on the
-integer-primitive term map in the variables that occur.  Nothing else
-in the package imports sympy; univariate root isolation calls
-`factor_dense` on the tuple it works on.
+form too), in ``finest`` mode input is deflated first (a monomial
+factor is split off, and a univariate h(x^d) with h reducible is
+factored through the factors of h; ``squarefree`` mode, whose grouping
+follows sympy's `sqf_list`, deflates nothing), input of any degree can
+be proved irreducible by a degree-pattern certificate (distinct-degree
+factorizations of images modulo small primes, on ints), and everything
+else goes to sympy's dense factorization over ZZ (`sympy.polys`
+submodules only), on the integer-primitive term map in the variables
+that occur.  Nothing else in the package imports sympy; univariate
+root isolation calls `factor_dense` on the tuple it works on.
 """
 
 from __future__ import annotations
@@ -684,13 +687,16 @@ def factor(p: MPoly, mode: str = "finest") -> list[tuple[MPoly, int]]:
     The product of factors^multiplicities equals p up to a nonzero
     rational constant.  Constant input yields an empty list.  A linear
     p is irreducible, and a univariate p goes to `factor_dense`.  In
-    ``finest`` mode the degree-pattern certificate
-    `_irreducible_by_degrees` may then prove p irreducible, in any
-    degree.  Everything else goes to sympy's dense factorization over
-    ZZ, on the integer-primitive p in the variables that occur, in
-    their order: the input the certificate refuses (all reducible input,
-    and irreducible input such as x^4 + 1 that splits modulo every
-    prime) costs it at most `CERTIFICATE_BUDGET` reductions first.
+    ``finest`` mode the monomial x1^m1 * ... * xn^mn, m_v the least
+    exponent of x_v in p, is split off, and p over it is factored; then
+    the degree-pattern certificate `_irreducible_by_degrees` may prove
+    p irreducible, in any degree.  ``squarefree`` mode, whose grouping
+    follows sympy's `sqf_list`, splits nothing off.  Everything else
+    goes to sympy's dense factorization over ZZ, on the
+    integer-primitive p in the variables that occur, in their order:
+    the input the certificate refuses (all reducible input, and
+    irreducible input such as x^4 + 1 that splits modulo every prime)
+    costs it at most `CERTIFICATE_BUDGET` reductions first.
     Results are kept in `memo.FACTOR`, and each call returns a new list.
     Each output f of a ``finest`` call is normalized and irreducible, so
     the call also records [(f, 1)] as the answer for f in both modes.
@@ -705,9 +711,12 @@ def factor_dense(c: tuple[int, ...], mode: str = "finest") -> list[tuple[tuple[i
     with a positive leading coefficient: its factors as such tuples,
     ordered as `factor` orders their polynomials.  A quadratic
     a*x^2 + b*x + k splits as 4a*p = (2a*x + b - r)(2a*x + b + r)
-    exactly when its discriminant b^2 - 4ak is a square r^2; above
-    degree 2 the certificate comes first in ``finest`` mode, then
-    sympy's `dup_factor_list` or `dup_sqf_list`.  Kept in `memo.FACTOR`
+    exactly when its discriminant b^2 - 4ak is a square r^2.  Above
+    degree 2, in ``finest`` mode, c is deflated first (`_deflated`): x^k
+    that divides c is split off, and c = h(x^d) with h reducible is
+    factored through the factors of h; otherwise the certificate comes
+    next.  Then sympy's `dup_factor_list`, or `dup_sqf_list` in
+    ``squarefree`` mode, which deflates nothing.  Kept in `memo.FACTOR`
     under (c, mode) and recorded as `factor` records."""
     return list(memo.FACTOR.fetch((c, mode), _recorded, _factor_dense, c, mode))
 
@@ -734,15 +743,41 @@ def _factor_dense(c: tuple[int, ...], mode: str) -> list[tuple[tuple[int, ...], 
         if r * r != disc or mode == "squarefree":
             return [(c, 1)]  # irreducible, or square-free as it stands
         pairs = [(_primitive((b - r, 2 * a)), 1), (_primitive((b + r, 2 * a)), 1)]
-    elif n < 2 or mode == "finest" and _irreducible_by_degrees(
-            {(k,): x for k, x in enumerate(c) if x}, [1]):
+    elif n < 2:
         return [(c, 1)] if n else []
-    else:
+    elif mode == "squarefree" or (pairs := _deflated(c)) is None:
+        if mode == "finest" and _irreducible_by_degrees(
+                {(k,): x for k, x in enumerate(c) if x}, [1]):
+            return [(c, 1)]
         split = dup_factor_list if mode == "finest" else dup_sqf_list
         _, fs = split(list(reversed(c)), ZZ)
         # ZZ may be gmpy2's mpz or flint's fmpz
         pairs = [(_primitive([int(k) for k in reversed(f)]), m) for f, m in fs if len(f) > 1]
     return sorted(pairs, key=lambda fm: _upoly(fm[0], 1).sort_key())
+
+
+def _deflated(c: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]] | None:
+    """The ``finest`` factors of c, of degree >= 3, found from a smaller
+    input, or None: x^k and the factors of c / x^k when x^k divides c;
+    else, with c = h(x^d) for the largest d > 1 at which h is reducible,
+    the factors of each f(x^d), f an irreducible factor of h of
+    multiplicity m, each taken m times.  The f(x^d) are square-free and
+    pairwise coprime (f(0) != 0), so no factor comes twice."""
+    k = next(i for i, x in enumerate(c) if x)
+    if k:
+        return [((0, 1), k)] + factor_dense(c[k:])
+    g = math.gcd(*(i for i, x in enumerate(c) if x))
+    for d in range(g, 1, -1):
+        h = c[::d]
+        if g % d or (fs := factor_dense(h)) == [(h, 1)]:
+            continue
+        pairs = []
+        for f, m in fs:
+            lifted = [0] * (d * len(f) - d + 1)
+            lifted[::d] = f
+            pairs += [(F, m * M) for F, M in factor_dense(tuple(lifted))]
+        return pairs
+    return None
 
 
 def _factor(p: MPoly, mode: str) -> list[tuple[MPoly, int]]:
@@ -757,7 +792,14 @@ def _factor(p: MPoly, mode: str) -> list[tuple[MPoly, int]]:
         v = vs[0]
         return [(_upoly(f, v), m) for f, m in factor_dense(_primitive(dense(p, v)), mode)]
     _, P = _primitive_part(p)
-    if mode == "finest" and _irreducible_by_degrees(P, vs):
+    low = ()  # in ``finest`` mode: x_v^low[v - 1] divides p
+    if mode == "finest":
+        low = [min(e[j] if j < len(e) else 0 for e in P) for j in range(vs[-1])]
+    if any(low):
+        rest = {_trim(tuple(x - y for x, y in zip(e, low))): k for e, k in P.items()}
+        pairs = [(MPoly.var(v), m) for v, m in enumerate(low, 1) if m]
+        pairs += factor(MPoly._canonical(rest))
+    elif mode == "finest" and _irreducible_by_degrees(P, vs):
         pairs = [(p, 1)]
     else:
         u = len(vs) - 1
@@ -790,8 +832,10 @@ def _irreducible_by_degrees(P: dict, vs: list[Var]) -> bool:
     """True when a degree-pattern test (Musser, "On the efficiency of a
     polynomial irreducibility test", JACM 1978) proves the
     integer-primitive term map P in the variables vs irreducible over
-    Q; False proves nothing.  It refuses at once when some x_v is a
-    proper factor of P.
+    Q; False proves nothing.  `factor` splits monomial factors off
+    before it asks, and the test refuses them by itself: x_v gives every
+    reduction of an image in v the root 0, a factor of degree 1, and
+    leaves no coefficient of a power of another variable an integer.
 
     The test takes each variable v, highest first, in which P has degree
     n >= 1 and some coefficient of a power of v is a nonzero integer.
@@ -817,8 +861,6 @@ def _irreducible_by_degrees(P: dict, vs: list[Var]) -> bool:
     irreducible factors, which are distinct when it is square-free, so
     k is a sum of some of their degrees.
     """
-    if max(map(sum, P)) > 1 and any(all(len(e) >= v and e[v - 1] for e in P) for v in vs):
-        return False  # x_v is a proper factor of P
     images, left = {}, {}  # per variable v: its images, the degrees k left
     for v in reversed(vs):
         # each term as (degree in v, total degree, coefficient)

@@ -43,12 +43,12 @@ intervals of a definition are computed once and kept in
 to the same intervals): they fix which root `canonical_index` names,
 every isolated root starts out with its own canonical interval and
 index, and `RealAlg.algebraic` finds its root's index among them.  Over
-a rational prefix, the empty one too, the tuple is that of p's
-coefficients evaluated on integers: no polynomial is built.  For
-sample points with irrational coordinates, root finding
-eliminates each algebraic coordinate through resultants with its
-defining polynomial, producing a rational candidate polynomial whose
-roots include the roots sought.  When a resultant vanishes, the
+a prefix whose coordinates of p's variables are rational, the empty
+one too, the tuple is that of p's coefficients evaluated on integers:
+no polynomial is built.  When p involves an irrational coordinate,
+root finding eliminates each algebraic coordinate through resultants
+with its defining polynomial, producing a rational candidate
+polynomial whose roots include the roots sought.  When a resultant vanishes, the
 defining polynomial, being irreducible, divides the eliminand and is
 divided out first (`_candidate_poly`).  Root finding counts, then
 refines: the signs at the sample of the principal subresultant
@@ -522,9 +522,6 @@ class Sample(tuple):
     def extend(self, coord) -> "Sample":
         return Sample(list(self) + [coord])
 
-    def all_rational(self) -> bool:
-        return all(c.is_rational() for c in self)
-
     def __repr__(self) -> str:
         return "Sample(" + ", ".join(realalg_to_text(c) for c in self) + ")"
 
@@ -652,22 +649,24 @@ def roots_in_extension(p: MPoly, s: Sample):
     has length i - 1; NULLIFIED when the specialization is identically
     zero.
 
-    Over a rational s each coefficient of p in x_i is evaluated once,
-    on integers; the values up to the last nonzero one, over one
-    denominator, are the coefficients of p(s, x_i).  Otherwise p is
-    first truncated to e, its degree at s, read off the signs of its
-    coefficients in x_i from the top down.  The roots are counted
-    (`_root_count`), and the candidates (`_candidate_poly`) at which the
-    interval value of p over the enclosures excludes 0 are dropped,
-    refining p's irrational coordinates and the candidates between
-    rounds, until that many remain.  A root is never dropped, so fewer
+    When the coordinates of p's variables below x_i are rational, each
+    coefficient of p in x_i is evaluated once, on integers, and the
+    irrational coordinates of the others are never read; the values up
+    to the last nonzero one, over one denominator, are the coefficients
+    of p(s, x_i).  Otherwise p is first truncated to e, its degree at
+    s, read off the signs of its coefficients in x_i from the top down.
+    The roots are counted (`_root_count`), and the candidates
+    (`_candidate_poly`) at which the interval value of p over the
+    enclosures excludes 0 are dropped, refining p's irrational
+    coordinates and the candidates between rounds, until that many
+    remain.  A root is never dropped, so fewer
     than counted raises RuntimeError."""
     i = p.level
     if i != len(s) + 1:
         raise ValueError("level(p) must be len(s) + 1")
     _, _, coeffs = coeff_info(p, i)
-    if s.all_rational():
-        point = [c._rat for c in s]
+    point = [c._rat for c in s]  # None at an irrational coordinate
+    if all(point[v - 1] is not None for v in p.variables() if v < i):
         values = [q._eval_scaled(point) for q in coeffs]
         while values and not values[-1][0]:
             values.pop()

@@ -25,6 +25,8 @@ points via sympy's minimal polynomials, and by elimination with a
 refinement loop of its own on copies of the coordinates (the library
 refines only in `sign_at`'s loop), roots over a sample by one zero test
 per candidate root (the library counts the roots first), roots over a
+prefix with irrational coordinates that p does not use by that count
+(the library evaluates p's coefficients on integers), roots over a
 rational prefix by substitution into a new `MPoly` and its
 factorization through the term-map `factor` with its own quadratic
 closed form (the library evaluates the coefficients on integers and
@@ -91,6 +93,8 @@ from onecell.realalg import (
     _cauchy_bound,
     _isolate_irreducible,
     _rational_part,
+    _root_count,
+    _straddles,
     isolate_real_roots,
     roots_in_extension,
     separate,
@@ -469,21 +473,53 @@ def isolate_by_term_map_factor(p: MPoly) -> list[RealAlg]:
     return roots
 
 
-def roots_by_substitution(p: MPoly, s: Sample):
-    """`realalg.roots_in_extension` over a rational prefix s as it was:
-    p truncated to its degree at s, read off the signs of its
-    coefficients from the top down (NULLIFIED when all vanish), then
-    the roots of p with s substituted (`_candidate_poly`), isolated
-    through `term_map_factor`."""
+def _truncated(p: MPoly, s: Sample):
+    """(p truncated to e, e) for e the degree of p at s, read off the
+    signs of its coefficients from the top down; None when all vanish."""
     i = p.level
     _, _, coeffs = coeff_info(p, i)
     e = next((k for k in range(len(coeffs) - 1, -1, -1) if sign_at(coeffs[k], s)), None)
     if e is None:
-        return NULLIFIED
+        return None
     if e < len(coeffs) - 1:
         p = MPoly._canonical({m: c for m, c in p._terms.items()
                               if len(m) < i or m[i - 1] <= e})
-    return isolate_by_term_map_factor(_candidate_poly(p, s))
+    return p, e
+
+
+def roots_by_substitution(p: MPoly, s: Sample):
+    """`realalg.roots_in_extension` over a rational prefix s as it was:
+    p truncated to its degree at s (NULLIFIED when it has none), then
+    the roots of p with s substituted (`_candidate_poly`), isolated
+    through `term_map_factor`."""
+    truncated = _truncated(p, s)
+    if truncated is None:
+        return NULLIFIED
+    return isolate_by_term_map_factor(_candidate_poly(truncated[0], s))
+
+
+def roots_by_count(p: MPoly, s: Sample):
+    """`realalg.roots_in_extension` as it was over every prefix s with an
+    irrational coordinate, p's or not: p truncated to its degree at s,
+    its distinct real roots counted (`_root_count`), and the roots of
+    `_candidate_poly` whose interval value over the enclosures excludes
+    0 dropped, refining p's irrational coordinates and the candidates,
+    until that many remain."""
+    truncated = _truncated(p, s)
+    if truncated is None:
+        return NULLIFIED
+    p, e = truncated
+    k = _root_count(p, e, s)
+    roots = isolate_real_roots(_candidate_poly(p, s)) if k else []
+    moving = [s[v - 1] for v in p.variables() if v <= len(s) and not s[v - 1].is_rational()]
+    while len(roots) > k:
+        boxes = [c._box for c in s]
+        roots = [r for r in roots if _straddles(p, boxes + [r._box])]
+        if len(roots) > k:
+            for c in moving + roots:
+                c.refine()
+    assert len(roots) == k, (p, s)
+    return roots
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,15 @@ from hypothesis import strategies as st
 
 from onecell import memo
 from onecell.polynomial import MPoly, _upoly, factor_dense, parse_poly
-from onecell.realalg import NULLIFIED, Sample, realalg_to_text, roots_in_extension
+from onecell.realalg import (
+    NULLIFIED,
+    Sample,
+    realalg_from_text,
+    realalg_to_text,
+    roots_in_extension,
+)
 
-from oracles import roots_by_substitution
+from oracles import roots_by_count, roots_by_substitution
 
 # fiber factors, coefficients from degree 0 up: x^3 - 3x + 1 is proved
 # irreducible by the degree-pattern certificate, while x^4 + 1 splits
@@ -153,6 +159,53 @@ def test_roots_over_rational_prefixes_fixed_cases(text, prefix, want):
         assert roots is NULLIFIED
     elif want is not None:
         assert [realalg_to_text(r) for r in roots] == want
+
+
+# ---------------------------------------------------------------------------
+# over a prefix with irrational coordinates that p does not use
+
+_IRRATIONAL = ["(root x1^2-2 2)", "(root x1^3-3 1)", "(root x1^2-5 1)"]
+
+
+@st.composite
+def _spread(draw):
+    """(p, prefix): a `_lifted` p in x1..xn with its variables moved up
+    among 1-2 more, each with an irrational coordinate in the prefix."""
+    p, prefix, _ = draw(_lifted())
+    n = p.level
+    extra = draw(st.integers(1, 2))
+    # the new index of each of p's variables below x_n; x_n goes on top
+    kept = sorted(draw(st.permutations(range(1, n + extra)))[:n - 1])
+    moved = kept + [n + extra]
+    terms = {}
+    for e, c in p.terms.items():
+        f = [0] * (n + extra)
+        for v, k in enumerate(e):
+            f[moved[v] - 1] = k
+        terms[tuple(f)] = c
+    coords = [None] * (n + extra - 1)
+    for v, x in zip(kept, prefix):
+        coords[v - 1] = x
+    for j, x in enumerate(coords):
+        if x is None:
+            coords[j] = realalg_from_text(draw(st.sampled_from(_IRRATIONAL)))
+    return MPoly(terms), coords
+
+
+@settings(max_examples=200, deadline=None)
+@given(_spread())
+def test_roots_over_unused_irrational_coordinates_match_the_count(case):
+    """The tuple path reads only the coordinates of p's variables: it
+    gives the roots the counting route gives, root for root."""
+    p, coords = case
+    memo.clear()
+    s = Sample(coords)
+    got, want = roots_in_extension(p, s), roots_by_count(p, s)
+    if want is NULLIFIED:
+        assert got is NULLIFIED, (p, s)
+        return
+    assert [r.key() for r in got] == [r.key() for r in want], (p, s)
+    assert [r.enclosure() for r in got] == [r.enclosure() for r in want], (p, s)
 
 
 # ---------------------------------------------------------------------------
