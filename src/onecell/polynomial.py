@@ -56,11 +56,6 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Sequence
 
-from sympy.polys.densebasic import dmp_from_dict, dmp_to_dict
-from sympy.polys.domains import ZZ
-from sympy.polys.factortools import dmp_factor_list, dup_factor_list
-from sympy.polys.sqfreetools import dmp_sqf_list, dup_sqf_list
-
 from . import memo
 
 Var = int  # 1-based variable index
@@ -257,11 +252,15 @@ class MPoly:
     # -- dunder plumbing ----------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = MPoly.constant(other)
-        if not isinstance(other, MPoly):
-            return NotImplemented
-        return self._terms == other._terms
+        # the exact type first: nearly every comparison is of two MPolys,
+        # and an isinstance test against (int, Fraction) goes through the
+        # numbers ABCs
+        if type(other) is not MPoly:
+            if isinstance(other, (int, Fraction)):
+                other = MPoly.constant(other)
+            elif not isinstance(other, MPoly):
+                return NotImplemented
+        return self is other or self._terms == other._terms
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -749,6 +748,10 @@ def _factor_dense(c: tuple[int, ...], mode: str) -> list[tuple[tuple[int, ...], 
         if mode == "finest" and _irreducible_by_degrees(
                 {(k,): x for k, x in enumerate(c) if x}, [1]):
             return [(c, 1)]
+        from sympy.polys.domains import ZZ
+        from sympy.polys.factortools import dup_factor_list
+        from sympy.polys.sqfreetools import dup_sqf_list
+
         split = dup_factor_list if mode == "finest" else dup_sqf_list
         _, fs = split(list(reversed(c)), ZZ)
         # ZZ may be gmpy2's mpz or flint's fmpz
@@ -802,6 +805,11 @@ def _factor(p: MPoly, mode: str) -> list[tuple[MPoly, int]]:
     elif mode == "finest" and _irreducible_by_degrees(P, vs):
         pairs = [(p, 1)]
     else:
+        from sympy.polys.densebasic import dmp_from_dict, dmp_to_dict
+        from sympy.polys.domains import ZZ
+        from sympy.polys.factortools import dmp_factor_list
+        from sympy.polys.sqfreetools import dmp_sqf_list
+
         u = len(vs) - 1
         rep = {tuple(e[v - 1] if len(e) >= v else 0 for v in vs): k for e, k in P.items()}
         split = dmp_factor_list if mode == "finest" else dmp_sqf_list

@@ -11,6 +11,12 @@ divisors of smaller degree or about the normalized polynomial; that is
 what makes the whole construction terminate and lets a trace be
 validated without re-running the search.
 
+A property is an immutable tuple of its kind's `tag`, an int that no
+other kind shares, and its fields, which read as `p`, `s`, `i`, `I`
+and `ord`: properties of two kinds never compare equal, and hashing or
+comparing one costs a tuple's hash or comparison, independent of the
+hash seed.  A `TraceEntry` is a named tuple.
+
 This module declares the proof system once: each property kind carries
 its tier as a class attribute (`OrdInv` and `SgnInv` rank one tier
 higher while `is_whole` fails; `is_whole` reads the square-free
@@ -22,8 +28,9 @@ cite.  Which instances of a rule apply is decided in `rules`, where
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+import itertools
+from operator import itemgetter
+from typing import Iterable, NamedTuple
 
 from .polynomial import MPoly, exact_div, factor, normalize, poly_to_str
 from .realalg import Sample, realalg_to_text
@@ -47,11 +54,23 @@ def is_whole(p: MPoly) -> bool:
 # property variants
 
 
-class Property:
-    """A property kind; `tier` is its within-level rank, 1 = greatest."""
+_TAGS = itertools.count()
+
+
+class Property(tuple):
+    """A property kind; `tier` is its within-level rank, 1 = greatest,
+    and `tag` the kind's own int, the first entry of its tuples."""
 
     __slots__ = ()
+    tag: int
     tier: int
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.tag = next(_TAGS)
+
+    def __getnewargs__(self):
+        return self[1:]
 
     @property
     def level(self) -> int:
@@ -74,10 +93,12 @@ def _interval_text(iv: SymbolicInterval) -> str:
     return f"sector[{bound_text(iv.lower, '-')},{bound_text(iv.upper, '+')}]"
 
 
-@dataclass(frozen=True)
 class SampleProp(Property):
-    s: Sample
     tier = 10
+    s = property(itemgetter(1))
+
+    def __new__(cls, s: Sample):
+        return tuple.__new__(cls, (cls.tag, s))
 
     @property
     def level(self) -> int:
@@ -87,13 +108,15 @@ class SampleProp(Property):
         return f"sample{_sample_text(self.s)}"
 
 
-@dataclass(frozen=True)
 class PolyProperty(Property):
     """A property of one polynomial p, spelled `name(p)` in traces; it
     lives `below` levels under p's level."""
 
-    p: MPoly
     below = 0
+    p = property(itemgetter(1))
+
+    def __new__(cls, p: MPoly):
+        return tuple.__new__(cls, (cls.tag, p))
 
     @property
     def level(self) -> int:
@@ -137,11 +160,13 @@ class AnDel(PolyProperty):
     name, below, tier = "andel", 1, 2
 
 
-@dataclass(frozen=True)
 class IndexProperty(Property):
     """A property of the region at level i, spelled `name(i)`."""
 
-    i: int
+    i = property(itemgetter(1))
+
+    def __new__(cls, i: int):
+        return tuple.__new__(cls, (cls.tag, i))
 
     @property
     def level(self) -> int:
@@ -211,14 +236,16 @@ class RootOrdering:
         return f"RootOrdering{self.text()}"
 
 
-@dataclass(frozen=True)
 class Repr(Property):
     """The symbolic interval refers to the same roots across the region
     below it (representation maintenance)."""
 
-    I: SymbolicInterval
-    s: Sample
     tier = 11
+    I = property(itemgetter(1))
+    s = property(itemgetter(2))
+
+    def __new__(cls, I: SymbolicInterval, s: Sample):
+        return tuple.__new__(cls, (cls.tag, I, s))
 
     @property
     def level(self) -> int:
@@ -228,11 +255,13 @@ class Repr(Property):
         return f"repr({_interval_text(self.I)},{_sample_text(self.s)})"
 
 
-@dataclass(frozen=True)
 class IrOrd(Property):
-    ord: RootOrdering
-    s: Sample
     tier = 1
+    ord = property(itemgetter(1))
+    s = property(itemgetter(2))
+
+    def __new__(cls, ord: RootOrdering, s: Sample):
+        return tuple.__new__(cls, (cls.tag, ord, s))
 
     @property
     def level(self) -> int:
@@ -242,12 +271,14 @@ class IrOrd(Property):
         return f"irord({self.ord.text()},{_sample_text(self.s)})"
 
 
-@dataclass(frozen=True)
 class Holds(Property):
     """The axiom: the region actually is the lift of the interval."""
 
-    I: SymbolicInterval
     tier = 12
+    I = property(itemgetter(1))
+
+    def __new__(cls, I: SymbolicInterval):
+        return tuple.__new__(cls, (cls.tag, I))
 
     @property
     def level(self) -> int:
@@ -283,8 +314,7 @@ def selection_key(q: Property):
 # traces
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     conclusion: Property
     antecedents: tuple[Property, ...]
     rule: str

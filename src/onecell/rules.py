@@ -1,27 +1,28 @@
 """Proof rules and the property replacement step.
 
-The pending properties sit in a heap ordered by `selection_key`, so the
-greatest one of the level being drained is read off its top.  For that
-property this module enumerates the applicable rule instances (each an
-antecedent set that would justify it) and picks one: a sole instance is
-taken as it is, otherwise an instance whose antecedents are all
-justified already is preferred and ties go to the cheapest by
-`Choice.order_key`.  `PropertySet.derive` then records the step and
-replaces the property by the antecedents that are not yet justified;
-it is the one writer of the derivation trace.  Rule availability
-depends on the construction phase: the engine reaches a property whose
-tier number exceeds `properties.SAMPLE_ONLY_TIER` only at its own
-level, once the level's symbolic interval and root ordering are chosen,
-so its rules read both from the context without checking; everything
-else only needs the sample.
+`PropertySet` keeps one state per property in one dict, pending or
+derived.  The pending properties also sit in a heap ordered by
+`selection_key`, so the greatest one of the level being drained is read
+off its top.  For that property this module enumerates the applicable
+rule instances (each an antecedent set that would justify it) and picks
+one: a sole instance is taken as it is, otherwise an instance whose
+antecedents are all justified already is preferred and ties go to the
+cheapest by `Choice.order_key`; a `Choice`, like the `RuleCtx` it was
+made under, is a named tuple.  `PropertySet.derive` then records the
+step and replaces the property by the antecedents that are not yet
+justified; it is the one writer of the derivation trace.  Rule
+availability depends on the construction phase: the engine reaches a
+property whose tier number exceeds `properties.SAMPLE_ONLY_TIER` only
+at its own level, once the level's symbolic interval and root ordering
+are chosen, so its rules read both from the context without checking;
+everything else only needs the sample.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .cells import IndexedRoot, SymbolicInterval, cached_roots
 from .polynomial import (
@@ -38,7 +39,6 @@ from .properties import (
     Connected,
     DerivationTrace,
     Holds,
-    IndexProperty,
     IrOrd,
     NonNull,
     OrdInv,
@@ -69,12 +69,13 @@ def _norm(p: MPoly) -> MPoly:
 
 def trivial_rule(q: Property) -> Optional[str]:
     """Rule name if q holds on any region without antecedents."""
-    if isinstance(q, (OrdInv, SgnInv)) and q.p.is_constant():
-        return "const-inv"
-    if isinstance(q, SampleProp) and len(q.s) == 0:
-        return "triv-base"
-    if isinstance(q, IndexProperty) and q.i == 0:
-        return "triv-base"
+    kind = type(q)
+    if kind is SgnInv or kind is OrdInv:
+        return "const-inv" if q.p.is_constant() else None
+    if kind is SampleProp:
+        return None if q.s else "triv-base"
+    if kind is Connected or kind is AnSub:
+        return None if q.i else "triv-base"
     return None
 
 
@@ -84,30 +85,31 @@ class PropertySet:
     assumptions never become pending: they are logged immediately.  A
     property is logged at most once, when it is first justified.
 
-    Each pending property also sits in a heap under its
-    `selection_key`, with an insertion count as tie-breaker so that two
-    properties are never compared; a discharged property's entry stays
-    in the heap until it reaches the top."""
+    One dict keeps the state of every property seen: True once it is
+    derived (or an axiom), False while it is pending.  Each pending
+    property also sits in a heap under its `selection_key`, with an
+    insertion count as tie-breaker so that two properties are never
+    compared; a discharged property's entry stays in the heap until it
+    reaches the top."""
 
     def __init__(self, trace: DerivationTrace):
-        self.props: set[Property] = set()
-        self.derived: set[Property] = set()
+        self._derived: dict[Property, bool] = {}
         self.trace = trace
         self._heap: list[tuple[tuple, int, Property]] = []
         self._count = itertools.count()
 
     def add(self, q: Property) -> None:
-        if q in self.derived or q in self.props:
+        if q in self._derived:
             return
         rule = trivial_rule(q)
         if rule is not None:
             self.derive(q, (), rule)
             return
-        if isinstance(q, Holds):
+        if type(q) is Holds:
             self.trace.axiom(q)
-            self.derived.add(q)
+            self._derived[q] = True
             return
-        self.props.add(q)
+        self._derived[q] = False
         heapq.heappush(self._heap, (selection_key(q), next(self._count), q))
 
     def derive(self, q: Property, antecedents: tuple[Property, ...], rule: str) -> None:
@@ -116,20 +118,18 @@ class PropertySet:
         for a in antecedents:
             self.add(a)
         self.trace.derive(q, antecedents, rule)
-        self.discharge(q)
+        self._derived[q] = True
 
     def justified(self, q: Property) -> bool:
-        return q in self.derived or trivial_rule(q) is not None
-
-    def discharge(self, q: Property) -> None:
-        self.props.discard(q)
-        self.derived.add(q)
+        return self._derived.get(q, False) or trivial_rule(q) is not None
 
     def __contains__(self, q: Property) -> bool:
-        return q in self.props
+        """Whether q is pending."""
+        return self._derived.get(q) is False
 
     def at_level(self, i: int) -> list[Property]:
-        return [q for q in self.props if q.level == i]
+        """The pending properties of level i, in the order they were added."""
+        return [q for q, done in self._derived.items() if not done and q.level == i]
 
     def greatest(self, i: int, max_tier: Optional[int] = None) -> Optional[Property]:
         """The pending property of level i with the least selection key
@@ -137,8 +137,8 @@ class PropertySet:
         from the top down and every antecedent is at or below its
         conclusion, so nothing pending lies above level i and the top of
         the heap is the candidate, if there is one."""
-        heap, props = self._heap, self.props
-        while heap and heap[0][2] not in props:
+        heap, derived = self._heap, self._derived
+        while heap and derived[heap[0][2]]:
             heapq.heappop(heap)
         if not heap:
             return None
@@ -150,8 +150,7 @@ class PropertySet:
         return q
 
 
-@dataclass(frozen=True)
-class RuleCtx:
+class RuleCtx(NamedTuple):
     """Everything a rule instance may depend on at its construction
     level: the sample, and (after the representation has been chosen)
     the interval, ordering, and the polynomials earmarked for the
@@ -164,8 +163,7 @@ class RuleCtx:
     eq_set: frozenset = frozenset()
 
 
-@dataclass(frozen=True)
-class Choice:
+class Choice(NamedTuple):
     rule: str
     antecedents: tuple[Property, ...]
     rank: int = 0  # smaller preferred; ranks estimated computation cost

@@ -1312,8 +1312,8 @@ def scanning_greatest(Q, i: int, max_tier=None):
     """`PropertySet.greatest` by a scan of every pending property."""
     cands = [
         q
-        for q in Q.props
-        if q.level == i and (max_tier is None or q.tier <= max_tier)
+        for q in Q.at_level(i)
+        if max_tier is None or q.tier <= max_tier
     ]
     return min(cands, key=selection_key) if cands else None
 

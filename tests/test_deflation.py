@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sympy.polys import factortools
+
 from onecell import memo
-from onecell import polynomial
 from onecell.polynomial import MPoly, _primitive, _upoly, dense, factor, factor_dense, parse_poly
 
 from oracles import sympy_poly_factor
@@ -106,7 +107,7 @@ def _pairs(*items):
 def test_deflation_fixed_cases(text, finest, sympy_calls):
     p = parse_poly(text)
     memo.clear()
-    spies = [mock.patch.object(polynomial, name, wraps=getattr(polynomial, name))
+    spies = [mock.patch.object(factortools, name, wraps=getattr(factortools, name))
              for name in ("dup_factor_list", "dmp_factor_list")]
     with spies[0] as dup, spies[1] as dmp:
         assert factor(p) == finest

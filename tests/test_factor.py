@@ -7,6 +7,7 @@ the certificate switched off, and against the root test it replaced,
 `oracles.irreducible_by_roots`."""
 
 import random
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -148,19 +149,24 @@ class _Mpz:
 
 def test_factor_output_has_fractions_of_ints(monkeypatch):
     """The memo is emptied after the patch, so that both modes factor
-    again through it: one conversion per factor, 3 + 2 in all."""
-    import onecell.polynomial as polynomial
+    again through it: one conversion per factor, 3 + 2 in all.  The
+    package imports sympy's functions when it calls them, so the patch
+    is on sympy's module, and only the package's calls are counted and
+    answered with mpz-like coefficients."""
+    from sympy.polys import densebasic
 
     p = parse_poly("(x1^3-2)*(x1*x2+3)^2*(x2^2+x1*x2+5)")
     expected = {mode: factor(p, mode) for mode in MODES}
-    dense = polynomial.dmp_to_dict
+    dense = densebasic.dmp_to_dict
     converted = []
 
     def as_mpz(f, u):
+        if sys._getframe(1).f_globals["__name__"] != polynomial.__name__:
+            return dense(f, u)
         converted.append(f)
         return {e: _Mpz(int(k)) for e, k in dense(f, u).items()}
 
-    monkeypatch.setattr(polynomial, "dmp_to_dict", as_mpz)
+    monkeypatch.setattr(densebasic, "dmp_to_dict", as_mpz)
     memo.clear()
     for mode in MODES:
         fs = factor(p, mode)

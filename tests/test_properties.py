@@ -1,11 +1,12 @@
 """Property ordering, root orderings, and trace validation."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from onecell.cells import IndexedRoot, SymbolicInterval
-from onecell.polynomial import parse_poly
+from onecell.polynomial import MPoly, parse_poly
 from onecell.properties import (
     AnDel,
     AnSub,
@@ -33,6 +34,55 @@ from oracles import ordering_matches
 CIRCLE = parse_poly("x2^2+x1^2-1")
 LINE = parse_poly("2*x2-x1+1")
 S1 = Sample([Fraction(1, 8)])
+
+
+def _one_of_each_kind():
+    """A property of every kind, each built from new field objects."""
+    circle, line = parse_poly("x2^2+x1^2-1"), parse_poly("x2-x1")
+    s = Sample([Fraction(1, 8)])
+    iv = SymbolicInterval.section(IndexedRoot(line, 1))
+    ordering = RootOrdering([(IndexedRoot(circle, 1), IndexedRoot(line, 1))])
+    return [SampleProp(s), OrdInv(circle), SgnInv(circle), NonNull(circle),
+            AnDel(circle), AnSub(1), Connected(1), Repr(iv, s), IrOrd(ordering, s),
+            Holds(iv)]
+
+
+def test_kinds_on_the_same_fields_never_compare_equal():
+    for kinds, field in (((SgnInv, OrdInv, NonNull, AnDel), CIRCLE), ((AnSub, Connected), 1)):
+        values = [kind(field) for kind in kinds]
+        for a, b in combinations(values, 2):
+            assert a != b and not a == b, (a, b)
+        assert len({q: None for q in values}) == len(values)
+    assert len(set(_one_of_each_kind())) == 10
+
+
+def test_equal_fields_give_equal_values_with_equal_hashes():
+    first, second = _one_of_each_kind(), _one_of_each_kind()
+    for a, b in zip(first, second):
+        assert a is not b and a == b and not a != b and hash(a) == hash(b), a
+    table = {q: k for k, q in enumerate(first)}
+    assert [table[q] for q in second] == list(range(len(first)))
+    # the fields read back as they were given
+    sample, repr_, irord = first[0], first[7], first[8]
+    assert SgnInv(CIRCLE).p is CIRCLE and AnSub(3).i == 3
+    assert repr_.I is first[9].I and repr_.s is sample.s is irord.s
+    assert irord.ord == second[8].ord
+
+
+def test_polynomial_equality_under_the_properties():
+    """Property equality compares polynomials: equal ones built apart,
+    constants against int and Fraction, and other types left to the
+    other operand."""
+    a, b = parse_poly("x1^2-1/2"), parse_poly("x1^2-1/2")
+    assert a is not b and a == b and not a != b and hash(a) == hash(b)
+    assert a != parse_poly("x1^2+1/2") and a != parse_poly("x2^2-1/2")
+    three, half = MPoly.constant(3), MPoly.constant(Fraction(1, 2))
+    assert three == 3 and 3 == three and three == Fraction(3) and three != 4
+    assert half == Fraction(1, 2) and Fraction(1, 2) == half and half != 0
+    assert MPoly({}) == 0 and MPoly.var(1) != 1
+    for other in ("x1^2-1/2", 1.0, None, (a,), S1):
+        assert a.__eq__(other) is NotImplemented and a != other, other
+    assert three.__eq__(3.0) is NotImplemented
 
 
 def test_level_dominates_tier():

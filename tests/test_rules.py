@@ -8,7 +8,7 @@ import random
 import pytest
 
 from onecell import engine, rules
-from onecell.cells import cell_to_text
+from onecell.cells import SymbolicInterval, cell_to_text
 from onecell.config import HEURISTIC_IDS, config_from_id
 from onecell.engine import Fail, single_cell
 from onecell.explain import explain_conflict
@@ -18,11 +18,14 @@ from onecell.properties import (
     AnSub,
     Connected,
     DerivationTrace,
+    Holds,
+    NonNull,
+    OrdInv,
     SampleProp,
     SgnInv,
     is_whole,
 )
-from onecell.realalg import realalg_to_text
+from onecell.realalg import Sample, realalg_to_text
 from onecell.rules import PropertySet
 from onecell.solver import solve_conjunction
 from onecell.stats import RunStats
@@ -113,6 +116,11 @@ def _pending(*props) -> PropertySet:
     return Q
 
 
+def _discharge(Q, q) -> None:
+    """Justify the pending q by a step without antecedents."""
+    Q.derive(q, (), "const-inv")
+
+
 def _agree(Q, i, max_tier=None):
     got = Q.greatest(i, max_tier)
     assert got == scanning_greatest(Q, i, max_tier)
@@ -123,10 +131,10 @@ def test_greatest_skips_a_discharged_entry():
     a, b = SgnInv(parse_poly("x2-1")), SgnInv(parse_poly("x2+1"))
     Q = _pending(a, b)
     top = _agree(Q, 2)
-    Q.discharge(top)
+    _discharge(Q, top)
     rest = _agree(Q, 2)
     assert rest is not None and rest != top
-    Q.discharge(rest)
+    _discharge(Q, rest)
     assert _agree(Q, 2) is None
 
 
@@ -150,7 +158,7 @@ def test_greatest_breaks_a_level_and_tier_tie_by_text():
         texts = []
         while (q := _agree(Q, 2)) is not None:
             texts.append(q.text())
-            Q.discharge(q)
+            _discharge(Q, q)
         assert texts == sorted(texts) and len(texts) == 4
 
 
@@ -160,3 +168,55 @@ def test_greatest_of_a_lower_level_and_above_it():
     assert _agree(Q, 2) == SgnInv(parse_poly("x2-x1"))
     with pytest.raises(RuntimeError):
         Q.greatest(1)
+
+
+def _state(Q):
+    """What `PropertySet` shows of its state: the trace and the pending
+    properties, level by level."""
+    return Q.trace.to_text(), [Q.at_level(i) for i in range(4)]
+
+
+def test_adding_a_known_property_is_a_no_op():
+    pending, derived = SgnInv(parse_poly("x2-1")), AnDel(parse_poly("x2^2-x1"))
+    Q = _pending(pending, derived)
+    _discharge(Q, derived)
+    axiom, trivial = Holds(SymbolicInterval(1)), Connected(0)
+    Q.add(axiom)
+    Q.add(trivial)
+    before, heap = _state(Q), list(Q._heap)
+    for q in (pending, derived, axiom, SgnInv(parse_poly("x2-1")), trivial):
+        Q.add(q)
+        assert _state(Q) == before and Q._heap == heap, q
+    assert Q.trace.axioms == [axiom]
+
+
+def test_derive_logs_once_and_adds_only_unknown_antecedents():
+    x1, x2 = parse_poly("x1"), parse_poly("x2-x1")
+    pending, derived, new = NonNull(x2), OrdInv(x1), SgnInv(x1)
+    Q = _pending(pending, derived)
+    _discharge(Q, derived)
+    q = AnDel(x2)
+    Q.add(q)
+    entries = len(Q.trace)
+    Q.derive(q, (pending, derived, new, Connected(0)), "del")
+    # one entry for q, and one for the trivially true Connected(0)
+    assert len(Q.trace) == entries + 2
+    assert [e.conclusion for e in Q.trace.entries[-2:]] == [Connected(0), q]
+    assert Q.trace.entries[-1].antecedents == (pending, derived, new, Connected(0))
+    assert Q.at_level(1) == [pending, new] and Q.at_level(0) == []
+    assert pending in Q and new in Q and derived not in Q and q not in Q
+    assert len(Q._heap) == 4  # pending, derived, q and new, each pushed once
+
+
+def test_membership_justification_and_levels_of_pending_and_derived():
+    pending, derived = SgnInv(parse_poly("x1-1")), OrdInv(parse_poly("x1+1"))
+    trivial, unknown = SgnInv(parse_poly("3")), NonNull(parse_poly("x2-1"))
+    Q = _pending(pending, derived, trivial)
+    _discharge(Q, derived)
+    assert pending in Q and derived not in Q and trivial not in Q and unknown not in Q
+    assert not Q.justified(pending) and not Q.justified(unknown)
+    assert Q.justified(derived) and Q.justified(trivial)
+    assert Q.justified(SampleProp(Sample(()))) and Q.justified(AnSub(0))
+    assert Q.at_level(1) == [pending] and Q.at_level(0) == []
+    _discharge(Q, pending)
+    assert pending not in Q and Q.justified(pending) and Q.at_level(1) == []

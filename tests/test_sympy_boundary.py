@@ -2,6 +2,9 @@
 sympy's dense polynomial layer."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import onecell
@@ -31,3 +34,29 @@ def test_the_polynomial_module_imports_only_sympy_polys_submodules():
     modules = _sympy_imports(Path(onecell.__file__).parent / "polynomial.py")
     assert modules
     assert all(m.startswith("sympy.polys.") for m in modules), modules
+
+
+def _sympy_modules_after(code: str) -> list[str]:
+    """The sympy modules loaded in a fresh interpreter that runs code."""
+    src = str(Path(onecell.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))"
+    out = subprocess.run([sys.executable, "-c", code + probe], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+    return ast.literal_eval(out.stdout.splitlines()[-1])
+
+
+def test_sympy_is_loaded_only_by_a_factorization_that_needs_it():
+    assert _sympy_modules_after("import onecell") == []
+    # the disk x^2 + y^2 < 1 above y = 1/2: every factorization has a
+    # closed form or a certificate
+    solve = (
+        "from onecell.explain import Constraint\n"
+        "from onecell.polynomial import parse_poly\n"
+        "from onecell.solver import solve_conjunction\n"
+        "r = solve_conjunction([Constraint(parse_poly('x1^2+x2^2-1'), '<'),\n"
+        "                       Constraint(parse_poly('2*x2-1'), '>')], 2)\n"
+        "print(r.status)"
+    )
+    assert _sympy_modules_after(solve) == []
+    assert _sympy_modules_after("import onecell\nonecell.polynomial.factor_dense((4, 0, 0, 0, 1))")
