@@ -25,25 +25,29 @@ are computed on first use and kept on the value: the hash, the text
 as a copy: `coeff_info` keeps a tuple and returns a new list.
 
 The module also provides the projection operations the cell construction
-consumes: resultants by evaluation and interpolation on integers (on
-dense coefficient rows over the eliminated variable), discriminants,
-and factorization (irreducible or square-free), each kept in its
-`memo` table, and `dense`, the integer-primitive coefficient tuple of a
-univariate polynomial that root isolation and the exact zero tests work
-on.
+consumes: resultants and principal subresultant coefficients on dense
+integer coefficient rows over the eliminated variable, by one
+subresultant PRS on big integers when the other variables pack into
+one integer of at most `PACK_BITS` bits (Kronecker substitution), else
+by evaluation at integers and interpolation (Collins 1971) down to
+nodes small enough to pack; discriminants; and factorization
+(irreducible or square-free), each kept in its `memo` table, and
+`dense`, the integer-primitive coefficient tuple of a univariate
+polynomial that root isolation and the exact zero tests work on.
 
 `factor` is the package's one boundary to sympy: linear input has a
 closed form, univariate input goes to `factor_dense`, the one
 univariate kernel, on integer coefficient tuples (the quadratic closed
 form too), in ``finest`` mode input is deflated first (a monomial
-factor is split off, and a univariate h(x^d) with h reducible is
-factored through the factors of h; ``squarefree`` mode, whose grouping
-follows sympy's `sqf_list`, deflates nothing), input of any degree can
-be proved irreducible by a degree-pattern certificate (distinct-degree
-factorizations of images modulo small primes, on ints), and everything
-else goes to sympy's dense factorization over ZZ (`sympy.polys`
-submodules only), on the integer-primitive term map in the variables
-that occur.  Nothing else in the package imports sympy; univariate
+factor is split off, a univariate h(x^d) with h reducible is
+factored through the factors of h, and a binomial of odd degree with
+a rational root splits off its linear factor; ``squarefree`` mode,
+whose grouping follows sympy's `sqf_list`, deflates nothing), input of
+any degree can be proved irreducible by a degree-pattern certificate
+(distinct-degree factorizations of images modulo small primes, on
+ints), and everything else goes to sympy's dense factorization over ZZ
+(`sympy.polys` submodules only), on the integer-primitive term map in
+the variables that occur.  Nothing else in the package imports sympy; univariate
 root isolation calls `factor_dense` on the tuple it works on.
 """
 
@@ -395,10 +399,13 @@ def _exact(a: int, b: int) -> int:
 
 def resultant(p: MPoly, q: MPoly, v: Var) -> MPoly:
     """res_v(p, q), the Sylvester determinant of p and q in x_v, which
-    must both occur, by evaluation and interpolation on integers
-    (Collins, "The calculation of multivariate polynomial resultants",
-    JACM 1971): res_v(c*P, d*Q) = c^deg_v(q) * d^deg_v(p) * res_v(P, Q).
-    Results are kept in `memo.RESULTANT`."""
+    must both occur: res_v(c*P, d*Q) = c^deg_v(q) * d^deg_v(p) *
+    res_v(P, Q) for the integer-primitive P and Q, whose resultant
+    `_ires` computes by the integer subresultant PRS, on the other
+    variables packed into one integer (Kronecker substitution) when
+    that integer is small, else by evaluation at integers and
+    interpolation (Collins, "The calculation of multivariate polynomial
+    resultants", JACM 1971).  Results are kept in `memo.RESULTANT`."""
     return memo.RESULTANT.fetch((p, q, v), _resultant, p, q, v)
 
 
@@ -417,10 +424,11 @@ def subresultant_coefficients(p: MPoly, v: Var) -> tuple[MPoly, ...]:
     p and dp/dx_v, d = deg_v(p) >= 1: psc_j is the determinant of their
     Sylvester matrix in x_v with the last j rows of each polynomial and
     the last 2j columns struck out, so psc_0 is the resultant and
-    psc_(d-1) = d * ldcf_v(p).  They are computed together, by the
-    evaluation and interpolation of `_ires` around the integer
-    subresultant PRS (`_upsc`), and kept in `memo.PSC`, keyed on
-    (p, v)."""
+    psc_(d-1) = d * ldcf_v(p).  They are computed together by `_ires`
+    around the integer subresultant PRS (`_upsc`), with the other
+    variables packed into one integer (Kronecker substitution) or, for
+    large input, evaluated at integers and interpolated (Collins 1971),
+    and kept in `memo.PSC`, keyed on (p, v)."""
     return memo.PSC.fetch((p, v), _subresultant_coefficients, p, v)
 
 
@@ -456,24 +464,50 @@ def _rows(P: dict, v: Var, d: int) -> dict:
     return out
 
 
+# The largest packed operand, in bits, that `_ires` hands to its leaf.
+# CPython's long division is quadratic, so a PRS on one packed integer
+# loses to evaluation and interpolation as the integer grows: on dense
+# bivariate input they break even near 30k bits, and this keeps a margin.
+PACK_BITS = 1 << 14
+
+
 def _ires(P: dict, Q: dict, dp: int, dq: int, leaf) -> list[dict]:
     """The polynomials that leaf computes, as term maps, for rows
     (`_rows`) of integer polynomials of degrees dp, dq in x_v, where
     leaf(A, B) lists minors of the Sylvester matrix of two dense integer
-    rows of those degrees (`_ures`, `_upsc`): the highest other x_j is
-    set to 0, 1, -1, 2, ..., skipping values where a degree in x_v drops
-    (finitely many: the leading coefficients are nonzero), until they
-    outnumber the resultant's degree bound in x_j, which bounds each
-    such minor too, as it has fewer rows of each polynomial.  Each map
-    is grouped by its keys without x_j once, so a value a only scales
-    rows by a**k."""
+    rows of those degrees (`_ures`, `_upsc`).
+
+    Small input is packed (Kronecker substitution): with D_k the degree
+    bound `_degree_bound` in x_k, which bounds each such minor too (it
+    has fewer rows of each polynomial), and |T| the sum of the absolute
+    values of the integer coefficients of T's rows, x_k is set to
+    N^((D_1+1)...(D_(k-1)+1)), N = 2 |P|^dq |Q|^dp + 1, and the leaf
+    runs once on two integer rows.  Expanding a minor's determinant
+    bounds the sum of its coefficients' absolute values by the product
+    of its rows' sums, each |P| or |Q|, so every coefficient is below
+    N/2, and the minor, of degree <= D_k in each x_k, is read back from
+    the balanced base-N digits of the leaf's integer.  The substitution
+    keeps dp and dq, which `_upsc` needs: D_k >= max(deg_k P, deg_k Q),
+    so each nonzero coefficient of a row maps to a nonzero integer.
+    Input is small when the packed integers' size, (bits of N) *
+    (D_1+1)...(D_j+1), is at most `PACK_BITS`.
+
+    Otherwise the highest other x_j is set to 0, 1, -1, 2, ...,
+    skipping values where a degree in x_v drops (finitely many: the
+    leading coefficients are nonzero), until they outnumber D_j + 1,
+    each image goes through `_ires` again and the values are
+    interpolated (Collins 1971).  Each map is grouped by its keys
+    without x_j once, so a value a only scales rows by a**k."""
     j = max(map(len, (*P, *Q)))
     if not j:
         return [{(): r} if r else {} for r in leaf(P[()], Q[()])]
-    bound = _degree_bound(P, Q, j, dp, dq)
+    widths = [_degree_bound(P, Q, k, dp, dq) + 1 for k in range(1, j + 1)]
+    n = 2 * _norm(P) ** dq * _norm(Q) ** dp + 1
+    if n.bit_length() * math.prod(widths) <= PACK_BITS:
+        return _packed(P, Q, dp, dq, leaf, widths, n)
     Pj, Qj = _by_power(P, j), _by_power(Q, j)
     xs, vals, a = [], [], 0
-    while len(xs) <= bound:
+    while len(xs) < widths[-1]:
         Pa, Qa = _at(Pj, a), _at(Qj, a)
         if any(r[dp] for r in Pa.values()) and any(r[dq] for r in Qa.values()):
             xs.append(a)
@@ -488,6 +522,46 @@ def _ires(P: dict, Q: dict, dp: int, dq: int, leaf) -> list[dict]:
                 if c:
                     e[j - 1] = k
                     out[_trim(tuple(e))] = c
+        outs.append(out)
+    return outs
+
+
+def _norm(T: dict) -> int:
+    """The sum of the absolute values of the integers in the rows T."""
+    return sum(abs(c) for row in T.values() for c in row)
+
+
+def _packed(P: dict, Q: dict, dp: int, dq: int, leaf, widths: list[int], n: int) -> list[dict]:
+    """`_ires` by one leaf call, with x_k = n^(widths[0]...widths[k-2]):
+    each minor has coefficients below n/2 and degree below widths[k-1]
+    in x_k."""
+    steps = [math.prod(widths[:k]) for k in range(len(widths))]
+
+    def pack(T: dict, d: int) -> list[int]:
+        out = [0] * (d + 1)
+        for e, row in T.items():
+            f = n ** sum(x * y for x, y in zip(e, steps))
+            for i, c in enumerate(row):
+                if c:
+                    out[i] += c * f
+        return out
+
+    half, outs = n // 2, []
+    for r in leaf(pack(P, dp), pack(Q, dq)):
+        out = {}
+        for s in range(math.prod(widths)):
+            if not r:
+                break
+            r, c = divmod(r, n)
+            if c > half:  # the balanced digit c - n
+                c -= n
+                r += 1
+            if c:
+                e, k = [], s
+                for w in widths:
+                    k, x = divmod(k, w)
+                    e.append(x)
+                out[_trim(tuple(e))] = c
         outs.append(out)
     return outs
 
@@ -712,10 +786,11 @@ def factor_dense(c: tuple[int, ...], mode: str = "finest") -> list[tuple[tuple[i
     a*x^2 + b*x + k splits as 4a*p = (2a*x + b - r)(2a*x + b + r)
     exactly when its discriminant b^2 - 4ak is a square r^2.  Above
     degree 2, in ``finest`` mode, c is deflated first (`_deflated`): x^k
-    that divides c is split off, and c = h(x^d) with h reducible is
-    factored through the factors of h; otherwise the certificate comes
-    next.  Then sympy's `dup_factor_list`, or `dup_sqf_list` in
-    ``squarefree`` mode, which deflates nothing.  Kept in `memo.FACTOR`
+    that divides c is split off, c = h(x^d) with h reducible is
+    factored through the factors of h, and a binomial of odd degree
+    with a rational root splits off its linear factor; otherwise the
+    certificate comes next.  Then sympy's `dup_factor_list`, or
+    `dup_sqf_list` in ``squarefree`` mode, which deflates nothing.  Kept in `memo.FACTOR`
     under (c, mode) and recorded as `factor` records."""
     return list(memo.FACTOR.fetch((c, mode), _recorded, _factor_dense, c, mode))
 
@@ -765,7 +840,12 @@ def _deflated(c: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]] | None:
     else, with c = h(x^d) for the largest d > 1 at which h is reducible,
     the factors of each f(x^d), f an irreducible factor of h of
     multiplicity m, each taken m times.  The f(x^d) are square-free and
-    pairwise coprime (f(0) != 0), so no factor comes twice."""
+    pairwise coprime (f(0) != 0), so no factor comes twice.  Else a
+    binomial a*x^d + b of odd degree d with a = w^d and |b| = s^d has
+    the root u/w, u = -sign(b)*s: a*x^d + b = (w*x)^d - u^d is w*x - u,
+    primitive as gcd(w, s) = 1, times sum w^i u^(d-1-i) x^i, whose
+    factors follow.  (Even d is split by the quadratic closed form at
+    d/2.)"""
     k = next(i for i, x in enumerate(c) if x)
     if k:
         return [((0, 1), k)] + factor_dense(c[k:])
@@ -780,7 +860,21 @@ def _deflated(c: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]] | None:
             lifted[::d] = f
             pairs += [(F, m * M) for F, M in factor_dense(tuple(lifted))]
         return pairs
+    d = len(c) - 1
+    if g == d and d % 2 and (w := _exact_root(c[-1], d)) and (s := _exact_root(abs(c[0]), d)):
+        u = -s if c[0] > 0 else s
+        return [((-u, w), 1)] + factor_dense(tuple(w**i * u ** (d - 1 - i) for i in range(d)))
     return None
+
+
+def _exact_root(k: int, d: int) -> int | None:
+    """The integer r with r^d = k, for integers k >= 1 and d >= 2, or
+    None: Newton's iteration on integers, from above, ends at the floor
+    of the d-th root."""
+    r = 1 << -(-k.bit_length() // d)
+    while (t := ((d - 1) * r + k // r ** (d - 1)) // d) < r:
+        r = t
+    return r if r**d == k else None
 
 
 def _factor(p: MPoly, mode: str) -> list[tuple[MPoly, int]]:

@@ -205,6 +205,16 @@ def sylvester_resultant(p: MPoly, q: MPoly, v: Var) -> MPoly:
     return determinant(sylvester_matrix(p, q, v))
 
 
+def sylvester_minors(p: MPoly, q: MPoly, v: Var) -> list[MPoly]:
+    """psc_0, ..., psc_dq of p and q, dq = deg_v(q) <= deg_v(p): psc_j is
+    the determinant of their Sylvester matrix in x_v with the last j
+    rows of each polynomial and the last 2j columns struck out."""
+    dp, dq = term_degree(p, v), term_degree(q, v)
+    m = sylvester_matrix(p, q, v)
+    return [determinant([r[: dp + dq - 2 * j] for r in m[: dq - j] + m[dq : dq + dp - j]])
+            for j in range(dq + 1)]
+
+
 # ---------------------------------------------------------------------------
 # the subresultant PRS over MPoly coefficients, the library's resultant
 # before evaluation and interpolation

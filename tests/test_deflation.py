@@ -1,9 +1,11 @@
 """Deflation before factoring, in ``finest`` mode: a monomial factor is
-split off before the rest is factored, and h(x^d) with h reducible is
-factored through the factors of h.  Both kernels, `factor_dense` on
-integer tuples and `factor` on term maps, are checked against sympy's
-`factor_list` and `sqf_list` (`oracles.sympy_poly_factor`), in both
-modes, in either order from an empty memo, in the order of `sort_key`.
+split off before the rest is factored, h(x^d) with h reducible is
+factored through the factors of h, and a binomial a*x^d + b of odd
+degree with a rational root splits off its linear factor.  Both
+kernels, `factor_dense` on integer tuples and `factor` on term maps,
+are checked against sympy's `factor_list` and `sqf_list`
+(`oracles.sympy_poly_factor`), in both modes, in either order from an
+empty memo, in the order of `sort_key`.
 """
 
 from unittest import mock
@@ -60,6 +62,25 @@ def _monomial_multiples(draw):
     return x1 ** draw(st.integers(0, 3)) * x2 ** draw(st.integers(0, 3)) * q
 
 
+@st.composite
+def _binomials(draw):
+    """a*x^d + b or a*x^d - b for odd d = 3-9, with a and |b| perfect
+    d-th powers (8 and 27 among them at d = 3) or not, over their
+    content; as a tuple with a positive leading entry."""
+    d = draw(st.sampled_from([3, 5, 7, 9]))
+    powers = st.integers(1, 3).map(lambda w: w**d)
+    a, b = (draw(st.one_of(powers, st.sampled_from([8, 27]), st.integers(1, 40))) for _ in range(2))
+    return _primitive((draw(st.sampled_from([b, -b])),) + (0,) * (d - 1) + (a,))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_binomials(), st.booleans())
+def test_binomials_match_sympy(c, finest_first):
+    """Binomials with and without a rational root, whose linear factor
+    is split off before the certificate, factor as sympy factors them."""
+    _check_dense(c, finest_first)
+
+
 def _tuples(pairs):
     return [(dense(f, 1), m) for f, m in pairs]
 
@@ -103,6 +124,10 @@ def _pairs(*items):
     ("x1^4+4", _pairs(("x1^2-2*x1+2", 1), ("x1^2+2*x1+2", 1)), 1),
     ("x1^3*(x1^2-2)^2", _pairs(("x1", 3), ("x1^2-2", 2)), 0),
     ("x1*x2^2*(x1*x2+1)", _pairs(("x1", 1), ("x2", 2), ("x1*x2+1", 1)), 0),
+    # binomials of odd degree with a rational root: the linear factor and
+    # a quadratic cofactor, which the closed form proves irreducible
+    ("x1^3+8", _pairs(("x1+2", 1), ("x1^2-2*x1+4", 1)), 0),
+    ("8*x1^3-27", _pairs(("2*x1-3", 1), ("4*x1^2+6*x1+9", 1)), 0),
 ])
 def test_deflation_fixed_cases(text, finest, sympy_calls):
     p = parse_poly(text)

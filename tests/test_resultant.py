@@ -1,8 +1,14 @@
-"""`polynomial.resultant` (evaluation and interpolation on integers)
-against two independent routes: the subresultant PRS over `MPoly`
-coefficients and the symbolic Sylvester determinant.  Its kernel on
-dense rows over the eliminated variable is also checked against the
-same evaluation on integer term maps, `oracles.term_map_resultant`."""
+"""`polynomial.resultant` against two independent routes: the
+subresultant PRS over `MPoly` coefficients and the symbolic Sylvester
+determinant.  Its kernel on dense rows over the eliminated variable,
+`_ires`, packs small input into one integer per row entry (Kronecker
+substitution) and evaluates larger input at integers and interpolates
+(Collins); it is checked as shipped and with every node evaluated
+(`PACK_BITS` patched to 0) against the same evaluation on integer term
+maps, `oracles.term_map_resultant`, and its subresultant leaf against
+Sylvester minors, on operands with coefficients up to 10^9.  The bounds
+the packing rests on are checked too: every minor's coefficients stay
+below half the base, and the degree bound holds for every minor."""
 
 from fractions import Fraction
 from functools import cache
@@ -11,13 +17,15 @@ from unittest import mock
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from onecell import memo, realalg
+from onecell import memo, polynomial, realalg
 from onecell.polynomial import (
     MPoly,
     _degree_bound,
     _ires,
+    _norm,
     _primitive_part,
     _rows,
+    _upsc,
     _ures,
     coeff_info,
     parse_poly,
@@ -29,6 +37,7 @@ from oracles import (
     _term_map_bound,
     is_zero_by_elimination,
     subresultant_resultant,
+    sylvester_minors,
     sylvester_resultant,
     term_map_resultant,
 )
@@ -145,13 +154,16 @@ def test_degree_bound_holds(operands):
 
 
 def _check_rows(p, q, v):
-    """`_ires` on the rows of p and q with the resultant leaf and the
-    term-map route give the same term map, and every degree bound they
-    use is the same."""
+    """`_ires` on the rows of p and q with the resultant leaf, as shipped
+    and with every node evaluated, and the term-map route give the same
+    term map, and every degree bound they use is the same."""
     dp, dq = p.degree(v), q.degree(v)
     (_, P), (_, Q) = _primitive_part(p), _primitive_part(q)
     Pr, Qr = _rows(P, v, dp), _rows(Q, v, dq)
-    assert _ires(Pr, Qr, dp, dq, _ures) == [term_map_resultant(P, Q, v, dp, dq)], (p, q, v)
+    want = [term_map_resultant(P, Q, v, dp, dq)]
+    assert _ires(Pr, Qr, dp, dq, _ures) == want, (p, q, v)
+    with mock.patch.object(polynomial, "PACK_BITS", 0):
+        assert _ires(Pr, Qr, dp, dq, _ures) == want, (p, q, v)
     for j in (p * q).variables() - {v}:
         assert _degree_bound(Pr, Qr, j, dp, dq) == _term_map_bound(P, Q, j, dp, dq)
 
@@ -162,6 +174,85 @@ def _check_rows(p, q, v):
 @example((parse_poly("x2^2+x1*x2+x1^2"), parse_poly("x2+x1"), 2))
 def test_rows_match_term_maps(operands):
     _check_rows(*operands)
+
+
+# coefficients up to 10^9 beside small ones: a minor can then come close
+# to the bound on its coefficients, which a base of half the size misses
+large = st.one_of(st.integers(-2, 2), st.integers(-10**9, 10**9)).filter(bool)
+
+
+@st.composite
+def _large_operands(draw, nvars=st.integers(2, 4)):
+    """p and q in 2-4 variables with coefficients up to 10^9, of
+    positive degree in x_v, deg_v(p) >= deg_v(q)."""
+    n = draw(nvars)
+    v = draw(st.integers(1, n))
+    p, q = (draw(_polys(n, 2, large).filter(lambda p: p.degree(v) > 0)) for _ in range(2))
+    return (p, q, v) if p.degree(v) >= q.degree(v) else (q, p, v)
+
+
+# res_x2(10^9*x2 + x1, x2 - 10^9) = -10^18 - x1, whose constant term is
+# near the bound (10^9 + 1)^2 on the coefficients
+_NEAR_BOUND = (parse_poly("1000000000*x2+x1"), parse_poly("x2-1000000000"), 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_large_operands())
+@example(_NEAR_BOUND)
+def test_large_coefficients_match_term_maps(operands):
+    _check_rows(*operands)
+
+
+def _integer_rows(p, q, v):
+    """The rows of the integer-primitive p and q, their degrees in x_v,
+    and the psc_j of those integer polynomials as Sylvester minors."""
+    dp, dq = p.degree(v), q.degree(v)
+    (_, P), (_, Q) = _primitive_part(p), _primitive_part(q)
+    minors = sylvester_minors(MPoly(P), MPoly(Q), v)
+    return _rows(P, v, dp), _rows(Q, v, dq), dp, dq, minors
+
+
+@settings(max_examples=40, deadline=None)
+@given(_large_operands(nvars=st.integers(2, 3)))
+@example(_NEAR_BOUND)
+def test_subresultant_leaf_matches_sylvester_minors(operands):
+    """`_ires` with the subresultant leaf `_upsc`, which lists every
+    psc_j, as shipped and with every node evaluated."""
+    P, Q, dp, dq, minors = _integer_rows(*operands)
+    want = [m.terms for m in minors]
+    assert _ires(P, Q, dp, dq, _upsc) == want
+    with mock.patch.object(polynomial, "PACK_BITS", 0):
+        assert _ires(P, Q, dp, dq, _upsc) == want
+
+
+# small integer operands, swapped when deg_v(p) < deg_v(q)
+_ordered = _operands(coeffs=integers).map(
+    lambda o: o if o[0].degree(o[2]) >= o[1].degree(o[2]) else (o[1], o[0], o[2]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_large_operands(nvars=st.integers(2, 3)), _ordered))
+@example(_NEAR_BOUND)
+def test_minor_coefficients_below_half_the_base(operands):
+    """Every coefficient c of every psc_j of integer rows P and Q has
+    2|c| < N = 2 |P|^dq |Q|^dp + 1, the base `_ires` packs them in."""
+    P, Q, dp, dq, minors = _integer_rows(*operands)
+    n = 2 * _norm(P) ** dq * _norm(Q) ** dp + 1
+    assert all(2 * abs(c) < n for m in minors for c in m.terms.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ordered)
+@example((parse_poly("x1*x2+1"), parse_poly("x2+x1"), 2))
+@example((parse_poly("x2^2+x1*x2+x1^2"), parse_poly("x2+x1"), 2))
+def test_degree_bound_holds_for_every_minor(operands):
+    """`_degree_bound` in x_k bounds deg_k psc_j for every j, not only
+    for the resultant psc_0, and for x_v, where it is 0."""
+    p, q, v = operands
+    P, Q, dp, dq, minors = _integer_rows(p, q, v)
+    for k in (p * q).variables():
+        bound = _degree_bound(P, Q, k, dp, dq)
+        assert all(m.degree(k) <= bound for m in minors), (k, bound)
 
 
 def _below(nvars, v, d):

@@ -10,9 +10,10 @@ import random
 from fractions import Fraction
 from unittest import mock
 
-from onecell import memo, realalg
+from onecell import memo, polynomial, realalg
 from onecell.explain import Constraint, check_conflict
 from onecell.polynomial import (
+    PACK_BITS,
     MPoly,
     coeff_info,
     dense,
@@ -33,41 +34,35 @@ from onecell.realalg import (
 
 from conftest import random_poly, within_seconds
 from oracles import (
-    determinant,
     roots_by_zero_test,
     sturm_count_all_real_roots,
-    sylvester_matrix,
+    sylvester_minors,
 )
-
-
-def _sylvester_minor(p: MPoly, v: int, j: int) -> MPoly:
-    """psc_j of p and dp/dx_v: the Sylvester matrix with the last j rows
-    of each polynomial and the last 2j columns struck out."""
-    q = derivative(p, v)
-    dp, dq = p.degree(v), q.degree(v)
-    m = sylvester_matrix(p, q, v)
-    rows = m[: dq - j] + m[dq : dq + dp - j]
-    return determinant([r[: dp + dq - 2 * j] for r in rows])
 
 
 def test_subresultant_coefficients_match_sylvester_minors():
     """Random polynomials in up to three variables, with rational
-    coefficients and with repeated factors, whose psc_0 vanishes."""
-    rng = random.Random(71)
-    vanishing = 0
-    for trial in range(40):
-        p = random_poly(rng, 3, 5, 5)
-        if trial % 4 == 0:
-            p = p * p * random_poly(rng, 3, 2, 2)
-        if trial % 3 == 0:
-            p = p.scale(Fraction(rng.choice([2, -3]), rng.choice([3, 5])))
-        v = p.level
-        if not v or p.degree(v) > 5:
-            continue
-        got = subresultant_coefficients(p, v)
-        assert got == tuple(_sylvester_minor(p, v, j) for j in range(p.degree(v))), p
-        vanishing += got[0].is_zero()
-    assert vanishing >= 5
+    coefficients and with repeated factors, whose psc_0 vanishes; with
+    small minors packed into one integer, as shipped, and with every
+    other variable evaluated, under `PACK_BITS` 0."""
+    for pack_bits in (PACK_BITS, 0):
+        memo.clear()
+        rng = random.Random(71)
+        vanishing = 0
+        for trial in range(40):
+            p = random_poly(rng, 3, 5, 5)
+            if trial % 4 == 0:
+                p = p * p * random_poly(rng, 3, 2, 2)
+            if trial % 3 == 0:
+                p = p.scale(Fraction(rng.choice([2, -3]), rng.choice([3, 5])))
+            v = p.level
+            if not v or p.degree(v) > 5:
+                continue
+            with mock.patch.object(polynomial, "PACK_BITS", pack_bits):
+                got = subresultant_coefficients(p, v)
+            assert got == tuple(sylvester_minors(p, derivative(p, v), v)), (p, pack_bits)
+            vanishing += got[0].is_zero()
+        assert vanishing >= 5
 
 
 def _specialized(rng: random.Random) -> tuple[MPoly, Sample]:
