@@ -45,9 +45,13 @@ a rational root splits off its linear factor; ``squarefree`` mode,
 whose grouping follows sympy's `sqf_list`, deflates nothing), input of
 any degree can be proved irreducible by a degree-pattern certificate
 (distinct-degree factorizations of images modulo small primes, on
-ints), and everything else goes to sympy's dense factorization over ZZ
-(`sympy.polys` submodules only), on the integer-primitive term map in
-the variables that occur.  Nothing else in the package imports sympy; univariate
+ints), in ``squarefree`` mode a univariate tuple is decomposed by
+Yun's algorithm over a heuristic gcd (one evaluation gcd proves
+square-free input), and multivariate input is proved square-free by
+such a gcd on an image, and everything else goes to sympy's dense
+factorization or square-free decomposition over ZZ (`sympy.polys`
+submodules only), on the integer-primitive term map in the variables
+that occur.  Nothing else in the package imports sympy; univariate
 root isolation calls `factor_dense` on the tuple it works on.
 """
 
@@ -764,8 +768,10 @@ def factor(p: MPoly, mode: str = "finest") -> list[tuple[MPoly, int]]:
     exponent of x_v in p, is split off, and p over it is factored; then
     the degree-pattern certificate `_irreducible_by_degrees` may prove
     p irreducible, in any degree.  ``squarefree`` mode, whose grouping
-    follows sympy's `sqf_list`, splits nothing off.  Everything else
-    goes to sympy's dense factorization over ZZ, on the
+    follows sympy's `sqf_list`, splits nothing off, and
+    `_squarefree_by_images` may prove p square-free from the gcd of an
+    image with its derivative.  Everything else goes to sympy's dense
+    factorization (or square-free decomposition) over ZZ, on the
     integer-primitive p in the variables that occur, in their order:
     the input the certificate refuses (all reducible input, and
     irreducible input such as x^4 + 1 that splits modulo every prime)
@@ -789,9 +795,12 @@ def factor_dense(c: tuple[int, ...], mode: str = "finest") -> list[tuple[tuple[i
     that divides c is split off, c = h(x^d) with h reducible is
     factored through the factors of h, and a binomial of odd degree
     with a rational root splits off its linear factor; otherwise the
-    certificate comes next.  Then sympy's `dup_factor_list`, or
-    `dup_sqf_list` in ``squarefree`` mode, which deflates nothing.  Kept in `memo.FACTOR`
-    under (c, mode) and recorded as `factor` records."""
+    certificate comes next, then sympy's `dup_factor_list`.  In
+    ``squarefree`` mode, which deflates nothing, Yun's algorithm
+    (`_yun`) over the heuristic gcd `_gcd_heuristic` decomposes c, and
+    one evaluation gcd proves square-free input; sympy's `dup_sqf_list`
+    answers only when a gcd gives up.  Kept in `memo.FACTOR` under
+    (c, mode) and recorded as `factor` records."""
     return list(memo.FACTOR.fetch((c, mode), _recorded, _factor_dense, c, mode))
 
 
@@ -819,7 +828,7 @@ def _factor_dense(c: tuple[int, ...], mode: str) -> list[tuple[tuple[int, ...], 
         pairs = [(_primitive((b - r, 2 * a)), 1), (_primitive((b + r, 2 * a)), 1)]
     elif n < 2:
         return [(c, 1)] if n else []
-    elif mode == "squarefree" or (pairs := _deflated(c)) is None:
+    elif (pairs := _yun(c) if mode == "squarefree" else _deflated(c)) is None:
         if mode == "finest" and _irreducible_by_degrees(
                 {(k,): x for k, x in enumerate(c) if x}, [1]):
             return [(c, 1)]
@@ -877,6 +886,107 @@ def _exact_root(k: int, d: int) -> int | None:
     return r if r**d == k else None
 
 
+def _yun(c: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]] | None:
+    """The ``squarefree`` factors of c, integer-primitive with a positive
+    leading coefficient, by Yun's algorithm (Yun 1976), or None when a
+    gcd gives up: with b = c / gcd(c, c') and d = c' / gcd(c, c') - b',
+    each a = gcd(b, d) is the product of the factors of multiplicity i =
+    1, 2, ..., and b and d go on as b / a and d / a - (b / a)'.  Each gcd
+    is taken by `_gcd_heuristic`, whose cofactors are the divisions, so
+    a square-free c costs one evaluation gcd (the certificate)."""
+    dc = [k * x for k, x in enumerate(c)][1:]
+    if (r := _gcd_heuristic(c, dc)) is None:
+        return None
+    g, b, d = r
+    if len(g) == 1:
+        return [(c, 1)]
+    pairs, i = [], 1
+    while len(b) > 1 and i < len(c):  # no multiplicity exceeds deg c
+        d = _trim([x - k * y for k, (x, y) in enumerate(zip_longest(d, b[1:], fillvalue=0), 1)])
+        if (r := _gcd_heuristic(b, d)) is None:
+            return None
+        a, b, d = r
+        if len(a) > 1:
+            pairs.append((tuple(a), i))
+        i += 1
+    return pairs
+
+
+# Evaluation points `_gcd_heuristic` tries, each with twice the bits of
+# the one before, before it gives up, and the bits the first point has
+# beyond its bound: a margin, so that a common factor of a(x) and b(x)
+# that is not a value of the gcd rarely spoils it.
+GCD_TRIES = 4
+GCD_MARGIN = 8
+
+
+def _gcd_heuristic(a: Sequence[int], b: Sequence[int]) -> tuple[Sequence[int], ...] | None:
+    """(g, a / g, b / g) for trimmed integer coefficient lists (index =
+    degree) a != 0 and b, g their gcd over Q, integer-primitive with a
+    positive leading coefficient, or None: the heuristic gcd (Char,
+    Geddes and Gonnet, "GCDHEU", 1989).  At x = 2^k, gamma = gcd(a(x),
+    b(x)) has the balanced base-x digits of some H with H(x) = gamma,
+    and the primitive part G of H is taken when it divides a and b
+    exactly.  Then G is the gcd: it divides g, and with g = G * q,
+    g(x) divides gamma = cont(H) * G(x), so q(x) divides cont(H), of
+    absolute value at most x/2.  Each root r of q is a root of a and of
+    b, so |r| < 1 + m, m the lesser of |a|/|lc(a)| and |b|/|lc(b)| in
+    the max norm (Cauchy), and 2^k >= 2 + 2m makes each |x - r| > x/2:
+    a nonconstant q has |q(x)| > x/2.  So gamma <= x/2 proves a and b
+    coprime with no division: the certificate.  Up to `GCD_TRIES`
+    points, each with twice the bits of the one before."""
+    if not b:
+        g = _primitive(a)
+        return g, [a[-1] // g[-1]], []
+    if len(a) == 1 or len(b) == 1:
+        return (1,), a, b
+    m = min(-(-max(map(abs, a)) // abs(a[-1])), -(-max(map(abs, b)) // abs(b[-1])))
+    k = (2 * m + 1).bit_length() + GCD_MARGIN
+    for _ in range(GCD_TRIES):
+        gamma = math.gcd(_at_power(a, k), _at_power(b, k))
+        base = 1 << k
+        if 2 * gamma <= base:
+            return (1,), a, b
+        digits = []
+        while gamma:
+            x = gamma & (base - 1)
+            if 2 * x > base:  # the balanced digit x - 2^k
+                x -= base
+            digits.append(x)
+            gamma = (gamma - x) >> k
+        G = _primitive(digits)
+        if (qa := _quotient(a, G)) is not None and (qb := _quotient(b, G)) is not None:
+            return G, qa, qb
+        k *= 2
+    return None
+
+
+def _at_power(c: Sequence[int], k: int) -> int:
+    """c(2^k), by Horner's rule on shifts."""
+    out = 0
+    for x in reversed(c):
+        out = (out << k) + x
+    return out
+
+
+def _quotient(a: Sequence[int], b: Sequence[int]) -> list[int] | None:
+    """a / b for integer coefficient lists (index = degree, b trimmed)
+    when b divides a over ZZ, else None."""
+    m = len(b) - 1
+    if len(a) <= m:
+        return None
+    a, lb = list(a), b[-1]
+    out = [0] * (len(a) - m)
+    for k in range(len(a) - 1, m - 1, -1):
+        t, r = divmod(a[k], lb)
+        if r:
+            return None
+        if t:
+            out[k - m] = t
+            a[k - m:k] = [x - t * y for x, y in zip(a[k - m:k], b)]
+    return None if any(a[:m]) else out
+
+
 def _factor(p: MPoly, mode: str) -> list[tuple[MPoly, int]]:
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -896,7 +1006,7 @@ def _factor(p: MPoly, mode: str) -> list[tuple[MPoly, int]]:
         rest = {_trim(tuple(x - y for x, y in zip(e, low))): k for e, k in P.items()}
         pairs = [(MPoly.var(v), m) for v, m in enumerate(low, 1) if m]
         pairs += factor(MPoly._canonical(rest))
-    elif mode == "finest" and _irreducible_by_degrees(P, vs):
+    elif (_irreducible_by_degrees if mode == "finest" else _squarefree_by_images)(P, vs):
         pairs = [(p, 1)]
     else:
         from sympy.polys.densebasic import dmp_from_dict, dmp_to_dict
@@ -964,22 +1074,10 @@ def _irreducible_by_degrees(P: dict, vs: list[Var]) -> bool:
     k is a sum of some of their degrees.
     """
     images, left = {}, {}  # per variable v: its images, the degrees k left
-    for v in reversed(vs):
-        # each term as (degree in v, total degree, coefficient)
-        split = [(e[v - 1] if len(e) >= v else 0, sum(e), k) for e, k in P.items()]
-        n = max(d for d, _, _ in split)
-        mixed = {d for d, t, _ in split if t > d}
-        if all(d in mixed for d, _, _ in split):
-            continue
+    for v, n, vimages in _images(P, vs):
         if n == 1:
             return True
-        images[v], left[v] = [], (1 << n) - 2  # bit k set: 0 < k < n is left
-        for a in CERTIFICATE_POINTS:
-            image = [0] * (n + 1)
-            for d, t, k in split:
-                image[d] += k * a ** (t - d)
-            if image[n] and image not in images[v]:
-                images[v].append(image)
+        images[v], left[v] = vimages, (1 << n) - 2  # bit k set: 0 < k < n is left
     budget = CERTIFICATE_BUDGET
     for q in CERTIFICATE_PRIMES:
         for v, vimages in images.items():
@@ -992,6 +1090,53 @@ def _irreducible_by_degrees(P: dict, vs: list[Var]) -> bool:
                 budget -= 1
                 if not budget:
                     return False
+    return False
+
+
+def _images(P: dict, vs: list[Var]):
+    """For each variable v of vs, highest first, in which the term map P
+    has degree n >= 1 and some coefficient of a power of v is a nonzero
+    integer: (v, n, the distinct images of P in v of degree n, with
+    every other variable set to a in `CERTIFICATE_POINTS`, as integer
+    coefficient lists, index = degree)."""
+    for v in reversed(vs):
+        # each term as (degree in v, total degree, coefficient)
+        split = [(e[v - 1] if len(e) >= v else 0, sum(e), k) for e, k in P.items()]
+        n = max(d for d, _, _ in split)
+        mixed = {d for d, t, _ in split if t > d}
+        if all(d in mixed for d, _, _ in split):
+            continue
+        images = []
+        for a in CERTIFICATE_POINTS:
+            image = [0] * (n + 1)
+            for d, t, k in split:
+                image[d] += k * a ** (t - d)
+            if image[n] and image not in images:
+                images.append(image)
+        yield v, n, images
+
+
+def _squarefree_by_images(P: dict, vs: list[Var]) -> bool:
+    """True when an image proves the integer-primitive term map P in
+    the variables vs square-free; False proves nothing.  For a variable
+    v of `_images` with degree n, n = 1 is the proof, else the first
+    image in v, when its gcd with its derivative (`_gcd_heuristic`) is
+    1.
+
+    Why it is sound: suppose f^2 divides P, f not a unit.  As in
+    `_irreducible_by_degrees`, f is not free of v, since it would divide
+    the integer coefficient and the content of P, which is 1; so
+    deg_v f >= 1, and n >= 2.  An image that keeps degree n keeps the
+    degree of f, as the leading coefficient of P is a multiple of that
+    of f, so the image of f^2, of positive degree, divides the image."""
+    for _, n, images in _images(P, vs):
+        if n == 1:
+            return True
+        if images:
+            c = images[0]
+            r = _gcd_heuristic(c, [k * x for k, x in enumerate(c)][1:])
+            if r is not None and len(r[0]) == 1:
+                return True
     return False
 
 

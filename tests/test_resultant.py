@@ -67,6 +67,16 @@ def _check(p, q, v):
     return r
 
 
+# res_x2(10^9*x2 + x1, x2 - 10^9) = -10^18 - x1, whose constant term is
+# near the bound (10^9 + 1)^2 on the coefficients
+_NEAR_BOUND = (parse_poly("1000000000*x2+x1"), parse_poly("x2-1000000000"), 2)
+# small operands whose resultants reach the degree bound in a remaining
+# variable: a slot too narrow for it shows at once, before any shrinking
+_REACHES_BOUND = (parse_poly("x1*x2+1"), parse_poly("x2+x1"), 2)
+_THREE_VARIABLES = (parse_poly("x1*x3^2+x2"), parse_poly("x2*x3+x1^2"), 3)
+_MIDDLE = (parse_poly("x1*x2*x3+x2^2+1"), parse_poly("x2+x3"))
+
+
 @st.composite
 def _operands(draw, coeffs=rationals):
     nvars = draw(st.integers(1, 3))
@@ -77,12 +87,17 @@ def _operands(draw, coeffs=rationals):
 
 @settings(max_examples=120, deadline=None)
 @given(_operands())
+@example((parse_poly("x1*x2/2+1"), parse_poly("2/3*x2+x1"), 2))
+@example(_THREE_VARIABLES)
 def test_rational_coefficients_up_to_level_three(operands):
     _check(*operands)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_operands(coeffs=integers))
+@example(_NEAR_BOUND)
+@example(_REACHES_BOUND)
+@example(_THREE_VARIABLES)
 def test_integer_coefficients_up_to_level_three(operands):
     _check(*operands)
 
@@ -90,6 +105,7 @@ def test_integer_coefficients_up_to_level_three(operands):
 @settings(max_examples=60, deadline=None)
 @given(_polys(3).filter(lambda p: p.variables() == {1, 2, 3}),
        _with_degree(2, 3))
+@example(*_MIDDLE)
 def test_middle_variable_of_level_three(p, q):
     """Eliminating x2 leaves x1 and x3, which are evaluated in turn. The
     filter on p already gives it positive degree in x2; adding x2 to it
@@ -106,6 +122,7 @@ def test_shared_factor_gives_zero(f, g, h):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 2), _polys(1), _polys(1), _with_degree(2, 2))
+@example(1, parse_poly("1"), parse_poly("1"), parse_poly("x2+x1"))
 def test_leading_coefficients_vanishing_at_the_first_points(d, t1, t0, q):
     """lc_x2(p) = x1(x1^2-1)(x1^2-4) vanishes at 0, 1, -1, 2 and -2, the
     first five evaluation points, so all of them are skipped."""
@@ -117,6 +134,7 @@ def test_leading_coefficients_vanishing_at_the_first_points(d, t1, t0, q):
 
 @settings(max_examples=60, deadline=None)
 @given(_operands().filter(lambda o: o[0].degree(o[2]) == 1))
+@example(_REACHES_BOUND)
 def test_degree_one_in_the_main_variable(operands):
     _check(*operands)
 
@@ -170,7 +188,7 @@ def _check_rows(p, q, v):
 
 @settings(max_examples=120, deadline=None)
 @given(_operands(coeffs=integers))
-@example((parse_poly("x1*x2+1"), parse_poly("x2+x1"), 2))  # the bound is reached
+@example(_REACHES_BOUND)
 @example((parse_poly("x2^2+x1*x2+x1^2"), parse_poly("x2+x1"), 2))
 def test_rows_match_term_maps(operands):
     _check_rows(*operands)
@@ -189,11 +207,6 @@ def _large_operands(draw, nvars=st.integers(2, 4)):
     v = draw(st.integers(1, n))
     p, q = (draw(_polys(n, 2, large).filter(lambda p: p.degree(v) > 0)) for _ in range(2))
     return (p, q, v) if p.degree(v) >= q.degree(v) else (q, p, v)
-
-
-# res_x2(10^9*x2 + x1, x2 - 10^9) = -10^18 - x1, whose constant term is
-# near the bound (10^9 + 1)^2 on the coefficients
-_NEAR_BOUND = (parse_poly("1000000000*x2+x1"), parse_poly("x2-1000000000"), 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -243,7 +256,7 @@ def test_minor_coefficients_below_half_the_base(operands):
 
 @settings(max_examples=80, deadline=None)
 @given(_ordered)
-@example((parse_poly("x1*x2+1"), parse_poly("x2+x1"), 2))
+@example(_REACHES_BOUND)
 @example((parse_poly("x2^2+x1*x2+x1^2"), parse_poly("x2+x1"), 2))
 def test_degree_bound_holds_for_every_minor(operands):
     """`_degree_bound` in x_k bounds deg_k psc_j for every j, not only
@@ -280,6 +293,7 @@ def _vanishing_leads(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(_vanishing_leads())
+@example(_REACHES_BOUND)  # lc_x2 = x1 vanishes at the first point
 def test_rows_match_term_maps_at_skipped_points(operands):
     p, q, v = operands
     _check_rows(p, q, v)
@@ -325,6 +339,7 @@ _picks = st.tuples(st.integers(2, 7), st.integers(0, 7))
 @given(_polys(2), _picks)
 # x2 = 1/2 makes the product zero before any elimination
 @example(parse_poly("-4*x1^2*x2^2+x1^2"), (2, 0))
+@example(parse_poly("x1*x2+1"), (2, 4))
 def test_zero_test_inputs(p, picks):
     """p at the sample, and p times a polynomial that vanishes there, by
     the zero test `_is_zero`, which takes resultants through the roots
@@ -349,6 +364,7 @@ def test_zero_test_inputs(p, picks):
 
 @settings(max_examples=40, deadline=None)
 @given(_with_degree(3, 3), _picks)
+@example(parse_poly("x3+x2"), (2, 4))
 def test_root_candidate_inputs(p, picks):
     s = _sample(picks)
     p = p + MPoly.var(1) * MPoly.var(3) ** 3

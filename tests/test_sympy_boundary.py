@@ -60,3 +60,13 @@ def test_sympy_is_loaded_only_by_a_factorization_that_needs_it():
     )
     assert _sympy_modules_after(solve) == []
     assert _sympy_modules_after("import onecell\nonecell.polynomial.factor_dense((4, 0, 0, 0, 1))")
+
+
+def test_squarefree_mode_loads_no_sympy():
+    """x^2 (x - 1)^2 goes through Yun's algorithm on the tuple, and
+    x1^2*x2 + x2^3 + 1 is proved square-free by its image x2^3 + x2 + 1."""
+    dense = "import onecell\nprint(onecell.polynomial.factor_dense((0, 0, 1, -2, 1), 'squarefree'))"
+    assert _sympy_modules_after(dense) == []
+    term_map = ("from onecell.polynomial import factor, parse_poly\n"
+                "print(factor(parse_poly('x1^2*x2+x2^3+1'), 'squarefree'))")
+    assert _sympy_modules_after(term_map) == []
