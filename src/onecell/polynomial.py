@@ -35,24 +35,22 @@ nodes small enough to pack; discriminants; and factorization
 `dense`, the integer-primitive coefficient tuple of a univariate
 polynomial that root isolation and the exact zero tests work on.
 
-`factor` is the package's one boundary to sympy: linear input has a
-closed form, univariate input goes to `factor_dense`, the one
-univariate kernel, on integer coefficient tuples (the quadratic closed
-form too), in ``finest`` mode input is deflated first (a monomial
-factor is split off, a univariate h(x^d) with h reducible is
-factored through the factors of h, and a binomial of odd degree with
-a rational root splits off its linear factor; ``squarefree`` mode,
-whose grouping follows sympy's `sqf_list`, deflates nothing), input of
-any degree can be proved irreducible by a degree-pattern certificate
-(distinct-degree factorizations of images modulo small primes, on
-ints), in ``squarefree`` mode a univariate tuple is decomposed by
-Yun's algorithm over a heuristic gcd (one evaluation gcd proves
-square-free input), and multivariate input is proved square-free by
-such a gcd on an image, and everything else goes to sympy's dense
-factorization or square-free decomposition over ZZ (`sympy.polys`
-submodules only), on the integer-primitive term map in the variables
-that occur.  Nothing else in the package imports sympy; univariate
-root isolation calls `factor_dense` on the tuple it works on.
+`factor` is the package's one boundary to sympy.  Linear input has a
+closed form.  Univariate input goes to `factor_dense`, the one
+univariate kernel, on integer coefficient tuples: one pipeline, in
+which Yun's algorithm over a heuristic gcd on integers splits the tuple
+into square-free parts (one evaluation gcd proves square-free input),
+the ``squarefree`` answer, and in ``finest`` mode one splitter,
+`_split`, factors each part: the quadratic closed form, deflation (x,
+h(x^d) with h reducible, a binomial of odd degree with a rational
+root), a degree-pattern certificate of irreducibility (distinct-degree
+factorizations of images modulo small primes, on ints), then sympy.
+Multivariate input is proved irreducible by that certificate, after its
+monomial factor is split off, or square-free by such a gcd on an image;
+the rest goes to sympy's dense factorization or square-free
+decomposition over ZZ (`sympy.polys` submodules only).  Nothing else in
+the package imports sympy; univariate root isolation calls
+`factor_dense` on the tuple it works on.
 """
 
 from __future__ import annotations
@@ -767,18 +765,16 @@ def factor(p: MPoly, mode: str = "finest") -> list[tuple[MPoly, int]]:
     ``finest`` mode the monomial x1^m1 * ... * xn^mn, m_v the least
     exponent of x_v in p, is split off, and p over it is factored; then
     the degree-pattern certificate `_irreducible_by_degrees` may prove
-    p irreducible, in any degree.  ``squarefree`` mode, whose grouping
-    follows sympy's `sqf_list`, splits nothing off, and
-    `_squarefree_by_images` may prove p square-free from the gcd of an
-    image with its derivative.  Everything else goes to sympy's dense
+    p irreducible.  ``squarefree`` mode, whose grouping follows sympy's
+    `sqf_list`, splits nothing off, and `_squarefree_by_images` may
+    prove p square-free.  Everything else goes to sympy's dense
     factorization (or square-free decomposition) over ZZ, on the
-    integer-primitive p in the variables that occur, in their order:
-    the input the certificate refuses (all reducible input, and
-    irreducible input such as x^4 + 1 that splits modulo every prime)
-    costs it at most `CERTIFICATE_BUDGET` reductions first.
-    Results are kept in `memo.FACTOR`, and each call returns a new list.
-    Each output f of a ``finest`` call is normalized and irreducible, so
-    the call also records [(f, 1)] as the answer for f in both modes.
+    integer-primitive p in the variables that occur, in their order;
+    input the certificate refuses costs it at most `CERTIFICATE_BUDGET`
+    reductions first.  Results are kept in `memo.FACTOR`, and each call
+    returns a new list.  Each output f of a ``finest`` call is
+    normalized and irreducible, so the call also records [(f, 1)] as
+    the answer for f in both modes.
     """
     if mode not in ("finest", "squarefree"):
         raise ValueError(f"unknown factor mode: {mode}")
@@ -788,19 +784,11 @@ def factor(p: MPoly, mode: str = "finest") -> list[tuple[MPoly, int]]:
 def factor_dense(c: tuple[int, ...], mode: str = "finest") -> list[tuple[tuple[int, ...], int]]:
     """`factor` of the univariate integer-primitive c (index = degree)
     with a positive leading coefficient: its factors as such tuples,
-    ordered as `factor` orders their polynomials.  A quadratic
-    a*x^2 + b*x + k splits as 4a*p = (2a*x + b - r)(2a*x + b + r)
-    exactly when its discriminant b^2 - 4ak is a square r^2.  Above
-    degree 2, in ``finest`` mode, c is deflated first (`_deflated`): x^k
-    that divides c is split off, c = h(x^d) with h reducible is
-    factored through the factors of h, and a binomial of odd degree
-    with a rational root splits off its linear factor; otherwise the
-    certificate comes next, then sympy's `dup_factor_list`.  In
-    ``squarefree`` mode, which deflates nothing, Yun's algorithm
-    (`_yun`) over the heuristic gcd `_gcd_heuristic` decomposes c, and
-    one evaluation gcd proves square-free input; sympy's `dup_sqf_list`
-    answers only when a gcd gives up.  Kept in `memo.FACTOR` under
-    (c, mode) and recorded as `factor` records."""
+    ordered as `factor` orders their polynomials.  `_yun` splits c into
+    square-free parts, the answer in ``squarefree`` mode; in ``finest``
+    mode `_split` factors each part into irreducibles, which keep its
+    multiplicity.  Kept in `memo.FACTOR` under (c, mode) and recorded as
+    `factor` records."""
     return list(memo.FACTOR.fetch((c, mode), _recorded, _factor_dense, c, mode))
 
 
@@ -816,64 +804,64 @@ def _recorded(compute, x, mode: str) -> list:
 
 
 def _factor_dense(c: tuple[int, ...], mode: str) -> list[tuple[tuple[int, ...], int]]:
+    pairs = _yun(c) if len(c) > 1 else []
+    if mode == "finest":
+        pairs = [(f, m) for g, m in pairs for f in _split(g)]
+    return sorted(pairs, key=lambda fm: _upoly(fm[0], 1).sort_key()) if len(pairs) > 1 else pairs
+
+
+def _split(c: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The irreducible factors of the square-free c, integer-primitive
+    with a positive leading coefficient, as such tuples, by the first
+    step that applies.  A quadratic a*x^2 + b*x + k splits as
+    4a*c = (2a*x + b - r)(2a*x + b + r) exactly when b^2 - 4ak = r^2.
+    x is split off when it divides c.  With c = h(x^d) for the largest
+    d > 1 at which h is reducible, the factors are those of each f(x^d),
+    f an irreducible factor of h.  A binomial a*x^d + b of odd degree d
+    with a = w^d and |b| = s^d has the root u/w, u = -sign(b)*s:
+    a*x^d + b = (w*x)^d - u^d is w*x - u, primitive as gcd(w, s) = 1,
+    times sum w^i u^(d-1-i) x^i.  (Even d is split by the quadratic
+    closed form at d/2.)  Then the degree-pattern certificate may prove
+    c irreducible, and sympy's `dup_factor_list` answers the rest.
+    Smaller input, square-free as c is, goes through `factor_dense`
+    (`_finest`), which keeps its answer."""
     n = len(c) - 1
     if n == 2:
         k, b, a = c
         disc = b * b - 4 * a * k
         r = math.isqrt(disc) if disc >= 0 else -1
-        if not disc:
-            return [(_primitive((b, 2 * a)), 2)]
-        if r * r != disc or mode == "squarefree":
-            return [(c, 1)]  # irreducible, or square-free as it stands
-        pairs = [(_primitive((b - r, 2 * a)), 1), (_primitive((b + r, 2 * a)), 1)]
-    elif n < 2:
-        return [(c, 1)] if n else []
-    elif (pairs := _yun(c) if mode == "squarefree" else _deflated(c)) is None:
-        if mode == "finest" and _irreducible_by_degrees(
-                {(k,): x for k, x in enumerate(c) if x}, [1]):
-            return [(c, 1)]
-        from sympy.polys.domains import ZZ
-        from sympy.polys.factortools import dup_factor_list
-        from sympy.polys.sqfreetools import dup_sqf_list
-
-        split = dup_factor_list if mode == "finest" else dup_sqf_list
-        _, fs = split(list(reversed(c)), ZZ)
-        # ZZ may be gmpy2's mpz or flint's fmpz
-        pairs = [(_primitive([int(k) for k in reversed(f)]), m) for f, m in fs if len(f) > 1]
-    return sorted(pairs, key=lambda fm: _upoly(fm[0], 1).sort_key())
-
-
-def _deflated(c: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]] | None:
-    """The ``finest`` factors of c, of degree >= 3, found from a smaller
-    input, or None: x^k and the factors of c / x^k when x^k divides c;
-    else, with c = h(x^d) for the largest d > 1 at which h is reducible,
-    the factors of each f(x^d), f an irreducible factor of h of
-    multiplicity m, each taken m times.  The f(x^d) are square-free and
-    pairwise coprime (f(0) != 0), so no factor comes twice.  Else a
-    binomial a*x^d + b of odd degree d with a = w^d and |b| = s^d has
-    the root u/w, u = -sign(b)*s: a*x^d + b = (w*x)^d - u^d is w*x - u,
-    primitive as gcd(w, s) = 1, times sum w^i u^(d-1-i) x^i, whose
-    factors follow.  (Even d is split by the quadratic closed form at
-    d/2.)"""
-    k = next(i for i, x in enumerate(c) if x)
-    if k:
-        return [((0, 1), k)] + factor_dense(c[k:])
+        return [c] if r * r != disc else [_primitive((b - r, 2 * a)), _primitive((b + r, 2 * a))]
+    if n < 2:
+        return [c]
+    if not c[0]:
+        return [(0, 1)] + _finest(c[1:])
     g = math.gcd(*(i for i, x in enumerate(c) if x))
     for d in range(g, 1, -1):
         h = c[::d]
-        if g % d or (fs := factor_dense(h)) == [(h, 1)]:
+        if g % d or len(fs := _finest(h)) == 1:
             continue
-        pairs = []
-        for f, m in fs:
+        out = []
+        for f in fs:
             lifted = [0] * (d * len(f) - d + 1)
             lifted[::d] = f
-            pairs += [(F, m * M) for F, M in factor_dense(tuple(lifted))]
-        return pairs
-    d = len(c) - 1
-    if g == d and d % 2 and (w := _exact_root(c[-1], d)) and (s := _exact_root(abs(c[0]), d)):
+            out += _finest(tuple(lifted))
+        return out
+    if g == n and n % 2 and (w := _exact_root(c[-1], n)) and (s := _exact_root(abs(c[0]), n)):
         u = -s if c[0] > 0 else s
-        return [((-u, w), 1)] + factor_dense(tuple(w**i * u ** (d - 1 - i) for i in range(d)))
-    return None
+        return [(-u, w)] + _finest(tuple(w**i * u ** (n - 1 - i) for i in range(n)))
+    if _irreducible_by_degrees({(k,): x for k, x in enumerate(c) if x}, [1]):
+        return [c]
+    from sympy.polys.domains import ZZ
+    from sympy.polys.factortools import dup_factor_list
+
+    _, fs = dup_factor_list(list(reversed(c)), ZZ)
+    # ZZ may be gmpy2's mpz or flint's fmpz
+    return [_primitive([int(k) for k in reversed(f)]) for f, _ in fs if len(f) > 1]
+
+
+def _finest(c: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The irreducible factors of the square-free c, by `factor_dense`."""
+    return [f for f, _ in factor_dense(c)]
 
 
 def _exact_root(k: int, d: int) -> int | None:
@@ -886,55 +874,54 @@ def _exact_root(k: int, d: int) -> int | None:
     return r if r**d == k else None
 
 
-def _yun(c: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]] | None:
+def _yun(c: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
     """The ``squarefree`` factors of c, integer-primitive with a positive
-    leading coefficient, by Yun's algorithm (Yun 1976), or None when a
-    gcd gives up: with b = c / gcd(c, c') and d = c' / gcd(c, c') - b',
-    each a = gcd(b, d) is the product of the factors of multiplicity i =
-    1, 2, ..., and b and d go on as b / a and d / a - (b / a)'.  Each gcd
-    is taken by `_gcd_heuristic`, whose cofactors are the divisions, so
-    a square-free c costs one evaluation gcd (the certificate)."""
+    leading coefficient, by Yun's algorithm (Yun 1976): with b = c /
+    gcd(c, c') and d = c' / gcd(c, c') - b', each a = gcd(b, d) is the
+    product of the factors of multiplicity i = 1, 2, ..., and b and d go
+    on as b / a and d / a - (b / a)'.  Each gcd is taken by
+    `_gcd_heuristic`, whose cofactors are the divisions, so a
+    square-free c costs one evaluation gcd (the certificate)."""
     dc = [k * x for k, x in enumerate(c)][1:]
-    if (r := _gcd_heuristic(c, dc)) is None:
-        return None
-    g, b, d = r
+    g, b, d = _gcd_heuristic(c, dc)
     if len(g) == 1:
         return [(c, 1)]
     pairs, i = [], 1
     while len(b) > 1 and i < len(c):  # no multiplicity exceeds deg c
         d = _trim([x - k * y for k, (x, y) in enumerate(zip_longest(d, b[1:], fillvalue=0), 1)])
-        if (r := _gcd_heuristic(b, d)) is None:
-            return None
-        a, b, d = r
+        a, b, d = _gcd_heuristic(b, d)
         if len(a) > 1:
             pairs.append((tuple(a), i))
         i += 1
     return pairs
 
 
-# Evaluation points `_gcd_heuristic` tries, each with twice the bits of
-# the one before, before it gives up, and the bits the first point has
-# beyond its bound: a margin, so that a common factor of a(x) and b(x)
-# that is not a value of the gcd rarely spoils it.
-GCD_TRIES = 4
+# The bits the first point of `_gcd_heuristic` has beyond its bound: a
+# margin, so that a common factor of a(x) and b(x) that is not a value
+# of the gcd rarely spoils it.
 GCD_MARGIN = 8
 
 
-def _gcd_heuristic(a: Sequence[int], b: Sequence[int]) -> tuple[Sequence[int], ...] | None:
+def _gcd_heuristic(a: Sequence[int], b: Sequence[int]) -> tuple[Sequence[int], ...]:
     """(g, a / g, b / g) for trimmed integer coefficient lists (index =
     degree) a != 0 and b, g their gcd over Q, integer-primitive with a
-    positive leading coefficient, or None: the heuristic gcd (Char,
-    Geddes and Gonnet, "GCDHEU", 1989).  At x = 2^k, gamma = gcd(a(x),
-    b(x)) has the balanced base-x digits of some H with H(x) = gamma,
-    and the primitive part G of H is taken when it divides a and b
-    exactly.  Then G is the gcd: it divides g, and with g = G * q,
-    g(x) divides gamma = cont(H) * G(x), so q(x) divides cont(H), of
-    absolute value at most x/2.  Each root r of q is a root of a and of
-    b, so |r| < 1 + m, m the lesser of |a|/|lc(a)| and |b|/|lc(b)| in
-    the max norm (Cauchy), and 2^k >= 2 + 2m makes each |x - r| > x/2:
-    a nonconstant q has |q(x)| > x/2.  So gamma <= x/2 proves a and b
-    coprime with no division: the certificate.  Up to `GCD_TRIES`
-    points, each with twice the bits of the one before."""
+    positive leading coefficient: the heuristic gcd (Char, Geddes and
+    Gonnet, "GCDHEU", 1989).  At x = 2^k, gamma = gcd(a(x), b(x)) has
+    the balanced base-x digits of some H with H(x) = gamma, and the
+    primitive part G of H is taken when it divides a and b exactly.
+    Then G is the gcd: it divides g, and with g = G * q, g(x) divides
+    gamma = cont(H) * G(x), so q(x) divides cont(H), of absolute value
+    at most x/2.  Each root r of q is a root of a and of b, so |r| < 1 +
+    m, m the lesser of |a|/|lc(a)| and |b|/|lc(b)| in the max norm
+    (Cauchy), and 2^k >= 2 + 2m makes each |x - r| > x/2: a
+    nonconstant q has |q(x)| > x/2.  So gamma <= x/2 proves a and b
+    coprime with no division: the certificate.
+
+    Otherwise k is doubled until G divides both, which ends: with a =
+    g*a1 and b = g*b1, gamma = g(x)*delta, delta a divisor of N =
+    res(a1, b1) != 0, or of N = a1 if it is constant, so every 2^k >
+    2|N| |g| (max norm) reads delta*g, whose primitive part is g, and
+    the bound that makes an accepted G sound holds at every larger k."""
     if not b:
         g = _primitive(a)
         return g, [a[-1] // g[-1]], []
@@ -942,7 +929,7 @@ def _gcd_heuristic(a: Sequence[int], b: Sequence[int]) -> tuple[Sequence[int], .
         return (1,), a, b
     m = min(-(-max(map(abs, a)) // abs(a[-1])), -(-max(map(abs, b)) // abs(b[-1])))
     k = (2 * m + 1).bit_length() + GCD_MARGIN
-    for _ in range(GCD_TRIES):
+    while True:
         gamma = math.gcd(_at_power(a, k), _at_power(b, k))
         base = 1 << k
         if 2 * gamma <= base:
@@ -958,7 +945,6 @@ def _gcd_heuristic(a: Sequence[int], b: Sequence[int]) -> tuple[Sequence[int], .
         if (qa := _quotient(a, G)) is not None and (qb := _quotient(b, G)) is not None:
             return G, qa, qb
         k *= 2
-    return None
 
 
 def _at_power(c: Sequence[int], k: int) -> int:
@@ -1134,8 +1120,7 @@ def _squarefree_by_images(P: dict, vs: list[Var]) -> bool:
             return True
         if images:
             c = images[0]
-            r = _gcd_heuristic(c, [k * x for k, x in enumerate(c)][1:])
-            if r is not None and len(r[0]) == 1:
+            if len(_gcd_heuristic(c, [k * x for k, x in enumerate(c)][1:])[0]) == 1:
                 return True
     return False
 

@@ -128,6 +128,9 @@ def _pairs(*items):
     # a quadratic cofactor, which the closed form proves irreducible
     ("x1^3+8", _pairs(("x1+2", 1), ("x1^2-2*x1+4", 1)), 0),
     ("8*x1^3-27", _pairs(("2*x1-3", 1), ("4*x1^2+6*x1+9", 1)), 0),
+    # x1^4+1, x1^8+1 and x1^16+1 split modulo every prime, so each
+    # reaches sympy, once: the answer for each h is kept
+    ("x1^16+1", _pairs(("x1^16+1", 1)), 3),
 ])
 def test_deflation_fixed_cases(text, finest, sympy_calls):
     p = parse_poly(text)

@@ -1,19 +1,21 @@
 """Square-free decomposition on integer tuples: Yun's algorithm over the
 heuristic gcd (`polynomial._yun`, `_gcd_heuristic`) for univariate
-input, and the image certificate (`_squarefree_by_images`) for
+input, in both modes, as ``finest`` mode splits its square-free parts
+further, and the image certificate (`_squarefree_by_images`) for
 multivariate input.  Both kernels, `factor_dense` and `factor`, are
 checked against sympy's `sqf_list` and `factor_list`
 (`oracles.sympy_poly_factor`), in both modes, in either order from an
 empty memo; the certificates must never pass input with a repeated
-factor.
+factor, and the gcd must always come back.
 """
 
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sympy.polys import sqfreetools
+from sympy.polys import factortools, sqfreetools
 
 from onecell import memo, polynomial
 from onecell.polynomial import (
@@ -203,14 +205,36 @@ def test_logged_inputs_match_sympy_without_calling_it():
     assert dmp.call_count >= 1
 
 
-@settings(max_examples=60, deadline=None)
-@given(_dense_products())
-def test_a_heuristic_gcd_that_gives_up_falls_back_to_sympy(c):
-    """With no evaluation point to try, every gcd gives up, and sympy's
-    `dup_sqf_list` answers."""
+@settings(max_examples=100, deadline=None)
+@given(_dense_products(), st.booleans())
+@example(SPOILED[0], True)
+@example(SPOILED[1], False)
+def test_a_heuristic_gcd_without_its_margin_matches_sympy(c, finest_first):
+    """With no margin beyond the bound, the first point often reads a
+    candidate that divides neither operand, and the gcd doubles k until
+    one does: the gcd always comes back, and so do sympy's answers."""
+    with mock.patch.object(polynomial, "GCD_MARGIN", 0):
+        _check_dense(c, finest_first)
+
+
+@pytest.mark.parametrize("c, sympy_calls", [
+    # logged seed-1 ``finest`` input: (3x - 1)^2 (9x^2 + 9x + 1),
+    # (3x - 1)^2 (9x^2 - 9x + 1) and (15x^2 - 12x + 2)^2, whose
+    # square-free parts the quadratic closed form finishes
+    ((1, 3, -36, 27, 81), 0),
+    ((1, -15, 72, -135, 81), 0),
+    ((4, -48, 204, -360, 225), 0),
+    # irreducible, and refused by the certificate
+    ((1, 6, -81, 90, 225), 1),
+])
+def test_finest_input_with_a_repeated_factor_is_split_by_yun_first(c, sympy_calls):
+    want = _tuples(sympy_poly_factor(_upoly(c, 1), "finest"))
     memo.clear()
-    with mock.patch.object(polynomial, "GCD_TRIES", 0):
-        assert factor_dense(c, "squarefree") == _tuples(sympy_poly_factor(_upoly(c, 1), "squarefree"))
+    with mock.patch.object(factortools, "dup_factor_list",
+                           wraps=factortools.dup_factor_list) as spy:
+        assert factor_dense(c) == want
+    assert spy.call_count == sympy_calls
+    _check_dense(c, False)
 
 
 @settings(max_examples=200, deadline=None)
@@ -222,8 +246,7 @@ def test_the_certificate_never_passes_a_repeated_factor(fs, k):
     c = _mul(_mul(f, f), [-k, 1])
     for g, _ in rest:
         c = _mul(c, g)
-    r = _gcd_heuristic(c, _derivative(c))
-    assert r is None or len(r[0]) > 1
+    assert len(_gcd_heuristic(c, _derivative(c))[0]) > 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -239,8 +262,6 @@ def test_the_image_certificate_never_passes_a_repeated_factor(f, g):
 def test_heuristic_gcd_cofactors_are_exact(c):
     """gcd(c, c') times each cofactor gives back c and c'."""
     dc = _derivative(c)
-    r = _gcd_heuristic(c, dc)
-    if r is not None:
-        g, a, b = r
-        assert _mul(list(g), list(a)) == list(c)
-        assert _mul(list(g), list(b)) == dc
+    g, a, b = _gcd_heuristic(c, dc)
+    assert _mul(list(g), list(a)) == list(c)
+    assert _mul(list(g), list(b)) == dc

@@ -70,3 +70,10 @@ def test_squarefree_mode_loads_no_sympy():
     term_map = ("from onecell.polynomial import factor, parse_poly\n"
                 "print(factor(parse_poly('x1^2*x2+x2^3+1'), 'squarefree'))")
     assert _sympy_modules_after(term_map) == []
+
+
+def test_finest_input_with_a_repeated_factor_loads_no_sympy():
+    """(3x - 1)^2 (9x^2 + 9x + 1): Yun's algorithm splits off its
+    square-free parts, which the quadratic closed form finishes."""
+    dense = "import onecell\nprint(onecell.polynomial.factor_dense((1, 3, -36, 27, 81)))"
+    assert _sympy_modules_after(dense) == []
