@@ -1,6 +1,6 @@
 """The package's memo tables, with one owner.
 
-Six functions keep results that later calls are likely to ask for
+Five functions keep results that later calls are likely to ask for
 again, each in one table here:
 
 - `FACTOR`: `polynomial.factor`, keyed on (p, mode), and the univariate
@@ -11,8 +11,6 @@ again, each in one table here:
   from the ``squarefree`` entry
 - `RESULTANT`: `polynomial.resultant`, keyed on (p, q, v) as given
 - `DISCRIMINANT`: `polynomial.discriminant`, keyed on (p, v)
-- `PSC`: `polynomial.subresultant_coefficients`, keyed on (p, v); the
-  root count of `realalg.roots_in_extension` reads their signs
 - `CANONICAL`: the isolating intervals of an irreducible definition,
   keyed on its primitive coefficients (`realalg._canonical_intervals`)
 - `ROOTS`: `realalg.cached_roots`, keyed on p and the sample's exact
@@ -70,12 +68,11 @@ class Table:
 FACTOR = Table()
 RESULTANT = Table()
 DISCRIMINANT = Table()
-PSC = Table()
 CANONICAL = Table()
 ROOTS = Table()
 
 TABLES = {"factor": FACTOR, "resultant": RESULTANT, "discriminant": DISCRIMINANT,
-          "psc": PSC, "canonical": CANONICAL, "roots": ROOTS}
+          "canonical": CANONICAL, "roots": ROOTS}
 
 
 def clear() -> None:

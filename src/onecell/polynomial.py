@@ -13,8 +13,8 @@ are those of the same polynomial over `Fraction` coefficients; `terms`
 and `constant_value` still hand out `Fraction`s.  The public
 `MPoly(...)` and `MPoly.constant` validate their input (only `int` and
 `Fraction` coefficients, else TypeError).  Sums, negation, products,
-`scale`, `subst_rational`, the `coeff_info` slices, `derivative` and
-`resultant` build canonical results and skip that work through the
+`scale`, `subst_rational`, the `coeff_info` slices and the
+projections build canonical results and skip that work through the
 trusted `MPoly._canonical`; those that compute new coefficients store
 integral ones as `int` (`_stored`).  A polynomial is immutable, so
 nothing may change `_terms` after construction, and its derived views
@@ -25,13 +25,14 @@ are computed on first use and kept on the value: the hash, the text
 as a copy: `coeff_info` keeps a tuple and returns a new list.
 
 The module also provides the projection operations the cell construction
-consumes: resultants and principal subresultant coefficients on dense
-integer coefficient rows over the eliminated variable, by one
-subresultant PRS on big integers when the other variables pack into
-one integer of at most `PACK_BITS` bits (Kronecker substitution), else
-by evaluation at integers and interpolation (Collins 1971) down to
-nodes small enough to pack; discriminants; and factorization
-(irreducible or square-free), each kept in its `memo` table, and
+consumes: resultants, discriminants and principal subresultant
+coefficients, each taken by a leaf on dense integer coefficient rows
+over the eliminated variable, by one subresultant PRS on big integers
+when the other variables pack into one integer of at most `PACK_BITS`
+bits (Kronecker substitution), else by evaluation at integers and
+interpolation (Collins 1971) down to nodes small enough to pack; and
+factorization (irreducible or square-free).  Resultants, discriminants
+and factors are kept in their `memo` tables.  It also provides
 `dense`, the integer-primitive coefficient tuple of a univariate
 polynomial that root isolation and the exact zero tests work on.
 
@@ -429,25 +430,26 @@ def subresultant_coefficients(p: MPoly, v: Var) -> tuple[MPoly, ...]:
     psc_(d-1) = d * ldcf_v(p).  They are computed together by `_ires`
     around the integer subresultant PRS (`_upsc`), with the other
     variables packed into one integer (Kronecker substitution) or, for
-    large input, evaluated at integers and interpolated (Collins 1971),
-    and kept in `memo.PSC`, keyed on (p, v)."""
-    return memo.PSC.fetch((p, v), _subresultant_coefficients, p, v)
-
-
-def _subresultant_coefficients(p: MPoly, v: Var) -> tuple[MPoly, ...]:
-    d = p.degree(v)
-    if d < 1:
-        raise ValueError("subresultant coefficients require the variable to occur")
-    (g, l), P = _primitive_part(p)
-    c = Fraction(g, l)
-    rows = _rows(P, v, d)
-    drows = {e: [k * x for k, x in enumerate(r)][1:] for e, r in rows.items() if any(r[1:])}
+    large input, evaluated at integers and interpolated (Collins 1971)."""
+    c, d, rows, drows = _with_derivative(p, v)
     # psc_j(c P, c P') = c^(2d-1-2j) psc_j(P, P'): the minor has d-1-j
     # rows of P and d-j rows of P'
     return tuple(
         MPoly._canonical(_stored({e: c ** (2 * d - 1 - 2 * j) * k for e, k in R.items()}))
         for j, R in enumerate(_ires(rows, drows, d, d - 1, _upsc))
     )
+
+
+def _with_derivative(p: MPoly, v: Var) -> tuple[Fraction, int, dict, dict]:
+    """p = c P for the integer-primitive P of degree d >= 1 in x_v: c, d,
+    and the rows (`_rows`) of P and of dP/dx_v."""
+    d = p.degree(v)
+    if d < 1:
+        raise ValueError(f"x{v} does not occur in {p}")
+    (g, l), P = _primitive_part(p)
+    rows = _rows(P, v, d)
+    drows = {e: [k * x for k, x in enumerate(r)][1:] for e, r in rows.items() if any(r[1:])}
+    return Fraction(g, l), d, rows, drows
 
 
 def _rows(P: dict, v: Var, d: int) -> dict:
@@ -477,7 +479,8 @@ def _ires(P: dict, Q: dict, dp: int, dq: int, leaf) -> list[dict]:
     """The polynomials that leaf computes, as term maps, for rows
     (`_rows`) of integer polynomials of degrees dp, dq in x_v, where
     leaf(A, B) lists minors of the Sylvester matrix of two dense integer
-    rows of those degrees (`_ures`, `_upsc`).
+    rows of those degrees (`_ures`, `_upsc`), or the resultant divided
+    by lc(A), which keeps their bounds (`_udisc`).
 
     Small input is packed (Kronecker substitution): with D_k the degree
     bound `_degree_bound` in x_k, which bounds each such minor too (it
@@ -673,35 +676,32 @@ def discriminant(p: MPoly, v: Var) -> MPoly:
     """disc_v(p) = (-1)^(d(d-1)/2) res_v(p, dp/dxv) / ldcf_v(p).
 
     For degree 1 the empty-matrix convention yields the constant 1.
-    Results are kept in `memo.DISCRIMINANT`, keyed on (p, v).
+    For p = c P with P integer-primitive, disc_v(p) = c^(2d-2) disc_v(P),
+    which `_ires` computes around the leaf `_udisc` on the rows of P and
+    P' (`_with_derivative`).  Results are kept in `memo.DISCRIMINANT`,
+    keyed on (p, v).
     """
     return memo.DISCRIMINANT.fetch((p, v), _discriminant, p, v)
 
 
 def _discriminant(p: MPoly, v: Var) -> MPoly:
-    d = p.degree(v)
-    if d < 1:
-        raise ValueError("discriminant requires the variable to occur")
-    if d == 1:
+    if p.degree(v) == 1:
         return MPoly.constant(1)
-    dp = derivative(p, v)
-    r = _resultant(p, dp, v)
-    _, lc, _ = coeff_info(p, v)
-    r = exact_div(r, lc)
-    if (d * (d - 1) // 2) % 2 == 1:
-        r = -r
-    return r
+    c, d, rows, drows = _with_derivative(p, v)
+    R, = _ires(rows, drows, d, d - 1, _udisc)
+    return MPoly._canonical(_stored({e: c ** (2 * d - 2) * k for e, k in R.items()}))
 
 
-def derivative(p: MPoly, v: Var) -> MPoly:
-    out: dict[tuple[int, ...], Fraction] = {}
-    for e, c in p._terms.items():
-        k = e[v - 1] if len(e) >= v else 0
-        if k:
-            rest = list(e)
-            rest[v - 1] = k - 1
-            out[_trim(tuple(rest))] = c * k
-    return MPoly._canonical(_stored(out))
+def _udisc(A: list[int], B: list[int]) -> list[int]:
+    """[disc(A)] for a dense integer row A of degree d >= 2 and B = A':
+    (-1)^(d(d-1)/2) res(A, B) / lc(A), an exact division.  `_ires` may
+    pack or evaluate the other variables, since both are ring maps that
+    keep lc(A) nonzero, and its bounds hold: disc is the Sylvester
+    determinant, up to sign, with its first column divided by lc, so it
+    has the resultant's row sums and degree bounds."""
+    d = len(A) - 1
+    r = _exact(_upsc(A, B)[0], A[-1])
+    return [-r if d * (d - 1) // 2 % 2 else r]
 
 
 # ---------------------------------------------------------------------------

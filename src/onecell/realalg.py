@@ -12,8 +12,8 @@ definition and the canonical index; each value computes them on first
 use and keeps them, and `canonical_copy` passes them on, so nothing may
 change `_def` or `_index` after construction.  Enclosures are integers,
 lo = a/d and hi = b/d over one positive d, halved at (a + b) / 2d, and
-every helper below works on them; `enclosure`, `separate` and
-`simplest_between` are the Fraction views.
+every helper below works on them; `enclosure` and `separate` are the
+Fraction views.
 
 This module is the one home of the exact-real helpers the rest of the
 package builds on: `RealAlg.compare` (and `<`, so lists of values sort
@@ -21,7 +21,8 @@ with `sorted`), `value_ranks` for the value order of a list as integer
 ranks (the one sort behind `sorted_distinct` and the heuristics'
 decisions), `sorted_distinct` for sorted values without duplicates,
 `separate` for the rational gap between two distinct values,
-`simplest_between` for the simplest rational inside such a gap,
+`_simplest` for the simplest rational inside such a gap (on
+numerators and denominators),
 `line_samples` for one point of every region of the line cut at given
 values (the sweep behind both the solver's candidates and
 `explain.check_conflict`); a definition's polynomial is
@@ -53,9 +54,10 @@ defining polynomial, being irreducible, divides the eliminand and is
 divided out first (`_candidate_poly`).  Root finding counts, then
 refines: the signs at the sample of the principal subresultant
 coefficients of p and its derivative
-(`polynomial.subresultant_coefficients`) give the number of distinct
-real roots (`_root_count`), and interval evaluation drops candidates
-until that many are left, with no zero test per candidate.
+(`polynomial.subresultant_coefficients`, computed on each count, not
+kept) give the number of distinct real roots (`_root_count`), and
+interval evaluation drops candidates until that many are left, with no
+zero test per candidate.
 `cached_roots` keeps these roots in `memo.ROOTS`.
 
 The sign test, `sign_at`, evaluates p over the coordinate enclosures
@@ -87,7 +89,6 @@ from .polynomial import (
     exact_div,
     factor_dense,
     normalize,
-    parse_poly,
     poly_to_str,
     resultant,
     subresultant_coefficients,
@@ -361,18 +362,13 @@ def sorted_distinct(values: Iterable[RealAlg]) -> list[RealAlg]:
     return [out[k] for k in range(len(out))]
 
 
-def simplest_between(a: Fraction, b: Fraction) -> Fraction:
-    """The smallest-denominator rational strictly between a and b,
-    with ties broken toward the smaller magnitude."""
-    a, b = _rational(a), _rational(b)
-    return Fraction(*_simplest(a.numerator, a.denominator, b.numerator, b.denominator))
-
-
 def _simplest(a: int, b: int, c: int, d: int) -> tuple[int, int]:
-    """`simplest_between(a/b, c/d)`, b, d > 0, as a coprime numerator and
-    denominator, by the continued fraction: in a positive gap with lower
-    floor t it is t + 1, t + 1/k, or t + 1/y for y the simplest in the
-    inverted gap; (p, p1, q, q1) keeps the map from y to the answer."""
+    """The smallest-denominator rational strictly between a/b and c/d,
+    b, d > 0, ties broken toward the smaller magnitude, as a coprime
+    numerator and denominator, by the continued fraction: in a positive
+    gap with lower floor t it is t + 1, t + 1/k, or t + 1/y for y the
+    simplest in the inverted gap; (p, p1, q, q1) keeps the map from y to
+    the answer."""
     if a * d >= c * b:
         raise ValueError("empty interval")
     if a < 0 < c:
@@ -778,32 +774,8 @@ def _render(a: RealAlg) -> str:
     return f'(root {poly_to_str(_upoly(a._def, 1))} {a.canonical_index()})'
 
 
-def realalg_from_text(text: str) -> RealAlg:
-    if not text.isascii():  # int and Fraction read the digits of any script
-        raise ValueError(f"bad real algebraic literal: {text}")
-    text = text.strip()
-    if text.startswith("(root"):
-        inner = text[5:].strip()
-        if not inner.endswith(")"):
-            raise ValueError(f"bad real algebraic literal: {text}")
-        inner = inner[:-1].strip()
-        body, _, idx = inner.rpartition(" ")
-        if not _INDEX.fullmatch(idx):
-            raise ValueError(f"bad root index: {idx!r}")
-        poly = parse_poly(body)
-        roots = isolate_real_roots(poly)
-        k = int(idx)
-        if not 1 <= k <= len(roots):
-            raise ValueError(f"root index {k} out of range for {body}")
-        return roots[k - 1]
-    return RealAlg.rational(rational_from_text(text))
-
-
-# ASCII only: \d would match other scripts' digits, which Fraction reads;
-# a root index is digits alone, where int would also read a sign, `_`
-# separators and spaces around them
+# ASCII only: \d would match other scripts' digits, which Fraction reads
 _NUMERAL = re.compile(r"[+-]?(\d+(/\d+)?|\d+\.\d*|\.\d+)", re.ASCII)
-_INDEX = re.compile(r"\d+", re.ASCII)
 
 
 def rational_from_text(text: str) -> Fraction:

@@ -42,7 +42,9 @@ literals read digit by digit (the library reads the text in one pass
 over one pattern, and its literals with `Fraction`).  Keeping both routes alive is what makes the
 algebra tests meaningful.  The module also holds the structural checks
 on a chosen representation (`representation_is_valid`,
-`ordering_matches`), which only tests use.
+`ordering_matches`), and helpers the library does not need:
+`derivative`, `simplest_between` on Fractions, and `realalg_from_text`,
+the reader of the coordinates `realalg_to_text` writes.
 """
 
 from __future__ import annotations
@@ -80,6 +82,7 @@ from onecell.polynomial import (
     dense,
     exact_div,
     normalize,
+    parse_poly,
     resultant,
 )
 from onecell.polynomial import _trim as _trim_exponents
@@ -94,8 +97,10 @@ from onecell.realalg import (
     _isolate_irreducible,
     _rational_part,
     _root_count,
+    _simplest,
     _straddles,
     isolate_real_roots,
+    rational_from_text,
     roots_in_extension,
     separate,
     sign_at,
@@ -152,6 +157,13 @@ def term_coeff_info(p: MPoly, v: Var) -> tuple[int, MPoly, list[MPoly]]:
         coeffs[k][tuple(rest)] = c
     out = [MPoly(t) for t in coeffs]
     return d, out[d], out
+
+
+def derivative(p: MPoly, v: Var) -> MPoly:
+    """dp/dx_v, term by term (the library takes discriminants on the
+    dense rows of p and its derivative)."""
+    return MPoly({e[: v - 1] + (e[v - 1] - 1,) + e[v:]: c * e[v - 1]
+                  for e, c in p.terms.items() if len(e) >= v and e[v - 1]})
 
 
 # ---------------------------------------------------------------------------
@@ -787,7 +799,7 @@ def eval_rational(p: MPoly, point: list[Fraction]) -> Fraction:
 # ---------------------------------------------------------------------------
 # exact reals on Fraction enclosures: the references for the library's
 # integer enclosures (`RealAlg.refine`, `RealAlg.compare`, `separate`),
-# its continued-fraction walk (`simplest_between`) and its sweep of the
+# its continued-fraction walk (`_simplest`) and its sweep of the
 # line (`line_samples`), which must agree with these exactly
 
 
@@ -841,6 +853,21 @@ def fraction_separate(lo: FractionReal, hi: FractionReal) -> tuple[Fraction, Fra
         lo.refine()
         hi.refine()
     return lo.hi, hi.lo
+
+
+def simplest_between(a: Fraction, b: Fraction) -> Fraction:
+    """The library's continued-fraction walk `realalg._simplest` on Fractions."""
+    a, b = Fraction(a), Fraction(b)
+    return Fraction(*_simplest(a.numerator, a.denominator, b.numerator, b.denominator))
+
+
+def realalg_from_text(text: str) -> RealAlg:
+    """A coordinate in the form `realalg_to_text` writes: (root p k), the
+    k-th real root of p, or a rational numeral."""
+    if text.startswith("(root "):
+        body, k = text[6:-1].rsplit(" ", 1)
+        return isolate_real_roots(parse_poly(body))[int(k) - 1]
+    return RealAlg.rational(rational_from_text(text))
 
 
 def recursive_simplest_between(a: Fraction, b: Fraction) -> Fraction:

@@ -180,7 +180,8 @@ def test_criterion_5_algebra_oracles():
         checked += 1
     detail.append("200 resultants == Sylvester")
     # discriminant identity
-    from onecell.polynomial import coeff_info, derivative, exact_div
+    from onecell.polynomial import coeff_info, exact_div
+    from oracles import derivative
 
     checked = 0
     while checked < 100:

@@ -21,6 +21,7 @@ from conftest import (
     sign_vector,
     within_seconds,
 )
+from oracles import realalg_from_text
 
 P_RUNNING = ["x1-2*x2+1", "x1^2+x2^2-1", "x1-2*x2-1"]
 S_RUNNING = (Fraction(1, 8), Fraction(-3, 4))
@@ -233,7 +234,7 @@ def test_each_value_rendered_at_most_once(monkeypatch, hid):
 
         monkeypatch.setattr(module, "_render", counting)
     polys, coords = TIES[4]
-    assert single_cell(polys, [realalg.realalg_from_text(c) for c in coords],
+    assert single_cell(polys, [realalg_from_text(c) for c in coords],
                        config_from_id(hid))
     for seen in renders.values():
         assert seen and max(n for n, _ in seen.values()) == 1

@@ -110,7 +110,7 @@ TIE_CONFLICTS = [
 def _ties(out: list) -> None:
     from onecell import (Constraint, Fail, HEURISTIC_IDS, clause_to_text, config_from_id,
                          explain_conflict, parse_poly, single_cell)
-    from onecell.realalg import realalg_from_text
+    from oracles import realalg_from_text
 
     for k, (polys, coords) in enumerate(TIES):
         for hid in sorted(HEURISTIC_IDS):
@@ -260,7 +260,7 @@ def test_golden_outputs_do_not_depend_on_what_the_memo_keeps():
     may grow past its bound."""
     proc = _render(["-c", _RENDER_WITH_BOUND_ONE])
     sizes = json.loads(proc.stderr.decode().splitlines()[-1])
-    assert set(sizes) == {"factor", "resultant", "discriminant", "psc", "canonical", "roots"}
+    assert set(sizes) == {"factor", "resultant", "discriminant", "canonical", "roots"}
     assert all(0 < n <= 1 for n in sizes.values()), sizes
 
 

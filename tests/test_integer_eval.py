@@ -18,10 +18,11 @@ from onecell.polynomial import (
     MPoly,
     coeff_info,
     dense,
-    derivative,
+    discriminant,
     normalize,
     parse_poly,
     resultant,
+    subresultant_coefficients,
 )
 from onecell.realalg import _interval_eval, _usign
 
@@ -178,7 +179,9 @@ def test_canonical_results(p, q, c, v, val):
     results = [p + q, p - q, p - p, p + (-p + q), -p, p * q, p * (-p),
                (p + q) * (p - q), p.scale(c), p.scale(0),
                p.subst_rational({v: val}), p.subst_rational({v: 0}),
-               derivative(p, v), *coeff_info(p, v)[2]]
+               *coeff_info(p, v)[2]]
+    if p.degree(v):
+        results += [discriminant(p, v), *subresultant_coefficients(p, v)]
     if p.degree(v) and q.degree(v):
         results.append(resultant(p, q, v))
     for r in results:

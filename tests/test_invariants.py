@@ -6,7 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from onecell.polynomial import MPoly, factor, normalize, parse_poly, poly_to_str, resultant
-from onecell.realalg import RealAlg, Sample, isolate_real_roots, sign_at, simplest_between
+from onecell.realalg import RealAlg, Sample, isolate_real_roots, sign_at
+
+from oracles import simplest_between
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20

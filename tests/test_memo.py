@@ -15,7 +15,6 @@ from onecell.polynomial import (
     MPoly,
     _factor,
     _resultant,
-    derivative,
     discriminant,
     factor,
     parse_poly,
@@ -24,6 +23,7 @@ from onecell.polynomial import (
 from onecell.properties import is_whole
 
 from oracles import (
+    derivative,
     subresultant_resultant,
     sylvester_resultant,
     sympy_poly_factor,

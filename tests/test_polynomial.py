@@ -2,18 +2,20 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from onecell import polynomial
 from onecell.polynomial import (
     MPoly,
+    _discriminant,
     _monom_key,
     _primitive_part,
     _render,
     coeff_info,
-    derivative,
     discriminant,
     exact_div,
     factor,
@@ -21,16 +23,19 @@ from onecell.polynomial import (
     parse_poly,
     poly_to_str,
     resultant,
+    subresultant_coefficients,
 )
 
 from conftest import random_poly
 from oracles import (
+    derivative,
     sylvester_resultant,
     term_coeff_info,
     term_degree,
     term_sort_key,
     term_variables,
 )
+from test_resultant import _vanishing_leads
 
 
 def test_ring_axioms_spot():
@@ -108,19 +113,32 @@ def test_resultant_of_shared_factor_is_zero():
     assert resultant(p, q, 2).is_zero()
 
 
+def _check_discriminant(disc, p, v):
+    """disc * lc(p) == +/- res(p, p') with the textbook sign."""
+    d = p.degree(v)
+    _, lead, _ = coeff_info(p, v)
+    sign = -1 if (d * (d - 1) // 2) % 2 else 1
+    assert disc * lead == resultant(p, derivative(p, v), v).scale(sign), (p, v)
+
+
 def test_discriminant_identity(rng):
-    """disc(p) * lc(p) == +/- res(p, p') with the textbook sign."""
     for _ in range(40):
         p = random_poly(rng, 2, max_deg=4)
         v = p.level if p.level else 1
-        d = p.degree(v)
-        if d < 2:
-            continue
-        _, lead, _ = coeff_info(p, v)
-        sign = -1 if (d * (d - 1) // 2) % 2 else 1
-        lhs = discriminant(p, v) * lead
-        rhs = resultant(p, derivative(p, v), v).scale(sign)
-        assert lhs == rhs
+        if p.degree(v) >= 2:
+            _check_discriminant(discriminant(p, v), p, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_vanishing_leads())
+def test_discriminant_identity_where_the_leading_coefficient_vanishes(operands):
+    """lc_v(p) vanishes at the first points `_ires` evaluates at: as
+    shipped, and with every node evaluated."""
+    p, _, v = operands
+    assume(p.degree(v) >= 2)
+    _check_discriminant(_discriminant(p, v), p, v)
+    with mock.patch.object(polynomial, "PACK_BITS", 0):
+        _check_discriminant(_discriminant(p, v), p, v)
 
 
 def test_discriminant_of_linear_is_one():
@@ -171,8 +189,9 @@ def test_text_is_rendered_once_and_kept(p, q):
     """Every way of building a polynomial leaves its text unset, so the
     cached text is the rendering of an equal, freshly built one."""
     built = [p, q, p + q, p - q, -p, p * q, p.scale(Fraction(-3, 2)),
-             p.subst_rational({1: Fraction(1, 2)}), derivative(p, 2),
-             *coeff_info(p, 2)[2]]
+             p.subst_rational({1: Fraction(1, 2)}), *coeff_info(p, 2)[2]]
+    if p.degree(2):
+        built += [discriminant(p, 2), *subresultant_coefficients(p, 2)]
     if p.degree(2) and q.degree(2):
         built.append(resultant(p, q, 2))
     for r in built:
@@ -196,8 +215,9 @@ def test_kept_views_match_the_term_map(p):
     built as a new object and on polynomials built from p, each agrees
     with a recomputation from the term map, however often it is asked
     and whatever a caller does to the coefficient list it gets."""
-    built = [p, MPoly(p.terms), -p, p * p, derivative(p, p.level or 1),
-             *coeff_info(p, 1)[2]]
+    built = [p, MPoly(p.terms), -p, p * p, *coeff_info(p, 1)[2]]
+    if p.level:
+        built += [discriminant(p, p.level), *subresultant_coefficients(p, p.level)]
     for r in built:
         for _ in range(2):
             assert [r.degree(v) for v in range(1, 5)] == [term_degree(r, v) for v in range(1, 5)]
@@ -244,8 +264,11 @@ def test_every_construction_stores_integral_coefficients_as_int(p, q, c):
              p + q, p - q, -p, p * q, _halves * _halves,
              p.scale(c), _halves.scale(2),
              p.subst_rational({1: c}), _halves.subst_rational({2: Fraction(2, 3)}),
-             derivative(p, 1), derivative(p, 2), derivative(_halves * _halves, 1),
+             discriminant(_halves * _halves + MPoly.var(2), 1),
+             *subresultant_coefficients(_halves * _halves + MPoly.var(2), 1),
              *coeff_info(p, 2)[2], normalize(p), normalize(_halves)]
+    for v in p.variables():
+        built += [discriminant(p, v), *subresultant_coefficients(p, v)]
     if q:
         built.append(exact_div(p * q, q))
     if p.degree(2) and q.degree(2):

@@ -24,12 +24,11 @@ from onecell.polynomial import MPoly, _upoly, factor_dense, parse_poly
 from onecell.realalg import (
     NULLIFIED,
     Sample,
-    realalg_from_text,
     realalg_to_text,
     roots_in_extension,
 )
 
-from oracles import roots_by_count, roots_by_substitution
+from oracles import realalg_from_text, roots_by_count, roots_by_substitution
 
 # fiber factors, coefficients from degree 0 up: x^3 - 3x + 1 is proved
 # irreducible by the degree-pattern certificate, while x^4 + 1 splits

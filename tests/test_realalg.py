@@ -13,7 +13,6 @@ from onecell.realalg import (
     Sample,
     isolate_real_roots,
     rational_from_text,
-    realalg_from_text,
     realalg_to_text,
     roots_in_extension,
     separate,
@@ -23,7 +22,7 @@ from onecell.realalg import (
 )
 
 from conftest import random_poly, within_seconds
-from oracles import sturm_count_all_real_roots, sturm_count_interval
+from oracles import realalg_from_text, sturm_count_all_real_roots, sturm_count_interval
 
 
 def _upoly(rng, max_deg=5):
@@ -181,20 +180,6 @@ def test_realalg_text_roundtrip():
     for v in vals:
         back = realalg_from_text(realalg_to_text(v))
         assert back.compare(v) == 0
-
-
-def test_realalg_from_text_reads_ascii_only():
-    """int and Fraction read the digits of every script; the text form is
-    ASCII, so other digits are refused (here Arabic-Indic 1, 2 and 3).
-    Fraction also reads exponents and `_` separators, and raises
-    ZeroDivisionError on 1/0: all three are ValueErrors here.  A root
-    index is ASCII digits alone, where int also reads `_` and a sign."""
-    assert realalg_from_text("(root x1^2-2 2)") == isolate_real_roots(parse_poly("x1^2-2"))[1]
-    assert realalg_from_text(" 1/3 ") == RealAlg.rational(Fraction(1, 3))
-    for text in ("(root x1^2-2 \u0662)", "\u0661/\u0663", "(root x1^\u0662-2 2)",
-                 "1e3", "1_0", "1/0", "(root x1^2-2 0_2)", "(root x1^2-2 +2)"):
-        with pytest.raises(ValueError):
-            realalg_from_text(text)
 
 
 def test_rational_from_text_reads_numerals_only():

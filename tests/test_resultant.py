@@ -6,8 +6,9 @@ substitution) and evaluates larger input at integers and interpolates
 (Collins); it is checked as shipped and with every node evaluated
 (`PACK_BITS` patched to 0) against the same evaluation on integer term
 maps, `oracles.term_map_resultant`, and its subresultant leaf against
-Sylvester minors, on operands with coefficients up to 10^9.  The bounds
-the packing rests on are checked too: every minor's coefficients stay
+Sylvester minors, and its discriminant leaf against psc_0 / lc, on
+operands with coefficients up to 10^9.  The bounds the packing rests on
+are checked too: every minor's and discriminant's coefficients stay
 below half the base, and the degree bound holds for every minor."""
 
 from fractions import Fraction
@@ -25,9 +26,12 @@ from onecell.polynomial import (
     _norm,
     _primitive_part,
     _rows,
+    _udisc,
     _upsc,
     _ures,
+    _with_derivative,
     coeff_info,
+    exact_div,
     parse_poly,
     resultant,
 )
@@ -35,6 +39,7 @@ from onecell.realalg import Sample, isolate_real_roots
 
 from oracles import (
     _term_map_bound,
+    derivative,
     is_zero_by_elimination,
     subresultant_resultant,
     sylvester_minors,
@@ -238,6 +243,44 @@ def test_subresultant_leaf_matches_sylvester_minors(operands):
         assert _ires(P, Q, dp, dq, _upsc) == want
 
 
+def _discriminant_rows(p, v):
+    """The rows of the integer-primitive P and of dP/dx_v, d = deg_v(P),
+    and disc_v(P) by the oracle: (-1)^(d(d-1)/2) psc_0(P, P') / lc_v(P),
+    psc_0 a Sylvester determinant."""
+    _, d, P, D = _with_derivative(p, v)
+    T = MPoly(_primitive_part(p)[1])
+    sign = -1 if d * (d - 1) // 2 % 2 else 1
+    disc = exact_div(sylvester_minors(T, derivative(T, v), v)[0], coeff_info(T, v)[1])
+    return P, D, d, disc.scale(sign)
+
+
+@st.composite
+def _large_discriminants(draw):
+    """(p, v): p in 2-3 variables with coefficients up to 10^9, of degree
+    2 or 3 in x_v."""
+    n = draw(st.integers(2, 3))
+    v = draw(st.integers(1, n))
+    return draw(_polys(n, 3, large).filter(lambda p: p.degree(v) >= 2)), v
+
+
+# lc_x2 = x1 vanishes at the first point, and the constant term is near
+# the bound
+_NEAR_BOUND_DISC = (parse_poly("x1*x2^2+1000000000*x2-1000000000*x1"), 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_large_discriminants())
+@example(_NEAR_BOUND_DISC)
+def test_discriminant_leaf_matches_sylvester_minors(operands):
+    """`_ires` with the discriminant leaf `_udisc` on the rows of P and
+    P', as shipped and with every node evaluated."""
+    P, D, d, disc = _discriminant_rows(*operands)
+    want = [disc.terms]
+    assert _ires(P, D, d, d - 1, _udisc) == want
+    with mock.patch.object(polynomial, "PACK_BITS", 0):
+        assert _ires(P, D, d, d - 1, _udisc) == want
+
+
 # small integer operands, swapped when deg_v(p) < deg_v(q)
 _ordered = _operands(coeffs=integers).map(
     lambda o: o if o[0].degree(o[2]) >= o[1].degree(o[2]) else (o[1], o[0], o[2]))
@@ -248,10 +291,16 @@ _ordered = _operands(coeffs=integers).map(
 @example(_NEAR_BOUND)
 def test_minor_coefficients_below_half_the_base(operands):
     """Every coefficient c of every psc_j of integer rows P and Q has
-    2|c| < N = 2 |P|^dq |Q|^dp + 1, the base `_ires` packs them in."""
+    2|c| < N = 2 |P|^dq |Q|^dp + 1, the base `_ires` packs them in; so
+    has every coefficient of disc(P), in the base of P and P'."""
     P, Q, dp, dq, minors = _integer_rows(*operands)
     n = 2 * _norm(P) ** dq * _norm(Q) ** dp + 1
     assert all(2 * abs(c) < n for m in minors for c in m.terms.values())
+    p, _, v = operands
+    if dp > 1:
+        P, D, d, disc = _discriminant_rows(p, v)
+        n = 2 * _norm(P) ** (d - 1) * _norm(D) ** d + 1
+        assert all(2 * abs(c) < n for c in disc.terms.values())
 
 
 @settings(max_examples=80, deadline=None)

@@ -4,23 +4,28 @@ determinants of Sylvester submatrices, the count `realalg._root_count`
 against Sturm sequences at rational points, and `roots_in_extension`
 against the per-candidate zero test it replaced
 (`oracles.roots_by_zero_test`), at one and at two irrational
-coordinates."""
+coordinates, and whole cells at samples with two irrational
+coordinates, whose root counts take the subresultant route."""
 
 import random
 from fractions import Fraction
 from unittest import mock
 
+import pytest
+
 from onecell import memo, polynomial, realalg
+from onecell.config import HEURISTIC_IDS, config_from_id
+from onecell.engine import Fail, single_cell
 from onecell.explain import Constraint, check_conflict
 from onecell.polynomial import (
     PACK_BITS,
     MPoly,
     coeff_info,
     dense,
-    derivative,
     parse_poly,
     subresultant_coefficients,
 )
+from onecell.properties import validate_trace
 from onecell.realalg import (
     NULLIFIED,
     Sample,
@@ -28,12 +33,13 @@ from onecell.realalg import (
     _rational_part,
     _root_count,
     isolate_real_roots,
-    realalg_from_text,
     roots_in_extension,
 )
 
-from conftest import random_poly, within_seconds
+from conftest import check_cell_sound, random_poly, within_seconds
 from oracles import (
+    derivative,
+    realalg_from_text,
     roots_by_zero_test,
     sturm_count_all_real_roots,
     sylvester_minors,
@@ -46,7 +52,6 @@ def test_subresultant_coefficients_match_sylvester_minors():
     small minors packed into one integer, as shipped, and with every
     other variable evaluated, under `PACK_BITS` 0."""
     for pack_bits in (PACK_BITS, 0):
-        memo.clear()
         rng = random.Random(71)
         vanishing = 0
         for trial in range(40):
@@ -223,3 +228,51 @@ def test_tower_conflict_counts_without_zero_tests():
             mock.patch.object(realalg, "roots_in_extension", recorded_roots):
         assert within_seconds(2, lambda: check_conflict(C, s)) is False
     assert len(s) in recorded and extended == []
+
+
+def _irrational(roots) -> list:
+    return [] if roots is NULLIFIED else [r for r in roots if not r.is_rational()]
+
+
+def _tower(rng: random.Random):
+    """u(x1) with an irrational root alpha, v(x1, x2) with an irrational
+    root beta over alpha, and 3-5 polynomials in x1..x3 of total degree
+    <= 3; the sample (alpha, beta, c), c rational."""
+    while True:
+        u = random_poly(rng, 1, max_deg=3)
+        alphas = _irrational(isolate_real_roots(u))
+        if alphas:
+            break
+    alpha = rng.choice(alphas)
+    while True:
+        v = random_poly(rng, 2, max_deg=2)
+        betas = _irrational(roots_in_extension(v, Sample([alpha]))) if v.level == 2 else []
+        if betas:
+            break
+    polys = [u, v] + [random_poly(rng, 3, max_deg=3) for _ in range(rng.randint(3, 5))]
+    return polys, [alpha, rng.choice(betas), Fraction(rng.randint(-6, 6), rng.randint(1, 4))]
+
+
+@pytest.mark.parametrize("seed", [3, 5])
+def test_cells_at_two_irrational_coordinates(seed):
+    """Twelve towers under all seven heuristics: every call builds a cell
+    whose trace validates and whose sample's sign vector holds at 3
+    interior points, and some root count reads the psc's signs."""
+    memo.clear()
+    rng = random.Random(seed)
+    counts = []
+    psc = realalg.subresultant_coefficients
+
+    def counted(p, v):
+        counts.append(p)
+        return psc(p, v)
+
+    with mock.patch.object(realalg, "subresultant_coefficients", counted):
+        for _ in range(12):
+            polys, coords = _tower(rng)
+            for hid in sorted(HEURISTIC_IDS):
+                result = single_cell(polys, coords, config_from_id(hid))
+                assert not isinstance(result, Fail), (polys, coords, hid, result)
+                assert validate_trace(result.trace, set(result.trace.axioms))
+                check_cell_sound(result.cell, polys, Sample(coords), 3)
+    assert counts

@@ -11,12 +11,11 @@ from onecell.config import HEURISTIC_IDS, config_from_id
 from onecell.engine import Fail
 from onecell.explain import Constraint, check_conflict, constraint_satisfied
 from onecell.polynomial import MPoly, parse_poly
-from onecell.realalg import simplest_between
 from onecell.smtlib import parse_problem
 from onecell.solver import SAT, UNKNOWN, UNSAT, solve_conjunction
 
 from conftest import random_poly, random_sample, within_seconds
-from oracles import midpoint_check_conflict
+from oracles import midpoint_check_conflict, simplest_between
 
 
 # unsat: the cells learned at level 2 are x1 < 0 and x1 > 0, and x1 = 0
