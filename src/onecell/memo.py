@@ -11,8 +11,10 @@ again, each in one table here:
   from the ``squarefree`` entry
 - `RESULTANT`: `polynomial.resultant`, keyed on (p, q, v) as given
 - `DISCRIMINANT`: `polynomial.discriminant`, keyed on (p, v)
-- `CANONICAL`: the isolating intervals of an irreducible definition,
-  keyed on its primitive coefficients (`realalg._canonical_intervals`)
+- `CANONICAL`: the isolating intervals of a square-free integer tuple,
+  keyed on the tuple (`realalg._canonical_intervals`): the square-free
+  parts that root isolation bisects, and the irreducible factors whose
+  intervals give canonical indices and start canonical copies
 - `ROOTS`: `realalg.cached_roots`, keyed on p and the sample's exact
   coordinates; the zero test of `realalg.sign_at` at several irrational
   coordinates reads it too

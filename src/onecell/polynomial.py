@@ -815,9 +815,10 @@ def _split(c: tuple[int, ...]) -> list[tuple[int, ...]]:
     with a positive leading coefficient, as such tuples, by the first
     step that applies.  A quadratic a*x^2 + b*x + k splits as
     4a*c = (2a*x + b - r)(2a*x + b + r) exactly when b^2 - 4ak = r^2.
-    x is split off when it divides c.  With c = h(x^d) for the largest
-    d > 1 at which h is reducible, the factors are those of each f(x^d),
-    f an irreducible factor of h.  A binomial a*x^d + b of odd degree d
+    x is split off when it divides c.  A binomial a*x^n + b that
+    Capelli's criterion proves irreducible (`_capelli`) is one factor.
+    With c = h(x^d) for the largest d > 1 at which h is reducible, the
+    factors are those of each f(x^d), f an irreducible factor of h.  A binomial a*x^d + b of odd degree d
     with a = w^d and |b| = s^d has the root u/w, u = -sign(b)*s:
     a*x^d + b = (w*x)^d - u^d is w*x - u, primitive as gcd(w, s) = 1,
     times sum w^i u^(d-1-i) x^i.  (Even d is split by the quadratic
@@ -836,6 +837,8 @@ def _split(c: tuple[int, ...]) -> list[tuple[int, ...]]:
     if not c[0]:
         return [(0, 1)] + _finest(c[1:])
     g = math.gcd(*(i for i, x in enumerate(c) if x))
+    if g == n and _capelli(c[0], c[-1], n):
+        return [c]
     for d in range(g, 1, -1):
         h = c[::d]
         if g % d or len(fs := _finest(h)) == 1:
@@ -862,6 +865,21 @@ def _split(c: tuple[int, ...]) -> list[tuple[int, ...]]:
 def _finest(c: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The irreducible factors of the square-free c, by `factor_dense`."""
     return [f for f, _ in factor_dense(c)]
+
+
+def _capelli(b: int, a: int, n: int) -> bool:
+    """Whether a*x^n + b, a > 0 and b != 0 coprime, is irreducible over
+    Q, by Capelli's criterion (Lang, *Algebra*, VI, Thm. 9.1): exactly
+    when r = -b/a is no p-th power in Q for a prime p | n and, when 4 |
+    n, r is not in -4*Q^4, that is b/(4a) is not a fourth power."""
+    for p in range(2, n + 1):
+        if n % p == 0 and all(p % q for q in range(2, p)):
+            if (p > 2 or b < 0) and _exact_root(abs(b), p) and _exact_root(a, p):
+                return False
+    if n % 4 or b < 0:
+        return True
+    q = Fraction(b, 4 * a)
+    return not (_exact_root(q.numerator, 4) and _exact_root(q.denominator, 4))
 
 
 def _exact_root(k: int, d: int) -> int | None:

@@ -1,16 +1,19 @@
 """Real algebraic numbers and exact sign evaluation at sample points.
 
-A `RealAlg` is either an exact rational or a root of an irreducible
-integer polynomial pinned down by an open isolating interval with
-rational endpoints.  The defining polynomial is stored integer-primitive
-with a positive leading coefficient, and `RealAlg.algebraic` refuses a
-reducible one, so a value has one definition.  Refining the interval
-never changes the value, and two values compare equal exactly when they
-are the same real number.  An irrational value is built with its
-canonical index.  Hash and text (`realalg_to_text`) depend only on the
-definition and the canonical index; each value computes them on first
-use and keeps them, and `canonical_copy` passes them on, so nothing may
-change `_def` or `_index` after construction.  Enclosures are integers,
+A `RealAlg` is either an exact rational or a root of a square-free
+integer polynomial, its tuple, pinned down by an open isolating interval
+whose rational endpoints are no roots of the tuple; it is refined and
+compared by the tuple.  Its identity, the irreducible factor of the
+tuple that changes sign on the interval with the root's canonical index
+among that factor's roots, is found on first demand (`RealAlg._resolve`)
+and kept, and a linear factor makes the value that rational.  `key`,
+hash, text (`realalg_to_text`), `is_rational`, `canonical_index`,
+`canonical_copy` and every coordinate of a `Sample` ask for it.  Two
+values compare equal exactly when they are the same real number: roots
+of one tuple by position, and otherwise by `RealAlg._meets`.  Hash and
+text depend only on the identity, and `canonical_copy` passes them on.
+Definitions are integer-primitive with a positive leading coefficient,
+and `RealAlg.algebraic` refuses a reducible one.  Enclosures are integers,
 lo = a/d and hi = b/d over one positive d, halved at (a + b) / 2d, and
 every helper below works on them; `enclosure` and `separate` are the
 Fraction views.
@@ -31,19 +34,19 @@ integer-primitive coefficient tuple of a polynomial comes from
 `polynomial.dense`.
 
 Root isolation works on integer coefficient tuples (`_real_roots`): it
-factors through `polynomial.factor_dense`, the package's one univariate
-factor kernel, which `RealAlg.algebraic` asks about irreducibility too,
-and bisects each irreducible factor driven by
-Descartes' rule of signs on integer coefficients: the Cauchy-bound
-interval is mapped onto (0, 1) once, and each half gets its polynomial
-from its parent's by a power-of-2 scaling and a Taylor shift by 1, all
-additions (`_bisect_roots`).  Factors of degree >= 2 have no rational
-roots, which keeps the bisection free of midpoint corner cases.  The
-intervals of a definition are computed once and kept in
-`memo.CANONICAL` (a bounded table; a dropped entry is bisected again
-to the same intervals): they fix which root `canonical_index` names,
-every isolated root starts out with its own canonical interval and
-index, and `RealAlg.algebraic` finds its root's index among them.  Over
+splits a tuple into Yun's square-free parts by `polynomial.factor_dense`
+in ``squarefree`` mode, the package's one univariate factor kernel,
+finishes a part of degree <= 2 by the closed form, and bisects each
+other part driven by Descartes' rule of signs on integer coefficients:
+the Cauchy-bound interval is mapped onto (0, 1) once, and each half
+gets its polynomial from its parent's by a power-of-2 scaling and a
+Taylor shift by 1, all additions (`_bisect_roots`).  A midpoint that is
+a root of the part, in the bisection or in a later refinement, is that
+rational root.  The intervals of a tuple are computed once and kept in
+`memo.CANONICAL` (a bounded table; a dropped entry is bisected again to
+the same intervals): an isolated root starts out with its part's
+interval, and the intervals of an irreducible factor fix which root
+`canonical_index` names and start every canonical copy.  Over
 a prefix whose coordinates of p's variables are rational, the empty
 one too, the tuple is that of p's coefficients evaluated on integers:
 no polynomial is built.  When p involves an irrational coordinate,
@@ -92,6 +95,7 @@ from .polynomial import (
     poly_to_str,
     resultant,
     subresultant_coefficients,
+    _gcd_heuristic,
     _prem,
     _primitive,
     _rational,
@@ -158,11 +162,15 @@ def _variations(c: Sequence[int]) -> int:
 
 
 class RealAlg:
-    """A real algebraic number: a rational, or an isolated root of an
-    irreducible integer polynomial of degree >= 2, enclosed in
-    `_box = (a, b, d)`: lo = a/d and hi = b/d, d > 0."""
+    """A real algebraic number: a rational, or an isolated root of a
+    square-free integer tuple `_sqf` of degree >= 2, the `_pos`-th of
+    its real roots, enclosed in `_box = (a, b, d)`: lo = a/d and hi =
+    b/d, d > 0, neither a root of `_sqf`.  Its identity, the
+    irreducible factor `_def` of `_sqf` with a root in the box, is
+    found on first demand (`_resolve`); from then on `_sqf` is `_def`
+    and `_pos` the canonical index, or the value is that rational."""
 
-    __slots__ = ("_rat", "_def", "_box", "_slo", "_index", "_text", "_hash")
+    __slots__ = ("_rat", "_sqf", "_pos", "_box", "_slo", "_def", "_text", "_hash")
 
     def __init__(self):
         raise TypeError("use RealAlg.rational or RealAlg.algebraic")
@@ -172,11 +180,14 @@ class RealAlg:
         """The rational r; TypeError unless r is an int or a Fraction."""
         self = object.__new__(cls)
         self._rat = r = _rational(r)
-        self._def = None
         self._box = (r.numerator, r.numerator, r.denominator)
+        self._sqf = self._pos = self._def = self._text = self._hash = None
         self._slo = 0
-        self._index = self._text = self._hash = None
         return self
+
+    def _set_rational(self, r: Fraction) -> None:
+        self._rat, self._sqf, self._pos, self._slo = r, None, None, 0
+        self._box = (r.numerator, r.numerator, r.denominator)
 
     @classmethod
     def algebraic(
@@ -185,13 +196,10 @@ class RealAlg:
         """The root of `defining` in the open interval (lo, hi).
         Coefficients and endpoints are int or Fraction (TypeError
         otherwise, as in `RealAlg.rational`).  Raises ValueError unless
-        the defining polynomial is irreducible over Q of degree >= 2 (a
-        reducible one would give a value a second definition, and values
-        of different definitions are never equal, so comparing them would
-        refine forever) and unless (lo, hi) holds exactly one of its real
-        roots, whose canonical index the value stores.  The defining
-        polynomial is stored integer-primitive with a positive leading
-        coefficient."""
+        the defining polynomial is irreducible over Q of degree >= 2 and
+        unless (lo, hi) holds exactly one of its real roots, whose
+        canonical index the value stores.  The defining polynomial is
+        stored integer-primitive with a positive leading coefficient."""
         p = normalize(MPoly({(k,): x for k, x in enumerate(defining)}))
         c = dense(p, 1) if p.degree(1) >= 2 else None
         if c is None or factor_dense(c) != [(c, 1)]:
@@ -200,35 +208,58 @@ class RealAlg:
             )
         lo, hi = _rational(lo), _rational(hi)
         a, b = RealAlg.rational(lo), RealAlg.rational(hi)
-        inside = [r for r in _isolate_irreducible(c) if a < r < b]
+        inside = [r for r in _isolate(c, c) if a < r < b]
         if len(inside) != 1:
             raise ValueError(f"({lo}, {hi}) holds {len(inside)} roots, not 1")
-        return cls._isolated(c, lo, hi, inside[0]._index)
+        return cls._root(c, lo, hi, inside[0]._pos, c)
 
     @classmethod
-    def _isolated(
-        cls, c: tuple[int, ...], lo: Fraction, hi: Fraction, index: int
+    def _root(
+        cls, c: tuple[int, ...], lo: Fraction, hi: Fraction, pos: int, defn
     ) -> "RealAlg":
-        """`algebraic` trusted: the root of canonical index `index`,
-        isolated by the Fractions (lo, hi), of the integer-primitive c,
-        with a positive leading coefficient, of a definition irreducible
-        of degree >= 2 by construction.  It has no rational root, so
-        neither endpoint is a root and its sign changes over (lo, hi)."""
+        """The `pos`-th real root of the square-free integer-primitive c
+        with a positive leading coefficient, isolated by the Fractions
+        (lo, hi), no roots of c; `defn` is c when c is irreducible."""
         self = object.__new__(cls)
         d = math.lcm(lo.denominator, hi.denominator)
         a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
-        self._rat, self._def, self._box = None, c, (a, b, d)
+        self._rat, self._sqf, self._pos, self._def, self._box = None, c, pos, defn, (a, b, d)
         self._slo = _usign(c, a, d)
-        self._index, self._text, self._hash = index, None, None
+        self._text = self._hash = None
         return self
+
+    def _resolve(self) -> None:
+        """Find the identity of a value that has none yet: the factor f
+        of `_sqf` (`factor_dense`) that changes sign on the box, the one
+        with a root there.  A linear f makes the value that rational.
+        Otherwise its canonical index is that of the canonical interval
+        of f over whose overlap with the box f changes sign, and the
+        value is refined by f from then on."""
+        c, (a, b, d) = self._sqf, self._box
+        f = next(f for f, _ in factor_dense(c) if _usign(f, a, d) != _usign(f, b, d))
+        if len(f) == 2:
+            self._set_rational(Fraction(-f[0], f[1]))
+            return
+        if f != c:
+            lo, hi = Fraction(a, d), Fraction(b, d)
+            for k, (u, v) in enumerate(_canonical_intervals(f), 1):
+                u, v = max(u, lo), min(v, hi)
+                if u < v and (_usign(f, u.numerator, u.denominator)
+                              != _usign(f, v.numerator, v.denominator)):
+                    break
+            self._sqf, self._pos, self._slo = f, k, _usign(f, a, d)
+        self._def = f
 
     # -- basic views --------------------------------------------------
 
     def is_rational(self) -> bool:
+        """Whether the value is rational; finds its identity first."""
+        if self._rat is None and self._def is None:
+            self._resolve()
         return self._rat is not None
 
     def rational_value(self) -> Fraction:
-        if self._rat is None:
+        if not self.is_rational():
             raise ValueError("not rational")
         return self._rat
 
@@ -237,56 +268,91 @@ class RealAlg:
         return Fraction(a, d), Fraction(b, d)
 
     def refine(self) -> None:
+        """Halve the box, keeping the half where `_sqf` changes sign; a
+        midpoint root is the value, which becomes that rational."""
         if self._rat is not None:
             return
         a, b, d = self._box
         m = a + b
-        if _usign(self._def, m, d << 1) == self._slo:
+        s = _usign(self._sqf, m, d << 1)
+        if s == self._slo:
             self._box = (m, b << 1, d << 1)
-        else:
+        elif s:
             self._box = (a << 1, m, d << 1)
+        else:
+            self._set_rational(Fraction(m, d << 1))
 
     def canonical_copy(self) -> "RealAlg":
         """The same value with an enclosure of its own that starts at its
         canonical isolating interval, so what is read off the copy does
         not depend on how far earlier work refined this one."""
-        if self._rat is not None:
+        if self.is_rational():
             return self
-        k = self._index
-        out = RealAlg._isolated(self._def, *_canonical_intervals(self._def)[k - 1], k)
+        k, f = self._pos, self._def
+        out = RealAlg._root(f, *_canonical_intervals(f)[k - 1], k, f)
         out._text, out._hash = self._text, self._hash
         return out
 
     def key(self):
         """Canonical identity: hashable, stable under refinement."""
-        if self._rat is not None:
+        if self.is_rational():
             return ("rat", self._rat)
-        return ("alg", self._def, self.canonical_index())
+        return ("alg", self._def, self._pos)
 
-    def canonical_index(self) -> int:
-        """1-based position among the real roots of the defining polynomial."""
-        return self._index
+    def canonical_index(self) -> int | None:
+        """1-based position among the real roots of the definition."""
+        return None if self.is_rational() else self._pos
 
     # -- comparison ---------------------------------------------------
 
     def compare(self, other: "RealAlg") -> int:
-        """-1, 0, or 1 as self <, =, > other; exact."""
+        """-1, 0, or 1 as self <, =, > other; exact.  Roots of one tuple
+        compare by position; otherwise the boxes are refined until they
+        separate, once `_meets` has shown the values distinct."""
         if self._rat is not None and other._rat is not None:
             a, b = self._rat, other._rat
             return 0 if a == b else (-1 if a < b else 1)
-        if self._def is not None and self._def == other._def:
-            i, j = self._index, other._index
+        if self._sqf is not None and self._sqf == other._sqf:
+            i, j = self._pos, other._pos
             return 0 if i == j else (-1 if i < j else 1)
-        # distinct values, as different definitions and a rational and an
-        # irrational are never equal: refine until the enclosures separate
+        distinct = False
         while True:
             (a, b, d), (e, f, g) = self._box, other._box
             if b * g <= e * d:
                 return -1
             if f * d <= a * g:
                 return 1
+            if not distinct:
+                if self._meets(other):
+                    return 0
+                distinct = True
             self.refine()
             other.refine()
+
+    def _meets(self, other: "RealAlg") -> bool:
+        """Whether self = other, for overlapping boxes, not both rational
+        and not on one tuple.  A rational r in the box of x is x exactly
+        when `_sqf` of x vanishes at r, and x then becomes r.  Distinct
+        definitions share no root.  Otherwise the values are equal
+        exactly when g, the gcd of their tuples, has a root in the
+        overlap of the boxes, each of which holds one root of its tuple:
+        no endpoint is a root of g, so then g changes sign there."""
+        x, y = (self, other) if other._rat is not None else (other, self)
+        if y._rat is not None:
+            r = y._rat
+            if x._def is not None or _usign(x._sqf, r.numerator, r.denominator):
+                return False
+            x._set_rational(r)
+            return True
+        if x._def is not None and y._def is not None:
+            return False
+        g = _gcd_heuristic(x._sqf, y._sqf)[0]
+        if len(g) == 1:
+            return False
+        (a, b, d), (e, f, h) = x._box, y._box
+        lo = (a, d) if a * h >= e * d else (e, h)
+        hi = (b, d) if b * h <= f * d else (f, h)
+        return _usign(g, *lo) != _usign(g, *hi)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RealAlg):
@@ -316,24 +382,20 @@ def separate(lo: RealAlg, hi: RealAlg) -> tuple[Fraction, Fraction]:
     """Refine lo < hi until their enclosures are disjoint; returns the
     gap between them: the upper end of lo and the lower end of hi.
 
-    Raises ValueError unless lo < hi.  Equal irrational values share a
-    definition and an index and never separate, so they are caught
-    first; otherwise the loop raises once hi's enclosure lies at or
-    below lo's."""
+    Raises ValueError unless lo < hi, which `RealAlg.compare` settles
+    first: equal values never separate."""
     b, d, e, g = _gap(lo, hi)
     return Fraction(b, d), Fraction(e, g)
 
 
 def _gap(lo: RealAlg, hi: RealAlg) -> tuple[int, int, int, int]:
     """`separate` on integers: the gap (b/d, e/g), d, g > 0."""
-    if lo._def is not None and (lo._def, lo._index) == (hi._def, hi._index):
-        raise ValueError("no gap between equal values")
+    if lo.compare(hi) >= 0:
+        raise ValueError("no gap: the lower value is not below the upper")
     while True:
-        (a, b, d), (e, f, g) = lo._box, hi._box
+        (_, b, d), (e, _, g) = lo._box, hi._box
         if b * g < e * d:
             return b, d, e, g
-        if f * d <= a * g:
-            raise ValueError("no gap: the lower value is above the upper")
         lo.refine()
         hi.refine()
 
@@ -410,8 +472,9 @@ def line_samples(values: Iterable[RealAlg]) -> list[RealAlg]:
 
 
 def _bisect_roots(c: tuple[int, ...]) -> list[tuple[Fraction, Fraction]]:
-    """Isolating intervals of the real roots of the primitive irreducible
-    c, in increasing order: Descartes bisection of (-B, B), B the Cauchy
+    """Isolating intervals of the real roots of the primitive
+    square-free c, in increasing order, a rational root at a midpoint as
+    the interval (r, r): Descartes bisection of (-B, B), B the Cauchy
     bound (Collins & Akritas 1976), on integer coefficients with Taylor
     shifts (Rouillier & Zimmermann 2004).
 
@@ -419,9 +482,10 @@ def _bisect_roots(c: tuple[int, ...]) -> list[tuple[Fraction, Fraction]]:
     constant, an integer polynomial whose roots in (0, 1) are those of p
     in (a, b).  The sign variations of (x + 1)^n q(1 / (x + 1)), the
     reversed q shifted by 1, bound their number: 0 drops the node, 1
-    keeps (a, b), and otherwise the halves (a, m) and (m, b) get
-    2^n q(x / 2) and that shifted by 1.  Irreducibility over Q rules out
-    rational roots, so no midpoint is a root."""
+    keeps (a, b) unless a or b is a root, and otherwise the halves (a,
+    m) and (m, b) get 2^n q(x / 2) and that shifted by 1, whose constant
+    term is 0 when m is a root.  An irreducible c has no rational root,
+    and then no midpoint is one."""
     n = len(c) - 1
     bound = _cauchy_bound(c)
     num, den = bound.numerator, bound.denominator
@@ -436,34 +500,39 @@ def _bisect_roots(c: tuple[int, ...]) -> list[tuple[Fraction, Fraction]]:
     leaves = []
     while stack:
         k, j, q = stack.pop()
-        v = _variations(_taylor_shift1(q[::-1]))
-        if v == 1:
-            leaves.append((k, j))
-        elif v > 1:
+        t = _taylor_shift1(q[::-1])
+        v = _variations(t)
+        if v == 1 and q[0] and t[0]:  # neither end, q(0) nor q(1), is a root
+            leaves.append((k, j, j + 1))
+        elif v:
             left = [x << (n - i) for i, x in enumerate(q)]
+            right = _taylor_shift1(left)
+            if not right[0]:
+                leaves.append((k + 1, 2 * j + 1, 2 * j + 1))
             stack.append((k + 1, 2 * j, left))
-            stack.append((k + 1, 2 * j + 1, _taylor_shift1(left)))
+            stack.append((k + 1, 2 * j + 1, right))
     return sorted(
         (bound * Fraction(2 * j - (1 << k), 1 << k),
-         bound * Fraction(2 * j + 2 - (1 << k), 1 << k))
-        for k, j in leaves
+         bound * Fraction(2 * i - (1 << k), 1 << k))
+        for k, j, i in leaves
     )
 
 
-def _canonical_intervals(defc: tuple[int, ...]) -> list[tuple[Fraction, Fraction]]:
-    """The isolating intervals of the primitive irreducible `defc`, in
-    increasing order, bisected once per definition while it stays in
-    `memo.CANONICAL`.  The roots `_isolate_irreducible` returns start with
-    these intervals as enclosures and with their index set, so a
-    repeated isolation does not bisect again."""
-    return memo.CANONICAL.fetch(defc, _bisect_roots, defc)
+def _canonical_intervals(c: tuple[int, ...]) -> list[tuple[Fraction, Fraction]]:
+    """The isolating intervals of the primitive square-free c, in
+    increasing order, bisected once per tuple while it stays in
+    `memo.CANONICAL`: Yun's parts that root isolation bisects, and the
+    irreducible factors whose intervals fix the canonical index and
+    start every canonical copy."""
+    return memo.CANONICAL.fetch(c, _bisect_roots, c)
 
 
-def _isolate_irreducible(c: tuple[int, ...]) -> list[RealAlg]:
-    """The real roots of the integer-primitive irreducible c of degree
-    >= 2 with a positive leading coefficient, in increasing order."""
+def _isolate(c: tuple[int, ...], defn=None) -> list[RealAlg]:
+    """The real roots of the integer-primitive square-free c of degree
+    >= 2 with a positive leading coefficient, in increasing order;
+    `defn` is c when c is known irreducible."""
     return [
-        RealAlg._isolated(c, a, b, k)
+        RealAlg.rational(a) if a == b else RealAlg._root(c, a, b, k, defn)
         for k, (a, b) in enumerate(_canonical_intervals(c), 1)
     ]
 
@@ -482,14 +551,22 @@ def isolate_real_roots(p: MPoly) -> list[RealAlg]:
 
 def _real_roots(c: tuple[int, ...]) -> list[RealAlg]:
     """Sorted distinct real roots of the integer-primitive c with a
-    positive leading coefficient: a rational for each linear irreducible
-    factor, and the bisected roots of the others."""
+    positive leading coefficient: the bisected roots of each of Yun's
+    square-free parts (`factor_dense` in ``squarefree`` mode), whose
+    identities wait until asked for.  A part of degree <= 2, and c when
+    it is that small, is split by the closed form first: a rational for
+    each linear factor, and the roots of an irreducible quadratic,
+    identities known."""
     roots: list[RealAlg] = []
-    for f, _m in factor_dense(c):
-        if len(f) == 2:
-            roots.append(RealAlg.rational(Fraction(-f[0], f[1])))
-        else:
-            roots.extend(_isolate_irreducible(f))
+    for f, _m in factor_dense(c, "squarefree") if len(c) > 3 else [(c, 1)]:
+        if len(f) > 3:
+            roots.extend(_isolate(f))
+            continue
+        for g, _ in factor_dense(f):
+            if len(g) == 2:
+                roots.append(RealAlg.rational(Fraction(-g[0], g[1])))
+            else:
+                roots.extend(_isolate(g, g))
     roots.sort()
     return roots
 
@@ -500,12 +577,15 @@ def _real_roots(c: tuple[int, ...]) -> list[RealAlg]:
 
 class Sample(tuple):
     """A point in R^i with real algebraic coordinates (coordinate j is
-    bound to x_j).  Prefixes are themselves samples."""
+    bound to x_j).  Prefixes are themselves samples.  Each coordinate
+    has its identity, which memo keys, text and the zero test read."""
 
     def __new__(cls, coords: Iterable):
         vals = []
         for c in coords:
             if isinstance(c, RealAlg):
+                if c._rat is None and c._def is None:
+                    c._resolve()
                 vals.append(c)
             else:
                 vals.append(RealAlg.rational(c))
@@ -583,7 +663,7 @@ def sign_at(p: MPoly, s: Sample) -> int:
         return (v > 0) - (v < 0)
     if p.level > len(s):
         raise ValueError("sample has too few coordinates")
-    moving = [s[v - 1] for v in p.variables() if not s[v - 1].is_rational()]
+    moving = [s[v - 1] for v in p.variables() if s[v - 1]._rat is None]
     if not moving:
         v, _ = p._eval_scaled([c._rat for c in s])
         return (v > 0) - (v < 0)
@@ -599,9 +679,7 @@ def sign_at(p: MPoly, s: Sample) -> int:
 
 def _rational_part(p: MPoly, s: Sample) -> MPoly:
     """p with the rational coordinates of s substituted."""
-    return p.subst_rational(
-        {j + 1: c.rational_value() for j, c in enumerate(s) if c.is_rational()}
-    )
+    return p.subst_rational({j + 1: c._rat for j, c in enumerate(s) if c._rat is not None})
 
 
 def _is_zero(p: MPoly, s: Sample) -> bool:
@@ -614,10 +692,10 @@ def _is_zero(p: MPoly, s: Sample) -> bool:
     constant, and q(s_k) = 0 exactly when d_k divides q: one integer
     pseudo-remainder settles it.  Otherwise p(s) = 0 exactly when
     q(s_1..s_(k-1), x_k) is zero or has s_k among its real roots, which
-    `cached_roots` gives over the prefix.  Equal values share their
-    definition and index, so the membership test compares them without
-    refining, and distinct ones separate; the roots over the prefix ask
-    this test only at points with fewer coordinates."""
+    `cached_roots` gives over the prefix.  The membership test compares
+    values exactly, equal ones without separating them
+    (`RealAlg.compare`); the roots over the prefix ask this test only at
+    points with fewer coordinates."""
     q = _rational_part(p, s)
     if q.is_constant():
         return q.is_zero()
@@ -680,7 +758,7 @@ def roots_in_extension(p: MPoly, s: Sample):
     if not k:
         return []
     roots = isolate_real_roots(_candidate_poly(p, s))
-    moving = [s[v - 1] for v in p.variables() if v < i and not s[v - 1].is_rational()]
+    moving = [s[v - 1] for v in p.variables() if v < i and s[v - 1]._rat is None]
     while len(roots) > k:
         boxes = [c._box for c in s]
         roots = [r for r in roots if _straddles(p, boxes + [r._box])]
@@ -745,7 +823,7 @@ def _candidate_poly(p: MPoly, s: Sample) -> MPoly:
     quotient still vanishes at p(s)'s roots."""
     q = _rational_part(p, s)
     for j, c in enumerate(s, 1):
-        if c.is_rational():
+        if c._rat is not None:
             continue
         d = _upoly(c._def, j)
         while q.degree(j) > 0:
@@ -771,7 +849,7 @@ def realalg_to_text(a: RealAlg) -> str:
 def _render(a: RealAlg) -> str:
     if a.is_rational():
         return str(a.rational_value())
-    return f'(root {poly_to_str(_upoly(a._def, 1))} {a.canonical_index()})'
+    return f'(root {poly_to_str(_upoly(a._def, 1))} {a._pos})'
 
 
 # ASCII only: \d would match other scripts' digits, which Fraction reads

@@ -1,0 +1,205 @@
+"""A committed mutant catalogue: mutation analysis (DeMillo, Lipton and
+Sayward, "Hints on test data selection", IEEE Computer 1978) on a
+hand-picked list of faults that the test suite must catch.
+
+    python tests/mutants.py            # every entry
+    python tests/mutants.py NAME ...   # the named entries
+
+For each entry the script copies `src/`, `tests/` and `pyproject.toml`
+to a temporary directory (never touching the working tree), checks that
+the entry's old text occurs exactly once in its file (otherwise the
+entry is stale), applies the change, and runs the entry's tests with
+`-x` under its time limit.  The mutant is killed when a test fails
+within the limit; it survives when the tests pass or run past the
+limit.  The script prints one line per entry, killed, survived or
+stale with the seconds to the first failure, and exits 1 when an entry
+is stale or survives.  pytest does not collect this file.
+
+A change that rewrites mutated code updates its entry here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+    limit: float  # seconds
+
+
+REALALG = "src/onecell/realalg.py"
+POLYNOMIAL = "src/onecell/polynomial.py"
+
+CATALOGUE = [
+    Mutant(
+        "equality that skips the gcd",
+        REALALG,
+        "        g = _gcd_heuristic(x._sqf, y._sqf)[0]\n",
+        "        g = (1,)\n",
+        ("tests/test_squarefree_isolation.py::test_equal_values_of_different_tuples",),
+        60,
+    ),
+    Mutant(
+        "a refine that misses a midpoint root",
+        REALALG,
+        "        elif s:\n"
+        "            self._box = (a << 1, m, d << 1)\n"
+        "        else:\n"
+        "            self._set_rational(Fraction(m, d << 1))\n",
+        "        else:\n"
+        "            self._box = (a << 1, m, d << 1)\n",
+        ("tests/test_squarefree_isolation.py::test_a_rational_root_at_a_bisection_midpoint",),
+        60,
+    ),
+    Mutant(
+        "a bisection that misses a midpoint root",
+        REALALG,
+        "            if not right[0]:\n",
+        "            if False:\n",
+        ("tests/test_squarefree_isolation.py::test_a_rational_root_at_a_bisection_midpoint",),
+        60,
+    ),
+    Mutant(
+        "a refine that keeps the wrong half",
+        REALALG,
+        "        if s == self._slo:\n",
+        "        if s != self._slo:\n",
+        ("tests/test_integer_enclosures.py",),
+        120,
+    ),
+    Mutant(
+        "k off by one in _simplest",
+        REALALG,
+        "            k = d // (c - t * d) + 1\n",
+        "            k = d // (c - t * d)\n",
+        ("tests/test_integer_enclosures.py",),
+        120,
+    ),
+    Mutant(
+        "any root counts in the zero test",
+        REALALG,
+        "    return roots is NULLIFIED or s[k - 1] in roots\n",
+        "    return roots is NULLIFIED or bool(roots)\n",
+        ("tests/test_zero_test.py",),
+        120,
+    ),
+    Mutant(
+        "epsilon dropped in _root_count",
+        REALALG,
+        "    signs = [_eps(m) * sign_at(psc[e - m], s) for m in range(1, e + 1)]\n",
+        "    signs = [sign_at(psc[e - m], s) for m in range(1, e + 1)]\n",
+        ("tests/test_root_count.py",),
+        120,
+    ),
+    Mutant(
+        "a _quotient without its remainder check",
+        POLYNOMIAL,
+        "    return None if any(a[:m]) else out\n",
+        "    return out\n",
+        ("tests/test_squarefree.py",),
+        120,
+    ),
+    Mutant(
+        "a gcd that gives up after its first failed point",
+        POLYNOMIAL,
+        "        k *= 2\n",
+        "        return (1,), a, b\n",
+        ("tests/test_squarefree.py",),
+        120,
+    ),
+    Mutant(
+        "_irord_choice citing only the first pair",
+        "src/onecell/rules.py",
+        "    res = ordering_resultants(((a.poly, b.poly) for a, b in pairs), ell + 1)\n",
+        "    res = ordering_resultants(((a.poly, b.poly) for a, b in pairs[:1]), ell + 1)\n",
+        ("tests/test_rules.py", "tests/test_acceptance.py"),
+        120,
+    ),
+    Mutant(
+        "a dropped multiplicity in Yun",
+        POLYNOMIAL,
+        "            pairs.append((tuple(a), i))\n",
+        "            pairs.append((tuple(a), 1))\n",
+        ("tests/test_squarefree.py",),
+        120,
+    ),
+    Mutant(
+        "a binomial root taken as +s",
+        POLYNOMIAL,
+        "        u = -s if c[0] > 0 else s\n",
+        "        u = s\n",
+        ("tests/test_deflation.py",),
+        120,
+    ),
+    Mutant(
+        "a wrong sign in Capelli's -4*Q^4 test",
+        POLYNOMIAL,
+        "    if n % 4 or b < 0:\n",
+        "    if n % 4 or b > 0:\n",
+        ("tests/test_deflation.py::test_capelli_criterion",),
+        60,
+    ),
+]
+
+
+def run(m: Mutant) -> tuple[str, float]:
+    """('killed' | 'survived' | 'stale' | 'error: ...', seconds)."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tmp = Path(tmp)
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, tmp / name,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        shutil.copy(ROOT / "pyproject.toml", tmp / "pyproject.toml")
+        path = tmp / m.file
+        text = path.read_text()
+        if text.count(m.old) != 1:
+            return "stale", 0.0
+        path.write_text(text.replace(m.old, m.new))
+        env = {**os.environ, "PYTHONPATH": str(tmp / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *m.tests]
+        start = time.monotonic()
+        try:
+            out = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, text=True,
+                                 timeout=m.limit)
+        except subprocess.TimeoutExpired:
+            return "survived", time.monotonic() - start
+        seconds = time.monotonic() - start
+        if out.returncode == 1:
+            return "killed", seconds
+        if out.returncode == 0:
+            return "survived", seconds
+        return f"error: pytest exit {out.returncode}", seconds
+
+
+def main(names: list[str]) -> int:
+    entries = [m for m in CATALOGUE if not names or m.name in names]
+    if names and len(entries) != len(names):
+        print("unknown entries:", sorted(set(names) - {m.name for m in CATALOGUE}))
+        return 2
+    results = []
+    for m in entries:
+        verdict, seconds = run(m)
+        results.append((m, verdict, seconds))
+        print(f"{verdict:9} {seconds:6.1f} s  {m.name}", flush=True)
+    killed = [(s, m.name) for m, v, s in results if v == "killed"]
+    print(f"{len(killed)} of {len(results)} killed", end="")
+    print(f"; slowest kill {max(killed)[0]:.1f} s ({max(killed)[1]})" if killed else "")
+    return 0 if len(killed) == len(results) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

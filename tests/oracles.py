@@ -94,7 +94,7 @@ from onecell.realalg import (
     Sample,
     _candidate_poly,
     _cauchy_bound,
-    _isolate_irreducible,
+    _isolate,
     _rational_part,
     _root_count,
     _simplest,
@@ -490,7 +490,7 @@ def isolate_by_term_map_factor(p: MPoly) -> list[RealAlg]:
         if len(fc) == 2:
             roots.append(RealAlg.rational(Fraction(-fc[0], fc[1])))
         else:
-            roots.extend(_isolate_irreducible(fc))
+            roots.extend(_isolate(fc, fc))
     roots.sort()
     return roots
 

@@ -17,7 +17,16 @@ from hypothesis import strategies as st
 from sympy.polys import factortools
 
 from onecell import memo
-from onecell.polynomial import MPoly, _primitive, _upoly, dense, factor, factor_dense, parse_poly
+from onecell.polynomial import (
+    MPoly,
+    _capelli,
+    _primitive,
+    _upoly,
+    dense,
+    factor,
+    factor_dense,
+    parse_poly,
+)
 
 from oracles import sympy_poly_factor
 
@@ -81,6 +90,39 @@ def test_binomials_match_sympy(c, finest_first):
     _check_dense(c, finest_first)
 
 
+@st.composite
+def _any_binomials(draw):
+    """a*x^n + b for n = 3-24, a and |b| perfect powers (4 among them,
+    for x^4 + 4 = (x^2 - 2x + 2)(x^2 + 2x + 2)) or not, over their
+    content; as a tuple with a positive leading entry."""
+    n = draw(st.integers(3, 24))
+    powers = st.builds(pow, st.integers(1, 3), st.sampled_from([2, 3, 4, 5, 6, 8]))
+    a, b = (draw(st.one_of(powers, st.sampled_from([1, 4, 64]), st.integers(1, 40)))
+            for _ in range(2))
+    return _primitive((draw(st.sampled_from([b, -b])),) + (0,) * (n - 1) + (a,))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_any_binomials(), st.booleans())
+def test_capelli_binomials_match_sympy(c, finest_first):
+    """Binomials of any degree up to 24: those Capelli's criterion
+    proves irreducible, and the others, which the later steps split,
+    factor as sympy factors them."""
+    _check_dense(c, finest_first)
+
+
+@pytest.mark.parametrize("text, irreducible", [
+    ("x1^4+4", False), ("x1^4+1", True), ("4*x1^4+1", False), ("x1^4-4", False),
+    ("x1^12+64", False), ("x1^6+8", False), ("x1^6-8", False), ("x1^9-2", True),
+    ("8*x1^12+1", False), ("x1^24+1", False), ("x1^8-2", True), ("x1^5+32", False),
+])
+def test_capelli_criterion(text, irreducible):
+    c = dense(parse_poly(text), 1)
+    assert bool(_capelli(c[0], c[-1], len(c) - 1)) == irreducible
+    memo.clear()
+    assert (factor_dense(c) == [(c, 1)]) == irreducible
+
+
 def _tuples(pairs):
     return [(dense(f, 1), m) for f, m in pairs]
 
@@ -120,7 +162,7 @@ def _pairs(*items):
     ("4*x1^6-9", _pairs(("2*x1^3-3", 1), ("2*x1^3+3", 1)), 0),
     # h is irreducible at d = 6, 3 and 2, and so is x1^6-2
     ("x1^6-2", _pairs(("x1^6-2", 1)), 0),
-    # h is irreducible at d = 4 and 2, but x1^4+4 is not: sympy splits it
+    # x1^4+4 = x1^4 - (-4*1^4) fails Capelli's criterion: sympy splits it
     ("x1^4+4", _pairs(("x1^2-2*x1+2", 1), ("x1^2+2*x1+2", 1)), 1),
     ("x1^3*(x1^2-2)^2", _pairs(("x1", 3), ("x1^2-2", 2)), 0),
     ("x1*x2^2*(x1*x2+1)", _pairs(("x1", 1), ("x2", 2), ("x1*x2+1", 1)), 0),
@@ -128,9 +170,10 @@ def _pairs(*items):
     # a quadratic cofactor, which the closed form proves irreducible
     ("x1^3+8", _pairs(("x1+2", 1), ("x1^2-2*x1+4", 1)), 0),
     ("8*x1^3-27", _pairs(("2*x1-3", 1), ("4*x1^2+6*x1+9", 1)), 0),
-    # x1^4+1, x1^8+1 and x1^16+1 split modulo every prime, so each
-    # reaches sympy, once: the answer for each h is kept
-    ("x1^16+1", _pairs(("x1^16+1", 1)), 3),
+    # x1^4+1, x1^8+1 and x1^16+1 split modulo every prime, so no
+    # certificate proves them; Capelli's criterion does, with no sympy
+    ("x1^16+1", _pairs(("x1^16+1", 1)), 0),
+    ("x1^8+1", _pairs(("x1^8+1", 1)), 0),
 ])
 def test_deflation_fixed_cases(text, finest, sympy_calls):
     p = parse_poly(text)

@@ -1,5 +1,5 @@
 """Root isolation: the integer Taylor-shift kernel against the Fraction
-bisection it replaced, and one isolation per irreducible factor."""
+bisection it replaced, and one isolation per square-free tuple."""
 
 from fractions import Fraction
 
@@ -27,7 +27,7 @@ def _check_against_oracle(fc):
     intervals = realalg._bisect_roots(c)
     assert intervals == descartes_bisection(fc)
     assert len(intervals) == sturm_count_all_real_roots(list(fc))
-    roots = realalg._isolate_irreducible(c)
+    roots = realalg._isolate(c, c)
     assert [r.enclosure() for r in roots] == intervals
     assert [r.canonical_index() for r in roots] == list(range(1, len(roots) + 1))
 
@@ -75,9 +75,11 @@ def test_kernel_matches_fraction_bisection_at_huge_bounds(c):
 
 
 def test_each_irreducible_factor_is_isolated_once(monkeypatch):
-    """Sorting and hashing the roots asks for their canonical indices;
-    those come from the isolation itself, so the kernel runs once per
-    factor and no enclosure moves."""
+    """Roots of an irreducible tuple: sorting compares positions, and
+    hashing finds the identity, the tuple itself, so the kernel runs
+    once and no enclosure moves.  A product is bisected as one tuple;
+    the intervals of a new factor are bisected when a root's identity
+    is asked for."""
     calls = []
     bisect = realalg._bisect_roots
 
@@ -99,6 +101,9 @@ def test_each_irreducible_factor_is_isolated_once(monkeypatch):
     again = isolate_real_roots(_upoly([2, -6, 0, 2], 1))
     assert [r.enclosure() for r in again] == before
     assert len(calls) == 1
-    # a product of two irreducible cubics: one isolation for the new one
-    isolate_real_roots(_upoly([1, -3, 0, 1], 1) * _upoly([-1, -3, 0, 1], 1))
+    # a product of two irreducible cubics: one isolation of the product,
+    # then one of the new cubic once the roots' identities are asked for
+    product = isolate_real_roots(_upoly([1, -3, 0, 1], 1) * _upoly([-1, -3, 0, 1], 1))
     assert len(calls) == 2
+    assert len({hash(r) for r in product}) == 6
+    assert len(calls) == 3

@@ -45,7 +45,8 @@ def test_roots_over_repeated_extensions_agree_with_oracles():
     checked = roots = 0
     for k in range(12):
         alpha = alphas[k % len(alphas)]
-        d1, d2 = _univariate(alpha._def, 1), _univariate(alpha._def, 2)
+        _, defn, _ = alpha.key()  # ("alg", definition, canonical index)
+        d1, d2 = _univariate(defn, 1), _univariate(defn, 2)
         x1, x2 = MPoly.var(1), MPoly.var(2)
         n = exact_div(d1 - d2, x1 - x2)
         a0 = [rng.randint(-3, 3) for _ in range(rng.randint(2, 3))]
