@@ -155,24 +155,18 @@ def _pairs_full(red) -> list:
 
 
 def _pairs_ldb(ctx: _Ctx, subset, interval) -> list:
-    """Pair each root with its barrier; roots that are their own
-    barrier attach to the interval bound directly."""
-    lo, up = interval.lower, interval.upper
+    """Pair each root with its barrier, in value order; roots that are
+    their own barrier attach to the interval bound on their side."""
     pairs = []
     for r in subset:
         side = ctx.side(r)
-        if side < 0 and r != lo:
+        bound = interval.lower if side < 0 else interval.upper
+        if side and r != bound:
             b = ctx.barrier(r, subset)
             if b == r:
-                b = lo
+                b = bound
             if b is not None and b != r:
-                pairs.append((r, b))
-        elif side > 0 and r != up:
-            b = ctx.barrier(r, subset)
-            if b == r:
-                b = up
-            if b is not None and b != r:
-                pairs.append((b, r))
+                pairs.append((r, b) if side < 0 else (b, r))
     return pairs
 
 
@@ -234,10 +228,7 @@ def choose_representation(
     else:  # LDB
         if interval.is_section():
             eq_polys = _ldb_section_eq_set(ctx, red, interval)
-            subset = [r for r in red if r.poly not in eq_polys]
-            pairs = _pairs_ldb(ctx, subset, interval)
-        else:
-            pairs = _pairs_ldb(ctx, red, interval)
+        pairs = _pairs_ldb(ctx, [r for r in red if r.poly not in eq_polys], interval)
 
     # one delineable polynomial keeps its own roots ordered; record the
     # consecutive pairs so every root is covered by the ordering

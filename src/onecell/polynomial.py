@@ -287,11 +287,7 @@ class MPoly:
         """Canonical total order on polynomials, used for deterministic
         tie-breaking: graded comparison of the sorted term sequences."""
         if self._key is None:
-            n = self._level
-            items = sorted(
-                ((_monom_key(e, n), c) for e, c in self._terms.items()), reverse=True
-            )
-            self._key = (self.total_degree(), len(items), tuple(items))
+            self._key = _order_key(self._terms.items(), self._level)
         return self._key
 
 
@@ -325,6 +321,14 @@ def _monom_key(e: tuple[int, ...], n: int):
     padded = e + (0,) * (n - len(e))
     # graded lex with the highest variable most significant
     return (sum(e), tuple(reversed(padded)))
+
+
+def _order_key(items, n: int) -> tuple:
+    """`MPoly.sort_key` of the polynomial with the (exponent,
+    coefficient) items in n variables: the total degree, the number of
+    terms, then the terms from the greatest monomial down."""
+    items = sorted(((_monom_key(e, n), c) for e, c in items), reverse=True)
+    return (items[0][0][0] if items else 0, len(items), tuple(items))
 
 
 # ---------------------------------------------------------------------------
@@ -484,25 +488,24 @@ def _ires(P: dict, Q: dict, dp: int, dq: int, leaf) -> list[dict]:
 
     Small input is packed (Kronecker substitution): with D_k the degree
     bound `_degree_bound` in x_k, which bounds each such minor too (it
-    has fewer rows of each polynomial), and |T| the sum of the absolute
-    values of the integer coefficients of T's rows, x_k is set to
-    N^((D_1+1)...(D_(k-1)+1)), N = 2 |P|^dq |Q|^dp + 1, and the leaf
-    runs once on two integer rows.  Expanding a minor's determinant
-    bounds the sum of its coefficients' absolute values by the product
-    of its rows' sums, each |P| or |Q|, so every coefficient is below
-    N/2, and the minor, of degree <= D_k in each x_k, is read back from
-    the balanced base-N digits of the leaf's integer.  The substitution
-    keeps dp and dq, which `_upsc` needs: D_k >= max(deg_k P, deg_k Q),
-    so each nonzero coefficient of a row maps to a nonzero integer.
-    Input is small when the packed integers' size, (bits of N) *
-    (D_1+1)...(D_j+1), is at most `PACK_BITS`.
+    has fewer rows of each polynomial), |T| the sum of the absolute
+    values of the integer coefficients of T's rows, N = 2 |P|^dq |Q|^dp
+    + 1 and b its bits, x_k is set to 2^(b (D_1+1)...(D_(k-1)+1)), and
+    the leaf runs once on two integer rows.  Expanding a minor's
+    determinant bounds the sum of its coefficients' absolute values by
+    the product of its rows' sums, each |P| or |Q|, so every coefficient
+    is below N/2 < 2^(b-1), and the minor, of degree <= D_k in each x_k,
+    is read back from the balanced base-2^b digits of the leaf's integer
+    (`_digits`).  The substitution keeps dp and dq, which `_upsc` needs:
+    D_k >= max(deg_k P, deg_k Q), so each nonzero coefficient of a row
+    maps to a nonzero integer.  Input is small when the packed integers'
+    size, b (D_1+1)...(D_j+1) bits, is at most `PACK_BITS`.
 
-    Otherwise the highest other x_j is set to 0, 1, -1, 2, ...,
+    Otherwise the highest other x_j is set to 0, 1, -1, 2, ... (`_at`),
     skipping values where a degree in x_v drops (finitely many: the
     leading coefficients are nonzero), until they outnumber D_j + 1,
     each image goes through `_ires` again and the values are
-    interpolated (Collins 1971).  Each map is grouped by its keys
-    without x_j once, so a value a only scales rows by a**k."""
+    interpolated (Collins 1971)."""
     j = max(map(len, (*P, *Q)))
     if not j:
         return [{(): r} if r else {} for r in leaf(P[()], Q[()])]
@@ -510,10 +513,9 @@ def _ires(P: dict, Q: dict, dp: int, dq: int, leaf) -> list[dict]:
     n = 2 * _norm(P) ** dq * _norm(Q) ** dp + 1
     if n.bit_length() * math.prod(widths) <= PACK_BITS:
         return _packed(P, Q, dp, dq, leaf, widths, n)
-    Pj, Qj = _by_power(P, j), _by_power(Q, j)
     xs, vals, a = [], [], 0
     while len(xs) < widths[-1]:
-        Pa, Qa = _at(Pj, a), _at(Qj, a)
+        Pa, Qa = _at(P, j, a), _at(Q, j, a)
         if any(r[dp] for r in Pa.values()) and any(r[dq] for r in Qa.values()):
             xs.append(a)
             vals.append(_ires(Pa, Qa, dp, dq, leaf))
@@ -537,65 +539,48 @@ def _norm(T: dict) -> int:
 
 
 def _packed(P: dict, Q: dict, dp: int, dq: int, leaf, widths: list[int], n: int) -> list[dict]:
-    """`_ires` by one leaf call, with x_k = n^(widths[0]...widths[k-2]):
-    each minor has coefficients below n/2 and degree below widths[k-1]
-    in x_k."""
-    steps = [math.prod(widths[:k]) for k in range(len(widths))]
+    """`_ires` by one leaf call, with x_k = 2^(b widths[0]...widths[k-2]),
+    b the bits of n: each minor has coefficients below n/2 < 2^(b-1)
+    and degree below widths[k-1] in x_k, so its balanced base-2^b digits
+    (`_digits`) are its coefficients."""
+    b = n.bit_length()
+    steps = [b * math.prod(widths[:k]) for k in range(len(widths))]
 
     def pack(T: dict, d: int) -> list[int]:
         out = [0] * (d + 1)
         for e, row in T.items():
-            f = n ** sum(x * y for x, y in zip(e, steps))
+            f = sum(x * y for x, y in zip(e, steps))
             for i, c in enumerate(row):
                 if c:
-                    out[i] += c * f
+                    out[i] += c << f
         return out
 
-    half, outs = n // 2, []
+    outs = []
     for r in leaf(pack(P, dp), pack(Q, dq)):
         out = {}
-        for s in range(math.prod(widths)):
-            if not r:
-                break
-            r, c = divmod(r, n)
-            if c > half:  # the balanced digit c - n
-                c -= n
-                r += 1
+        for s, c in enumerate(_digits(r, b)):
             if c:
-                e, k = [], s
+                e = []
                 for w in widths:
-                    k, x = divmod(k, w)
+                    s, x = divmod(s, w)
                     e.append(x)
                 out[_trim(tuple(e))] = c
         outs.append(out)
     return outs
 
 
-def _by_power(P: dict, j: Var) -> list:
-    """The rows of P grouped by their keys without x_j, the highest
-    variable of any key: pairs (key, [(degree in x_j, row), ...])."""
+def _at(P: dict, j: Var, a: int) -> dict:
+    """The rows P with x_j = a, x_j the highest variable of any key."""
     out: dict = {}
     for e, row in P.items():
-        k = e[j - 1] if len(e) == j else 0
-        out.setdefault(_trim(e[: j - 1]) if k else e, []).append((k, row))
-    return list(out.items())
-
-
-def _at(groups: list, a: int) -> dict:
-    """The rows of a map grouped by `_by_power`, with x_j = a."""
-    out = {}
-    for e, parts in groups:
-        (k, row), *rest = parts
-        f = a**k
-        if f != 1:
-            row = [f * c for c in row]
-        for k, r in rest:
-            f = a**k
-            if f:
-                row = [c + f * x for c, x in zip(row, r)]
-        if any(row):
-            out[e] = row
-    return out
+        if len(e) == j:
+            f = a ** e[-1]
+            if not f:
+                continue
+            e, row = _trim(e[:-1]), [f * c for c in row]
+        r = out.get(e)
+        out[e] = row if r is None else [x + y for x, y in zip(r, row)]
+    return {e: r for e, r in out.items() if any(r)}
 
 
 def _degree_bound(P: dict, Q: dict, j: Var, dp: int, dq: int) -> int:
@@ -807,7 +792,9 @@ def _factor_dense(c: tuple[int, ...], mode: str) -> list[tuple[tuple[int, ...], 
     pairs = _yun(c) if len(c) > 1 else []
     if mode == "finest":
         pairs = [(f, m) for g, m in pairs for f in _split(g)]
-    return sorted(pairs, key=lambda fm: _upoly(fm[0], 1).sort_key()) if len(pairs) > 1 else pairs
+    if len(pairs) > 1:
+        pairs.sort(key=lambda fm: _order_key((((k,), x) for k, x in enumerate(fm[0]) if x), 1))
+    return pairs
 
 
 def _split(c: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -924,16 +911,16 @@ def _gcd_heuristic(a: Sequence[int], b: Sequence[int]) -> tuple[Sequence[int], .
     """(g, a / g, b / g) for trimmed integer coefficient lists (index =
     degree) a != 0 and b, g their gcd over Q, integer-primitive with a
     positive leading coefficient: the heuristic gcd (Char, Geddes and
-    Gonnet, "GCDHEU", 1989).  At x = 2^k, gamma = gcd(a(x), b(x)) has
-    the balanced base-x digits of some H with H(x) = gamma, and the
-    primitive part G of H is taken when it divides a and b exactly.
+    Gonnet, "GCDHEU", 1989).  At x = 2^k, gamma = gcd(a(x), b(x)) has the
+    balanced base-x digits (`_digits`) of some H with H(x) = gamma, and
+    the primitive part G of H is taken when it divides a and b exactly.
     Then G is the gcd: it divides g, and with g = G * q, g(x) divides
     gamma = cont(H) * G(x), so q(x) divides cont(H), of absolute value
     at most x/2.  Each root r of q is a root of a and of b, so |r| < 1 +
     m, m the lesser of |a|/|lc(a)| and |b|/|lc(b)| in the max norm
-    (Cauchy), and 2^k >= 2 + 2m makes each |x - r| > x/2: a
-    nonconstant q has |q(x)| > x/2.  So gamma <= x/2 proves a and b
-    coprime with no division: the certificate.
+    (Cauchy), and 2^k >= 2 + 2m makes each |x - r| > x/2: a nonconstant
+    q has |q(x)| > x/2.  So gamma <= x/2 proves a and b coprime with no
+    division: the certificate.
 
     Otherwise k is doubled until G divides both, which ends: with a =
     g*a1 and b = g*b1, gamma = g(x)*delta, delta a divisor of N =
@@ -949,17 +936,9 @@ def _gcd_heuristic(a: Sequence[int], b: Sequence[int]) -> tuple[Sequence[int], .
     k = (2 * m + 1).bit_length() + GCD_MARGIN
     while True:
         gamma = math.gcd(_at_power(a, k), _at_power(b, k))
-        base = 1 << k
-        if 2 * gamma <= base:
+        if 2 * gamma <= 1 << k:
             return (1,), a, b
-        digits = []
-        while gamma:
-            x = gamma & (base - 1)
-            if 2 * x > base:  # the balanced digit x - 2^k
-                x -= base
-            digits.append(x)
-            gamma = (gamma - x) >> k
-        G = _primitive(digits)
+        G = _primitive(_digits(gamma, k))
         if (qa := _quotient(a, G)) is not None and (qb := _quotient(b, G)) is not None:
             return G, qa, qb
         k *= 2
@@ -970,6 +949,19 @@ def _at_power(c: Sequence[int], k: int) -> int:
     out = 0
     for x in reversed(c):
         out = (out << k) + x
+    return out
+
+
+def _digits(x: int, k: int) -> list[int]:
+    """The balanced base-2^k digits of x, lowest first, each in
+    (-2^(k-1), 2^(k-1)]: x = sum d_i 2^(ik)."""
+    base, out = 1 << k, []
+    while x:
+        d = x & (base - 1)
+        if 2 * d > base:  # the balanced digit d - 2^k
+            d -= base
+        out.append(d)
+        x = (x - d) >> k
     return out
 
 
@@ -1176,7 +1168,7 @@ def _narrowed(c: list[int], q: int, left: int) -> int:
             return left  # not square-free
     g = f
     for r in roots:
-        g = _quotient_mod(g, [-r % q, 1], q)
+        g = _divide_mod(g, [-r % q, 1], q)[0]
     if m >= 4:
         mul = _mulmod(g, q)
         if q < m:
@@ -1200,7 +1192,7 @@ def _narrowed(c: list[int], q: int, left: int) -> int:
             if len(u) > 1:
                 for _ in range((len(u) - 1) // d):
                     found |= found << d
-                g = _quotient_mod(g, u, q)
+                g = _divide_mod(g, u, q)[0]
                 if not left & ~(found | found << (len(g) - 1)):
                     return left
     return left & (found | found << (len(g) - 1))
@@ -1250,32 +1242,28 @@ def _monic_mod(c: list[int], q: int) -> list[int]:
     return [k * inv % q for k in c]
 
 
-def _quotient_mod(a: list[int], b: list[int], q: int) -> list[int]:
-    """a / b modulo q, for a monic b that divides a."""
+def _divide_mod(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int]]:
+    """(t, r) with a = t*b + r modulo q and deg r < deg b, for a monic
+    b: t reduced modulo q, r not."""
     m, a = len(b) - 1, list(a)
     out = [0] * (len(a) - m)
     for k in range(len(a) - 1, m - 1, -1):
         t = out[k - m] = a[k] % q
         if t:
             a[k - m:k] = [x - t * y for x, y in zip(a[k - m:k], b)]
-    return out
+    return out, a[:m]
 
 
 def _gcd_mod(a: list[int], b: list[int], q: int) -> list[int]:
     """The monic gcd modulo q of the monic a and any b, which it
     consumes, by Euclid's algorithm on remainders kept monic."""
-    a = list(a)
     while True:
         while b and not b[-1] % q:
             b.pop()
         if not b:
             return a
-        b, m = _monic_mod(b, q), len(b) - 1
-        for k in range(len(a) - 1, m - 1, -1):
-            t = a[k] % q
-            if t:
-                a[k - m:k] = [x - t * y for x, y in zip(a[k - m:k], b)]
-        a, b = b, a[:m]
+        b = _monic_mod(b, q)
+        a, b = b, _divide_mod(a, b, q)[1]
 
 
 # ---------------------------------------------------------------------------

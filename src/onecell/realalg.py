@@ -12,11 +12,12 @@ hash, text (`realalg_to_text`), `is_rational`, `canonical_index`,
 values compare equal exactly when they are the same real number: roots
 of one tuple by position, and otherwise by `RealAlg._meets`.  Hash and
 text depend only on the identity, and `canonical_copy` passes them on.
-Definitions are integer-primitive with a positive leading coefficient,
-and `RealAlg.algebraic` refuses a reducible one.  Enclosures are integers,
-lo = a/d and hi = b/d over one positive d, halved at (a + b) / 2d, and
-every helper below works on them; `enclosure` and `separate` are the
-Fraction views.
+Definitions are integer-primitive with a positive leading coefficient.
+A value is built by `RealAlg.rational` or by root isolation
+(`isolate_real_roots`, `roots_in_extension`), the only way to an
+irrational one.  Enclosures are integers, lo = a/d and hi = b/d over
+one positive d, halved at (a + b) / 2d, and every helper below works
+on them; `enclosure` and `separate` are the Fraction views.
 
 This module is the one home of the exact-real helpers the rest of the
 package builds on: `RealAlg.compare` (and `<`, so lists of values sort
@@ -91,7 +92,6 @@ from .polynomial import (
     discriminant,
     exact_div,
     factor_dense,
-    normalize,
     poly_to_str,
     resultant,
     subresultant_coefficients,
@@ -168,12 +168,13 @@ class RealAlg:
     b/d, d > 0, neither a root of `_sqf`.  Its identity, the
     irreducible factor `_def` of `_sqf` with a root in the box, is
     found on first demand (`_resolve`); from then on `_sqf` is `_def`
-    and `_pos` the canonical index, or the value is that rational."""
+    and `_pos` the canonical index, or the value is that rational.
+    Values come from `RealAlg.rational` and from root isolation only."""
 
     __slots__ = ("_rat", "_sqf", "_pos", "_box", "_slo", "_def", "_text", "_hash")
 
     def __init__(self):
-        raise TypeError("use RealAlg.rational or RealAlg.algebraic")
+        raise TypeError("use RealAlg.rational, or isolate_real_roots for an algebraic value")
 
     @classmethod
     def rational(cls, r) -> "RealAlg":
@@ -188,30 +189,6 @@ class RealAlg:
     def _set_rational(self, r: Fraction) -> None:
         self._rat, self._sqf, self._pos, self._slo = r, None, None, 0
         self._box = (r.numerator, r.numerator, r.denominator)
-
-    @classmethod
-    def algebraic(
-        cls, defining: Sequence[Fraction], lo: Fraction, hi: Fraction
-    ) -> "RealAlg":
-        """The root of `defining` in the open interval (lo, hi).
-        Coefficients and endpoints are int or Fraction (TypeError
-        otherwise, as in `RealAlg.rational`).  Raises ValueError unless
-        the defining polynomial is irreducible over Q of degree >= 2 and
-        unless (lo, hi) holds exactly one of its real roots, whose
-        canonical index the value stores.  The defining polynomial is
-        stored integer-primitive with a positive leading coefficient."""
-        p = normalize(MPoly({(k,): x for k, x in enumerate(defining)}))
-        c = dense(p, 1) if p.degree(1) >= 2 else None
-        if c is None or factor_dense(c) != [(c, 1)]:
-            raise ValueError(
-                "the defining polynomial must be irreducible of degree >= 2"
-            )
-        lo, hi = _rational(lo), _rational(hi)
-        a, b = RealAlg.rational(lo), RealAlg.rational(hi)
-        inside = [r for r in _isolate(c, c) if a < r < b]
-        if len(inside) != 1:
-            raise ValueError(f"({lo}, {hi}) holds {len(inside)} roots, not 1")
-        return cls._root(c, lo, hi, inside[0]._pos, c)
 
     @classmethod
     def _root(

@@ -146,6 +146,56 @@ CATALOGUE = [
         120,
     ),
     Mutant(
+        "N in _ires without its factor 2",
+        POLYNOMIAL,
+        "    n = 2 * _norm(P) ** dq * _norm(Q) ** dp + 1\n",
+        "    n = _norm(P) ** dq * _norm(Q) ** dp + 1\n",
+        ("tests/test_resultant.py::test_large_coefficients_match_term_maps",),
+        60,
+    ),
+    Mutant(
+        "slot widths D_k without the + 1",
+        POLYNOMIAL,
+        "    widths = [_degree_bound(P, Q, k, dp, dq) + 1 for k in range(1, j + 1)]\n",
+        "    widths = [_degree_bound(P, Q, k, dp, dq) for k in range(1, j + 1)]\n",
+        ("tests/test_resultant.py::test_rows_match_term_maps",),
+        60,
+    ),
+    Mutant(
+        "_digits without its balancing step",
+        POLYNOMIAL,
+        "        if 2 * d > base:  # the balanced digit d - 2^k\n"
+        "            d -= base\n",
+        "",
+        ("tests/test_resultant.py::test_digits_read_back_balanced_coefficients",),
+        60,
+    ),
+    Mutant(
+        "_at raising a to the wrong power",
+        POLYNOMIAL,
+        "            f = a ** e[-1]\n",
+        "            f = a ** (e[-1] + 1)\n",
+        ("tests/test_resultant.py::test_rows_at_a_value_match_substitution",),
+        60,
+    ),
+    Mutant(
+        "OrdInv sharing SgnInv's kind tag",
+        "src/onecell/properties.py",
+        "# a level proves tiers up to this one from the sample alone, and the rest\n",
+        "OrdInv.tag = SgnInv.tag\n"
+        "# a level proves tiers up to this one from the sample alone, and the rest\n",
+        ("tests/test_properties.py",),
+        120,
+    ),
+    Mutant(
+        "_pairs_ldb with the pair orientation swapped",
+        "src/onecell/heuristics.py",
+        "                pairs.append((r, b) if side < 0 else (b, r))\n",
+        "                pairs.append((b, r) if side < 0 else (r, b))\n",
+        ("tests/test_heuristics.py",),
+        120,
+    ),
+    Mutant(
         "a wrong sign in Capelli's -4*Q^4 test",
         POLYNOMIAL,
         "    if n % 4 or b < 0:\n",

@@ -43,8 +43,9 @@ over one pattern, and its literals with `Fraction`).  Keeping both routes alive 
 algebra tests meaningful.  The module also holds the structural checks
 on a chosen representation (`representation_is_valid`,
 `ordering_matches`), and helpers the library does not need:
-`derivative`, `simplest_between` on Fractions, and `realalg_from_text`,
-the reader of the coordinates `realalg_to_text` writes.
+`derivative`, `simplest_between` on Fractions, `realalg_from_text`,
+the reader of the coordinates `realalg_to_text` writes, and
+`root_between`, a root picked by its isolating interval.
 """
 
 from __future__ import annotations
@@ -868,6 +869,18 @@ def realalg_from_text(text: str) -> RealAlg:
         body, k = text[6:-1].rsplit(" ", 1)
         return isolate_real_roots(parse_poly(body))[int(k) - 1]
     return RealAlg.rational(rational_from_text(text))
+
+
+def root_between(coeffs, lo, hi) -> RealAlg:
+    """The one real root in (lo, hi) of the polynomial sum coeffs[k] *
+    x1^k, among its isolated roots; ValueError unless there is exactly
+    one."""
+    lo, hi = RealAlg.rational(lo), RealAlg.rational(hi)
+    p = MPoly({(k,): c for k, c in enumerate(coeffs)})
+    inside = [r for r in isolate_real_roots(p) if lo < r < hi]
+    if len(inside) != 1:
+        raise ValueError(f"{len(inside)} roots of {p} in ({lo}, {hi}), not 1")
+    return inside[0]
 
 
 def recursive_simplest_between(a: Fraction, b: Fraction) -> Fraction:

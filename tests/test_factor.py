@@ -308,3 +308,34 @@ def test_certificate_refuses_reducible_input(text):
 ])
 def test_certificate_proves_irreducible_input(text):
     assert _check_certificate(parse_poly(text))
+
+
+def test_tuple_order_key_is_the_polynomial_sort_key():
+    """`factor_dense` orders its factor tuples by `_order_key` on their
+    (exponent, coefficient) items, the key `MPoly.sort_key` computes;
+    a factor has degree >= 1, so its polynomial has level 1."""
+    rng = random.Random(11)
+    for _ in range(500):
+        c = tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 6)))
+        c += (rng.choice([-1, 1]) * rng.randint(1, 9),)
+        items = (((k,), x) for k, x in enumerate(c) if x)
+        assert polynomial._order_key(items, 1) == polynomial._upoly(c, 1).sort_key(), c
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 31])
+def test_monic_division_modulo_a_prime(q):
+    """`_divide_mod(a, b, q)` = (t, r): a = t*b + r modulo q, deg r <
+    deg b, t reduced modulo q, for a monic b."""
+    rng = random.Random(q)
+    for _ in range(300):
+        a = [rng.randint(-50, 50) for _ in range(rng.randint(0, 9))]
+        b = [rng.randint(-50, 50) for _ in range(rng.randint(0, 5))] + [1]
+        t, r = polynomial._divide_mod(a, b, q)
+        assert len(r) < len(b) and all(0 <= x < q for x in t)
+        tb = [0] * (len(t) + len(b) - 1)
+        for i, x in enumerate(t):
+            for j, y in enumerate(b):
+                tb[i + j] += x * y
+        n = max(len(a), len(tb), len(r))
+        pad = lambda c: list(c) + [0] * (n - len(c))
+        assert all((x - y - z) % q == 0 for x, y, z in zip(pad(a), pad(tb), pad(r))), (a, b)

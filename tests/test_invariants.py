@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from onecell.polynomial import MPoly, factor, normalize, parse_poly, poly_to_str, resultant
 from onecell.realalg import RealAlg, Sample, isolate_real_roots, sign_at
 
-from oracles import simplest_between
+from oracles import root_between, simplest_between
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
@@ -115,7 +115,7 @@ def test_compare_is_transitive(a, b, c):
 def test_compare_ignores_integer_multiples_of_the_definition(root, k, other):
     coeffs, a = root
     lo, hi = a.enclosure()
-    b = RealAlg.algebraic([k * c for c in coeffs], lo, hi)
+    b = root_between([k * c for c in coeffs], lo, hi)
     assert a.compare(b) == 0 and b.compare(a) == 0
     assert a.key() == b.key()
     assert other.compare(a) == other.compare(b)

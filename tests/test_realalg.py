@@ -22,7 +22,12 @@ from onecell.realalg import (
 )
 
 from conftest import random_poly, within_seconds
-from oracles import realalg_from_text, sturm_count_all_real_roots, sturm_count_interval
+from oracles import (
+    realalg_from_text,
+    root_between,
+    sturm_count_all_real_roots,
+    sturm_count_interval,
+)
 
 
 def _upoly(rng, max_deg=5):
@@ -152,10 +157,6 @@ def test_rationals_must_be_int_or_fraction():
             RealAlg.rational(bad)
         with pytest.raises(TypeError):
             Sample([Fraction(1), bad])
-        with pytest.raises(TypeError):
-            RealAlg.algebraic([-2, 0, bad], 1, 2)
-        with pytest.raises(TypeError):
-            RealAlg.algebraic([-2, 0, 1], bad, 2)
 
 
 def test_sample_prefix_extend():
@@ -236,50 +237,12 @@ def test_refine_narrows():
 def test_equal_roots_of_proportional_definitions_compare_equal():
     # sqrt(2) as a root of x^2-2, of 2x^2-4 and of -x^2+2
     two = [Fraction(-2), Fraction(0), Fraction(1)]
-    a = RealAlg.algebraic(two, Fraction(1), Fraction(2))
+    a = root_between(two, Fraction(1), Fraction(2))
     for scale in (2, -1, Fraction(1, 3)):
-        b = RealAlg.algebraic([scale * c for c in two], Fraction(1), Fraction(3, 2))
+        b = root_between([scale * c for c in two], Fraction(1), Fraction(3, 2))
         assert within_seconds(5, lambda: a.compare(b)) == 0
         assert a.key() == b.key()
         assert hash(a) == hash(b)
-
-
-def test_reducible_definitions_are_refused():
-    """sqrt(2) as a root of (x^2-2)(x-5) could never compare equal to
-    sqrt(2) from x^2-2; the constructor refuses such definitions."""
-    two = [Fraction(-2), Fraction(0), Fraction(1)]
-    a = RealAlg.algebraic(two, Fraction(1), Fraction(2))
-    for bad, lo, hi in (
-        ([10, -2, -5, 1], 1, 2),  # (x^2-2)(x-5)
-        ([4, 0, -4, 0, 1], 1, 2),  # (x^2-2)^2, not square-free
-        ([-3, 1], 2, 4),  # degree 1: a rational root
-    ):
-        with pytest.raises(ValueError):
-            within_seconds(5, lambda: a.compare(
-                RealAlg.algebraic([Fraction(c) for c in bad], Fraction(lo), Fraction(hi))
-            ))
-
-
-def test_algebraic_refuses_an_interval_without_exactly_one_root():
-    """x^3-3x+1 has roots near -1.88, 0.35 and 1.53: (-2, 2) holds all
-    three, (-1, 0) and the empty (2, 1) none."""
-    cubic = [1, -3, 0, 1]
-    for lo, hi in ((-2, 2), (-1, 0), (2, 1)):
-        with pytest.raises(ValueError):
-            RealAlg.algebraic(cubic, lo, hi)
-
-
-def test_algebraic_stores_the_canonical_index():
-    """The index is found when the value is built; reading it refines
-    nothing, also where (lo, hi) meets two canonical intervals of x^3-3x+1,
-    (-4, 0), (0, 1) and (1, 2)."""
-    cubic = [1, -3, 0, 1]
-    half = Fraction(1, 2)
-    for (lo, hi), k in (((-2, -1), 1), ((-half, half), 2), ((1, 2), 3), ((half, 3), 3)):
-        r = RealAlg.algebraic(cubic, lo, hi)
-        assert r.canonical_index() == k
-        assert r.enclosure() == (lo, hi)
-        assert r == isolate_real_roots(parse_poly("x1^3-3*x1+1"))[k - 1]
 
 
 def test_separate_refuses_values_out_of_order():

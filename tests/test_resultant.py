@@ -9,19 +9,27 @@ maps, `oracles.term_map_resultant`, and its subresultant leaf against
 Sylvester minors, and its discriminant leaf against psc_0 / lc, on
 operands with coefficients up to 10^9.  The bounds the packing rests on
 are checked too: every minor's and discriminant's coefficients stay
-below half the base, and the degree bound holds for every minor."""
+below half the base, and the degree bound holds for every minor.  A
+kernel of each route is checked directly: `_digits`, the balanced
+digits the packed leaf's integer is read back from, and `_at`, which
+sets the highest other variable of a map of rows to a value."""
 
+import random
 from fractions import Fraction
 from functools import cache
 from unittest import mock
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from onecell import memo, polynomial, realalg
 from onecell.polynomial import (
     MPoly,
+    _at,
+    _at_power,
     _degree_bound,
+    _digits,
     _ires,
     _norm,
     _primitive_part,
@@ -36,6 +44,8 @@ from onecell.polynomial import (
     resultant,
 )
 from onecell.realalg import Sample, isolate_real_roots
+
+from conftest import within_seconds
 
 from oracles import (
     _term_map_bound,
@@ -420,3 +430,52 @@ def test_root_candidate_inputs(p, picks):
     _, _, coeffs = coeff_info(p, 3)
     if any(realalg.sign_at(c, s) for c in coeffs):
         assert _recorded(realalg._candidate_poly, p, s)[0]
+
+
+# ---------------------------------------------------------------------------
+# the shared kernels: balanced digits and rows at a value
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 61])
+def test_digits_read_back_balanced_coefficients(k):
+    """`_digits(c(2^k), k)` is c for every c with coefficients in
+    (-2^(k-1), 2^(k-1)] and a nonzero last entry, the extremes
+    +-(2^(k-1) - 1) and 2^(k-1) and a negative leading one among them."""
+    h = 1 << (k - 1)
+    rng = random.Random(k)
+    digits = sorted({h, h - 1, 1 - h, 1, -1, 0})
+    cases = [[h], [1 - h], [-1], [h - 1, -h + 1, h], [0, 0, 1 - h], [h, 0, -1]]
+    for _ in range(200):
+        c = [rng.choice(digits) if rng.random() < 0.5 else rng.randint(1 - h, h)
+             for _ in range(rng.randint(1, 8))]
+        c[-1] = c[-1] or rng.choice([h, -1])
+        cases.append(c)
+    for c in cases:
+        if c[-1] and all(-h < x <= h for x in c):
+            assert within_seconds(2, lambda: _digits(_at_power(c, k), k)) == c, (c, k)
+    assert _digits(0, k) == []
+
+
+def _row_maps(rng):
+    """Random rows over x_v = x1, keyed by exponents of x2..x4 with x1's
+    entry 0, trimmed, and their highest variable j."""
+    d, rows = rng.randint(0, 3), {}
+    for _ in range(rng.randint(1, 5)):
+        e = polynomial._trim((0,) + tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 3))))
+        rows[e] = [rng.randint(-9, 9) for _ in range(d + 1)]
+    rows = {e: r for e, r in rows.items() if any(r)}
+    return rows, d, max(map(len, rows), default=0)
+
+
+def test_rows_at_a_value_match_substitution():
+    """`_at(P, j, a)` is the rows of the polynomial of P with x_j = a by
+    `MPoly.subst_rational`, zero rows dropped."""
+    rng = random.Random(7)
+    for _ in range(300):
+        P, d, j = _row_maps(rng)
+        if not j:
+            continue
+        p = MPoly({(i,) + e[1:]: c for e, r in P.items() for i, c in enumerate(r)})
+        for a in (0, 1, -1, 2, -3, 5):
+            want = _rows(p.subst_rational({j: a})._terms, 1, d)
+            assert _at(P, j, a) == want, (P, j, a)
