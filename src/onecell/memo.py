@@ -1,7 +1,8 @@
 """The package's memo tables, with one owner.
 
 Five functions keep results that later calls are likely to ask for
-again, each in one table here:
+again, each in one table here, and a sixth table holds the polynomials
+themselves:
 
 - `FACTOR`: `polynomial.factor`, keyed on (p, mode), and the univariate
   kernel `polynomial.factor_dense`, keyed on (c, mode) for an integer
@@ -18,11 +19,17 @@ again, each in one table here:
 - `ROOTS`: `realalg.cached_roots`, keyed on p and the sample's exact
   coordinates; the zero test of `realalg.sign_at` at several irrational
   coordinates reads it too
+- `POLYS`: the one live `MPoly` for each term map, keyed on
+  ``frozenset(terms.items())`` of its canonical terms
+  (`MPoly._canonical`, which every constructor goes through), so that
+  equal polynomials built again are the same object and share the
+  views kept on it (hash, text, degrees, sort key, main-variable
+  coefficients, normal form)
 
-Keys are values, never object identities, since callers build new
-objects for equal polynomials.  The views a polynomial keeps on itself
-(hash, text, degrees, sort key, main-variable coefficients) are not
-tables: they live and die with the object.
+Keys are values, never object identities.  Polynomial equality and
+hashing stay value-based too: a polynomial dropped from `POLYS`, or
+built after `clear`, lives on beside the equal one built next, so
+interning saves work but decides nothing.
 
 The scope is the process: whichever call first asks fills an entry, and
 every later call shares it.  Each table is a least-recently-used map of
@@ -72,9 +79,10 @@ RESULTANT = Table()
 DISCRIMINANT = Table()
 CANONICAL = Table()
 ROOTS = Table()
+POLYS = Table()
 
 TABLES = {"factor": FACTOR, "resultant": RESULTANT, "discriminant": DISCRIMINANT,
-          "canonical": CANONICAL, "roots": ROOTS}
+          "canonical": CANONICAL, "roots": ROOTS, "polys": POLYS}
 
 
 def clear() -> None:

@@ -13,16 +13,21 @@ are those of the same polynomial over `Fraction` coefficients; `terms`
 and `constant_value` still hand out `Fraction`s.  The public
 `MPoly(...)` and `MPoly.constant` validate their input (only `int` and
 `Fraction` coefficients, else TypeError).  Sums, negation, products,
-`scale`, `subst_rational`, the `coeff_info` slices and the
-projections build canonical results and skip that work through the
+`scale`, `subst_rational`, the `coeff_info` slices, `normalize` and
+the projections build canonical results and skip that work through the
 trusted `MPoly._canonical`; those that compute new coefficients store
-integral ones as `int` (`_stored`).  A polynomial is immutable, so
-nothing may change `_terms` after construction, and its derived views
-are computed on first use and kept on the value: the hash, the text
-(`poly_to_str`), the tuple of per-variable degrees (behind `degree` and
-`variables`), `sort_key`, and the coefficients in the main variable
-(`coeff_info(p, p.level)`).  Each kept view is immutable or handed out
-as a copy: `coeff_info` keeps a tuple and returns a new list.
+integral ones as `int` (`_stored`).  Every constructor ends in
+`_canonical`, which returns the one live object for its term map from
+`memo.POLYS`, so an equal polynomial built again is the same object
+(`==` and `hash` stay value-based all the same: see `memo`).  A
+polynomial is immutable, so nothing may change `_terms` after
+construction; its hash is computed when it is built, and its other
+derived views are computed on first use and kept on the value: the
+text (`poly_to_str`), the tuple of per-variable degrees (behind
+`degree` and `variables`), `sort_key`, the coefficients in the main
+variable (`coeff_info(p, p.level)`) and the normal form (`normalize`).
+Each kept view is immutable or handed out as a copy: `coeff_info` keeps
+a tuple and returns a new list.
 
 The module also provides the projection operations the cell construction
 consumes: resultants, discriminants and principal subresultant
@@ -82,12 +87,15 @@ class MPoly:
 
     The term map sends trimmed exponent tuples to nonzero rational
     coefficients (`int` when integral, else `Fraction`); the exponent
-    tuple ``(2, 1)`` stands for x1^2*x2.
+    tuple ``(2, 1)`` stands for x1^2*x2.  ``MPoly(terms)`` validates and
+    canonicalizes a copy of `terms`; every constructor then returns the
+    live object for the value from `memo.POLYS` (`_canonical`), whose
+    callers give up the dict they pass.
     """
 
-    __slots__ = ("_terms", "_hash", "_str", "_level", "_degrees", "_key", "_main")
+    __slots__ = ("_terms", "_hash", "_str", "_level", "_degrees", "_key", "_main", "_normal")
 
-    def __init__(self, terms: dict[tuple[int, ...], Fraction] | None = None):
+    def __new__(cls, terms: dict[tuple[int, ...], Fraction] | None = None):
         clean: dict[tuple[int, ...], Fraction] = {}
         if terms:
             for exps, c in terms.items():
@@ -95,20 +103,18 @@ class MPoly:
                 if c != 0:
                     key = _trim(tuple(exps))
                     clean[key] = clean.get(key, 0) + c
-        self._terms = _stored(clean)
-        self._hash = self._str = self._degrees = self._key = self._main = None
-        self._level = max(map(len, self._terms), default=0)
+        return MPoly._canonical(_stored(clean))
 
     # -- constructors -------------------------------------------------
 
-    @classmethod
-    def _canonical(cls, terms: dict[tuple[int, ...], Fraction]) -> "MPoly":
-        """Trusted constructor for terms that are already canonical."""
-        self = object.__new__(cls)
-        self._terms = terms
-        self._hash = self._str = self._degrees = self._key = self._main = None
-        self._level = max(map(len, terms), default=0)
-        return self
+    @staticmethod
+    def _canonical(terms: dict[tuple[int, ...], Fraction]) -> "MPoly":
+        """Trusted constructor for terms that are already canonical: the
+        polynomial kept in `memo.POLYS` for them, else a new one, kept
+        there.  The caller gives up `terms`, which may become the new
+        value's own map, and never touches it again."""
+        key = frozenset(terms.items())
+        return memo.POLYS.fetch(key, _new_poly, terms, key)
 
     @staticmethod
     def constant(c) -> "MPoly":
@@ -270,9 +276,13 @@ class MPoly:
         return self is other or self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
         return self._hash
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor; the default
+        # protocol would get the kept zero from `MPoly()` and overwrite
+        # its slots
+        return MPoly, (self._terms,)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -289,6 +299,17 @@ class MPoly:
         if self._key is None:
             self._key = _order_key(self._terms.items(), self._level)
         return self._key
+
+
+def _new_poly(terms: dict, key: frozenset) -> MPoly:
+    """A new polynomial on `terms`, outside `memo.POLYS`; `key` is
+    ``frozenset(terms.items())``, the source of its hash."""
+    self = object.__new__(MPoly)
+    self._terms = terms
+    self._hash = hash(key)
+    self._str = self._degrees = self._key = self._main = self._normal = None
+    self._level = max(map(len, terms), default=0)
+    return self
 
 
 def _rational(c) -> Fraction:
@@ -705,14 +726,18 @@ def _primitive_part(p: MPoly) -> tuple[tuple[int, int], dict[tuple[int, ...], in
 
 def normalize(p: MPoly) -> MPoly:
     """Canonical representative up to nonzero constants: integer-primitive
-    with positive leading coefficient under graded lex."""
-    if p.is_zero():
-        return p
-    _, P = _primitive_part(p)
-    n = p.level
-    if P[max(P, key=lambda e: _monom_key(e, n))] < 0:
-        P = {e: -k for e, k in P.items()}
-    return MPoly._canonical(P)
+    with positive leading coefficient under graded lex, computed once and
+    kept on p (and on the result, its own normal form)."""
+    if p._normal is None:
+        if p.is_zero():
+            return p
+        _, P = _primitive_part(p)
+        n = p.level
+        if P[max(P, key=lambda e: _monom_key(e, n))] < 0:
+            P = {e: -k for e, k in P.items()}
+        q = p._normal = MPoly._canonical(P)
+        q._normal = q
+    return p._normal
 
 
 def dense(p: MPoly, v: Var) -> tuple[int, ...]:

@@ -532,8 +532,9 @@ def _real_roots(c: tuple[int, ...]) -> list[RealAlg]:
     square-free parts (`factor_dense` in ``squarefree`` mode), whose
     identities wait until asked for.  A part of degree <= 2, and c when
     it is that small, is split by the closed form first: a rational for
-    each linear factor, and the roots of an irreducible quadratic,
-    identities known."""
+    each linear factor, none for an irreducible quadratic of negative
+    discriminant, and the bisected roots of any other, identities
+    known."""
     roots: list[RealAlg] = []
     for f, _m in factor_dense(c, "squarefree") if len(c) > 3 else [(c, 1)]:
         if len(f) > 3:
@@ -542,7 +543,7 @@ def _real_roots(c: tuple[int, ...]) -> list[RealAlg]:
         for g, _ in factor_dense(f):
             if len(g) == 2:
                 roots.append(RealAlg.rational(Fraction(-g[0], g[1])))
-            else:
+            elif g[1] ** 2 >= 4 * g[0] * g[2]:
                 roots.extend(_isolate(g, g))
     roots.sort()
     return roots

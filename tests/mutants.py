@@ -196,6 +196,22 @@ CATALOGUE = [
         120,
     ),
     Mutant(
+        "an intern key that drops the coefficients",
+        POLYNOMIAL,
+        "        key = frozenset(terms.items())\n",
+        "        key = frozenset(terms)\n",
+        ("tests/test_memo.py::test_equal_polynomials_built_by_different_paths_are_one_object",),
+        60,
+    ),
+    Mutant(
+        "a kept normal form that skips the sign flip",
+        POLYNOMIAL,
+        "            P = {e: -k for e, k in P.items()}\n",
+        "            pass\n",
+        ("tests/test_memo.py::test_equal_polynomials_built_by_different_paths_are_one_object",),
+        60,
+    ),
+    Mutant(
         "a wrong sign in Capelli's -4*Q^4 test",
         POLYNOMIAL,
         "    if n % 4 or b < 0:\n",

@@ -221,10 +221,13 @@ def test_all_heuristics_on_running_instance():
 def test_each_value_rendered_at_most_once(monkeypatch, hid):
     """Ties in property selection are broken on rendered text; each
     polynomial and each real algebraic number renders it once, on a
-    golden instance with irrational sample coordinates."""
-    from onecell import polynomial, realalg
+    golden instance with irrational sample coordinates.  The memo tables
+    are emptied first, so no value is kept, text and all, from an
+    earlier test."""
+    from onecell import memo, polynomial, realalg
     from test_golden import TIES
 
+    memo.clear()
     renders = {polynomial: {}, realalg: {}}
     for module, seen in renders.items():
         def counting(x, render=module._render, seen=seen):

@@ -256,11 +256,13 @@ def test_golden_outputs_do_not_depend_on_the_hash_seed():
 
 def test_golden_outputs_do_not_depend_on_what_the_memo_keeps():
     """Every table holding one entry drops almost every result as soon
-    as the next one arrives; the outputs must not move, and no table
-    may grow past its bound."""
+    as the next one arrives, and `memo.POLYS` almost every polynomial,
+    so equal polynomials are nearly always distinct objects; the outputs
+    must not move, and no table may grow past its bound."""
     proc = _render(["-c", _RENDER_WITH_BOUND_ONE])
     sizes = json.loads(proc.stderr.decode().splitlines()[-1])
-    assert set(sizes) == {"factor", "resultant", "discriminant", "canonical", "roots"}
+    assert set(sizes) == {"factor", "resultant", "discriminant", "canonical", "roots",
+                          "polys"}
     assert all(0 < n <= 1 for n in sizes.values()), sizes
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from onecell import memo, realalg
 from onecell.polynomial import MPoly, dense, factor, normalize
-from onecell.realalg import _upoly, isolate_real_roots
+from onecell.realalg import RealAlg, _upoly, isolate_real_roots
 
 from oracles import descartes_bisection, sturm_count_all_real_roots
 
@@ -107,3 +107,20 @@ def test_each_irreducible_factor_is_isolated_once(monkeypatch):
     assert len(calls) == 2
     assert len({hash(r) for r in product}) == 6
     assert len(calls) == 3
+
+
+def test_a_rootless_quadratic_is_not_bisected(monkeypatch):
+    """The closed form answers an irreducible quadratic of negative
+    discriminant with no roots and no bisection, alone and as a
+    square-free part; one of positive discriminant is still bisected."""
+    calls = []
+    bisect = realalg._bisect_roots
+    memo.clear()
+    monkeypatch.setattr(realalg, "_bisect_roots", lambda c: calls.append(c) or bisect(c))
+    assert realalg._real_roots((1, 1, 1)) == []
+    assert isolate_real_roots(_upoly([5, -2, 3], 1)) == []  # 3x^2 - 2x + 5
+    # (x^2 + x + 1)^2 (2x - 1): Yun's parts 2x - 1 and x^2 + x + 1
+    repeated = _upoly([1, 1, 1], 1) ** 2 * _upoly([-1, 2], 1)
+    assert isolate_real_roots(repeated) == [RealAlg.rational(Fraction(1, 2))]
+    assert calls == []
+    assert len(isolate_real_roots(_upoly([-2, 0, 1], 1))) == 2 and calls == [(-2, 0, 1)]

@@ -1,8 +1,11 @@
 """The memo tables of `onecell.memo`: repeated `factor`, `resultant` and
 `discriminant` calls against the uncached kernels and the oracles, the
 entries a ``finest`` factorization records for its outputs, results
-that callers cannot change, and the least-recently-used bound."""
+that callers cannot change, the least-recently-used bound, and one
+object per polynomial value (`memo.POLYS`) with its kept normal form."""
 
+import copy
+import pickle
 from fractions import Fraction
 from unittest import mock
 
@@ -15,8 +18,11 @@ from onecell.polynomial import (
     MPoly,
     _factor,
     _resultant,
+    _upoly,
+    coeff_info,
     discriminant,
     factor,
+    normalize,
     parse_poly,
     resultant,
 )
@@ -116,6 +122,59 @@ def test_repeated_discriminant_matches_oracle_and_is_kept(operands):
     again = discriminant(p, v)
     assert again == first and again is not first
     assert len(memo.DISCRIMINANT) == 1 and len(memo.RESULTANT) == 0
+
+
+def test_equal_polynomials_built_by_different_paths_are_one_object():
+    p = parse_poly("3*x1^2*x2-x2/2+1")
+    q = parse_poly("x2-x1+2")
+    assert MPoly({(2, 1): 3, (0, 1): Fraction(-1, 2), (): 1}) is p
+    assert MPoly({(): Fraction(1), (0, 1): Fraction(-2, 4), (2, 1, 0): Fraction(3)}) is p
+    assert parse_poly("1-1/2*x2+3*x2*x1^2") is p
+    assert p * q is q * p
+    assert (p + q) - q is p
+    assert normalize(3 * p) is normalize(p) is normalize(-p)
+    assert _upoly([-2, 0, 1], 1) is parse_poly("x1^2-2")
+    _, lc, coeffs = coeff_info(p, 2)
+    assert lc is parse_poly("3*x1^2-1/2") and coeffs[0] is MPoly.constant(1)
+    # other coefficients on the same monomials make another value
+    plus, minus = parse_poly("x1+1"), parse_poly("x1-1")
+    assert plus is not minus and plus != minus
+
+
+def test_after_clear_an_equal_polynomial_is_a_new_object():
+    p = parse_poly("x1^2*x2-1/3")
+    text, h = str(p), hash(p)
+    memo.clear()
+    assert len(memo.POLYS) == 0
+    q = parse_poly("x1^2*x2-1/3")
+    assert q is not p and q == p and not q != p
+    assert hash(q) == h and str(q) == text
+    assert parse_poly("x1^2*x2-1/3") is q
+
+
+def test_copies_and_pickles_rebuild_the_value():
+    """Copying or unpickling a polynomial builds it anew through the
+    constructor and leaves every other value, the zero too, intact."""
+    p = parse_poly("x1^2-x2/3")
+    assert copy.copy(p) is p and copy.deepcopy(p) is p
+    assert pickle.loads(pickle.dumps(p)) is p
+    memo.clear()
+    assert pickle.loads(pickle.dumps(p)) == p
+    assert MPoly({}).is_zero() and str(MPoly({})) == "0"
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polys(3), rationals.filter(bool))
+def test_kept_normal_form_matches_a_recomputation(p, c):
+    """normalize(p) is kept on p and is its own normal form; after
+    `memo.clear` an equal polynomial built anew recomputes an equal
+    one."""
+    kept = normalize(p.scale(c))
+    assert normalize(kept) is kept and normalize(p.scale(c)) is kept
+    memo.clear()
+    fresh = normalize(MPoly(p.terms))
+    assert fresh is not kept and fresh == kept and hash(fresh) == hash(kept)
+    assert normalize(fresh) is fresh
 
 
 def test_callers_cannot_change_a_memoized_factor_list():

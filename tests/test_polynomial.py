@@ -13,6 +13,7 @@ from onecell.polynomial import (
     MPoly,
     _discriminant,
     _monom_key,
+    _new_poly,
     _primitive_part,
     _render,
     coeff_info,
@@ -247,7 +248,8 @@ def _assert_stored_form(r: MPoly):
     n = r.level
     items = sorted(((_monom_key(e, n), c) for e, c in terms.items()), reverse=True)
     assert r.sort_key() == (r.total_degree(), len(items), tuple(items))
-    assert poly_to_str(r) == _render(MPoly._canonical(terms))
+    # rendered outside memo.POLYS, which would hand back r itself
+    assert poly_to_str(r) == _render(_new_poly(terms, frozenset(terms.items())))
     assert r.level == max((len(e) for e in terms), default=0)
 
 

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from onecell import memo
 from onecell.cells import IndexedRoot, SymbolicInterval
 from onecell.polynomial import MPoly, parse_poly
 from onecell.properties import (
@@ -37,7 +38,8 @@ S1 = Sample([Fraction(1, 8)])
 
 
 def _one_of_each_kind():
-    """A property of every kind, each built from new field objects."""
+    """A property of every kind, each built from new field objects (new
+    polynomials too, after `memo.clear`)."""
     circle, line = parse_poly("x2^2+x1^2-1"), parse_poly("x2-x1")
     s = Sample([Fraction(1, 8)])
     iv = SymbolicInterval.section(IndexedRoot(line, 1))
@@ -57,7 +59,9 @@ def test_kinds_on_the_same_fields_never_compare_equal():
 
 
 def test_equal_fields_give_equal_values_with_equal_hashes():
-    first, second = _one_of_each_kind(), _one_of_each_kind()
+    first = _one_of_each_kind()
+    memo.clear()
+    second = _one_of_each_kind()
     for a, b in zip(first, second):
         assert a is not b and a == b and not a != b and hash(a) == hash(b), a
     table = {q: k for k, q in enumerate(first)}
@@ -70,10 +74,14 @@ def test_equal_fields_give_equal_values_with_equal_hashes():
 
 
 def test_polynomial_equality_under_the_properties():
-    """Property equality compares polynomials: equal ones built apart,
+    """Property equality compares polynomials: equal ones built apart
+    (one object while `memo.POLYS` keeps it, two after `memo.clear`),
     constants against int and Fraction, and other types left to the
     other operand."""
     a, b = parse_poly("x1^2-1/2"), parse_poly("x1^2-1/2")
+    assert a is b
+    memo.clear()
+    b = parse_poly("x1^2-1/2")
     assert a is not b and a == b and not a != b and hash(a) == hash(b)
     assert a != parse_poly("x1^2+1/2") and a != parse_poly("x2^2-1/2")
     three, half = MPoly.constant(3), MPoly.constant(Fraction(1, 2))
