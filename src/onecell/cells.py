@@ -152,9 +152,9 @@ def cell_pick_interior_point(c: CellDescription, seed: int) -> Sample:
 
 
 def _draw_point(c: CellDescription, rng: random.Random, width: int) -> Sample:
-    """One draw of cell_pick_interior_point.  Bound values are read off
-    canonical copies, not the cached roots other calls refine, so the
-    point depends only on the cell, the seed and the width."""
+    """One draw of cell_pick_interior_point.  A sector's point is read
+    off the gap `separate` gives at its bounds, which reads canonical
+    copies, so it depends only on the cell, the seed and the width."""
     coords: list[RealAlg] = []
 
     def bound_value(xi: Optional[IndexedRoot], what: str):
@@ -163,7 +163,7 @@ def _draw_point(c: CellDescription, rng: random.Random, width: int) -> Sample:
         val = eval_indexed_root(xi, Sample(coords))
         if val is UNDEF:
             raise ValueError(f"{what} bound undefined inside its own cell")
-        return val.canonical_copy()
+        return val
 
     for iv in c:
         if iv.is_section():
@@ -174,12 +174,13 @@ def _draw_point(c: CellDescription, rng: random.Random, width: int) -> Sample:
         t = Fraction(rng.randint(1, 15), 16)
         if lo is None and hi is None:
             coords.append(RealAlg.rational((t - Fraction(1, 2)) * width))
-        elif lo is None:
-            coords.append(RealAlg.rational(hi.enclosure()[0] - (1 + t) * width))
+            continue
+        a, b = separate(lo, hi)
+        if lo is None:
+            coords.append(RealAlg.rational(b - (1 + t) * width))
         elif hi is None:
-            coords.append(RealAlg.rational(lo.enclosure()[1] + (1 + t) * width))
+            coords.append(RealAlg.rational(a + (1 + t) * width))
         else:
-            a, b = separate(lo, hi)
             coords.append(RealAlg.rational(a + (b - a) * t))
     return Sample(coords)
 

@@ -80,8 +80,8 @@ def _constraint_level(c) -> int:
 def _candidate_values(C, s: Sample) -> list[RealAlg]:
     """The next variable's cut values over s, the roots of C's
     polynomial constraints and its extended constraints' bounds, as
-    canonical copies: what is read off them depends only on the
-    arguments, not on how far other calls refined the cached roots."""
+    kept; `line_samples` reads canonical copies of them, so its points
+    do not depend on how far other calls refined the cached roots."""
     n = len(s)
     vals: list[RealAlg] = []
     for c in C:
@@ -89,12 +89,12 @@ def _candidate_values(C, s: Sample) -> list[RealAlg]:
             if c.poly.level == n + 1:
                 roots = cached_roots(c.poly, s)
                 if roots is not NULLIFIED:
-                    vals.extend(r.canonical_copy() for r in roots)
+                    vals.extend(roots)
         else:
             if c.var == n + 1:
                 v = eval_indexed_root(c.bound, s)
                 if v is not UNDEF:
-                    vals.append(v.canonical_copy())
+                    vals.append(v)
     return vals
 
 

@@ -12,10 +12,11 @@ themselves:
   from the ``squarefree`` entry
 - `RESULTANT`: `polynomial.resultant`, keyed on (p, q, v) as given
 - `DISCRIMINANT`: `polynomial.discriminant`, keyed on (p, v)
-- `CANONICAL`: the isolating intervals of a square-free integer tuple,
-  keyed on the tuple (`realalg._canonical_intervals`): the square-free
-  parts that root isolation bisects, and the irreducible factors whose
-  intervals give canonical indices and start canonical copies
+- `CANONICAL`: the isolating boxes (a, b, d), gcd(a, b, d) = 1, of a
+  square-free integer tuple, keyed on the tuple
+  (`realalg._canonical_intervals`): the square-free parts that root
+  isolation bisects, and the irreducible factors whose boxes give
+  canonical indices and start canonical copies
 - `ROOTS`: `realalg.cached_roots`, keyed on p and the sample's exact
   coordinates; the zero test of `realalg.sign_at` at several irrational
   coordinates reads it too
@@ -34,9 +35,9 @@ interning saves work but decides nothing.
 The scope is the process: whichever call first asks fills an entry, and
 every later call shares it.  Each table is a least-recently-used map of
 at most `BOUND` entries.  No output depends on what a table holds: a
-dropped entry is recomputed equal, and the roots that `ROOTS` shares
-between calls are read only through their canonical copies where the
-choice of a point depends on them.  `clear` empties every table.
+dropped entry is recomputed equal, and where the choice of a point
+depends on the roots that `ROOTS` shares between calls, `realalg` reads
+them through canonical copies.  `clear` empties every table.
 """
 
 from __future__ import annotations

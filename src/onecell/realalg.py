@@ -15,23 +15,24 @@ text depend only on the identity, and `canonical_copy` passes them on.
 Definitions are integer-primitive with a positive leading coefficient.
 A value is built by `RealAlg.rational` or by root isolation
 (`isolate_real_roots`, `roots_in_extension`), the only way to an
-irrational one.  Enclosures are integers, lo = a/d and hi = b/d over
-one positive d, halved at (a + b) / 2d, and every helper below works
-on them; `enclosure` and `separate` are the Fraction views.
+irrational one.  Enclosures are integer boxes (a, b, d), lo = a/d and
+hi = b/d over one positive d, halved at (a + b) / 2d, from the bisection
+on, and every helper below works on them; `enclosure` and `separate`
+are the Fraction views.  Only `separate` and `line_samples` take
+canonical copies, and read their answers off them.
 
 This module is the one home of the exact-real helpers the rest of the
 package builds on: `RealAlg.compare` (and `<`, so lists of values sort
 with `sorted`), `value_ranks` for the value order of a list as integer
 ranks (the one sort behind `sorted_distinct` and the heuristics'
 decisions), `sorted_distinct` for sorted values without duplicates,
-`separate` for the rational gap between two distinct values,
-`_simplest` for the simplest rational inside such a gap (on
-numerators and denominators),
-`line_samples` for one point of every region of the line cut at given
-values (the sweep behind both the solver's candidates and
-`explain.check_conflict`); a definition's polynomial is
-`polynomial._upoly` of its coefficients, and the other way, the
-integer-primitive coefficient tuple of a polynomial comes from
+`_gap` for the one separation of two values, an end open or not, and
+`separate` its view, `_simplest` for the simplest rational inside such
+a gap (on numerators and denominators), `line_samples` for one point
+of every region of the line cut at given values (the sweep behind both
+the solver's candidates and `explain.check_conflict`); a definition's
+polynomial is `polynomial._upoly` of its coefficients, and the other
+way, the integer-primitive coefficient tuple of a polynomial comes from
 `polynomial.dense`.
 
 Root isolation works on integer coefficient tuples (`_real_roots`): it
@@ -43,12 +44,12 @@ the Cauchy-bound interval is mapped onto (0, 1) once, and each half
 gets its polynomial from its parent's by a power-of-2 scaling and a
 Taylor shift by 1, all additions (`_bisect_roots`).  A midpoint that is
 a root of the part, in the bisection or in a later refinement, is that
-rational root.  The intervals of a tuple are computed once and kept in
-`memo.CANONICAL` (a bounded table; a dropped entry is bisected again to
-the same intervals): an isolated root starts out with its part's
-interval, and the intervals of an irreducible factor fix which root
-`canonical_index` names and start every canonical copy.  Over
-a prefix whose coordinates of p's variables are rational, the empty
+rational root.  The boxes of a tuple, each divided by the gcd of its
+integers, are computed once and kept in `memo.CANONICAL` (a bounded
+table; a dropped entry is bisected again to the same boxes): an
+isolated root starts out with its part's box, and the boxes of an
+irreducible factor fix which root `canonical_index` names and start
+every canonical copy.  Over a prefix whose coordinates of p's variables are rational, the empty
 one too, the tuple is that of p's coefficients evaluated on integers:
 no polynomial is built.  When p involves an irrational coordinate,
 root finding eliminates each algebraic coordinate through resultants
@@ -136,12 +137,6 @@ def _usign(c: Sequence[int], a: int, b: int) -> int:
     return (t > 0) - (t < 0)
 
 
-def _cauchy_bound(c: Sequence[Fraction]) -> Fraction:
-    lead = abs(c[-1])
-    m = max((abs(x) for x in c[:-1]), default=0)
-    return 1 + Fraction(m) / lead
-
-
 def _taylor_shift1(c: Sequence[int]) -> list[int]:
     """Coefficients of c(x + 1), by additions only."""
     c = list(c)
@@ -180,10 +175,8 @@ class RealAlg:
     def rational(cls, r) -> "RealAlg":
         """The rational r; TypeError unless r is an int or a Fraction."""
         self = object.__new__(cls)
-        self._rat = r = _rational(r)
-        self._box = (r.numerator, r.numerator, r.denominator)
-        self._sqf = self._pos = self._def = self._text = self._hash = None
-        self._slo = 0
+        self._set_rational(_rational(r))
+        self._def = self._text = self._hash = None
         return self
 
     def _set_rational(self, r: Fraction) -> None:
@@ -191,17 +184,13 @@ class RealAlg:
         self._box = (r.numerator, r.numerator, r.denominator)
 
     @classmethod
-    def _root(
-        cls, c: tuple[int, ...], lo: Fraction, hi: Fraction, pos: int, defn
-    ) -> "RealAlg":
+    def _root(cls, c: tuple[int, ...], box: tuple[int, int, int], pos: int, defn) -> "RealAlg":
         """The `pos`-th real root of the square-free integer-primitive c
-        with a positive leading coefficient, isolated by the Fractions
-        (lo, hi), no roots of c; `defn` is c when c is irreducible."""
+        with a positive leading coefficient, isolated by the box, whose
+        ends are no roots of c; `defn` is c when c is irreducible."""
         self = object.__new__(cls)
-        d = math.lcm(lo.denominator, hi.denominator)
-        a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
-        self._rat, self._sqf, self._pos, self._def, self._box = None, c, pos, defn, (a, b, d)
-        self._slo = _usign(c, a, d)
+        self._rat, self._sqf, self._pos, self._def, self._box = None, c, pos, defn, box
+        self._slo = _usign(c, box[0], box[2])
         self._text = self._hash = None
         return self
 
@@ -218,12 +207,8 @@ class RealAlg:
             self._set_rational(Fraction(-f[0], f[1]))
             return
         if f != c:
-            lo, hi = Fraction(a, d), Fraction(b, d)
-            for k, (u, v) in enumerate(_canonical_intervals(f), 1):
-                u, v = max(u, lo), min(v, hi)
-                if u < v and (_usign(f, u.numerator, u.denominator)
-                              != _usign(f, v.numerator, v.denominator)):
-                    break
+            k = next(k for k, box in enumerate(_canonical_intervals(f), 1)
+                     if _changes_sign(f, box, self._box))
             self._sqf, self._pos, self._slo = f, k, _usign(f, a, d)
         self._def = f
 
@@ -266,7 +251,7 @@ class RealAlg:
         if self.is_rational():
             return self
         k, f = self._pos, self._def
-        out = RealAlg._root(f, *_canonical_intervals(f)[k - 1], k, f)
+        out = RealAlg._root(f, _canonical_intervals(f)[k - 1], k, f)
         out._text, out._hash = self._text, self._hash
         return out
 
@@ -324,12 +309,7 @@ class RealAlg:
         if x._def is not None and y._def is not None:
             return False
         g = _gcd_heuristic(x._sqf, y._sqf)[0]
-        if len(g) == 1:
-            return False
-        (a, b, d), (e, f, h) = x._box, y._box
-        lo = (a, d) if a * h >= e * d else (e, h)
-        hi = (b, d) if b * h <= f * d else (f, h)
-        return _usign(g, *lo) != _usign(g, *hi)
+        return len(g) > 1 and _changes_sign(g, x._box, y._box)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RealAlg):
@@ -337,10 +317,10 @@ class RealAlg:
         return self.compare(other) == 0
 
     def __lt__(self, other) -> bool:
-        return self.compare(other) < 0
+        return self.compare(other) < 0 if isinstance(other, RealAlg) else NotImplemented
 
     def __le__(self, other) -> bool:
-        return self.compare(other) <= 0
+        return self.compare(other) <= 0 if isinstance(other, RealAlg) else NotImplemented
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -355,18 +335,34 @@ class RealAlg:
         return f"RealAlg({realalg_to_text(self)} in ({lo}, {hi}))"
 
 
-def separate(lo: RealAlg, hi: RealAlg) -> tuple[Fraction, Fraction]:
-    """Refine lo < hi until their enclosures are disjoint; returns the
-    gap between them: the upper end of lo and the lower end of hi.
+def _changes_sign(c: Sequence[int], box: tuple[int, int, int],
+                  other: tuple[int, int, int]) -> bool:
+    """Whether c changes sign over the overlap of two boxes, whose ends
+    are no roots of c: false when the overlap is empty."""
+    (a, b, d), (e, f, h) = box, other
+    lo = (a, d) if a * h >= e * d else (e, h)
+    hi = (b, d) if b * h <= f * d else (f, h)
+    return lo[0] * hi[1] < hi[0] * lo[1] and _usign(c, *lo) != _usign(c, *hi)
 
-    Raises ValueError unless lo < hi, which `RealAlg.compare` settles
-    first: equal values never separate."""
-    b, d, e, g = _gap(lo, hi)
+
+def separate(lo: RealAlg | None, hi: RealAlg | None) -> tuple[Fraction, Fraction]:
+    """`_gap` as Fractions, on canonical copies of lo and hi (None for an
+    open end): it depends only on the values, and refines neither."""
+    b, d, e, g = _gap(*(None if v is None else v.canonical_copy() for v in (lo, hi)))
     return Fraction(b, d), Fraction(e, g)
 
 
-def _gap(lo: RealAlg, hi: RealAlg) -> tuple[int, int, int, int]:
-    """`separate` on integers: the gap (b/d, e/g), d, g > 0."""
+def _gap(lo: RealAlg | None, hi: RealAlg | None) -> tuple[int, int, int, int]:
+    """The one separation: the gap (b/d, e/g), d, g > 0, between lo < hi
+    once their boxes, refined in place, are disjoint; an open end, None,
+    gives a gap of width 1 next to the other box.  ValueError unless lo
+    < hi, which `compare` settles first: equal values never separate."""
+    if lo is None:
+        a, _, d = hi._box
+        return a - d, d, a, d
+    if hi is None:
+        _, b, d = lo._box
+        return b, d, b + d, d
     if lo.compare(hi) >= 0:
         raise ValueError("no gap: the lower value is not below the upper")
     while True:
@@ -429,18 +425,12 @@ def _simplest(a: int, b: int, c: int, d: int) -> tuple[int, int]:
 
 def line_samples(values: Iterable[RealAlg]) -> list[RealAlg]:
     """A point of every region of the real line cut at the values: 0,
-    then the simplest rational below, between (via `separate`) and above
-    the sorted distinct values, then the values themselves."""
-    cuts = sorted_distinct(values)
-    gaps = []
-    if cuts:
-        a, _, d = cuts[0]._box
-        gaps.append((a - d, d, a, d))
-        gaps.extend(_gap(lo, hi) for lo, hi in zip(cuts, cuts[1:]))
-        _, b, d = cuts[-1]._box
-        gaps.append((b, d, b + d, d))
+    the simplest rational in each `_gap` below, between and above the
+    sorted distinct canonical copies of the values, then those copies."""
+    cuts = sorted_distinct([v.canonical_copy() for v in values])
+    ends = [None, *cuts, None] if cuts else []
     return [RealAlg.rational(0)] + [
-        RealAlg.rational(Fraction(*_simplest(*gap))) for gap in gaps
+        RealAlg.rational(Fraction(*_simplest(*_gap(lo, hi)))) for lo, hi in zip(ends, ends[1:])
     ] + cuts
 
 
@@ -448,12 +438,12 @@ def line_samples(values: Iterable[RealAlg]) -> list[RealAlg]:
 # isolation
 
 
-def _bisect_roots(c: tuple[int, ...]) -> list[tuple[Fraction, Fraction]]:
-    """Isolating intervals of the real roots of the primitive
-    square-free c, in increasing order, a rational root at a midpoint as
-    the interval (r, r): Descartes bisection of (-B, B), B the Cauchy
-    bound (Collins & Akritas 1976), on integer coefficients with Taylor
-    shifts (Rouillier & Zimmermann 2004).
+def _bisect_roots(c: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """Isolating boxes of the real roots of the primitive square-free c,
+    in increasing order, each divided by its gcd, a rational root r at a
+    midpoint as the box of (r, r): Descartes bisection of (-B, B), B = 1
+    + max |c_i| / |lead| the Cauchy bound (Collins & Akritas 1976), on
+    integer coefficients with Taylor shifts (Rouillier & Zimmermann 2004).
 
     The node of (a, b) holds q(x) = p(a + (b - a) x) times a positive
     constant, an integer polynomial whose roots in (0, 1) are those of p
@@ -462,45 +452,51 @@ def _bisect_roots(c: tuple[int, ...]) -> list[tuple[Fraction, Fraction]]:
     keeps (a, b) unless a or b is a root, and otherwise the halves (a,
     m) and (m, b) get 2^n q(x / 2) and that shifted by 1, whose constant
     term is 0 when m is a root.  An irreducible c has no rational root,
-    and then no midpoint is one."""
+    and then no midpoint is one.  Left halves go first, so the boxes come
+    out in order."""
     n = len(c) - 1
-    bound = _cauchy_bound(c)
-    num, den = bound.numerator, bound.denominator
+    den = abs(c[-1])
+    num = den + max(abs(x) for x in c[:-1])
     # den^n p(num y / den) at y = 2x - 1, which maps (0, 1) onto (-1, 1); the
     # shift by -1 is a shift by 1 between two sign flips of odd terms
     q = [x * num**i * den ** (n - i) for i, x in enumerate(c)]
     q = _taylor_shift1([-x if i % 2 else x for i, x in enumerate(q)])
     q = [(-x if i % 2 else x) << i for i, x in enumerate(q)]
     g = math.gcd(*q)
-    # node (k, j) is the interval -B + 2B (j, j + 1) / 2^k
+
+    # node (k, j) is the interval -B + 2B (j, j + 1) / 2^k, (k, j, None) the
+    # midpoint root -B + 2B j / 2^k; box(u, v, k) is -B + 2B (u, v) / 2^k
+    def box(u: int, v: int, k: int) -> tuple[int, int, int]:
+        a, b, d = num * (2 * u - (1 << k)), num * (2 * v - (1 << k)), den << k
+        e = math.gcd(a, b, d)
+        return a // e, b // e, d // e
+
     stack = [(0, 0, [x // g for x in q])]
-    leaves = []
+    boxes = []
     while stack:
         k, j, q = stack.pop()
+        if q is None:
+            boxes.append(box(j, j, k))
+            continue
         t = _taylor_shift1(q[::-1])
         v = _variations(t)
         if v == 1 and q[0] and t[0]:  # neither end, q(0) nor q(1), is a root
-            leaves.append((k, j, j + 1))
+            boxes.append(box(j, j + 1, k))
         elif v:
             left = [x << (n - i) for i, x in enumerate(q)]
             right = _taylor_shift1(left)
-            if not right[0]:
-                leaves.append((k + 1, 2 * j + 1, 2 * j + 1))
-            stack.append((k + 1, 2 * j, left))
             stack.append((k + 1, 2 * j + 1, right))
-    return sorted(
-        (bound * Fraction(2 * j - (1 << k), 1 << k),
-         bound * Fraction(2 * i - (1 << k), 1 << k))
-        for k, j, i in leaves
-    )
+            if not right[0]:
+                stack.append((k + 1, 2 * j + 1, None))
+            stack.append((k + 1, 2 * j, left))
+    return boxes
 
 
-def _canonical_intervals(c: tuple[int, ...]) -> list[tuple[Fraction, Fraction]]:
-    """The isolating intervals of the primitive square-free c, in
-    increasing order, bisected once per tuple while it stays in
-    `memo.CANONICAL`: Yun's parts that root isolation bisects, and the
-    irreducible factors whose intervals fix the canonical index and
-    start every canonical copy."""
+def _canonical_intervals(c: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """The isolating boxes of the primitive square-free c, in increasing
+    order, bisected once per tuple while it stays in `memo.CANONICAL`:
+    Yun's parts that root isolation bisects, and the irreducible factors
+    whose boxes fix the canonical index and start every canonical copy."""
     return memo.CANONICAL.fetch(c, _bisect_roots, c)
 
 
@@ -509,8 +505,8 @@ def _isolate(c: tuple[int, ...], defn=None) -> list[RealAlg]:
     >= 2 with a positive leading coefficient, in increasing order;
     `defn` is c when c is known irreducible."""
     return [
-        RealAlg.rational(a) if a == b else RealAlg._root(c, a, b, k, defn)
-        for k, (a, b) in enumerate(_canonical_intervals(c), 1)
+        RealAlg.rational(Fraction(a, d)) if a == b else RealAlg._root(c, (a, b, d), k, defn)
+        for k, (a, b, d) in enumerate(_canonical_intervals(c), 1)
     ]
 
 
@@ -691,8 +687,9 @@ def _is_zero(p: MPoly, s: Sample) -> bool:
 
 def cached_roots(p: MPoly, s: Sample):
     """roots_in_extension(p, s), kept in `memo.ROOTS`: later calls share
-    the values and the refinement of their enclosures, so output that
-    depends on an enclosure reads `RealAlg.canonical_copy()`."""
+    the values and the refinement of their enclosures, so `separate` and
+    `line_samples`, where an output depends on an enclosure, read
+    canonical copies."""
     return memo.ROOTS.fetch((p, tuple(c.key() for c in s)), roots_in_extension, p, s)
 
 

@@ -1,7 +1,13 @@
 """Line census of the `onecell` package: code, docstring, comment and
 blank lines per module of `src/onecell`.
 
-    python tests/line_census.py
+    python tests/line_census.py                 # the counts of the tree
+    python tests/line_census.py --against REF   # their changes since REF
+
+With `--against`, each module's counts at the git ref REF are read with
+`git show` and the table holds the tree's counts minus those, a module
+new since REF or gone from the tree counting as empty on the other side;
+a ref that git cannot find is reported, with exit status 2.
 
 A docstring line is any line of a module, class or function docstring;
 of the other lines, a blank line is empty or white space, a comment
@@ -12,11 +18,14 @@ this file.
 
 from __future__ import annotations
 
+import argparse
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "onecell"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "onecell"
 KINDS = ("code", "docstring", "comment", "blank")
 
 
@@ -43,15 +52,45 @@ def census(text: str) -> dict[str, int]:
     return counts
 
 
-def main() -> int:
-    rows = [(path.name, census(path.read_text())) for path in sorted(SRC.glob("*.py"))]
-    total = {kind: sum(counts[kind] for _, counts in rows) for kind in KINDS}
+def _git(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
+
+
+def census_at(ref: str) -> dict[str, dict[str, int]] | None:
+    """The census of each module at the git ref, read with `git show`;
+    None when git cannot find the ref."""
+    if _git("rev-parse", "--verify", "--quiet", f"{ref}^{{commit}}").returncode:
+        return None
+    listed = _git("ls-tree", "--name-only", ref, "--", "src/onecell/").stdout.split()
+    return {Path(path).name: census(_git("show", f"{ref}:{path}").stdout)
+            for path in listed if path.endswith(".py")}
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description="Line census of src/onecell.")
+    parser.add_argument("--against", metavar="REF",
+                        help="print the changes since the git ref REF")
+    args = parser.parse_args(argv)
+    counts = {path.name: census(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    sign = ""
+    if args.against is not None:
+        before = census_at(args.against)
+        if before is None:
+            print(f"line_census: no git ref {args.against!r} to compare against")
+            return 2
+        empty = dict.fromkeys(KINDS, 0)
+        counts = {name: {kind: counts.get(name, empty)[kind] - before.get(name, empty)[kind]
+                         for kind in KINDS}
+                  for name in sorted(counts.keys() | before.keys())}
+        sign = "+"
+        print(f"changes since {args.against}")
+    total = {kind: sum(c[kind] for c in counts.values()) for kind in KINDS}
     print(f"{'module':18}{'lines':>7}" + "".join(f"{kind:>11}" for kind in KINDS))
-    for name, counts in [*rows, ("total", total)]:
-        print(f"{name:18}{sum(counts.values()):>7}"
-              + "".join(f"{counts[kind]:>11}" for kind in KINDS))
+    for name, c in [*counts.items(), ("total", total)]:
+        print(f"{name:18}{sum(c.values()):>{sign}7}"
+              + "".join(f"{c[kind]:>{sign}11}" for kind in KINDS))
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -212,6 +212,30 @@ CATALOGUE = [
         60,
     ),
     Mutant(
+        "line_samples sorting the values as they are, with no copies",
+        REALALG,
+        "    cuts = sorted_distinct([v.canonical_copy() for v in values])\n",
+        "    cuts = sorted_distinct(values)\n",
+        ("tests/test_solver.py::test_model_does_not_depend_on_earlier_calls",),
+        60,
+    ),
+    Mutant(
+        "separate calling _gap on the originals",
+        REALALG,
+        "    b, d, e, g = _gap(*(None if v is None else v.canonical_copy() for v in (lo, hi)))\n",
+        "    b, d, e, g = _gap(lo, hi)\n",
+        ("tests/test_cells.py::test_interior_point_does_not_depend_on_earlier_calls",),
+        60,
+    ),
+    Mutant(
+        "an overlap sign test without its nonempty-overlap test",
+        REALALG,
+        "    return lo[0] * hi[1] < hi[0] * lo[1] and _usign(c, *lo) != _usign(c, *hi)\n",
+        "    return _usign(c, *lo) != _usign(c, *hi)\n",
+        ("tests/test_squarefree_isolation.py::test_agrees_with_the_irreducible_path",),
+        60,
+    ),
+    Mutant(
         "a wrong sign in Capelli's -4*Q^4 test",
         POLYNOMIAL,
         "    if n % 4 or b < 0:\n",

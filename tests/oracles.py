@@ -94,7 +94,6 @@ from onecell.realalg import (
     RealAlg,
     Sample,
     _candidate_poly,
-    _cauchy_bound,
     _isolate,
     _rational_part,
     _root_count,
@@ -655,11 +654,11 @@ def _descartes_in(c: list[Fraction], a: Fraction, b: Fraction) -> int:
 
 def descartes_bisection(c: list[Fraction]) -> list[tuple[Fraction, Fraction]]:
     """Isolating intervals of the real roots of an irreducible c of degree
-    >= 2, in increasing order: bisection of (-B, B), B the library's
-    Cauchy bound, with the Moebius transform rebuilt from c at every
-    node."""
+    >= 2, in increasing order: bisection of (-B, B), B = 1 + max |c_i| /
+    |c_n| the Cauchy bound, with the Moebius transform rebuilt from c at
+    every node."""
     c = [Fraction(x) for x in c]
-    bound = _cauchy_bound(c)
+    bound = 1 + max(abs(x) for x in c[:-1]) / abs(c[-1])
     out: list[tuple[Fraction, Fraction]] = []
     stack = [(-bound, bound)]
     while stack:

@@ -1,8 +1,8 @@
 """Exact reals on integers against the `Fraction` routes they replaced.
 
 `RealAlg` keeps its enclosure as integer numerators over one positive
-denominator, and `compare`, `separate`, `_simplest` and
-`line_samples` decide on integers.  The references in `oracles` keep
+denominator, and `compare`, `_gap`, `_simplest` and `line_samples`
+decide on integers.  The references in `oracles` keep
 Fraction enclosures, halve them at the Fraction midpoint and walk the
 continued fraction by recursion on Fractions.  The two must agree
 exactly, enclosure by enclosure: the enclosures a computation leaves
@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 from onecell.polynomial import MPoly, factor, parse_poly
 from onecell.realalg import (
     RealAlg,
+    _gap,
     isolate_real_roots,
     line_samples,
-    separate,
 )
 
 import oracles
@@ -95,8 +95,9 @@ def _values(rng: random.Random) -> list[RealAlg]:
 
 
 def test_compare_and_separate_match_fraction_enclosures():
-    """Each pair compares as on Fraction enclosures, `separate` gives the
-    same gap, and both leave the same enclosures behind."""
+    """Each pair compares as on Fraction enclosures, `_gap` gives the
+    same gap, and both leave the same enclosures behind: `_gap` refines
+    the values in place, as the reference does."""
 
     def check():
         rng = random.Random(27)
@@ -109,7 +110,8 @@ def test_compare_and_separate_match_fraction_enclosures():
                     assert k == oracles.fraction_compare(ra, rb)
                     if k:
                         lo, hi, rlo, rhi = (a, b, ra, rb) if k < 0 else (b, a, rb, ra)
-                        assert separate(lo, hi) == oracles.fraction_separate(rlo, rhi)
+                        u, d, v, g = _gap(lo, hi)
+                        assert (Fraction(u, d), Fraction(v, g)) == oracles.fraction_separate(rlo, rhi)
                     assert (a.enclosure(), b.enclosure()) == ((ra.lo, ra.hi), (rb.lo, rb.hi))
 
     within_seconds(20, check)

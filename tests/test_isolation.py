@@ -1,6 +1,7 @@
 """Root isolation: the integer Taylor-shift kernel against the Fraction
 bisection it replaced, and one isolation per square-free tuple."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -22,9 +23,10 @@ def _irreducible_factors(c):
 
 def _check_against_oracle(fc):
     """fc, coefficients from degree 0 up, is isolated by the kernel as
-    its integer-primitive tuple, and by the oracles as it stands."""
+    its integer-primitive tuple, and by the oracles as it stands; the
+    kernel's boxes (a, b, d) are read as the Fractions (a/d, b/d)."""
     c = dense(normalize(MPoly({(k,): x for k, x in enumerate(fc)})), 1)
-    intervals = realalg._bisect_roots(c)
+    intervals = [(Fraction(a, d), Fraction(b, d)) for a, b, d in realalg._bisect_roots(c)]
     assert intervals == descartes_bisection(fc)
     assert len(intervals) == sturm_count_all_real_roots(list(fc))
     roots = realalg._isolate(c, c)
@@ -72,6 +74,28 @@ def test_kernel_matches_fraction_bisection_at_huge_bounds(c):
     c = [Fraction(x) for x in c]
     assert _irreducible_factors(c) == [dense(_upoly(c, 1), 1)]
     _check_against_oracle(c)
+
+
+def test_canonical_boxes_are_reduced():
+    """Every box (a, b, d) that `memo.CANONICAL` keeps has gcd(a, b, d)
+    = 1: the integers of a box built from its two reduced Fraction ends
+    over the lcm of their denominators.  Square-free products, with a
+    rational root at a midpoint, and the irreducible factors that give
+    their roots' identities, are checked as well as the huge bounds."""
+    memo.clear()
+    polys = [_upoly([Fraction(x) for x in c], 1) for c in _HUGE_BOUNDS.values()]
+    polys += [_upoly([15, -5, -3, 1], 1),  # (x - 3)(x^2 - 5)
+              _upoly([1, -3, 0, 1], 1) * _upoly([-1, -3, 0, 1], 1),
+              _upoly([-3, 0, 1], 1) * _upoly([1, 0, -7, 0, 2], 1)]
+    for p in polys:
+        for r in isolate_real_roots(p):
+            hash(r)
+    boxes = [box for intervals in memo.CANONICAL._entries.values() for box in intervals]
+    assert len(memo.CANONICAL) > len(polys) and boxes
+    assert all(math.gcd(a, b, d) == 1 and d > 0 and a <= b for a, b, d in boxes)
+    for a, b, d in boxes:
+        lo, hi = Fraction(a, d), Fraction(b, d)
+        assert d == math.lcm(lo.denominator, hi.denominator)
 
 
 def test_each_irreducible_factor_is_isolated_once(monkeypatch):

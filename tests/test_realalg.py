@@ -1,6 +1,7 @@
 """Real algebraic numbers and root isolation, cross-checked with Sturm
 sequences."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from onecell.realalg import (
     RealAlg,
     Sample,
     isolate_real_roots,
+    line_samples,
     rational_from_text,
     realalg_to_text,
     roots_in_extension,
@@ -247,7 +249,7 @@ def test_equal_roots_of_proportional_definitions_compare_equal():
 
 def test_separate_refuses_values_out_of_order():
     """separate(lo, hi) needs lo < hi; equal irrational values used to
-    refine forever."""
+    refine forever.  The gap it gives lies strictly between them."""
     lo, hi = isolate_real_roots(parse_poly("x1^2-2"))
     hi_again = isolate_real_roots(parse_poly("2*x1^2-4"))[1]
     one = RealAlg.rational(1)
@@ -258,6 +260,43 @@ def test_separate_refuses_values_out_of_order():
             with pytest.raises(ValueError):
                 separate(a, b)
         a, b = separate(lo, hi)
-        assert lo.enclosure()[1] == a < b == hi.enclosure()[0]
+        assert lo < RealAlg.rational(a) < RealAlg.rational(b) < hi
 
     within_seconds(5, check)
+
+
+def test_separate_and_line_samples_read_canonical_copies():
+    """Neither moves its arguments' enclosures, and both answer the same
+    before and after the arguments were refined 20 times: open ends and
+    rationals included, the gaps and the sweep's points and cuts depend
+    only on the values."""
+    values = sorted_distinct(
+        isolate_real_roots(parse_poly("x1^3-3*x1+1"))
+        + isolate_real_roots(parse_poly("x1^2-3"))
+        + [RealAlg.rational(Fraction(1, 3))]
+    )
+
+    def answers():
+        before = [v.enclosure() for v in values]
+        ends = [None, *values, None]
+        gaps = [separate(lo, hi) for lo, hi in zip(ends, ends[1:])]
+        points = [t.enclosure() for t in line_samples(values)]
+        assert [v.enclosure() for v in values] == before
+        return gaps, points
+
+    first = within_seconds(5, answers)
+    for v in values:
+        for _ in range(20):
+            v.refine()
+    assert within_seconds(5, answers) == first
+
+
+def test_order_against_another_type_raises_type_error():
+    """`<` and `<=` hand an operand that is no `RealAlg` back to Python,
+    as `==` does, which raises TypeError for the order."""
+    one = RealAlg.rational(1)
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        for a, b in ((one, 2), (2, one), (one, Fraction(1, 2))):
+            with pytest.raises(TypeError):
+                op(a, b)
+    assert one != 1
