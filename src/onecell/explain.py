@@ -7,17 +7,22 @@ the same conflict persists everywhere in the cell.  The negated cell
 description is the clause a solver can learn.
 
 Constraints are polynomial (`Constraint`) or extended
-(`cells.ExtendedConstraint`, re-exported here).  `_candidate_values`,
-the one collector of the next variable's cut values, feeds the
-`realalg.line_samples` sweep of both `check_conflict` and the solver;
-the solver's sweep proves its conflicts, so it calls `_generalize`
-without the second sweep of `explain_conflict`.  `_generalize` keeps
-the last variable's roots in order with `rules.ordering_resultants`, the
-root-order projection of the `irord` rule, applied to consecutive roots.
+(`cells.ExtendedConstraint`, re-exported here).  `sweep` is the one
+sweep of the next variable's line, behind `check_conflict` and the
+solver: it collects the cut values (the constraints' roots and bounds,
+the learned cells' bounds), takes the regions' points and positions
+from `realalg.line_samples`, and decides each region from its position,
+with one `sign_at` per polynomial constraint and interval between its
+roots.  The solver's sweep proves its conflicts, so it calls
+`_generalize` without the second sweep of `explain_conflict`.
+`_generalize` keeps the last variable's roots in order with
+`rules.ordering_resultants`, the root-order projection of the `irord`
+rule, applied to consecutive roots.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Iterable, Union
 
@@ -77,41 +82,95 @@ def _constraint_level(c) -> int:
     return c.var
 
 
-def _candidate_values(C, s: Sample) -> list[RealAlg]:
-    """The next variable's cut values over s, the roots of C's
-    polynomial constraints and its extended constraints' bounds, as
-    kept; `line_samples` reads canonical copies of them, so its points
-    do not depend on how far other calls refined the cached roots."""
+def sweep(C: list, cells: list, s: Sample):
+    """One pass over the regions of the next variable's line over s, cut
+    at the roots of C's polynomial constraints over s, then the bounds of
+    its extended constraints and of the learned cells' atoms (one list of
+    atoms x_{n+1} ~ bound per cell), in that order: the points of
+    `line_samples` in turn, each covered when all atoms of some cell
+    hold there, else chosen when it satisfies C.  Returns the chosen
+    value (None when there is none), the covered points, and whether no
+    point, covered or not, satisfies C: a conflict.
+
+    Every answer is read off the positions of the regions: an atom or
+    an extended constraint compares its bound's position with the
+    point's, and is false when its bound is undefined; a polynomial
+    constraint has sign 0 on its roots and everywhere when nullified,
+    and one sign on each interval between consecutive roots, read by
+    one `sign_at` at the first rational point visited there (at a
+    section, the point of the sector below it).  A constraint below the
+    level has one truth value over the whole line, found once."""
     n = len(s)
     vals: list[RealAlg] = []
+
+    def place(c):
+        # the signs of (point - bound) the atom accepts, and the index of
+        # its bound over s in vals, None when undefined
+        v = eval_indexed_root(c.bound, s)
+        if v is UNDEF:
+            return RELS[c.rel][0], None
+        vals.append(v)
+        return RELS[c.rel][0], len(vals) - 1
+
+    held, bounds, polys = True, [], []
     for c in C:
-        if isinstance(c, Constraint):
-            if c.poly.level == n + 1:
-                roots = cached_roots(c.poly, s)
-                if roots is not NULLIFIED:
-                    vals.extend(roots)
+        if _constraint_level(c) <= n:
+            held = held and constraint_satisfied(c, s)
+        elif not isinstance(c, Constraint):
+            bounds.append(place(c))
+        elif (roots := cached_roots(c.poly, s)) is NULLIFIED:
+            held = held and _rel_holds(0, c.rel)
         else:
-            if c.var == n + 1:
-                v = eval_indexed_root(c.bound, s)
-                if v is not UNDEF:
-                    vals.append(v)
-    return vals
+            polys.append((c.poly, RELS[c.rel][0], len(vals), len(roots)))
+            vals.extend(roots)
+    cells = [[place(a) for a in cell] for cell in cells]
+    points, at, pos = line_samples(vals)
+    # each polynomial with its roots' positions and the sign of each
+    # interval between them, once read
+    polys = [(p, acc, pos[k:k + m], [None] * (m + 1)) for p, acc, k, m in polys]
+
+    def holds(atoms, at_j):
+        for acc, k in atoms:
+            if k is None or (at_j > pos[k]) - (at_j < pos[k]) not in acc:
+                return False
+        return True
+
+    def satisfies(j):
+        at_j, ext = at[j], None
+        if not (held and holds(bounds, at_j)):
+            return False
+        for p, acc, roots, signs in polys:
+            k = bisect_left(roots, at_j)
+            if k < len(roots) and roots[k] == at_j:
+                sign = 0
+            elif (sign := signs[k]) is None:
+                ext = ext or s.extend(points[j] if at_j % 2 == 0 else points[at_j // 2 + 1])
+                sign = signs[k] = sign_at(p, ext)
+            if sign not in acc:
+                return False
+        return True
+
+    chosen, covered = None, []
+    for j, t in enumerate(points):
+        if cells and any(holds(cell, at[j]) for cell in cells):
+            covered.append(j)
+        elif satisfies(j):
+            chosen = t
+            break
+    conflict = chosen is None and not any(map(satisfies, covered))
+    return chosen, [points[j] for j in covered], conflict
 
 
 def check_conflict(C: Iterable, s: Sample) -> bool:
     """True iff no value of the next variable satisfies all constraints
-    under s: every point of `line_samples` cut at the values of
-    `_candidate_values` violates some constraint."""
+    under s: every region of its line violates some constraint
+    (`sweep`, with no learned cells)."""
     C = list(C)
     n = len(s)
     for c in C:
         if _constraint_level(c) > n + 1:
             raise ValueError(f"constraint {c!r} beyond level {n + 1}")
-    for t in line_samples(_candidate_values(C, s)):
-        ext = s.extend(t)
-        if all(constraint_satisfied(c, ext) for c in C):
-            return False
-    return True
+    return sweep(C, [], s)[2]
 
 
 @dataclass

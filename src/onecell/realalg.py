@@ -24,16 +24,16 @@ canonical copies, and read their answers off them.
 This module is the one home of the exact-real helpers the rest of the
 package builds on: `RealAlg.compare` (and `<`, so lists of values sort
 with `sorted`), `value_ranks` for the value order of a list as integer
-ranks (the one sort behind `sorted_distinct` and the heuristics'
-decisions), `sorted_distinct` for sorted values without duplicates,
-`_gap` for the one separation of two values, an end open or not, and
-`separate` its view, `_simplest` for the simplest rational inside such
-a gap (on numerators and denominators), `line_samples` for one point
-of every region of the line cut at given values (the sweep behind both
-the solver's candidates and `explain.check_conflict`); a definition's
-polynomial is `polynomial._upoly` of its coefficients, and the other
-way, the integer-primitive coefficient tuple of a polynomial comes from
-`polynomial.dense`.
+ranks (the one sort behind `line_samples` and the heuristics'
+decisions), `_gap` for the one separation of two values, an end open
+or not, and `separate` its view, `_simplest` for the simplest rational
+inside such a gap (on numerators and denominators), `line_samples` for
+one point of every region of the line cut at given values, with each
+region's position (cut k at 2k + 1, the sector below it at 2k) and
+each value's, off which `explain.sweep` reads its answers; a
+definition's polynomial is `polynomial._upoly` of its coefficients,
+and the other way, the integer-primitive coefficient tuple of a
+polynomial comes from `polynomial.dense`.
 
 Root isolation works on integer coefficient tuples (`_real_roots`): it
 splits a tuple into Yun's square-free parts by `polynomial.factor_dense`
@@ -82,6 +82,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -387,16 +388,6 @@ def value_ranks(values: Sequence[RealAlg]) -> list[int]:
     return ranks
 
 
-def sorted_distinct(values: Iterable[RealAlg]) -> list[RealAlg]:
-    """The values in increasing order, duplicates dropped: the first
-    value of each rank of `value_ranks`."""
-    values = list(values)
-    out: dict[int, RealAlg] = {}
-    for v, k in zip(values, value_ranks(values)):
-        out.setdefault(k, v)
-    return [out[k] for k in range(len(out))]
-
-
 def _simplest(a: int, b: int, c: int, d: int) -> tuple[int, int]:
     """The smallest-denominator rational strictly between a/b and c/d,
     b, d > 0, ties broken toward the smaller magnitude, as a coprime
@@ -423,15 +414,33 @@ def _simplest(a: int, b: int, c: int, d: int) -> tuple[int, int]:
         a, b, c, d = d, c - t * d, b, a - t * b
 
 
-def line_samples(values: Iterable[RealAlg]) -> list[RealAlg]:
-    """A point of every region of the real line cut at the values: 0,
-    the simplest rational in each `_gap` below, between and above the
-    sorted distinct canonical copies of the values, then those copies."""
-    cuts = sorted_distinct([v.canonical_copy() for v in values])
+def line_samples(values: Iterable[RealAlg]) -> tuple[list[RealAlg], list[int], list[int]]:
+    """A point of every region of the real line cut at the values, with
+    the regions' positions: cut k, the k-th of the sorted distinct
+    canonical copies of the values, is at 2k + 1 and the sector below it
+    at 2k.  The points are 0, the simplest rational in each `_gap` below,
+    between and above the cuts, then the cuts; returns them, their
+    positions and each value's position.  The gaps are taken before 0 is
+    placed, so no other comparison moves the copies they are read off."""
+    copies = [v.canonical_copy() for v in values]
+    ranks = value_ranks(copies)
+    first: dict[int, RealAlg] = {}
+    for v, k in zip(copies, ranks):
+        first.setdefault(k, v)
+    cuts = [first[k] for k in range(len(first))]
     ends = [None, *cuts, None] if cuts else []
-    return [RealAlg.rational(0)] + [
-        RealAlg.rational(Fraction(*_simplest(*_gap(lo, hi)))) for lo, hi in zip(ends, ends[1:])
-    ] + cuts
+    gaps = [_simplest(*_gap(lo, hi)) for lo, hi in zip(ends, ends[1:])]
+    zero, m = RealAlg.rational(0), len(cuts)
+    # the points of k sectors are below 0 (the gaps' numerators rise):
+    # 0 is in sector 0 when k = 0 and in sector m when k = m + 1, else
+    # it is the point of sector k or lies between the points of sectors
+    # k - 1 and k, where comparing it with cut k - 1 places it
+    k = bisect_left(gaps, (0,))
+    at = [2 * k - 1 + zero.compare(cuts[k - 1]) if 0 < k <= m and gaps[k][0] else 2 * min(k, m)]
+    if cuts:
+        at += [*range(0, 2 * m + 1, 2), *range(1, 2 * m, 2)]
+    points = [zero, *(RealAlg.rational(Fraction(*g)) for g in gaps), *cuts]
+    return points, at, [2 * r + 1 for r in ranks]
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +579,8 @@ class Sample(tuple):
         return tuple.__new__(Sample, self[:i])
 
     def extend(self, coord) -> "Sample":
-        return Sample(list(self) + [coord])
+        # only the new coordinate needs the checks of the constructor
+        return tuple.__new__(Sample, self + Sample((coord,)))
 
     def __repr__(self) -> str:
         return "Sample(" + ", ".join(realalg_to_text(c) for c in self) + ")"

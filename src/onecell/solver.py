@@ -1,15 +1,16 @@
 """Model-constructing search for conjunctions of polynomial constraints.
 
-Variables are assigned in order x1..xn.  Each level tries the values of
-`realalg.line_samples` cut at `explain._candidate_values` of the level's
-constraints and of the learned cells around the prefix, as extended
-constraints; these meet every sign-invariant region, so the level is in
-conflict exactly when no candidate, those skipped as inside a learned
-cell included, satisfies its constraints.  That sweep proves the
-conflict, which `explain._generalize` turns into a cell around the
-prefix without a second sweep; the cell steers later choices.
-Unsatisfiability is reported from a conflict over the empty prefix or
-when every x1 candidate is ruled out: the candidates stand for every
+Variables are assigned in order x1..xn.  Each level is one
+`explain.sweep` of its line over the prefix, cut at the roots of the
+level's constraints and at the bounds of the learned cells around the
+prefix: it takes the first region's point outside those cells that
+satisfies the constraints.  The regions meet every sign-invariant
+region, so the level is in conflict exactly when no point, those
+inside a learned cell included, satisfies its constraints.  That sweep
+proves the conflict, which `explain._generalize` turns into a cell
+around the prefix without a second sweep; the cell steers later
+choices.  Unsatisfiability is reported from a conflict over the empty
+prefix or when every x1 point is ruled out: the points stand for every
 region of the x1 line on which the level-1 signs and the learned-cell
 membership are constant, so ruling them all out covers the line.
 """
@@ -22,8 +23,8 @@ from typing import List, Optional, Sequence
 from .cells import CellDescription, cell_contains, cell_to_formula
 from .config import HeuristicConfig
 from .engine import Fail
-from .explain import Constraint, _candidate_values, _generalize, constraint_satisfied
-from .realalg import RealAlg, Sample, line_samples
+from .explain import Constraint, _generalize, constraint_satisfied, sweep
+from .realalg import RealAlg, Sample
 from .stats import RunStats
 
 SAT = "sat"
@@ -85,34 +86,20 @@ def solve_conjunction(
             return result
 
         prefix = Sample(assignment)
-        learned = [
-            L for L in result.learned
-            if len(L) == i and cell_contains(L, prefix) is True
-        ]
         # the prefix lies in each cell, so a point over it lies there
         # exactly when the cell's level-i atoms hold
-        cells_atoms = [[a for a in cell_to_formula(L) if a.var == i] for L in learned]
-        bounds = [a for atoms in cells_atoms for a in atoms]
-
-        def satisfies(point: Sample) -> bool:
-            return all(constraint_satisfied(c, point) for c in by_level[i])
-
-        chosen = None
-        skipped: list[Sample] = []
-        for t in line_samples(_candidate_values(by_level[i] + bounds, prefix)):
-            point = prefix.extend(t)
-            if any(all(a.holds(point) is True for a in atoms) for atoms in cells_atoms):
-                skipped.append(point)
-            elif satisfies(point):
-                chosen = t
-                break
+        cells = [
+            [a for a in cell_to_formula(L) if a.var == i] for L in result.learned
+            if len(L) == i and cell_contains(L, prefix) is True
+        ]
+        chosen, _, conflict = sweep(by_level[i], cells, prefix)
         if chosen is not None:
             assignment.append(chosen)
             continue
 
-        # no candidate outside the learned cells works: a conflict unless
+        # no value outside the learned cells works: a conflict unless
         # one inside them does
-        if not any(map(satisfies, skipped)):
+        if conflict:
             if result.explanations >= budget:
                 return result
             result.explanations += 1

@@ -43,6 +43,7 @@ class Mutant(NamedTuple):
 
 REALALG = "src/onecell/realalg.py"
 POLYNOMIAL = "src/onecell/polynomial.py"
+EXPLAIN = "src/onecell/explain.py"
 
 CATALOGUE = [
     Mutant(
@@ -214,8 +215,8 @@ CATALOGUE = [
     Mutant(
         "line_samples sorting the values as they are, with no copies",
         REALALG,
-        "    cuts = sorted_distinct([v.canonical_copy() for v in values])\n",
-        "    cuts = sorted_distinct(values)\n",
+        "    copies = [v.canonical_copy() for v in values]\n",
+        "    copies = list(values)\n",
         ("tests/test_solver.py::test_model_does_not_depend_on_earlier_calls",),
         60,
     ),
@@ -241,6 +242,23 @@ CATALOGUE = [
         "    if n % 4 or b < 0:\n",
         "    if n % 4 or b > 0:\n",
         ("tests/test_deflation.py::test_capelli_criterion",),
+        60,
+    ),
+    Mutant(
+        "a section on a root of its constraint read with the sign of the sector below",
+        EXPLAIN,
+        "            if k < len(roots) and roots[k] == at_j:\n",
+        "            if False:\n",
+        ("tests/test_explain.py::test_sweep_matches_the_pointwise_sweep_on_mixed_constraints",),
+        60,
+    ),
+    Mutant(
+        "a > atom of a learned cell read as >=, accepting the section on its own bound",
+        EXPLAIN,
+        "    cells = [[place(a) for a in cell] for cell in cells]\n",
+        "    cells = [[place(replace(a, rel=\">=\") if a.rel == \">\" else a) for a in cell]\n"
+        "             for cell in cells]\n",
+        ("tests/test_explain.py::test_sweep_matches_the_pointwise_sweep_in_the_solver",),
         60,
     ),
 ]

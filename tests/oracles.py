@@ -32,7 +32,9 @@ factorization through the term-map `factor` with its own quadratic
 closed form (the library evaluates the coefficients on integers and
 factors the coefficient tuple with one univariate kernel), conflict
 checks by the midpoint sweep (the library samples every gap at its
-simplest rational), and representation choice by pairwise comparison
+simplest rational), a level's sweep point by point, each constraint
+and cell atom evaluated at each point (the library decides each region
+from its position), and representation choice by pairwise comparison
 of exact values (the library compares the integer ranks of one sort),
 and the rule engine's picks by scanning every pending property and ranking
 every rule instance (the library reads the top of a heap and takes a
@@ -43,7 +45,8 @@ over one pattern, and its literals with `Fraction`).  Keeping both routes alive 
 algebra tests meaningful.  The module also holds the structural checks
 on a chosen representation (`representation_is_valid`,
 `ordering_matches`), and helpers the library does not need:
-`derivative`, `simplest_between` on Fractions, `realalg_from_text`,
+`derivative`, `simplest_between` on Fractions, `sorted_distinct`,
+`realalg_from_text`,
 the reader of the coordinates `realalg_to_text` writes, and
 `root_between`, a root picked by its isolating interval.
 """
@@ -61,6 +64,7 @@ import sympy
 from onecell.cells import (
     IndexedRoot,
     SymbolicInterval,
+    cached_roots,
     eval_indexed_root,
 )
 from onecell.config import HeuristicConfig
@@ -100,11 +104,12 @@ from onecell.realalg import (
     _simplest,
     _straddles,
     isolate_real_roots,
+    line_samples,
     rational_from_text,
     roots_in_extension,
     separate,
     sign_at,
-    sorted_distinct,
+    value_ranks,
 )
 from onecell.rules import Choice, ConstructionFailed, rule_choices
 from onecell.smtlib import ParseError, _Tok
@@ -855,6 +860,17 @@ def fraction_separate(lo: FractionReal, hi: FractionReal) -> tuple[Fraction, Fra
     return lo.hi, hi.lo
 
 
+def sorted_distinct(values) -> list[RealAlg]:
+    """The values in increasing order, duplicates dropped: the first
+    value of each rank of the library's `value_ranks`, as `line_samples`
+    takes its cuts."""
+    values = list(values)
+    out: dict[int, RealAlg] = {}
+    for v, k in zip(values, value_ranks(values)):
+        out.setdefault(k, v)
+    return [out[k] for k in range(len(out))]
+
+
 def simplest_between(a: Fraction, b: Fraction) -> Fraction:
     """The library's continued-fraction walk `realalg._simplest` on Fractions."""
     a, b = Fraction(a), Fraction(b)
@@ -905,9 +921,9 @@ def recursive_simplest_between(a: Fraction, b: Fraction) -> Fraction:
 def fraction_line_samples(values) -> tuple[list[Fraction], list[FractionReal]]:
     """The rational points of `line_samples` (0, then the simplest
     rational below, between and above the cuts) on Fraction enclosures,
-    and the cuts as they are left.  The cuts are sorted by the library's
-    `sorted_distinct`, which refines the values it compares, and copied;
-    the sampling runs on the copies."""
+    and the cuts as they are left.  The cuts are sorted by
+    `sorted_distinct`, on the library's `value_ranks`, which refines the
+    values it compares, and copied; the sampling runs on the copies."""
     cuts = [FractionReal(c) for c in sorted_distinct(values)]
     out = [Fraction(0)]
     if cuts:
@@ -1090,6 +1106,49 @@ def midpoint_check_conflict(C, s) -> bool:
     return not any(
         all(constraint_satisfied(c, s.extend(t)) for c in C) for t in candidates
     )
+
+
+# ---------------------------------------------------------------------------
+# the sweep point by point: the reference for `explain.sweep`, which
+# decides each point from its region's position
+
+
+def pointwise_sweep(C, cells, s):
+    """(chosen, covered, uncovered, conflict) of the sweep of the next
+    variable's line over s, each point of `line_samples` tried in turn:
+    covered when all atoms of some cell hold there (`holds(...) is
+    True`), else chosen when `constraint_satisfied` holds for every
+    constraint of C there, else uncovered; a conflict when no point is
+    chosen and no covered one satisfies C either.  The cut values are
+    C's level-(n+1) roots and bounds, then the cells' bounds."""
+    n = len(s)
+    vals = []
+    for c in list(C) + [a for cell in cells for a in cell]:
+        if isinstance(c, Constraint):
+            if c.poly.level == n + 1:
+                roots = cached_roots(c.poly, s)
+                if roots is not NULLIFIED:
+                    vals.extend(roots)
+        elif c.var == n + 1:
+            v = eval_indexed_root(c.bound, s)
+            if v is not UNDEF:
+                vals.append(v)
+
+    def satisfies(point):
+        return all(constraint_satisfied(c, point) for c in C)
+
+    chosen, covered, uncovered = None, [], []
+    for t in line_samples(vals)[0]:
+        point = s.extend(t)
+        if any(all(a.holds(point) is True for a in cell) for cell in cells):
+            covered.append(t)
+        elif satisfies(point):
+            chosen = t
+            break
+        else:
+            uncovered.append(t)
+    conflict = chosen is None and not any(satisfies(s.extend(t)) for t in covered)
+    return chosen, covered, uncovered, conflict
 
 
 # ---------------------------------------------------------------------------

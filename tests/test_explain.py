@@ -1,10 +1,12 @@
 """Conflict checking and generalization."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from onecell import solver
 from onecell.cells import (
     IndexedRoot,
     cached_roots,
@@ -23,14 +25,16 @@ from onecell.explain import (
     clause_to_text,
     constraint_satisfied,
     explain_conflict,
+    sweep,
 )
-from onecell.polynomial import parse_poly
+from onecell.polynomial import MPoly, _upoly, parse_poly
 from onecell.properties import validate_trace
-from onecell.realalg import NULLIFIED, Sample
+from onecell.realalg import NULLIFIED, Sample, realalg_to_text
+from onecell.solver import solve_conjunction
 from onecell.stats import RunStats
 
 from conftest import random_poly, random_sample
-from oracles import midpoint_check_conflict
+from oracles import midpoint_check_conflict, pointwise_sweep
 
 
 DISK = Constraint(parse_poly("x1^2+x2^2-1"), "<")
@@ -265,3 +269,116 @@ def test_check_conflict_matches_midpoint_sweep(rng):
         assert verdict == midpoint_check_conflict(C, s), (C, s)
         verdicts[verdict] += 1
     assert min(verdicts.values()) >= 50
+
+
+# ---------------------------------------------------------------------------
+# the region sweep against the point-by-point sweep it replaced
+
+
+def _sweeps_agree(C, cells, s, got=None):
+    """The region sweep (its answer `got`, else computed now) and the
+    point-by-point reference give the same chosen value, the same
+    covered points in the same order and the same conflict verdict.  The
+    uncovered points, those visited and neither covered nor chosen, then
+    agree as well.  Returns the reference's answer."""
+    chosen, covered, conflict = got if got is not None else sweep(C, cells, s)
+    want = pointwise_sweep(C, cells, s)
+
+    def text(t):
+        return None if t is None else realalg_to_text(t)
+
+    assert text(chosen) == text(want[0]), (C, cells, s)
+    assert [text(t) for t in covered] == [text(t) for t in want[1]], (C, cells, s)
+    assert conflict == want[3], (C, cells, s)
+    return want
+
+
+_RELS = ["<", "<=", "=", "!=", ">=", ">"]
+
+
+def test_sweep_matches_the_pointwise_sweep_in_the_solver(rng, monkeypatch):
+    """At every level the search visits, on random conjunctions in 1 to 3
+    variables each solved under all 7 heuristics, the region sweep
+    agrees with the point-by-point one over the learned cells the search
+    has then, and over no cells."""
+    visits = []
+    recorded = solver.sweep
+
+    def recording(C, cells, prefix):
+        got = recorded(C, cells, prefix)
+        visits.append((C, cells, prefix, got))
+        return got
+
+    monkeypatch.setattr(solver, "sweep", recording)
+    seen = Counter()
+    for k in range(24):
+        nv = 1 + k % 3
+        cons = [Constraint(random_poly(rng, nv, max_deg=2 if nv == 3 else 3), rng.choice(_RELS))
+                for _ in range(rng.randint(2, 3))]
+        for h in HEURISTIC_IDS:
+            visits.clear()
+            solve_conjunction(cons, nv, budget=8, cfg=config_from_id(h))
+            for C, cells, prefix, got in visits:
+                chosen, covered, _, conflict = _sweeps_agree(C, cells, prefix, got)
+                _sweeps_agree(C, [], prefix)
+                seen["covered"] += bool(covered)
+                seen["chosen among cells"] += bool(cells) and chosen is not None
+                seen["conflict"] += conflict
+                seen["ruled out by cells"] += chosen is None and not conflict
+    assert min(seen.values()) >= 10, seen
+
+
+def _vanishing_factor(s, j):
+    """A polynomial in x_j that vanishes at s_j: its definition, or the
+    linear polynomial of a rational."""
+    c = s[j - 1]
+    if c.is_rational():
+        r = c.rational_value()
+        return r.denominator * MPoly.var(j) - r.numerator
+    return _upoly(c._def, j)
+
+
+def test_sweep_matches_the_pointwise_sweep_on_mixed_constraints(rng):
+    """`check_conflict`'s inputs and more: polynomial constraints on the
+    last variable, some nullified over the prefix, polynomial and
+    extended constraints below it, extended ones on it, over rational
+    and algebraic prefixes, with 0 to 2 cells of atoms on the last
+    variable, whose bounds are often roots of the constraints and
+    sometimes undefined."""
+    seen = Counter()
+    for k in range(240):
+        n = rng.randint(1, 2)
+        s = _random_prefix(rng, n, algebraic=k % 2 == 1)
+        C, tops = [], []
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.random()
+            if kind < 0.45:
+                tops.append(_poly_at(rng, n + 1))
+                C.append(Constraint(tops[-1], rng.choice(_RELS)))
+            elif kind < 0.55:
+                p = _vanishing_factor(s, rng.randint(1, n)) * _poly_at(rng, n + 1)
+                assert cached_roots(p, s) is NULLIFIED
+                C.append(Constraint(p, rng.choice(_RELS)))
+                seen["nullified"] += 1
+            elif kind < 0.65:
+                C.append(Constraint(_poly_at(rng, rng.randint(1, n)), rng.choice(_RELS)))
+                seen["below"] += 1
+            else:
+                var = n + 1 if kind < 0.9 else rng.randint(1, n)
+                seen["extended below" if var <= n else "extended"] += 1
+                bound = IndexedRoot(_poly_at(rng, var), rng.randint(1, 2))
+                C.append(ExtendedConstraint(var, rng.choice(_RELS), bound))
+        cells = []
+        for _ in range(rng.randint(0, 2)):
+            cell = []
+            for _ in range(rng.randint(0, 2)):
+                p = rng.choice(tops) if tops and rng.random() < 0.7 else _poly_at(rng, n + 1)
+                bound = IndexedRoot(p, rng.randint(1, 3))
+                cell.append(ExtendedConstraint(n + 1, rng.choice(["<", "=", ">"]), bound))
+            cells.append(cell)
+        chosen, covered, _, conflict = _sweeps_agree(C, cells, s)
+        assert _sweeps_agree(C, [], s)[3] == check_conflict(C, s)
+        seen["chosen"] += chosen is not None
+        seen["covered"] += bool(covered)
+        seen["conflict"] += conflict
+    assert min(seen.values()) >= 30, seen

@@ -19,7 +19,6 @@ from onecell.realalg import (
     roots_in_extension,
     separate,
     sign_at,
-    sorted_distinct,
     value_ranks,
 )
 
@@ -27,6 +26,7 @@ from conftest import random_poly, within_seconds
 from oracles import (
     realalg_from_text,
     root_between,
+    sorted_distinct,
     sturm_count_all_real_roots,
     sturm_count_interval,
 )
@@ -280,7 +280,7 @@ def test_separate_and_line_samples_read_canonical_copies():
         before = [v.enclosure() for v in values]
         ends = [None, *values, None]
         gaps = [separate(lo, hi) for lo, hi in zip(ends, ends[1:])]
-        points = [t.enclosure() for t in line_samples(values)]
+        points = [t.enclosure() for t in line_samples(values)[0]]
         assert [v.enclosure() for v in values] == before
         return gaps, points
 
@@ -289,6 +289,34 @@ def test_separate_and_line_samples_read_canonical_copies():
         for _ in range(20):
             v.refine()
     assert within_seconds(5, answers) == first
+
+
+def test_line_samples_gives_each_region_its_position():
+    """Cut k at 2k + 1 and the sector below it at 2k, for every point and
+    every value, duplicates included: 0 a sector's point, a cut, below
+    or above every cut, or inside a cut's isolating box."""
+    r = RealAlg.rational
+    cases = [
+        [],
+        [r(0)],
+        [r(5)],
+        [r(-5), r(-1)],
+        [r(1), r(-1), r(1)],
+        isolate_real_roots(parse_poly("x1^2-2")),
+        isolate_real_roots(parse_poly("1000*x1^2-1")) + [r(0)],
+        isolate_real_roots(parse_poly("1000*x1^2-1")) + isolate_real_roots(parse_poly("x1^3-3*x1+1")),
+        isolate_real_roots(parse_poly("x1^3-3*x1+1")) + [r(Fraction(1, 3)), r(-3)],
+    ]
+    for values in cases:
+        points, at, pos = line_samples(values)
+        cuts = sorted_distinct(values)
+
+        def position(t):
+            return 2 * sum(c < t for c in cuts) + sum(c == t for c in cuts)
+
+        assert at == [position(t) for t in points], values
+        assert pos == [position(v) for v in values], values
+        assert len(points) == (2 * len(cuts) + 2 if cuts else 1)
 
 
 def test_order_against_another_type_raises_type_error():

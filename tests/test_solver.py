@@ -163,17 +163,17 @@ def test_conflicts_match_the_midpoint_sweep(rng, monkeypatch):
     conflict for the midpoint sweep, and every level it hands to the
     learned cells (no value chosen, none explained) is not."""
     events = []
-    candidates, generalize = solver._candidate_values, solver._generalize
+    sweep, generalize = solver.sweep, solver._generalize
 
-    def recording_candidates(C, prefix):
+    def recording_sweep(C, cells, prefix):
         events.append(("level", len(prefix) + 1, prefix))
-        return candidates(C, prefix)
+        return sweep(C, cells, prefix)
 
     def recording_generalize(C, prefix, *args):
         events.append(("explain",))
         return generalize(C, prefix, *args)
 
-    monkeypatch.setattr(solver, "_candidate_values", recording_candidates)
+    monkeypatch.setattr(solver, "sweep", recording_sweep)
     monkeypatch.setattr(solver, "_generalize", recording_generalize)
     seen = {"explained": 0, "learned": 0}
     for cons, nv in _random_conjunctions(rng) + [(COVERED_X1, 2)]:

@@ -27,13 +27,12 @@ from onecell.realalg import (
     line_samples,
     realalg_to_text,
     sign_at,
-    sorted_distinct,
     value_ranks,
 )
 from onecell.solver import solve_conjunction
 
 from conftest import random_poly, random_sample, within_seconds
-from oracles import isolate_by_term_map_factor
+from oracles import isolate_by_term_map_factor, sorted_distinct
 
 
 def _mul(a, b):
@@ -89,15 +88,17 @@ def _agree(p: MPoly, ref_first: bool, rng: random.Random) -> None:
     assert [realalg_to_text(v) for v in distinct] == [realalg_to_text(v) for v in ref]
 
     # raw line samples: 0, a point in each gap, then the cuts, as the
-    # reference values cut the line: 2k below the k+1-th, 2k+1 at it
-    regions = [2 * sum(r < t for r in ref) + sum(r == t for r in ref)
-               for t in line_samples(isolate_real_roots(p))[1:]]
-    assert regions == (list(range(0, 2 * n + 1, 2)) + list(range(1, 2 * n, 2)) if n else []), p
+    # reference values cut the line: 2k below the k+1-th, 2k+1 at it;
+    # those are the positions the sweep gives, 0's too, and the roots'
+    points, at, pos = line_samples(isolate_real_roots(p))
+    regions = [2 * sum(r < t for r in ref) + sum(r == t for r in ref) for t in points]
+    assert regions[1:] == (list(range(0, 2 * n + 1, 2)) + list(range(1, 2 * n, 2)) if n else []), p
+    assert at == regions and pos == list(range(1, 2 * n, 2)), p
     # canonical copies start where the reference's do, so sample alike
     copies = [v.canonical_copy() for v in isolate_real_roots(p)]
     assert [v.enclosure() for v in copies] == [r.canonical_copy().enclosure() for r in ref]
-    assert [realalg_to_text(t) for t in line_samples(copies)] == [
-        realalg_to_text(t) for t in line_samples([r.canonical_copy() for r in ref])]
+    assert [realalg_to_text(t) for t in line_samples(copies)[0]] == [
+        realalg_to_text(t) for t in line_samples([r.canonical_copy() for r in ref])[0]]
 
     new = isolate_real_roots(p)
     assert [hash(v) for v in new] == [hash(r) for r in ref]
