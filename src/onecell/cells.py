@@ -10,7 +10,8 @@ root expression "the j-th real root of p in x_i" only gains a value
 once the lower-level coordinates are fixed, which is what
 `eval_indexed_root` does.  The same cell read as a formula is a
 conjunction of extended constraints `x_i ~ root(p, j)`
-(`cell_to_formula`); membership (`cell_contains`) evaluates those atoms.
+(`cell_to_formula`); membership (`cell_contains`, or `formula_holds`
+on atoms built once) evaluates those atoms.
 """
 
 from __future__ import annotations
@@ -251,17 +252,22 @@ def cell_to_formula(c: CellDescription) -> list[ExtendedConstraint]:
     return atoms
 
 
-def cell_contains(c: CellDescription, r: Sample):
-    """Three-valued membership: the conjunction of the cell's atoms for
-    the levels r has, False as soon as one fails and UNDEF as soon as
-    one has no value, in level order."""
-    for atom in cell_to_formula(c):
+def formula_holds(atoms: Sequence[ExtendedConstraint], r: Sample):
+    """Three-valued: the conjunction of a cell's atoms, in level order,
+    for the levels r has, False as soon as one fails and UNDEF as soon
+    as one has no value."""
+    for atom in atoms:
         if atom.var > len(r):
             break
         holds = atom.holds(r)
         if holds is not True:
             return holds
     return True
+
+
+def cell_contains(c: CellDescription, r: Sample):
+    """Three-valued membership: `formula_holds` of the cell's atoms."""
+    return formula_holds(cell_to_formula(c), r)
 
 
 # ---------------------------------------------------------------------------

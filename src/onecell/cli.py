@@ -118,9 +118,6 @@ def _build_parser() -> argparse.ArgumentParser:
             default="eq-bc",
             help="section/sector root-ordering heuristic pair",
         )
-        sub.add_argument(
-            "--factor-mode", choices=("finest", "squarefree"), default="finest"
-        )
         sub.add_argument("--relax-top-connectedness", action="store_true")
         sub.add_argument("--stats", action="store_true", help="print run statistics")
         return sub
@@ -146,7 +143,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         problem = _read_problem(args.file)
         cfg = config_from_id(
-            args.heuristic, args.factor_mode, args.relax_top_connectedness
+            args.heuristic, relax_top_connectedness=args.relax_top_connectedness
         )
         stats = RunStats()
         code = args.run(args, problem, cfg, stats)

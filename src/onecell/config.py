@@ -13,15 +13,12 @@ class HeuristicConfig:
     section_heuristic: str = "EQ"
     sector_heuristic: str = "BC"
     relax_top_connectedness: bool = False
-    factor_mode: str = "finest"
 
     def __post_init__(self):
         if self.section_heuristic not in SECTION_HEURISTICS:
             raise ValueError(f"unknown section heuristic {self.section_heuristic}")
         if self.sector_heuristic not in SECTOR_HEURISTICS:
             raise ValueError(f"unknown sector heuristic {self.sector_heuristic}")
-        if self.factor_mode not in ("finest", "squarefree"):
-            raise ValueError(f"unknown factor mode {self.factor_mode}")
 
 
 # CLI flag values -> (section, sector)
@@ -37,11 +34,9 @@ HEURISTIC_IDS = {
 
 
 def config_from_id(
-    heuristic_id: str,
-    factor_mode: str = "finest",
-    relax_top_connectedness: bool = False,
+    heuristic_id: str, *, relax_top_connectedness: bool = False
 ) -> HeuristicConfig:
     if heuristic_id not in HEURISTIC_IDS:
         raise ValueError(f"unknown heuristic id {heuristic_id!r}")
     section, sector = HEURISTIC_IDS[heuristic_id]
-    return HeuristicConfig(section, sector, relax_top_connectedness, factor_mode)
+    return HeuristicConfig(section, sector, relax_top_connectedness)

@@ -45,14 +45,13 @@ class CellResult:
         return True
 
 
-def _seed_inputs(polys: Sequence[MPoly], Q: PropertySet, cfg: HeuristicConfig,
-                 stats: RunStats) -> None:
+def _seed_inputs(polys: Sequence[MPoly], Q: PropertySet, stats: RunStats) -> None:
     for p in sorted(set(polys), key=MPoly.sort_key):
         stats.saw_poly(p)
         if p.is_constant():
             Q.add(SgnInv(p))
             continue
-        parts = [f for f, _ in factor(p, cfg.factor_mode) if not f.is_constant()]
+        parts = [f for f, _ in factor(p) if not f.is_constant()]
         if parts == [p]:
             Q.add(SgnInv(p))
             continue
@@ -128,7 +127,7 @@ def single_cell(
             )
     trace = DerivationTrace()
     Q = PropertySet(trace)
-    _seed_inputs(polys, Q, cfg, stats)
+    _seed_inputs(polys, Q, stats)
     cell = run_levels(Q, sample, n, cfg, stats)
     return cell if isinstance(cell, Fail) else CellResult(cell, trace, stats)
 

@@ -218,7 +218,7 @@ def _generalize(
         stats.saw_poly(p)
         if p.is_constant():
             continue
-        for f, _ in factor(p, cfg.factor_mode):
+        for f, _ in factor(p):
             if not f.is_constant() and f not in facs:
                 facs.append(f)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from .cells import CellDescription, cell_contains, cell_to_formula
+from .cells import CellDescription, cell_to_formula, formula_holds
 from .config import HeuristicConfig
 from .engine import Fail
 from .explain import Constraint, _generalize, constraint_satisfied, sweep
@@ -70,6 +70,7 @@ def solve_conjunction(
             result.status = UNSAT
             return result
 
+    formulas = []  # the atoms of each learned cell, built once
     assignment: list[RealAlg] = []
     steps = 0
     max_steps = 64 * (budget + 1)
@@ -89,8 +90,8 @@ def solve_conjunction(
         # the prefix lies in each cell, so a point over it lies there
         # exactly when the cell's level-i atoms hold
         cells = [
-            [a for a in cell_to_formula(L) if a.var == i] for L in result.learned
-            if len(L) == i and cell_contains(L, prefix) is True
+            [a for a in F if a.var == i] for L, F in zip(result.learned, formulas)
+            if len(L) == i and formula_holds(F, prefix) is True
         ]
         chosen, _, conflict = sweep(by_level[i], cells, prefix)
         if chosen is not None:
@@ -106,6 +107,7 @@ def solve_conjunction(
             explained = _generalize(by_level[i], prefix, cfg, stats)
             if not isinstance(explained, Fail):
                 result.learned.append(explained.cell)
+                formulas.append(cell_to_formula(explained.cell))
 
         # the learned cells, the new one included, rule out every value
         # here, or the explanation failed above x1: unsat at x1, else

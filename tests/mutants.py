@@ -44,6 +44,7 @@ class Mutant(NamedTuple):
 REALALG = "src/onecell/realalg.py"
 POLYNOMIAL = "src/onecell/polynomial.py"
 EXPLAIN = "src/onecell/explain.py"
+ENGINE = "src/onecell/engine.py"
 
 CATALOGUE = [
     Mutant(
@@ -259,6 +260,22 @@ CATALOGUE = [
         "    cells = [[place(replace(a, rel=\">=\") if a.rel == \">\" else a) for a in cell]\n"
         "             for cell in cells]\n",
         ("tests/test_explain.py::test_sweep_matches_the_pointwise_sweep_in_the_solver",),
+        60,
+    ),
+    Mutant(
+        "a cell seeded with square-free parts instead of irreducible factors",
+        ENGINE,
+        "        parts = [f for f, _ in factor(p) if not f.is_constant()]\n",
+        "        parts = [f for f, _ in factor(p, \"squarefree\") if not f.is_constant()]\n",
+        ("tests/test_golden.py",),
+        60,
+    ),
+    Mutant(
+        "an explanation seeded with square-free parts instead of irreducible factors",
+        EXPLAIN,
+        "        for f, _ in factor(p):\n",
+        "        for f, _ in factor(p, \"squarefree\"):\n",
+        ("tests/test_golden.py",),
         60,
     ),
 ]

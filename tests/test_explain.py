@@ -15,7 +15,7 @@ from onecell.cells import (
     cell_to_formula,
     cell_to_text,
 )
-from onecell.config import HEURISTIC_IDS, HeuristicConfig, config_from_id
+from onecell.config import HEURISTIC_IDS, config_from_id
 from onecell.engine import Fail
 from onecell.explain import (
     Constraint,
@@ -132,8 +132,7 @@ def test_relaxed_top_connectedness_leaves_explanations_alone(hid):
     assert relaxed.clause == default.clause
 
 
-@pytest.mark.parametrize("mode", ["finest", "squarefree"])
-def test_generalize_over_the_empty_prefix_never_fails(rng, mode):
+def test_generalize_over_the_empty_prefix_never_fails(rng):
     """Every level-1 factor is delineable over the empty prefix, so the
     explanation of any level-1 constraint set is the empty cell and the
     clause that excludes everything."""
@@ -141,7 +140,7 @@ def test_generalize_over_the_empty_prefix_never_fails(rng, mode):
         hid = sorted(HEURISTIC_IDS)[k % len(HEURISTIC_IDS)]
         C = [Constraint(random_poly(rng, 1), rng.choice(["<", "=", ">"]))
              for _ in range(rng.randint(1, 4))]
-        result = _generalize(C, Sample([]), config_from_id(hid, mode), RunStats())
+        result = _generalize(C, Sample([]), config_from_id(hid), RunStats())
         assert not isinstance(result, Fail), (hid, C)
         assert len(result.cell) == 0 and result.clause == []
         assert validate_trace(result.trace, set(result.trace.axioms))
@@ -149,14 +148,14 @@ def test_generalize_over_the_empty_prefix_never_fails(rng, mode):
 
 def test_explained_cell_keeps_a_shared_factor_conflict():
     """x2^2-3*x2+2 = (x2-1)*(x2-2) shares a factor with the first
-    polynomial, (x2-2)*(x2-3*x1), so their resultant is zero; in
-    square-free mode the cell must still keep the root 3*x1 of the
-    other factor above 1, that is x1 > 1/3."""
+    polynomial, (x2-2)*(x2-3*x1), so their resultant is zero; the cell,
+    built on the irreducible factors, must still keep the root 3*x1 of
+    the other factor above 1, that is x1 > 1/3."""
     C = [Constraint(parse_poly("x2^2-3*x1*x2-2*x2+6*x1"), "<"),
          Constraint(parse_poly("x2^2-3*x2+2"), "<="),
          Constraint(parse_poly("x2-1"), "<=")]
     s = [Fraction(1, 2)]
-    result = explain_conflict(C, s, HeuristicConfig(factor_mode="squarefree"))
+    result = explain_conflict(C, s)
     assert result
     assert validate_trace(result.trace, set(result.trace.axioms))
     for seed in range(10):
