@@ -127,35 +127,17 @@ def eval_indexed_root(xi: IndexedRoot, s: Sample):
     return roots[xi.index - 1]
 
 
-# Draws of cell_pick_interior_point before it gives up.
-_PICK_DRAWS = 8
-
-
 def cell_pick_interior_point(c: CellDescription, seed: int) -> Sample:
-    """A deterministic sample inside the cell: sections land exactly on
-    the bound, bounded sectors take a rational strictly between the
-    refined bound enclosures, a half-line one 1 to 2 past its bound and
-    the whole line one within 1/2 of 0.  A cell built with relaxed top
-    connectedness may have a sector that is empty over the prefix drawn
-    so far (or a bound undefined there); the draw is then repeated with
-    the unbounded sectors 4 times as wide each time, up to `_PICK_DRAWS`
-    draws.  Raises the ValueError of the last draw, which is the first
-    when no sector is unbounded."""
+    """A deterministic sample inside the cell, drawn once, level by
+    level: sections land exactly on the bound, bounded sectors take a
+    rational strictly between the refined bound enclosures, a half-line
+    one 1 to 2 past its bound and the whole line one within 1/2 of 0.  A
+    sector's point is read off the gap `separate` gives at its bounds,
+    which reads canonical copies, so it depends only on the cell and the
+    seed.  Raises ValueError when a bound is undefined over the
+    coordinates drawn so far or a sector is empty there; a constructed
+    cell allows neither, as each of its levels is connected."""
     rng = random.Random(seed)
-    widenable = any(None in (iv.lower, iv.upper) for iv in c)
-    draws = _PICK_DRAWS if widenable else 1
-    for draw in range(draws - 1):
-        try:
-            return _draw_point(c, rng, 4**draw)
-        except ValueError:
-            pass
-    return _draw_point(c, rng, 4 ** (draws - 1))
-
-
-def _draw_point(c: CellDescription, rng: random.Random, width: int) -> Sample:
-    """One draw of cell_pick_interior_point.  A sector's point is read
-    off the gap `separate` gives at its bounds, which reads canonical
-    copies, so it depends only on the cell, the seed and the width."""
     coords: list[RealAlg] = []
 
     def bound_value(xi: Optional[IndexedRoot], what: str):
@@ -174,13 +156,13 @@ def _draw_point(c: CellDescription, rng: random.Random, width: int) -> Sample:
         hi = bound_value(iv.upper, "sector")
         t = Fraction(rng.randint(1, 15), 16)
         if lo is None and hi is None:
-            coords.append(RealAlg.rational((t - Fraction(1, 2)) * width))
+            coords.append(RealAlg.rational(t - Fraction(1, 2)))
             continue
         a, b = separate(lo, hi)
         if lo is None:
-            coords.append(RealAlg.rational(b - (1 + t) * width))
+            coords.append(RealAlg.rational(b - 1 - t))
         elif hi is None:
-            coords.append(RealAlg.rational(a + (1 + t) * width))
+            coords.append(RealAlg.rational(a + 1 + t))
         else:
             coords.append(RealAlg.rational(a + (b - a) * t))
     return Sample(coords)

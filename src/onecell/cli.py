@@ -118,7 +118,6 @@ def _build_parser() -> argparse.ArgumentParser:
             default="eq-bc",
             help="section/sector root-ordering heuristic pair",
         )
-        sub.add_argument("--relax-top-connectedness", action="store_true")
         sub.add_argument("--stats", action="store_true", help="print run statistics")
         return sub
 
@@ -142,9 +141,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         problem = _read_problem(args.file)
-        cfg = config_from_id(
-            args.heuristic, relax_top_connectedness=args.relax_top_connectedness
-        )
+        cfg = config_from_id(args.heuristic)
         stats = RunStats()
         code = args.run(args, problem, cfg, stats)
     except ValueError as exc:

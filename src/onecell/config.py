@@ -12,7 +12,6 @@ SECTOR_HEURISTICS = ("BC", "CH", "LDB", "FULL")
 class HeuristicConfig:
     section_heuristic: str = "EQ"
     sector_heuristic: str = "BC"
-    relax_top_connectedness: bool = False
 
     def __post_init__(self):
         if self.section_heuristic not in SECTION_HEURISTICS:
@@ -33,10 +32,8 @@ HEURISTIC_IDS = {
 }
 
 
-def config_from_id(
-    heuristic_id: str, *, relax_top_connectedness: bool = False
-) -> HeuristicConfig:
+def config_from_id(heuristic_id: str) -> HeuristicConfig:
     if heuristic_id not in HEURISTIC_IDS:
         raise ValueError(f"unknown heuristic id {heuristic_id!r}")
     section, sector = HEURISTIC_IDS[heuristic_id]
-    return HeuristicConfig(section, sector, relax_top_connectedness)
+    return HeuristicConfig(section, sector)

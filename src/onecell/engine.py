@@ -85,20 +85,13 @@ def _close_base_level(Q: PropertySet, rep: Representation, s: Sample,
 
 
 def construct_interval(i: int, Q: PropertySet, s: Sample, cfg: HeuristicConfig,
-                       stats: RunStats, top: bool) -> SymbolicInterval:
+                       stats: RunStats) -> SymbolicInterval:
     ctx0 = RuleCtx(s, stats)
     # everything provable from the sample alone
     _drain(Q, i, ctx0, max_tier=SAMPLE_ONLY_TIER)
 
     survivors = [q.p for q in Q.at_level(i) if isinstance(q, SgnInv)]
-    rep = choose_representation(
-        survivors,
-        s.prefix(i - 1),
-        s[i - 1],
-        cfg,
-        i,
-        inject_connectedness=not (top and cfg.relax_top_connectedness),
-    )
+    rep = choose_representation(survivors, s.prefix(i - 1), s[i - 1], cfg, i)
     ctx = RuleCtx(s, stats, rep.interval, rep.ordering, rep.eq_set)
     if i > 1:
         _drain(Q, i, ctx)
@@ -144,7 +137,7 @@ def run_levels(
     intervals: list[SymbolicInterval] = [None] * n  # type: ignore[list-item]
     try:
         for i in range(n, 0, -1):
-            intervals[i - 1] = construct_interval(i, Q, sample, cfg, stats, top=(i == n))
+            intervals[i - 1] = construct_interval(i, Q, sample, cfg, stats)
         # delineability and non-nullification of level-1 polynomials
         # hold over the zero-dimensional base
         _drain(Q, 0, RuleCtx(sample, stats))

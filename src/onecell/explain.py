@@ -23,7 +23,7 @@ rule, applied to consecutive roots.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .cells import (
@@ -206,8 +206,7 @@ def _generalize(
 ) -> Union[ExplainResult, Fail]:
     """The cell around sample on which every constraint polynomial of C
     is sign-invariant, for a conflict already proven; it cannot fail
-    over the empty prefix.  The delineability of the level-(n+1) factors
-    needs connectedness at level n, so `relax_top_connectedness` is off."""
+    over the empty prefix."""
     n = len(sample)
 
     polys: set[MPoly] = set()
@@ -244,7 +243,7 @@ def _generalize(
         stats.add("res", r)
         Q.add(OrdInv(r))
 
-    cell = run_levels(Q, sample, n, replace(cfg, relax_top_connectedness=False), stats)
+    cell = run_levels(Q, sample, n, cfg, stats)
     if isinstance(cell, Fail):
         return cell
     clause = [atom.negated() for atom in cell_to_formula(cell)]

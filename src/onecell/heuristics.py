@@ -203,7 +203,6 @@ def choose_representation(
     s_val: RealAlg,
     cfg: HeuristicConfig,
     level: int,
-    inject_connectedness: bool = True,
 ) -> Representation:
     """Build the representation for the roots of the given polynomials
     at level `level` over the sample prefix, with s_val the sample's
@@ -236,12 +235,8 @@ def choose_representation(
         if a.poly == b.poly and a.poly not in eq_polys:
             pairs.append((a, b))
 
-    if (
-        inject_connectedness
-        and not interval.is_section()
-        and interval.lower is not None
-        and interval.upper is not None
-    ):
+    # a bounded sector keeps its bounds ordered: the cell is connected here
+    if not interval.is_section() and None not in (interval.lower, interval.upper):
         pairs.append((interval.lower, interval.upper))
 
     return Representation(interval, frozenset(eq_polys), RootOrdering(pairs))

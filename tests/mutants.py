@@ -11,9 +11,12 @@ the entry's old text occurs exactly once in its file (otherwise the
 entry is stale), applies the change, and runs the entry's tests with
 `-x` under its time limit.  The mutant is killed when a test fails
 within the limit; it survives when the tests pass or run past the
-limit.  The script prints one line per entry, killed, survived or
-stale with the seconds to the first failure, and exits 1 when an entry
-is stale or survives.  pytest does not collect this file.
+limit.  A failure that is a `NameError`, `ImportError`,
+`ModuleNotFoundError` or `SyntaxError` shows a mutant that does not
+run, not a fault the tests caught: the mutant is broken.  The script
+prints one line per entry, killed, survived, broken or stale with the
+seconds to the first failure, and exits 1 unless every entry is
+killed.  pytest does not collect this file.
 
 A change that rewrites mutated code updates its entry here.
 """
@@ -21,6 +24,7 @@ A change that rewrites mutated code updates its entry here.
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -30,6 +34,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+# pytest's line for an exception that says the mutated code cannot run
+BROKEN = re.compile(r"^E +(NameError|ImportError|ModuleNotFoundError|SyntaxError)\b", re.M)
 
 
 class Mutant(NamedTuple):
@@ -257,8 +263,8 @@ CATALOGUE = [
         "a > atom of a learned cell read as >=, accepting the section on its own bound",
         EXPLAIN,
         "    cells = [[place(a) for a in cell] for cell in cells]\n",
-        "    cells = [[place(replace(a, rel=\">=\") if a.rel == \">\" else a) for a in cell]\n"
-        "             for cell in cells]\n",
+        "    cells = [[place(ExtendedConstraint(a.var, \">=\", a.bound) if a.rel == \">\" else a)\n"
+        "              for a in cell] for cell in cells]\n",
         ("tests/test_explain.py::test_sweep_matches_the_pointwise_sweep_in_the_solver",),
         60,
     ),
@@ -278,11 +284,19 @@ CATALOGUE = [
         ("tests/test_golden.py",),
         60,
     ),
+    Mutant(
+        "sector bounds left unordered",
+        "src/onecell/heuristics.py",
+        "        pairs.append((interval.lower, interval.upper))\n",
+        "        pass\n",
+        ("tests/test_engine.py::test_sign_invariance_random",),
+        60,
+    ),
 ]
 
 
 def run(m: Mutant) -> tuple[str, float]:
-    """('killed' | 'survived' | 'stale' | 'error: ...', seconds)."""
+    """('killed' | 'survived' | 'broken' | 'stale' | 'error: ...', seconds)."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         tmp = Path(tmp)
         for name in ("src", "tests"):
@@ -304,7 +318,7 @@ def run(m: Mutant) -> tuple[str, float]:
             return "survived", time.monotonic() - start
         seconds = time.monotonic() - start
         if out.returncode == 1:
-            return "killed", seconds
+            return "broken" if BROKEN.search(out.stdout) else "killed", seconds
         if out.returncode == 0:
             return "survived", seconds
         return f"error: pytest exit {out.returncode}", seconds

@@ -1357,7 +1357,6 @@ def choose_representation(
     s_val: RealAlg,
     cfg: HeuristicConfig,
     level: int,
-    inject_connectedness: bool = True,
 ) -> Representation:
     """Build the representation for the given non-nullified polynomials
     at level `level` over the sample prefix, with s_val the sample's
@@ -1402,8 +1401,7 @@ def choose_representation(
             pairs.append((IndexedRoot(p, k), IndexedRoot(p, k + 1)))
 
     if (
-        inject_connectedness
-        and not interval.is_section()
+        not interval.is_section()
         and interval.lower is not None
         and interval.upper is not None
     ):

@@ -215,18 +215,19 @@ def test_extended_constraint_needs_a_variable():
 
 
 def test_interior_points_of_a_relaxed_cell_with_empty_fibers():
-    """With relaxed top connectedness the level-3 sector between x3 = 1
-    and x3 = x2^2 is empty wherever |x2| <= 1, and the first draw puts
-    x2 in (-1/2, 1/2).  The picker used to refine the crossed bounds
-    forever, then to refuse the cell on every seed; widened draws of the
-    unbounded levels now find points inside it."""
+    """The level-3 sector between x3 = 1 and x3 = x2^2 is empty wherever
+    |x2| <= 1: a cell whose top level is not kept connected has empty
+    fibers there.  The connectedness resultant of the bounds keeps
+    x2 > 1, where the sector is not empty, so the one draw at every seed
+    lands inside the cell."""
     polys = ["-x3^3-3*x1*x2^2-2", "-2*x3+2", "2*x2^2*x3-2*x3^2"]
     s = Sample([Fraction(1, 2), Fraction(2), Fraction(2)])
-    result = single_cell(
-        polys, tuple(s), config_from_id("ldb-ldb", relax_top_connectedness=True))
+    result = single_cell(polys, tuple(s), config_from_id("ldb-ldb"))
     assert result
-    assert cell_to_text(result.cell).splitlines()[2] == (
-        'level 3 sector (root "x3-1" 1) (root "x2^2-x3" 1)')
+    assert cell_to_text(result.cell).splitlines()[1:] == [
+        'level 2 sector (root "x2^2-1" 2) +inf',
+        'level 3 sector (root "x3-1" 1) (root "x2^2-x3" 1)',
+    ]
     ps = [parse_poly(p) for p in polys]
 
     def picks():
@@ -238,8 +239,8 @@ def test_interior_points_of_a_relaxed_cell_with_empty_fibers():
 
 
 def test_interior_point_of_an_empty_sector_is_refused():
-    """A sector between x2 = 1 and x2 = 0 is empty over every x1: each
-    widened draw fails, and the last failure is raised."""
+    """A sector between x2 = 1 and x2 = 0 is empty over every x1: the
+    one draw fails, and its failure is raised."""
     cell = CellDescription([
         SymbolicInterval(1),
         SymbolicInterval(2, IndexedRoot(parse_poly("x2-1"), 1),

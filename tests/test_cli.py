@@ -211,6 +211,17 @@ def test_heuristic_flag_accepted(running_file, capsys):
     capsys.readouterr()
 
 
+def test_removed_connectedness_flag_is_an_input_error(conflict_file, capsys):
+    """Every cell is connected at every level; no subcommand takes the
+    flag that used to relax the top one."""
+    flag = "--relax-top-connectedness"
+    for args in (["cell", "--sample", "0,2"], ["explain", "--sample", "0"], ["solve"]):
+        with pytest.raises(SystemExit) as exc:
+            main([args[0], conflict_file, *args[1:], flag])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+
 def test_stdin_input(monkeypatch, capsys):
     import io
 

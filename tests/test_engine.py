@@ -152,32 +152,21 @@ def _random_instances(rng, count):
         yield polys, random_sample(rng, nv)
 
 
-@pytest.mark.parametrize("options, count", [
-    ({}, 100),
-    ({"relax_top_connectedness": True}, 200),
-], ids=["default", "relax-top"])
-def test_sign_invariance_random(rng, options, count):
-    """Sign-invariance at interior points, heuristics round-robin, also
-    under the option the heuristic ids leave off.  Every trace must
-    validate.  A relaxed cell may have an empty fiber over a picked
-    prefix; the picker refuses it with ValueError and the point is
-    skipped.  Relaxing changes few cells; the first 200 instances include
-    one whose fibers are empty over some prefixes."""
+def test_sign_invariance_random(rng):
+    """Sign-invariance at interior points, heuristics round-robin.  Every
+    trace must validate, and every level of a cell is connected, so the
+    picker never refuses a draw."""
     successes = 0
-    for k, (polys, coords) in enumerate(_random_instances(rng, count)):
+    for k, (polys, coords) in enumerate(_random_instances(rng, 200)):
         hid = sorted(HEURISTIC_IDS)[k % len(HEURISTIC_IDS)]
-        result = single_cell(polys, coords, config_from_id(hid, **options))
+        result = single_cell(polys, coords, config_from_id(hid))
         if isinstance(result, Fail):
             continue
         successes += 1
         assert validate_trace(result.trace, set(result.trace.axioms))
         reference = sign_vector(polys, Sample(coords))
         for seed in range(10):
-            try:
-                pt = within_seconds(5, lambda: cell_pick_interior_point(result.cell, seed))
-            except ValueError:
-                assert "relax_top_connectedness" in options
-                continue
+            pt = within_seconds(5, lambda: cell_pick_interior_point(result.cell, seed))
             assert sign_vector(polys, pt) == reference, f"sign change inside cell at {pt!r}"
     assert successes > 10
 

@@ -118,20 +118,6 @@ def test_zero_constraint_polynomial_is_not_factored():
     assert clause_to_text(result.cell) == "(not true)"
 
 
-@pytest.mark.parametrize("hid", sorted(HEURISTIC_IDS))
-def test_relaxed_top_connectedness_leaves_explanations_alone(hid):
-    """Level n of a conflict over x1..xn is not the top of the
-    construction, as the level-(n+1) factors need connectedness there
-    for their delineability: relaxing changes nothing."""
-    C = [Constraint(parse_poly("x3^2+2*x2"), "<"), Constraint(parse_poly("-x3^2+2"), "<")]
-    s = [Fraction(3, 2), Fraction(-1, 4)]
-    default = explain_conflict(C, s, config_from_id(hid))
-    relaxed = explain_conflict(C, s, config_from_id(hid, relax_top_connectedness=True))
-    assert default and relaxed
-    assert relaxed.cell == default.cell
-    assert relaxed.clause == default.clause
-
-
 def test_generalize_over_the_empty_prefix_never_fails(rng):
     """Every level-1 factor is delineable over the empty prefix, so the
     explanation of any level-1 constraint set is the empty cell and the

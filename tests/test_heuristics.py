@@ -138,10 +138,6 @@ def test_connectedness_pair_injected_unless_relaxed():
     rep = choose_representation([cubic, line], prefix, s_val, cfg, 2)
     assert rep.interval.lower.poly != rep.interval.upper.poly
     assert (rep.interval.lower, rep.interval.upper) in rep.ordering.pairs
-    relaxed = choose_representation(
-        [cubic, line], prefix, s_val, cfg, 2, inject_connectedness=False
-    )
-    assert (relaxed.interval.lower, relaxed.interval.upper) not in relaxed.ordering.pairs
 
 
 def test_ldb_representation_valid_on_spread_roots():
@@ -173,25 +169,20 @@ def test_orderings_match_sample(rng):
 
 
 def _same_as_pairwise(polys, prefix, s_val):
-    """Every heuristic, with and without the connectedness pair, chooses
-    the representation the pairwise reference chooses; and the barrier
-    of every root agrees, with the interval's own bounds as the
-    reference's bound roots."""
+    """Every heuristic chooses the representation the pairwise reference
+    chooses; and the barrier of every root agrees, with the interval's
+    own bounds as the reference's bound roots."""
     for hid in sorted(HEURISTIC_IDS):
         cfg = config_from_id(hid)
-        for inject in (True, False):
-            got, want = (
-                choose(polys, prefix, s_val, cfg, 2, inject_connectedness=inject)
-                for choose in (
-                    choose_representation,
-                    oracles.choose_representation,
-                )
-            )
-            assert (got.interval, got.eq_set, got.ordering.pairs) == (
-                want.interval,
-                want.eq_set,
-                want.ordering.pairs,
-            ), (hid, inject, polys, prefix, s_val)
+        got, want = (
+            choose(polys, prefix, s_val, cfg, 2)
+            for choose in (choose_representation, oracles.choose_representation)
+        )
+        assert (got.interval, got.eq_set, got.ordering.pairs) == (
+            want.interval,
+            want.eq_set,
+            want.ordering.pairs,
+        ), (hid, polys, prefix, s_val)
     xi = roots_with_values(polys, prefix)
     ctx, ref = heuristics._Ctx(xi, s_val, 2), oracles._Ctx(xi, s_val, 2)
     roots = [r for r, _ in xi]
