@@ -152,12 +152,14 @@ def _random_instances(rng, count):
         yield polys, random_sample(rng, nv)
 
 
-def test_sign_invariance_random(rng):
-    """Sign-invariance at interior points, heuristics round-robin.  Every
-    trace must validate, and every level of a cell is connected, so the
-    picker never refuses a draw."""
+@pytest.mark.parametrize("count", [200], ids=["default"])
+def test_sign_invariance_random(rng, count):
+    """Sign-invariance at interior points, heuristics round-robin, under
+    the default configuration of each heuristic id.  Every trace must
+    validate, and every level of a cell is connected, so the picker never
+    refuses a draw."""
     successes = 0
-    for k, (polys, coords) in enumerate(_random_instances(rng, 200)):
+    for k, (polys, coords) in enumerate(_random_instances(rng, count)):
         hid = sorted(HEURISTIC_IDS)[k % len(HEURISTIC_IDS)]
         result = single_cell(polys, coords, config_from_id(hid))
         if isinstance(result, Fail):
