@@ -66,12 +66,13 @@ def _write_trace(path: Optional[str], trace) -> None:
 
 
 def _print_cell(result, trace_path: Optional[str], render) -> int:
-    """Print `render(cell)` and write the trace, or print the failure."""
+    """Write the trace and print `render(cell)`, or print the failure; a
+    trace that cannot be written fails before anything is printed."""
     if isinstance(result, Fail):
         print(f"FAIL: {result.reason}")
         return 1
-    print(render(result.cell), end="")
     _write_trace(trace_path, result.trace)
+    print(render(result.cell), end="")
     return 0
 
 

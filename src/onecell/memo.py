@@ -17,9 +17,10 @@ themselves:
   (`realalg._canonical_intervals`): the square-free parts that root
   isolation bisects, and the irreducible factors whose boxes give
   canonical indices and start canonical copies
-- `ROOTS`: `realalg.cached_roots`, keyed on p and the sample's exact
-  coordinates; the zero test of `realalg.sign_at` at several irrational
-  coordinates reads it too
+- `ROOTS`: `realalg.cached_roots`, keyed on the normal form of p
+  (`polynomial.normalize`), which p and its nonzero constant multiples
+  share, and the sample's exact coordinates; the zero test of
+  `realalg.sign_at` at several irrational coordinates reads it too
 - `POLYS`: the one live `MPoly` for each term map, keyed on
   ``frozenset(terms.items())`` of its canonical terms
   (`MPoly._canonical`, which every constructor goes through), so that

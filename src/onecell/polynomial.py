@@ -230,21 +230,34 @@ class MPoly:
         """`eval_rational` on integers: p(point) as total / scale, scale > 0."""
         if self._level > len(point):
             raise ValueError("point has too few coordinates")
+        (total,), scale = self._fiber(point, self._level + 1)
+        return total, scale
+
+    def _fiber(self, point: Sequence[Fraction], v: Var) -> tuple[list[int], int]:
+        """The coefficients of p in x_v, from degree 0 up, with every other
+        variable x_j of p at point[j - 1], on integers: (c, scale),
+        scale > 0, the coefficient of x_v^k being c[k] / scale; for v
+        above p's level, the one entry p(point).  One pass over the
+        terms: each coefficient goes over the lcm of the denominators,
+        each x_j^k, with x_j = a/b of degree d_j in p, is a^k b^(d_j - k)
+        from one table per variable, and the product goes into the slot
+        of the term's degree in x_v.  TypeError unless each coordinate
+        read is an int or a Fraction."""
         den = math.lcm(*(c.denominator for c in self._terms.values()))
         scale, pows = den, []
         for i, d in enumerate(self._degree_tuple()):
-            if d:
+            if d and i != v - 1:
                 x = _rational(point[i])
                 a, b = x.numerator, x.denominator
                 pows.append((i, [a**k * b ** (d - k) for k in range(d + 1)]))
                 scale *= b**d
-        total = 0
+        out = [0] * (self.degree(v) + 1)
         for e, c in self._terms.items():
             t = c.numerator * (den // c.denominator)
             for i, pw in pows:
                 t *= pw[e[i] if i < len(e) else 0]
-            total += t
-        return total, scale
+            out[e[v - 1] if len(e) >= v else 0] += t
+        return out, scale
 
     def subst_rational(self, vals: dict[Var, Fraction]) -> "MPoly":
         """Substitute rational values for some variables; TypeError

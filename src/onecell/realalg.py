@@ -49,21 +49,21 @@ integers, are computed once and kept in `memo.CANONICAL` (a bounded
 table; a dropped entry is bisected again to the same boxes): an
 isolated root starts out with its part's box, and the boxes of an
 irreducible factor fix which root `canonical_index` names and start
-every canonical copy.  Over a prefix whose coordinates of p's variables are rational, the empty
-one too, the tuple is that of p's coefficients evaluated on integers:
-no polynomial is built.  When p involves an irrational coordinate,
-root finding eliminates each algebraic coordinate through resultants
-with its defining polynomial, producing a rational candidate
-polynomial whose roots include the roots sought.  When a resultant vanishes, the
-defining polynomial, being irreducible, divides the eliminand and is
-divided out first (`_candidate_poly`).  Root finding counts, then
-refines: the signs at the sample of the principal subresultant
-coefficients of p and its derivative
-(`polynomial.subresultant_coefficients`, computed on each count, not
-kept) give the number of distinct real roots (`_root_count`), and
-interval evaluation drops candidates until that many are left, with no
-zero test per candidate.
-`cached_roots` keeps these roots in `memo.ROOTS`.
+every canonical copy.  Over a prefix whose coordinates of p's
+variables are rational, the empty one too, the tuple comes from one
+pass over p's terms on integers (`MPoly._fiber`): no polynomial is built.
+When p involves an irrational coordinate, root finding eliminates each
+algebraic coordinate through resultants with its defining polynomial,
+producing a rational candidate polynomial whose roots include the roots
+sought.  When a resultant vanishes, the defining polynomial, being
+irreducible, divides the eliminand and is divided out first
+(`_candidate_poly`).  Root finding counts, then refines: the signs at
+the sample of the principal subresultant coefficients of p and its
+derivative (`polynomial.subresultant_coefficients`, computed on each
+count, not kept) give the number of distinct real roots
+(`_root_count`), and interval evaluation drops candidates until that
+many are left, with no zero test per candidate.  `cached_roots` keeps
+these roots in `memo.ROOTS`, once for p and its constant multiples.
 
 The sign test, `sign_at`, evaluates p over the coordinate enclosures
 and refines them until the interval value excludes 0.  Its bounds,
@@ -94,6 +94,7 @@ from .polynomial import (
     discriminant,
     exact_div,
     factor_dense,
+    normalize,
     poly_to_str,
     resultant,
     subresultant_coefficients,
@@ -101,6 +102,7 @@ from .polynomial import (
     _prem,
     _primitive,
     _rational,
+    _trim,
     _upoly,
 )
 
@@ -696,11 +698,14 @@ def _is_zero(p: MPoly, s: Sample) -> bool:
 
 
 def cached_roots(p: MPoly, s: Sample):
-    """roots_in_extension(p, s), kept in `memo.ROOTS`: later calls share
-    the values and the refinement of their enclosures, so `separate` and
-    `line_samples`, where an output depends on an enclosure, read
-    canonical copies."""
-    return memo.ROOTS.fetch((p, tuple(c.key() for c in s)), roots_in_extension, p, s)
+    """roots_in_extension(p, s), kept in `memo.ROOTS` under p's normal
+    form: for a nonzero rational c, c * p has p's roots over s and is
+    nullified when p is, so p and its constant multiples share one entry,
+    the roots of `normalize(p)`.  Later calls share the values and the
+    refinement of their enclosures, so `separate` and `line_samples`,
+    where an output depends on an enclosure, read canonical copies."""
+    q = normalize(p)
+    return memo.ROOTS.fetch((q, tuple(c.key() for c in s)), roots_in_extension, q, s)
 
 
 def roots_in_extension(p: MPoly, s: Sample):
@@ -708,12 +713,12 @@ def roots_in_extension(p: MPoly, s: Sample):
     has length i - 1; NULLIFIED when the specialization is identically
     zero.
 
-    When the coordinates of p's variables below x_i are rational, each
-    coefficient of p in x_i is evaluated once, on integers, and the
-    irrational coordinates of the others are never read; the values up
-    to the last nonzero one, over one denominator, are the coefficients
-    of p(s, x_i).  Otherwise p is first truncated to e, its degree at
-    s, read off the signs of its coefficients in x_i from the top down.
+    When the coordinates of p's variables below x_i are rational, the
+    coefficients of p(s, x_i) come from one pass over p's terms on
+    integers (`MPoly._fiber`), and the irrational coordinates of the other
+    variables are never read.  Otherwise p is first truncated to e, its
+    degree at s, read off the signs of its coefficients in x_i from the
+    top down.
     The roots are counted (`_root_count`), and the candidates
     (`_candidate_poly`) at which the interval value of p over the
     enclosures excludes 0 are dropped, refining p's irrational
@@ -723,16 +728,11 @@ def roots_in_extension(p: MPoly, s: Sample):
     i = p.level
     if i != len(s) + 1:
         raise ValueError("level(p) must be len(s) + 1")
-    _, _, coeffs = coeff_info(p, i)
     point = [c._rat for c in s]  # None at an irrational coordinate
     if all(point[v - 1] is not None for v in p.variables() if v < i):
-        values = [q._eval_scaled(point) for q in coeffs]
-        while values and not values[-1][0]:
-            values.pop()
-        if not values:
-            return NULLIFIED
-        den = math.lcm(*(d for _, d in values))
-        return _real_roots(_primitive([t * (den // d) for t, d in values]))
+        c = _trim(p._fiber(point, i)[0])
+        return _real_roots(_primitive(c)) if c else NULLIFIED
+    _, _, coeffs = coeff_info(p, i)
     e = next((k for k in range(len(coeffs) - 1, -1, -1) if sign_at(coeffs[k], s)), None)
     if e is None:
         return NULLIFIED

@@ -106,6 +106,22 @@ CATALOGUE = [
         120,
     ),
     Mutant(
+        "a fiber that adds up the terms' numerators over different denominators",
+        POLYNOMIAL,
+        "            t = c.numerator * (den // c.denominator)\n",
+        "            t = c.numerator\n",
+        ("tests/test_rational_roots.py::test_roots_over_rational_prefixes_match_substitution",),
+        60,
+    ),
+    Mutant(
+        "a fiber whose zero top coefficients are kept",
+        REALALG,
+        "        c = _trim(p._fiber(point, i)[0])\n",
+        "        c = p._fiber(point, i)[0]\n",
+        ("tests/test_rational_roots.py::test_roots_over_rational_prefixes_match_substitution",),
+        60,
+    ),
+    Mutant(
         "epsilon dropped in _root_count",
         REALALG,
         "    signs = [_eps(m) * sign_at(psc[e - m], s) for m in range(1, e + 1)]\n",

@@ -26,11 +26,11 @@ refinement loop of its own on copies of the coordinates (the library
 refines only in `sign_at`'s loop), roots over a sample by one zero test
 per candidate root (the library counts the roots first), roots over a
 prefix with irrational coordinates that p does not use by that count
-(the library evaluates p's coefficients on integers), roots over a
+(the library builds the fiber's integer tuple from p's terms), roots over a
 rational prefix by substitution into a new `MPoly` and its
 factorization through the term-map `factor` with its own quadratic
-closed form (the library evaluates the coefficients on integers and
-factors the coefficient tuple with one univariate kernel), conflict
+closed form (the library builds the fiber's integer tuple in one pass
+over p's terms and factors it with one univariate kernel), conflict
 checks by the midpoint sweep (the library samples every gap at its
 simplest rational), a level's sweep point by point, each constraint
 and cell atom evaluated at each point (the library decides each region

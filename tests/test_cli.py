@@ -83,6 +83,20 @@ def test_cell_writes_trace(running_file, tmp_path, capsys):
     assert "DERIVE" in text and "VIA" in text
 
 
+@pytest.mark.parametrize("command, sample", [("cell", "1/8,-3/4"), ("explain", "0")])
+def test_unwritable_trace_prints_nothing(running_file, conflict_file, tmp_path, capsys,
+                                         command, sample):
+    """A trace path in a missing directory is an input error, exit 2,
+    reported before the cell is printed: stdout stays empty."""
+    problem = running_file if command == "cell" else conflict_file
+    trace = tmp_path / "missing" / "trace.txt"
+    code = main([command, problem, "--sample", sample, "--trace", str(trace)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_cell_stats_flag(running_file, capsys):
     main(["cell", running_file, "--sample", "1/8,-3/4", "--stats"])
     out = capsys.readouterr().out

@@ -1,8 +1,9 @@
 """The memo tables of `onecell.memo`: repeated `factor`, `resultant` and
 `discriminant` calls against the uncached kernels and the oracles, the
 entries a ``finest`` factorization records for its outputs, results
-that callers cannot change, the least-recently-used bound, and one
-object per polynomial value (`memo.POLYS`) with its kept normal form."""
+that callers cannot change, the least-recently-used bound, one object
+per polynomial value (`memo.POLYS`) with its kept normal form, and one
+`memo.ROOTS` entry for a polynomial and its constant multiples."""
 
 import copy
 import pickle
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onecell import memo, polynomial
+from onecell import memo, polynomial, realalg
 from onecell.polynomial import (
     MPoly,
     _factor,
@@ -27,9 +28,13 @@ from onecell.polynomial import (
     resultant,
 )
 from onecell.properties import is_whole
+from onecell.realalg import NULLIFIED, Sample, cached_roots
 
 from oracles import (
     derivative,
+    realalg_from_text,
+    roots_by_count,
+    roots_by_substitution,
     subresultant_resultant,
     sylvester_resultant,
     sympy_poly_factor,
@@ -228,3 +233,32 @@ def test_table_keeps_no_result_of_a_raising_computation():
     assert len(t) == 0
     assert t.fetch("k", lambda: None) is None and len(t) == 1
     assert t.fetch("k", fail) is None
+
+
+@pytest.mark.parametrize("text, coords, oracle", [
+    # a rational prefix: two irrational roots and a rational one
+    ("(x2-x1)*(x2^2-x1)", ["1/2"], roots_by_substitution),
+    # over sqrt(2): the reference is the counting route
+    ("x2^2-x1*x2-1", ["(root x1^2-2 2)"], roots_by_count),
+    # nullified at the prefix
+    ("x1*x2^2-x1", ["0"], roots_by_substitution),
+], ids=["rational", "sqrt2", "nullified"])
+def test_constant_multiples_share_one_roots_entry(monkeypatch, text, coords, oracle):
+    """p, -3*p and p/2 have the same roots over any prefix and are
+    nullified together: one `roots_in_extension` call answers all three,
+    with one shared list (or NULLIFIED) equal to the reference's."""
+    p = parse_poly(text)
+    memo.clear()
+    s = Sample([realalg_from_text(c) for c in coords])
+    calls = []
+    find = realalg.roots_in_extension
+    monkeypatch.setattr(realalg, "roots_in_extension",
+                        lambda q, t: calls.append(q) or find(q, t))
+    got = [cached_roots(q, s) for q in (p, p.scale(-3), p.scale(Fraction(1, 2)))]
+    assert len(calls) == 1
+    assert got[0] is got[1] is got[2]
+    want = oracle(p, s)
+    if want is NULLIFIED:
+        assert got[0] is NULLIFIED
+    else:
+        assert want and [r.key() for r in got[0]] == [r.key() for r in want]

@@ -1,8 +1,9 @@
 """Roots over a rational prefix from the integer coefficient tuple, and
 the univariate factor kernel behind them.
 
-`roots_in_extension` over a rational prefix evaluates p's coefficients
-on integers and takes the roots of the coefficient tuple through
+`roots_in_extension` over a rational prefix builds the integer
+coefficient tuple of p(s, x_i) in one pass over p's terms
+(`MPoly._fiber`) and takes its roots through
 `polynomial.factor_dense`.  The reference is the route it replaced
 (`oracles.roots_by_substitution`): substitute into a new `MPoly`, factor
 it through the term-map `factor`, and isolate.  Both must give the same
