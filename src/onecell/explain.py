@@ -161,11 +161,12 @@ def sweep(C: list, cells: list, s: Sample):
     return chosen, [points[j] for j in covered], conflict
 
 
-def check_conflict(C: Iterable, s: Sample) -> bool:
+def check_conflict(C: Iterable, s) -> bool:
     """True iff no value of the next variable satisfies all constraints
-    under s: every region of its line violates some constraint
-    (`sweep`, with no learned cells)."""
+    under s, a sample or its coordinates: every region of its line
+    violates some constraint (`sweep`, with no learned cells)."""
     C = list(C)
+    s = Sample(s)
     n = len(s)
     for c in C:
         if _constraint_level(c) > n + 1:

@@ -19,8 +19,11 @@ themselves:
   canonical indices and start canonical copies
 - `ROOTS`: `realalg.cached_roots`, keyed on the normal form of p
   (`polynomial.normalize`), which p and its nonzero constant multiples
-  share, and the sample's exact coordinates; the zero test of
-  `realalg.sign_at` at several irrational coordinates reads it too
+  share, and the sample's exact coordinates as `RealAlg.key` gives
+  them, integers only: ("rat", n, d) for a rational n/d and ("alg",
+  definition, canonical index) otherwise, so a lookup hashes no
+  Fraction; the zero test of `realalg.sign_at` at several irrational
+  coordinates reads it too
 - `POLYS`: the one live `MPoly` for each term map, keyed on
   ``frozenset(terms.items())`` of its canonical terms
   (`MPoly._canonical`, which every constructor goes through), so that

@@ -227,28 +227,31 @@ class MPoly:
         return Fraction(*self._eval_scaled(point))
 
     def _eval_scaled(self, point: Sequence[Fraction]) -> tuple[int, int]:
-        """`eval_rational` on integers: p(point) as total / scale, scale > 0."""
+        """`eval_rational` on integers: p(point) as total / scale, scale >
+        0.  Each coordinate of p's variables is turned once into the
+        integer pair `_fiber` reads, with `_rational`'s TypeError."""
         if self._level > len(point):
             raise ValueError("point has too few coordinates")
-        (total,), scale = self._fiber(point, self._level + 1)
+        pairs = [_rational(x).as_integer_ratio() if d else None
+                 for x, d in zip(point, self._degree_tuple())]
+        (total,), scale = self._fiber(pairs, self._level + 1)
         return total, scale
 
-    def _fiber(self, point: Sequence[Fraction], v: Var) -> tuple[list[int], int]:
+    def _fiber(self, point: Sequence[tuple[int, int] | None], v: Var) -> tuple[list[int], int]:
         """The coefficients of p in x_v, from degree 0 up, with every other
-        variable x_j of p at point[j - 1], on integers: (c, scale),
-        scale > 0, the coefficient of x_v^k being c[k] / scale; for v
-        above p's level, the one entry p(point).  One pass over the
-        terms: each coefficient goes over the lcm of the denominators,
-        each x_j^k, with x_j = a/b of degree d_j in p, is a^k b^(d_j - k)
-        from one table per variable, and the product goes into the slot
-        of the term's degree in x_v.  TypeError unless each coordinate
-        read is an int or a Fraction."""
+        variable x_j of p at a/b for point[j - 1] = (a, b), b > 0, on
+        integers: (c, scale), scale > 0, the coefficient of x_v^k being
+        c[k] / scale; for v above p's level, the one entry p(point).  A
+        coordinate that is not read, of x_v or of a variable p does not
+        have, may be None.  One pass over the terms: each coefficient
+        goes over the lcm of the denominators, each x_j^k, with x_j of
+        degree d_j in p, is a^k b^(d_j - k) from one table per variable,
+        and the product goes into the slot of the term's degree in x_v."""
         den = math.lcm(*(c.denominator for c in self._terms.values()))
         scale, pows = den, []
         for i, d in enumerate(self._degree_tuple()):
             if d and i != v - 1:
-                x = _rational(point[i])
-                a, b = x.numerator, x.denominator
+                a, b = point[i]
                 pows.append((i, [a**k * b ** (d - k) for k in range(d + 1)]))
                 scale *= b**d
         out = [0] * (self.degree(v) + 1)

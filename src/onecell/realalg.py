@@ -18,8 +18,11 @@ A value is built by `RealAlg.rational` or by root isolation
 irrational one.  Enclosures are integer boxes (a, b, d), lo = a/d and
 hi = b/d over one positive d, halved at (a + b) / 2d, from the bisection
 on, and every helper below works on them; `enclosure` and `separate`
-are the Fraction views.  Only `separate` and `line_samples` take
-canonical copies, and read their answers off them.
+are the Fraction views.  A rational is the box (n, n, d) in lowest
+terms, and the sweep's points, roots, keys and signs at rational
+samples are all computed on such integers, with no Fraction built.
+Only `separate` and `line_samples` take canonical copies, and read
+their answers off them.
 
 This module is the one home of the exact-real helpers the rest of the
 package builds on: `RealAlg.compare` (and `<`, so lists of values sort
@@ -163,11 +166,16 @@ class RealAlg:
     """A real algebraic number: a rational, or an isolated root of a
     square-free integer tuple `_sqf` of degree >= 2, the `_pos`-th of
     its real roots, enclosed in `_box = (a, b, d)`: lo = a/d and hi =
-    b/d, d > 0, neither a root of `_sqf`.  Its identity, the
-    irreducible factor `_def` of `_sqf` with a root in the box, is
-    found on first demand (`_resolve`); from then on `_sqf` is `_def`
-    and `_pos` the canonical index, or the value is that rational.
-    Values come from `RealAlg.rational` and from root isolation only."""
+    b/d, d > 0, neither a root of `_sqf`.  A value is rational exactly
+    when `_sqf` is None, and a rational n/d is its box (n, n, d), in
+    lowest terms with d > 0: it is compared, keyed, hashed and evaluated
+    and rendered on those integers, and its Fraction, `_rat`, is built
+    only when `rational_value` asks for it.  The identity of an
+    irrational value, the irreducible factor `_def` of `_sqf` with a
+    root in the box, is found on first demand (`_resolve`); from then
+    on `_sqf` is `_def` and `_pos` the canonical index, or the value is
+    that rational.  Values come from `RealAlg.rational` and from root
+    isolation only."""
 
     __slots__ = ("_rat", "_sqf", "_pos", "_box", "_slo", "_def", "_text", "_hash")
 
@@ -177,14 +185,22 @@ class RealAlg:
     @classmethod
     def rational(cls, r) -> "RealAlg":
         """The rational r; TypeError unless r is an int or a Fraction."""
-        self = object.__new__(cls)
-        self._set_rational(_rational(r))
-        self._def = self._text = self._hash = None
+        r = _rational(r)
+        self = cls._ratio(r.numerator, r.denominator)
+        self._rat = r
         return self
 
-    def _set_rational(self, r: Fraction) -> None:
-        self._rat, self._sqf, self._pos, self._slo = r, None, None, 0
-        self._box = (r.numerator, r.numerator, r.denominator)
+    @classmethod
+    def _ratio(cls, n: int, d: int) -> "RealAlg":
+        """The rational n/d of the coprime n and d > 0; builds no Fraction."""
+        self = object.__new__(cls)
+        self._rat = self._def = self._text = self._hash = None
+        self._set_ratio(n, d)
+        return self
+
+    def _set_ratio(self, n: int, d: int) -> None:
+        """Make the value the rational n/d of the coprime n and d > 0."""
+        self._sqf, self._pos, self._slo, self._box = None, None, 0, (n, n, d)
 
     @classmethod
     def _root(cls, c: tuple[int, ...], box: tuple[int, int, int], pos: int, defn) -> "RealAlg":
@@ -200,14 +216,15 @@ class RealAlg:
     def _resolve(self) -> None:
         """Find the identity of a value that has none yet: the factor f
         of `_sqf` (`factor_dense`) that changes sign on the box, the one
-        with a root there.  A linear f makes the value that rational.
+        with a root there.  A linear f, primitive with a positive
+        leading coefficient, makes the value the rational -f0/f1.
         Otherwise its canonical index is that of the canonical interval
         of f over whose overlap with the box f changes sign, and the
         value is refined by f from then on."""
         c, (a, b, d) = self._sqf, self._box
         f = next(f for f, _ in factor_dense(c) if _usign(f, a, d) != _usign(f, b, d))
         if len(f) == 2:
-            self._set_rational(Fraction(-f[0], f[1]))
+            self._set_ratio(-f[0], f[1])
             return
         if f != c:
             k = next(k for k, box in enumerate(_canonical_intervals(f), 1)
@@ -219,13 +236,18 @@ class RealAlg:
 
     def is_rational(self) -> bool:
         """Whether the value is rational; finds its identity first."""
-        if self._rat is None and self._def is None:
+        if self._sqf is not None and self._def is None:
             self._resolve()
-        return self._rat is not None
+        return self._sqf is None
 
     def rational_value(self) -> Fraction:
+        """The value as a Fraction, built from its box on the first call
+        and kept; ValueError unless the value is rational."""
         if not self.is_rational():
             raise ValueError("not rational")
+        if self._rat is None:
+            n, _, d = self._box
+            self._rat = Fraction(n, d)
         return self._rat
 
     def enclosure(self) -> tuple[Fraction, Fraction]:
@@ -234,8 +256,9 @@ class RealAlg:
 
     def refine(self) -> None:
         """Halve the box, keeping the half where `_sqf` changes sign; a
-        midpoint root is the value, which becomes that rational."""
-        if self._rat is not None:
+        midpoint root is the value, which becomes that rational, reduced
+        by one gcd."""
+        if self._sqf is None:
             return
         a, b, d = self._box
         m = a + b
@@ -245,7 +268,8 @@ class RealAlg:
         elif s:
             self._box = (a << 1, m, d << 1)
         else:
-            self._set_rational(Fraction(m, d << 1))
+            g = math.gcd(m, d << 1)
+            self._set_ratio(m // g, (d << 1) // g)
 
     def canonical_copy(self) -> "RealAlg":
         """The same value with an enclosure of its own that starts at its
@@ -259,9 +283,12 @@ class RealAlg:
         return out
 
     def key(self):
-        """Canonical identity: hashable, stable under refinement."""
+        """Canonical identity: hashable, stable under refinement, and of
+        integers and tuples only: ("rat", n, d) for the rational n/d in
+        lowest terms, d > 0, else ("alg", definition, canonical index)."""
         if self.is_rational():
-            return ("rat", self._rat)
+            n, _, d = self._box
+            return ("rat", n, d)
         return ("alg", self._def, self._pos)
 
     def canonical_index(self) -> int | None:
@@ -272,11 +299,13 @@ class RealAlg:
 
     def compare(self, other: "RealAlg") -> int:
         """-1, 0, or 1 as self <, =, > other; exact.  Roots of one tuple
-        compare by position; otherwise the boxes are refined until they
-        separate, once `_meets` has shown the values distinct."""
-        if self._rat is not None and other._rat is not None:
-            a, b = self._rat, other._rat
-            return 0 if a == b else (-1 if a < b else 1)
+        compare by position, two rationals a/d and e/g by a*g against
+        e*d; otherwise the boxes are refined until they separate, once
+        `_meets` has shown the values distinct."""
+        if self._sqf is None and other._sqf is None:
+            (a, _, d), (e, _, g) = self._box, other._box
+            x, y = a * g, e * d
+            return 0 if x == y else (-1 if x < y else 1)
         if self._sqf is not None and self._sqf == other._sqf:
             i, j = self._pos, other._pos
             return 0 if i == j else (-1 if i < j else 1)
@@ -297,17 +326,17 @@ class RealAlg:
     def _meets(self, other: "RealAlg") -> bool:
         """Whether self = other, for overlapping boxes, not both rational
         and not on one tuple.  A rational r in the box of x is x exactly
-        when `_sqf` of x vanishes at r, and x then becomes r.  Distinct
+        when `_sqf` of x vanishes at r, and x then takes r's box.  Distinct
         definitions share no root.  Otherwise the values are equal
         exactly when g, the gcd of their tuples, has a root in the
         overlap of the boxes, each of which holds one root of its tuple:
         no endpoint is a root of g, so then g changes sign there."""
-        x, y = (self, other) if other._rat is not None else (other, self)
-        if y._rat is not None:
-            r = y._rat
-            if x._def is not None or _usign(x._sqf, r.numerator, r.denominator):
+        x, y = (self, other) if other._sqf is None else (other, self)
+        if y._sqf is None:
+            n, _, d = y._box
+            if x._def is not None or _usign(x._sqf, n, d):
                 return False
-            x._set_rational(r)
+            x._set_ratio(n, d)
             return True
         if x._def is not None and y._def is not None:
             return False
@@ -332,8 +361,8 @@ class RealAlg:
 
     def __repr__(self) -> str:
         """The text and the enclosure as it stands: refines nothing."""
-        if self._rat is not None:
-            return f"RealAlg({self._rat})"
+        if self._sqf is None:
+            return f"RealAlg({self.rational_value()})"
         lo, hi = self.enclosure()
         return f"RealAlg({realalg_to_text(self)} in ({lo}, {hi}))"
 
@@ -432,7 +461,7 @@ def line_samples(values: Iterable[RealAlg]) -> tuple[list[RealAlg], list[int], l
     cuts = [first[k] for k in range(len(first))]
     ends = [None, *cuts, None] if cuts else []
     gaps = [_simplest(*_gap(lo, hi)) for lo, hi in zip(ends, ends[1:])]
-    zero, m = RealAlg.rational(0), len(cuts)
+    zero, m = RealAlg._ratio(0, 1), len(cuts)
     # the points of k sectors are below 0 (the gaps' numerators rise):
     # 0 is in sector 0 when k = 0 and in sector m when k = m + 1, else
     # it is the point of sector k or lies between the points of sectors
@@ -441,7 +470,7 @@ def line_samples(values: Iterable[RealAlg]) -> tuple[list[RealAlg], list[int], l
     at = [2 * k - 1 + zero.compare(cuts[k - 1]) if 0 < k <= m and gaps[k][0] else 2 * min(k, m)]
     if cuts:
         at += [*range(0, 2 * m + 1, 2), *range(1, 2 * m, 2)]
-    points = [zero, *(RealAlg.rational(Fraction(*g)) for g in gaps), *cuts]
+    points = [zero, *(RealAlg._ratio(*g) for g in gaps), *cuts]
     return points, at, [2 * r + 1 for r in ranks]
 
 
@@ -516,7 +545,7 @@ def _isolate(c: tuple[int, ...], defn=None) -> list[RealAlg]:
     >= 2 with a positive leading coefficient, in increasing order;
     `defn` is c when c is known irreducible."""
     return [
-        RealAlg.rational(Fraction(a, d)) if a == b else RealAlg._root(c, (a, b, d), k, defn)
+        RealAlg._ratio(a, d) if a == b else RealAlg._root(c, (a, b, d), k, defn)
         for k, (a, b, d) in enumerate(_canonical_intervals(c), 1)
     ]
 
@@ -549,7 +578,7 @@ def _real_roots(c: tuple[int, ...]) -> list[RealAlg]:
             continue
         for g, _ in factor_dense(f):
             if len(g) == 2:
-                roots.append(RealAlg.rational(Fraction(-g[0], g[1])))
+                roots.append(RealAlg._ratio(-g[0], g[1]))
             elif g[1] ** 2 >= 4 * g[0] * g[2]:
                 roots.extend(_isolate(g, g))
     roots.sort()
@@ -569,7 +598,7 @@ class Sample(tuple):
         vals = []
         for c in coords:
             if isinstance(c, RealAlg):
-                if c._rat is None and c._def is None:
+                if c._sqf is not None and c._def is None:
                     c._resolve()
                 vals.append(c)
             else:
@@ -649,9 +678,9 @@ def sign_at(p: MPoly, s: Sample) -> int:
         return (v > 0) - (v < 0)
     if p.level > len(s):
         raise ValueError("sample has too few coordinates")
-    moving = [s[v - 1] for v in p.variables() if s[v - 1]._rat is None]
+    moving = [c for c, d in zip(s, p._degree_tuple()) if d and c._sqf is not None]
     if not moving:
-        v, _ = p._eval_scaled([c._rat for c in s])
+        (v,), _ = p._fiber(_pairs(s), p.level + 1)
         return (v > 0) - (v < 0)
     lo, hi, _ = _interval_eval(p, [c._box for c in s])
     if lo <= 0 <= hi and _is_zero(p, s):
@@ -663,9 +692,16 @@ def sign_at(p: MPoly, s: Sample) -> int:
     return 1 if lo > 0 else -1
 
 
+def _pairs(s: Sample) -> list[tuple[int, int] | None]:
+    """The coordinates of s as `MPoly._fiber` reads them: (n, d) for a
+    rational n/d, None at an irrational one."""
+    return [None if c._sqf is not None else c._box[::2] for c in s]
+
+
 def _rational_part(p: MPoly, s: Sample) -> MPoly:
     """p with the rational coordinates of s substituted."""
-    return p.subst_rational({j + 1: c._rat for j, c in enumerate(s) if c._rat is not None})
+    return p.subst_rational({j + 1: c.rational_value() for j, c in enumerate(s)
+                             if c._sqf is None})
 
 
 def _is_zero(p: MPoly, s: Sample) -> bool:
@@ -728,8 +764,8 @@ def roots_in_extension(p: MPoly, s: Sample):
     i = p.level
     if i != len(s) + 1:
         raise ValueError("level(p) must be len(s) + 1")
-    point = [c._rat for c in s]  # None at an irrational coordinate
-    if all(point[v - 1] is not None for v in p.variables() if v < i):
+    point = _pairs(s)
+    if all(x is not None or not d for x, d in zip(point, p._degree_tuple())):
         c = _trim(p._fiber(point, i)[0])
         return _real_roots(_primitive(c)) if c else NULLIFIED
     _, _, coeffs = coeff_info(p, i)
@@ -743,7 +779,7 @@ def roots_in_extension(p: MPoly, s: Sample):
     if not k:
         return []
     roots = isolate_real_roots(_candidate_poly(p, s))
-    moving = [s[v - 1] for v in p.variables() if v < i and s[v - 1]._rat is None]
+    moving = [c for c, d in zip(s, p._degree_tuple()) if d and c._sqf is not None]
     while len(roots) > k:
         boxes = [c._box for c in s]
         roots = [r for r in roots if _straddles(p, boxes + [r._box])]
@@ -808,7 +844,7 @@ def _candidate_poly(p: MPoly, s: Sample) -> MPoly:
     quotient still vanishes at p(s)'s roots."""
     q = _rational_part(p, s)
     for j, c in enumerate(s, 1):
-        if c._rat is not None:
+        if c._sqf is None:
             continue
         d = _upoly(c._def, j)
         while q.degree(j) > 0:
@@ -832,8 +868,11 @@ def realalg_to_text(a: RealAlg) -> str:
 
 
 def _render(a: RealAlg) -> str:
+    """A rational n/d as `str` prints its Fraction, read off the box;
+    otherwise the definition and the canonical index."""
     if a.is_rational():
-        return str(a.rational_value())
+        n, _, d = a._box
+        return str(n) if d == 1 else f"{n}/{d}"
     return f'(root {poly_to_str(_upoly(a._def, 1))} {a._pos})'
 
 

@@ -67,10 +67,27 @@ CATALOGUE = [
         "        elif s:\n"
         "            self._box = (a << 1, m, d << 1)\n"
         "        else:\n"
-        "            self._set_rational(Fraction(m, d << 1))\n",
+        "            g = math.gcd(m, d << 1)\n"
+        "            self._set_ratio(m // g, (d << 1) // g)\n",
         "        else:\n"
         "            self._box = (a << 1, m, d << 1)\n",
         ("tests/test_squarefree_isolation.py::test_a_rational_root_at_a_bisection_midpoint",),
+        60,
+    ),
+    Mutant(
+        "a midpoint rational left unreduced",
+        REALALG,
+        "            self._set_ratio(m // g, (d << 1) // g)\n",
+        "            self._set_ratio(m, d << 1)\n",
+        ("tests/test_integer_eval.py::test_rationals_compare_and_key_as_their_fractions",),
+        60,
+    ),
+    Mutant(
+        "a rational comparison that multiplies both sides by one denominator",
+        REALALG,
+        "            x, y = a * g, e * d\n",
+        "            x, y = a * g, e * g\n",
+        ("tests/test_integer_eval.py::test_rationals_compare_and_key_as_their_fractions",),
         60,
     ),
     Mutant(

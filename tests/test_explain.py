@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from onecell import solver
+from onecell import memo, solver
 from onecell.cells import (
     IndexedRoot,
     cached_roots,
@@ -66,6 +66,42 @@ def test_check_conflict_equalities():
 def test_check_conflict_rejects_deep_constraints():
     with pytest.raises(ValueError):
         check_conflict([Constraint(parse_poly("x3-1"), "<")], Sample([Fraction(0)]))
+
+
+def test_check_conflict_takes_the_coordinates_of_a_sample():
+    """Like `explain_conflict`, `check_conflict` turns its assignment
+    into a `Sample`, which refuses a float."""
+    assert check_conflict([DISK, ABOVE_ONE], [Fraction(1, 2)])
+    assert not check_conflict([DISK, Constraint(parse_poly("x2"), ">")], [0])
+    with pytest.raises(TypeError):
+        check_conflict([DISK, ABOVE_ONE], [0.5])
+
+
+def test_the_sweep_over_a_rational_prefix_builds_no_fraction(monkeypatch):
+    """Over the rational x1 = 1/2, where the constraints' roots in x2 are
+    rational (-1, 1, 1/2) and irrational ((-1 +- sqrt(17)) / 4), roots,
+    comparisons, memo keys and signs all work on the coordinates'
+    integer boxes: neither the first sweep nor the repeated one, which
+    reads the memoized roots, makes, compares or hashes a Fraction."""
+    C = [Constraint(parse_poly("x2^2-2*x1"), "<"), Constraint(parse_poly("3*x2-x1-1"), ">"),
+         Constraint(parse_poly("x2^2+x1*x2-1"), ">=")]
+    s = Sample([Fraction(1, 2)])
+    memo.clear()
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted("__new__", Fraction.__new__)))
+    for name in ("__eq__", "__lt__", "__hash__"):
+        monkeypatch.setattr(Fraction, name, counted(name, getattr(Fraction, name)))
+    verdicts = [check_conflict(C, s) for _ in range(2)]
+    monkeypatch.undo()
+    assert verdicts == [False, False]
+    assert not calls, calls
 
 
 def test_explain_requires_a_conflict():

@@ -1,5 +1,7 @@
 """The integer evaluators against the `Fraction` routes they replaced,
-and the results of the trusted `MPoly._canonical` constructor.
+rational `RealAlg` values, held as integer boxes, against the `Fraction`
+values they stand for, and the results of the trusted `MPoly._canonical`
+constructor.
 
 `realalg._interval_eval`, `realalg._usign` and `MPoly.eval_rational`
 work on integer numerators over a common denominator; their references
@@ -24,7 +26,16 @@ from onecell.polynomial import (
     resultant,
     subresultant_coefficients,
 )
-from onecell.realalg import _interval_eval, _usign
+from onecell.realalg import (
+    RealAlg,
+    Sample,
+    _interval_eval,
+    _usign,
+    isolate_real_roots,
+    line_samples,
+    realalg_to_text,
+    sign_at,
+)
 
 import oracles
 
@@ -157,6 +168,91 @@ def test_subst_rational_rejects_floats():
         p.subst_rational({1: 0.1})
     with pytest.raises(TypeError):
         p.subst_rational({2: "1/2"})
+
+
+# ---------------------------------------------------------------------------
+# rational values on their integer boxes, against Fraction
+
+
+def _built(x: Fraction, way: int) -> RealAlg:
+    """The rational x = n/d as a `RealAlg`, made the way the library
+    makes one: 0 by `RealAlg.rational`; 1 by `_resolve` of the linear
+    factor of (d*t - n)(t^2 - 200) on the box ((2n - 1)/2d, (2n + 1)/2d),
+    which holds no root of t^2 - 200; 2 by `refine` of that box, whose
+    midpoint 4n/4d is the root; 3 as the root of d*x1 - n
+    (`isolate_real_roots`)."""
+    n, d = x.numerator, x.denominator
+    if way == 0:
+        return RealAlg.rational(x)
+    if way == 3:
+        return isolate_real_roots(MPoly({(1,): d, (): -n}))[0]
+    c = (200 * n, -200 * d, -n, d)
+    v = RealAlg._root(c, (2 * n - 1, 2 * n + 1, 2 * d), 2, None)
+    if way == 1:
+        assert v.is_rational()
+    else:
+        v.refine()
+    return v
+
+
+@st.composite
+def _two_rationals(draw):
+    """Two rationals, equal in about half the draws, each with a way of
+    building it (`_built`)."""
+    x = draw(rationals)
+    y = x if draw(st.booleans()) else draw(rationals)
+    return x, y, draw(st.integers(0, 3)), draw(st.integers(0, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_two_rationals())
+@example((Fraction(1, 2), Fraction(1, 3), 0, 0))
+@example((Fraction(-3, 4), Fraction(-3, 4), 2, 1))
+@example((Fraction(0), Fraction(0), 2, 3))
+def test_rationals_compare_and_key_as_their_fractions(case):
+    x, y, i, j = case
+    a, b = _built(x, i), _built(y, j)
+    assert a.is_rational() and b.is_rational()
+    assert a.compare(b) == (x > y) - (x < y) == -b.compare(a)
+    assert (a.key() == b.key()) == (x == y)
+    key = a.key()
+    assert key == ("rat", x.numerator, x.denominator)
+    assert all(type(k) is int for k in key[1:])
+    assert a.key() == RealAlg.rational(x).key() and hash(a) == hash(RealAlg.rational(x))
+    assert a.rational_value() == x and type(a.rational_value()) is Fraction
+    assert realalg_to_text(a) == str(x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(rationals, max_size=5))
+@example([Fraction(-1, 2), Fraction(1, 3), Fraction(1, 3)])
+def test_line_samples_points_are_keyed_as_their_fractions(cuts):
+    """Each point of `line_samples` over rational cuts, 0 and the
+    simplest rational of each gap, has the key and hash of
+    `RealAlg.rational` of its value, and each gap's point lies in it."""
+    points, _, _ = line_samples([RealAlg.rational(c) for c in cuts])
+    for v in points:
+        x = v.rational_value()
+        assert v.key() == RealAlg.rational(x).key() and hash(v) == hash(RealAlg.rational(x))
+    ends = [None, *sorted(set(cuts)), None] if cuts else [None, None]
+    for v, lo, hi in zip(points[1:], ends, ends[1:]):
+        x = v.rational_value()
+        assert (lo is None or lo < x) and (hi is None or x < hi)
+
+
+@st.composite
+def _poly_and_built_point(draw):
+    p, point = draw(_poly_and_point())
+    return p, point, [draw(st.integers(0, 3)) for _ in point]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_poly_and_built_point())
+def test_sign_at_a_rational_point_is_the_sign_of_eval_rational(case):
+    p, point, ways = case
+    v = p.eval_rational(point)
+    s = Sample(_built(x, way) for x, way in zip(point, ways))
+    assert sign_at(p, s) == (v > 0) - (v < 0)
 
 
 # ---------------------------------------------------------------------------
