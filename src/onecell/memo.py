@@ -29,7 +29,7 @@ themselves:
   (`MPoly._canonical`, which every constructor goes through), so that
   equal polynomials built again are the same object and share the
   views kept on it (hash, text, degrees, sort key, main-variable
-  coefficients, normal form)
+  coefficients, normal form, integer form)
 
 Keys are values, never object identities.  Polynomial equality and
 hashing stay value-based too: a polynomial dropped from `POLYS`, or

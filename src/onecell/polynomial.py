@@ -25,9 +25,14 @@ construction; its hash is computed when it is built, and its other
 derived views are computed on first use and kept on the value: the
 text (`poly_to_str`), the tuple of per-variable degrees (behind
 `degree` and `variables`), `sort_key`, the coefficients in the main
-variable (`coeff_info(p, p.level)`) and the normal form (`normalize`).
-Each kept view is immutable or handed out as a copy: `coeff_info` keeps
-a tuple and returns a new list.
+variable (`coeff_info(p, p.level)`), the normal form (`normalize`) and
+the integer form (`_primitive_part`): the content as two ints and the
+integer-primitive term map, which is p's own map when the content is
+1.  Every reader of integer coefficients (the evaluators, `normalize`,
+`dense`, the projection kernels and `factor`) reads the integer form,
+so no other function converts a coefficient.  Each kept view is
+immutable or handed out as a copy: `coeff_info` keeps a tuple and
+returns a new list.
 
 The module also provides the projection operations the cell construction
 consumes: resultants, discriminants and principal subresultant
@@ -93,7 +98,8 @@ class MPoly:
     callers give up the dict they pass.
     """
 
-    __slots__ = ("_terms", "_hash", "_str", "_level", "_degrees", "_key", "_main", "_normal")
+    __slots__ = ("_terms", "_hash", "_str", "_level", "_degrees", "_key", "_main", "_normal",
+                 "_integer")
 
     def __new__(cls, terms: dict[tuple[int, ...], Fraction] | None = None):
         clean: dict[tuple[int, ...], Fraction] = {}
@@ -112,7 +118,7 @@ class MPoly:
         """Trusted constructor for terms that are already canonical: the
         polynomial kept in `memo.POLYS` for them, else a new one, kept
         there.  The caller gives up `terms`, which may become the new
-        value's own map, and never touches it again."""
+        value's own map, and never changes it."""
         key = frozenset(terms.items())
         return memo.POLYS.fetch(key, _new_poly, terms, key)
 
@@ -222,41 +228,37 @@ class MPoly:
 
     def eval_rational(self, point: Sequence[Fraction]) -> Fraction:
         """Evaluate at a fully rational point (coordinate j for x_j), on
-        integer numerators over one common denominator; TypeError unless
-        each coordinate p depends on is an int or a Fraction."""
-        return Fraction(*self._eval_scaled(point))
-
-    def _eval_scaled(self, point: Sequence[Fraction]) -> tuple[int, int]:
-        """`eval_rational` on integers: p(point) as total / scale, scale >
-        0.  Each coordinate of p's variables is turned once into the
-        integer pair `_fiber` reads, with `_rational`'s TypeError."""
+        integers: each coordinate of p's variables is turned once into
+        the integer pair `_fiber` reads, with `_rational`'s TypeError,
+        and the value of p over its content comes back times the content
+        g/l of the integer form."""
         if self._level > len(point):
             raise ValueError("point has too few coordinates")
         pairs = [_rational(x).as_integer_ratio() if d else None
                  for x, d in zip(point, self._degree_tuple())]
         (total,), scale = self._fiber(pairs, self._level + 1)
-        return total, scale
+        (g, l), _ = _primitive_part(self)
+        return Fraction(g * total, l * scale)
 
     def _fiber(self, point: Sequence[tuple[int, int] | None], v: Var) -> tuple[list[int], int]:
-        """The coefficients of p in x_v, from degree 0 up, with every other
+        """The coefficients in x_v of P, p over its content (the integer
+        form, `_primitive_part`), from degree 0 up, with every other
         variable x_j of p at a/b for point[j - 1] = (a, b), b > 0, on
-        integers: (c, scale), scale > 0, the coefficient of x_v^k being
-        c[k] / scale; for v above p's level, the one entry p(point).  A
-        coordinate that is not read, of x_v or of a variable p does not
-        have, may be None.  One pass over the terms: each coefficient
-        goes over the lcm of the denominators, each x_j^k, with x_j of
-        degree d_j in p, is a^k b^(d_j - k) from one table per variable,
-        and the product goes into the slot of the term's degree in x_v."""
-        den = math.lcm(*(c.denominator for c in self._terms.values()))
-        scale, pows = den, []
+        integers: (c, scale), scale > 0, the coefficient of x_v^k in P
+        being c[k] / scale; for v above p's level, the one entry
+        P(point).  A coordinate that is not read, of x_v or of a
+        variable p does not have, may be None.  One pass over P's
+        terms: each x_j^k, with x_j of degree d_j in p, is a^k b^(d_j -
+        k) from one table per variable, and the product goes into the
+        slot of the term's degree in x_v."""
+        scale, pows = 1, []
         for i, d in enumerate(self._degree_tuple()):
             if d and i != v - 1:
                 a, b = point[i]
                 pows.append((i, [a**k * b ** (d - k) for k in range(d + 1)]))
                 scale *= b**d
         out = [0] * (self.degree(v) + 1)
-        for e, c in self._terms.items():
-            t = c.numerator * (den // c.denominator)
+        for e, t in _primitive_part(self)[1].items():
             for i, pw in pows:
                 t *= pw[e[i] if i < len(e) else 0]
             out[e[v - 1] if len(e) >= v else 0] += t
@@ -323,7 +325,7 @@ def _new_poly(terms: dict, key: frozenset) -> MPoly:
     self = object.__new__(MPoly)
     self._terms = terms
     self._hash = hash(key)
-    self._str = self._degrees = self._key = self._main = self._normal = None
+    self._str = self._degrees = self._key = self._main = self._normal = self._integer = None
     self._level = max(map(len, terms), default=0)
     return self
 
@@ -458,9 +460,16 @@ def _resultant(p: MPoly, q: MPoly, v: Var) -> MPoly:
     if dp < 1 or dq < 1:
         raise ValueError("resultant requires positive degree in the main variable")
     ((g, l), P), ((h, m), Q) = _primitive_part(p), _primitive_part(q)
-    scale = _coefficient(Fraction(g**dq * h**dp, l**dq * m**dp))
     R, = _ires(_rows(P, v, dp), _rows(Q, v, dq), dp, dq, _ures)
-    return MPoly._canonical(_stored({e: scale * k for e, k in R.items()}))
+    return _scaled(R, g**dq * h**dp, l**dq * m**dp)
+
+
+def _scaled(R: dict, num: int, den: int) -> MPoly:
+    """The polynomial R * num / den, for a kernel's integer term map R
+    and positive ints num and den, with a Fraction only when den > 1."""
+    if den == 1:
+        return MPoly._canonical({e: num * k for e, k in R.items()})
+    return MPoly._canonical(_stored({e: Fraction(num * k, den) for e, k in R.items()}))
 
 
 def subresultant_coefficients(p: MPoly, v: Var) -> tuple[MPoly, ...]:
@@ -472,25 +481,24 @@ def subresultant_coefficients(p: MPoly, v: Var) -> tuple[MPoly, ...]:
     around the integer subresultant PRS (`_upsc`), with the other
     variables packed into one integer (Kronecker substitution) or, for
     large input, evaluated at integers and interpolated (Collins 1971)."""
-    c, d, rows, drows = _with_derivative(p, v)
-    # psc_j(c P, c P') = c^(2d-1-2j) psc_j(P, P'): the minor has d-1-j
-    # rows of P and d-j rows of P'
-    return tuple(
-        MPoly._canonical(_stored({e: c ** (2 * d - 1 - 2 * j) * k for e, k in R.items()}))
-        for j, R in enumerate(_ires(rows, drows, d, d - 1, _upsc))
-    )
+    (g, l), d, rows, drows = _with_derivative(p, v)
+    # psc_j(c P, c P') = c^(2d-1-2j) psc_j(P, P'), c = g/l: the minor has
+    # d-1-j rows of P and d-j rows of P'
+    return tuple(_scaled(R, g ** (2 * d - 1 - 2 * j), l ** (2 * d - 1 - 2 * j))
+                 for j, R in enumerate(_ires(rows, drows, d, d - 1, _upsc)))
 
 
-def _with_derivative(p: MPoly, v: Var) -> tuple[Fraction, int, dict, dict]:
-    """p = c P for the integer-primitive P of degree d >= 1 in x_v: c, d,
-    and the rows (`_rows`) of P and of dP/dx_v."""
+def _with_derivative(p: MPoly, v: Var) -> tuple[tuple[int, int], int, dict, dict]:
+    """p = (g/l) P for P of degree d >= 1 in x_v, the integer form of p
+    (`_primitive_part`): the content as the ints (g, l), d, and the rows
+    (`_rows`) of P and of dP/dx_v."""
     d = p.degree(v)
     if d < 1:
         raise ValueError(f"x{v} does not occur in {p}")
     (g, l), P = _primitive_part(p)
     rows = _rows(P, v, d)
     drows = {e: [k * x for k, x in enumerate(r)][1:] for e, r in rows.items() if any(r[1:])}
-    return Fraction(g, l), d, rows, drows
+    return (g, l), d, rows, drows
 
 
 def _rows(P: dict, v: Var, d: int) -> dict:
@@ -709,9 +717,9 @@ def discriminant(p: MPoly, v: Var) -> MPoly:
 def _discriminant(p: MPoly, v: Var) -> MPoly:
     if p.degree(v) == 1:
         return MPoly.constant(1)
-    c, d, rows, drows = _with_derivative(p, v)
+    (g, l), d, rows, drows = _with_derivative(p, v)
     R, = _ires(rows, drows, d, d - 1, _udisc)
-    return MPoly._canonical(_stored({e: c ** (2 * d - 2) * k for e, k in R.items()}))
+    return _scaled(R, g ** (2 * d - 2), l ** (2 * d - 2))
 
 
 def _udisc(A: list[int], B: list[int]) -> list[int]:
@@ -731,13 +739,19 @@ def _udisc(A: list[int], B: list[int]) -> list[int]:
 
 
 def _primitive_part(p: MPoly) -> tuple[tuple[int, int], dict[tuple[int, ...], int]]:
-    """The content g/l of a nonzero p, the positive rational with p/(g/l)
-    integer-primitive, as the ints (g, l), and the integer term map of
-    p/(g/l): each coefficient n/d goes to n * (l // d) // g."""
-    cs = p._terms.values()
-    g = math.gcd(*(c.numerator for c in cs))
-    l = math.lcm(*(c.denominator for c in cs))
-    return (g, l), {e: k.numerator * (l // k.denominator) // g for e, k in p._terms.items()}
+    """The integer form of p, computed on first use and kept on p: the
+    content g/l of a nonzero p, the positive rational with p/(g/l)
+    integer-primitive, as the ints (g, l), and the integer term map P of
+    p/(g/l), in which each coefficient n/d goes to n * (l // d) // g.
+    P is p's own term map when g = l = 1, as for every normal form; like
+    it, P is never changed."""
+    if p._integer is None:
+        cs = p._terms.values()
+        g = math.gcd(*(c.numerator for c in cs))
+        l = math.lcm(*(c.denominator for c in cs))
+        p._integer = (g, l), (p._terms if g == l == 1 else {
+            e: k.numerator * (l // k.denominator) // g for e, k in p._terms.items()})
+    return p._integer
 
 
 def normalize(p: MPoly) -> MPoly:

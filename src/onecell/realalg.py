@@ -54,7 +54,8 @@ isolated root starts out with its part's box, and the boxes of an
 irreducible factor fix which root `canonical_index` names and start
 every canonical copy.  Over a prefix whose coordinates of p's
 variables are rational, the empty one too, the tuple comes from one
-pass over p's terms on integers (`MPoly._fiber`): no polynomial is built.
+pass over the terms of p's integer form (`MPoly._fiber`): no polynomial
+is built.
 When p involves an irrational coordinate, root finding eliminates each
 algebraic coordinate through resultants with its defining polynomial,
 producing a rational candidate polynomial whose roots include the roots
@@ -72,6 +73,9 @@ The sign test, `sign_at`, evaluates p over the coordinate enclosures
 and refines them until the interval value excludes 0.  Its bounds,
 the sum of the terms' ranges, are integers over one positive scale,
 and over it they are the term-wise Fraction bounds (`_interval_eval`).
+Like `MPoly._fiber`, it reads p's integer form, kept on p
+(`polynomial._primitive_part`), so this module reads no coefficient's
+numerator or denominator.
 It is the one refinement loop of the sign, and each round moves only
 the irrational coordinates of p's variables.  At the first round that
 straddles 0, `_is_zero` decides p(s) = 0 exactly: by one integer
@@ -104,6 +108,7 @@ from .polynomial import (
     _gcd_heuristic,
     _prem,
     _primitive,
+    _primitive_part,
     _rational,
     _trim,
     _upoly,
@@ -633,13 +638,13 @@ def _interval_pow(lo: int, hi: int, k: int) -> tuple[int, int]:
 def _interval_eval(p: MPoly, boxes: Sequence[tuple[int, int, int]]) -> tuple[int, int, int]:
     """Bounds lo/scale <= p <= hi/scale, scale > 0, over the box of the
     [a_j/d_j, b_j/d_j] given as (a_j, b_j, d_j), d_j > 0: the sum of the
-    terms' ranges, computed on integers.  With e_j the degree of p in
-    x_j, each term's bounds times scale = lcm(coefficient denominators)
-    * prod d_j^e_j are integers, and over scale they are the term-wise
-    Fraction bounds."""
-    terms = p._terms
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    scale, pows = den, []
+    terms' ranges, computed on integers.  p is read as (g/l) P, its
+    integer form (`polynomial._primitive_part`).  With e_j the degree of
+    p in x_j, the bounds of each term of P times prod d_j^e_j are
+    integers; their sums times g, over scale = l * prod d_j^e_j, are the
+    term-wise Fraction bounds."""
+    (g, scale), P = _primitive_part(p)
+    pows = []
     for j, d in enumerate(p._degree_tuple()):
         if d:
             a, b, L = boxes[j]
@@ -650,15 +655,15 @@ def _interval_eval(p: MPoly, boxes: Sequence[tuple[int, int, int]]) -> tuple[int
             pows.append((j, pw))
             scale *= L**d
     lo_t = hi_t = 0
-    for e, c in terms.items():
-        tlo = thi = c.numerator * (den // c.denominator)
+    for e, t in P.items():
+        tlo = thi = t
         for j, pw in pows:
             plo, phi = pw[e[j] if j < len(e) else 0]
             cands = (tlo * plo, tlo * phi, thi * plo, thi * phi)
             tlo, thi = min(cands), max(cands)
         lo_t += tlo
         hi_t += thi
-    return lo_t, hi_t, scale
+    return g * lo_t, g * hi_t, scale
 
 
 def sign_at(p: MPoly, s: Sample) -> int:
@@ -673,9 +678,6 @@ def sign_at(p: MPoly, s: Sample) -> int:
     p(s) != 0, whose sign the rounds then show.  The test refines only
     coordinates of p's variables, through the roots over a prefix.
     """
-    if p.is_constant():
-        v = p._terms.get((), 0)
-        return (v > 0) - (v < 0)
     if p.level > len(s):
         raise ValueError("sample has too few coordinates")
     moving = [c for c, d in zip(s, p._degree_tuple()) if d and c._sqf is not None]

@@ -123,11 +123,19 @@ CATALOGUE = [
         120,
     ),
     Mutant(
-        "a fiber that adds up the terms' numerators over different denominators",
+        "an integer form that drops the content's denominator",
         POLYNOMIAL,
-        "            t = c.numerator * (den // c.denominator)\n",
-        "            t = c.numerator\n",
+        "k.numerator * (l // k.denominator) // g",
+        "k.numerator // g",
         ("tests/test_rational_roots.py::test_roots_over_rational_prefixes_match_substitution",),
+        60,
+    ),
+    Mutant(
+        "a kernel scale that ignores den",
+        POLYNOMIAL,
+        "    return MPoly._canonical(_stored({e: Fraction(num * k, den) for e, k in R.items()}))\n",
+        "    return MPoly._canonical({e: num * k for e, k in R.items()})\n",
+        ("tests/test_resultant.py::test_rational_coefficients_up_to_level_three",),
         60,
     ),
     Mutant(

@@ -1,6 +1,7 @@
 """Conflict checking and generalization."""
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from onecell.cells import (
     cell_to_text,
 )
 from onecell.config import HEURISTIC_IDS, config_from_id
-from onecell.engine import Fail
+from onecell.engine import Fail, single_cell
 from onecell.explain import (
     Constraint,
     ExtendedConstraint,
@@ -77,6 +78,40 @@ def test_check_conflict_takes_the_coordinates_of_a_sample():
         check_conflict([DISK, ABOVE_ONE], [0.5])
 
 
+# The functions that may still make, compare or hash a Fraction on
+# integer input at rational samples, with the reason.
+_FRACTION_CALLERS = {
+    # over a sample with an irrational coordinate, the zero test
+    # substitutes the rational ones by `subst_rational`, on Fractions
+    "_rational_part",
+}
+
+
+def _fraction_calls(monkeypatch, run):
+    """run() and the calls it made to Fraction's __new__, __eq__, __lt__
+    and __hash__, counted by method and by the nearest function of
+    `_FRACTION_CALLERS` on the stack, None when there is none."""
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code.co_name not in _FRACTION_CALLERS:
+                frame = frame.f_back
+            calls[name, frame and frame.f_code.co_name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted("__new__", Fraction.__new__)))
+    for name in ("__eq__", "__lt__", "__hash__"):
+        monkeypatch.setattr(Fraction, name, counted(name, getattr(Fraction, name)))
+    try:
+        out = run()
+    finally:
+        monkeypatch.undo()
+    return out, calls
+
+
 def test_the_sweep_over_a_rational_prefix_builds_no_fraction(monkeypatch):
     """Over the rational x1 = 1/2, where the constraints' roots in x2 are
     rational (-1, 1, 1/2) and irrational ((-1 +- sqrt(17)) / 4), roots,
@@ -87,21 +122,37 @@ def test_the_sweep_over_a_rational_prefix_builds_no_fraction(monkeypatch):
          Constraint(parse_poly("x2^2+x1*x2-1"), ">=")]
     s = Sample([Fraction(1, 2)])
     memo.clear()
-    calls = Counter()
-
-    def counted(name, f):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return f(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted("__new__", Fraction.__new__)))
-    for name in ("__eq__", "__lt__", "__hash__"):
-        monkeypatch.setattr(Fraction, name, counted(name, getattr(Fraction, name)))
-    verdicts = [check_conflict(C, s) for _ in range(2)]
-    monkeypatch.undo()
+    verdicts, calls = _fraction_calls(monkeypatch, lambda: [check_conflict(C, s) for _ in range(2)])
     assert verdicts == [False, False]
     assert not calls, calls
+
+
+def test_a_cell_at_a_rational_sample_builds_no_fraction(monkeypatch):
+    """On integer input at a rational sample, the projections read the
+    polynomials' integer forms and scale their results by integer
+    contents, and roots and signs work on integer boxes: the whole
+    three-level construction makes, compares or hashes no Fraction."""
+    P = [parse_poly(t) for t in ("x1^2+x2^2+x3^2-1", "x3-x1*x2", "x2^2-x1^3+x3")]
+    s = [Fraction(1, 2), Fraction(1, 3), Fraction(-1, 4)]
+    memo.clear()
+    result, calls = _fraction_calls(monkeypatch, lambda: single_cell(P, s))
+    assert not isinstance(result, Fail)
+    assert not calls, calls
+
+
+def test_the_solver_on_integer_input_builds_only_the_listed_fractions(monkeypatch):
+    """The solver picks rational samples itself; on integer input its
+    only Fractions are those of `_FRACTION_CALLERS`: none for the unsat
+    disk and hyperbola, and for the model on sqrt(2) only the zero
+    test's substitution beside that irrational coordinate."""
+    cases = [([("x1^2+x2^2-1", "<"), ("x1*x2-1", ">")], "unsat", False),
+             ([("x1^2-2", "="), ("x2^2-x1", "<"), ("x1*x2-1", ">")], "sat", True)]
+    for atoms, status, listed in cases:
+        C = [Constraint(parse_poly(t), op) for t, op in atoms]
+        memo.clear()
+        result, calls = _fraction_calls(monkeypatch, lambda: solve_conjunction(C, 2))
+        assert result.status == status
+        assert {caller for _, caller in calls} == ({"_rational_part"} if listed else set()), calls
 
 
 def test_explain_requires_a_conflict():

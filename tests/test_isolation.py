@@ -42,7 +42,7 @@ def _integer_polys(draw):
     degree = draw(st.integers(2, 20))
     coeffs = draw(st.lists(st.integers(-_BIG, _BIG), min_size=degree, max_size=degree))
     lead = draw(st.integers(1, _BIG)) * draw(st.sampled_from([1, -1]))
-    return [Fraction(x) for x in coeffs + [lead]]
+    return coeffs + [lead]
 
 
 @settings(max_examples=40, deadline=None)
@@ -71,7 +71,6 @@ _HUGE_BOUNDS = {
 
 @pytest.mark.parametrize("c", _HUGE_BOUNDS.values(), ids=_HUGE_BOUNDS.keys())
 def test_kernel_matches_fraction_bisection_at_huge_bounds(c):
-    c = [Fraction(x) for x in c]
     assert _irreducible_factors(c) == [dense(_upoly(c, 1), 1)]
     _check_against_oracle(c)
 
@@ -83,7 +82,7 @@ def test_canonical_boxes_are_reduced():
     rational root at a midpoint, and the irreducible factors that give
     their roots' identities, are checked as well as the huge bounds."""
     memo.clear()
-    polys = [_upoly([Fraction(x) for x in c], 1) for c in _HUGE_BOUNDS.values()]
+    polys = [_upoly(c, 1) for c in _HUGE_BOUNDS.values()]
     polys += [_upoly([15, -5, -3, 1], 1),  # (x - 3)(x^2 - 5)
               _upoly([1, -3, 0, 1], 1) * _upoly([-1, -3, 0, 1], 1),
               _upoly([-3, 0, 1], 1) * _upoly([1, 0, -7, 0, 2], 1)]

@@ -6,6 +6,7 @@ per polynomial value (`memo.POLYS`) with its kept normal form, and one
 `memo.ROOTS` entry for a polynomial and its constant multiples."""
 
 import copy
+import math
 import pickle
 from fractions import Fraction
 from unittest import mock
@@ -18,6 +19,7 @@ from onecell import memo, polynomial, realalg
 from onecell.polynomial import (
     MPoly,
     _factor,
+    _primitive_part,
     _resultant,
     _upoly,
     coeff_info,
@@ -161,25 +163,43 @@ def test_copies_and_pickles_rebuild_the_value():
     """Copying or unpickling a polynomial builds it anew through the
     constructor and leaves every other value, the zero too, intact."""
     p = parse_poly("x1^2-x2/3")
+    form = _primitive_part(p)
     assert copy.copy(p) is p and copy.deepcopy(p) is p
     assert pickle.loads(pickle.dumps(p)) is p
-    memo.clear()
-    assert pickle.loads(pickle.dumps(p)) == p
+    for rebuild in (lambda: pickle.loads(pickle.dumps(p)), lambda: copy.copy(p)):
+        memo.clear()
+        q = rebuild()
+        # a new value, whose views are computed anew, not copied slots
+        assert q == p and q is not p and q._integer is None
+        assert _primitive_part(q) == form
     assert MPoly({}).is_zero() and str(MPoly({})) == "0"
 
 
 @settings(max_examples=60, deadline=None)
 @given(_polys(3), rationals.filter(bool))
 def test_kept_normal_form_matches_a_recomputation(p, c):
-    """normalize(p) is kept on p and is its own normal form; after
-    `memo.clear` an equal polynomial built anew recomputes an equal
-    one."""
-    kept = normalize(p.scale(c))
+    """normalize(p) is kept on p and is its own normal form, and the
+    integer form ((g, l), P) is kept on p, with P p's own term map
+    exactly when the content g/l is 1; after `memo.clear` an equal
+    polynomial built anew recomputes equal ones."""
+    q = p.scale(c)
+    kept = normalize(q)
     assert normalize(kept) is kept and normalize(p.scale(c)) is kept
+    form = _primitive_part(q)
+    assert _primitive_part(q) is form and _primitive_part(kept)[1] is kept._terms
+    (g, l), P = form
+    assert (P is q._terms) == (g == l == 1)
+    terms = q.terms
+    assert g > 0 and l > 0 and math.gcd(*P.values()) == 1
+    assert all(type(k) is int and Fraction(g * k, l) == terms[e] for e, k in P.items())
+    assert P.keys() == terms.keys()
     memo.clear()
     fresh = normalize(MPoly(p.terms))
     assert fresh is not kept and fresh == kept and hash(fresh) == hash(kept)
     assert normalize(fresh) is fresh
+    again = MPoly(q.terms)
+    assert again is not q and _primitive_part(again) is not form
+    assert _primitive_part(again) == form
 
 
 def test_callers_cannot_change_a_memoized_factor_list():
